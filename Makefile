@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve verify
+.PHONY: build vet lint test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve bench-node verify
 
 build:
 	$(GO) build ./...
@@ -153,5 +153,12 @@ bench-scale:
 		done; \
 	done
 	@wc -l BENCH_scale.json
+
+# bench-node runs the live node's shared-access microbenchmarks: a read
+# and a write hit on the own worker's lock-free path, the same read
+# through a LaneWorker (which keeps the node mutex), and the first write
+# of an interval (the twin path), five runs each.
+bench-node:
+	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite' -benchmem -count=5 ./internal/live/node/
 
 verify: build vet lint race check-smoke live chaos recover failover scale-smoke serve-smoke endurance

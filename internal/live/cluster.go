@@ -347,12 +347,7 @@ func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
 	firstErr := pickErr(errs)
 	if firstErr == nil {
 		// Gather the final image from the homes before teardown.
-		c.final = make([]byte, c.brk)
-		for pg := 0; pg < npages; pg++ {
-			img := c.nodes[homes[pg]].HomePage(page.ID(pg))
-			off := pg << c.pageShift
-			copy(c.final[off:], img)
-		}
+		c.gatherFinal(c.nodes, homes)
 	}
 	abort()
 	for _, nd := range c.nodes {
@@ -375,6 +370,15 @@ func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
 	st.Total.Node = -1
 	st.computeBalance()
 	return st, nil
+}
+
+// gatherFinal assembles the final memory image from the pages' homes,
+// each page copied once, straight into place.
+func (c *Cluster) gatherFinal(nodes []*node.Node, homes []int32) {
+	c.final = make([]byte, c.brk)
+	for pg, home := range homes {
+		nodes[home].CopyHomePage(page.ID(pg), c.final[pg<<c.pageShift:])
+	}
 }
 
 // StatsSnapshot returns the protocol counters of the cluster's current

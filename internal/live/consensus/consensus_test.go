@@ -60,8 +60,11 @@ func newHarnessOpt(t *testing.T, n int, timeout time.Duration, compactEvery int6
 	}
 	for i := 0; i < n; i++ {
 		h.stables[i] = NewStable()
-		h.reps[i] = h.build(i, timeout)
-		h.reps[i].Start()
+		r := h.build(i, timeout)
+		h.mu.Lock() // replicas already started read reps through sender
+		h.reps[i] = r
+		h.mu.Unlock()
+		r.Start()
 	}
 	return h
 }

@@ -121,6 +121,11 @@ type mclient struct {
 	order   []int64 // cached tokens, oldest first
 }
 
+// cache keeps a copy of m, not m itself: the caller goes on to send m,
+// and send stamps the envelope (From, Epoch) in place — on a worker or
+// the consensus apply goroutine — while the dispatcher may already be
+// re-serving the cached reply to a duplicated request. The copy is only
+// ever sent by the dispatcher.
 func (c *mclient) cache(m *wire.Msg) {
 	if c.replies == nil {
 		c.replies = make(map[int64]*wire.Msg)
@@ -132,8 +137,9 @@ func (c *mclient) cache(m *wire.Msg) {
 			c.order = c.order[1:]
 		}
 	}
+	cp := *m
 	//dsmlint:ignore vtalias cached replies are immutable after construction: they are only re-encoded for retransmission, never written
-	c.replies[m.Token] = m
+	c.replies[m.Token] = &cp
 }
 
 func newManager(n *Node) *manager {
@@ -286,12 +292,7 @@ func (g *manager) reply(to int32, m *wire.Msg) {
 	g.cmu.Lock()
 	c := g.client(to, m.Token)
 	if m.Token <= c.lastTok {
-		// Cache a copy, not the outbound message itself: send rewrites
-		// envelope fields (From, Epoch) in place, and with a replicated
-		// manager this send runs on the consensus apply goroutine while
-		// the dispatcher may concurrently re-serve the cached reply.
-		cp := *m
-		c.cache(&cp)
+		c.cache(m)
 	}
 	g.cmu.Unlock()
 	g.n.send(int(to), m)

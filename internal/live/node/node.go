@@ -29,6 +29,13 @@
 // 0 — the manager). Workers never hold the node mutex across a message
 // wait, and only the worker invalidates its own pages, so faults cannot
 // race an invalidation.
+//
+// The paper's systems catch shared accesses with the VM hardware, so a
+// hit on a valid page is free. Here a hit by the node's own worker is
+// one atomic load of the page's state word and the access itself, with
+// no mutex (see lpage and Node.hit); everything else an access can need
+// — a fault, the first write of an interval, replay, an interrupt — and
+// every access by a LaneWorker takes the node mutex.
 package node
 
 import (
@@ -103,11 +110,40 @@ type Config struct {
 	Recover *RecoverConfig
 }
 
-// lpage is one node's view of one shared page.
+// Page state bits (lpage.state).
+const (
+	// pageReadable: the copy is valid.
+	pageReadable uint32 = 1 << iota
+	// pageWritable: valid and already twinned this interval, so a write
+	// needs no bookkeeping.
+	pageWritable
+)
+
+// lpage is one node's view of one shared page. Every field is guarded by
+// Node.mu, with one exception: the node's own worker loads state and
+// reads or writes words of data without it (Node.hit). That is safe
+// because
+//
+//   - state only changes under Node.mu, and on a node whose worker runs
+//     lock-free only that worker changes it (setState's callers), so the
+//     worker always sees its own latest store;
+//   - the only other goroutine that touches a resident page is the
+//     dispatcher, under Node.mu and only on pages homed here. It reads
+//     the committed view — twin if present, else data — and the worker
+//     writes data lock-free only while a twin exists, so the dispatcher
+//     never reads what the worker is writing. Twin creation, MakeDiff and
+//     twin release stay under Node.mu;
+//   - the dispatcher stores into data at one site, homeRecordLocked
+//     applying a remote diff. For a data-race-free program that store and
+//     the worker's accesses to the same word are ordered through Node.mu,
+//     which every acquire and release takes. A deliberately racy read
+//     (tsp's unlocked bound) can run concurrently with it, so the store
+//     is page.Diff.ApplyAtomic and the worker's load page.Buf.LoadU64.
 type lpage struct {
-	data  page.Buf
-	twin  page.Buf
-	valid bool
+	data page.Buf
+	twin page.Buf
+	// state holds the page* bits; see setState.
+	state atomic.Uint32
 	// copyVT[w] is the highest interval index of writer w whose
 	// modifications to this page are incorporated in data.
 	copyVT vc.VC
@@ -116,6 +152,22 @@ type lpage struct {
 	log     []wire.Diff // recent diffs, in application order
 	logBase vc.VC       // highest interval index per writer pruned from log
 	homeVT  vc.VC       // highest interval index per writer applied here
+}
+
+func (ps *lpage) valid() bool { return ps.state.Load()&pageReadable != 0 }
+
+// setState publishes the page's validity and, from twin, whether the
+// current interval already twinned it. Call under Node.mu after every
+// change to either.
+func (ps *lpage) setState(valid bool) {
+	var s uint32
+	if valid {
+		s = pageReadable
+		if ps.twin != nil {
+			s |= pageWritable
+		}
+	}
+	ps.state.Store(s)
 }
 
 // runError wraps a fatal protocol error panicking out of a worker
@@ -151,6 +203,11 @@ type Node struct {
 	// worker's checkpoint capture completes.
 	gateEpisode int64
 	gated       []*wire.Msg
+
+	// hitReads and hitWrites count the worker's lock-free hits since it
+	// last entered the engine; foldHits moves them into stats. Only the
+	// worker goroutine touches them.
+	hitReads, hitWrites int64
 
 	// Worker-private recovery state: the worker's count of departed
 	// barrier episodes (stamps outgoing flushes, flags checkpoint
@@ -278,7 +335,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		if init, ok := cfg.Init[page.ID(pg)]; ok {
 			copy(ps.data, init)
 		}
-		ps.valid = true
+		ps.setState(true)
 		ps.homeVT = vc.New(n.nn)
 		ps.logBase = vc.New(n.nn)
 	}
@@ -534,18 +591,41 @@ func (n *Node) Replaying() bool { return n.replaying }
 // release vector time covers every interval the node closed, so an
 // unacknowledged flush from a concurrent release could otherwise be
 // read stale under another release's grant).
+//
+// Lane workers access shared memory under the node mutex, never
+// lock-free: one lane's Unlock diffs and un-twins every page the node
+// dirtied, including pages another lane is still writing, and a
+// lock-free write landing after that diff would sit in a page with no
+// twin and never be flushed. Under the mutex the late write finds the
+// twin gone and re-twins. For the same reason the node's own worker
+// (lane 0, the *Node itself) must not touch shared memory while lane
+// workers are running.
 func (n *Node) LaneWorker(lane int) core.Worker {
 	return laneWorker{Node: n, lane: int64(lane)}
 }
 
-// laneWorker overrides the one operation whose request tokens must be
-// laned; everything else delegates to the node.
+// laneWorker overrides the operations that differ on a shared node: the
+// acquire's request tokens are laned, and the accessors and the release
+// skip the own worker's lock-free path and its private hit counters.
+// Everything else delegates to the node.
 type laneWorker struct {
 	*Node
 	lane int64
 }
 
-func (lw laneWorker) Lock(id int) { lw.Node.lockLane(id, lw.lane) }
+func (lw laneWorker) Lock(id int)   { lw.Node.lockLane(id, lw.lane) }
+func (lw laneWorker) Unlock(id int) { lw.Node.unlock(id) }
+
+func (lw laneWorker) ReadU64(a core.Addr) uint64     { return lw.Node.readLocked(a) }
+func (lw laneWorker) WriteU64(a core.Addr, v uint64) { lw.Node.writeLocked(a, v) }
+func (lw laneWorker) ReadI64(a core.Addr) int64      { return int64(lw.Node.readLocked(a)) }
+func (lw laneWorker) WriteI64(a core.Addr, v int64)  { lw.Node.writeLocked(a, uint64(v)) }
+func (lw laneWorker) ReadF64(a core.Addr) float64 {
+	return math.Float64frombits(lw.Node.readLocked(a))
+}
+func (lw laneWorker) WriteF64(a core.Addr, v float64) {
+	lw.Node.writeLocked(a, math.Float64bits(v))
+}
 
 func (n *Node) fail(err error) {
 	if err != nil {
@@ -578,11 +658,70 @@ func (n *Node) locate(a core.Addr) (page.ID, int) {
 	if int(pg) >= n.cfg.NPages {
 		panic(runError{fmt.Errorf("node %d: address %d beyond shared space", n.id, a)})
 	}
-	return pg, int(a) & (n.cfg.PageSize - 1)
+	return pg, n.pageOff(a)
+}
+
+// hit returns a's page when the node's own worker may access the word
+// lock-free: the address is an aligned word inside the shared space, the
+// worker is neither replaying nor interrupted, and the page's state has
+// the bit the access needs (pageReadable or pageWritable). Anything else
+// returns nil and the access takes the locked path. See lpage for why
+// the lock-free access is safe.
+func (n *Node) hit(a core.Addr, need uint32) *lpage {
+	pg := uint64(a) >> n.pageShift
+	if pg >= uint64(len(n.pages)) || a&(page.WordSize-1) != 0 || n.replaying || n.intrFlag.Load() {
+		return nil
+	}
+	if ps := &n.pages[pg]; ps.state.Load()&need != 0 {
+		return ps
+	}
+	return nil
+}
+
+// pageOff is a's byte offset within its page.
+func (n *Node) pageOff(a core.Addr) int { return int(a) & (n.cfg.PageSize - 1) }
+
+// foldHits moves the worker's lock-free hit counts into the node's
+// stats. The own worker's handle calls it whenever it leaves application
+// code for the engine — a missed access, Lock, Unlock, Barrier,
+// FinalFlush — which is also everywhere an interrupt or abort can start
+// unwinding it, so the totals are exact however the worker ends.
+func (n *Node) foldHits() {
+	if n.hitReads != 0 {
+		atomic.AddInt64(&n.stats.SharedReads, n.hitReads)
+		n.hitReads = 0
+	}
+	if n.hitWrites != 0 {
+		atomic.AddInt64(&n.stats.SharedWrites, n.hitWrites)
+		n.hitWrites = 0
+	}
 }
 
 // ReadU64 implements core.Worker.
 func (n *Node) ReadU64(a core.Addr) uint64 {
+	if ps := n.hit(a, pageReadable); ps != nil {
+		n.hitReads++
+		return ps.data.LoadU64(n.pageOff(a))
+	}
+	n.foldHits()
+	return n.readLocked(a)
+}
+
+// WriteU64 implements core.Worker. The lock-free store is a plain one:
+// the page has a twin, so nothing else reads data (see lpage).
+func (n *Node) WriteU64(a core.Addr, v uint64) {
+	if ps := n.hit(a, pageWritable); ps != nil {
+		n.hitWrites++
+		ps.data.PutU64(n.pageOff(a), v)
+		return
+	}
+	n.foldHits()
+	n.writeLocked(a, v)
+}
+
+// readLocked is the read path under the node mutex: the only one for
+// lane workers, and the own worker's path for everything hit rejects.
+func (n *Node) readLocked(a core.Addr) uint64 {
 	pg, off := n.locate(a)
 	if n.replaying {
 		return n.scratchPage(pg).U64(off)
@@ -590,7 +729,7 @@ func (n *Node) ReadU64(a core.Addr) uint64 {
 	atomic.AddInt64(&n.stats.SharedReads, 1)
 	n.mu.Lock()
 	ps := &n.pages[pg]
-	for !ps.valid {
+	for !ps.valid() {
 		n.mu.Unlock()
 		n.fault(pg)
 		n.mu.Lock()
@@ -600,8 +739,9 @@ func (n *Node) ReadU64(a core.Addr) uint64 {
 	return v
 }
 
-// WriteU64 implements core.Worker.
-func (n *Node) WriteU64(a core.Addr, v uint64) {
+// writeLocked is the write path under the node mutex (see readLocked);
+// the first write of an interval twins the page here.
+func (n *Node) writeLocked(a core.Addr, v uint64) {
 	pg, off := n.locate(a)
 	if n.replaying {
 		n.scratchPage(pg).PutU64(off, v)
@@ -610,13 +750,14 @@ func (n *Node) WriteU64(a core.Addr, v uint64) {
 	atomic.AddInt64(&n.stats.SharedWrites, 1)
 	n.mu.Lock()
 	ps := &n.pages[pg]
-	for !ps.valid {
+	for !ps.valid() {
 		n.mu.Unlock()
 		n.fault(pg)
 		n.mu.Lock()
 	}
 	if ps.twin == nil {
 		ps.twin = page.NewTwin(ps.data)
+		ps.setState(true)
 		n.mod = append(n.mod, pg)
 		atomic.AddInt64(&n.stats.TwinsCreated, 1)
 	}
@@ -624,17 +765,51 @@ func (n *Node) WriteU64(a core.Addr, v uint64) {
 	n.mu.Unlock()
 }
 
+// The F64 and I64 accessors repeat the hit test instead of calling
+// ReadU64/WriteU64, which are too large to inline: a hit stays one call
+// deep from the application.
+
 // ReadF64 implements core.Worker.
-func (n *Node) ReadF64(a core.Addr) float64 { return math.Float64frombits(n.ReadU64(a)) }
+func (n *Node) ReadF64(a core.Addr) float64 {
+	if ps := n.hit(a, pageReadable); ps != nil {
+		n.hitReads++
+		return math.Float64frombits(ps.data.LoadU64(n.pageOff(a)))
+	}
+	n.foldHits()
+	return math.Float64frombits(n.readLocked(a))
+}
 
 // WriteF64 implements core.Worker.
-func (n *Node) WriteF64(a core.Addr, v float64) { n.WriteU64(a, math.Float64bits(v)) }
+func (n *Node) WriteF64(a core.Addr, v float64) {
+	if ps := n.hit(a, pageWritable); ps != nil {
+		n.hitWrites++
+		ps.data.PutF64(n.pageOff(a), v)
+		return
+	}
+	n.foldHits()
+	n.writeLocked(a, math.Float64bits(v))
+}
 
 // ReadI64 implements core.Worker.
-func (n *Node) ReadI64(a core.Addr) int64 { return int64(n.ReadU64(a)) }
+func (n *Node) ReadI64(a core.Addr) int64 {
+	if ps := n.hit(a, pageReadable); ps != nil {
+		n.hitReads++
+		return int64(ps.data.LoadU64(n.pageOff(a)))
+	}
+	n.foldHits()
+	return int64(n.readLocked(a))
+}
 
 // WriteI64 implements core.Worker.
-func (n *Node) WriteI64(a core.Addr, v int64) { n.WriteU64(a, uint64(v)) }
+func (n *Node) WriteI64(a core.Addr, v int64) {
+	if ps := n.hit(a, pageWritable); ps != nil {
+		n.hitWrites++
+		ps.data.PutU64(n.pageOff(a), uint64(v))
+		return
+	}
+	n.foldHits()
+	n.writeLocked(a, uint64(v))
+}
 
 // Lock, Unlock and Barrier (core.Worker) live in sync.go with the rest
 // of the distributed synchronization plane.
@@ -642,21 +817,22 @@ func (n *Node) WriteI64(a core.Addr, v int64) { n.WriteU64(a, uint64(v)) }
 // FinalFlush closes the last write interval after the worker returns, so
 // the homes hold the final memory image. The interval is not reported to
 // the manager: nothing synchronizes after it.
-func (n *Node) FinalFlush() { n.closeInterval() }
+func (n *Node) FinalFlush() {
+	n.foldHits()
+	n.closeInterval()
+}
 
-// HomePage returns a copy of the committed contents of a page homed at
-// this node.
-func (n *Node) HomePage(pg page.ID) []byte {
+// CopyHomePage copies the committed contents of a page homed at this
+// node into dst (as much as fits).
+func (n *Node) CopyHomePage(pg page.ID, dst []byte) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	ps := &n.pages[pg]
 	src := ps.data
 	if ps.twin != nil {
 		src = ps.twin
 	}
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out
+	copy(dst, src)
+	n.mu.Unlock()
 }
 
 // ---- fault handling ----
@@ -699,7 +875,7 @@ func (n *Node) installPage(pg page.ID, data []byte, homeVT []int32) {
 		copy(ps.data, data)
 	}
 	ps.copyVT.Join(homeVT)
-	ps.valid = true
+	ps.setState(true)
 }
 
 // ---- interval close and flush ----
@@ -725,6 +901,7 @@ func (n *Node) closeInterval() *wire.Interval {
 		d := page.MakeDiff(pg, ps.twin, ps.data)
 		page.FreeTwin(ps.twin)
 		ps.twin = nil
+		ps.setState(ps.valid())
 		diffBytes += int64(d.SizeBytes())
 		wd := wire.Diff{Writer: int32(n.id), Index: idx, D: d}
 		if home := int(n.cfg.Homes[pg]); home == n.id {
@@ -787,10 +964,12 @@ func (n *Node) closeInterval() *wire.Interval {
 // home version vector and appends to the page's diff log (pruning the
 // oldest entries past homeLogCap). applyData additionally applies the
 // diff to the resident copy — and its twin, keeping the committed view
-// consistent — which the home's own intervals do not need.
+// consistent — which the home's own intervals do not need. This is the
+// one store into a resident page that does not come from the node's own
+// worker, hence the atomic apply (see lpage).
 func (n *Node) homeRecordLocked(ps *lpage, wd wire.Diff, applyData bool) {
 	if applyData {
-		wd.D.Apply(ps.data)
+		wd.D.ApplyAtomic(ps.data)
 		if ps.twin != nil {
 			wd.D.Apply(ps.twin)
 		}
@@ -842,7 +1021,7 @@ func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice) {
 			if ps.copyVT.CoversInterval(w, nt.Index) {
 				continue
 			}
-			if !ps.valid {
+			if !ps.valid() {
 				continue
 			}
 			if n.cfg.Protocol == core.LH {
@@ -852,7 +1031,7 @@ func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice) {
 				}
 				continue
 			}
-			ps.valid = false
+			ps.setState(false)
 			atomic.AddInt64(&n.stats.Invalidations, 1)
 			if n.obs != nil {
 				n.obs.Invalidated(n.id, pg)
@@ -897,7 +1076,7 @@ func (n *Node) pullDiffs(pg page.ID) {
 		}
 	}
 	ps.copyVT.Join(reply.VT)
-	ps.valid = true
+	ps.setState(true)
 	n.mu.Unlock()
 	atomic.AddInt64(&n.stats.DiffsApplied, applied)
 }

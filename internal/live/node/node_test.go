@@ -61,7 +61,8 @@ func TestLockCounter(t *testing.T) {
 		}(nd)
 	}
 	wg.Wait()
-	img := nodes[0].HomePage(0)
+	img := make([]byte, 8)
+	nodes[0].CopyHomePage(0, img)
 	if got := binary.LittleEndian.Uint64(img); got != nn*iters {
 		t.Fatalf("counter = %d, want %d", got, nn*iters)
 	}

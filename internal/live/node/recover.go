@@ -393,7 +393,7 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 		}
 		ps.log = nil
 		if int(n.cfg.Homes[pg]) != n.id {
-			ps.valid = false
+			ps.setState(false)
 			ps.copyVT = vc.New(n.nn)
 			continue
 		}
@@ -416,7 +416,7 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 		// version: a puller behind the base falls back to a full copy.
 		ps.logBase = ps.homeVT.Clone()
 		ps.copyVT = ps.homeVT.Clone()
-		ps.valid = true
+		ps.setState(true)
 	}
 	n.mod = n.mod[:0]
 	n.gateEpisode = 0

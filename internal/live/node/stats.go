@@ -12,7 +12,12 @@ import (
 // mapping table in DESIGN.md §9), so live runs and simulated runs report
 // comparable numbers; wait times are real wall-clock nanoseconds instead
 // of simulated cycles. All fields are updated with atomics — a node's
-// worker, dispatcher and pump touch them concurrently.
+// worker, dispatcher and pump touch them concurrently — with one
+// indirection: the own worker counts its lock-free SharedReads and
+// SharedWrites privately and adds them in whenever it enters the engine
+// (Node.foldHits), so a snapshot taken mid-run can trail by the hits
+// since the worker's last miss or synchronization; totals after the
+// worker has returned or unwound are exact.
 type Stats struct {
 	Node int `json:"node"`
 

@@ -165,8 +165,8 @@ type knowLog struct {
 	recs [][]int32
 }
 
-func (k *knowLog) covered() int32           { return k.base + int32(len(k.recs)) }
-func (k *knowLog) pages(idx int32) []int32  { return k.recs[idx-k.base-1] }
+func (k *knowLog) covered() int32          { return k.base + int32(len(k.recs)) }
+func (k *knowLog) pages(idx int32) []int32 { return k.recs[idx-k.base-1] }
 
 // barAgg accumulates one barrier episode's arrivals from this node's
 // worker and tree children.
@@ -220,7 +220,10 @@ func (sy *syncState) reset(episode int64, vt vc.VC, self int) {
 // to the lock's home, which grants directly (never-owned) or forwards
 // to the probable owner, whose grant arrives with the release-time
 // vector time and the write notices this node is missing.
-func (n *Node) Lock(id int) { n.lockLane(id, 0) }
+func (n *Node) Lock(id int) {
+	n.foldHits()
+	n.lockLane(id, 0)
+}
 
 // lockLane is Lock with an explicit token lane — concurrent serving
 // executors acquire on private lanes (see lclients) so their
@@ -259,6 +262,13 @@ func (n *Node) lockLane(id int, lane int64) {
 // hands the lock straight to it. With no successor the lock stays
 // owned in place and the release costs zero messages.
 func (n *Node) Unlock(id int) {
+	n.foldHits()
+	n.unlock(id)
+}
+
+// unlock is Unlock without the own worker's hit accounting, shared with
+// lane workers.
+func (n *Node) unlock(id int) {
 	if n.replaying {
 		return
 	}
@@ -410,6 +420,7 @@ func (n *Node) acceptForwardLocked(id int, s *fwdReq) (*wire.Msg, int) {
 // subtree up the barrier tree. The departure arrives with the merged
 // vector time and the episode's full notice set.
 func (n *Node) Barrier(id int) {
+	n.foldHits()
 	if n.replaying {
 		n.replayBarrier()
 		return

@@ -14,7 +14,6 @@ import (
 	"lrcdsm/internal/live/node"
 	ckpt "lrcdsm/internal/live/recover"
 	"lrcdsm/internal/live/transport"
-	"lrcdsm/internal/page"
 )
 
 // RecoverOptions parameterizes RunSupervised's crash-recovery policy.
@@ -182,12 +181,7 @@ wait:
 	}
 	firstErr := pickErr(roundErrs)
 	if firstErr == nil {
-		c.final = make([]byte, c.brk)
-		for pg := 0; pg < npages; pg++ {
-			img := nodes[homes[pg]].HomePage(page.ID(pg))
-			off := pg << c.pageShift
-			copy(c.final[off:], img)
-		}
+		c.gatherFinal(nodes, homes)
 	}
 	teardown()
 	for _, nd := range nodes {
@@ -307,7 +301,14 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 				// Dispatcher goroutine: hand the failure to the
 				// supervisor while budget remains. A rollback already in
 				// flight swallows the report — the victim is either the
-				// same node or will be re-detected after recovery.
+				// same node or will be re-detected after recovery — and
+				// does so before the budget is consulted: the restart
+				// being spent is already counted, and a slow rollback's
+				// own victim, silent past the timeout, must not read as
+				// a fresh death the budget cannot cover.
+				if c.crashPending.Load() {
+					return true
+				}
 				if int(restarts.Load()) >= opts.MaxRestarts {
 					return false
 				}
@@ -432,26 +433,48 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		return nil, err
 	}
 
+	// budgetExhausted is the structured abort for a crash the restart
+	// budget can no longer cover.
+	budgetExhausted := func(victim int) error {
+		return &node.PeerDownError{
+			Node:    victim,
+			Pending: fmt.Sprintf("restart budget exhausted (%d restarts used)", restarts.Load()),
+		}
+	}
+
 	// rollback reads the stable checkpoint and resets the replicated
 	// manager state, addressing whichever replica currently leads. Under
 	// a quorum the leader is re-resolved (and the calls retried) until a
 	// surviving replica both claims leadership and commits the reset —
 	// an election may still be in flight when the crash is handled, and
-	// the first claimed leader can be deposed mid-proposal.
+	// the first claimed leader can be deposed mid-proposal. A failed
+	// rollback leaves the victim down for good, and says so: the error is
+	// a PeerDownError naming it, never the internal cause on its own.
 	rollback := func(victim int) (int64, error) {
+		down := func(cause error) error {
+			return &node.PeerDownError{Node: victim, Pending: "rollback: " + cause.Error()}
+		}
 		if !quorum {
 			k, err := nodes[0].StableCheckpoint()
 			if err != nil {
-				return 0, fmt.Errorf("live: reading stable checkpoint: %w", err)
+				return 0, down(fmt.Errorf("reading stable checkpoint: %w", err))
 			}
 			if err := nodes[0].ResetManager(k, victim); err != nil {
-				return 0, fmt.Errorf("live: rolling manager back to episode %d: %w", k, err)
+				return 0, down(fmt.Errorf("rolling manager back to episode %d: %w", k, err))
 			}
 			return k, nil
 		}
 		var lastErr error
 		deadline := time.Now().Add(time.Minute)
 		for time.Now().Before(deadline) {
+			// A further kill while the budget is spent ends the run now: the
+			// survivors may have lost their quorum with it, and polling out
+			// the deadline for a leader that cannot come would only delay
+			// the verdict the budget check is about to give anyway. With
+			// budget left the event stays queued for the next round.
+			if int(restarts.Load()) >= opts.MaxRestarts && len(c.crashCh) > 0 {
+				return 0, budgetExhausted((<-c.crashCh).victim)
+			}
 			ldr := -1
 			for i, nd := range nodes {
 				if i == victim {
@@ -480,7 +503,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no consensus leader elected among the survivors")
 		}
-		return 0, fmt.Errorf("live: rolling back after node %d crash: %w", victim, lastErr)
+		return 0, down(lastErr)
 	}
 
 	var (
@@ -545,10 +568,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 			return fail(doneCh, roundErrs, fmt.Errorf("live: manager (node 0) crashed and no quorum is configured (fewer than 3 nodes); manager recovery needs a replica to fail over to"))
 		}
 		if int(restarts.Load()) >= opts.MaxRestarts {
-			return fail(doneCh, roundErrs, &node.PeerDownError{
-				Node:    ev.victim,
-				Pending: fmt.Sprintf("restart budget exhausted (%d restarts used)", restarts.Load()),
-			})
+			return fail(doneCh, roundErrs, budgetExhausted(ev.victim))
 		}
 		restarts.Add(1)
 		tRec := time.Now()
@@ -639,12 +659,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 
 finished:
 	elapsed := time.Since(t0)
-	c.final = make([]byte, c.brk)
-	for pg := 0; pg < npages; pg++ {
-		img := nodes[homes[pg]].HomePage(page.ID(pg))
-		off := pg << c.pageShift
-		copy(c.final[off:], img)
-	}
+	c.gatherFinal(nodes, homes)
 	teardown()
 	for _, nd := range nodes {
 		nd.Wait()

@@ -14,7 +14,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // ID identifies a shared page.
@@ -184,6 +187,18 @@ func (d Diff) Apply(dst []byte) {
 	}
 }
 
+// ApplyAtomic is Apply with every word stored by StoreU64, for the one
+// destination a lock-free reader may be loading from concurrently (the
+// live home's resident copy; see internal/live/node). dst must be
+// 8-byte aligned.
+func (d Diff) ApplyAtomic(dst Buf) {
+	for _, r := range d.Runs {
+		for i, w := range r.Words {
+			dst.StoreU64((int(r.Off)+i)*WordSize, w)
+		}
+	}
+}
+
 // Empty reports whether the diff carries no modified words.
 func (d Diff) Empty() bool { return len(d.Runs) == 0 }
 
@@ -216,6 +231,36 @@ func (b Buf) U64(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
 
 // PutU64 stores an 8-byte word at byte offset off.
 func (b Buf) PutU64(off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
+
+// hostLittleEndian lets the atomic word accessors agree with U64/PutU64
+// (binary.LittleEndian) on any host: a native-order word is byte-swapped
+// on big-endian machines.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// word holds the only unsafe cast: the 8-byte word at byte
+// offset off as a *uint64 for sync/atomic. off must be a multiple of 8
+// (buffers from NewBuf and NewTwin start 8-byte aligned, as every
+// allocated slice does), and the slice index keeps it in bounds.
+func (b Buf) word(off int) *uint64 { return (*uint64)(unsafe.Pointer(&b[off : off+WordSize][0])) }
+
+// LoadU64 is U64 as one atomic load: the value is never torn against a
+// concurrent StoreU64 of the same word, and the race detector treats the
+// pair as synchronized. off must be a multiple of 8.
+func (b Buf) LoadU64(off int) uint64 {
+	v := atomic.LoadUint64(b.word(off))
+	if !hostLittleEndian {
+		v = bits.ReverseBytes64(v)
+	}
+	return v
+}
+
+// StoreU64 is PutU64 as one atomic store (see LoadU64).
+func (b Buf) StoreU64(off int, v uint64) {
+	if !hostLittleEndian {
+		v = bits.ReverseBytes64(v)
+	}
+	atomic.StoreUint64(b.word(off), v)
+}
 
 // F64 reads a float64 at byte offset off.
 func (b Buf) F64(off int) float64 { return math.Float64frombits(b.U64(off)) }

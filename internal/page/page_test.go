@@ -319,3 +319,49 @@ func TestQuickDiffSizeBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The atomic word accessors must agree with U64/PutU64 (little-endian
+// byte order) whatever the host's, so the two can be mixed on one page.
+func TestAtomicWordMatchesLittleEndian(t *testing.T) {
+	b := NewBuf(32)
+	for i := range b {
+		b[i] = byte(0x10 + i)
+	}
+	for off := 0; off < len(b); off += WordSize {
+		if got, want := b.LoadU64(off), b.U64(off); got != want {
+			t.Errorf("LoadU64(%d) = %#x, U64 = %#x", off, got, want)
+		}
+	}
+	if got := b.LoadU64(8); got != 0x1f1e1d1c1b1a1918 {
+		t.Errorf("LoadU64(8) = %#x, want bytes 18..1f little-endian", got)
+	}
+	b.StoreU64(16, 0x0102030405060708)
+	if want := []byte{8, 7, 6, 5, 4, 3, 2, 1}; !bytes.Equal(b[16:24], want) {
+		t.Errorf("StoreU64 wrote % x, want % x", b[16:24], want)
+	}
+	if got := b.U64(16); got != 0x0102030405060708 {
+		t.Errorf("U64 after StoreU64 = %#x", got)
+	}
+}
+
+// Property: ApplyAtomic leaves exactly the bytes Apply does.
+func TestQuickApplyAtomicEqualsApply(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		size := (1 + r.Intn(64)) * WordSize
+		base := NewBuf(size)
+		r.Read(base)
+		cur := Buf(Twin(base))
+		for i := 0; i < r.Intn(2*size/WordSize); i++ {
+			cur.PutU64(r.Intn(size/WordSize)*WordSize, r.Uint64())
+		}
+		d := MakeDiff(0, base, cur)
+		plain, atomic := Buf(Twin(base)), Buf(Twin(base))
+		d.Apply(plain)
+		d.ApplyAtomic(atomic)
+		return bytes.Equal(plain, atomic) && bytes.Equal(atomic, cur)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
