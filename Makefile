@@ -28,10 +28,13 @@ check-smoke:
 
 # live: the live DSM runtime's gate — all four apps on a 4-node in-proc
 # cluster under -race (result regions checked against a 1-node
-# reference), then a 2-node jacobi over real TCP loopback sockets.
+# reference), then a 2-node jacobi and a 2-node cholesky (both
+# protocols) over real TCP loopback sockets.
 live:
 	$(GO) test -race -count=1 -timeout 300s ./internal/live/...
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 2 -transport tcp -scale test -check -timeout 60s
+	$(GO) run ./cmd/dsmd -app cholesky -protocol LH -nodes 2 -transport tcp -scale test -check -timeout 60s
+	$(GO) run ./cmd/dsmd -app cholesky -protocol LI -nodes 2 -transport tcp -scale test -check -timeout 60s
 
 # chaos: the robustness gate — the seeded chaos soaks (all apps under
 # injected drops/dups/reorders in-proc, resets over TCP loopback, and
@@ -154,11 +157,13 @@ bench-scale:
 	done
 	@wc -l BENCH_scale.json
 
-# bench-node runs the live node's shared-access microbenchmarks: a read
+# bench-node runs the live node's microbenchmarks, five runs each: a read
 # and a write hit on the own worker's lock-free path, the same read
-# through a LaneWorker (which keeps the node mutex), and the first write
-# of an interval (the twin path), five runs each.
+# through a LaneWorker (which keeps the node mutex), the first write of
+# an interval (the twin path), a release that dirtied one remote-homed
+# page, and the hand-off of a lock around one written word between two
+# nodes, in-process and over loopback TCP.
 bench-node:
-	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite' -benchmem -count=5 ./internal/live/node/
+	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite|UnlockDirtyRemote|HandoffDirty' -benchmem -count=5 ./internal/live/node/
 
 verify: build vet lint race check-smoke live chaos recover failover scale-smoke serve-smoke endurance

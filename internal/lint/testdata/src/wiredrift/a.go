@@ -3,7 +3,8 @@
 // entry, KAck never got a name, the Version bumps to 5 and 6 opened no
 // firstV5Kind/firstV6Kind bands (the consensus- and snapshot-frame
 // bands in the live codec), firstV2Kind's version gate is missing from
-// Decode, and firstV3Kind points at a kind below the v2 band.
+// Decode, firstV3Kind points at a kind below the v2 band, and
+// firstV4Kind lies past kindEnd (an empty band sits exactly on it).
 package wiredrift
 
 import "errors"
@@ -24,7 +25,7 @@ const (
 
 	firstV2Kind Kind = KLate // want "band marker firstV2Kind is not checked in Decode"
 	firstV3Kind Kind = KData // want "band marker firstV3Kind .2. does not follow firstV2Kind .4."
-	firstV4Kind Kind = KAck
+	firstV4Kind Kind = 6     // want "band marker firstV4Kind .6. lies outside the kind enum"
 )
 
 var fields = map[Kind]fieldSet{

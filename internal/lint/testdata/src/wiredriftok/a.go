@@ -2,8 +2,9 @@
 // has a fields entry and a name, every version past the first has a
 // band marker — including the v5 consensus band and the v6 snapshot
 // band mirroring the live codec's vote/append and snapshot-install
-// frames — the markers partition the enum in order, and Decode gates
-// each band. No diagnostics expected.
+// frames, and an empty v7 band (a version that only widened existing
+// kinds) closing the enum — the markers partition the enum in order, and
+// Decode gates each band. No diagnostics expected.
 package wiredriftok
 
 import "errors"
@@ -12,7 +13,7 @@ type Kind uint8
 
 type fieldSet struct{ pg, vt bool }
 
-const Version = 6
+const Version = 7
 
 const (
 	KHello  Kind = 1
@@ -30,6 +31,7 @@ const (
 	firstV4Kind Kind = KJoin
 	firstV5Kind Kind = KVote
 	firstV6Kind Kind = KSnap
+	firstV7Kind Kind = kindEnd
 )
 
 var fields = map[Kind]fieldSet{
@@ -68,6 +70,9 @@ func Decode(b []byte) (Kind, error) {
 		return 0, errTooNew
 	}
 	if v < 6 && k >= firstV6Kind {
+		return 0, errTooNew
+	}
+	if v < 7 && k >= firstV7Kind {
 		return 0, errTooNew
 	}
 	if _, ok := fields[k]; !ok {

@@ -33,7 +33,9 @@ import (
 //     new kind ends up decodable from frames too old to carry it;
 //   - the band markers are strictly increasing and inside the enum, so
 //     a kind inserted mid-enum (renumbering everything after it, a wire
-//     compatibility break) trips the ordering check;
+//     compatibility break) trips the ordering check. A version that only
+//     widened existing kinds has an empty band, its marker equal to
+//     kindEnd;
 //   - every band marker is referenced inside Decode — the version gate
 //     is the only consumer, so an unreferenced marker means the gate
 //     for that band is missing.
@@ -122,7 +124,7 @@ func runWireDrift(pass *analysis.Pass) error {
 				pass.Reportf(band.pos, "band marker %s (%d) does not follow %s (%d): version bands must partition the enum in order",
 					band.obj.Name(), band.val, prev.obj.Name(), prev.val)
 			}
-			if kindEnd != nil && band.val >= kindEnd.val {
+			if kindEnd != nil && band.val > kindEnd.val {
 				pass.Reportf(band.pos, "band marker %s (%d) lies outside the kind enum", band.obj.Name(), band.val)
 			}
 			if !decodeRefs[band.obj.Name()] {

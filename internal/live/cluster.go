@@ -470,6 +470,7 @@ func addStats(dst, src *node.Stats) {
 	dst.DupReplies += src.DupReplies
 	dst.HeartbeatsSent += src.HeartbeatsSent
 	dst.HeartbeatsRecv += src.HeartbeatsRecv
+	dst.FlushRetransmits += src.FlushRetransmits
 	dst.CheckpointsTaken += src.CheckpointsTaken
 	dst.CheckpointBytes += src.CheckpointBytes
 	dst.StaleFrames += src.StaleFrames
@@ -477,6 +478,8 @@ func addStats(dst, src *node.Stats) {
 	dst.BarrierWaitNs += src.BarrierWaitNs
 	dst.FaultWaitNs += src.FaultWaitNs
 	dst.FlushWaitNs += src.FlushWaitNs
+	dst.HomeWaitNs += src.HomeWaitNs
+	dst.ParkedReqs += src.ParkedReqs
 	dst.ServeGets += src.ServeGets
 	dst.ServePuts += src.ServePuts
 	dst.ServeLockWaitNs += src.ServeLockWaitNs

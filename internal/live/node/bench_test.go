@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"sync"
 	"testing"
 
 	"lrcdsm/internal/core"
@@ -82,3 +83,91 @@ func BenchmarkFirstWrite(b *testing.B) {
 		w.WriteU64(core.Addr(pg*4096), uint64(i))
 	}
 }
+
+// benchPair starts two nodes sharing one page homed at node 1 and two
+// locks, over the in-process transport or loopback TCP.
+func benchPair(b *testing.B, tcp bool) (*node.Node, *node.Node) {
+	b.Helper()
+	trs := transport.NewInprocNetwork(2)
+	if tcp {
+		var err error
+		if trs, err = transport.NewTCPLoopback(2, transport.TCPOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := node.Config{
+		PageSize: 4096, NPages: 1, Homes: []int32{1},
+		NLocks: 2, NBars: 1, Protocol: core.LH, HeartbeatTimeout: -1,
+	}
+	nodes := []*node.Node{node.New(trs[0], cfg), node.New(trs[1], cfg)}
+	for _, nd := range nodes {
+		nd.Start()
+	}
+	b.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+		for _, tr := range trs {
+			tr.Close()
+		}
+		for _, nd := range nodes {
+			nd.Wait()
+		}
+	})
+	return nodes[0], nodes[1]
+}
+
+// BenchmarkUnlockDirtyRemote: one release that dirtied a page homed on
+// the other node — a local re-acquire, one write, and an Unlock that
+// diffs the page and flushes it home. The blocking release paid the
+// flush round trip here; the lazy one pays the send.
+func BenchmarkUnlockDirtyRemote(b *testing.B) {
+	w, _ := benchPair(b, false)
+	w.Lock(0)
+	w.WriteU64(0, 1)
+	w.Unlock(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Lock(0)
+		w.WriteU64(0, uint64(i))
+		w.Unlock(0)
+	}
+	b.StopTimer()
+	w.FinalFlush()
+}
+
+// benchHandoffDirty ping-pongs one lock between two nodes around one
+// written word: every acquire is a remote hand-off carrying a write
+// notice, every release flushes a diff (node 0's to the other node, node
+// 1's to itself). The two workers take turns through a pair of
+// channels, so one op is exactly one hand-off.
+func benchHandoffDirty(b *testing.B, tcp bool) {
+	n0, n1 := benchPair(b, tcp)
+	turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, w := range []*node.Node{n0, n1} {
+		wg.Add(1)
+		go func(w *node.Node) {
+			defer wg.Done()
+			for i := 0; i < b.N/2; i++ {
+				<-turn[w.ID()]
+				w.Lock(0)
+				w.WriteU64(0, w.ReadU64(0)+1)
+				w.Unlock(0)
+				turn[1-w.ID()] <- struct{}{}
+			}
+		}(w)
+	}
+	turn[0] <- struct{}{}
+	wg.Wait()
+}
+
+// BenchmarkHandoffDirty: the contended hand-off of a lock that carries
+// writes, in-process.
+func BenchmarkHandoffDirty(b *testing.B) { benchHandoffDirty(b, false) }
+
+// BenchmarkHandoffDirtyTCP: the same over loopback TCP.
+func BenchmarkHandoffDirtyTCP(b *testing.B) { benchHandoffDirty(b, true) }

@@ -9,6 +9,7 @@ import (
 
 	"lrcdsm/internal/core"
 	"lrcdsm/internal/live/node"
+	"lrcdsm/internal/live/transport"
 )
 
 // These tests pin the lock-free hit path of the node's own worker (see
@@ -23,6 +24,18 @@ func onePage(home int32, prot core.Protocol) node.Config {
 		NLocks: 2, NBars: 1, Protocol: prot,
 		HeartbeatTimeout: -1,
 	}
+}
+
+// unwound runs body and returns the message of the engine error it
+// unwound with ("" if it returned).
+func unwound(body func()) (msg string) {
+	defer func() {
+		if re, ok := recover().(interface{ Unwrap() error }); ok {
+			msg = re.Unwrap().Error()
+		}
+	}()
+	body()
+	return ""
 }
 
 // runWorkers runs one body per goroutine and fails the test if any of
@@ -249,15 +262,6 @@ func TestLaneWritesSurviveSiblingRelease(t *testing.T) {
 // also where an interrupt or an abort starts unwinding it — so the
 // totals are exact even for a worker that never reaches FinalFlush.
 func TestHitCountsSurviveUnwinding(t *testing.T) {
-	unwound := func(body func()) (msg string) {
-		defer func() {
-			if re, ok := recover().(interface{ Unwrap() error }); ok {
-				msg = re.Unwrap().Error()
-			}
-		}()
-		body()
-		return ""
-	}
 	t.Run("interrupt", func(t *testing.T) {
 		nodes, stop := startNodes(t, onePage(0, core.LH), 1)
 		defer stop()
@@ -275,9 +279,15 @@ func TestHitCountsSurviveUnwinding(t *testing.T) {
 		}
 	})
 	t.Run("abort", func(t *testing.T) {
-		nodes, stop := startNodes(t, onePage(0, core.LH), 2)
-		defer stop()
-		w := nodes[0]
+		// Node 1 is never built, so no grant can race the shutdown.
+		trs := transport.NewInprocNetwork(2)
+		w := node.New(trs[0], onePage(0, core.LH))
+		w.Start()
+		defer func() {
+			trs[0].Close()
+			trs[1].Close()
+			w.Wait()
+		}()
 		for i := 0; i < 100; i++ {
 			w.ReadU64(0)
 		}

@@ -3,15 +3,19 @@
 // protocol concepts the simulator models — twins, word diffs, vector
 // timestamps, write notices — over a real transport.
 //
-// The live protocol is home-based LRC. Every page has a statically
-// assigned home node. A release (lock release or barrier arrival) closes
-// the write interval: each dirtied page is diffed against its twin and
-// the diffs are flushed to the pages' homes; the release blocks until
-// every home acknowledges. Because the release does not complete until
-// the homes are current, any interval that happened-before an acquire is
-// already applied at the homes when the acquirer learns of it, so a
-// fault can always be satisfied with a full copy from the home (LI) and
-// an update pull can always be satisfied from the home's diff log (LH).
+// The live protocol is home-based LRC with a lazy release. Every page has
+// a statically assigned home node. A release (lock release or barrier
+// arrival) closes the write interval: each dirtied page is diffed against
+// its twin and the diffs are sent to the pages' homes — and the release
+// returns without waiting for the homes (flush.go keeps the flights until
+// they are acknowledged; only a barrier arrival and the final flush drain
+// them). Consistency is kept on the reader's side instead: nobody reads a
+// copy older than the notices it has seen. Every page carries a
+// per-writer need vector raised by each write notice the node receives
+// and by its own interval closes; a fault (LI) or update pull (LH)
+// carries it to the home, which answers only once it holds those
+// versions, and a worker told about writes to a page homed on its own
+// node waits, at its next access to the page, for them to land.
 //
 // Synchronization is decentralized (see sync.go): locks are home-based
 // with TreadMarks-style ownership forwarding so grants travel directly
@@ -125,8 +129,14 @@ const (
 // because
 //
 //   - state only changes under Node.mu, and on a node whose worker runs
-//     lock-free only that worker changes it (setState's callers), so the
-//     worker always sees its own latest store;
+//     lock-free only that worker takes a bit away (setState's callers), so
+//     the worker always sees its own latest store. The dispatcher sets
+//     pageReadable at one site — homeRecordLocked, when the flush a home
+//     page was waiting for lands — after writing the data it publishes;
+//   - a page is readable only while its version (copyVT, homeVT on its
+//     home) covers need: applyNotices clears the bit in the critical
+//     section that raises need, and installPage, pullDiffs and
+//     homeRecordLocked set it only once the version has caught up;
 //   - the only other goroutine that touches a resident page is the
 //     dispatcher, under Node.mu and only on pages homed here. It reads
 //     the committed view — twin if present, else data — and the worker
@@ -147,6 +157,12 @@ type lpage struct {
 	// copyVT[w] is the highest interval index of writer w whose
 	// modifications to this page are incorporated in data.
 	copyVT vc.VC
+	// need[w] is the highest interval index of writer w this node has
+	// been told modified the page: by a write notice (applyNotices) or by
+	// closing its own interval. Nil until first raised. The page is
+	// readable only while its version — copyVT, or homeVT on the page's
+	// home — covers need (see the list above).
+	need vc.VC
 
 	// Home-side state (only on the page's home node).
 	log     []wire.Diff // recent diffs, in application order
@@ -155,6 +171,28 @@ type lpage struct {
 }
 
 func (ps *lpage) valid() bool { return ps.state.Load()&pageReadable != 0 }
+
+// raiseNeed records that writer w's interval idx modified the page.
+// Call under Node.mu.
+func (ps *lpage) raiseNeed(w int, idx int32) {
+	if ps.need == nil {
+		ps.need = vc.New(len(ps.copyVT))
+	}
+	if idx > ps.need[w] {
+		ps.need[w] = idx
+	}
+}
+
+// covers reports whether version vector have reaches need in every
+// slot. need may come off the wire, so its length is not trusted.
+func covers(have vc.VC, need []int32) bool {
+	for w, idx := range need {
+		if idx > 0 && (w >= len(have) || have[w] < idx) {
+			return false
+		}
+	}
+	return true
+}
 
 // setState publishes the page's validity and, from twin, whether the
 // current interval already twinned it. Call under Node.mu after every
@@ -204,6 +242,14 @@ type Node struct {
 	gateEpisode int64
 	gated       []*wire.Msg
 
+	// Reader-side gating (under mu; see flush.go). parked holds the page
+	// and diff requests this home cannot answer yet because its copy is
+	// older than the version the requester was told about; homeWake is
+	// non-nil while a local worker waits for a flush to land on a page
+	// homed here, and is closed by the next recorded flush.
+	parked   []parkedReq
+	homeWake chan struct{}
+
 	// hitReads and hitWrites count the worker's lock-free hits since it
 	// last entered the engine; foldHits moves them into stats. Only the
 	// worker goroutine touches them.
@@ -241,6 +287,17 @@ type Node struct {
 	pmu     sync.Mutex
 	pending map[int64]chan *wire.Msg
 	nextTok int64
+
+	// Flush flights (under pmu; see flush.go): the unacknowledged
+	// KWriteNotices messages to each home, oldest first, how many there
+	// are in all (written under pmu, read without it), the channel a
+	// worker in awaitFlights waits on (closed by the next retirement), and
+	// whether the retransmission timer is running.
+	flights    [][]flushFlight
+	inflight   atomic.Int32
+	retired    chan struct{}
+	retryArmed bool
+	retryTimer *time.Timer
 
 	// mgr is non-nil on node 0 (the static manager) and, when the
 	// manager quorum is active, on every node (each holds a replica;
@@ -310,6 +367,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		pages:   make([]lpage, cfg.NPages),
 		inq:     make(chan *wire.Msg, inqDepth),
 		pending: make(map[int64]chan *wire.Msg),
+		flights: make([][]flushFlight, tr.N()),
 		intrCh:  make(chan struct{}),
 		ctl:     make(chan func()),
 		done:    make(chan struct{}),
@@ -587,10 +645,9 @@ func (n *Node) Replaying() bool { return n.replaying }
 // windows rely on. lane must be positive, below 1<<15, and used by one
 // goroutine at a time; lane 0 is the node's own worker goroutine.
 // Goroutines sharing a node must never acquire the same lock
-// concurrently, and their releases must be externally serialized (the
-// release vector time covers every interval the node closed, so an
-// unacknowledged flush from a concurrent release could otherwise be
-// read stale under another release's grant).
+// concurrently; their releases need no serialization (a release vector
+// time covering a sibling's interval whose flush is still in flight is
+// safe, because the next reader waits at the home for it).
 //
 // Lane workers access shared memory under the node mutex, never
 // lock-free: one lane's Unlock diffs and un-twins every page the node
@@ -635,7 +692,10 @@ func (n *Node) fail(err error) {
 		}
 		n.errMu.Unlock()
 	}
-	n.closeOnce.Do(func() { close(n.done) })
+	n.closeOnce.Do(func() {
+		close(n.done)
+		n.stopRetry()
+	})
 }
 
 // ---- core.Worker ----
@@ -814,12 +874,14 @@ func (n *Node) WriteI64(a core.Addr, v int64) {
 // Lock, Unlock and Barrier (core.Worker) live in sync.go with the rest
 // of the distributed synchronization plane.
 
-// FinalFlush closes the last write interval after the worker returns, so
-// the homes hold the final memory image. The interval is not reported to
-// the manager: nothing synchronizes after it.
+// FinalFlush closes the last write interval after the worker returns and
+// waits for every home to acknowledge, so the homes hold the final memory
+// image. The interval is not reported to anyone: nothing synchronizes
+// after it.
 func (n *Node) FinalFlush() {
 	n.foldHits()
 	n.closeInterval()
+	n.drainFlights()
 }
 
 // CopyHomePage copies the committed contents of a page homed at this
@@ -837,32 +899,48 @@ func (n *Node) CopyHomePage(pg page.ID, dst []byte) {
 
 // ---- fault handling ----
 
-// fault fetches a full copy of pg from its home and installs it,
-// rebasing any uncommitted local writes (twin present) on top.
+// fault makes an unreadable page readable again. A page homed here is
+// only ever unreadable while a flush this node has been told about is
+// still on its way (applyNotices), so the worker waits for it to land.
+// Any other page is fetched whole from its home and installed, rebasing
+// any uncommitted local writes (twin present) on top.
 func (n *Node) fault(pg page.ID) {
 	home := int(n.cfg.Homes[pg])
 	if home == n.id {
-		panic(runError{fmt.Errorf("node %d: fault on home page %d", n.id, pg)})
+		n.awaitHome(pg)
+		return
 	}
 	atomic.AddInt64(&n.stats.PageFaults, 1)
 	if n.obs != nil {
 		n.obs.PageFault(n.id, pg)
 	}
+	n.mu.Lock()
+	need := n.pages[pg].need.Clone()
+	n.mu.Unlock()
 	t0 := time.Now()
-	reply := n.rpc(home, &wire.Msg{Kind: wire.KPageReq, Page: int32(pg)})
+	reply := n.rpc(home, &wire.Msg{Kind: wire.KPageReq, Page: int32(pg), Need: need})
 	atomic.AddInt64(&n.stats.FaultWaitNs, time.Since(t0).Nanoseconds())
-	n.installPage(pg, reply.Data, reply.VT)
-	atomic.AddInt64(&n.stats.PageFetches, 1)
+	if n.installPage(pg, reply.Data, reply.VT) {
+		atomic.AddInt64(&n.stats.PageFetches, 1)
+	}
 }
 
 // installPage overwrites the local copy with a fresh home copy. When the
 // page has a twin — uncommitted local writes, possible under false
 // sharing — those writes are re-applied on top and the twin is reset to
 // the fresh copy, so the eventual diff carries exactly the local writes.
-func (n *Node) installPage(pg page.ID, data []byte, homeVT []int32) {
+//
+// The home answered for the need the request carried; a sibling lane's
+// acquire may have raised the page's need while the reply was in flight.
+// A copy older than the current need is refused — the page stays as it
+// was and installPage reports false — so the caller asks again.
+func (n *Node) installPage(pg page.ID, data []byte, homeVT []int32) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ps := &n.pages[pg]
+	if !covers(homeVT, ps.need) {
+		return false
+	}
 	if ps.data == nil {
 		ps.data = page.NewBuf(n.cfg.PageSize)
 	}
@@ -876,25 +954,31 @@ func (n *Node) installPage(pg page.ID, data []byte, homeVT []int32) {
 	}
 	ps.copyVT.Join(homeVT)
 	ps.setState(true)
+	return true
 }
 
 // ---- interval close and flush ----
 
 // closeInterval ends the current write interval, if any writes happened:
-// it diffs every dirtied page, flushes the diffs to the pages' homes,
-// and blocks until every home acknowledges. Returning only after the
-// acks is what makes the homes a consistent source: an interval that
-// happened-before an acquire is applied at its homes before the acquire
-// can observe it.
-func (n *Node) closeInterval() *wire.Interval {
+// it diffs every dirtied page, records the diffs of pages homed here,
+// sends each remote home its share as one KWriteNotices flight, and
+// returns without waiting for the acknowledgements (flush.go owns the
+// flights from here on; the only wait is its flow control, when
+// maxInflight earlier flushes are still unacknowledged). Nothing that
+// later learns of the interval can read a copy that misses it: the
+// interval's index goes into every dirtied page's need vector here, and
+// into the need vectors of whoever receives its write notices (see
+// lpage.need).
+func (n *Node) closeInterval() {
+	n.awaitFlights(maxInflight - 1)
 	n.mu.Lock()
 	if len(n.mod) == 0 {
 		n.mu.Unlock()
-		return nil
+		return
 	}
 	idx := n.vt.Tick(n.id)
 	pages := make([]int32, 0, len(n.mod))
-	perHome := make(map[int][]wire.Diff)
+	var perHome [][]wire.Diff
 	var diffBytes int64
 	for _, pg := range n.mod {
 		ps := &n.pages[pg]
@@ -907,17 +991,25 @@ func (n *Node) closeInterval() *wire.Interval {
 		if home := int(n.cfg.Homes[pg]); home == n.id {
 			n.homeRecordLocked(ps, wd, false)
 		} else {
+			if perHome == nil {
+				perHome = make([][]wire.Diff, n.nn)
+			}
 			perHome[home] = append(perHome[home], wd)
 		}
 		ps.copyVT.Set(n.id, idx)
+		// A later re-fetch of this page (another writer's notice can
+		// invalidate it) must not come back without these writes.
+		ps.raiseNeed(n.id, idx)
 		pages = append(pages, int32(pg))
 	}
 	n.mod = n.mod[:0]
-	iv := &wire.Interval{Writer: int32(n.id), Index: idx, VT: n.vt.Clone(), Pages: pages}
 	// The closed interval extends this node's authoritative per-writer
 	// log: the source every lock grant, barrier release, and on-demand
 	// segment fetch draws its write notices from.
 	n.recordOwnIntervalLocked(idx, pages)
+	// Flights are registered under mu so that each home's unacknowledged
+	// diffs stay in interval order even when lanes release concurrently.
+	out := n.launchFlights(perHome)
 	n.mu.Unlock()
 
 	atomic.AddInt64(&n.stats.Intervals, 1)
@@ -930,34 +1022,9 @@ func (n *Node) closeInterval() *wire.Interval {
 		}
 		n.obs.IntervalClosed(n.id, idx, ids)
 	}
-
-	// Flush to every remote home in parallel, then wait for all acks.
-	// Each flight keeps its request message so an unacknowledged flush is
-	// retransmitted under the same token; the home's per-writer version
-	// checks make re-application a no-op.
-	t0 := time.Now()
-	type flight struct {
-		to int
-		m  *wire.Msg
-		ch chan *wire.Msg
+	for i := range out {
+		n.trySendEpoch(out[i].to, out[i].msg(), out[i].epoch)
 	}
-	flights := make([]flight, 0, len(perHome))
-	for home, diffs := range perHome {
-		tok, ch := n.newToken()
-		// The Episode stamp is the sender's departed-barrier count: a home
-		// holding a capture gate for episode E applies flushes stamped
-		// below E (pre-cut) and buffers the rest (post-cut).
-		m := &wire.Msg{Kind: wire.KWriteNotices, Token: tok, Episode: n.barsDone, Diffs: diffs}
-		n.trySend(home, m)
-		flights = append(flights, flight{home, m, ch})
-	}
-	for _, f := range flights {
-		n.awaitRetry(f.to, f.m, f.ch)
-	}
-	if len(flights) > 0 {
-		atomic.AddInt64(&n.stats.FlushWaitNs, time.Since(t0).Nanoseconds())
-	}
-	return iv
 }
 
 // homeRecordLocked records one interval diff at the home: updates the
@@ -992,21 +1059,32 @@ func (n *Node) homeRecordLocked(ps *lpage, wd wire.Diff, applyData bool) {
 	if wd.Index > ps.copyVT.Get(w) {
 		ps.copyVT.Set(w, wd.Index)
 	}
+	if !ps.valid() && covers(ps.homeVT, ps.need) {
+		ps.setState(true)
+		if n.homeWake != nil {
+			close(n.homeWake)
+			n.homeWake = nil
+		}
+	}
 }
 
 // ---- acquire-side notice processing ----
 
 // applyNotices back-fills any notice gaps from the writers' logs,
 // records the learned intervals, joins the granted vector time, and
-// processes the write notices: under LI noticed pages are invalidated;
-// under LH cached copies are refreshed by pulling the missing diffs
-// from the home (uncached pages just stay invalid). Pages homed here
-// are already current — their diffs arrived before the grant could
-// happen.
+// processes the write notices. Every noticed page's need vector is
+// raised, whatever the page's state, and a readable page whose copy no
+// longer covers its need stops being readable in the same critical
+// section that advances the vector time — so neither this worker nor a
+// sibling lane (whose next acquire will advertise the new vector time
+// and be told nothing about these pages) can read the old copy. How the
+// page becomes readable again is the protocol: under LI it is fetched at
+// the next access; under LH cached copies are refreshed here by pulling
+// the missing diffs from the home; a page homed on this node waits, at
+// its next access, for the flush to land (the writer's release did not).
 func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice) {
 	notices = n.fillNotices(grantVT, notices)
 	var pulls []page.ID
-	pulled := make(map[page.ID]bool)
 	n.mu.Lock()
 	n.recordKnowledgeLocked(notices)
 	n.vt.Join(grantVT)
@@ -1014,24 +1092,24 @@ func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice) {
 		w := int(nt.Writer)
 		for _, p32 := range nt.Pages {
 			pg := page.ID(p32)
-			if int(n.cfg.Homes[pg]) == n.id {
-				continue
-			}
 			ps := &n.pages[pg]
-			if ps.copyVT.CoversInterval(w, nt.Index) {
-				continue
+			ps.raiseNeed(w, nt.Index)
+			homed := int(n.cfg.Homes[pg]) == n.id
+			have := ps.copyVT
+			if homed {
+				have = ps.homeVT
 			}
-			if !ps.valid() {
-				continue
-			}
-			if n.cfg.Protocol == core.LH {
-				if !pulled[pg] {
-					pulled[pg] = true
-					pulls = append(pulls, pg)
-				}
+			if have.CoversInterval(w, nt.Index) || !ps.valid() {
 				continue
 			}
 			ps.setState(false)
+			if homed {
+				continue // homeRecordLocked restores it
+			}
+			if n.cfg.Protocol == core.LH {
+				pulls = append(pulls, pg)
+				continue
+			}
 			atomic.AddInt64(&n.stats.Invalidations, 1)
 			if n.obs != nil {
 				n.obs.Invalidated(n.id, pg)
@@ -1045,40 +1123,53 @@ func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice) {
 }
 
 // pullDiffs brings the cached copy of pg up to date from its home (LH
-// update path): the home serves the diffs past our coverage from its
-// log, or a full copy if the log was pruned past it.
+// update path) and makes it readable again: the home, once it holds the
+// versions the page's need vector names, serves the diffs past our
+// coverage from its log, or a full copy if the log was pruned past it.
+// If a sibling lane's acquire raised the need again while the reply was
+// in flight, the pull repeats.
 func (n *Node) pullDiffs(pg page.ID) {
-	n.mu.Lock()
-	have := n.pages[pg].copyVT.Clone()
-	n.mu.Unlock()
-	atomic.AddInt64(&n.stats.DiffPulls, 1)
-	reply := n.rpc(int(n.cfg.Homes[pg]), &wire.Msg{Kind: wire.KDiffReq, Page: int32(pg), VT: have})
-	if reply.Data != nil {
-		n.installPage(pg, reply.Data, reply.VT)
-		atomic.AddInt64(&n.stats.PageFetches, 1)
-		return
-	}
-	n.mu.Lock()
 	ps := &n.pages[pg]
-	applied := int64(0)
-	for _, wd := range reply.Diffs {
-		w := int(wd.Writer)
-		if ps.copyVT.CoversInterval(w, wd.Index) {
+	for {
+		n.mu.Lock()
+		have, need := ps.copyVT.Clone(), ps.need.Clone()
+		n.mu.Unlock()
+		atomic.AddInt64(&n.stats.DiffPulls, 1)
+		reply := n.rpc(int(n.cfg.Homes[pg]), &wire.Msg{Kind: wire.KDiffReq, Page: int32(pg), VT: have, Need: need})
+		if reply.Data != nil {
+			if n.installPage(pg, reply.Data, reply.VT) {
+				atomic.AddInt64(&n.stats.PageFetches, 1)
+				return
+			}
 			continue
 		}
-		wd.D.Apply(ps.data)
-		if ps.twin != nil {
-			wd.D.Apply(ps.twin)
+		n.mu.Lock()
+		applied := int64(0)
+		for _, wd := range reply.Diffs {
+			w := int(wd.Writer)
+			if ps.copyVT.CoversInterval(w, wd.Index) {
+				continue
+			}
+			wd.D.Apply(ps.data)
+			if ps.twin != nil {
+				wd.D.Apply(ps.twin)
+			}
+			applied++
+			if n.obs != nil {
+				n.obs.DiffApplied(n.id, pg, w, wd.Index)
+			}
 		}
-		applied++
-		if n.obs != nil {
-			n.obs.DiffApplied(n.id, pg, w, wd.Index)
+		ps.copyVT.Join(reply.VT)
+		current := covers(ps.copyVT, ps.need)
+		if current {
+			ps.setState(true)
+		}
+		n.mu.Unlock()
+		atomic.AddInt64(&n.stats.DiffsApplied, applied)
+		if current {
+			return
 		}
 	}
-	ps.copyVT.Join(reply.VT)
-	ps.setState(true)
-	n.mu.Unlock()
-	atomic.AddInt64(&n.stats.DiffsApplied, applied)
 }
 
 // ---- messaging ----
@@ -1287,8 +1378,12 @@ func (n *Node) withdraw(tok int64) {
 // trySend transmits m, treating transport errors as transient — the
 // retransmission schedule recovers from them — except a closed
 // transport, which means the cluster is shutting down.
-func (n *Node) trySend(to int, m *wire.Msg) {
-	err := n.send(to, m)
+func (n *Node) trySend(to int, m *wire.Msg) { n.trySendEpoch(to, m, n.epoch.Load()) }
+
+// trySendEpoch is trySend stamping a given recovery epoch (see
+// sendEpoch).
+func (n *Node) trySendEpoch(to int, m *wire.Msg, epoch uint32) {
+	err := n.sendEpoch(to, m, epoch)
 	if err == nil || !errors.Is(err, transport.ErrClosed) {
 		return
 	}
@@ -1301,10 +1396,16 @@ func (n *Node) trySend(to int, m *wire.Msg) {
 // send encodes and transmits m. Messages to self bypass the transport:
 // replies are routed to their waiter, requests join the dispatcher
 // queue (node 0's worker talking to its own manager).
-func (n *Node) send(to int, m *wire.Msg) error {
+func (n *Node) send(to int, m *wire.Msg) error { return n.sendEpoch(to, m, n.epoch.Load()) }
+
+// sendEpoch is send stamping a given recovery epoch instead of the
+// current one: a flush flight is retransmitted by a timer that outlives
+// the worker, so it carries the epoch it was built in and a copy resent
+// across a rollback is fenced like any other pre-rollback frame.
+func (n *Node) sendEpoch(to int, m *wire.Msg, epoch uint32) error {
 	m.From = int32(n.id)
 	if n.cfg.Recover != nil {
-		m.Epoch = n.epoch.Load()
+		m.Epoch = epoch
 	}
 	if to == n.id {
 		atomic.AddInt64(&n.stats.MsgsSent, 1)
@@ -1347,9 +1448,15 @@ func (n *Node) routeReply(m *wire.Msg) {
 	n.pmu.Lock()
 	ch := n.pending[m.Token]
 	delete(n.pending, m.Token)
+	// A flush acknowledgement has no waiter to wake: it retires its
+	// flight right here, on the pump.
+	retired := ch == nil && m.Kind == wire.KAck && n.retireFlightLocked(int(m.From), m.Token)
 	n.pmu.Unlock()
 	if ch != nil {
 		ch <- m
+		return
+	}
+	if retired {
 		return
 	}
 	// No waiter: a duplicate or late reply to a token already resolved
@@ -1478,13 +1585,20 @@ func (n *Node) handle(m *wire.Msg) {
 	}
 }
 
-// handlePageReq serves a full committed copy of a page homed here. When
-// the local worker has uncommitted writes (a twin exists), the twin is
-// the committed view — remote diffs are applied to both data and twin.
+// handlePageReq serves a full committed copy of a page homed here — once
+// the copy holds every version the requester was told about (m.Need);
+// until then the request is parked (see parkLocked). When the local
+// worker has uncommitted writes (a twin exists), the twin is the
+// committed view — remote diffs are applied to both data and twin.
 func (n *Node) handlePageReq(m *wire.Msg) {
 	pg := page.ID(m.Page)
 	n.mu.Lock()
 	ps := &n.pages[pg]
+	if !covers(ps.homeVT, m.Need) {
+		n.parkLocked(m)
+		n.mu.Unlock()
+		return
+	}
 	src := ps.data
 	if ps.twin != nil {
 		src = ps.twin
@@ -1500,12 +1614,19 @@ func (n *Node) handlePageReq(m *wire.Msg) {
 }
 
 // handleDiffReq serves the diffs of a page homed here that the requester
-// (whose per-writer coverage is m.VT) is missing. If the log has been
-// pruned past the requester's coverage, a full copy is served instead.
+// (whose per-writer coverage is m.VT) is missing, parking the request
+// like handlePageReq while the home is behind m.Need. If the log has
+// been pruned past the requester's coverage, a full copy is served
+// instead.
 func (n *Node) handleDiffReq(m *wire.Msg) {
 	pg := page.ID(m.Page)
 	n.mu.Lock()
 	ps := &n.pages[pg]
+	if !covers(ps.homeVT, m.Need) {
+		n.parkLocked(m)
+		n.mu.Unlock()
+		return
+	}
 	pruned := false
 	for w := 0; w < n.nn; w++ {
 		var have int32
@@ -1539,13 +1660,15 @@ func (n *Node) handleDiffReq(m *wire.Msg) {
 	}
 }
 
-// handleWriteNotices applies a remote interval's diffs to the pages
-// homed here and acknowledges. The sender's release blocks on this ack,
-// retransmitting while it is missing, so a diff the home already holds
-// (by its per-writer version) is skipped: re-applying it could clobber a
-// newer write that landed on the same words in between.
+// handleWriteNotices applies a flush's diffs to the pages homed here,
+// answers the parked requests that were waiting for them, and
+// acknowledges. The sender retransmits while the ack is missing, and a
+// flush repeats the sender's older unacknowledged diffs for its pages,
+// so a diff the home already holds (by its per-writer version) is
+// skipped: re-applying it could clobber a newer write that landed on the
+// same words in between.
 func (n *Node) handleWriteNotices(m *wire.Msg) {
-	var applied, dups int64
+	var applied int64
 	n.mu.Lock()
 	// Capture gate: a flush from a sender that already departed the
 	// flagged episode is post-cut — buffer it unapplied and, crucially,
@@ -1562,7 +1685,6 @@ func (n *Node) handleWriteNotices(m *wire.Msg) {
 		wd := m.Diffs[i]
 		ps := &n.pages[wd.D.Page]
 		if wd.Index <= ps.homeVT.Get(int(wd.Writer)) {
-			dups++
 			continue
 		}
 		n.homeRecordLocked(ps, wd, true)
@@ -1571,10 +1693,20 @@ func (n *Node) handleWriteNotices(m *wire.Msg) {
 			n.obs.DiffApplied(n.id, wd.D.Page, int(wd.Writer), wd.Index)
 		}
 	}
+	var ready []parkedReq
+	if applied > 0 {
+		ready = n.unparkLocked()
+	}
 	n.mu.Unlock()
+	// The parked requesters are on someone's critical path; the ack no
+	// longer is.
+	for i := range ready {
+		n.handle(ready[i].msg())
+	}
 	atomic.AddInt64(&n.stats.DiffsApplied, applied)
-	if dups > 0 {
-		atomic.AddInt64(&n.stats.DupRequests, dups)
+	if applied == 0 && len(m.Diffs) > 0 {
+		// Nothing new in the whole flush: a retransmission or a duplicate.
+		atomic.AddInt64(&n.stats.DupRequests, 1)
 	}
 	// Always ack — including pure duplicates, whose original ack was lost.
 	if err := n.send(int(m.From), &wire.Msg{Kind: wire.KAck, Token: m.Token}); err != nil {

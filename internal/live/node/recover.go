@@ -368,10 +368,11 @@ restart:
 // ResetToCheckpoint rolls this node's shared state back to snap (nil
 // means the initial image, episode 0): homed pages take the snapshot
 // contents and version accounting, every cached copy is invalidated,
-// open write intervals are discarded, the vector time becomes the
-// snapshot's, and this node's share of the distributed synchronization
-// plane restarts at the checkpoint cut (see syncState.reset). Call only
-// with the worker stopped.
+// open write intervals, need vectors, unacknowledged flush flights and
+// parked requests are discarded, the vector time becomes the snapshot's,
+// and this node's share of the distributed synchronization plane
+// restarts at the checkpoint cut (see syncState.reset). Call only with
+// the worker stopped.
 func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 	imgs := make(map[page.ID]*ckpt.PageImage)
 	if snap != nil {
@@ -392,6 +393,7 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 			ps.twin = nil
 		}
 		ps.log = nil
+		ps.need = nil // every interval up to the cut is at its home
 		if int(n.cfg.Homes[pg]) != n.id {
 			ps.setState(false)
 			ps.copyVT = vc.New(n.nn)
@@ -421,6 +423,7 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 	n.mod = n.mod[:0]
 	n.gateEpisode = 0
 	n.gated = nil
+	n.parked = nil
 	var episode int64
 	if snap != nil {
 		episode = snap.Episode
@@ -431,6 +434,7 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 	n.pmu.Lock()
 	n.pending = make(map[int64]chan *wire.Msg)
 	n.pmu.Unlock()
+	n.resetFlights()
 }
 
 // JoinCluster runs a restarted node's rejoin handshake: it announces

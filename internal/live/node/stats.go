@@ -62,11 +62,14 @@ type Stats struct {
 
 	// Robustness counters: the retransmission and failure-detection
 	// machinery's activity. All zero on a healthy network.
-	RPCRetries     int64 `json:"rpc_retries"`     // requests retransmitted after a silent backoff window
+	RPCRetries     int64 `json:"rpc_retries"`     // requests retransmitted after a silent backoff window (flush flights included)
 	DupRequests    int64 `json:"dup_requests"`    // retransmitted requests de-duplicated at this node
 	DupReplies     int64 `json:"dup_replies"`     // late/duplicate replies dropped (token already resolved)
 	HeartbeatsSent int64 `json:"heartbeats_sent"` // liveness beacons sent to the manager
 	HeartbeatsRecv int64 `json:"heartbeats_recv"` // beacons received (manager only)
+	// FlushRetransmits is the share of RPCRetries spent on flush flights:
+	// KWriteNotices messages the retry timer resent for want of an ack.
+	FlushRetransmits int64 `json:"flush_retransmits"`
 
 	// Recovery counters: the checkpoint/rejoin machinery's activity. All
 	// zero unless recovery is configured.
@@ -79,7 +82,20 @@ type Stats struct {
 	LockWaitNs    int64 `json:"lock_wait_ns"`
 	BarrierWaitNs int64 `json:"barrier_wait_ns"`
 	FaultWaitNs   int64 `json:"fault_wait_ns"`
-	FlushWaitNs   int64 `json:"flush_wait_ns"`
+	// FlushWaitNs is the time workers spent draining flush flights at
+	// barrier arrivals and FinalFlush — the only places a release waits
+	// for the homes. A lock release contributes to it only when the flow
+	// control bound on unacknowledged flushes holds it back.
+	FlushWaitNs int64 `json:"flush_wait_ns"`
+	// HomeWaitNs is the time workers spent, at an access to a page homed
+	// on their own node, waiting for a flush they had been told about to
+	// land on it.
+	HomeWaitNs int64 `json:"home_wait_ns"`
+
+	// ParkedReqs counts the page and diff requests this node, as a home,
+	// held back because its copy was older than the version the requester
+	// had been told about (each answered when the flush arrived).
+	ParkedReqs int64 `json:"parked_reqs"`
 
 	// Serving-path counters (internal/serve): get/put operations executed
 	// on this node and the wall-clock time its executors spent waiting on
@@ -136,10 +152,12 @@ func (s *Stats) Snapshot() Stats {
 		{&out.RPCRetries, &s.RPCRetries}, {&out.DupRequests, &s.DupRequests},
 		{&out.DupReplies, &s.DupReplies},
 		{&out.HeartbeatsSent, &s.HeartbeatsSent}, {&out.HeartbeatsRecv, &s.HeartbeatsRecv},
+		{&out.FlushRetransmits, &s.FlushRetransmits},
 		{&out.CheckpointsTaken, &s.CheckpointsTaken}, {&out.CheckpointBytes, &s.CheckpointBytes},
 		{&out.StaleFrames, &s.StaleFrames},
 		{&out.LockWaitNs, &s.LockWaitNs}, {&out.BarrierWaitNs, &s.BarrierWaitNs},
 		{&out.FaultWaitNs, &s.FaultWaitNs}, {&out.FlushWaitNs, &s.FlushWaitNs},
+		{&out.HomeWaitNs, &s.HomeWaitNs}, {&out.ParkedReqs, &s.ParkedReqs},
 		{&out.ServeGets, &s.ServeGets}, {&out.ServePuts, &s.ServePuts},
 		{&out.ServeLockWaitNs, &s.ServeLockWaitNs},
 		{&out.ConsensusTerms, &s.ConsensusTerms}, {&out.ConsensusElections, &s.ConsensusElections},

@@ -256,11 +256,12 @@ func (n *Node) lockLane(id int, lane int64) {
 	atomic.AddInt64(&n.stats.LockWaitNs, time.Since(t0).Nanoseconds())
 }
 
-// Unlock implements core.Worker: it closes the write interval (flushing
-// its diffs home and blocking on the acks — the release is complete
-// before the lock can move) and, if a successor was forwarded here,
-// hands the lock straight to it. With no successor the lock stays
-// owned in place and the release costs zero messages.
+// Unlock implements core.Worker: it closes the write interval — sending
+// its diffs home without waiting for the acks — and, if a successor was
+// forwarded here, hands the lock straight to it: the grant may overtake
+// the flush, and the successor's first fault, pull or access to a page
+// it homes waits for the flush instead (see lpage.need). With no successor the
+// lock stays owned in place and the release costs no lock messages.
 func (n *Node) Unlock(id int) {
 	n.foldHits()
 	n.unlock(id)
@@ -414,8 +415,11 @@ func (n *Node) acceptForwardLocked(id int, s *fwdReq) (*wire.Msg, int) {
 
 // ---- worker side: barriers ----
 
-// Barrier implements core.Worker: the worker closes its write interval
-// and delivers its arrival — with notices for its own intervals since
+// Barrier implements core.Worker: the worker closes its write interval,
+// waits for every flush it has in flight to be acknowledged (the one
+// release that still does: it keeps the episode a consistent cut, and
+// spares every departing node a wait at the homes), and delivers its
+// arrival — with notices for its own intervals since
 // the last episode — to its local dispatcher, which aggregates the
 // subtree up the barrier tree. The departure arrives with the merged
 // vector time and the episode's full notice set.
@@ -431,8 +435,8 @@ func (n *Node) Barrier(id int) {
 	// stamp >= gateEpisode) is buffered until the capture is done, so the
 	// snapshot sees exactly the pre-barrier state. Flushes stamped below
 	// the gate belong to intervals that happened-before the barrier and
-	// apply normally — causality guarantees they were all acknowledged
-	// before this node's own departure.
+	// apply normally — every node drains its flights before it arrives,
+	// so they were all acknowledged before this node's own departure.
 	episodeNext := n.barsDone + 1
 	flagged := false
 	if rc := n.cfg.Recover; rc != nil && rc.Every > 0 && episodeNext%rc.Every == 0 {
@@ -442,6 +446,7 @@ func (n *Node) Barrier(id int) {
 		n.mu.Unlock()
 	}
 	n.closeInterval()
+	n.drainFlights()
 	n.mu.Lock()
 	k := &n.sy.know[n.id]
 	var own []wire.Notice

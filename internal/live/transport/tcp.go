@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,6 +13,19 @@ import (
 // maxFrame bounds a received frame's claimed length; anything larger is
 // treated as a corrupt stream and the connection is dropped.
 const maxFrame = 64 << 20
+
+// frameHdr is the per-frame header: 8-byte sequence, 4-byte length.
+const frameHdr = 12
+
+// wbufMax caps the per-peer write scratch: a frame up to this size is
+// assembled in it and leaves in one write; a larger one goes out as a
+// gathered write instead of pinning its size per peer for good.
+const wbufMax = 64 << 10
+
+// readBuf sizes each inbound connection's buffered reader: a small frame
+// costs one read(2), often shared with its neighbours, instead of one
+// for the header and one for the payload.
+const readBuf = 16 << 10
 
 // TCPOptions tunes the TCP transport's dialing and I/O behaviour. The
 // zero value selects the defaults.
@@ -84,7 +98,9 @@ type TCP struct {
 	// sendLocks serializes Sends per destination: a frame's sequence
 	// number must reach the wire in sequence order or the receiver's
 	// de-duplication would discard reordered (not duplicated) frames.
+	// wbufs[to], under sendLocks[to], is that peer's write scratch.
 	sendLocks []sync.Mutex
+	wbufs     [][]byte
 
 	recvMu   sync.Mutex // guards lastSeq, lastBoot
 	lastSeq  map[int]uint64
@@ -107,19 +123,20 @@ func NewTCPNode(self int, addrs []string, opts TCPOptions) (*TCP, error) {
 
 func newTCPNode(self int, addrs []string, ln net.Listener, opts TCPOptions, boot uint32) *TCP {
 	t := &TCP{
-		self:     self,
-		addrs:    addrs,
-		opts:     opts.withDefaults(),
-		ln:       ln,
-		boot:     boot,
-		inbox:    make(chan Frame, inboxDepth),
-		done:     make(chan struct{}),
-		conns:    make(map[int]net.Conn),
-		seq:      make(map[int]uint64),
-		lastSeq:  make(map[int]uint64),
-		lastBoot: make(map[int]uint32),
-		accepted: make(map[net.Conn]bool),
+		self:      self,
+		addrs:     addrs,
+		opts:      opts.withDefaults(),
+		ln:        ln,
+		boot:      boot,
+		inbox:     make(chan Frame, inboxDepth),
+		done:      make(chan struct{}),
+		conns:     make(map[int]net.Conn),
+		seq:       make(map[int]uint64),
+		lastSeq:   make(map[int]uint64),
+		lastBoot:  make(map[int]uint32),
+		accepted:  make(map[net.Conn]bool),
 		sendLocks: make([]sync.Mutex, len(addrs)),
+		wbufs:     make([][]byte, len(addrs)),
 	}
 	t.acceptWG.Add(1)
 	go t.acceptLoop()
@@ -181,7 +198,7 @@ func (t *TCP) Send(to int, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if err = t.writeFrame(conn, seq, payload); err == nil {
+		if err = t.writeFrame(conn, to, seq, payload); err == nil {
 			return nil
 		}
 		lastErr = err
@@ -193,14 +210,26 @@ func (t *TCP) Send(to int, payload []byte) error {
 	return fmt.Errorf("transport: send to %d: %w", to, lastErr)
 }
 
-// writeFrame serializes one frame: 8-byte sequence, 4-byte length,
-// payload. Writes hold a per-connection deadline.
-func (t *TCP) writeFrame(conn net.Conn, seq uint64, payload []byte) error {
-	hdr := make([]byte, 12, 12+len(payload))
-	binary.BigEndian.PutUint64(hdr, seq)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(payload)))
+// writeFrame serializes one frame to peer to: 8-byte sequence, 4-byte
+// length, payload, assembled in the peer's scratch buffer so that it
+// costs one write and no allocation. Writes hold a per-connection
+// deadline. Caller holds sendLocks[to].
+func (t *TCP) writeFrame(conn net.Conn, to int, seq uint64, payload []byte) error {
+	buf := append(t.wbufs[to][:0], make([]byte, frameHdr)...)
+	binary.BigEndian.PutUint64(buf, seq)
+	binary.BigEndian.PutUint32(buf[8:], uint32(len(payload)))
 	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	_, err := conn.Write(append(hdr, payload...))
+	gather := frameHdr+len(payload) > wbufMax
+	if !gather {
+		buf = append(buf, payload...)
+	}
+	t.wbufs[to] = buf
+	if gather {
+		bufs := net.Buffers{buf, payload}
+		_, err := bufs.WriteTo(conn)
+		return err
+	}
+	_, err := conn.Write(buf)
 	return err
 }
 
@@ -348,18 +377,19 @@ func (t *TCP) readLoop(conn net.Conn) {
 		return
 	}
 	t.recvMu.Unlock()
-	hdr := make([]byte, 12)
+	br := bufio.NewReaderSize(conn, readBuf)
+	var hdr [frameHdr]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
-		seq := binary.BigEndian.Uint64(hdr)
+		seq := binary.BigEndian.Uint64(hdr[:])
 		size := binary.BigEndian.Uint32(hdr[8:])
 		if size > maxFrame {
 			return
 		}
 		payload := make([]byte, size)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
 		t.recvMu.Lock()

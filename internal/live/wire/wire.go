@@ -39,11 +39,14 @@ import (
 // brings a far-behind or freshly seeded replica up after compacting
 // its log, and the single-server membership-change RPC pair
 // (conf-change/conf-ack) that grows or shrinks the voting quorum
-// without a restart. Decode still accepts MinVersion frames — an old
-// frame simply has none of the newer fields and cannot carry the newer
-// kinds — so a rolling upgrade never wedges on the codec.
+// without a restart. Version 7 added the lazy release: a Need vector on
+// the two data requests (KPageReq, KDiffReq) naming the per-writer
+// version the requester has been told about, which the home must hold
+// before it answers; it added no kinds. Decode still accepts MinVersion
+// frames — an old frame simply has none of the newer fields and cannot
+// carry the newer kinds — so a rolling upgrade never wedges on the codec.
 const (
-	Version    = 6
+	Version    = 7
 	MinVersion = 1
 )
 
@@ -217,6 +220,10 @@ const firstV5Kind = KVoteReq
 // firstV6Kind is the first kind that requires wire version 6.
 const firstV6Kind = KSnapInstall
 
+// firstV7Kind closes the enum: version 7 widened two existing kinds and
+// added none, so its band is empty.
+const firstV7Kind = kindEnd
+
 var kindNames = [...]string{
 	KHello: "hello", KPageReq: "page-req", KPageReply: "page-reply",
 	KDiffReq: "diff-req", KDiffReply: "diff-reply",
@@ -317,6 +324,7 @@ type Msg struct {
 	Leader   int32 // redirect hint, -1 unknown (KNotLeader)
 
 	VT       []int32 // vector time (requester VT, grant VT, page version)
+	Need     []int32 // per-writer version the home must hold before answering (KPageReq/KDiffReq)
 	Data     []byte  // full page image (page/diff replies)
 	Diffs    []Diff
 	Notices  []Notice
@@ -362,13 +370,16 @@ type fieldSet struct {
 	flag    bool
 	leader  bool
 	entries bool
+	// need7 marks the Need vector version 7 added to the data requests:
+	// encoded always, decoded only from v7 frames.
+	need7 bool
 }
 
 var fields = map[Kind]fieldSet{
 	KHello:        {},
-	KPageReq:      {pg: true, attempt: true},
+	KPageReq:      {pg: true, attempt: true, need7: true},
 	KPageReply:    {pg: true, vt: true, data: true},
-	KDiffReq:      {pg: true, vt: true, attempt: true},
+	KDiffReq:      {pg: true, vt: true, attempt: true, need7: true},
 	KDiffReply:    {pg: true, vt: true, data: true, diffs: true},
 	KWriteNotices: {diffs: true, ival: true, attempt: true, episode3: true},
 	KAck:          {},
@@ -471,6 +482,9 @@ func Encode(m *Msg) []byte {
 	if fs.vt {
 		w.i32slice(m.VT)
 	}
+	if fs.need7 {
+		w.i32slice(m.Need)
+	}
 	if fs.data {
 		w.bytes(m.Data)
 	}
@@ -541,6 +555,9 @@ func Decode(b []byte) (*Msg, error) {
 	if r.err == nil && v < 6 && k >= firstV6Kind {
 		return nil, fmt.Errorf("wire: kind %v requires version 6, frame is version %d", k, v)
 	}
+	if r.err == nil && v < 7 && k >= firstV7Kind {
+		return nil, fmt.Errorf("wire: kind %v requires version 7, frame is version %d", k, v)
+	}
 	m := &Msg{Kind: k}
 	m.From = r.i32()
 	m.Token = r.i64()
@@ -604,6 +621,9 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.vt {
 		m.VT = r.i32slice()
+	}
+	if fs.need7 && v >= 7 {
+		m.Need = r.i32slice()
 	}
 	if fs.data {
 		m.Data = r.bytes()

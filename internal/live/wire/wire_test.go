@@ -29,9 +29,9 @@ func sampleMsgs() []*Msg {
 	}
 	return []*Msg{
 		{Kind: KHello, From: 3, Token: 1},
-		{Kind: KPageReq, From: 1, Token: 42, Page: 17},
+		{Kind: KPageReq, From: 1, Token: 42, Page: 17, Need: []int32{0, 3, 0, 1}},
 		{Kind: KPageReply, From: 0, Token: 42, Page: 17, VT: []int32{3, 1, 0, 9}, Data: bytes.Repeat([]byte{0xab}, 4096)},
-		{Kind: KDiffReq, From: 2, Token: 7, Page: 5, VT: []int32{0, 0, 2, 0}},
+		{Kind: KDiffReq, From: 2, Token: 7, Page: 5, VT: []int32{0, 0, 2, 0}, Need: []int32{4, 0, 2, 0}},
 		{Kind: KDiffReply, From: 0, Token: 7, Page: 5, VT: []int32{1, 2, 3, 4}, Diffs: diffs},
 		{Kind: KDiffReply, From: 0, Token: 8, Page: 5, VT: []int32{1, 2, 3, 4}, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		{Kind: KWriteNotices, From: 1, Token: 9, Epoch: 1, Episode: 6, Diffs: diffs, Interval: ival},
@@ -142,6 +142,16 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
+// cutV7 removes the v7-gated field (the Need vector version 7 added to
+// the data requests) from a full encoding of m, yielding the v6 layout
+// of that kind. Need is the last field of both kinds that carry it.
+func cutV7(m *Msg, b []byte) []byte {
+	if !fields[m.Kind].need7 {
+		return b
+	}
+	return b[:len(b)-4-4*len(m.Need)]
+}
+
 // cutV4 removes the v4-gated fields (the episode stamp and aggregated
 // notices version 4 added to KBarArrive) from a full encoding of m,
 // yielding the v3 layout of that kind. Offsets are computed from the
@@ -204,7 +214,7 @@ func cutV5(m *Msg, b []byte) []byte {
 // stamp) version 3 added. The v1-v3 cuts sit contiguously after the
 // (version, kind, from, token) prefix, so one cut suffices.
 func encodeV1(m *Msg) []byte {
-	b := cutV4(m, cutV5(m, Encode(m)))
+	b := cutV4(m, cutV5(m, cutV7(m, Encode(m))))
 	b[0] = 1
 	fs := fields[m.Kind]
 	cut := 4 // Epoch
@@ -220,7 +230,7 @@ func encodeV1(m *Msg) []byte {
 // encodeV2 builds a version-2 frame for kinds that existed in v2: the v3
 // layout minus the Epoch word and the v3 Episode stamp (Attempt stays).
 func encodeV2(m *Msg) []byte {
-	b := cutV4(m, cutV5(m, Encode(m)))
+	b := cutV4(m, cutV5(m, cutV7(m, Encode(m))))
 	b[0] = 2
 	fs := fields[m.Kind]
 	b = append(b[:14], b[18:]...) // Epoch
@@ -237,7 +247,7 @@ func encodeV2(m *Msg) []byte {
 // encodeV3 builds a version-3 frame for kinds that existed in v3: the
 // full layout minus the v4- and v5-gated fields.
 func encodeV3(m *Msg) []byte {
-	b := cutV4(m, cutV5(m, Encode(m)))
+	b := cutV4(m, cutV5(m, cutV7(m, Encode(m))))
 	b[0] = 3
 	return b
 }
@@ -245,7 +255,7 @@ func encodeV3(m *Msg) []byte {
 // encodeV4 builds a version-4 frame for kinds that existed in v4: the
 // full layout minus the v5-gated fields.
 func encodeV4(m *Msg) []byte {
-	b := cutV5(m, Encode(m))
+	b := cutV5(m, cutV7(m, Encode(m)))
 	b[0] = 4
 	return b
 }
@@ -269,6 +279,7 @@ func TestDecodeV1Compat(t *testing.T) {
 			continue
 		}
 		want := *m
+		want.Need = nil
 		want.Attempt = 0 // v1 frames have no Attempt field
 		want.Epoch = 0   // nor an Epoch
 		if fields[m.Kind].episode3 || fields[m.Kind].episode4 {
@@ -303,6 +314,7 @@ func TestDecodeV2Compat(t *testing.T) {
 			continue
 		}
 		want := *m
+		want.Need = nil
 		want.Epoch = 0 // v2 frames have no Epoch field
 		if fields[m.Kind].episode3 || fields[m.Kind].episode4 {
 			want.Episode = 0
@@ -339,6 +351,7 @@ func TestDecodeV3Compat(t *testing.T) {
 			continue
 		}
 		want := *m
+		want.Need = nil
 		if fields[m.Kind].episode4 {
 			want.Episode = 0
 		}
@@ -373,6 +386,7 @@ func TestDecodeV4Compat(t *testing.T) {
 			continue
 		}
 		want := *m
+		want.Need = nil
 		if fields[m.Kind].term5 {
 			want.Term = 0
 		}
@@ -384,9 +398,9 @@ func TestDecodeV4Compat(t *testing.T) {
 
 // encodeV5 builds a version-5 frame for kinds that existed in v5.
 // Version 6 added no fields to pre-v6 kinds — only the four long-haul
-// control-plane kinds — so the v5 layout is the full layout restamped.
+// control-plane kinds — so the v5 layout is the v6 layout restamped.
 func encodeV5(m *Msg) []byte {
-	b := Encode(m)
+	b := cutV7(m, Encode(m))
 	b[0] = 5
 	return b
 }
@@ -410,8 +424,38 @@ func TestDecodeV5Compat(t *testing.T) {
 			t.Errorf("%v: v5 frame rejected: %v", m.Kind, err)
 			continue
 		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("%v: v5 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, m)
+		want := *m
+		want.Need = nil
+		if !reflect.DeepEqual(&want, got) {
+			t.Errorf("%v: v5 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, &want)
+		}
+	}
+}
+
+// TestDecodeV6Compat checks the v7 versioning contract: version 7 added
+// no kinds, so every kind decodes from a v6 frame — the two data
+// requests without their Need vector — and a v6 frame that still carries
+// one is rejected as trailing bytes.
+func TestDecodeV6Compat(t *testing.T) {
+	for _, m := range sampleMsgs() {
+		b := cutV7(m, Encode(m))
+		b[0] = 6
+		got, err := Decode(b)
+		if err != nil {
+			t.Errorf("%v: v6 frame rejected: %v", m.Kind, err)
+			continue
+		}
+		want := *m
+		want.Need = nil
+		if !reflect.DeepEqual(&want, got) {
+			t.Errorf("%v: v6 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, &want)
+		}
+		if fields[m.Kind].need7 {
+			full := Encode(m)
+			full[0] = 6
+			if _, err := Decode(full); err == nil {
+				t.Errorf("%v: v7 Need vector accepted in a v6 frame", m.Kind)
+			}
 		}
 	}
 }

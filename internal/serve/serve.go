@@ -241,14 +241,8 @@ type Server struct {
 	st     *Store
 	cfg    Config
 	queues [][]chan *op // [node][executor]
-	// relMu serializes lock releases per node: an Unlock publishes a
-	// release VT covering every interval the node closed so far, so a
-	// concurrent executor's in-flight (unacknowledged) home flush could
-	// otherwise be covered by another executor's release and read stale
-	// at the next acquirer. Acquires are not serialized.
-	relMu []sync.Mutex
-	hist  hist.Hist
-	rr    atomic.Uint64 // round-robin cursor for Route == "any"
+	hist   hist.Hist
+	rr     atomic.Uint64 // round-robin cursor for Route == "any"
 
 	stopping atomic.Bool
 	stopCh   chan struct{} // closed by Shutdown: executors drain and exit
@@ -272,7 +266,6 @@ func NewServer(st *Store) *Server {
 		st:       st,
 		cfg:      st.cfg,
 		queues:   make([][]chan *op, st.nodes),
-		relMu:    make([]sync.Mutex, st.nodes),
 		pending:  make([][]*op, st.nodes),
 		stopCh:   make(chan struct{}),
 		failedCh: make(chan struct{}),
@@ -463,9 +456,7 @@ func (s *Server) execBatch(w core.Worker, node int, batch []*op) {
 				gets++
 			}
 		}
-		s.relMu[node].Lock()
 		w.Unlock(lk)
-		s.relMu[node].Unlock()
 		i = j
 	}
 	if sc, ok := w.(serveCounter); ok {
@@ -562,9 +553,7 @@ func (s *Server) runDurable(w core.Worker) {
 			w.Lock(lk)
 			lockWait += time.Since(t0).Nanoseconds()
 			o.exec(w, s)
-			s.relMu[node].Lock()
 			w.Unlock(lk)
-			s.relMu[node].Unlock()
 			if o.put {
 				puts++
 			} else {
