@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve bench-node verify
+.PHONY: build vet lint test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve bench-node bench-sim verify
 
 build:
 	$(GO) build ./...
@@ -165,5 +165,16 @@ bench-scale:
 # nodes, in-process and over loopback TCP.
 bench-node:
 	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite|UnlockDirtyRemote|HandoffDirty' -benchmem -count=5 ./internal/live/node/
+
+# bench-sim runs the simulator's host-cost microbenchmarks, five runs
+# each: incorporating the next diff into a page that already carries
+# 100 / 1 000 / 10 000 write notices (flat: the dominator check is O(1)
+# when diffs arrive in order), the bytes a 64-page cell allocates at
+# 1/4/16 processors (page state follows the allocation, not the 64 MiB
+# cap), and the baton hand-off per interaction (none on one processor,
+# one goroutine switch otherwise).
+bench-sim:
+	$(GO) test -run '^$$' -bench 'HotPageApply|NewSystem' -benchmem -count=5 ./internal/core/
+	$(GO) test -run '^$$' -bench 'Interact' -benchmem -count=5 ./internal/sim/
 
 verify: build vet lint race check-smoke live chaos recover failover scale-smoke serve-smoke endurance

@@ -10,14 +10,18 @@ import (
 )
 
 // newBareProc builds a processor outside a running system, for unit tests
-// of the bookkeeping machinery.
-func newBareProc(t *testing.T, nprocs int) *Proc {
+// of the bookkeeping machinery. Its page table is sized the way Run sizes
+// it, over an allocation of npages pages (page 0 is owned by processor 0,
+// the rest are spread in blocks).
+func newBareProc(t testing.TB, nprocs, npages int) *Proc {
 	t.Helper()
 	cfg := testConfig(LH, nprocs)
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.AllocPage(npages * cfg.PageSize)
+	s.placePages()
 	return s.procs[0]
 }
 
@@ -27,7 +31,7 @@ func newBareProc(t *testing.T, nprocs int) *Proc {
 func TestQuickAppliedSetExact(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := newBareProc(t, 4)
+		p := newBareProc(t, 4, 1)
 		const pg = page.ID(0)
 		const writer = 1
 		p.pages[pg].data = page.NewBuf(256)
@@ -87,7 +91,7 @@ func TestQuickAppliedSetExact(t *testing.T) {
 func TestQuickPromotionInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := newBareProc(t, 3)
+		p := newBareProc(t, 3, 1)
 		const pg = page.ID(0)
 		const writer = 2
 		p.pages[pg].data = page.NewBuf(256)
@@ -130,7 +134,7 @@ func TestQuickPromotionInvariants(t *testing.T) {
 func TestQuickNoticesSorted(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := newBareProc(t, 2)
+		p := newBareProc(t, 2, 2)
 		const pg = page.ID(1)
 		for _, idx := range r.Perm(15) {
 			p.insertRec(&intervalRec{
@@ -160,7 +164,7 @@ func TestQuickNoticesSorted(t *testing.T) {
 func TestQuickRecsNotCovered(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := newBareProc(t, 4)
+		p := newBareProc(t, 4, 1)
 		total := 0
 		for w := 1; w < 4; w++ {
 			n := r.Intn(8)

@@ -1,0 +1,136 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"lrcdsm/internal/page"
+	"lrcdsm/internal/vc"
+)
+
+// hotPageInterval is writer 1's idx-th interval on page 0 in a two-processor
+// system: one word written, everything before it seen.
+func hotPageInterval(idx int32, pageSize int) *intervalRec {
+	const pg = page.ID(0)
+	twin, cur := page.NewBuf(pageSize), page.NewBuf(pageSize)
+	cur.PutU64(0, uint64(idx))
+	return &intervalRec{
+		proc: 1, idx: idx, vt: vc.VC{0, idx},
+		pages: []page.ID{pg},
+		diffs: map[page.ID]page.Diff{pg: page.MakeDiff(pg, twin, cur)},
+	}
+}
+
+// BenchmarkHotPageApply measures the host cost of incorporating the next
+// lock-ordered diff into a page that already carries n write notices —
+// cholesky's task-queue page late in a run. Each iteration applies interval
+// n+1 and then forgets it, so the page holds exactly n earlier notices
+// every time.
+func BenchmarkHotPageApply(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("notices=%d", n), func(b *testing.B) {
+			const pg, w = page.ID(0), 1
+			p := newBareProc(b, 2, 1)
+			ps := &p.pages[pg]
+			pageSize := p.sys.cfg.PageSize
+			for idx := int32(1); idx <= int32(n); idx++ {
+				rec := hotPageInterval(idx, pageSize)
+				p.insertRec(rec)
+				p.vt.Join(rec.vt)
+				if !p.applyTagged(taggedDiff{rec: rec, pg: pg}) {
+					b.Fatalf("interval %d not incorporated", idx)
+				}
+			}
+			next := hotPageInterval(int32(n)+1, pageSize)
+			td := taggedDiff{rec: next, pg: pg}
+			seen, covered := p.vt.Clone(), ps.coverVC.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.insertRec(next)
+				p.vt.Join(next.vt)
+				if !p.applyTagged(td) {
+					b.Fatal("next interval not incorporated")
+				}
+				delete(p.recByKey, recKey(w, next.idx))
+				p.recsByProc[w] = p.recsByProc[w][:n]
+				ps.notices[w] = ps.notices[w][:n]
+				ps.copyVT[w] = int32(n)
+				copy(p.vt, seen)
+				copy(ps.coverVC, covered)
+			}
+			b.StopTimer()
+			if len(ps.notices[w]) != n || len(ps.extraApplied[w]) != 0 || ps.applied(w, next.idx) {
+				b.Fatalf("page drifted: %d notices, overflow %v", len(ps.notices[w]), ps.extraApplied[w])
+			}
+		})
+	}
+}
+
+// runSmallApp builds a system of procs processors at the paper's page size
+// and address-space cap, allocates a 64-page application and runs a worker
+// that touches nothing.
+func runSmallApp(tb testing.TB, procs int) {
+	cfg := DefaultConfig()
+	cfg.Procs = procs
+	s, err := NewSystem(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.AllocPage(64 * cfg.PageSize)
+	if _, err := s.Run(func(*Proc) {}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkNewSystem reports what a simulated machine costs the host
+// before the application does anything: B/op is the footprint of one
+// 64-page cell.
+func BenchmarkNewSystem(b *testing.B) {
+	for _, procs := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runSmallApp(b, procs)
+			}
+		})
+	}
+}
+
+// TestFootprintFollowsAllocation: page state is sized by what the
+// application allocated, not by the address-space cap. A 16-processor
+// system over 64 pages used to allocate ~50 MB before running anything.
+func TestFootprintFollowsAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runSmallApp(t, 16)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("a 16-processor system over a 64-page allocation allocated %d bytes, want under 4 MiB", got)
+	}
+}
+
+// TestAccessBeyondAllocationPanics: the allocator's break bounds the page
+// tables, so an access past the last allocated page is out of range even
+// though it is far below MaxSharedBytes.
+func TestAccessBeyondAllocationPanics(t *testing.T) {
+	cfg := testConfig(LH, 2)
+	s := mustSystem(t, cfg)
+	a := s.AllocPage(3 * cfg.PageSize)
+	beyond := a + Addr(3*cfg.PageSize)
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "out of range") {
+			t.Fatalf("recovered %v, want an out of range panic", r)
+		}
+	}()
+	_, _ = s.Run(func(p *Proc) {
+		p.ReadU64(beyond - 8) // last allocated word: fine
+		if p.ID() == 0 {
+			p.ReadU64(beyond)
+		}
+	})
+	t.Fatal("access beyond the last allocated page did not panic")
+}

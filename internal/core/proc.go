@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"lrcdsm/internal/cachesim"
 	"lrcdsm/internal/page"
@@ -223,7 +224,7 @@ type Proc struct {
 	sp    *sim.Proc
 	cache *cachesim.Cache
 
-	pages      []pageState
+	pages      []pageState // one per allocated page, sized when the system runs
 	vt         vc.VC
 	recsByProc [][]*intervalRec // known interval records per creator, by index
 	recByKey   map[int64]*intervalRec
@@ -317,13 +318,9 @@ func newProc(s *System, id int) *Proc {
 		id:       id,
 		sys:      s,
 		sp:       s.eng.Procs()[id],
-		pages:    make([]pageState, s.npages),
 		vt:       vc.New(s.cfg.Procs),
 		recByKey: make(map[int64]*intervalRec),
 		recsByProc: make([][]*intervalRec, s.cfg.Procs),
-	}
-	for i := range p.pages {
-		p.pages[i].lastWriterHint = -1
 	}
 	if s.cfg.CacheBytes > 0 {
 		p.cache = cachesim.New(s.cfg.CacheBytes, s.cfg.CacheLine, 1, s.cfg.MemLatencyCycles)
@@ -517,6 +514,7 @@ func (p *Proc) applyTagged(td taggedDiff) bool {
 	if !p.canApply(td) {
 		return false
 	}
+	redo := p.dominators(td)
 	d := td.diff()
 	d.Apply(ps.data)
 	if ps.twin != nil {
@@ -533,40 +531,10 @@ func (p *Proc) applyTagged(td taggedDiff) bool {
 	ps.coverVC.Join(td.rec.vt)
 	p.sys.stats.DiffsApplied++
 	p.sys.obsDiffApplied(p.id, td)
-	p.repairDominators(td)
-	return true
-}
-
-// repairDominators re-applies, in happened-before order, every
-// already-incorporated diff that dominates the one just applied. Updates
-// pushed at barriers can arrive in any order, so an older diff may land
-// after a newer one that overwrote the same words; re-applying the
-// dominating diffs restores their values (concurrent diffs of data-race-
-// free programs touch disjoint words and need no repair).
-func (p *Proc) repairDominators(td taggedDiff) {
-	ps := &p.pages[td.pg]
-	if ps.notices == nil {
-		return
-	}
-	var redo []taggedDiff
-	for w := 0; w < p.nprocs(); w++ {
-		for _, i := range ps.notices[w] {
-			if w == td.rec.proc && i == td.rec.idx {
-				continue
-			}
-			if !ps.applied(w, i) {
-				continue // not yet incorporated
-			}
-			rec := p.recByKey[recKey(w, i)]
-			if rec.vt.Covers(td.rec.vt) {
-				redo = append(redo, taggedDiff{rec: rec, pg: td.pg})
-			}
-		}
-	}
-	if len(redo) == 0 {
-		return
-	}
-	sortDiffsHB(redo)
+	// Updates pushed at barriers can arrive in any order, so td may have
+	// landed after a newer diff that overwrote the same words: re-applying
+	// the dominating diffs restores their values (concurrent diffs of
+	// data-race-free programs touch disjoint words and need no repair).
 	for _, r := range redo {
 		d := r.diff()
 		d.Apply(ps.data)
@@ -574,6 +542,43 @@ func (p *Proc) repairDominators(td taggedDiff) {
 			d.Apply(ps.twin)
 		}
 	}
+	return true
+}
+
+// dominators returns, in happened-before order, every diff already
+// incorporated in the local copy of td's page whose interval had seen td's
+// when it wrote. Call before td is incorporated.
+func (p *Proc) dominators(td taggedDiff) []taggedDiff {
+	ps := &p.pages[td.pg]
+	// The vector time of everything incorporated is folded into coverVC,
+	// so an interval that has seen td shows there. Diffs mostly arrive in
+	// happened-before order, and then none has.
+	if ps.coverVC == nil || !ps.coverVC.CoversInterval(td.rec.proc, td.rec.idx) {
+		return nil
+	}
+	var redo []taggedDiff
+	for w, ns := range ps.notices {
+		// A writer's vector times only grow, so its intervals that have
+		// seen td are those from some index on.
+		rs := p.recsByProc[w]
+		first := sort.Search(len(rs), func(i int) bool {
+			return rs[i].vt.CoversInterval(td.rec.proc, td.rec.idx)
+		})
+		if first == len(rs) {
+			continue
+		}
+		for _, i := range noticesAbove(ns, rs[first].idx-1) {
+			if !ps.applied(w, i) {
+				continue // not yet incorporated (td itself among them)
+			}
+			rec := p.recByKey[recKey(w, i)]
+			if rec.vt.Covers(td.rec.vt) {
+				redo = append(redo, taggedDiff{rec: rec, pg: td.pg})
+			}
+		}
+	}
+	sortDiffsHB(redo)
+	return redo
 }
 
 // applyBatch applies a set of diffs in happened-before order, iterating to

@@ -24,8 +24,8 @@ type System struct {
 	prot  protocolImpl
 
 	pageShift uint
-	npages    int
-	oracle    []page.Buf // authoritative final image, also the initial image
+	npages    int        // pages in the allocated region; page state is sized to it at Run
+	oracle    []page.Buf // authoritative final image, also the initial image; grows with brk
 
 	brk      Addr
 	nlocks   int
@@ -74,8 +74,6 @@ func NewSystem(cfg Config) (*System, error) {
 	for ps := cfg.PageSize; ps > 1; ps >>= 1 {
 		s.pageShift++
 	}
-	s.npages = cfg.MaxSharedBytes / cfg.PageSize
-	s.oracle = make([]page.Buf, s.npages)
 	switch cfg.Protocol {
 	case EI, EU:
 		s.prot = &eagerProto{update: cfg.Protocol == EU}
@@ -112,12 +110,27 @@ func (s *System) pageOf(a Addr) page.ID { return page.ID(a >> s.pageShift) }
 // Alloc reserves n bytes of shared memory (8-byte aligned) and returns the
 // base address. Must be called before Run.
 func (s *System) Alloc(n int) Addr {
-	a := (s.brk + 7) &^ 7
+	return s.allocAt((s.brk+7)&^7, n)
+}
+
+// allocAt moves the break to a+n and records the allocation's page range.
+// Page state is sized from the break when Run starts, so the break cannot
+// move afterwards.
+func (s *System) allocAt(a Addr, n int) Addr {
+	if s.ran {
+		panic("core: Alloc after Run")
+	}
 	s.brk = a + Addr(n)
 	if int(s.brk) > s.cfg.MaxSharedBytes {
 		panic(fmt.Sprintf("core: shared memory exhausted (%d > %d)", s.brk, s.cfg.MaxSharedBytes))
 	}
 	s.allocs = append(s.allocs, [2]page.ID{s.pageOf(a), s.pageOf(s.brk - 1)})
+	if s.brk > 0 {
+		s.npages = int(s.pageOf(s.brk-1)) + 1
+	}
+	for len(s.oracle) < s.npages {
+		s.oracle = append(s.oracle, nil)
+	}
 	return a
 }
 
@@ -127,13 +140,7 @@ func (s *System) Alloc(n int) Addr {
 // characteristic false sharing).
 func (s *System) AllocPage(n int) Addr {
 	ps := Addr(s.cfg.PageSize)
-	a := (s.brk + ps - 1) &^ (ps - 1)
-	s.brk = a + Addr(n)
-	if int(s.brk) > s.cfg.MaxSharedBytes {
-		panic(fmt.Sprintf("core: shared memory exhausted (%d > %d)", s.brk, s.cfg.MaxSharedBytes))
-	}
-	s.allocs = append(s.allocs, [2]page.ID{s.pageOf(a), s.pageOf(s.brk - 1)})
-	return a
+	return s.allocAt((s.brk+ps-1)&^(ps-1), n)
 }
 
 // NewLock allocates a synchronization lock and returns its id. The lock's
@@ -214,39 +221,7 @@ func (s *System) Run(worker func(*Proc)) (*RunStats, error) {
 		s.procs[owner].locks[i].present = true
 	}
 	s.bar.reset(s.cfg.Procs)
-	// Assign block ownership over the allocated region, then place the
-	// initial copies at the owners.
-	lastPage := s.pageOf(s.brk - 1)
-	if s.brk == 0 {
-		lastPage = -1
-	}
-	// Ownership is block-assigned within each allocation (first allocation
-	// wins for pages shared by small allocations), so a band-partitioned
-	// array is owned by the processors that use it.
-	s.ownerOf = make([]int32, lastPage+1)
-	for i := range s.ownerOf {
-		s.ownerOf[i] = -1
-	}
-	for _, r := range s.allocs {
-		span := int(r[1]-r[0]) + 1
-		for pg := r[0]; pg <= r[1]; pg++ {
-			if s.ownerOf[pg] == -1 {
-				s.ownerOf[pg] = int32(int(pg-r[0]) * s.cfg.Procs / span)
-			}
-		}
-	}
-	for pg := page.ID(0); pg <= lastPage; pg++ {
-		if s.ownerOf[pg] == -1 {
-			s.ownerOf[pg] = int32(int(pg) % s.cfg.Procs)
-		}
-	}
-	for pg := page.ID(0); pg <= lastPage; pg++ {
-		owner := s.procs[s.pageOwner(pg)]
-		ps := &owner.pages[pg]
-		ps.data = page.Buf(page.Twin(s.oraclePage(pg)))
-		ps.valid = true
-		ps.copyset = 1 << uint(owner.id)
-	}
+	s.placePages()
 	err := s.eng.Run(func(sp *sim.Proc) {
 		worker(s.procs[sp.ID])
 	})
@@ -264,6 +239,44 @@ func (s *System) Run(worker func(*Proc)) (*RunStats, error) {
 	}
 	s.stats.Network = *s.net.Stats()
 	return &s.stats, nil
+}
+
+// placePages sizes every processor's page table to the allocated region
+// (the break cannot move once the system runs, and an access beyond it is
+// out of range), assigns block ownership over it, and places the initial
+// copies at the owners.
+func (s *System) placePages() {
+	for _, p := range s.procs {
+		p.pages = make([]pageState, s.npages)
+		for i := range p.pages {
+			p.pages[i].lastWriterHint = -1
+		}
+	}
+	// Ownership is block-assigned within each allocation (first allocation
+	// wins for pages shared by small allocations), so a band-partitioned
+	// array is owned by the processors that use it.
+	s.ownerOf = make([]int32, s.npages)
+	for i := range s.ownerOf {
+		s.ownerOf[i] = -1
+	}
+	for _, r := range s.allocs {
+		span := int(r[1]-r[0]) + 1
+		for pg := r[0]; pg <= r[1]; pg++ {
+			if s.ownerOf[pg] == -1 {
+				s.ownerOf[pg] = int32(int(pg-r[0]) * s.cfg.Procs / span)
+			}
+		}
+	}
+	for pg := range s.ownerOf {
+		if s.ownerOf[pg] == -1 {
+			s.ownerOf[pg] = int32(pg % s.cfg.Procs)
+		}
+		owner := s.procs[s.ownerOf[pg]]
+		ps := &owner.pages[pg]
+		ps.data = page.Buf(page.Twin(s.oraclePage(page.ID(pg))))
+		ps.valid = true
+		ps.copyset = 1 << uint(owner.id)
+	}
 }
 
 // Stats returns the (possibly in-progress) statistics.

@@ -1,0 +1,113 @@
+package node_test
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"lrcdsm/internal/core"
+	"lrcdsm/internal/live/consensus"
+	"lrcdsm/internal/live/node"
+	ckpt "lrcdsm/internal/live/recover"
+	"lrcdsm/internal/live/transport"
+	"lrcdsm/internal/live/wire"
+)
+
+// TestReleaseKeepsTheEpochItWasBuiltIn: the root of a replicated-manager
+// cluster commits a flagged barrier episode on a helper goroutine, looks
+// at the recovery epoch one last time and fans the release out. A
+// rollback that lands between that look and a send must not get the
+// release through the fence of a child already reset to its checkpoint
+// ("release for barrier 0 episode 2 without a local arrival"), so every
+// copy carries the epoch the episode was built in, not the one current
+// when it is sent. Nodes 0 and 1 are real (a quorum of the three
+// replicas); node 2 is driven frame by frame. The supervisor's epoch bump
+// is played by the root's transport, on the root's own goroutine, right
+// after the first release frame is encoded: the frame to node 2 is the
+// next thing that goroutine sends.
+func TestReleaseKeepsTheEpochItWasBuiltIn(t *testing.T) {
+	const built, bumped = 1, 2
+	trs := transport.NewInprocNetwork(3)
+	nodes := make([]*node.Node, 2)
+	var bump sync.Once
+	gate := &flushGate{Transport: trs[0], kind: wire.KBarRelease, before: func() {
+		bump.Do(func() {
+			for _, nd := range nodes {
+				nd.SetEpoch(bumped)
+			}
+		})
+	}}
+	for i, tr := range []transport.Transport{gate, trs[1]} {
+		cfg := onePage(0, core.LI)
+		cfg.Recover = &node.RecoverConfig{
+			Store: ckpt.NewMemStore(), Every: 1, Epoch: built,
+			Consensus: consensus.NewStable(), Seed: int64(i + 1),
+		}
+		nodes[i] = node.New(tr, cfg)
+	}
+	for _, nd := range nodes {
+		nd.Start()
+	}
+	var workers sync.WaitGroup
+	defer func() {
+		// Whoever is still inside the barrier (the fenced child, the root's
+		// worker confirming a checkpoint nobody else took) unwinds here.
+		for _, nd := range nodes {
+			nd.InterruptWorker(&node.RollbackError{Victim: 2})
+		}
+		workers.Wait()
+		for _, nd := range nodes {
+			nd.Close()
+		}
+		for _, tr := range trs {
+			tr.Close()
+		}
+		for _, nd := range nodes {
+			nd.Wait()
+		}
+	}()
+	for _, nd := range nodes {
+		workers.Add(1)
+		go func(nd *node.Node) {
+			defer workers.Done()
+			unwound(func() { nd.Barrier(0) })
+		}(nd)
+	}
+
+	// Node 2's share: its arrival, then read what the root sends it.
+	raw := trs[2]
+	arrive := &wire.Msg{Kind: wire.KBarArrive, From: 2, Token: 1, Barrier: 0, Episode: 1,
+		VT: make([]int32, 3), Epoch: built}
+	if err := raw.Send(0, wire.Encode(arrive)); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan *wire.Msg, 1)
+	go func() {
+		for {
+			f, err := raw.Recv()
+			if err != nil {
+				return
+			}
+			// Keep draining afterwards: the leader goes on replicating to
+			// this node for as long as the cluster is up.
+			if m, err := wire.Decode(f.Payload); err == nil && m.Kind == wire.KBarRelease {
+				select {
+				case release <- m:
+				default:
+				}
+			}
+		}
+	}()
+	select {
+	case m := <-release:
+		if m.Episode != 1 {
+			t.Fatalf("release for episode %d, want 1", m.Episode)
+		}
+		if m.Epoch != built {
+			t.Errorf("release sent after the rollback carries epoch %d, want the epoch it was built in (%d): the child's fence lets it through",
+				m.Epoch, built)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the root never released episode 1")
+	}
+}

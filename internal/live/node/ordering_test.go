@@ -26,7 +26,10 @@ import (
 // another.
 type flushGate struct {
 	transport.Transport
-	kind    wire.Kind
+	kind wire.Kind
+	// before, if set, runs on the sending goroutine ahead of every frame
+	// of the gated kind (set it before the nodes start).
+	before  func()
 	mu      sync.Mutex
 	holding bool
 	drop    int // drop this many such frames before anything else
@@ -40,6 +43,9 @@ type heldFlush struct {
 
 func (g *flushGate) Send(to int, payload []byte) error {
 	if len(payload) > 1 && wire.Kind(payload[1]) == g.kind {
+		if g.before != nil {
+			g.before()
+		}
 		g.mu.Lock()
 		switch {
 		case g.drop > 0:

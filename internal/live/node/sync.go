@@ -560,7 +560,7 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 	if !flagged {
 		sy.lastRelease = rel
 		n.mu.Unlock()
-		n.fanRelease(rel, selfTok)
+		n.fanRelease(rel, selfTok, m.Epoch)
 		return
 	}
 	// A flagged episode commits the root's half of the checkpoint — the
@@ -580,7 +580,7 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 		n.mu.Lock()
 		sy.lastRelease = rel
 		n.mu.Unlock()
-		n.fanRelease(rel, selfTok)
+		n.fanRelease(rel, selfTok, m.Epoch)
 		return
 	}
 	// Replicated manager: the root (statically node 0) may not be the
@@ -588,8 +588,10 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 	// a helper goroutine chases the leader with KMgrSnap and fans the
 	// releases out once the commit is acknowledged. A rollback that
 	// lands meanwhile supersedes the episode: the epoch moves and the
-	// sync plane resets, so the release is quietly abandoned.
-	startEpoch := n.epoch.Load()
+	// sync plane resets, so the release is quietly abandoned — and one
+	// already past the check below still goes out under the epoch it was
+	// built in, so the children fence it.
+	startEpoch := m.Epoch
 	go func() {
 		for {
 			committed := func() (ok bool) {
@@ -641,21 +643,25 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 			}
 			n.sy.lastRelease = rel
 			n.mu.Unlock()
-			n.fanRelease(rel, selfTok)
+			n.fanRelease(rel, selfTok, startEpoch)
 			return
 		}
 	}()
 }
 
 // fanRelease sends a completed episode's release to the root's
-// children and the local worker's synthesized depart. Call without
-// Node.mu held, after publishing lastRelease under it.
-func (n *Node) fanRelease(rel *wire.Msg, selfTok int64) {
+// children and the local worker's synthesized depart, stamped with the
+// recovery epoch of the arrivals it was built from: a rollback can land
+// between the caller's last look at the epoch and these sends, and a
+// release stamped at send time would then pass the fence of a child
+// already reset to its checkpoint. Call without Node.mu held, after
+// publishing lastRelease under it.
+func (n *Node) fanRelease(rel *wire.Msg, selfTok int64, epoch uint32) {
 	for _, c := range n.barChildren() {
 		cp := *rel
-		n.send(c, &cp)
+		n.sendEpoch(c, &cp, epoch)
 	}
-	n.send(n.id, departFrom(rel, selfTok))
+	n.sendEpoch(n.id, departFrom(rel, selfTok), epoch)
 }
 
 // handleBarRelease fans a completed episode down: remember it for

@@ -8,8 +8,9 @@ import (
 // BenchmarkInteract measures the coroutine handoff cost per interaction —
 // the simulator's fundamental overhead unit — across processor counts.
 // Before the ready heap, picking the next processor cost O(P) per handoff.
+// A lone processor is always the next one due and never switches.
 func BenchmarkInteract(b *testing.B) {
-	for _, procs := range []int{2, 16, 64} {
+	for _, procs := range []int{1, 2, 16, 64} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			e := New(procs)
 			n := b.N

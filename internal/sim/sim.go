@@ -1,7 +1,7 @@
 // Package sim provides a deterministic execution-driven simulation engine.
 //
 // Simulated processors are real goroutines running real application code,
-// but exactly one runs at a time: the scheduler hands the baton to the
+// but exactly one runs at a time: whoever holds the baton passes it to the
 // runnable entity with the smallest virtual timestamp, which makes the
 // simulation conservative (interactions are processed in global time order)
 // and bit-for-bit reproducible.
@@ -11,7 +11,10 @@
 // of the system — sending a message, acquiring a lock — the processor calls
 // Interact, which parks it until its clock is globally minimal. Events
 // (message deliveries, protocol continuations) live in a priority queue and
-// run as callbacks in the scheduler goroutine.
+// run as callbacks on the goroutine that holds the baton: there is no
+// scheduler goroutine, a parking processor runs the due events itself and
+// then wakes the next processor directly (or simply carries on when it is
+// the next one), so an interaction costs at most one goroutine switch.
 //
 // This mirrors the execution-driven methodology of the Rice Parallel
 // Processing Testbed used by the paper (Covington et al.): program behaviour
@@ -98,8 +101,7 @@ type Proc struct {
 	clock Time
 	state procState
 
-	resume chan struct{} // scheduler -> proc
-	parked bool          // proc is waiting in Interact (already at its interaction point)
+	resume chan struct{} // the baton: sent by whichever goroutine dispatched this processor
 }
 
 // Engine drives a set of simulated processors and an event queue.
@@ -110,13 +112,13 @@ type Engine struct {
 	free    []*event // recycled event structs (one Schedule per interaction)
 	procs   []*Proc
 	ready   readyHeap  // runnable processors keyed by clock
-	yield   chan *Proc // proc -> scheduler: "I have yielded/blocked/finished"
-	failure any        // panic captured from a proc body
+	done    chan error // last baton holder -> Run: the simulation is over
+	failure any        // panic captured from a proc body or an event it ran
 }
 
 // New returns an engine with n processors.
 func New(n int) *Engine {
-	e := &Engine{yield: make(chan *Proc)}
+	e := &Engine{done: make(chan error)}
 	for i := 0; i < n; i++ {
 		e.procs = append(e.procs, &Proc{
 			ID:     i,
@@ -168,8 +170,8 @@ func (e *Engine) releaseEvent(ev *event) {
 
 // Run executes body on every processor until all bodies return and the event
 // queue drains. It returns an error on deadlock (blocked processors with no
-// pending events) and re-panics any panic raised inside a processor body,
-// with its original value.
+// pending events) and re-panics any panic raised inside a processor body or
+// an event callback, with its original value.
 func (e *Engine) Run(body func(*Proc)) error {
 	for _, p := range e.procs {
 		p.state = stateReady
@@ -179,39 +181,43 @@ func (e *Engine) Run(body func(*Proc)) error {
 			defer func() {
 				if r := recover(); r != nil {
 					e.failure = r
-					p.state = stateDone
-					e.yield <- p
-					return
+					e.done <- nil
 				}
-				p.state = stateDone
-				e.yield <- p
 			}()
 			<-p.resume // wait for first dispatch
 			body(p)
+			p.state = stateDone
+			e.pass(p)
 		}(p)
 	}
-	return e.loop()
+	first := e.next()
+	if first == nil {
+		return e.verdict()
+	}
+	first.resume <- struct{}{}
+	err := <-e.done
+	if e.failure != nil {
+		panic(e.failure)
+	}
+	return err
 }
 
-func (e *Engine) loop() error {
+// next runs, on the calling goroutine, every event due before the earliest
+// ready processor, then takes that processor off the ready heap and returns
+// it running. It returns nil when neither events nor ready processors are
+// left. Events win ties with processors.
+func (e *Engine) next() *Proc {
 	for {
-		// earliest event
 		var te Time = Infinity
 		if len(e.events) > 0 {
 			te = e.events[0].at
 		}
-		// earliest ready processor
 		var tp Time = Infinity
 		if len(e.ready) > 0 {
 			tp = e.ready[0].clock
 		}
 		switch {
 		case te == Infinity && tp == Infinity:
-			for _, p := range e.procs {
-				if p.state == stateBlocked {
-					return fmt.Errorf("sim: deadlock — processor %d blocked with no pending events at t=%d", p.ID, e.now)
-				}
-			}
 			return nil
 		case te <= tp:
 			ev := heap.Pop(&e.events).(*event)
@@ -220,18 +226,41 @@ func (e *Engine) loop() error {
 			e.releaseEvent(ev) // before fn: the callback may Schedule and reuse it
 			fn()
 		default:
-			next := heap.Pop(&e.ready).(*Proc)
+			p := heap.Pop(&e.ready).(*Proc)
 			e.now = tp
-			next.state = stateRunning
-			next.resume <- struct{}{}
-			p := <-e.yield
-			if p.state == stateReady {
-				heap.Push(&e.ready, p)
-			}
-			if p.state == stateDone && e.failure != nil {
-				panic(e.failure)
-			}
+			p.state = stateRunning
+			return p
 		}
+	}
+}
+
+// verdict is the result of a simulation with nothing left to run.
+func (e *Engine) verdict() error {
+	for _, p := range e.procs {
+		if p.state == stateBlocked {
+			return fmt.Errorf("sim: deadlock — processor %d blocked with no pending events at t=%d", p.ID, e.now)
+		}
+	}
+	return nil
+}
+
+// pass is called by processor p's goroutine when p stops running (ready,
+// blocked or done). It dispatches on that goroutine: if p itself is next it
+// returns at once, otherwise it hands the baton to the next processor's
+// goroutine (or ends the run) and, unless p is done, parks until some later
+// holder hands it back.
+func (e *Engine) pass(p *Proc) {
+	wait := p.state != stateDone
+	switch next := e.next(); next {
+	case p:
+		return
+	case nil:
+		e.done <- e.verdict()
+	default:
+		next.resume <- struct{}{}
+	}
+	if wait {
+		<-p.resume
 	}
 }
 
@@ -253,18 +282,15 @@ func (p *Proc) Advance(cycles Time) {
 // timestamp order. Returns with the processor running.
 func (p *Proc) Interact() {
 	p.state = stateReady
-	p.eng.yield <- p
-	<-p.resume
-	p.state = stateRunning
+	heap.Push(&p.eng.ready, p)
+	p.eng.pass(p)
 }
 
 // Block parks the processor indefinitely; some event must call Wake. On
 // return the local clock has been advanced to the wake time.
 func (p *Proc) Block() {
 	p.state = stateBlocked
-	p.eng.yield <- p
-	<-p.resume
-	p.state = stateRunning
+	p.eng.pass(p)
 }
 
 // Wake makes a blocked processor runnable again at virtual time at (or its

@@ -227,16 +227,12 @@ func TestScheduleDispatchNoAlloc(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.Schedule(e.Now(), fn)
 	}
-	if err := e.loop(); err != nil {
-		t.Fatal(err)
-	}
+	e.next()
 	avg := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 100; i++ {
 			e.Schedule(e.Now(), fn)
 		}
-		if err := e.loop(); err != nil {
-			t.Error(err)
-		}
+		e.next()
 	})
 	if avg > 0 {
 		t.Fatalf("schedule/dispatch allocates %.1f objects per 100 events, want 0", avg)
@@ -249,9 +245,7 @@ func TestEventPoolClearsClosure(t *testing.T) {
 	e := New(0)
 	big := make([]byte, 1)
 	e.Schedule(0, func() { big[0]++ })
-	if err := e.loop(); err != nil {
-		t.Fatal(err)
-	}
+	e.next()
 	if len(e.free) == 0 {
 		t.Fatal("dispatched event not recycled")
 	}
