@@ -161,10 +161,12 @@ bench-scale:
 # and a write hit on the own worker's lock-free path, the same read
 # through a LaneWorker (which keeps the node mutex), the first write of
 # an interval (the twin path), a release that dirtied one remote-homed
-# page, and the hand-off of a lock around one written word between two
-# nodes, in-process and over loopback TCP.
+# page, the hand-off of a lock around one written word between two
+# nodes, in-process and over loopback TCP, a checkpoint capture of 512
+# homed pages with none, half or all rewritten since the last one, and
+# the push of a 2 MiB snapshot into the manager's store.
 bench-node:
-	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite|UnlockDirtyRemote|HandoffDirty' -benchmem -count=5 ./internal/live/node/
+	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite|UnlockDirtyRemote|HandoffDirty|CaptureCheckpoint|SnapPush' -benchmem -count=5 ./internal/live/node/
 
 # bench-sim runs the simulator's host-cost microbenchmarks, five runs
 # each: incorporating the next diff into a page that already carries

@@ -37,11 +37,12 @@ import (
 // increasing tokens, so a request whose token is not newer than the
 // client's last is a retransmission — the cached reply is re-sent (the
 // original was lost) or, while the original is still pending, the
-// duplicate is simply dropped. The dedup tables, chunk assemblers and
-// join blobs are leader-local (guarded by cmu, not replicated): every
-// command is idempotent and a client whose leader died retries at the
-// new one with fresh tokens, so serving state never needs to agree
-// across replicas.
+// duplicate is simply dropped. (Snapshot chunks skip the table: placing
+// a chunk at its index is idempotent, see snapPush.) The dedup tables,
+// chunk assemblers and join blobs are leader-local (guarded by cmu, not
+// replicated): every command is idempotent and a client whose leader
+// died retries at the new one with fresh tokens, so serving state never
+// needs to agree across replicas.
 type manager struct {
 	n  *Node
 	nn int
@@ -58,10 +59,13 @@ type manager struct {
 	// monotonic sequence, so a supervisor RPC on the conf lane cannot
 	// shadow a worker's lane-0 tokens — and LRU-bounded by
 	// clientCacheCap. push[w] assembles a snapshot blob w is streaming
-	// in KSnapPush chunks; joinBlob[w] is the encoded replica served
-	// back to a rejoining w in KSnapChunk replies; both chunk caches are
-	// LRU-bounded by blobCacheCap (an evicted stream self-heals: the
-	// client is redirected and restarts from chunk 0, a rejoining node
+	// in KSnapPush chunks and pushed[w] is the newest episode of w's
+	// stored here since the last rollback (a resent stream finds its
+	// episode there once a mid-stream chunk has filled the last hole;
+	// episodes restart at a rollback, so opReset clears it with push);
+	// joinBlob[w] is the encoded replica served back to a rejoining w in
+	// KSnapChunk replies; both chunk caches are LRU-bounded by blobCacheCap (an evicted stream self-heals: the
+	// client is redirected and sends the stream again, a rejoining node
 	// re-runs its join handshake). suspect[w] marks a peer this leader
 	// already reported down, so one silence fires one verdict.
 	cmu        sync.Mutex
@@ -69,6 +73,7 @@ type manager struct {
 	clientSeen []clientKey
 	push       map[int]*pushAsm
 	pushSeen   []int
+	pushed     map[int]int64
 	joinBlob   map[int][]byte
 	joinSeen   []int
 	suspect    []bool
@@ -81,16 +86,21 @@ type clientKey struct {
 }
 
 // pushAsm reassembles one node's replicated snapshot from its chunks.
-// Chunks arrive strictly in order: the pusher streams them as blocking
-// RPCs and the client table drops retransmissions. Chunk 0 always
-// starts a fresh assembly, so a stream restarted after a leader change
-// cannot collide with a stale half.
+// buf is allocated once, from the stream's chunk count, and every chunk
+// is copied to its own offset, so arrival order and duplicates do not
+// matter; have marks the offsets filled, so a lost chunk leaves the
+// assembly incomplete instead of passing zeroes for data. size is the
+// encoded length, known once the last chunk has arrived.
 type pushAsm struct {
 	episode int64
-	nchunks int32
-	next    int32
 	buf     []byte
+	have    []bool
+	missing int
+	size    int
 }
+
+// maxSnapChunks bounds the chunk count a push stream may announce.
+const maxSnapChunks = ckpt.MaxSnapshot / snapChunkSize
 
 // replyCacheCap bounds each client's cached-reply window. A worker has
 // at most one manager RPC outstanding, so one slot would suffice for
@@ -149,6 +159,7 @@ func newManager(n *Node) *manager {
 		st:       newMstate(n.nn),
 		clients:  map[clientKey]*mclient{},
 		push:     map[int]*pushAsm{},
+		pushed:   map[int]int64{},
 		joinBlob: map[int][]byte{},
 		suspect:  make([]bool, n.nn),
 	}
@@ -238,12 +249,20 @@ func (g *manager) isLeader() bool {
 func (g *manager) handle(m *wire.Msg) {
 	if g.rep != nil {
 		if info := g.rep.Leader(); !info.IsLeader {
-			g.n.send(int(m.From), &wire.Msg{
-				Kind: wire.KNotLeader, Token: m.Token,
-				Term: info.Term, Leader: int32(info.Leader),
-			})
+			// Token 0 is an unacknowledged stream chunk: nobody waits
+			// for its redirect, the stream's last chunk collects it.
+			if m.Token != 0 {
+				g.n.send(int(m.From), &wire.Msg{
+					Kind: wire.KNotLeader, Token: m.Token,
+					Term: info.Term, Leader: int32(info.Leader),
+				})
+			}
 			return
 		}
+	}
+	if m.Kind == wire.KSnapPush {
+		g.snapPush(m)
+		return
 	}
 	if g.dropDup(m) {
 		return
@@ -253,8 +272,6 @@ func (g *manager) handle(m *wire.Msg) {
 		g.joinReq(m)
 	case wire.KSnapReq:
 		g.snapReq(m)
-	case wire.KSnapPush:
-		g.snapPush(m)
 	case wire.KResume:
 		g.resume(m)
 	case wire.KCkptDone:
@@ -361,6 +378,7 @@ func (g *manager) applyCmd(cmd []byte) error {
 		g.clientSeen = nil
 		g.push = map[int]*pushAsm{}
 		g.pushSeen = nil
+		g.pushed = map[int]int64{}
 		g.joinBlob = map[int][]byte{}
 		g.joinSeen = nil
 		for w := range g.suspect {
@@ -416,36 +434,60 @@ func (g *manager) mgrSnap(m *wire.Msg) {
 	}))
 }
 
-// snapPush assembles a replicated snapshot streamed by a node, one
-// chunk per (acknowledged, de-duplicated) RPC, and stores it once
-// complete. Snapshot replication is leader-local store traffic, not
-// replicated state: a stream cut by a leader change is redirected and
-// restarts from chunk 0 at the new leader.
+// snapPush places one chunk of a snapshot a node is replicating here and
+// stores the snapshot once every chunk is in. Only the stream's last
+// chunk is a request: it is acknowledged when the snapshot is stored and
+// redirected while chunks are missing — one was lost, or the stream went
+// to a previous leader — which makes the sender put the whole stream in
+// the air again; the holes fill and nothing already placed is lost.
+// Chunks are neither de-duplicated nor reply-cached: a duplicate lands
+// on the bytes it already wrote, and a retransmitted last chunk is
+// answered from the state it finds. Snapshot replication is leader-local
+// store traffic, not replicated state. The assembled buffer becomes the
+// stored replica's backing memory (DecodeNode aliases it).
 func (g *manager) snapPush(m *wire.Msg) {
-	w := int(m.From)
-	g.cmu.Lock()
-	a := g.push[w]
-	if m.Chunk == 0 || a == nil || a.episode != m.Episode {
-		a = &pushAsm{episode: m.Episode, nchunks: m.NChunks}
-	}
-	if m.Chunk != a.next {
-		g.setPush(w, nil)
-		g.cmu.Unlock()
-		g.redirect(m)
+	w, last := int(m.From), m.Chunk == m.NChunks-1
+	sized := len(m.Data) == snapChunkSize || last && len(m.Data) > 0 && len(m.Data) < snapChunkSize
+	if m.NChunks < 1 || m.NChunks > maxSnapChunks || m.Chunk < 0 || m.Chunk >= m.NChunks || !sized {
+		g.abort(fmt.Errorf("manager: snapshot chunk %d/%d of %d bytes from %d is out of range",
+			m.Chunk, m.NChunks, len(m.Data), w))
 		return
 	}
-	a.buf = append(a.buf, m.Data...)
-	a.next++
-	var done []byte
-	if a.next == a.nchunks {
-		done = a.buf
-		g.setPush(w, nil)
-	} else {
-		g.setPush(w, a) // LRU touch; an evicted stream restarts at chunk 0
+	g.cmu.Lock()
+	// The leader's own snapshot is in its store already, and so is one
+	// whose stream completed before this (late or resent) chunk.
+	stored := w == g.n.id || m.Episode <= g.pushed[w]
+	var done *pushAsm
+	if !stored {
+		a := g.push[w]
+		if a == nil || a.episode != m.Episode || len(a.have) != int(m.NChunks) {
+			a = &pushAsm{
+				episode: m.Episode,
+				buf:     make([]byte, int(m.NChunks)*snapChunkSize),
+				have:    make([]bool, m.NChunks),
+				missing: int(m.NChunks),
+			}
+		}
+		lo := int(m.Chunk) * snapChunkSize
+		copy(a.buf[lo:], m.Data)
+		if last {
+			a.size = lo + len(m.Data)
+		}
+		if !a.have[m.Chunk] {
+			a.have[m.Chunk] = true
+			a.missing--
+		}
+		if a.missing == 0 {
+			done = a
+			g.pushed[w] = m.Episode
+			g.setPush(w, nil)
+		} else {
+			g.setPush(w, a) // LRU touch; an evicted stream is sent again
+		}
 	}
 	g.cmu.Unlock()
 	if done != nil {
-		snap, err := ckpt.DecodeNode(done)
+		snap, err := ckpt.DecodeNode(done.buf[:done.size])
 		if err != nil {
 			g.abort(fmt.Errorf("manager: replicated snapshot from %d: %w", w, err))
 			return
@@ -455,7 +497,14 @@ func (g *manager) snapPush(m *wire.Msg) {
 			return
 		}
 	}
-	g.reply(m.From, &wire.Msg{Kind: wire.KAck, Token: m.Token})
+	if !last {
+		return
+	}
+	if stored || done != nil {
+		g.n.send(int(m.From), &wire.Msg{Kind: wire.KAck, Token: m.Token})
+	} else {
+		g.redirect(m)
+	}
 }
 
 // joinReq admits a restarted node: once its incarnation commits, the
@@ -502,18 +551,13 @@ func (g *manager) snapReq(m *wire.Msg) {
 		g.redirect(m)
 		return
 	}
-	lo := int(m.Chunk) * snapChunkSize
-	if lo < 0 || lo >= len(blob) {
+	if m.Chunk < 0 || m.Chunk >= snapChunks(blob) {
 		g.abort(fmt.Errorf("manager: snapshot chunk %d requested by %d, have %d bytes", m.Chunk, w, len(blob)))
 		return
 	}
-	hi := lo + snapChunkSize
-	if hi > len(blob) {
-		hi = len(blob)
-	}
 	g.reply(m.From, &wire.Msg{
 		Kind: wire.KSnapChunk, Token: m.Token,
-		Episode: m.Episode, Chunk: m.Chunk, Data: blob[lo:hi],
+		Episode: m.Episode, Chunk: m.Chunk, Data: snapChunk(blob, m.Chunk),
 	})
 }
 

@@ -52,6 +52,7 @@ import (
 
 	"lrcdsm/internal/core"
 	"lrcdsm/internal/live/consensus"
+	ckpt "lrcdsm/internal/live/recover"
 	"lrcdsm/internal/live/transport"
 	"lrcdsm/internal/live/wire"
 	"lrcdsm/internal/page"
@@ -263,6 +264,9 @@ type Node struct {
 	replaying     bool
 	replayTarget  int64
 	replayScratch map[page.ID]page.Buf
+	// lastSnap is the node's previous checkpoint, whose unchanged page
+	// images the next one shares (see snapshotLocked).
+	lastSnap *ckpt.NodeSnapshot
 
 	// epoch is the cluster recovery epoch this engine currently belongs
 	// to; the pump and dispatcher fence frames from other epochs when
@@ -1376,16 +1380,17 @@ func (n *Node) withdraw(tok int64) {
 }
 
 // trySend transmits m, treating transport errors as transient — the
-// retransmission schedule recovers from them — except a closed
-// transport, which means the cluster is shutting down.
-func (n *Node) trySend(to int, m *wire.Msg) { n.trySendEpoch(to, m, n.epoch.Load()) }
+// retransmission schedule recovers from them, so most callers ignore the
+// returned error — except a closed transport, which means the cluster is
+// shutting down.
+func (n *Node) trySend(to int, m *wire.Msg) error { return n.trySendEpoch(to, m, n.epoch.Load()) }
 
 // trySendEpoch is trySend stamping a given recovery epoch (see
 // sendEpoch).
-func (n *Node) trySendEpoch(to int, m *wire.Msg, epoch uint32) {
+func (n *Node) trySendEpoch(to int, m *wire.Msg, epoch uint32) error {
 	err := n.sendEpoch(to, m, epoch)
 	if err == nil || !errors.Is(err, transport.ErrClosed) {
-		return
+		return err
 	}
 	if e := n.Err(); e != nil {
 		err = e

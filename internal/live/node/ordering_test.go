@@ -29,7 +29,11 @@ type flushGate struct {
 	kind wire.Kind
 	// before, if set, runs on the sending goroutine ahead of every frame
 	// of the gated kind (set it before the nodes start).
-	before  func()
+	before func()
+	// rewrite, if set, replaces each frame of the gated kind by the frames
+	// it returns — none drops it, two duplicate it, and a frame kept back
+	// and returned with a later one is reordered. Called under mu.
+	rewrite func(payload []byte) [][]byte
 	mu      sync.Mutex
 	holding bool
 	drop    int // drop this many such frames before anything else
@@ -48,6 +52,15 @@ func (g *flushGate) Send(to int, payload []byte) error {
 		}
 		g.mu.Lock()
 		switch {
+		case g.rewrite != nil:
+			out := g.rewrite(payload)
+			g.mu.Unlock()
+			for _, p := range out {
+				if err := g.Transport.Send(to, p); err != nil {
+					return err
+				}
+			}
+			return nil
 		case g.drop > 0:
 			g.drop--
 			g.mu.Unlock()

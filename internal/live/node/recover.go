@@ -16,6 +16,21 @@ import (
 // when a serialized snapshot is streamed to or from the manager.
 const snapChunkSize = 32 << 10
 
+// snapChunks is the number of chunks an encoded snapshot travels in.
+func snapChunks(blob []byte) int32 {
+	return int32((len(blob) + snapChunkSize - 1) / snapChunkSize)
+}
+
+// snapChunk is chunk i of an encoded snapshot, 0 <= i < snapChunks(blob).
+func snapChunk(blob []byte, i int32) []byte {
+	lo := int(i) * snapChunkSize
+	hi := lo + snapChunkSize
+	if hi > len(blob) {
+		hi = len(blob)
+	}
+	return blob[lo:hi]
+}
+
 // keepCheckpoints bounds how many checkpoint episodes a node's store
 // retains. The stable checkpoint lags the newest by at most one episode
 // (KCkptDone is an acknowledged RPC inside the barrier, so no node can
@@ -207,6 +222,20 @@ func (n *Node) mgrRPC(m *wire.Msg) *wire.Msg {
 // Transient redirects during an unsettled election are still absorbed.
 func (n *Node) mgrRPCRedirect(m *wire.Msg) *wire.Msg { return n.mgrRPCLane(m, 0) }
 
+// leadsManager reports whether this node currently serves manager
+// requests itself.
+func (n *Node) leadsManager() bool { return n.mgr != nil && n.mgr.isLeader() }
+
+// mgrTarget is the node a manager request is sent to first: the cached
+// leader (node 0 when the quorum is inactive).
+func (n *Node) mgrTarget() int {
+	to := int(n.leaderHint.Load())
+	if to < 0 || to >= n.nn {
+		to = 0
+	}
+	return to
+}
+
 // mgrRPCLane is mgrRPCRedirect with the requests issued on a token lane
 // of their own, for callers running concurrently with the worker's
 // lane-0 manager RPCs (the supervisor's membership changes).
@@ -226,10 +255,7 @@ func (n *Node) mgrRPCLane(m *wire.Msg, lane int64) *wire.Msg {
 		// the full retransmission budget.
 		perTry = 500 * time.Millisecond
 	}
-	to := int(n.leaderHint.Load())
-	if to < 0 || to >= n.nn {
-		to = 0
-	}
+	to := n.mgrTarget()
 	backoff := n.cfg.RetryBase
 	var last *wire.Msg
 	for {
@@ -291,26 +317,12 @@ func (n *Node) mgrRPCLane(m *wire.Msg, lane int64) *wire.Msg {
 func (n *Node) captureCheckpoint(episode int64) {
 	rc := n.cfg.Recover
 	n.mu.Lock()
-	snap := &ckpt.NodeSnapshot{Episode: episode, Node: int32(n.id), VT: n.vt.Clone()}
-	for pg := range n.pages {
-		if int(n.cfg.Homes[pg]) != n.id {
-			continue
-		}
-		ps := &n.pages[pg]
-		src := ps.data
-		if ps.twin != nil {
-			src = ps.twin
-		}
-		snap.Pages = append(snap.Pages, ckpt.PageImage{
-			Page:   int32(pg),
-			Data:   append([]byte(nil), src...),
-			HomeVT: ps.homeVT.Clone(),
-		})
-	}
+	snap := n.snapshotLocked(episode)
 	gated := n.gated
 	n.gated = nil
 	n.gateEpisode = 0
 	n.mu.Unlock()
+	n.lastSnap = snap
 
 	if err := rc.Store.PutNode(snap); err != nil {
 		panic(runError{fmt.Errorf("node %d: storing checkpoint %d: %w", n.id, episode, err)})
@@ -325,7 +337,7 @@ func (n *Node) captureCheckpoint(episode int64) {
 		n.handleWriteNotices(m)
 	}
 
-	if rc.Replicate && (n.id != 0 || n.consensusOn()) {
+	if rc.Replicate && !n.leadsManager() {
 		n.pushSnapshot(episode, ckpt.EncodeNode(snap))
 	}
 	n.mgrRPC(&wire.Msg{Kind: wire.KCkptDone, Episode: episode})
@@ -334,32 +346,80 @@ func (n *Node) captureCheckpoint(episode int64) {
 	}
 }
 
-// pushSnapshot streams an encoded snapshot to the manager's store in
-// KSnapPush chunks. The chunks are leader-local state: a stream the
-// leader died under is answered with a redirect and restarts from chunk
-// 0 at the new leader (whose chunk-0 reset discards any stale half). A
-// leader pushing to itself is a plain store round-trip through its own
-// dispatcher.
+// snapshotLocked builds this node's snapshot of episode: the committed
+// view of every page homed here (the twin while the local worker has
+// uncommitted writes) and its home version. A stored snapshot is
+// immutable, so a page whose home version has not moved since the
+// node's previous snapshot shares that snapshot's image: every change to
+// a homed page's committed view goes through homeRecordLocked, which
+// advances homeVT. Only the changed pages are copied under n.mu. Caller
+// holds n.mu and is the worker (lastSnap is worker-private).
+func (n *Node) snapshotLocked(episode int64) *ckpt.NodeSnapshot {
+	var prev []ckpt.PageImage
+	if n.lastSnap != nil {
+		prev = n.lastSnap.Pages
+	}
+	snap := &ckpt.NodeSnapshot{Episode: episode, Node: int32(n.id), VT: n.vt.Clone()}
+	if len(prev) > 0 {
+		snap.Pages = make([]ckpt.PageImage, 0, len(prev))
+	}
+	for pg := range n.pages {
+		if int(n.cfg.Homes[pg]) != n.id {
+			continue
+		}
+		ps := &n.pages[pg]
+		// The homed set never changes, so the k-th image of every
+		// snapshot is the same page.
+		if k := len(snap.Pages); k < len(prev) && prev[k].Page == int32(pg) && ps.homeVT.Equal(prev[k].HomeVT) {
+			snap.Pages = append(snap.Pages, prev[k])
+			continue
+		}
+		src := ps.data
+		if ps.twin != nil {
+			src = ps.twin
+		}
+		snap.Pages = append(snap.Pages, ckpt.PageImage{
+			Page:   int32(pg),
+			Data:   append([]byte(nil), src...),
+			HomeVT: ps.homeVT.Clone(),
+		})
+	}
+	return snap
+}
+
+// pushSnapshot replicates an encoded snapshot in the current leader's
+// store with one wait: every KSnapPush chunk but the last goes out
+// unacknowledged (token 0) and the last one is the stream's single
+// request, acknowledged once the leader holds all of them. The chunks
+// are leader-local state, placed by index: if one was lost, or the
+// leader changed under the stream, the last chunk is answered with a
+// redirect and the whole stream goes out again, to the leader the
+// redirect named. A node that is the leader itself has nothing to push:
+// its own store is the replica store.
 func (n *Node) pushSnapshot(episode int64, blob []byte) {
-	total := int32((len(blob) + snapChunkSize - 1) / snapChunkSize)
-restart:
+	total := snapChunks(blob)
+	chunk := func(i int32) *wire.Msg {
+		return &wire.Msg{Kind: wire.KSnapPush, Episode: episode, Chunk: i, NChunks: total, Data: snapChunk(blob, i)}
+	}
 	for {
-		for i := int32(0); i < total; i++ {
-			lo := int(i) * snapChunkSize
-			hi := lo + snapChunkSize
-			if hi > len(blob) {
-				hi = len(blob)
+		if n.leadsManager() {
+			return
+		}
+		to := n.mgrTarget()
+		for i := int32(0); i < total-1; i++ {
+			if n.intrFlag.Load() {
+				n.panicInterrupted()
 			}
-			r := n.mgrRPCRedirect(&wire.Msg{
-				Kind: wire.KSnapPush, Episode: episode,
-				Chunk: i, NChunks: total,
-				Data: blob[lo:hi],
-			})
-			if r.Kind == wire.KNotLeader {
-				continue restart
+			// A leader that cannot be reached gets no more of the stream
+			// (each send may sit out the transport's dial retries); the
+			// last chunk's RPC finds its successor.
+			if n.trySend(to, chunk(i)) != nil {
+				break
 			}
 		}
-		return
+		if r := n.mgrRPCRedirect(chunk(total - 1)); r.Kind != wire.KNotLeader {
+			return
+		}
 	}
 }
 
@@ -424,6 +484,7 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 	n.gateEpisode = 0
 	n.gated = nil
 	n.parked = nil
+	n.lastSnap = nil // homeVT no longer says what changed since it
 	var episode int64
 	if snap != nil {
 		episode = snap.Episode
@@ -466,8 +527,10 @@ rejoin:
 		if k > 0 {
 			if s, gerr := rc.Store.GetNode(k, n.id); gerr == nil {
 				snap = s
+			} else if grant.NChunks > maxSnapChunks {
+				return fmt.Errorf("node %d: join grant announces %d snapshot chunks", n.id, grant.NChunks)
 			} else if grant.NChunks > 0 {
-				var blob []byte
+				blob := make([]byte, 0, int(grant.NChunks)*snapChunkSize)
 				for i := int32(0); i < grant.NChunks; i++ {
 					r := n.mgrRPCRedirect(&wire.Msg{Kind: wire.KSnapReq, Episode: k, Chunk: i})
 					if r.Kind == wire.KNotLeader {

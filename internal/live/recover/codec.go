@@ -14,13 +14,14 @@ const (
 	codecVersion = 1
 )
 
-// maxSnapshot bounds the decodable snapshot size, mirroring the wire
+// MaxSnapshot bounds the decodable snapshot size, mirroring the wire
 // codec's MaxFrame discipline.
-const maxSnapshot = 1 << 30
+const MaxSnapshot = 1 << 30
 
-// EncodeNode serializes a node snapshot.
+// EncodeNode serializes a node snapshot into a fresh, exactly sized
+// buffer.
 func EncodeNode(s *NodeSnapshot) []byte {
-	w := swriter{b: make([]byte, 0, 64+int(s.Bytes()))}
+	w := swriter{b: make([]byte, 0, nodeSize(s))}
 	w.b = append(w.b, nodeMagic...)
 	w.u32(codecVersion)
 	w.i64(s.Episode)
@@ -36,8 +37,19 @@ func EncodeNode(s *NodeSnapshot) []byte {
 	return w.b
 }
 
+// nodeSize is the exact length of s's encoding.
+func nodeSize(s *NodeSnapshot) int {
+	n := len(nodeMagic) + 4 + 8 + 4 + 4 + 4*len(s.VT) + 4
+	for i := range s.Pages {
+		n += 4 + 4 + len(s.Pages[i].Data) + 4 + 4*len(s.Pages[i].HomeVT)
+	}
+	return n
+}
+
 // DecodeNode parses a node snapshot, returning an error — never
-// panicking — on malformed input.
+// panicking — on malformed input. The page contents of the result alias
+// b: the caller hands the buffer over with it (decoding one buffer more
+// than once is fine, the snapshots share it read-only).
 func DecodeNode(b []byte) (*NodeSnapshot, error) {
 	r, err := newReader(b, nodeMagic)
 	if err != nil {
@@ -48,6 +60,9 @@ func DecodeNode(b []byte) (*NodeSnapshot, error) {
 	s.Node = r.i32()
 	s.VT = r.i32slice()
 	n := r.count(12)
+	if n > 0 {
+		s.Pages = make([]PageImage, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		var p PageImage
 		p.Page = r.i32()
@@ -143,7 +158,7 @@ type sreader struct {
 }
 
 func newReader(b []byte, magic string) (*sreader, error) {
-	if len(b) > maxSnapshot {
+	if len(b) > MaxSnapshot {
 		return nil, fmt.Errorf("recover: snapshot of %d bytes exceeds bound", len(b))
 	}
 	if len(b) < len(magic)+4 || string(b[:len(magic)]) != magic {
@@ -220,13 +235,15 @@ func (r *sreader) count(minBytes int) int {
 	return int(n)
 }
 
+// bytes returns a length-prefixed byte string as a sub-slice of the
+// input (capacity clipped, so an append by a holder cannot reach the
+// bytes behind it).
 func (r *sreader) bytes() []byte {
 	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, r.b[r.off:r.off+n])
+	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return v
 }

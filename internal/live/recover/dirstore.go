@@ -106,7 +106,8 @@ func (st *DirStore) Prune(keep int) error {
 	}
 	for _, e := range ents {
 		if ep, ok := episodeOf(e.Name()); ok && drop[ep] {
-			if err := os.Remove(filepath.Join(st.dir, e.Name())); err != nil {
+			// A concurrent Prune may have removed it since the listing.
+			if err := os.Remove(filepath.Join(st.dir, e.Name())); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("recover: %w", err)
 			}
 		}

@@ -29,7 +29,9 @@ var ErrNotFound = errors.New("recover: snapshot not found")
 // PageImage is one checkpointed shared page: its committed contents at
 // the barrier cut and the per-writer interval versions applied to it
 // (the home's homeVT), from which the restored home rebuilds its
-// version accounting.
+// version accounting. Both slices are read-only once the image is part
+// of a stored snapshot (see Store): consecutive snapshots of a node
+// share the images of pages that did not change.
 type PageImage struct {
 	Page   int32
 	Data   []byte
@@ -75,10 +77,19 @@ type ManagerSnapshot struct {
 // concurrent use: the worker goroutines of several nodes write their
 // snapshots independently, and the manager's dispatcher reads replicas
 // while serving a rejoin.
+//
+// Ownership: a node snapshot is immutable once put. PutNode keeps the
+// snapshot it is handed — the caller gives up writing to it and to every
+// buffer it references — and GetNode may return the stored snapshot
+// itself, which its callers only read. That is what lets one PageImage
+// be shared by consecutive snapshots, a decoded snapshot alias the buffer
+// it was decoded from, and the in-memory store hold a snapshot without
+// copying it. Putting the same snapshot again is legal.
 type Store interface {
-	// PutNode stores (or overwrites) a node snapshot.
+	// PutNode stores (or overwrites) a node snapshot, taking ownership.
 	PutNode(s *NodeSnapshot) error
-	// GetNode returns the snapshot of (episode, node), or ErrNotFound.
+	// GetNode returns the snapshot of (episode, node), read-only, or
+	// ErrNotFound.
 	GetNode(episode int64, node int) (*NodeSnapshot, error)
 	// LatestNode returns the newest episode stored for node, or false.
 	LatestNode(node int) (int64, bool)
@@ -108,10 +119,8 @@ func NewMemStore() *MemStore {
 	}
 }
 
-// PutNode implements Store. The snapshot is deep-copied, so the caller
-// may keep mutating its buffers.
+// PutNode implements Store: the store holds s itself.
 func (st *MemStore) PutNode(s *NodeSnapshot) error {
-	cp := cloneNode(s)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	m := st.nodes[s.Episode]
@@ -119,7 +128,7 @@ func (st *MemStore) PutNode(s *NodeSnapshot) error {
 		m = make(map[int]*NodeSnapshot)
 		st.nodes[s.Episode] = m
 	}
-	m[int(s.Node)] = cp
+	m[int(s.Node)] = s
 	return nil
 }
 
@@ -131,7 +140,7 @@ func (st *MemStore) GetNode(episode int64, node int) (*NodeSnapshot, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: episode %d node %d", ErrNotFound, episode, node)
 	}
-	return cloneNode(s), nil
+	return s, nil
 }
 
 // LatestNode implements Store.
@@ -196,15 +205,6 @@ func pruneList(eps map[int64]bool, keep int) []int64 {
 		return nil
 	}
 	return all[keep:]
-}
-
-func cloneNode(s *NodeSnapshot) *NodeSnapshot {
-	cp := &NodeSnapshot{Episode: s.Episode, Node: s.Node, VT: cloneI32(s.VT)}
-	cp.Pages = make([]PageImage, len(s.Pages))
-	for i, p := range s.Pages {
-		cp.Pages[i] = PageImage{Page: p.Page, Data: append([]byte(nil), p.Data...), HomeVT: cloneI32(p.HomeVT)}
-	}
-	return cp
 }
 
 func cloneManager(s *ManagerSnapshot) *ManagerSnapshot {
