@@ -117,19 +117,15 @@ endurance:
 		-recover -crash 0:600:5ms -compact-every 2 -voters 3 -add-replica 3:5ms \
 		-retry 10ms -hb-interval 50ms -hb-timeout 2s -check -timeout 60s -deadline 120s
 
-# bench-serve regenerates BENCH_serve.json: the serving benchmark —
-# throughput and latency quantiles for the uniform update mix and the
-# zipfian read-heavy mix at 1, 2, 4 and 8 serving nodes, one JSON
-# object per line.
+# bench-serve runs the serving request path's microbenchmarks, five runs
+# each, on a 1-node cluster with one executor: one caller's get and put
+# through Server.Do (the hand-off both ways, a local lock re-acquire,
+# one shared access) and eight callers' gets, where batches group. The
+# allocations it reports are the node's under Lock/Unlock; the serve
+# layer's own are pinned at zero by TestDoDoesNotAllocate. End-to-end
+# serving numbers come from dsmbench's two serve workloads.
 bench-serve:
-	@rm -f BENCH_serve.json
-	@for nodes in 1 2 4 8; do \
-		$(GO) run ./cmd/dsmserve -nodes $$nodes -mix update-uniform -read-frac 0.5 -dist uniform \
-			-clients 32 -ops 200000 -keys 32768 -seed 1 -json >> BENCH_serve.json || exit 1; \
-		$(GO) run ./cmd/dsmserve -nodes $$nodes -mix read-heavy-zipf -read-frac 0.95 -dist zipfian -theta 0.99 \
-			-clients 32 -ops 200000 -keys 32768 -seed 1 -json >> BENCH_serve.json || exit 1; \
-	done
-	@wc -l BENCH_serve.json
+	$(GO) test -run '^$$' -bench 'Do(Get|Put)' -benchmem -count=5 ./internal/serve/
 
 # bench-live regenerates BENCH_live.json: one JSON object per line, one
 # line per app × protocol on a 4-node in-proc cluster at bench scale.

@@ -400,7 +400,7 @@ func printReport(rep *serveReport) {
 	st := rep.Stats
 	fmt.Printf("  cluster: %d gets, %d puts, lock wait %.1f ms, msgs %d, diffs %d applied\n",
 		st.Total.ServeGets, st.Total.ServePuts,
-		float64(st.Total.ServeLockWaitNs)/1e6,
+		float64(st.Total.LockWaitNs)/1e6,
 		st.Total.MsgsSent, st.Total.DiffsApplied)
 	if rep.Chaos != nil {
 		fmt.Printf("  chaos: %d faults (%d crashes), %d restarts, %d checkpoints\n",

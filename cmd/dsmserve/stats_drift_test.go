@@ -16,7 +16,7 @@ import (
 // against counter drift, exactly as dsmd's twin test does: every field
 // of node.Stats must carry a unique json tag and surface in the
 // report's stats.total object — the serve counters (serve_gets,
-// serve_puts, serve_lock_waits_ns) ride the same struct, so a counter
+// serve_puts) ride the same struct, so a counter
 // added without a tag or dropped from the Snapshot copy list fails
 // here. The serving-side extras (serve_hist, load.latency) must also
 // survive the round trip.

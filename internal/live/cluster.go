@@ -482,7 +482,6 @@ func addStats(dst, src *node.Stats) {
 	dst.ParkedReqs += src.ParkedReqs
 	dst.ServeGets += src.ServeGets
 	dst.ServePuts += src.ServePuts
-	dst.ServeLockWaitNs += src.ServeLockWaitNs
 	dst.ConsensusTerms += src.ConsensusTerms
 	dst.ConsensusElections += src.ConsensusElections
 	dst.ConsensusCommits += src.ConsensusCommits

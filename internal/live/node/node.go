@@ -625,15 +625,12 @@ func (n *Node) Stats() Stats { return n.stats.Snapshot() }
 
 // CountServe credits serving-path activity (internal/serve) to this
 // node's counters. Safe from any goroutine.
-func (n *Node) CountServe(gets, puts, lockWaitNs int64) {
+func (n *Node) CountServe(gets, puts int64) {
 	if gets != 0 {
 		n.stats.add(&n.stats.ServeGets, gets)
 	}
 	if puts != 0 {
 		n.stats.add(&n.stats.ServePuts, puts)
-	}
-	if lockWaitNs != 0 {
-		n.stats.add(&n.stats.ServeLockWaitNs, lockWaitNs)
 	}
 }
 

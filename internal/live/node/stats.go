@@ -98,11 +98,10 @@ type Stats struct {
 	ParkedReqs int64 `json:"parked_reqs"`
 
 	// Serving-path counters (internal/serve): get/put operations executed
-	// on this node and the wall-clock time its executors spent waiting on
-	// shard locks. All zero outside dsmserve runs.
-	ServeGets       int64 `json:"serve_gets"`
-	ServePuts       int64 `json:"serve_puts"`
-	ServeLockWaitNs int64 `json:"serve_lock_waits_ns"`
+	// on this node (the time its executors waited on shard locks is in
+	// LockWaitNs with every other acquire). Zero outside serving runs.
+	ServeGets int64 `json:"serve_gets"`
+	ServePuts int64 `json:"serve_puts"`
 
 	// Consensus-health counters: the replicated control plane's activity
 	// on this node. Terms counts term advances this replica observed,
@@ -159,7 +158,6 @@ func (s *Stats) Snapshot() Stats {
 		{&out.FaultWaitNs, &s.FaultWaitNs}, {&out.FlushWaitNs, &s.FlushWaitNs},
 		{&out.HomeWaitNs, &s.HomeWaitNs}, {&out.ParkedReqs, &s.ParkedReqs},
 		{&out.ServeGets, &s.ServeGets}, {&out.ServePuts, &s.ServePuts},
-		{&out.ServeLockWaitNs, &s.ServeLockWaitNs},
 		{&out.ConsensusTerms, &s.ConsensusTerms}, {&out.ConsensusElections, &s.ConsensusElections},
 		{&out.ConsensusCommits, &s.ConsensusCommits}, {&out.LeaderRedirects, &s.LeaderRedirects},
 		{&out.ConsensusCompactions, &s.ConsensusCompactions}, {&out.ConsensusSnapInstalls, &s.ConsensusSnapInstalls},

@@ -97,6 +97,7 @@ func (f *Frontend) handle(c net.Conn) {
 		c.Close()
 	}()
 	var req [reqLen]byte
+	var ok [respLen]byte // success frame, rebuilt in place per request
 	for {
 		if _, err := io.ReadFull(c, req[:]); err != nil {
 			return // client gone or frontend closing
@@ -105,7 +106,7 @@ func (f *Frontend) handle(c net.Conn) {
 		key := binary.LittleEndian.Uint64(req[1:9])
 		val := binary.LittleEndian.Uint64(req[9:17])
 		got, err := f.sv.Do(put, key, val)
-		var resp []byte
+		resp := ok[:]
 		if err != nil {
 			msg := err.Error()
 			if len(msg) > 1<<15 {
@@ -116,7 +117,6 @@ func (f *Frontend) handle(c net.Conn) {
 			binary.LittleEndian.PutUint16(resp[respLen:], uint16(len(msg)))
 			copy(resp[respLen+2:], msg)
 		} else {
-			resp = make([]byte, respLen)
 			resp[0] = statusOK
 			binary.LittleEndian.PutUint64(resp[1:9], got)
 		}

@@ -15,7 +15,7 @@
 //
 //   - Direct (default): operations are acknowledged as soon as the
 //     shard lock is released. This is the throughput/latency
-//     configuration benchmarked by `make bench-serve`.
+//     configuration; `make bench-serve` times one Do on it.
 //   - Durable: a single executor per node executes operations between
 //     barrier episodes and acknowledges an operation only once the
 //     barrier-aligned checkpoint covering it is stable on every node
@@ -27,7 +27,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,15 +199,18 @@ func (st *Store) Pages() int { return int(st.npages) }
 // report the shard count, slot density and routing actually in effect.
 func (st *Store) Resolved() Config { return st.cfg }
 
-// op is one queued operation.
+// op is one queued operation, recycled with its reply channel through
+// Server.ops. It is the executor's from the queue until it is answered
+// and its Do's otherwise: an executor reads nothing from an answered op.
 type op struct {
 	put     bool
 	key     uint64
 	val     uint64
 	shard   int
-	episode int64  // durable mode: execution episode, for the ack floor
-	ackVal  uint64 // durable mode: result of the (latest) execution
-	resp    chan opResult
+	enq     time.Duration // enqueue stamp on the server's clock (Server.t0)
+	episode int64         // durable mode: execution episode, for the ack floor
+	ackVal  uint64        // result of the (durable mode: latest) execution
+	resp    chan opResult // 1-buffered: an answer never blocks the executor
 }
 
 type opResult struct {
@@ -218,7 +221,7 @@ type opResult struct {
 // serveCounter is the optional per-node stats hook (implemented by the
 // live node).
 type serveCounter interface {
-	CountServe(gets, puts, lockWaitNs int64)
+	CountServe(gets, puts int64)
 }
 
 // replayer is the optional rollback-replay probe (implemented by the
@@ -237,16 +240,28 @@ type laner interface {
 // Server dispatches operations to per-node executor pools over a
 // configured Store. One Server serves one cluster run; Do may be called
 // from any goroutine and implements the load generator's Driver.
+//
+// The hand-off rests on one invariant: every op that enters a queue is
+// answered exactly once. So Do waits with a plain receive, and a reused
+// op's reply channel is empty. A queue always has a consumer upholding
+// it: the executor, which answers what it dequeued even when an engine
+// panic unwinds it, then the drainer it hands the queue to, which gives
+// everything queued or arriving later the server's error until
+// Shutdown. (Durable mode answers an op once its checkpoint is stable,
+// across supervisor restarts; only a supervised run that gives up
+// leaves its pending ops, and their callers, waiting.)
 type Server struct {
 	st     *Store
 	cfg    Config
 	queues [][]chan *op // [node][executor]
+	ops    sync.Pool    // *op, each with its reply channel
+	t0     time.Time    // origin of the enqueue stamps: one monotonic read each
 	hist   hist.Hist
 	rr     atomic.Uint64 // round-robin cursor for Route == "any"
 
 	stopping atomic.Bool
-	stopCh   chan struct{} // closed by Shutdown: executors drain and exit
-	failedCh chan struct{} // closed on executor failure: Do unblocks with an error
+	stopCh   chan struct{} // closed by Shutdown
+	failedCh chan struct{} // closed on executor failure
 	failOnce sync.Once
 	stopOnce sync.Once
 
@@ -267,9 +282,11 @@ func NewServer(st *Store) *Server {
 		cfg:      st.cfg,
 		queues:   make([][]chan *op, st.nodes),
 		pending:  make([][]*op, st.nodes),
+		t0:       time.Now(),
 		stopCh:   make(chan struct{}),
 		failedCh: make(chan struct{}),
 	}
+	s.ops.New = func() any { return &op{resp: make(chan opResult, 1)} }
 	for n := range s.queues {
 		s.queues[n] = make([]chan *op, st.cfg.Workers)
 		for e := range s.queues[n] {
@@ -282,8 +299,8 @@ func NewServer(st *Store) *Server {
 // Store returns the server's shared-memory layout.
 func (s *Server) Store() *Store { return s.st }
 
-// HistSummary digests the server-side latency histogram (enqueue to
-// acknowledgment, as observed at the dispatcher).
+// HistSummary digests the server-side latency histogram: enqueue to the
+// end of the batch (durable: the episode) that answered the operation.
 func (s *Server) HistSummary() *hist.Summary { return s.hist.Summarize() }
 
 // executorOf pins a shard to one executor per node.
@@ -305,32 +322,58 @@ func (s *Server) Do(put bool, key, val uint64) (uint64, error) {
 	if s.stopping.Load() {
 		return 0, fmt.Errorf("serve: server is shut down")
 	}
-	slot := s.st.slotOf(key)
-	shard := s.st.shardOf(s.st.pageOf(slot))
-	o := &op{put: put, key: key, val: val, shard: shard, resp: make(chan opResult, 1)}
-	start := time.Now()
+	shard := s.st.shardOf(s.st.pageOf(s.st.slotOf(key)))
+	q := s.queues[s.nodeOf(shard)][s.executorOf(shard)]
+	o := s.ops.Get().(*op)
+	o.put, o.key, o.val, o.shard, o.enq = put, key, val, shard, time.Since(s.t0)
 	select {
-	case s.queues[s.nodeOf(shard)][s.executorOf(shard)] <- o:
-	case <-s.failedCh:
-		return 0, s.err()
-	case <-s.stopCh:
-		return 0, fmt.Errorf("serve: server is shut down")
+	case q <- o:
+	default:
+		// Full: wait for room, but not past a failure or Shutdown — the
+		// op is in no queue yet, so nobody would answer it.
+		select {
+		case q <- o:
+		case <-s.failedCh:
+			return 0, s.err()
+		case <-s.stopCh:
+			return 0, fmt.Errorf("serve: server is shut down")
+		}
 	}
-	select {
-	case r := <-o.resp:
-		s.hist.Record(time.Since(start).Nanoseconds())
-		return r.val, r.err
-	case <-s.failedCh:
-		return 0, s.err()
+	r := <-o.resp
+	if r.err == nil {
+		s.ops.Put(o) // answered, so out of every batch and pending list
 	}
+	return r.val, r.err
 }
 
-// Shutdown stops the server: new operations are rejected, executors
-// drain their queues and the NodeWorkers return (letting the cluster
-// run complete). Call after the load completes.
+// Shutdown stops the server: new operations are rejected, every
+// operation already queued when it is called is executed and answered
+// with its value, and then the NodeWorkers return (letting the cluster
+// run complete). Do reads the stop flag once, on entry: the caller must
+// not start a Do after Shutdown nor call Shutdown while a Do is still
+// on its way into a queue — an op arriving after its executor's last
+// sweep is never answered. Call after the load completes.
 func (s *Server) Shutdown() {
 	s.stopping.Store(true)
 	s.stopOnce.Do(func() { close(s.stopCh) })
+	s.wake()
+}
+
+// wake makes every executor parked on an empty queue re-read the stop
+// and failure flags. The send need not succeed: a full queue has no
+// parked consumer. runDurable shares queues[node][0] and polls instead.
+func (s *Server) wake() {
+	if s.cfg.Durable {
+		return
+	}
+	for _, qs := range s.queues {
+		for _, q := range qs {
+			select {
+			case q <- nil:
+			default:
+			}
+		}
+	}
 }
 
 func (s *Server) err() error {
@@ -342,7 +385,8 @@ func (s *Server) err() error {
 	return fmt.Errorf("serve: server failed")
 }
 
-// fail records an executor failure and unblocks every caller.
+// fail records an executor failure and sends every executor on its way
+// out; each hands its queue to a drainer, so every caller gets the error.
 func (s *Server) fail(panicVal any, err error) {
 	s.errMu.Lock()
 	if s.firstErr == nil {
@@ -351,6 +395,16 @@ func (s *Server) fail(panicVal any, err error) {
 	}
 	s.errMu.Unlock()
 	s.failOnce.Do(func() { close(s.failedCh) })
+	s.wake()
+}
+
+func (s *Server) failed() bool {
+	select {
+	case <-s.failedCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // NodeWorker is the cluster worker function: run one serving node until
@@ -374,11 +428,6 @@ func (s *Server) NodeWorker(w core.Worker) {
 		wg.Add(1)
 		go func(e int, ew core.Worker) {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					s.fail(r, fmt.Errorf("serve: node %d executor %d: %v", node, e, r))
-				}
-			}()
 			s.execLoop(ew, node, e)
 		}(e, ew)
 	}
@@ -394,85 +443,111 @@ func (s *Server) NodeWorker(w core.Worker) {
 	}
 }
 
-// execLoop drains one executor queue until shutdown (direct mode).
+// execLoop drains one executor queue until shutdown (direct mode). It
+// parks in a plain receive; Shutdown and fail wake it with a nil.
 func (s *Server) execLoop(w core.Worker, node, e int) {
 	q := s.queues[node][e]
-	for {
-		var batch []*op
-		select {
-		case o := <-q:
-			batch = append(batch, o)
-		case <-s.stopCh:
-			// Drain what's already queued, then exit.
-			for {
-				select {
-				case o := <-q:
-					batch = append(batch, o)
-				default:
-					s.execBatch(w, node, batch)
-					return
+	batch := make([]*op, 0, s.cfg.Batch)
+	enq := make([]time.Duration, 0, s.cfg.Batch)
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(r, fmt.Errorf("serve: node %d executor %d: %v", node, e, r))
+		}
+		if s.failed() {
+			// Answer what this executor still holds (execBatch clears an
+			// answered op's slot), then leave the queue a consumer.
+			for _, o := range batch {
+				if o != nil {
+					o.resp <- opResult{err: s.err()}
 				}
 			}
-		case <-s.failedCh:
+			go s.drain(q)
+		}
+	}()
+	for {
+		batch = batch[:0]
+		if s.failed() {
 			return
 		}
-		for len(batch) < s.cfg.Batch {
-			select {
-			case o := <-q:
+		if !s.stopping.Load() {
+			o := <-q
+			if o == nil {
+				continue // woken: read the flags again
+			}
+			batch = append(batch, o)
+		}
+		if batch = s.fill(batch, q); len(batch) == 0 {
+			return // stopping, and nothing is queued
+		}
+		s.execBatch(w, batch, enq)
+	}
+}
+
+// fill tops batch up to the cap from what is queued now, never blocking.
+func (s *Server) fill(batch []*op, q chan *op) []*op {
+	for len(batch) < s.cfg.Batch {
+		select {
+		case o := <-q:
+			if o != nil {
 				batch = append(batch, o)
-			default:
-				goto run
+			}
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// drain is a failed executor's successor on its queue: it answers every
+// op with the server's error until Shutdown has come and the queue is
+// empty.
+func (s *Server) drain(q chan *op) {
+	for {
+		select {
+		case o := <-q:
+			if o != nil {
+				o.resp <- opResult{err: s.err()}
+			}
+		case <-s.stopCh:
+			if len(q) == 0 {
+				return
 			}
 		}
-	run:
-		s.execBatch(w, node, batch)
 	}
 }
 
 // execBatch groups a drained batch by shard (stable, preserving arrival
 // order within a shard) and executes each shard's run under one
-// lock/unlock pair.
-func (s *Server) execBatch(w core.Worker, node int, batch []*op) {
-	if len(batch) == 0 {
-		return
+// lock/unlock pair. enq is scratch for the enqueue stamps: latencies
+// are recorded against one clock read at the end, when the ops are gone.
+func (s *Server) execBatch(w core.Worker, batch []*op, enq []time.Duration) {
+	if len(batch) > 1 {
+		slices.SortStableFunc(batch, func(a, b *op) int { return a.shard - b.shard })
 	}
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].shard < batch[j].shard })
-	var gets, puts, lockWait int64
+	var puts int64
 	for i := 0; i < len(batch); {
-		j := i
-		for j < len(batch) && batch[j].shard == batch[i].shard {
-			j++
-		}
-		lk := s.st.lockOf(batch[i].shard)
-		t0 := time.Now()
+		shard := batch[i].shard
+		lk := s.st.lockOf(shard)
 		w.Lock(lk)
-		lockWait += time.Since(t0).Nanoseconds()
-		for _, o := range batch[i:j] {
-			r := s.execOne(w, o)
-			o.resp <- r
+		for ; i < len(batch) && batch[i].shard == shard; i++ {
+			o := batch[i]
+			o.exec(w, s)
 			if o.put {
 				puts++
-			} else {
-				gets++
 			}
+			enq = append(enq, o.enq)
+			batch[i] = nil // answered: not the unwinding executor's to answer again
+			o.resp <- opResult{val: o.ackVal}
 		}
 		w.Unlock(lk)
-		i = j
+	}
+	now := time.Since(s.t0)
+	for _, t := range enq {
+		s.hist.Record(int64(now - t))
 	}
 	if sc, ok := w.(serveCounter); ok {
-		sc.CountServe(gets, puts, lockWait)
+		sc.CountServe(int64(len(batch))-puts, puts)
 	}
-}
-
-// execOne performs the shared-memory access for one operation; the
-// caller holds the shard lock.
-func (s *Server) execOne(w core.Worker, o *op) opResult {
-	addr := s.st.addrOf(s.st.slotOf(o.key))
-	if o.put {
-		w.WriteU64(addr, o.val)
-		return opResult{val: o.val}
-	}
-	return opResult{val: w.ReadU64(addr)}
 }
 
 // stableFloor is the highest exec tag (the local barrier count at
@@ -529,15 +604,7 @@ func (s *Server) runDurable(w core.Worker) {
 				return
 			}
 		}
-		for len(batch) < s.cfg.Batch {
-			select {
-			case o := <-q:
-				batch = append(batch, o)
-			default:
-				goto exec
-			}
-		}
-	exec:
+		batch = s.fill(batch, q)
 		// Pend the whole batch before touching the DSM: a rollback
 		// interrupt arrives as a panic out of a node operation, and
 		// anything already dequeued must survive in pending to be
@@ -546,12 +613,10 @@ func (s *Server) runDurable(w core.Worker) {
 			o.episode = bars
 		}
 		s.pending[node] = append(s.pending[node], batch...)
-		var gets, puts, lockWait int64
+		var gets, puts int64
 		for _, o := range batch {
 			lk := s.st.lockOf(o.shard)
-			t0 := time.Now()
 			w.Lock(lk)
-			lockWait += time.Since(t0).Nanoseconds()
 			o.exec(w, s)
 			w.Unlock(lk)
 			if o.put {
@@ -561,7 +626,7 @@ func (s *Server) runDurable(w core.Worker) {
 			}
 		}
 		if sc, ok := w.(serveCounter); ok && gets+puts > 0 {
-			sc.CountServe(gets, puts, lockWait)
+			sc.CountServe(gets, puts)
 		}
 		if node == 0 && s.stopping.Load() && w.ReadU64(s.st.stop) == 0 {
 			// All clients are done (Shutdown follows the load), so the
@@ -573,9 +638,11 @@ func (s *Server) runDurable(w core.Worker) {
 		bars++
 		// Acknowledge everything the now-stable checkpoint covers.
 		floor := s.stableFloor(bars)
+		now := time.Since(s.t0)
 		keep := s.pending[node][:0]
 		for _, o := range s.pending[node] {
 			if o.episode <= floor {
+				s.hist.Record(int64(now - o.enq))
 				o.resp <- opResult{val: o.ackVal}
 			} else {
 				keep = append(keep, o)
@@ -591,9 +658,9 @@ func (s *Server) runDurable(w core.Worker) {
 	}
 }
 
-// exec performs o's access and records the result for the deferred ack
-// (durable mode re-executes, so the result field is overwritten, and
-// the final execution's value is what gets acknowledged).
+// exec performs o's access under the shard lock the caller holds and
+// records the result for the ack (durable mode re-executes, so the
+// field is overwritten and the final execution's value is acknowledged).
 func (o *op) exec(w core.Worker, s *Server) {
 	addr := s.st.addrOf(s.st.slotOf(o.key))
 	if o.put {
