@@ -29,12 +29,14 @@ check-smoke:
 # live: the live DSM runtime's gate — all four apps on a 4-node in-proc
 # cluster under -race (result regions checked against a 1-node
 # reference), then a 2-node jacobi and a 2-node cholesky (both
-# protocols) over real TCP loopback sockets.
+# protocols) over real TCP loopback sockets, and cholesky at bench scale
+# on one P, which only finishes in time if idle pollers park.
 live:
 	$(GO) test -race -count=1 -timeout 300s ./internal/live/...
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 2 -transport tcp -scale test -check -timeout 60s
 	$(GO) run ./cmd/dsmd -app cholesky -protocol LH -nodes 2 -transport tcp -scale test -check -timeout 60s
 	$(GO) run ./cmd/dsmd -app cholesky -protocol LI -nodes 2 -transport tcp -scale test -check -timeout 60s
+	GOMAXPROCS=1 timeout 60 $(GO) run ./cmd/dsmd -app cholesky -nodes 2 -transport tcp -scale bench -check
 
 # chaos: the robustness gate — the seeded chaos soaks (all apps under
 # injected drops/dups/reorders in-proc, resets over TCP loopback, and
@@ -120,9 +122,10 @@ endurance:
 # bench-serve runs the serving request path's microbenchmarks, five runs
 # each, on a 1-node cluster with one executor: one caller's get and put
 # through Server.Do (the hand-off both ways, a local lock re-acquire,
-# one shared access) and eight callers' gets, where batches group. The
-# allocations it reports are the node's under Lock/Unlock; the serve
-# layer's own are pinned at zero by TestDoDoesNotAllocate. End-to-end
+# one shared access) and eight callers' gets, where batches group. A get
+# allocates nothing; a put's allocations are the node's, closing its
+# interval; the serve layer's own are pinned at zero by
+# TestDoDoesNotAllocate. End-to-end
 # serving numbers come from dsmbench's two serve workloads.
 bench-serve:
 	$(GO) test -run '^$$' -bench 'Do(Get|Put)' -benchmem -count=5 ./internal/serve/
@@ -156,13 +159,14 @@ bench-scale:
 # bench-node runs the live node's microbenchmarks, five runs each: a read
 # and a write hit on the own worker's lock-free path, the same read
 # through a LaneWorker (which keeps the node mutex), the first write of
-# an interval (the twin path), a release that dirtied one remote-homed
+# an interval (the twin path), a zero-message Lock+Unlock of an owned
+# lock (no clock read, no allocation), a release that dirtied one remote-homed
 # page, the hand-off of a lock around one written word between two
 # nodes, in-process and over loopback TCP, a checkpoint capture of 512
 # homed pages with none, half or all rewritten since the last one, and
 # the push of a 2 MiB snapshot into the manager's store.
 bench-node:
-	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite|UnlockDirtyRemote|HandoffDirty|CaptureCheckpoint|SnapPush' -benchmem -count=5 ./internal/live/node/
+	$(GO) test -run '^$$' -bench 'ReadHit|WriteHit|FirstWrite|LockLocal|UnlockDirtyRemote|HandoffDirty|CaptureCheckpoint|SnapPush' -benchmem -count=5 ./internal/live/node/
 
 # bench-sim runs the simulator's host-cost microbenchmarks, five runs
 # each: incorporating the next diff into a page that already carries

@@ -132,7 +132,7 @@ func (a *App) Worker(p core.Worker) {
 		}
 		p.Unlock(a.qlock)
 		if k < 0 {
-			p.Compute(a.p.SpinCycles)
+			p.Backoff(a.p.SpinCycles)
 			continue
 		}
 

@@ -44,6 +44,11 @@ type Worker interface {
 	// Compute charges n cycles of private computation (a no-op on engines
 	// that run in real time).
 	Compute(n int64)
+	// Backoff is Compute(n) for a worker that polled shared state, found
+	// nothing, and will poll again. The simulator charges it as Compute;
+	// the live runtime, which cannot tell a futile poll from useful work,
+	// may park the worker until something it could read has changed.
+	Backoff(n int64)
 	// Lock/Unlock acquire and release an exclusive lock; Barrier joins a
 	// global barrier episode.
 	Lock(id int)

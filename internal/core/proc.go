@@ -348,6 +348,9 @@ func (p *Proc) Clock() sim.Time { return p.sp.Clock() }
 // Compute charges n cycles of private computation.
 func (p *Proc) Compute(n int64) { p.sp.Advance(sim.Time(n)) }
 
+// Backoff charges a futile poll's back-off exactly like Compute.
+func (p *Proc) Backoff(n int64) { p.Compute(n) }
+
 func (p *Proc) chargeDiffCreation() {
 	c := p.sys.cfg.diffCreationCycles()
 	p.sys.stats.DiffCycles += c

@@ -465,6 +465,8 @@ func addStats(dst, src *node.Stats) {
 	dst.LockForwards += src.LockForwards
 	dst.LockHandoffs += src.LockHandoffs
 	dst.LogSegFetches += src.LogSegFetches
+	dst.BackoffParks += src.BackoffParks
+	dst.BackoffTimeouts += src.BackoffTimeouts
 	dst.RPCRetries += src.RPCRetries
 	dst.DupRequests += src.DupRequests
 	dst.DupReplies += src.DupReplies

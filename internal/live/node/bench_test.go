@@ -84,6 +84,21 @@ func BenchmarkFirstWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkLockLocal: Lock and Unlock of a lock the node owns, with no
+// writes in between — the zero-message acquire and release a polling
+// worker and a serve get make. It reads no clock and allocates nothing.
+func BenchmarkLockLocal(b *testing.B) {
+	var w core.Worker = benchNode(b)
+	w.Lock(0)
+	w.Unlock(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Lock(0)
+		w.Unlock(0)
+	}
+}
+
 // benchPair starts two nodes sharing one page homed at node 1 and two
 // locks, over the in-process transport or loopback TCP.
 func benchPair(b *testing.B, tcp bool) (*node.Node, *node.Node) {

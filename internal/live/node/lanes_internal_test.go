@@ -65,7 +65,7 @@ func TestLaneConcurrentAcquires(t *testing.T) {
 				w := nd.LaneWorker(l + 1)
 				for i := 0; i < rounds; i++ {
 					w.Lock(l)
-					nd.Unlock(l)
+					w.Unlock(l)
 				}
 			}(nd, l)
 		}

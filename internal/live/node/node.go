@@ -256,6 +256,13 @@ type Node struct {
 	// worker goroutine touches them.
 	hitReads, hitWrites int64
 
+	// Poll parking (see Backoff); the last two are worker-private.
+	gen       atomic.Uint64 // dispatcher turns finished
+	idle      atomic.Int32  // non-zero while the own worker is parked
+	wake      chan struct{} // one-token wake-up slot
+	heldLocks int           // the own worker's open Lock calls
+	pollGen   uint64        // gen when its last Lock began
+
 	// Worker-private recovery state: the worker's count of departed
 	// barrier episodes (stamps outgoing flushes, flags checkpoint
 	// episodes) and the replay machinery (see recover.go). Only the
@@ -373,6 +380,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		pending: make(map[int64]chan *wire.Msg),
 		flights: make([][]flushFlight, tr.N()),
 		intrCh:  make(chan struct{}),
+		wake:    make(chan struct{}, 1),
 		ctl:     make(chan func()),
 		done:    make(chan struct{}),
 		sy:      newSyncState(cfg.NLocks, tr.N()),
@@ -673,6 +681,9 @@ type laneWorker struct {
 
 func (lw laneWorker) Lock(id int)   { lw.Node.lockLane(id, lw.lane) }
 func (lw laneWorker) Unlock(id int) { lw.Node.unlock(id) }
+
+// Backoff never parks a lane: the poll state is the own worker's.
+func (lw laneWorker) Backoff(int64) {}
 
 func (lw laneWorker) ReadU64(a core.Addr) uint64     { return lw.Node.readLocked(a) }
 func (lw laneWorker) WriteU64(a core.Addr, v uint64) { lw.Node.writeLocked(a, v) }
@@ -1540,6 +1551,7 @@ func (n *Node) dispatch() {
 		case <-n.done:
 			return
 		}
+		n.handled()
 	}
 }
 

@@ -160,6 +160,7 @@ func (n *Node) SetEpoch(e uint32) { n.epoch.Store(e) }
 // touching the restored shared state. Call before launching the worker.
 func (n *Node) BeginReplay(target int64) {
 	n.barsDone = 0
+	n.heldLocks = 0 // an unwound worker never reached its Unlock
 	n.replayTarget = target
 	n.replaying = target > 0
 	n.replayScratch = nil

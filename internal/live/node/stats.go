@@ -59,6 +59,10 @@ type Stats struct {
 	LockForwards      int64 `json:"lock_forwards"`
 	LockHandoffs      int64 `json:"lock_handoffs"`
 	LogSegFetches     int64 `json:"log_seg_fetches"`
+	// Polls parked in Node.Backoff, and those the backstop ended instead
+	// of a frame (a healthy run has next to none).
+	BackoffParks    int64 `json:"backoff_parks"`
+	BackoffTimeouts int64 `json:"backoff_timeouts"`
 
 	// Robustness counters: the retransmission and failure-detection
 	// machinery's activity. All zero on a healthy network.
@@ -148,6 +152,7 @@ func (s *Stats) Snapshot() Stats {
 		{&out.LockAcquires, &s.LockAcquires}, {&out.BarrierEpisodes, &s.BarrierEpisodes},
 		{&out.LockLocalAcquires, &s.LockLocalAcquires}, {&out.LockForwards, &s.LockForwards},
 		{&out.LockHandoffs, &s.LockHandoffs}, {&out.LogSegFetches, &s.LogSegFetches},
+		{&out.BackoffParks, &s.BackoffParks}, {&out.BackoffTimeouts, &s.BackoffTimeouts},
 		{&out.RPCRetries, &s.RPCRetries}, {&out.DupRequests, &s.DupRequests},
 		{&out.DupReplies, &s.DupReplies},
 		{&out.HeartbeatsSent, &s.HeartbeatsSent}, {&out.HeartbeatsRecv, &s.HeartbeatsRecv},

@@ -222,6 +222,8 @@ func (sy *syncState) reset(episode int64, vt vc.VC, self int) {
 // vector time and the write notices this node is missing.
 func (n *Node) Lock(id int) {
 	n.foldHits()
+	n.pollGen = n.gen.Load()
+	n.heldLocks++
 	n.lockLane(id, 0)
 }
 
@@ -232,7 +234,7 @@ func (n *Node) lockLane(id int, lane int64) {
 	if n.replaying {
 		return // replay re-derives private state only; locks are moot
 	}
-	t0 := time.Now()
+	// Only an acquire that sends a request is a wait (LockWaitNs).
 	n.mu.Lock()
 	lk := &n.sy.locks[id]
 	if lk.owned && lk.succ == nil {
@@ -240,17 +242,16 @@ func (n *Node) lockLane(id int, lane int64) {
 		n.mu.Unlock()
 		atomic.AddInt64(&n.stats.LockAcquires, 1)
 		atomic.AddInt64(&n.stats.LockLocalAcquires, 1)
-		atomic.AddInt64(&n.stats.LockWaitNs, time.Since(t0).Nanoseconds())
 		return
 	}
 	reqVT := n.vt.Clone()
 	n.mu.Unlock()
+	t0 := time.Now()
 	reply := n.rpcLane(n.lockHome(id), &wire.Msg{Kind: wire.KLockReq, Lock: int32(id), VT: reqVT}, lane)
 	n.applyNotices(reply.VT, reply.Notices)
 	n.mu.Lock()
 	lk.owned = true
 	lk.held = true
-	lk.relVT = nil
 	n.mu.Unlock()
 	atomic.AddInt64(&n.stats.LockAcquires, 1)
 	atomic.AddInt64(&n.stats.LockWaitNs, time.Since(t0).Nanoseconds())
@@ -264,6 +265,7 @@ func (n *Node) lockLane(id int, lane int64) {
 // lock stays owned in place and the release costs no lock messages.
 func (n *Node) Unlock(id int) {
 	n.foldHits()
+	n.heldLocks--
 	n.unlock(id)
 }
 
@@ -277,7 +279,7 @@ func (n *Node) unlock(id int) {
 	n.mu.Lock()
 	lk := &n.sy.locks[id]
 	lk.held = false
-	lk.relVT = n.vt.Clone()
+	lk.relVT = append(lk.relVT[:0], n.vt...) // grants copy it; reuse the slot
 	var g *wire.Msg
 	var to int32
 	if s := lk.succ; s != nil {
@@ -289,6 +291,54 @@ func (n *Node) unlock(id int) {
 	if g != nil {
 		atomic.AddInt64(&n.stats.LockHandoffs, 1)
 		n.send(int(to), g)
+	}
+}
+
+// backoffBackstop bounds a park in Backoff: defence in depth, not the
+// wake-up (BackoffTimeouts counts its firings); a variable for tests.
+var backoffBackstop = time.Millisecond
+
+// Backoff implements core.Worker: the own worker parks until the
+// dispatcher handles its next frame or ctl function (the only way what a
+// poll reads can change), an interrupt, shutdown or the backstop — if it
+// holds no lock, has no open interval, is not replaying, and nothing was
+// handled since its last Lock began. Raising idle before re-reading gen
+// is what loses no wake-up (DESIGN.md §12.6).
+func (n *Node) Backoff(int64) {
+	if n.heldLocks != 0 || n.replaying || n.gen.Load() != n.pollGen {
+		return
+	}
+	n.idle.Add(1)
+	defer n.idle.Add(-1)
+	n.mu.Lock()
+	open := len(n.mod) != 0
+	n.mu.Unlock()
+	if open || n.gen.Load() != n.pollGen {
+		return
+	}
+	atomic.AddInt64(&n.stats.BackoffParks, 1)
+	backstop := time.NewTimer(backoffBackstop)
+	defer backstop.Stop()
+	select {
+	case <-n.wake: // possibly a stale token: one extra poll
+	case <-backstop.C:
+		atomic.AddInt64(&n.stats.BackoffTimeouts, 1)
+	case <-n.intrChan():
+		n.panicInterrupted()
+	case <-n.done:
+		panic(runError{n.closedErr()})
+	}
+}
+
+// handled counts a finished turn of the dispatcher loop and wakes a
+// parked poller: one atomic add and one load when nobody is parked.
+func (n *Node) handled() {
+	n.gen.Add(1)
+	if n.idle.Load() != 0 {
+		select {
+		case n.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
