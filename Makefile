@@ -52,18 +52,22 @@ chaos:
 # recover: the crash-recovery gate — the seeded kill+restart soaks (all
 # four apps × {LI, LH} with a node killed twice mid-run, in-proc and
 # over TCP loopback; lost-store and on-disk-store variants; the
-# partition-vs-restart discrimination check), the incarnation-fencing
-# and reply-cache-bound tests, and the restart-budget degradation check,
-# all under -race — then one seeded dsmd run that kills and restarts a
-# node on real sockets with frame faults in the mix, result regions
-# checked against a fault-free 1-node reference.
+# two-node one-voter cluster; the partition-vs-restart discrimination
+# check), the incarnation-fencing, voter-majority liveness and
+# reply-cache-bound tests, and the restart-budget degradation check, all
+# under -race — then one seeded dsmd run that kills and restarts a node
+# on real sockets with frame faults in the mix, and one 2-node run (node
+# 0 the manager's only voter) that kills and restarts node 1, result
+# regions checked against a fault-free 1-node reference.
 recover:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'TestRecovery|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded' \
+		-run 'TestRecovery|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters' \
 		./internal/live/...
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
 		-recover -crash 2:25:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
 		-retry 10ms -hb-interval 50ms -check -timeout 60s -deadline 120s
+	$(GO) run ./cmd/dsmd -app jacobi -nodes 2 -transport tcp -scale test \
+		-recover -crash 1:25:5ms -check -timeout 60s -deadline 120s
 
 # failover: the replicated control plane's gate — the coordinator-kill
 # soaks (all four apps × {LI, LH} with node 0 — manager, barrier root,

@@ -113,7 +113,7 @@ func main() {
 		deadline    = flag.Duration("deadline", 0, "wall-clock budget for the run; on expiry dump a stats JSON snapshot and exit nonzero")
 
 		compactEvery = flag.Int64("compact-every", 0, "consensus log-compaction threshold in applied entries (0: default 512, negative: disable; with -recover)")
-		votersN      = flag.Int("voters", 0, "initial consensus voting membership: nodes [0,N) vote, the rest run non-voting replicas (0: all; with -recover)")
+		votersN      = flag.Int("voters", 0, "initial consensus voting membership: nodes [0,N) vote, the rest run non-voting replicas (0: all, or node 0 alone below 3 nodes; with -recover)")
 		addReplica   = flag.String("add-replica", "", "runtime voter promotions: node:delay[,...] — promote node to a voter after delay (with -recover)")
 	)
 	flag.Parse()

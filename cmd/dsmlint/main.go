@@ -1,9 +1,9 @@
 // Command dsmlint runs the project's custom static analysis suite
-// (mapiter, simclock, poolsafe, lockheld, vtalias, wiredrift — see
-// internal/lint) over the given package patterns and exits non-zero if
-// any diagnostic survives //dsmlint:ignore filtering. Malformed
-// suppressions — an unknown analyzer name or a missing reason — are
-// diagnostics themselves.
+// (mapiter, simclock, poolsafe, lockheld, vtalias — see internal/lint)
+// over the given package patterns and exits non-zero if any diagnostic
+// survives //dsmlint:ignore filtering. Malformed suppressions — an
+// unknown analyzer name or a missing reason — are diagnostics
+// themselves.
 //
 // Usage:
 //

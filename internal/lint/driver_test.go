@@ -82,15 +82,4 @@ func TestAnalyzersForScoping(t *testing.T) {
 			t.Errorf("%s: live concurrency analyzers should not apply, got %v", pkg, got)
 		}
 	}
-
-	// wiredrift audits exactly the wire codec package: its checks are
-	// structural over that package's tables and meaningless anywhere else.
-	if got := names("lrcdsm/internal/live/wire"); !got["wiredrift"] {
-		t.Errorf("internal/live/wire: wiredrift should apply, got %v", got)
-	}
-	for _, pkg := range []string{"lrcdsm/internal/live/node", "lrcdsm/internal/core"} {
-		if got := names(pkg); got["wiredrift"] {
-			t.Errorf("%s: wiredrift should apply only to the wire package, got %v", pkg, got)
-		}
-	}
 }

@@ -2,7 +2,7 @@
 // checks that guard the properties the repo's results depend on —
 // bit-for-bit deterministic simulation (mapiter, simclock), sound reuse
 // of pooled buffers on the hot path (poolsafe), and the live runtime's
-// concurrency and protocol invariants (lockheld, vtalias, wiredrift).
+// concurrency invariants (lockheld, vtalias).
 //
 // A finding can be suppressed with an annotation on the same line or the
 // line above:
@@ -25,7 +25,7 @@ import (
 )
 
 // All is the full dsmlint suite.
-var All = []*analysis.Analyzer{MapIter, SimClock, PoolSafe, LockHeld, VTAlias, WireDrift}
+var All = []*analysis.Analyzer{MapIter, SimClock, PoolSafe, LockHeld, VTAlias}
 
 // DeterminismPkgs are the import paths (and their subpackages) whose code
 // runs inside — or drives — the deterministic simulation. The determinism
@@ -62,9 +62,6 @@ var liveScoped = map[string]bool{
 	VTAlias.Name:  true,
 }
 
-// WireCodecPkg is the one package whose codec tables wiredrift audits.
-const WireCodecPkg = "lrcdsm/internal/live/wire"
-
 // InDeterminismScope reports whether pkgPath falls under DeterminismPkgs.
 func InDeterminismScope(pkgPath string) bool {
 	return underAny(pkgPath, DeterminismPkgs)
@@ -92,9 +89,6 @@ func AnalyzersFor(pkgPath string) []*analysis.Analyzer {
 			continue
 		}
 		if liveScoped[a.Name] && !InLiveScope(pkgPath) {
-			continue
-		}
-		if a.Name == WireDrift.Name && pkgPath != WireCodecPkg {
 			continue
 		}
 		as = append(as, a)

@@ -42,7 +42,7 @@ func TestIncarnationFencing(t *testing.T) {
 		msg  *wire.Msg
 	}{
 		{"lock-req", &wire.Msg{Kind: wire.KLockReq, Token: 1, Lock: 0}},
-		{"lock-release", &wire.Msg{Kind: wire.KLockRelease, Token: 2, Lock: 0, Interval: &wire.Interval{}}},
+		{"lock-forward", &wire.Msg{Kind: wire.KLockForward, Token: 2, Lock: 0, ReqFrom: 1}},
 		{"bar-arrive", &wire.Msg{Kind: wire.KBarArrive, Token: 3, Barrier: 0, Interval: &wire.Interval{}}},
 		{"page-req", &wire.Msg{Kind: wire.KPageReq, Token: 4, Page: 0}},
 		{"write-notices", &wire.Msg{Kind: wire.KWriteNotices, Token: 5}},

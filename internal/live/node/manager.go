@@ -13,24 +13,24 @@ import (
 	"lrcdsm/internal/live/wire"
 )
 
-// manager is the recovery coordinator and failure detector. Locks,
-// barriers and the interval log are distributed across the cluster (see
-// sync.go); what remains centralized is the membership-flavored
-// machinery that genuinely needs a single point of authority:
-// checkpoint confirmation tracking, snapshot replication, the
-// crash/rejoin handshake, and liveness sweeps.
+// manager is the recovery coordinator. Locks, barriers and the interval
+// log are distributed across the cluster (see sync.go); what remains
+// centralized is the membership-flavored machinery that genuinely needs
+// a single point of authority: checkpoint confirmation tracking,
+// snapshot replication, the crash/rejoin handshake, and the liveness
+// verdicts.
 //
-// That authority is no longer pinned to node 0. When the manager quorum
-// is active (RecoverConfig.Consensus on a cluster of three or more),
-// every node runs a manager replica and the authoritative state lives
-// in a replicated state machine (mstate) driven by commands committed
-// on a consensus log (internal/live/consensus): the elected leader
-// serves requests by proposing the corresponding command and replying
-// only after commit, a non-leader replica answers every manager request
-// with KNotLeader and the current leader hint, and a leader crash
-// triggers an election instead of an abort. Without the quorum the
-// manager stays on node 0 and commands apply directly — same state
-// machine, no log.
+// Every node of a recovery-enabled cluster runs a manager replica, and
+// the authoritative state lives in a replicated state machine (mstate)
+// driven by commands committed on a consensus log
+// (internal/live/consensus): the elected leader serves requests by
+// proposing the corresponding command and replying only after commit, a
+// non-leader replica answers every manager request with KNotLeader and
+// the current leader hint, and a leader crash triggers an election
+// instead of an abort. On three or more nodes every node votes (unless
+// RecoverConfig.Voters says otherwise); below three, node 0 alone forms
+// the voting group, so its commits need no round trip and its crash is
+// final.
 //
 // Requests are de-duplicated per client before any state changes: a
 // node's worker issues manager RPCs strictly sequentially with strictly
@@ -48,7 +48,7 @@ type manager struct {
 	nn int
 
 	// st is the replicated state machine; rep the consensus replica
-	// driving it (nil when the quorum is inactive).
+	// driving it.
 	st  *mstate
 	rep *consensus.Rep
 
@@ -241,24 +241,17 @@ func (g *manager) setJoinBlob(w int, blob []byte) {
 }
 
 // isLeader reports whether this replica currently serves manager
-// requests (trivially true without a quorum).
-func (g *manager) isLeader() bool {
-	return g.rep == nil || g.rep.Leader().IsLeader
-}
+// requests.
+func (g *manager) isLeader() bool { return g.rep.Leader().IsLeader }
 
 func (g *manager) handle(m *wire.Msg) {
-	if g.rep != nil {
-		if info := g.rep.Leader(); !info.IsLeader {
-			// Token 0 is an unacknowledged stream chunk: nobody waits
-			// for its redirect, the stream's last chunk collects it.
-			if m.Token != 0 {
-				g.n.send(int(m.From), &wire.Msg{
-					Kind: wire.KNotLeader, Token: m.Token,
-					Term: info.Term, Leader: int32(info.Leader),
-				})
-			}
-			return
+	if !g.isLeader() {
+		// Token 0 is an unacknowledged stream chunk: nobody waits for its
+		// redirect, the stream's last chunk collects it.
+		if m.Token != 0 {
+			g.redirect(m)
 		}
+		return
 	}
 	if m.Kind == wire.KSnapPush {
 		g.snapPush(m)
@@ -273,11 +266,17 @@ func (g *manager) handle(m *wire.Msg) {
 	case wire.KSnapReq:
 		g.snapReq(m)
 	case wire.KResume:
-		g.resume(m)
+		// A rejoined node is live again: its recovery ends and liveness
+		// re-arms for it on every replica.
+		g.ackOnCommit(m, encodeResume(m.From))
 	case wire.KCkptDone:
-		g.ckptDone(m)
+		// A node durably stored its snapshot for an episode.
+		g.ackOnCommit(m, encodeCkptDone(m.From, m.Episode))
 	case wire.KMgrSnap:
-		g.mgrSnap(m)
+		// The manager's half of a flagged barrier episode — its merged
+		// vector time — from the barrier root, which holds the episode's
+		// releases until this ack.
+		g.ackOnCommit(m, encodeMgrSnap(m.Episode, m.VT))
 	case wire.KConfChange:
 		g.confChange(m)
 	}
@@ -315,41 +314,25 @@ func (g *manager) reply(to int32, m *wire.Msg) {
 	g.n.send(int(to), m)
 }
 
-// redirect answers a request whose leader-local serving state straddled
-// a leader change (a chunk stream split across replicas): the client
-// restarts the whole exchange at the named leader — possibly this very
-// node — from a clean slate.
+// redirect answers a request with KNotLeader and this replica's leader
+// hint: at a non-leader, so the client re-resolves the leader; at the
+// leader, when the request's leader-local serving state straddled a
+// leader change (a chunk stream split across replicas), so the client
+// restarts the whole exchange here from a clean slate.
 func (g *manager) redirect(m *wire.Msg) {
-	ldr, term := g.n.id, int64(0)
-	if g.rep != nil {
-		info := g.rep.Leader()
-		ldr, term = info.Leader, info.Term
-	}
+	info := g.rep.Leader()
 	g.n.send(int(m.From), &wire.Msg{
-		Kind: wire.KNotLeader, Token: m.Token, Term: term, Leader: int32(ldr),
+		Kind: wire.KNotLeader, Token: m.Token, Term: info.Term, Leader: int32(info.Leader),
 	})
 }
 
 // ---- command plumbing ----
 
-// propose routes a command through the replicated log when the quorum
-// is active — done fires from the consensus goroutine after the commit
-// applied locally — or applies it directly and fires done synchronously
-// when it is not.
-func (g *manager) propose(cmd []byte, done func(error)) {
-	if g.rep == nil {
-		done(g.applyCmd(cmd))
-		return
-	}
-	g.rep.Propose(cmd, done)
-}
-
 // applyCmd decodes and applies one committed command, then performs the
 // per-replica side effects that hang off it: persisting the manager's
 // half of a checkpoint to this replica's own store, and re-arming
 // leader-local serving state on reset/resume. Runs on the consensus
-// goroutine (every replica, in log order) or synchronously on the
-// dispatcher when the quorum is inactive.
+// goroutine, on every replica, in log order.
 func (g *manager) applyCmd(cmd []byte) error {
 	c, err := decodeCmd(cmd)
 	if err != nil {
@@ -385,54 +368,45 @@ func (g *manager) applyCmd(cmd []byte) error {
 			g.suspect[w] = false
 		}
 		g.cmu.Unlock()
-		if n := g.n; n.lastHeard != nil {
-			now := time.Now().UnixNano()
-			for w := range n.lastHeard {
-				atomic.StoreInt64(&n.lastHeard[w], now)
-			}
+		now := time.Now().UnixNano()
+		for w := range g.n.lastHeard {
+			atomic.StoreInt64(&g.n.lastHeard[w], now)
 		}
 	}
 	return nil
 }
 
+// lostLeadership reports a proposal that died with the leadership
+// (deposed, stopped, or a full proposal queue). Its client is not
+// answered: the retransmission re-resolves the leader and re-proposes.
+func lostLeadership(err error) bool {
+	return errors.Is(err, consensus.ErrNotLeader) || errors.Is(err, consensus.ErrDeposed) ||
+		errors.Is(err, consensus.ErrStopped) || errors.Is(err, consensus.ErrBusy)
+}
+
 // commitReply builds a proposal callback that answers the client once
-// the command commits. A proposal that dies with the leadership
-// (deposed, stopped, or a full proposal queue) is dropped silently: the
-// client's retransmission re-resolves the leader and re-proposes.
+// the command commits.
 func (g *manager) commitReply(from int32, build func() *wire.Msg) func(error) {
 	return func(err error) {
 		if err != nil {
-			if errors.Is(err, consensus.ErrNotLeader) || errors.Is(err, consensus.ErrDeposed) ||
-				errors.Is(err, consensus.ErrStopped) || errors.Is(err, consensus.ErrBusy) {
-				return
+			if !lostLeadership(err) {
+				g.abort(err)
 			}
-			g.abort(err)
 			return
 		}
 		g.reply(from, build())
 	}
 }
 
+// ackOnCommit commits cmd and acknowledges request m once it has.
+func (g *manager) ackOnCommit(m *wire.Msg, cmd []byte) {
+	tok := m.Token
+	g.rep.Propose(cmd, g.commitReply(m.From, func() *wire.Msg {
+		return &wire.Msg{Kind: wire.KAck, Token: tok}
+	}))
+}
+
 // ---- checkpoint and rejoin ----
-
-// ckptDone records a node's confirmation that it durably stored its
-// snapshot for an episode, acknowledged once the confirmation commits.
-func (g *manager) ckptDone(m *wire.Msg) {
-	from, tok := m.From, m.Token
-	g.propose(encodeCkptDone(m.From, m.Episode), g.commitReply(from, func() *wire.Msg {
-		return &wire.Msg{Kind: wire.KAck, Token: tok}
-	}))
-}
-
-// mgrSnap commits the manager's half of a flagged barrier episode — its
-// merged vector time — proposed by the barrier root (node 0, wherever
-// the leader is). The root holds the episode's releases until this ack.
-func (g *manager) mgrSnap(m *wire.Msg) {
-	from, tok := m.From, m.Token
-	g.propose(encodeMgrSnap(m.Episode, m.VT), g.commitReply(from, func() *wire.Msg {
-		return &wire.Msg{Kind: wire.KAck, Token: tok}
-	}))
-}
 
 // snapPush places one chunk of a snapshot a node is replicating here and
 // stores the snapshot once every chunk is in. Only the stream's last
@@ -515,7 +489,7 @@ func (g *manager) snapPush(m *wire.Msg) {
 func (g *manager) joinReq(m *wire.Msg) {
 	w := int(m.From)
 	from, tok, inc := m.From, m.Token, m.Incarnation
-	g.propose(encodeJoin(m.From, inc), g.commitReply(from, func() *wire.Msg {
+	g.rep.Propose(encodeJoin(m.From, inc), g.commitReply(from, func() *wire.Msg {
 		k, rvt := g.st.resumePoint()
 		reply := &wire.Msg{
 			Kind: wire.KJoinGrant, Token: tok,
@@ -561,15 +535,6 @@ func (g *manager) snapReq(m *wire.Msg) {
 	})
 }
 
-// resume re-arms liveness for a rejoined node and ends its recovery,
-// committed so every replica agrees the peer is live again.
-func (g *manager) resume(m *wire.Msg) {
-	from, tok := m.From, m.Token
-	g.propose(encodeResume(m.From), g.commitReply(from, func() *wire.Msg {
-		return &wire.Msg{Kind: wire.KAck, Token: tok}
-	}))
-}
-
 // confChange commits a single-server voting-membership change (add or
 // remove the replica named by ReqFrom) through the consensus log. The
 // leader rejects a second change while one is uncommitted, and a change
@@ -578,16 +543,9 @@ func (g *manager) resume(m *wire.Msg) {
 // retransmission re-resolves the leader.
 func (g *manager) confChange(m *wire.Msg) {
 	from, tok := m.From, m.Token
-	if g.rep == nil {
-		g.reply(from, &wire.Msg{
-			Kind: wire.KConfAck, Token: tok, Err: "manager: no consensus quorum active",
-		})
-		return
-	}
 	g.rep.ProposeConf(m.Flag == 1, int(m.ReqFrom), func(err error) {
 		if err != nil {
-			if errors.Is(err, consensus.ErrNotLeader) || errors.Is(err, consensus.ErrDeposed) ||
-				errors.Is(err, consensus.ErrStopped) || errors.Is(err, consensus.ErrBusy) {
+			if lostLeadership(err) {
 				return
 			}
 			g.reply(from, &wire.Msg{Kind: wire.KConfAck, Token: tok, Err: err.Error()})
@@ -599,8 +557,8 @@ func (g *manager) confChange(m *wire.Msg) {
 
 // heard re-stamps a peer's liveness clock (after its resume commits).
 func (g *manager) heard(w int) {
-	if n := g.n; n.lastHeard != nil && w >= 0 && w < len(n.lastHeard) {
-		atomic.StoreInt64(&n.lastHeard[w], time.Now().UnixNano())
+	if w >= 0 && w < len(g.n.lastHeard) {
+		atomic.StoreInt64(&g.n.lastHeard[w], time.Now().UnixNano())
 	}
 }
 
@@ -611,75 +569,91 @@ func (g *manager) heard(w int) {
 // aborted with a structured error naming it and its pending
 // synchronization — a clean fast failure instead of N workers each
 // riding out an RPC timeout — unless a supervisor takes the hand-off.
-// Only the leader judges: every node beacons at the leader, so only its
-// stamps mean anything, and a deposed leader's verdict frames are
-// term-fenced by the receivers. A leader that cannot hear a majority
-// withholds verdicts entirely — it is probably the partitioned one, and
-// the quorum's next leader will judge it instead.
-func (g *manager) checkLiveness() {
-	if !g.isLeader() {
+// One node judges: the manager leader on a recovery-enabled cluster
+// (every node beacons at the leader, so only its stamps mean anything,
+// and a deposed leader's verdict frames are term-fenced by the
+// receivers), node 0 on any other (the only node that stamps).
+func (n *Node) checkLiveness() {
+	g := n.mgr
+	if g != nil && !g.judges() {
 		return
 	}
 	now := time.Now().UnixNano()
-	if g.rep != nil {
-		heard := 1 // self
-		for w := 0; w < g.nn; w++ {
-			if w == g.n.id {
-				continue
-			}
-			if time.Duration(now-atomic.LoadInt64(&g.n.lastHeard[w])) <= g.n.cfg.HeartbeatTimeout {
-				heard++
-			}
-		}
-		if heard <= g.nn/2 {
-			return
-		}
-	}
-	for w := 0; w < g.nn; w++ {
-		if w == g.n.id {
+	for w := 0; w < n.nn; w++ {
+		silence := time.Duration(now - atomic.LoadInt64(&n.lastHeard[w]))
+		if w == n.id || silence <= n.cfg.HeartbeatTimeout {
 			continue
 		}
-		if g.st.isRecovering(w) {
-			continue // its silence is expected; KResume re-arms it
-		}
-		g.cmu.Lock()
-		sus := g.suspect[w]
-		g.cmu.Unlock()
-		if sus {
-			continue // already reported; the rollback will reset this
-		}
-		silence := time.Duration(now - atomic.LoadInt64(&g.n.lastHeard[w]))
-		if silence <= g.n.cfg.HeartbeatTimeout {
+		perr := &PeerDownError{Node: w, Silence: silence, Pending: n.pendingFor(w)}
+		if g != nil && g.handOff(perr) {
 			continue
 		}
-		perr := &PeerDownError{Node: w, Silence: silence, Pending: g.pendingFor(w)}
-		// With a supervisor attached, hand the failure over instead of
-		// aborting: marking the peer suspect stops this sweep from
-		// re-firing while the rollback is organized.
-		if rc := g.n.cfg.Recover; rc != nil && rc.OnPeerDown != nil {
-			g.cmu.Lock()
-			g.suspect[w] = true
-			g.cmu.Unlock()
-			if rc.OnPeerDown(perr) {
-				continue
-			}
-			g.cmu.Lock()
-			g.suspect[w] = false
-			g.cmu.Unlock()
-		}
-		g.abort(perr)
+		n.abortCluster(perr)
 		return
 	}
 }
 
+// judges reports whether this replica may hand down silence verdicts:
+// it leads and hears from a majority of the voters, itself included. A
+// leader that cannot withholds verdicts entirely — it is probably the
+// partitioned one, and the voters' next leader will judge it instead.
+// Non-voters' beacons count for nothing here: they cannot elect anyone.
+func (g *manager) judges() bool {
+	info := g.rep.Leader()
+	if !info.IsLeader {
+		return false
+	}
+	now := time.Now().UnixNano()
+	heard := 0
+	for _, v := range info.Voters {
+		if v == g.n.id || time.Duration(now-atomic.LoadInt64(&g.n.lastHeard[v])) <= g.n.cfg.HeartbeatTimeout {
+			heard++
+		}
+	}
+	return 2*heard > len(info.Voters)
+}
+
+// handOff settles a silence verdict without an abort where it can: a
+// recovering peer's silence is expected (KResume re-arms it), a peer
+// already reported stays reported until the rollback resets it, and a
+// supervisor (OnPeerDown) may take the failure over. It reports whether
+// the verdict was settled.
+func (g *manager) handOff(perr *PeerDownError) bool {
+	w := perr.Node
+	if g.st.isRecovering(w) {
+		return true
+	}
+	g.cmu.Lock()
+	sus := g.suspect[w]
+	g.cmu.Unlock()
+	if sus {
+		return true
+	}
+	rc := g.n.cfg.Recover
+	if rc.OnPeerDown == nil {
+		return false
+	}
+	// Marking the peer suspect stops the sweep from re-firing while the
+	// rollback is organized.
+	g.cmu.Lock()
+	g.suspect[w] = true
+	g.cmu.Unlock()
+	if rc.OnPeerDown(perr) {
+		return true
+	}
+	g.cmu.Lock()
+	g.suspect[w] = false
+	g.cmu.Unlock()
+	return false
+}
+
 // pendingFor describes a node's synchronization state as far as this
 // node can see it, for the failure verdict. With the sync plane
-// distributed, the leader knows the probable owners of the locks homed
+// distributed, the judge knows the probable owners of the locks homed
 // here and the arrival state of its share of the barrier tree — a
 // partial but useful picture (a silent peer that owns a local lock or
 // whose subtree is still awaited is exactly the interesting case).
-func (g *manager) pendingFor(w int) string {
-	n := g.n
+func (n *Node) pendingFor(w int) string {
 	var parts []string
 	n.mu.Lock()
 	for id := range n.sy.locks {

@@ -15,9 +15,9 @@ import (
 // announced, who is mid-recovery, the resume point the cluster last
 // rolled back to, and the merged vector time of every recent flagged
 // barrier episode. Mutations happen only through apply, driven by
-// commands committed on the consensus log (or applied directly when the
-// quorum is inactive), so every replica that applies the same command
-// sequence holds byte-identical state (see encodeState). Leader-local
+// commands committed on the consensus log, so every replica that
+// applies the same command sequence holds byte-identical state (see
+// encodeState). Leader-local
 // serving state — request dedup, snapshot chunk assembly, join blobs —
 // deliberately lives outside, in the manager: it never needs to agree
 // across replicas because every command is idempotent and clients retry

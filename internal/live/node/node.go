@@ -23,14 +23,16 @@
 // rooted at node 0 and release down it, and the write notices a grant
 // or release carries come from per-writer interval logs — each node
 // keeps its own log authoritatively and peers replicate segments on
-// demand. Node 0 retains only the recovery manager (join/checkpoint
-// coordination) and the liveness monitor.
+// demand. What stays centralized is the liveness judge and, on a
+// recovery-enabled cluster, the recovery manager (join/checkpoint
+// coordination), replicated on every node and served by the elected
+// leader (see manager.go); without recovery node 0 judges.
 //
 // Each node runs three goroutine roles: the worker (application code,
 // calling the core.Worker operations), a pump draining the transport
 // (routing replies straight to waiting requesters), and a dispatcher
-// serving requests (page fetches, diff pulls, flushes, and — on node
-// 0 — the manager). Workers never hold the node mutex across a message
+// serving requests (page fetches, diff pulls, flushes, and the
+// manager's). Workers never hold the node mutex across a message
 // wait, and only the worker invalidates its own pages, so faults cannot
 // race an invalidation.
 //
@@ -310,14 +312,14 @@ type Node struct {
 	retryArmed bool
 	retryTimer *time.Timer
 
-	// mgr is non-nil on node 0 (the static manager) and, when the
-	// manager quorum is active, on every node (each holds a replica;
-	// the elected leader serves).
+	// mgr is this node's manager replica, non-nil exactly when recovery
+	// is enabled (the elected leader serves).
 	mgr *manager
 
-	// leaderHint is this node's cache of the manager quorum's current
-	// leader, updated by the local replica's leadership changes and by
-	// KNotLeader redirects. Always 0 when the quorum is inactive.
+	// leaderHint is this node's cache of the manager's current leader —
+	// the node manager requests and heartbeats go to — updated by the
+	// local replica's leadership changes and by KNotLeader redirects.
+	// Always 0 without recovery, where node 0 judges liveness.
 	leaderHint atomic.Int32
 
 	// repOut holds one buffered outbound lane per peer for consensus
@@ -330,9 +332,9 @@ type Node struct {
 	// rngState seeds the retry-jitter mixer (see jitter).
 	rngState atomic.Uint64
 
-	// lastHeard[w] (manager replicas only) is the unix-nano time this
-	// node last received any frame from peer w; the pump stamps it, the
-	// liveness monitor reads it. Accessed with atomics.
+	// lastHeard[w] (manager replicas, and node 0 without recovery) is the
+	// unix-nano time this node last received any frame from peer w; the
+	// pump stamps it, the liveness sweep reads it. Accessed with atomics.
 	lastHeard []int64
 	// hbCheck wakes the dispatcher to run a liveness sweep, so the check
 	// reads manager state from the goroutine that owns it.
@@ -409,14 +411,25 @@ func New(tr transport.Transport, cfg Config) *Node {
 		ps.homeVT = vc.New(n.nn)
 		ps.logBase = vc.New(n.nn)
 	}
-	if n.id == 0 || n.consensusOn() {
-		n.mgr = newManager(n)
+	// Every manager replica may come to judge liveness, and node 0 is
+	// the fixed judge without recovery: they stamp their peers.
+	if n.id == 0 || cfg.Recover != nil {
 		n.lastHeard = make([]int64, n.nn)
 		n.hbCheck = make(chan struct{}, 1)
 	}
-	if n.consensusOn() {
-		rc := cfg.Recover
+	if rc := cfg.Recover; rc != nil {
+		n.mgr = newManager(n)
 		n.leaderHint.Store(int32(rc.LeaderHint))
+		st := rc.Consensus
+		if st == nil {
+			st = consensus.NewStable()
+		}
+		voters := rc.Voters
+		if voters == nil && n.nn < 3 {
+			// Two voters cannot outlive the failure a voting group exists
+			// for: node 0 votes alone and commits without a round trip.
+			voters = []int{0}
+		}
 		// The election timeout rides the failure-detection budget: well
 		// under the heartbeat timeout, so a failover completes before
 		// anyone's silence verdict could fire, but long enough that a
@@ -450,7 +463,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		n.mgr.rep = consensus.New(consensus.Config{
 			Self:            n.id,
 			N:               n.nn,
-			Voters:          rc.Voters,
+			Voters:          voters,
 			ElectionTimeout: et,
 			Seed:            rc.Seed + int64(rc.Incarnation)*7919,
 			CompactEvery:    ce,
@@ -481,7 +494,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 				ConfChanges:  &n.stats.ConsensusConfChanges,
 				Quarantines:  &n.stats.ConsensusSlotQuarantines,
 			},
-		}, rc.Consensus)
+		}, st)
 	}
 	return n
 }
@@ -502,24 +515,15 @@ func (n *Node) consensusSend(to int, m *wire.Msg) {
 	}
 }
 
-// consensusOn reports whether this node participates in the replicated
-// manager quorum: a durable replica slot is configured and the cluster
-// has at least three nodes (a two-node "quorum" cannot outlive the very
-// failure it exists to survive, so the static node-0 manager is kept).
-func (n *Node) consensusOn() bool {
-	rc := n.cfg.Recover
-	return rc != nil && rc.Consensus != nil && n.nn >= 3
-}
-
-// Start launches the node's pump and dispatcher goroutines, plus the
-// liveness machinery on clusters of more than one node: every non-zero
-// node beats a heartbeat at the manager, and the manager sweeps for
-// silent peers.
+// Start launches the node's pump and dispatcher goroutines, the manager
+// replica, and the liveness machinery on clusters of more than one
+// node: every node beats a heartbeat at the liveness judge, and the
+// nodes that stamp peers sweep for silent ones.
 func (n *Node) Start() {
 	n.wg.Add(2)
 	go n.pump()
 	go n.dispatch()
-	if g := n.mgr; g != nil && g.rep != nil {
+	if g := n.mgr; g != nil {
 		g.rep.Start()
 		for p, lane := range n.repOut {
 			if lane == nil {
@@ -548,7 +552,7 @@ func (n *Node) Start() {
 	if n.nn < 2 {
 		return
 	}
-	if n.mgr != nil {
+	if n.lastHeard != nil {
 		now := time.Now().UnixNano()
 		for w := range n.lastHeard {
 			atomic.StoreInt64(&n.lastHeard[w], now)
@@ -557,20 +561,17 @@ func (n *Node) Start() {
 			n.wg.Add(1)
 			go n.monitor()
 		}
-		if !n.consensusOn() {
-			return // the static manager never beacons
-		}
 	}
 	n.wg.Add(1)
 	go n.heartbeat()
 }
 
-// heartbeat beats a periodic liveness beacon at the manager until
-// shutdown: node 0 classically, the quorum's current leader when the
-// replicated manager is active (a beacon to itself is skipped while
-// this node leads). Losses are tolerated: the manager's timeout spans
-// many intervals, so only sustained silence — a dead or partitioned
-// node — trips detection.
+// heartbeat beats a periodic liveness beacon at the liveness judge
+// until shutdown: the manager's current leader, or node 0 without
+// recovery (a beacon to itself is skipped while this node judges).
+// Losses are tolerated: the judge's timeout spans many intervals, so
+// only sustained silence — a dead or partitioned node — trips
+// detection.
 func (n *Node) heartbeat() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.cfg.HeartbeatInterval)
@@ -593,9 +594,9 @@ func (n *Node) heartbeat() {
 	}
 }
 
-// monitor (manager replicas only) periodically wakes the dispatcher to
-// sweep for silent peers; the sweep itself runs on the dispatcher
-// goroutine and only acts while this replica leads.
+// monitor periodically wakes the dispatcher to sweep for silent peers;
+// the sweep itself runs on the dispatcher goroutine and, on a manager
+// replica, only acts while it leads.
 func (n *Node) monitor() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.cfg.HeartbeatInterval)
@@ -1190,7 +1191,7 @@ func (n *Node) pullDiffs(pg page.ID) {
 // waiting requester (bypassing the dispatcher queue).
 func isReply(k wire.Kind) bool {
 	switch k {
-	case wire.KPageReply, wire.KDiffReply, wire.KAck, wire.KLockGrant, wire.KBarDepart, wire.KReleaseAck,
+	case wire.KPageReply, wire.KDiffReply, wire.KAck, wire.KLockGrant, wire.KBarDepart,
 		wire.KJoinGrant, wire.KSnapChunk, wire.KLogSegResp, wire.KNotLeader, wire.KConfAck:
 		return true
 	}
@@ -1517,7 +1518,7 @@ func (n *Node) pump() {
 		switch m.Kind {
 		case wire.KVoteReq, wire.KVoteResp, wire.KAppend, wire.KAppendAck,
 			wire.KSnapInstall, wire.KSnapAck:
-			if g := n.mgr; g != nil && g.rep != nil {
+			if g := n.mgr; g != nil {
 				g.rep.Deliver(m)
 			}
 			continue
@@ -1534,8 +1535,7 @@ func (n *Node) pump() {
 	}
 }
 
-// dispatch serves protocol requests — and, on the manager, liveness
-// sweeps — until shutdown.
+// dispatch serves protocol requests and liveness sweeps until shutdown.
 func (n *Node) dispatch() {
 	defer n.wg.Done()
 	for {
@@ -1545,9 +1545,7 @@ func (n *Node) dispatch() {
 		case fn := <-n.ctl:
 			fn()
 		case <-n.hbCheck:
-			if n.mgr != nil {
-				n.mgr.checkLiveness()
-			}
+			n.checkLiveness()
 		case <-n.done:
 			return
 		}
@@ -1572,7 +1570,7 @@ func (n *Node) handle(m *wire.Msg) {
 	case wire.KAbort:
 		// Term fence: a deposed leader's stale silence verdict must not
 		// kill a cluster that already moved on to a newer term.
-		if g := n.mgr; g != nil && g.rep != nil && m.Term > 0 && m.Term < g.rep.Leader().Term {
+		if g := n.mgr; g != nil && m.Term > 0 && m.Term < g.rep.Leader().Term {
 			atomic.AddInt64(&n.stats.StaleFrames, 1)
 			return
 		}

@@ -41,35 +41,33 @@ const keepCheckpoints = 4
 // RecoverConfig enables barrier-aligned checkpointing and the
 // crash/rejoin protocol on a node.
 type RecoverConfig struct {
-	// Store receives this node's snapshots. On the manager it also holds
-	// the manager snapshots and, with Replicate, the peers' replicas.
+	// Store receives this node's snapshots, the manager snapshots its
+	// replica applies and, while it leads, the peers' replicas
+	// (Replicate).
 	Store ckpt.Store
 	// Every takes a checkpoint at each barrier episode divisible by it;
 	// non-positive disables capture (the epoch fence stays active).
 	Every int64
-	// Replicate streams every non-manager snapshot to the manager's
-	// store, so a node that loses its own store (disk gone with the
-	// host) can still rejoin by pulling chunks from the manager.
+	// Replicate streams every snapshot to the manager leader's store,
+	// so a node that loses its own store (disk gone with the host) can
+	// still rejoin by pulling chunks from the leader.
 	Replicate bool
 	// Epoch is the cluster recovery epoch this engine starts in;
 	// Incarnation counts the node's restarts (0 for the original).
 	Epoch       uint32
 	Incarnation uint32
-	// OnPeerDown, on the manager, intercepts failure detection: return
-	// true to hand the failure to the supervisor (the peer is marked
-	// recovering and the cluster keeps running), false to abort as a
-	// recovery-free cluster would. Called on the dispatcher goroutine;
-	// it must not block. With the quorum active, set it on every node —
-	// any replica can be elected to judge.
+	// OnPeerDown intercepts failure detection while this node's replica
+	// leads: return true to hand the failure to the supervisor (the peer
+	// is marked recovering and the cluster keeps running), false to
+	// abort as a recovery-free cluster would. Called on the dispatcher
+	// goroutine; it must not block. Set it on every node — any voter
+	// can be elected to judge.
 	OnPeerDown func(err *PeerDownError) bool
 
-	// Consensus, when non-nil on a cluster of three or more nodes,
-	// activates the replicated manager: this node runs a consensus
-	// replica over the given durable slot (term, vote, log), manager
-	// requests chase the elected leader, and a manager crash fails over
-	// instead of aborting. The supervisor owns the slots so a restarted
-	// incarnation resumes from its persisted term and can never vote
-	// twice in one term.
+	// Consensus is the durable slot (term, vote, log) of this node's
+	// manager replica; nil selects a fresh in-memory one. The supervisor
+	// owns the slots so a restarted incarnation resumes from its
+	// persisted term and can never vote twice in one term.
 	Consensus *consensus.Stable
 	// LeaderHint seeds the node's leader cache (a rejoining node is told
 	// the leader that granted its rollback).
@@ -80,9 +78,9 @@ type RecoverConfig struct {
 	// a snapshot and truncates it once it exceeds this many entries.
 	// 0 takes the default (512); negative disables compaction.
 	CompactEvery int64
-	// Voters names the initial voting membership of the quorum (nil:
-	// every node). Non-voting nodes still run replicas and can be
-	// promoted at runtime with ChangeMembership.
+	// Voters names the initial voting membership (nil: every node, or
+	// node 0 alone below three nodes). Non-voting nodes still run
+	// replicas and can be promoted at runtime with ChangeMembership.
 	Voters []int
 }
 
@@ -203,8 +201,7 @@ func (n *Node) replayBarrier() {
 // node's RPCTimeout. Each attempt is a fresh request under a fresh
 // token — manager commands are idempotent, so a duplicate execution
 // after a lost reply converges — and every redirect both counts and
-// updates the node's leader cache. When the quorum is inactive the
-// manager is statically node 0 and this is a plain rpc.
+// updates the node's leader cache.
 func (n *Node) mgrRPC(m *wire.Msg) *wire.Msg {
 	r := n.mgrRPCRedirect(m)
 	if r.Kind == wire.KNotLeader {
@@ -223,12 +220,8 @@ func (n *Node) mgrRPC(m *wire.Msg) *wire.Msg {
 // Transient redirects during an unsettled election are still absorbed.
 func (n *Node) mgrRPCRedirect(m *wire.Msg) *wire.Msg { return n.mgrRPCLane(m, 0) }
 
-// leadsManager reports whether this node currently serves manager
-// requests itself.
-func (n *Node) leadsManager() bool { return n.mgr != nil && n.mgr.isLeader() }
-
 // mgrTarget is the node a manager request is sent to first: the cached
-// leader (node 0 when the quorum is inactive).
+// leader.
 func (n *Node) mgrTarget() int {
 	to := int(n.leaderHint.Load())
 	if to < 0 || to >= n.nn {
@@ -241,9 +234,6 @@ func (n *Node) mgrTarget() int {
 // of their own, for callers running concurrently with the worker's
 // lane-0 manager RPCs (the supervisor's membership changes).
 func (n *Node) mgrRPCLane(m *wire.Msg, lane int64) *wire.Msg {
-	if !n.consensusOn() {
-		return n.rpcLane(0, m, lane)
-	}
 	deadline := time.Now().Add(n.cfg.RPCTimeout)
 	perTry := 4 * n.cfg.RetryMax
 	if perTry < 250*time.Millisecond {
@@ -338,7 +328,7 @@ func (n *Node) captureCheckpoint(episode int64) {
 		n.handleWriteNotices(m)
 	}
 
-	if rc.Replicate && !n.leadsManager() {
+	if rc.Replicate && !n.mgr.isLeader() {
 		n.pushSnapshot(episode, ckpt.EncodeNode(snap))
 	}
 	n.mgrRPC(&wire.Msg{Kind: wire.KCkptDone, Episode: episode})
@@ -403,7 +393,7 @@ func (n *Node) pushSnapshot(episode int64, blob []byte) {
 		return &wire.Msg{Kind: wire.KSnapPush, Episode: episode, Chunk: i, NChunks: total, Data: snapChunk(blob, i)}
 	}
 	for {
-		if n.leadsManager() {
+		if n.mgr.isLeader() {
 			return
 		}
 		to := n.mgrTarget()
@@ -594,12 +584,11 @@ func (n *Node) closedErr() error {
 	return fmt.Errorf("node %d: shut down", n.id)
 }
 
-// awaitCommit proposes cmd on this node's manager and blocks for the
-// commit (or the direct apply when the quorum is inactive), bounded by
-// RPCTimeout and the node's shutdown.
+// awaitCommit proposes cmd on this node's manager replica and blocks
+// for the commit, bounded by RPCTimeout and the node's shutdown.
 func (n *Node) awaitCommit(cmd []byte) error {
 	errc := make(chan error, 1)
-	n.mgr.propose(cmd, func(err error) { errc <- err })
+	n.mgr.rep.Propose(cmd, func(err error) { errc <- err })
 	select {
 	case err := <-errc:
 		return err
@@ -611,13 +600,12 @@ func (n *Node) awaitCommit(cmd []byte) error {
 }
 
 // StableCheckpoint returns the newest checkpoint episode every node has
-// confirmed durably stored (0 = the initial image). Manager node only —
-// with the quorum active, the current leader. A noop is committed first
-// as a read barrier, so the answer reflects everything any previous
-// leader acknowledged.
+// confirmed durably stored (0 = the initial image). The manager leader
+// only. A noop is committed first as a read barrier, so the answer
+// reflects everything any previous leader acknowledged.
 func (n *Node) StableCheckpoint() (int64, error) {
 	if n.mgr == nil {
-		return 0, fmt.Errorf("node %d: not the manager", n.id)
+		return 0, fmt.Errorf("node %d: recovery is not enabled", n.id)
 	}
 	if err := n.awaitCommit(nil); err != nil {
 		return 0, err
@@ -627,36 +615,34 @@ func (n *Node) StableCheckpoint() (int64, error) {
 
 // ResetManager rolls the manager's replicated state back to checkpoint
 // episode k and marks victim as recovering: its silence is expected,
-// its rejoin is awaited, and liveness skips it until KResume. Manager
-// node only — with the quorum active, the current leader, and the reset
-// commits on the quorum before returning. Call after SetEpoch on every
-// surviving engine.
+// its rejoin is awaited, and liveness skips it until KResume. The
+// manager leader only; the reset commits before returning. Call after
+// SetEpoch on every surviving engine.
 func (n *Node) ResetManager(k int64, victim int) error {
 	if n.mgr == nil {
-		return fmt.Errorf("node %d: not the manager", n.id)
+		return fmt.Errorf("node %d: recovery is not enabled", n.id)
 	}
 	return n.awaitCommit(encodeReset(int32(victim), k))
 }
 
-// ConsensusLeader reports this node's view of the manager quorum: the
-// current term's leader (-1 while an election is unsettled) and whether
-// this node is it. ok is false when the quorum is inactive.
-func (n *Node) ConsensusLeader() (leader int, isLeader bool, ok bool) {
-	g := n.mgr
-	if g == nil || g.rep == nil {
-		return 0, n.id == 0, false
+// ConsensusLeader reports this node's view of the manager's voting
+// group: the current term's leader (-1 while an election is unsettled,
+// or without recovery) and whether this node is it.
+func (n *Node) ConsensusLeader() (leader int, isLeader bool) {
+	if n.mgr == nil {
+		return -1, false
 	}
-	info := g.rep.Leader()
-	return info.Leader, info.IsLeader, true
+	info := n.mgr.rep.Leader()
+	return info.Leader, info.IsLeader
 }
 
-// ConsensusVoters reports this node's current view of the quorum's
-// voting membership (nil when the quorum is inactive).
+// ConsensusVoters reports this node's current view of the manager's
+// voting membership (nil without recovery).
 func (n *Node) ConsensusVoters() []int {
-	if g := n.mgr; g != nil && g.rep != nil {
-		return g.rep.Leader().Voters
+	if n.mgr == nil {
+		return nil
 	}
-	return nil
+	return n.mgr.rep.Leader().Voters
 }
 
 // confLane is the token lane of membership-change RPCs: the supervisor
@@ -667,10 +653,10 @@ const confLane int64 = 0x3F0C
 // ChangeMembership commits a single-server change to the quorum's
 // voting membership through the current leader: add (or remove) node
 // target as a voter. It follows leader redirects like any manager RPC
-// and returns an error when the quorum is inactive, the change is
-// rejected (one change at a time; a removal may not shrink the voting
-// set below three), or no settled leader was reached in time. Safe to
-// call from supervisor goroutines while the worker runs.
+// and returns an error without recovery, when the change is rejected
+// (one change at a time; a removal may not shrink the voting set below
+// three), or when no settled leader was reached in time. Safe to call
+// from supervisor goroutines while the worker runs.
 func (n *Node) ChangeMembership(add bool, target int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -681,8 +667,8 @@ func (n *Node) ChangeMembership(add bool, target int) (err error) {
 			err = fmt.Errorf("node %d: membership change: %w", n.id, re.err)
 		}
 	}()
-	if !n.consensusOn() {
-		return fmt.Errorf("node %d: membership change without an active quorum", n.id)
+	if n.mgr == nil {
+		return fmt.Errorf("node %d: membership change without recovery", n.id)
 	}
 	m := &wire.Msg{Kind: wire.KConfChange, ReqFrom: int32(target)}
 	if add {

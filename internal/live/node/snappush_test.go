@@ -272,7 +272,7 @@ func TestPushStreamLeaderChange(t *testing.T) {
 			defer gate.mu.Unlock()
 			return len(gate.held) > 5
 		})
-		old, _, _ := nodes[pusher].ConsensusLeader()
+		old, _ := nodes[pusher].ConsensusLeader()
 		if old < 0 || old == pusher {
 			t.Errorf("pusher believes node %d leads", old)
 			old = 0
@@ -280,7 +280,7 @@ func TestPushStreamLeaderChange(t *testing.T) {
 		nodes[old].Close()
 		waitFor(t, "a successor to be elected", nil, func() bool {
 			for i := 0; i < pusher; i++ {
-				if _, is, _ := nodes[i].ConsensusLeader(); is && i != old {
+				if _, is := nodes[i].ConsensusLeader(); is && i != old {
 					return true
 				}
 			}
@@ -301,7 +301,7 @@ func TestPushStreamLeaderChange(t *testing.T) {
 
 	old := <-killed
 	for i := 0; i < pusher; i++ {
-		if _, is, _ := nodes[i].ConsensusLeader(); is && i != old {
+		if _, is := nodes[i].ConsensusLeader(); is && i != old {
 			sameSnapshot(t, stores[i], stores[pusher], pusher)
 			return
 		}

@@ -111,7 +111,7 @@ type Stats struct {
 	// on this node. Terms counts term advances this replica observed,
 	// Elections the elections it stood for, Commits the log entries it
 	// applied, and LeaderRedirects the not-leader redirects its manager
-	// RPCs followed. All zero unless the manager quorum is active.
+	// RPCs followed. All zero unless recovery is enabled.
 	ConsensusTerms     int64 `json:"consensus_terms"`
 	ConsensusElections int64 `json:"consensus_elections"`
 	ConsensusCommits   int64 `json:"consensus_commits"`

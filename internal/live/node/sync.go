@@ -621,26 +621,14 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 	// duplicate arrival for this one is dropped instead of re-served
 	// early (see the stale-release path above).
 	n.mu.Unlock()
-	if !n.consensusOn() {
-		// Static manager: the root is the manager; apply directly.
-		if err := n.mgr.applyCmd(encodeMgrSnap(episode, merged)); err != nil {
-			n.abortCluster(fmt.Errorf("node %d: storing manager checkpoint %d: %w", n.id, episode, err))
-			return
-		}
-		n.mu.Lock()
-		sy.lastRelease = rel
-		n.mu.Unlock()
-		n.fanRelease(rel, selfTok, m.Epoch)
-		return
-	}
-	// Replicated manager: the root (statically node 0) may not be the
-	// leader, and the dispatcher must not block on a quorum round-trip —
-	// a helper goroutine chases the leader with KMgrSnap and fans the
-	// releases out once the commit is acknowledged. A rollback that
-	// lands meanwhile supersedes the episode: the epoch moves and the
-	// sync plane resets, so the release is quietly abandoned — and one
-	// already past the check below still goes out under the epoch it was
-	// built in, so the children fence it.
+	// The root (node 0) may not be the manager leader, and the
+	// dispatcher must not block on a quorum round-trip — a helper
+	// goroutine chases the leader with KMgrSnap and fans the releases
+	// out once the commit is acknowledged. A rollback that lands
+	// meanwhile supersedes the episode: the epoch moves and the sync
+	// plane resets, so the release is quietly abandoned — and one
+	// already past the check below still goes out under the epoch it
+	// was built in, so the children fence it.
 	startEpoch := m.Epoch
 	go func() {
 		for {
@@ -922,7 +910,7 @@ func (n *Node) abortCluster(err error) {
 	msg := &wire.Msg{Kind: wire.KAbort, Err: err.Error()}
 	// Stamp the quorum term so receivers can fence an abort from a
 	// deposed leader whose cluster view is stale.
-	if g := n.mgr; g != nil && g.rep != nil {
+	if g := n.mgr; g != nil {
 		msg.Term = g.rep.Leader().Term
 	}
 	for p := 0; p < n.nn; p++ {

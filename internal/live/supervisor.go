@@ -254,20 +254,19 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		incarnations = make([]uint32, c.cfg.Nodes)
 		restarts     atomic.Int64
 	)
-	// With three or more nodes the manager state machine is replicated
-	// across every node through the consensus log, so a crashed
-	// coordinator fails over instead of aborting the run. The durable
-	// term/vote/log state outlives each node incarnation: a restarted
-	// replica rejoins the quorum with its history intact.
-	quorum := c.cfg.Nodes >= 3
+	// The manager state machine is replicated on every node through the
+	// consensus log, so a crashed coordinator fails over instead of
+	// aborting the run wherever a majority of the voters survives it.
+	// The durable term/vote/log state outlives each node incarnation: a
+	// restarted replica rejoins the voting group with its history intact.
 	stables := opts.Stables
-	if quorum && stables == nil {
+	if stables == nil {
 		stables = make([]*consensus.Stable, c.cfg.Nodes)
 		for i := range stables {
 			stables[i] = consensus.NewStable()
 		}
 	}
-	if quorum && len(stables) != c.cfg.Nodes {
+	if len(stables) != c.cfg.Nodes {
 		return nil, fmt.Errorf("live: %d consensus slots for %d nodes", len(stables), c.cfg.Nodes)
 	}
 	var voters []int
@@ -291,35 +290,30 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 			Seed:         opts.Seed + int64(i+1)*104729,
 			CompactEvery: opts.CompactEvery,
 			Voters:       voters,
+			Consensus:    stables[i],
+			LeaderHint:   leaderHint,
 		}
-		if quorum {
-			rc.Consensus = stables[i]
-			rc.LeaderHint = leaderHint
-		}
-		if i == 0 || quorum {
-			rc.OnPeerDown = func(pe *node.PeerDownError) bool {
-				// Dispatcher goroutine: hand the failure to the
-				// supervisor while budget remains. A rollback already in
-				// flight swallows the report — the victim is either the
-				// same node or will be re-detected after recovery — and
-				// does so before the budget is consulted: the restart
-				// being spent is already counted, and a slow rollback's
-				// own victim, silent past the timeout, must not read as
-				// a fresh death the budget cannot cover.
-				if c.crashPending.Load() {
-					return true
-				}
-				if int(restarts.Load()) >= opts.MaxRestarts {
-					return false
-				}
-				if c.crashPending.CompareAndSwap(false, true) {
-					select {
-					case c.crashCh <- crashEvent{victim: pe.Node}:
-					default:
-					}
-				}
+		rc.OnPeerDown = func(pe *node.PeerDownError) bool {
+			// Dispatcher goroutine: hand the failure to the supervisor
+			// while budget remains. A rollback already in flight swallows
+			// the report — the victim is either the same node or will be
+			// re-detected after recovery — and does so before the budget
+			// is consulted: the restart being spent is already counted,
+			// and a slow rollback's own victim, silent past the timeout,
+			// must not read as a fresh death the budget cannot cover.
+			if c.crashPending.Load() {
 				return true
 			}
+			if int(restarts.Load()) >= opts.MaxRestarts {
+				return false
+			}
+			if c.crashPending.CompareAndSwap(false, true) {
+				select {
+				case c.crashCh <- crashEvent{victim: pe.Node}:
+				default:
+				}
+			}
+			return true
 		}
 		return rc
 	}
@@ -342,36 +336,34 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	// an unsettled election or a rollback in flight only delays it.
 	confStop := make(chan struct{})
 	defer close(confStop)
-	if quorum {
-		for _, ar := range opts.AddReplicas {
-			go func(ar ReplicaAdd) {
-				timer := time.NewTimer(ar.After)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
-				case <-confStop:
-					return
-				}
-				for {
-					c.mu.Lock()
-					nds := append([]*node.Node(nil), c.nodes...)
-					c.mu.Unlock()
-					for _, nd := range nds {
-						if nd == nil {
-							continue
-						}
-						if err := nd.ChangeMembership(true, ar.Node); err == nil {
-							return
-						}
+	for _, ar := range opts.AddReplicas {
+		go func(ar ReplicaAdd) {
+			timer := time.NewTimer(ar.After)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+			case <-confStop:
+				return
+			}
+			for {
+				c.mu.Lock()
+				nds := append([]*node.Node(nil), c.nodes...)
+				c.mu.Unlock()
+				for _, nd := range nds {
+					if nd == nil {
+						continue
 					}
-					select {
-					case <-time.After(25 * time.Millisecond):
-					case <-confStop:
+					if err := nd.ChangeMembership(true, ar.Node); err == nil {
 						return
 					}
 				}
-			}(ar)
-		}
+				select {
+				case <-time.After(25 * time.Millisecond):
+				case <-confStop:
+					return
+				}
+			}
+		}(ar)
 	}
 
 	teardown := func() {
@@ -443,27 +435,14 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	}
 
 	// rollback reads the stable checkpoint and resets the replicated
-	// manager state, addressing whichever replica currently leads. Under
-	// a quorum the leader is re-resolved (and the calls retried) until a
-	// surviving replica both claims leadership and commits the reset —
-	// an election may still be in flight when the crash is handled, and
-	// the first claimed leader can be deposed mid-proposal. A failed
-	// rollback leaves the victim down for good, and says so: the error is
-	// a PeerDownError naming it, never the internal cause on its own.
+	// manager state, addressing whichever replica currently leads. The
+	// leader is re-resolved (and the calls retried) until a surviving
+	// replica both claims leadership and commits the reset — an election
+	// may still be in flight when the crash is handled, and the first
+	// claimed leader can be deposed mid-proposal. A failed rollback
+	// leaves the victim down for good, and says so: the error is a
+	// PeerDownError naming it, never the internal cause on its own.
 	rollback := func(victim int) (int64, error) {
-		down := func(cause error) error {
-			return &node.PeerDownError{Node: victim, Pending: "rollback: " + cause.Error()}
-		}
-		if !quorum {
-			k, err := nodes[0].StableCheckpoint()
-			if err != nil {
-				return 0, down(fmt.Errorf("reading stable checkpoint: %w", err))
-			}
-			if err := nodes[0].ResetManager(k, victim); err != nil {
-				return 0, down(fmt.Errorf("rolling manager back to episode %d: %w", k, err))
-			}
-			return k, nil
-		}
 		var lastErr error
 		deadline := time.Now().Add(time.Minute)
 		for time.Now().Before(deadline) {
@@ -480,7 +459,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 				if i == victim {
 					continue
 				}
-				if _, isLeader, _ := nd.ConsensusLeader(); isLeader {
+				if _, isLeader := nd.ConsensusLeader(); isLeader {
 					ldr = i
 					break
 				}
@@ -503,7 +482,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no consensus leader elected among the survivors")
 		}
-		return 0, down(lastErr)
+		return 0, &node.PeerDownError{Node: victim, Pending: "rollback: " + lastErr.Error()}
 	}
 
 	var (
@@ -564,8 +543,12 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		}
 
 		// ---- crash: roll back, rejoin, re-run ----
-		if ev.victim == 0 && !quorum {
-			return fail(doneCh, roundErrs, fmt.Errorf("live: manager (node 0) crashed and no quorum is configured (fewer than 3 nodes); manager recovery needs a replica to fail over to"))
+		if !votersSurvive(nodes, ev.victim) {
+			// No survivor can be elected to lead the rollback: below
+			// three nodes, node 0 is the whole voting group.
+			return fail(doneCh, roundErrs, &node.PeerDownError{
+				Node: ev.victim, Pending: "the manager's voting group lost its majority with it",
+			})
 		}
 		if int(restarts.Load()) >= opts.MaxRestarts {
 			return fail(doneCh, roundErrs, budgetExhausted(ev.victim))
@@ -681,4 +664,23 @@ finished:
 	st.Total.Node = -1
 	st.computeBalance()
 	return st, nil
+}
+
+// votersSurvive reports whether the manager's voting group keeps a
+// majority without victim, as the first surviving node sees the group.
+func votersSurvive(nodes []*node.Node, victim int) bool {
+	for i, nd := range nodes {
+		if i == victim {
+			continue
+		}
+		voters := nd.ConsensusVoters()
+		left := 0
+		for _, v := range voters {
+			if v != victim {
+				left++
+			}
+		}
+		return 2*left > len(voters)
+	}
+	return false
 }

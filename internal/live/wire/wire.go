@@ -1,13 +1,13 @@
-// Package wire is the versioned binary codec of the live DSM runtime's
-// message set. Every frame moved by a transport (in-process channel or
-// TCP) is one encoded Msg: a fixed two-byte header (version, kind)
-// followed by kind-dependent fields in little-endian fixed-width
-// encoding.
+// Package wire is the binary codec of the live DSM runtime's message
+// set. Every frame moved by a transport (in-process channel or TCP) is
+// one encoded Msg: a fixed two-byte header (version, kind) followed by
+// kind-dependent fields in little-endian fixed-width encoding.
 //
-// Decode is strict and total: truncated frames, unknown versions or
-// kinds, oversized counts and trailing garbage all return an error and
-// never panic or allocate unboundedly — element counts are validated
-// against the bytes actually remaining before any slice is sized.
+// Decode is strict and total: truncated frames, a foreign version byte,
+// unknown kinds, oversized counts and trailing garbage all return an
+// error and never panic or allocate unboundedly — element counts are
+// validated against the bytes actually remaining before any slice is
+// sized.
 package wire
 
 import (
@@ -17,38 +17,12 @@ import (
 	"lrcdsm/internal/page"
 )
 
-// Version is the wire-format version stamped on every encoded frame.
-// Version 2 added the robustness message set (release acks, heartbeats,
-// aborts) and an Attempt retransmission counter on request kinds.
-// Version 3 added the recovery layer: a cluster Epoch fence on every
-// kind, the join/snapshot/resume kinds a restarted node uses to rejoin,
-// and a sender-episode stamp on KWriteNotices so homes can gate
-// post-checkpoint flushes during capture. Version 4 added the
-// decentralized synchronization plane: lock-request forwarding from a
-// lock's home to its probable owner, tree-barrier aggregation (an
-// episode stamp and aggregated notices on KBarArrive, plus the
-// KBarRelease fan-out kind), and on-demand per-writer interval-log
-// segment replication. Version 5 added the replicated control plane:
-// the consensus kinds (vote-req/vote-resp/append/append-ack) the
-// manager quorum elects leaders and commits commands with, the
-// not-leader redirect reply, the mgr-snap proposal carrying a barrier
-// episode's merged vector time to the leader, and a Term stamp on
-// KAbort so a deposed leader's stale abort verdicts are fenced.
-// Version 6 added the long-haul control plane: chunked consensus
-// snapshot installation (snap-install/snap-ack), with which a leader
-// brings a far-behind or freshly seeded replica up after compacting
-// its log, and the single-server membership-change RPC pair
-// (conf-change/conf-ack) that grows or shrinks the voting quorum
-// without a restart. Version 7 added the lazy release: a Need vector on
-// the two data requests (KPageReq, KDiffReq) naming the per-writer
-// version the requester has been told about, which the home must hold
-// before it answers; it added no kinds. Decode still accepts MinVersion
-// frames — an old frame simply has none of the newer fields and cannot
-// carry the newer kinds — so a rolling upgrade never wedges on the codec.
-const (
-	Version    = 7
-	MinVersion = 1
-)
+// Version is stamped on every encoded frame and is the only version
+// Decode accepts. Every node of a cluster is built from the same source,
+// so there is no older peer to stay compatible with; the byte changes
+// whenever the kind numbering or a kind's field list does, so a frame
+// from a different build is rejected instead of misparsed.
+const Version = 8
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -59,13 +33,13 @@ const MaxFrame = 16 << 20
 type Kind uint8
 
 // The live protocol's message set. Page and diff traffic flows between a
-// node and a page's home; lock and barrier traffic flows between a node
-// and the centralized manager on node 0.
+// node and a page's home; lock traffic between a node, the lock's home
+// and its probable owner; barrier traffic up and down the barrier tree;
+// recovery traffic between a node and the manager leader; consensus
+// traffic among the manager replicas.
 const (
-	// KHello introduces a peer on a fresh transport connection.
-	KHello Kind = iota + 1
 	// KPageReq asks a page's home for a full current copy.
-	KPageReq
+	KPageReq Kind = iota + 1
 	// KPageReply returns the home's copy and its per-writer version.
 	KPageReply
 	// KDiffReq asks a page's home for the diffs the requester's copy is
@@ -75,39 +49,35 @@ const (
 	// its diff log past the requester's version, a full copy.
 	KDiffReply
 	// KWriteNotices flushes a closed interval's write notices and the
-	// diffs of the pages homed at the destination.
+	// diffs of the pages homed at the destination, stamped with the
+	// sender's barrier episode so homes can gate post-checkpoint flushes
+	// during capture.
 	KWriteNotices
-	// KAck acknowledges a KWriteNotices flush.
+	// KAck acknowledges a KWriteNotices flush (and the manager requests
+	// that need no payload in reply).
 	KAck
-	// KLockReq asks the manager for a lock, carrying the requester's
+	// KLockReq asks a lock's home for the lock, carrying the requester's
 	// vector time.
 	KLockReq
 	// KLockGrant hands the lock to a requester with the release-time
 	// vector time and the write notices it is missing.
 	KLockGrant
-	// KLockRelease returns a lock to the manager, carrying the closed
-	// interval (if any) and the releaser's vector time.
-	KLockRelease
-	// KBarArrive joins a barrier, carrying the closed interval and the
-	// arriver's vector time.
+	// KBarArrive joins a barrier episode, carrying the closed interval,
+	// the arriver's vector time and the notices aggregated from its
+	// subtree of the barrier tree.
 	KBarArrive
 	// KBarDepart releases a node from a barrier with the merged vector
 	// time and the write notices it is missing.
 	KBarDepart
-
-	// Version 2 kinds (the robustness layer). firstV2Kind below must stay
-	// in sync with the first of them.
-
-	// KReleaseAck acknowledges a KLockRelease, making lock releases
-	// retryable RPCs instead of fire-and-forget sends.
-	KReleaseAck
-	// KHeartbeat is a node's periodic liveness beacon to the manager.
+	// KHeartbeat is a node's periodic liveness beacon to the manager
+	// leader.
 	KHeartbeat
-	// KAbort broadcasts a fatal cluster abort with a structured reason.
+	// KAbort broadcasts a fatal cluster abort with a structured reason,
+	// stamped with the sender's consensus term so a deposed leader's
+	// stale verdict is fenced.
 	KAbort
 
-	// Version 3 kinds (the recovery layer). firstV3Kind below must stay
-	// in sync with the first of them.
+	// Recovery: a restarted node's rejoin and checkpoint replication.
 
 	// KJoinReq is a restarted node's request to rejoin the cluster,
 	// carrying its new incarnation number and the newest checkpoint
@@ -120,11 +90,10 @@ const (
 	// KSnapReq asks the manager's replica for one chunk of the joiner's
 	// checkpoint.
 	KSnapReq
-	// KSnapChunk returns one checkpointed page (image + per-writer
-	// version) of a node snapshot.
+	// KSnapChunk returns one chunk of an encoded node snapshot.
 	KSnapChunk
-	// KSnapPush replicates one checkpointed page from a home to the
-	// manager's store (the inverse direction of KSnapChunk).
+	// KSnapPush replicates one chunk of a node's encoded snapshot to the
+	// manager leader's store (the inverse direction of KSnapChunk).
 	KSnapPush
 	// KResume tells the manager a rejoined node is live again, re-arming
 	// its liveness accounting.
@@ -134,8 +103,8 @@ const (
 	// episode across nodes.
 	KCkptDone
 
-	// Version 4 kinds (the decentralized synchronization plane).
-	// firstV4Kind below must stay in sync with the first of them.
+	// Decentralized synchronization: lock forwarding, the barrier tree's
+	// release fan-out and interval-log segment replication.
 
 	// KLockForward relays a lock request from the lock's home to its
 	// probable owner: Token and VT are the original requester's, ReqFrom
@@ -151,8 +120,7 @@ const (
 	// KLogSegResp returns the requested interval-log segment as notices.
 	KLogSegResp
 
-	// Version 5 kinds (the replicated control plane). firstV5Kind below
-	// must stay in sync with the first of them.
+	// The replicated control plane: the manager replicas' consensus log.
 
 	// KVoteReq is a candidate's request for a vote in Term, carrying the
 	// position (LogIndex, LogTerm) of its last replicated-log entry so
@@ -177,10 +145,6 @@ const (
 	// leader for quorum commit; the barrier root may not be the leader,
 	// so the snapshot travels as an RPC before releases fan out.
 	KMgrSnap
-
-	// Version 6 kinds (the long-haul control plane). firstV6Kind below
-	// must stay in sync with the first of them.
-
 	// KSnapInstall streams one chunk of the leader's consensus snapshot
 	// — the compacted committed prefix, folded into an encoded state
 	// image — to a replica too far behind its truncated log: LogIndex
@@ -204,33 +168,13 @@ const (
 	kindEnd
 )
 
-// firstV2Kind is the first kind that requires wire version 2; a v1 frame
-// claiming such a kind is rejected.
-const firstV2Kind = KReleaseAck
-
-// firstV3Kind is the first kind that requires wire version 3.
-const firstV3Kind = KJoinReq
-
-// firstV4Kind is the first kind that requires wire version 4.
-const firstV4Kind = KLockForward
-
-// firstV5Kind is the first kind that requires wire version 5.
-const firstV5Kind = KVoteReq
-
-// firstV6Kind is the first kind that requires wire version 6.
-const firstV6Kind = KSnapInstall
-
-// firstV7Kind closes the enum: version 7 widened two existing kinds and
-// added none, so its band is empty.
-const firstV7Kind = kindEnd
-
 var kindNames = [...]string{
-	KHello: "hello", KPageReq: "page-req", KPageReply: "page-reply",
+	KPageReq: "page-req", KPageReply: "page-reply",
 	KDiffReq: "diff-req", KDiffReply: "diff-reply",
 	KWriteNotices: "write-notices", KAck: "ack",
-	KLockReq: "lock-req", KLockGrant: "lock-grant", KLockRelease: "lock-release",
+	KLockReq: "lock-req", KLockGrant: "lock-grant",
 	KBarArrive: "bar-arrive", KBarDepart: "bar-depart",
-	KReleaseAck: "release-ack", KHeartbeat: "heartbeat", KAbort: "abort",
+	KHeartbeat: "heartbeat", KAbort: "abort",
 	KJoinReq: "join-req", KJoinGrant: "join-grant",
 	KSnapReq: "snap-req", KSnapChunk: "snap-chunk", KSnapPush: "snap-push",
 	KResume: "resume", KCkptDone: "ckpt-done",
@@ -283,21 +227,20 @@ type Entry struct {
 }
 
 // Msg is one live-protocol message. Only the fields relevant to its Kind
-// are encoded; see the per-kind field lists in encode.
+// are encoded; see the per-kind field lists in fields.
 type Msg struct {
 	Kind  Kind
 	From  int32 // sending node
 	Token int64 // request/reply correlation (the request ID retries reuse)
 
 	// Attempt counts retransmissions of a request (0 on first send,
-	// saturating at 255). Version 2 only: a v1 frame decodes as Attempt 0.
+	// saturating at 255).
 	Attempt uint8
 
 	// Epoch is the cluster recovery epoch the sender belonged to when it
 	// sent the frame. Every rollback bumps the epoch, so a delayed frame
 	// from a node's previous incarnation — whose tokens restart at 1 and
-	// would otherwise collide — is fenced off at the receiver. Version 3
-	// only: an older frame decodes as Epoch 0.
+	// would otherwise collide — is fenced off at the receiver.
 	Epoch uint32
 
 	// Incarnation numbers a node's restarts (0 for the original engine);
@@ -314,8 +257,8 @@ type Msg struct {
 	Lo, Hi  int32  // interval-log segment range (Lo, Hi] (KLogSeg*)
 	Err     string // abort reason (KAbort)
 
-	// Consensus fields (version 5). Term also stamps KAbort so a
-	// deposed leader's stale abort is fenced at receivers.
+	// Consensus fields. Term also stamps KAbort so a deposed leader's
+	// stale abort is fenced at receivers.
 	Term     int64 // sender's current term (consensus kinds, KAbort)
 	LogIndex int64 // log position: last/prev/match index by kind
 	LogTerm  int64 // term of the entry at LogIndex (KVoteReq/KAppend)
@@ -328,69 +271,41 @@ type Msg struct {
 	Data     []byte  // full page image (page/diff replies)
 	Diffs    []Diff
 	Notices  []Notice
-	Interval *Interval // closed interval (release/arrive flushes)
+	Interval *Interval // closed interval (flushes, barrier arrivals)
 	Entries  []Entry   // replicated-log entries (KAppend)
 }
 
 // fieldSet describes which optional fields a kind encodes, so the codec
 // stays table-driven and every kind round-trips through one pair of
-// routines.
+// routines. Present fields are encoded in one fixed order, the order
+// Encode tests them in.
 type fieldSet struct {
 	lock, barrier, episode, pg     bool
 	vt, data, diffs, notices, ival bool
-	// attempt marks retryable request kinds; the field was added in
-	// version 2, so it is encoded always but decoded only from v2 frames.
-	attempt bool
-	errstr  bool
-	// episode3 marks kinds that gained the Episode field in version 3
-	// (the sender-episode stamp on flushes): encoded always, decoded only
-	// from v3 frames. Kinds that carried Episode since v1 use episode.
-	episode3 bool
-	// incarn and chunk are v3-only field groups on v3-only kinds, so they
-	// need no version gate of their own.
-	incarn bool
-	chunk  bool // Chunk + NChunks pair
-	// episode4 and notices4 mark fields version 4 added to a pre-v4 kind
-	// (the tree barrier's episode stamp and aggregated notices on
-	// KBarArrive): encoded always, decoded only from v4 frames.
-	episode4 bool
-	notices4 bool
-	// reqfrom and seg are v4-only field groups on v4-only kinds.
-	reqfrom bool
-	seg     bool // Lo + Hi pair
-	// term5 marks the Term stamp version 5 added to a pre-v5 kind
-	// (KAbort's fencing term): encoded always, decoded only from v5
-	// frames. The remaining groups sit on v5-only kinds and need no
-	// version gate of their own.
-	term5   bool
-	term    bool
-	logidx  bool
-	logterm bool
-	commit  bool
-	flag    bool
-	leader  bool
-	entries bool
-	// need7 marks the Need vector version 7 added to the data requests:
-	// encoded always, decoded only from v7 frames.
-	need7 bool
+	attempt                        bool // retryable request kinds
+	errstr                         bool
+	incarn                         bool
+	chunk                          bool // Chunk + NChunks pair
+	reqfrom                        bool
+	seg                            bool // Lo + Hi pair
+	term, logidx, logterm, commit  bool
+	flag, leader, entries          bool
+	need                           bool
 }
 
 var fields = map[Kind]fieldSet{
-	KHello:        {},
-	KPageReq:      {pg: true, attempt: true, need7: true},
+	KPageReq:      {pg: true, attempt: true, need: true},
 	KPageReply:    {pg: true, vt: true, data: true},
-	KDiffReq:      {pg: true, vt: true, attempt: true, need7: true},
+	KDiffReq:      {pg: true, vt: true, attempt: true, need: true},
 	KDiffReply:    {pg: true, vt: true, data: true, diffs: true},
-	KWriteNotices: {diffs: true, ival: true, attempt: true, episode3: true},
+	KWriteNotices: {diffs: true, ival: true, attempt: true, episode: true},
 	KAck:          {},
 	KLockReq:      {lock: true, vt: true, attempt: true},
 	KLockGrant:    {lock: true, vt: true, notices: true, diffs: true},
-	KLockRelease:  {lock: true, vt: true, ival: true, attempt: true},
-	KBarArrive:    {barrier: true, vt: true, ival: true, attempt: true, episode4: true, notices4: true},
+	KBarArrive:    {barrier: true, vt: true, ival: true, attempt: true, episode: true, notices: true},
 	KBarDepart:    {barrier: true, episode: true, vt: true, notices: true},
-	KReleaseAck:   {lock: true},
 	KHeartbeat:    {},
-	KAbort:        {errstr: true, term5: true},
+	KAbort:        {errstr: true, term: true},
 	KJoinReq:      {incarn: true, episode: true, attempt: true},
 	KJoinGrant:    {incarn: true, episode: true, vt: true, chunk: true},
 	KSnapReq:      {episode: true, chunk: true, attempt: true},
@@ -436,7 +351,7 @@ func Encode(m *Msg) []byte {
 		w.i32(m.Chunk)
 		w.i32(m.NChunks)
 	}
-	if fs.term || fs.term5 {
+	if fs.term {
 		w.i64(m.Term)
 	}
 	if fs.logidx {
@@ -454,9 +369,6 @@ func Encode(m *Msg) []byte {
 	if fs.leader {
 		w.i32(m.Leader)
 	}
-	if fs.episode3 {
-		w.i64(m.Episode)
-	}
 	if fs.errstr {
 		w.bytes([]byte(m.Err))
 	}
@@ -473,7 +385,7 @@ func Encode(m *Msg) []byte {
 	if fs.barrier {
 		w.i32(m.Barrier)
 	}
-	if fs.episode || fs.episode4 {
+	if fs.episode {
 		w.i64(m.Episode)
 	}
 	if fs.pg {
@@ -482,7 +394,7 @@ func Encode(m *Msg) []byte {
 	if fs.vt {
 		w.i32slice(m.VT)
 	}
-	if fs.need7 {
+	if fs.need {
 		w.i32slice(m.Need)
 	}
 	if fs.data {
@@ -494,7 +406,7 @@ func Encode(m *Msg) []byte {
 			w.diff(&m.Diffs[i])
 		}
 	}
-	if fs.notices || fs.notices4 {
+	if fs.notices {
 		w.u32(uint32(len(m.Notices)))
 		for i := range m.Notices {
 			n := &m.Notices[i]
@@ -531,40 +443,19 @@ func Decode(b []byte) (*Msg, error) {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(b))
 	}
 	r := reader{b: b}
-	v := r.u8()
-	if r.err == nil && (v < MinVersion || v > Version) {
-		return nil, fmt.Errorf("wire: unknown version %d", v)
+	if v := r.u8(); r.err == nil && v != Version {
+		return nil, fmt.Errorf("wire: version %d frame, want %d", v, Version)
 	}
 	k := Kind(r.u8())
 	fs, ok := fields[k]
 	if r.err == nil && !ok {
 		return nil, fmt.Errorf("wire: unknown kind %d", uint8(k))
 	}
-	if r.err == nil && v < 2 && k >= firstV2Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 2, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 3 && k >= firstV3Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 3, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 4 && k >= firstV4Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 4, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 5 && k >= firstV5Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 5, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 6 && k >= firstV6Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 6, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 7 && k >= firstV7Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 7, frame is version %d", k, v)
-	}
 	m := &Msg{Kind: k}
 	m.From = r.i32()
 	m.Token = r.i64()
-	if v >= 3 {
-		m.Epoch = r.u32()
-	}
-	if fs.attempt && v >= 2 {
+	m.Epoch = r.u32()
+	if fs.attempt {
 		m.Attempt = r.u8()
 	}
 	if fs.incarn {
@@ -574,7 +465,7 @@ func Decode(b []byte) (*Msg, error) {
 		m.Chunk = r.i32()
 		m.NChunks = r.i32()
 	}
-	if fs.term || (fs.term5 && v >= 5) {
+	if fs.term {
 		m.Term = r.i64()
 	}
 	if fs.logidx {
@@ -591,9 +482,6 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.leader {
 		m.Leader = r.i32()
-	}
-	if fs.episode3 && v >= 3 {
-		m.Episode = r.i64()
 	}
 	if fs.errstr {
 		if e := r.bytes(); len(e) > 0 {
@@ -613,7 +501,7 @@ func Decode(b []byte) (*Msg, error) {
 	if fs.barrier {
 		m.Barrier = r.i32()
 	}
-	if fs.episode || (fs.episode4 && v >= 4) {
+	if fs.episode {
 		m.Episode = r.i64()
 	}
 	if fs.pg {
@@ -622,7 +510,7 @@ func Decode(b []byte) (*Msg, error) {
 	if fs.vt {
 		m.VT = r.i32slice()
 	}
-	if fs.need7 && v >= 7 {
+	if fs.need {
 		m.Need = r.i32slice()
 	}
 	if fs.data {
@@ -634,7 +522,7 @@ func Decode(b []byte) (*Msg, error) {
 			m.Diffs = append(m.Diffs, r.diff())
 		}
 	}
-	if fs.notices || (fs.notices4 && v >= 4) {
+	if fs.notices {
 		n := r.count(12)
 		for i := 0; i < n && r.err == nil; i++ {
 			var nt Notice
