@@ -29,12 +29,15 @@ check-smoke:
 # live: the live DSM runtime's gate — all four apps on a 4-node in-proc
 # cluster under -race (result regions checked against a 1-node
 # reference), then a 2-node jacobi and a 2-node cholesky (both
-# protocols) over real TCP loopback sockets, and cholesky at bench scale
-# on one P, which only finishes in time if idle pollers park.
+# protocols) over real TCP loopback sockets, a 3-node LH cholesky (third-
+# party homes: one grant carries some pages' diffs and leaves others to
+# pulls), and cholesky at bench scale on one P, which only finishes in
+# time if idle pollers park.
 live:
 	$(GO) test -race -count=1 -timeout 300s ./internal/live/...
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 2 -transport tcp -scale test -check -timeout 60s
 	$(GO) run ./cmd/dsmd -app cholesky -protocol LH -nodes 2 -transport tcp -scale test -check -timeout 60s
+	$(GO) run ./cmd/dsmd -app cholesky -protocol LH -nodes 3 -transport tcp -scale test -check -timeout 60s
 	$(GO) run ./cmd/dsmd -app cholesky -protocol LI -nodes 2 -transport tcp -scale test -check -timeout 60s
 	GOMAXPROCS=1 timeout 60 $(GO) run ./cmd/dsmd -app cholesky -nodes 2 -transport tcp -scale bench -check
 

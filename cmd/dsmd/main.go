@@ -470,10 +470,10 @@ func scaleString(s harness.Scale) string {
 func printReport(appName, trans string, st *live.Stats, faults *chaos.Counters) {
 	fmt.Printf("%s on %d live nodes (%s, %s): %.1f ms\n",
 		appName, st.Nodes, st.Protocol, trans, float64(st.ElapsedNs)/1e6)
-	fmt.Printf("  msgs %d (%.1f KB), data %.1f KB, faults %d, fetches %d, pulls %d\n",
+	fmt.Printf("  msgs %d (%.1f KB), data %.1f KB, faults %d, fetches %d, pulls %d, grant diffs %d\n",
 		st.Total.MsgsSent, float64(st.Total.BytesSent)/1024,
 		float64(st.Total.DataBytes)/1024,
-		st.Total.PageFaults, st.Total.PageFetches, st.Total.DiffPulls)
+		st.Total.PageFaults, st.Total.PageFetches, st.Total.DiffPulls, st.Total.GrantDiffs)
 	fmt.Printf("  intervals %d, diffs created %d / applied %d (%.1f KB), invalidations %d\n",
 		st.Total.Intervals, st.Total.DiffsCreated, st.Total.DiffsApplied,
 		float64(st.Total.DiffBytes)/1024, st.Total.Invalidations)

@@ -135,7 +135,7 @@ func main() {
 
 	ro := runOpts{
 		prot: prot, trans: *trans, timeout: *timeout, listen: *listen,
-		supervised: *durable || *recoverRun || len(crashes) > 0,
+		supervised:  *durable || *recoverRun || len(crashes) > 0,
 		maxRestarts: *maxRestarts, ckptEvery: *ckptEvery,
 		crashes: crashes, seed: *chaosSeed, recoverRun: *recoverRun,
 	}

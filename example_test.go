@@ -42,11 +42,11 @@ type countingObserver struct {
 	intervals, diffs int
 }
 
-func (o *countingObserver) TwinCreated(int, lrcdsm.PageID)                            {}
-func (o *countingObserver) IntervalClosed(int, int32, lrcdsm.VC, []lrcdsm.PageID)     { o.intervals++ }
-func (o *countingObserver) EagerFlushed(int, int32, []lrcdsm.PageID)                  {}
-func (o *countingObserver) ClockAdvanced(int, lrcdsm.VC)                              {}
-func (o *countingObserver) DiffApplied(int, lrcdsm.PageID, int, int32, lrcdsm.VC)     {}
+func (o *countingObserver) TwinCreated(int, lrcdsm.PageID)                        {}
+func (o *countingObserver) IntervalClosed(int, int32, lrcdsm.VC, []lrcdsm.PageID) { o.intervals++ }
+func (o *countingObserver) EagerFlushed(int, int32, []lrcdsm.PageID)              {}
+func (o *countingObserver) ClockAdvanced(int, lrcdsm.VC)                          {}
+func (o *countingObserver) DiffApplied(int, lrcdsm.PageID, int, int32, lrcdsm.VC) {}
 func (o *countingObserver) CopyAdopted(proc int, pg lrcdsm.PageID, _ []int32, _ lrcdsm.VC) {
 	o.diffs++
 }

@@ -28,10 +28,10 @@ func Small() Params { return Params{N: 32, Iters: 4, PointCycles: 10} }
 
 // App is one configured Jacobi instance.
 type App struct {
-	p    Params
-	src  core.Addr
-	dst  core.Addr
-	bar  int
+	p   Params
+	src core.Addr
+	dst core.Addr
+	bar int
 }
 
 // New returns a Jacobi instance with the given parameters.

@@ -85,11 +85,11 @@ func eqFold(a, b string) bool {
 // Architectural defaults from Section 5.2 of the paper (OCR-reconstructed;
 // see DESIGN.md).
 const (
-	DefaultPageSize     = 4096
-	DefaultClockMHz     = 40
-	DefaultCacheBytes   = 64 * 1024
-	DefaultCacheLine    = 32
-	DefaultMemLatency   = 12
+	DefaultPageSize      = 4096
+	DefaultClockMHz      = 40
+	DefaultCacheBytes    = 64 * 1024
+	DefaultCacheLine     = 32
+	DefaultMemLatency    = 12
 	DefaultFixedOverhead = 1000 // cycles per message per end
 )
 

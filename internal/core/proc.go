@@ -244,13 +244,13 @@ type Proc struct {
 	// loser flushes per page when designated a winner (page requests are
 	// deferred until the merge completes), and flushes that arrived before
 	// our own departure (tracked per barrier episode).
-	eiLoserDiffs    []taggedDiff
-	eiFlushPending  map[page.ID]int
-	eiEarlyFlush    map[page.ID]int
-	eiEarlyEpisode  int64
-	eiFlushTotal    int
+	eiLoserDiffs     []taggedDiff
+	eiFlushPending   map[page.ID]int
+	eiEarlyFlush     map[page.ID]int
+	eiEarlyEpisode   int64
+	eiFlushTotal     int
 	deferredPageReqs []*msg
-	barWaiting      bool
+	barWaiting       bool
 
 	// per-processor accounting
 	pstats ProcStats
@@ -315,11 +315,11 @@ func (p *Proc) releaseFlushTokens(pgs []page.ID) {
 
 func newProc(s *System, id int) *Proc {
 	p := &Proc{
-		id:       id,
-		sys:      s,
-		sp:       s.eng.Procs()[id],
-		vt:       vc.New(s.cfg.Procs),
-		recByKey: make(map[int64]*intervalRec),
+		id:         id,
+		sys:        s,
+		sp:         s.eng.Procs()[id],
+		vt:         vc.New(s.cfg.Procs),
+		recByKey:   make(map[int64]*intervalRec),
 		recsByProc: make([][]*intervalRec, s.cfg.Procs),
 	}
 	if s.cfg.CacheBytes > 0 {

@@ -31,13 +31,13 @@ type RunStats struct {
 	Cycles sim.Time
 
 	// Message counters.
-	Msgs          int64 // total messages
-	SyncMsgs      int64 // ClassSync messages
-	DataMsgs      int64 // ClassData messages
-	SyncDataMsgs  int64 // sync messages that carried shared data (LH/LU grants)
-	LockMsgs      int64 // messages attributable to lock acquisition
-	BarrierMsgs   int64
-	MissMsgs      int64 // messages attributable to access misses
+	Msgs         int64 // total messages
+	SyncMsgs     int64 // ClassSync messages
+	DataMsgs     int64 // ClassData messages
+	SyncDataMsgs int64 // sync messages that carried shared data (LH/LU grants)
+	LockMsgs     int64 // messages attributable to lock acquisition
+	BarrierMsgs  int64
+	MissMsgs     int64 // messages attributable to access misses
 
 	// DataBytes is the shared data moved (diff and page payloads only;
 	// consistency metadata is not counted, as in the paper).
@@ -49,10 +49,10 @@ type RunStats struct {
 	DiffsApplied int64
 	TwinsCreated int64
 
-	LockAcquires    int64
-	LocalReacquires int64
-	LockWaitCycles  sim.Time
-	BarrierEpisodes int64
+	LockAcquires      int64
+	LocalReacquires   int64
+	LockWaitCycles    sim.Time
+	BarrierEpisodes   int64
 	BarrierWaitCycles sim.Time
 	MissWaitCycles    sim.Time
 	FlushWaitCycles   sim.Time // eager releases blocked on acknowledgements
@@ -68,8 +68,8 @@ type RunStats struct {
 	// DiffCycles is the computation charged for diff creation.
 	DiffCycles sim.Time
 
-	CacheHits   int64
-	CacheMisses int64
+	CacheHits    int64
+	CacheMisses  int64
 	SharedReads  int64
 	SharedWrites int64
 

@@ -30,8 +30,8 @@ type System struct {
 	brk      Addr
 	nlocks   int
 	nbars    int
-	lockTail []int   // distributed-queue tail per lock, kept at the lock's owner
-	ownerOf  []int32 // block page-ownership map, built at Run
+	lockTail []int        // distributed-queue tail per lock, kept at the lock's owner
+	ownerOf  []int32      // block page-ownership map, built at Run
 	allocs   [][2]page.ID // page ranges of Alloc/AllocPage calls
 
 	bar barrierEpisode
@@ -62,9 +62,9 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:          cfg,
-		net:          network.New(cfg.Net),
-		eng:          sim.New(cfg.Procs),
+		cfg:           cfg,
+		net:           network.New(cfg.Net),
+		eng:           sim.New(cfg.Procs),
 		flushBusy:     make(map[page.ID]int),
 		flushWaiters:  make(map[page.ID][]*Proc),
 		flushDeferred: make(map[page.ID][]*msg),

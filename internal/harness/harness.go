@@ -438,4 +438,3 @@ func (t *Table) Cell(rowLabel, col string) string {
 	}
 	return ""
 }
-

@@ -453,6 +453,7 @@ func addStats(dst, src *node.Stats) {
 	dst.PageFaults += src.PageFaults
 	dst.PageFetches += src.PageFetches
 	dst.DiffPulls += src.DiffPulls
+	dst.GrantDiffs += src.GrantDiffs
 	dst.TwinsCreated += src.TwinsCreated
 	dst.DiffsCreated += src.DiffsCreated
 	dst.DiffsApplied += src.DiffsApplied

@@ -133,11 +133,11 @@ func (k *ckptConfirmKiller) MsgSent(from, to int, kind wire.Kind, bytes int) {
 	}
 }
 
-func (k *ckptConfirmKiller) PageFault(int, page.ID)                 {}
-func (k *ckptConfirmKiller) IntervalClosed(int, int32, []page.ID)   {}
-func (k *ckptConfirmKiller) DiffApplied(int, page.ID, int, int32)   {}
-func (k *ckptConfirmKiller) Invalidated(int, page.ID)               {}
-func (k *ckptConfirmKiller) BarrierDeparted(int, int64)             {}
+func (k *ckptConfirmKiller) PageFault(int, page.ID)               {}
+func (k *ckptConfirmKiller) IntervalClosed(int, int32, []page.ID) {}
+func (k *ckptConfirmKiller) DiffApplied(int, page.ID, int, int32) {}
+func (k *ckptConfirmKiller) Invalidated(int, page.ID)             {}
+func (k *ckptConfirmKiller) BarrierDeparted(int, int64)           {}
 
 // TestFailoverMidConfirm kills the coordinator exactly when a
 // checkpoint confirmation is in flight to it, and the run must still

@@ -1092,10 +1092,12 @@ func (n *Node) homeRecordLocked(ps *lpage, wd wire.Diff, applyData bool) {
 // sibling lane (whose next acquire will advertise the new vector time
 // and be told nothing about these pages) can read the old copy. How the
 // page becomes readable again is the protocol: under LI it is fetched at
-// the next access; under LH cached copies are refreshed here by pulling
-// the missing diffs from the home; a page homed on this node waits, at
-// its next access, for the flush to land (the writer's release did not).
-func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice) {
+// the next access; under LH cached copies are refreshed here — from the
+// diffs the grant carried when they make the copy current, in this same
+// critical section (applyCarriedLocked), else by pulling the missing
+// diffs from the home; a page homed on this node waits, at its next
+// access, for the flush to land (the writer's release did not).
+func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice, carried []wire.Diff) {
 	notices = n.fillNotices(grantVT, notices)
 	var pulls []page.ID
 	n.mu.Lock()
@@ -1129,10 +1131,74 @@ func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice) {
 			}
 		}
 	}
+	if len(carried) > 0 {
+		pulls = n.applyCarriedLocked(pulls, carried)
+	}
 	n.mu.Unlock()
 	for _, pg := range pulls {
 		n.pullDiffs(pg)
 	}
+}
+
+// applyCarriedLocked makes current, from a grant's carried diffs, each
+// page of stale (copies that were readable until this grant's notices)
+// whose copy plus its carried diffs covers the page's need, and returns
+// the others for pullDiffs. All or nothing per page: a bundle that falls
+// short applies nothing. A readable copy already holds every interval up
+// to the acquirer's request time, and the granter carried the home's log
+// entries from there to the grant time, so applying the entries the copy
+// lacks, in log order, leaves it holding every interval of the page up
+// to the grant time. Caller holds Node.mu.
+func (n *Node) applyCarriedLocked(stale []page.ID, carried []wire.Diff) []page.ID {
+	rest := stale[:0]
+	var applied int64
+	for _, pg := range stale {
+		ps := &n.pages[pg]
+		if !carriedCovers(ps, pg, carried) {
+			rest = append(rest, pg)
+			continue
+		}
+		for _, wd := range carried {
+			w := int(wd.Writer)
+			if wd.D.Page != pg || ps.copyVT.CoversInterval(w, wd.Index) {
+				continue
+			}
+			wd.D.Apply(ps.data)
+			if ps.twin != nil {
+				wd.D.Apply(ps.twin)
+			}
+			ps.copyVT.Set(w, wd.Index)
+			applied++
+			if n.obs != nil {
+				n.obs.DiffApplied(n.id, pg, w, wd.Index)
+			}
+		}
+		ps.setState(true)
+		atomic.AddInt64(&n.stats.GrantDiffs, 1)
+	}
+	atomic.AddInt64(&n.stats.DiffsApplied, applied)
+	return rest
+}
+
+// carriedCovers reports whether pg's copy plus the carried diffs for it
+// reach the page's need in every slot.
+func carriedCovers(ps *lpage, pg page.ID, carried []wire.Diff) bool {
+	for w, idx := range ps.need {
+		if ps.copyVT.CoversInterval(w, idx) {
+			continue
+		}
+		found := false
+		for _, wd := range carried {
+			if wd.D.Page == pg && int(wd.Writer) == w && wd.Index >= idx {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // pullDiffs brings the cached copy of pg up to date from its home (LH

@@ -354,9 +354,10 @@ func TestOwnFlushHeldDuringRefetch(t *testing.T) {
 // Z then acquires a lock A released after that write; its request
 // advertises the node's vector time, so the grant names no page — and Z
 // must still not read the copy W has not refreshed yet. (This was the
-// serving front end's read-your-writes violation.)
+// serving front end's read-your-writes violation.) The page is homed at
+// a third node C, so A's grant cannot carry the diff and W must pull.
 func TestLaneAcquireDuringSiblingPull(t *testing.T) {
-	nodes, gates, stop := startGated(t, sameCfg(onePage(0, core.LH), 2)...)
+	nodes, gates, stop := startGated(t, sameCfg(onePage(2, core.LH), 3)...)
 	defer stop()
 	a, b := nodes[0], nodes[1]
 	gates[1].kind = wire.KDiffReq

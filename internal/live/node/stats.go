@@ -38,6 +38,10 @@ type Stats struct {
 	PageFaults  int64 `json:"page_faults"`  // core: AccessMisses
 	PageFetches int64 `json:"page_fetches"` // full-page copies installed
 	DiffPulls   int64 `json:"diff_pulls"`   // LH update pulls issued
+	// GrantDiffs counts LH pages made current from the diffs a lock grant
+	// carried instead of by a pull (DiffPulls + GrantDiffs is what the
+	// pulls alone would have been).
+	GrantDiffs int64 `json:"grant_diffs"`
 
 	TwinsCreated int64 `json:"twins_created"`
 	DiffsCreated int64 `json:"diffs_created"`
@@ -145,7 +149,7 @@ func (s *Stats) Snapshot() Stats {
 		{&out.DataBytes, &s.DataBytes},
 		{&out.SharedReads, &s.SharedReads}, {&out.SharedWrites, &s.SharedWrites},
 		{&out.PageFaults, &s.PageFaults}, {&out.PageFetches, &s.PageFetches},
-		{&out.DiffPulls, &s.DiffPulls},
+		{&out.DiffPulls, &s.DiffPulls}, {&out.GrantDiffs, &s.GrantDiffs},
 		{&out.TwinsCreated, &s.TwinsCreated}, {&out.DiffsCreated, &s.DiffsCreated},
 		{&out.DiffsApplied, &s.DiffsApplied}, {&out.DiffBytes, &s.DiffBytes},
 		{&out.Intervals, &s.Intervals}, {&out.Invalidations, &s.Invalidations},

@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lrcdsm/internal/core"
 	"lrcdsm/internal/live/wire"
 	"lrcdsm/internal/vc"
 )
@@ -248,7 +249,7 @@ func (n *Node) lockLane(id int, lane int64) {
 	n.mu.Unlock()
 	t0 := time.Now()
 	reply := n.rpcLane(n.lockHome(id), &wire.Msg{Kind: wire.KLockReq, Lock: int32(id), VT: reqVT}, lane)
-	n.applyNotices(reply.VT, reply.Notices)
+	n.applyNotices(reply.VT, reply.Notices, reply.Diffs)
 	n.mu.Lock()
 	lk.owned = true
 	lk.held = true
@@ -345,7 +346,8 @@ func (n *Node) handled() {
 // buildGrantLocked builds (and caches, for retransmitted requests) the
 // grant handing lock id to successor s: the last release's vector time
 // and the notices between the successor's time and it, from local
-// knowledge. Caller holds Node.mu.
+// knowledge, and under LH the diffs of the noticed pages homed here
+// (grantDiffsLocked). Caller holds Node.mu.
 func (n *Node) buildGrantLocked(id int, s *fwdReq) *wire.Msg {
 	lk := &n.sy.locks[id]
 	g := &wire.Msg{
@@ -355,8 +357,78 @@ func (n *Node) buildGrantLocked(id int, s *fwdReq) *wire.Msg {
 		VT:      append([]int32(nil), lk.relVT...),
 		Notices: n.noticesBetweenLocked(s.vt, lk.relVT),
 	}
+	if n.cfg.Protocol == core.LH && int(s.from) != n.id {
+		g.Diffs = n.grantDiffsLocked(s.vt, g.VT, g.Notices)
+	}
 	n.sy.clients[s.from].lane(s.token).cache(g)
 	return g
+}
+
+// grantDiffBudget bounds the diff payload one grant carries, far below
+// wire.MaxFrame; the pages past it are pulled.
+const grantDiffBudget = 64 << 10
+
+// grantDiffsLocked returns the diffs an LH grant with vector time gvt
+// carries to a requester whose vector time is req: for each page the
+// notices name whose home is this node, the page's log entries between
+// req and gvt — what handleDiffReq would serve a copy at req, less the
+// intervals the grant does not make the requester aware of — when the
+// home already holds every interval the notices name for the page and
+// the log reaches back to req. The acquirer applies a page's diffs only
+// if they make its copy current (applyCarriedLocked) and pulls the rest.
+// Caller holds Node.mu.
+func (n *Node) grantDiffsLocked(req, gvt []int32, notices []wire.Notice) []wire.Diff {
+	var order []int32
+	var held map[int32]bool // page -> every noticed interval is at the home
+	for _, nt := range notices {
+		for _, p := range nt.Pages {
+			if int(n.cfg.Homes[p]) != n.id {
+				continue
+			}
+			ok, seen := held[p]
+			if !seen {
+				if held == nil {
+					held = make(map[int32]bool)
+				}
+				order, ok = append(order, p), true
+			}
+			held[p] = ok && n.pages[p].homeVT.CoversInterval(int(nt.Writer), nt.Index)
+		}
+	}
+	var out []wire.Diff
+	budget := grantDiffBudget
+	for _, p := range order {
+		ps := &n.pages[p]
+		if !held[p] || !logReaches(ps.logBase, req) {
+			continue
+		}
+		start, size := len(out), 0
+		for _, wd := range ps.log {
+			w := int(wd.Writer)
+			if (w < len(req) && wd.Index <= req[w]) || w >= len(gvt) || wd.Index > gvt[w] {
+				continue
+			}
+			out = append(out, wd)
+			size += wd.D.SizeBytes()
+		}
+		if size > budget {
+			out = out[:start]
+			continue
+		}
+		budget -= size
+	}
+	return out
+}
+
+// logReaches reports whether a page log whose pruned prefix is base still
+// holds every entry past the vector time have (length untrusted).
+func logReaches(base vc.VC, have []int32) bool {
+	for w, b := range base {
+		if b > 0 && (w >= len(have) || have[w] < b) {
+			return false
+		}
+	}
+	return true
 }
 
 // ---- dispatcher side: locks ----
@@ -510,7 +582,7 @@ func (n *Node) Barrier(id int) {
 		Kind: wire.KBarArrive, Barrier: int32(id), Episode: episodeNext,
 		VT: vtSnap, Notices: own,
 	})
-	n.applyNotices(reply.VT, reply.Notices)
+	n.applyNotices(reply.VT, reply.Notices, nil)
 	n.mu.Lock()
 	n.sy.lastBarIdx = n.vt.Get(n.id)
 	n.mu.Unlock()

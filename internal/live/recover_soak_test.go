@@ -139,10 +139,10 @@ func TestRecoverySoakTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 			fcfg := chaos.Config{
-				Seed:     2,
-				DropP:    0.01,
-				DupP:     0.02,
-				Crashes:  crashSchedule(tc.app),
+				Seed:    2,
+				DropP:   0.01,
+				DupP:    0.02,
+				Crashes: crashSchedule(tc.app),
 			}
 			opts := RecoverOptions{
 				MaxRestarts:     4,

@@ -104,11 +104,11 @@ func IdealNet(bandwidthMbps, clockMHz float64) Params {
 
 // Stats accumulates network-level counters for a run.
 type Stats struct {
-	Frames      int64
-	WireBytes   int64    // payload + headers actually on the wire
-	WaitCycles  sim.Time // cycles senders spent waiting for the medium/links
-	BusyCycles  sim.Time // cycles the medium (Ethernet) or links (ATM) were busy
-	Backoffs    int64    // Ethernet collision-mode backoff episodes
+	Frames     int64
+	WireBytes  int64    // payload + headers actually on the wire
+	WaitCycles sim.Time // cycles senders spent waiting for the medium/links
+	BusyCycles sim.Time // cycles the medium (Ethernet) or links (ATM) were busy
+	Backoffs   int64    // Ethernet collision-mode backoff episodes
 }
 
 // Network models message timing. Send is called in global timestamp order

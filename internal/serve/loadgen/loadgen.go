@@ -425,9 +425,9 @@ func (o openHeap) Len() int { return len(o) }
 func (o openHeap) Less(i, j int) bool {
 	return o[i].reqs[o[i].next].At < o[j].reqs[o[j].next].At
 }
-func (o openHeap) Swap(i, j int)      { o[i], o[j] = o[j], o[i] }
-func (o *openHeap) Push(x any)        { *o = append(*o, x.(*clientState)) }
-func (o *openHeap) Pop() any          { old := *o; n := len(old); x := old[n-1]; *o = old[:n-1]; return x }
+func (o openHeap) Swap(i, j int) { o[i], o[j] = o[j], o[i] }
+func (o *openHeap) Push(x any)   { *o = append(*o, x.(*clientState)) }
+func (o *openHeap) Pop() any     { old := *o; n := len(old); x := old[n-1]; *o = old[:n-1]; return x }
 
 // runOpen issues requests on their open-loop schedule: the earliest
 // scheduled client goes next, the worker sleeps until its slot, and

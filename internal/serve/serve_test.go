@@ -98,15 +98,15 @@ func compareKeys(t *testing.T, scfg serve.Config, got, ref *serveRun, keys uint6
 // allocator order).
 type probeMem struct{}
 
-func (probeMem) Alloc(n int) core.Addr            { return 0 }
-func (probeMem) AllocPage(n int) core.Addr        { return 0 }
-func (probeMem) InitF64(core.Addr, float64)       {}
-func (probeMem) InitI64(core.Addr, int64)         {}
-func (probeMem) InitU64(core.Addr, uint64)        {}
-func (probeMem) NewLock() int                     { return 0 }
-func (probeMem) NewLocks(n int) int               { return 0 }
-func (probeMem) NewBarrier() int                  { return 0 }
-func (probeMem) Procs() int                       { return 1 }
+func (probeMem) Alloc(n int) core.Addr      { return 0 }
+func (probeMem) AllocPage(n int) core.Addr  { return 0 }
+func (probeMem) InitF64(core.Addr, float64) {}
+func (probeMem) InitI64(core.Addr, int64)   {}
+func (probeMem) InitU64(core.Addr, uint64)  {}
+func (probeMem) NewLock() int               { return 0 }
+func (probeMem) NewLocks(n int) int         { return 0 }
+func (probeMem) NewBarrier() int            { return 0 }
+func (probeMem) Procs() int                 { return 1 }
 
 func testServeCfg() serve.Config {
 	return serve.Config{Keys: 1 << 10, KeysPerPage: 64, Shards: 16, Workers: 2, QueueDepth: 128}
@@ -275,10 +275,10 @@ func TestServeConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []serve.Config{
-		{Keys: 1000},                        // not a power of two
-		{Keys: 64, KeysPerPage: 3},          // page size not divisible
-		{Keys: 64, KeysPerPage: 4096},       // < 8-byte slots
-		{Keys: 64, Route: "everywhere"},     // unknown route
+		{Keys: 1000},                    // not a power of two
+		{Keys: 64, KeysPerPage: 3},      // page size not divisible
+		{Keys: 64, KeysPerPage: 4096},   // < 8-byte slots
+		{Keys: 64, Route: "everywhere"}, // unknown route
 	} {
 		if _, serr := serve.NewStore(cl, bad); serr == nil {
 			t.Errorf("config %+v accepted, want error", bad)

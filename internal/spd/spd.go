@@ -238,4 +238,3 @@ func Cmod(s *Symbolic, vals []float64, j, k int, rowposJ map[int32]int32) {
 		vals[s.Colptr[j]+off] -= ljk * vals[p]
 	}
 }
-

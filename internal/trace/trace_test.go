@@ -55,7 +55,7 @@ func TestRingKeepsLatest(t *testing.T) {
 func TestChronologicalOrderAcrossWrap(t *testing.T) {
 	l := New(4)
 	for i := 0; i < 10; i++ {
-		l.Add(int64SimTime(i * 7), 1, MsgSend, int32(i), 2)
+		l.Add(int64SimTime(i*7), 1, MsgSend, int32(i), 2)
 	}
 	evs := l.Events()
 	for i := 1; i < len(evs); i++ {
