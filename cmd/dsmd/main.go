@@ -480,9 +480,9 @@ func printReport(appName, trans string, st *live.Stats, faults *chaos.Counters) 
 	fmt.Printf("  locks %d (wait %.1f ms), barriers %d (wait %.1f ms)\n",
 		st.Total.LockAcquires, float64(st.Total.LockWaitNs)/1e6,
 		st.Total.BarrierEpisodes, float64(st.Total.BarrierWaitNs)/1e6)
-	fmt.Printf("  release: flush drain %.1f ms (barriers, final flush), home-page wait %.1f ms, %d requests parked at homes, %d flush retransmits\n",
+	fmt.Printf("  release: flush drain %.1f ms (barriers, final flush), home-page wait %.1f ms, %d requests parked at homes, %d flush retransmits, %d acks carried on other frames\n",
 		float64(st.Total.FlushWaitNs)/1e6, float64(st.Total.HomeWaitNs)/1e6,
-		st.Total.ParkedReqs, st.Total.FlushRetransmits)
+		st.Total.ParkedReqs, st.Total.FlushRetransmits, st.Total.AcksCarried)
 	fmt.Printf("  lock plane: %d local reacquires, %d home forwards, %d handoffs, %d log-segment fetches, %d idle polls parked (%d by the backstop)\n",
 		st.Total.LockLocalAcquires, st.Total.LockForwards, st.Total.LockHandoffs,
 		st.Total.LogSegFetches, st.Total.BackoffParks, st.Total.BackoffTimeouts)

@@ -167,8 +167,8 @@ func (c Counters) Total() int64 {
 	return c.Dropped + c.Duplicated + c.Delayed + c.Resets + c.Partitioned + c.Crashes
 }
 
-// Transport wraps an inner transport with fault injection. Recv, Self, N
-// and Close delegate untouched; Send runs the fault schedule.
+// Transport wraps an inner transport with fault injection. Handle, Recv,
+// Self, N and Close delegate untouched; Send runs the fault schedule.
 type Transport struct {
 	inner transport.Transport
 	cfg   Config
@@ -242,6 +242,10 @@ func (t *Transport) Self() int { return t.inner.Self() }
 
 // N implements transport.Transport.
 func (t *Transport) N() int { return t.inner.N() }
+
+// Handle implements transport.Transport: the inner transport calls h,
+// so inbound frames see exactly the faults their senders injected.
+func (t *Transport) Handle(h func(transport.Frame)) { t.inner.Handle(h) }
 
 // Recv implements transport.Transport.
 func (t *Transport) Recv() (transport.Frame, error) { return t.inner.Recv() }

@@ -474,6 +474,7 @@ func addStats(dst, src *node.Stats) {
 	dst.HeartbeatsSent += src.HeartbeatsSent
 	dst.HeartbeatsRecv += src.HeartbeatsRecv
 	dst.FlushRetransmits += src.FlushRetransmits
+	dst.AcksCarried += src.AcksCarried
 	dst.CheckpointsTaken += src.CheckpointsTaken
 	dst.CheckpointBytes += src.CheckpointBytes
 	dst.StaleFrames += src.StaleFrames

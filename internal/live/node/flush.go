@@ -6,8 +6,13 @@ package node
 //
 // Writer side. Each release that dirtied pages homed elsewhere puts one
 // KWriteNotices flight per home in the air and keeps it registered until
-// that home's KAck retires it — on the pump, where the ack arrives
-// (routeReply); nobody is woken unless a worker is draining. A home
+// that home's ack retires it — in deliver, where the ack lands; nobody
+// is woken unless a worker is draining. An ack is a flush token in the
+// Acks header of whatever frame the home sends the writer next (most
+// often the grant for a lock request the writer queued behind its
+// flush), or of a standalone KAck when the home's dispatcher runs out of
+// work with acks still owed (see oweAck). Acks never cross a recovery
+// epoch: a restarted writer's tokens start again at 1. A home
 // tracks one version per writer and page, so it must apply one writer's
 // diffs to a page in interval order even when an earlier flight is lost
 // or overtaken. The sender guarantees it: a flight also carries, ahead of
@@ -121,27 +126,90 @@ func (n *Node) launchFlights(perHome [][]wire.Diff) []flush {
 	return out
 }
 
-// retireFlightLocked removes the flight to home that an ack for tok
-// answers, reporting whether there was one, and wakes a worker waiting
-// in awaitFlights. Caller holds Node.pmu.
-func (n *Node) retireFlightLocked(home int, tok int64) bool {
+// retireAcks removes the flights to home that acks name (a token with no
+// flight was acknowledged before, by an earlier copy) and wakes a worker
+// waiting in awaitFlights.
+func (n *Node) retireAcks(home int, acks []int64) {
 	if home < 0 || home >= len(n.flights) {
-		return false
+		return
 	}
-	fl := n.flights[home]
-	for i := range fl {
-		if fl[i].token != tok {
+	n.pmu.Lock()
+	defer n.pmu.Unlock()
+	for _, tok := range acks {
+		fl := n.flights[home]
+		for i := range fl {
+			if fl[i].token != tok {
+				continue
+			}
+			n.flights[home] = append(fl[:i], fl[i+1:]...)
+			n.inflight.Add(-1)
+			if n.retired != nil {
+				close(n.retired)
+				n.retired = nil
+			}
+			break
+		}
+	}
+}
+
+// owedAcks is what a home owes one writer: the tokens of flushes it has
+// applied and not yet acknowledged, all stamped with one recovery epoch.
+type owedAcks struct {
+	epoch uint32
+	toks  []int64
+}
+
+// oweAck records that writer w's flush tok, stamped with epoch, has been
+// handled and is owed its ack. Acks still owed from another epoch are
+// dropped: they name flights of a discarded execution.
+func (n *Node) oweAck(w int, tok int64, epoch uint32) {
+	n.pmu.Lock()
+	o := &n.owed[w]
+	if o.epoch != epoch {
+		o.epoch, o.toks = epoch, o.toks[:0]
+	}
+	o.toks = append(o.toks, tok)
+	n.owing[w].Store(true)
+	n.pmu.Unlock()
+}
+
+// takeAcks appends to dst, and stops owing, the acks owed to writer w
+// that a frame stamped with epoch may carry: only acks of that epoch —
+// the writer's flights of any other are gone, or belong to a fresh
+// incarnation whose tokens start again at 1. Owed acks of an epoch this
+// node has left are discarded; those of its current epoch stay for a
+// frame of their own epoch (this one is a retransmission from an older).
+func (n *Node) takeAcks(w int, epoch uint32, dst []int64) []int64 {
+	n.pmu.Lock()
+	defer n.pmu.Unlock()
+	o := &n.owed[w]
+	if o.epoch == epoch {
+		dst = append(dst, o.toks...)
+	} else if o.epoch == n.epoch.Load() {
+		return dst
+	}
+	o.toks = o.toks[:0]
+	n.owing[w].Store(false)
+	return dst
+}
+
+// sendOwedAcks sends each writer still owed acks one standalone KAck
+// (Token 0) carrying them: after every dispatcher turn that leaves its
+// queue empty, and after the checkpoint capture's drain.
+func (n *Node) sendOwedAcks() {
+	epoch := n.epoch.Load()
+	for w := range n.owing {
+		if !n.owing[w].Load() {
 			continue
 		}
-		n.flights[home] = append(fl[:i], fl[i+1:]...)
-		n.inflight.Add(-1)
-		if n.retired != nil {
-			close(n.retired)
-			n.retired = nil
+		var buf [8]int64
+		if acks := n.takeAcks(w, epoch, buf[:0]); len(acks) > 0 {
+			m := &wire.Msg{Kind: wire.KAck}
+			n.stamp(m, epoch)
+			// A lost ack costs the writer a retransmission, nothing more.
+			_ = n.transmit(w, m, acks)
 		}
-		return true
 	}
-	return false
 }
 
 // armRetryLocked schedules retryFlights in d. Caller holds Node.pmu.

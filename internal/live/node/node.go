@@ -28,13 +28,16 @@
 // coordination), replicated on every node and served by the elected
 // leader (see manager.go); without recovery node 0 judges.
 //
-// Each node runs three goroutine roles: the worker (application code,
-// calling the core.Worker operations), a pump draining the transport
-// (routing replies straight to waiting requesters), and a dispatcher
-// serving requests (page fetches, diff pulls, flushes, and the
-// manager's). Workers never hold the node mutex across a message
-// wait, and only the worker invalidates its own pages, so faults cannot
-// race an invalidation.
+// Each node runs two goroutine roles of its own: the worker (application
+// code, calling the core.Worker operations) and a dispatcher serving
+// requests (page fetches, diff pulls, flushes, and the manager's).
+// Inbound frames are handled where they land (deliver, the transport's
+// frame handler — a TCP connection's reader, an in-process sender):
+// replies go straight to their waiting requesters, the acks a frame
+// carries retire flush flights, requests join the dispatcher's queue.
+// Workers never hold the node mutex across a message wait, and only the
+// worker invalidates its own pages, so faults cannot race an
+// invalidation.
 //
 // The paper's systems catch shared accesses with the VM hardware, so a
 // hit on a valid page is free. Here a hit by the node's own worker is
@@ -278,7 +281,7 @@ type Node struct {
 	lastSnap *ckpt.NodeSnapshot
 
 	// epoch is the cluster recovery epoch this engine currently belongs
-	// to; the pump and dispatcher fence frames from other epochs when
+	// to; deliver and the dispatcher fence frames from other epochs when
 	// recovery is enabled. incarnation numbers this engine's restarts.
 	epoch       atomic.Uint32
 	incarnation uint32
@@ -312,6 +315,13 @@ type Node struct {
 	retryArmed bool
 	retryTimer *time.Timer
 
+	// Owed flush acks (home side; see flush.go): owed[w], under pmu, holds
+	// the flushes from writer w applied here and not yet acknowledged;
+	// owing[w] is set while it is non-empty, so a send to a peer owed
+	// nothing pays one atomic load.
+	owed  []owedAcks
+	owing []atomic.Bool
+
 	// mgr is this node's manager replica, non-nil exactly when recovery
 	// is enabled (the elected leader serves).
 	mgr *manager
@@ -333,8 +343,8 @@ type Node struct {
 	rngState atomic.Uint64
 
 	// lastHeard[w] (manager replicas, and node 0 without recovery) is the
-	// unix-nano time this node last received any frame from peer w; the
-	// pump stamps it, the liveness sweep reads it. Accessed with atomics.
+	// unix-nano time this node last received any frame from peer w;
+	// deliver stamps it, the liveness sweep reads it. Accessed with atomics.
 	lastHeard []int64
 	// hbCheck wakes the dispatcher to run a liveness sweep, so the check
 	// reads manager state from the goroutine that owns it.
@@ -381,6 +391,8 @@ func New(tr transport.Transport, cfg Config) *Node {
 		inq:     make(chan *wire.Msg, inqDepth),
 		pending: make(map[int64]chan *wire.Msg),
 		flights: make([][]flushFlight, tr.N()),
+		owed:    make([]owedAcks, tr.N()),
+		owing:   make([]atomic.Bool, tr.N()),
 		intrCh:  make(chan struct{}),
 		wake:    make(chan struct{}, 1),
 		ctl:     make(chan func()),
@@ -515,14 +527,15 @@ func (n *Node) consensusSend(to int, m *wire.Msg) {
 	}
 }
 
-// Start launches the node's pump and dispatcher goroutines, the manager
-// replica, and the liveness machinery on clusters of more than one
-// node: every node beats a heartbeat at the liveness judge, and the
-// nodes that stamp peers sweep for silent ones.
+// Start registers the node's frame handler with the transport (frames
+// that arrived before are handed over first) and launches the dispatcher
+// goroutine, the manager replica, and the liveness machinery on clusters
+// of more than one node: every node beats a heartbeat at the liveness
+// judge, and the nodes that stamp peers sweep for silent ones.
 func (n *Node) Start() {
-	n.wg.Add(2)
-	go n.pump()
+	n.wg.Add(1)
 	go n.dispatch()
+	n.tr.Handle(n.deliver)
 	if g := n.mgr; g != nil {
 		g.rep.Start()
 		for p, lane := range n.repOut {
@@ -625,8 +638,8 @@ func (n *Node) Err() error {
 	return n.err
 }
 
-// Wait blocks until the pump and dispatcher have exited (after Close and
-// the transport's Close).
+// Wait blocks until the dispatcher and the node's other goroutines have
+// exited (after Close).
 func (n *Node) Wait() { n.wg.Wait() }
 
 // Stats returns a snapshot of the node's counters.
@@ -1483,10 +1496,7 @@ func (n *Node) send(to int, m *wire.Msg) error { return n.sendEpoch(to, m, n.epo
 // the worker, so it carries the epoch it was built in and a copy resent
 // across a rollback is fenced like any other pre-rollback frame.
 func (n *Node) sendEpoch(to int, m *wire.Msg, epoch uint32) error {
-	m.From = int32(n.id)
-	if n.cfg.Recover != nil {
-		m.Epoch = epoch
-	}
+	n.stamp(m, epoch)
 	if to == n.id {
 		atomic.AddInt64(&n.stats.MsgsSent, 1)
 		atomic.AddInt64(&n.stats.MsgsRecv, 1)
@@ -1505,7 +1515,28 @@ func (n *Node) sendEpoch(to int, m *wire.Msg, epoch uint32) error {
 			return transport.ErrClosed
 		}
 	}
-	b := wire.Encode(m)
+	// Whatever goes to a writer carries the flush acks owed to it.
+	var acks []int64
+	if n.owing[to].Load() {
+		var buf [8]int64
+		acks = n.takeAcks(to, epoch, buf[:0])
+		atomic.AddInt64(&n.stats.AcksCarried, int64(len(acks)))
+	}
+	return n.transmit(to, m, acks)
+}
+
+// stamp sets m's envelope: the sender, and the recovery epoch when
+// recovery is enabled.
+func (n *Node) stamp(m *wire.Msg, epoch uint32) {
+	m.From = int32(n.id)
+	if n.cfg.Recover != nil {
+		m.Epoch = epoch
+	}
+}
+
+// transmit encodes m, carrying acks, and hands it to the transport.
+func (n *Node) transmit(to int, m *wire.Msg, acks []int64) error {
+	b := wire.EncodeAcks(m, acks)
 	atomic.AddInt64(&n.stats.MsgsSent, 1)
 	atomic.AddInt64(&n.stats.BytesSent, int64(len(b)))
 	if len(m.Data) > 0 {
@@ -1528,15 +1559,9 @@ func (n *Node) routeReply(m *wire.Msg) {
 	n.pmu.Lock()
 	ch := n.pending[m.Token]
 	delete(n.pending, m.Token)
-	// A flush acknowledgement has no waiter to wake: it retires its
-	// flight right here, on the pump.
-	retired := ch == nil && m.Kind == wire.KAck && n.retireFlightLocked(int(m.From), m.Token)
 	n.pmu.Unlock()
 	if ch != nil {
 		ch <- m
-		return
-	}
-	if retired {
 		return
 	}
 	// No waiter: a duplicate or late reply to a token already resolved
@@ -1545,59 +1570,59 @@ func (n *Node) routeReply(m *wire.Msg) {
 	atomic.AddInt64(&n.stats.DupReplies, 1)
 }
 
-// pump drains the transport for the node's lifetime, routing replies to
-// their waiters and requests to the dispatcher.
-func (n *Node) pump() {
-	defer n.wg.Done()
-	for {
-		f, err := n.tr.Recv()
-		if err != nil {
-			return
-		}
-		m, err := wire.Decode(f.Payload)
-		if err != nil {
-			n.fail(fmt.Errorf("node %d: bad frame from %d: %w", n.id, f.From, err))
-			return
-		}
-		atomic.AddInt64(&n.stats.MsgsRecv, 1)
-		atomic.AddInt64(&n.stats.BytesRecv, int64(len(f.Payload)))
-		// Epoch fence: a frame from a previous recovery epoch — a delayed
-		// or retransmitted message from before a rollback, possibly from a
-		// dead incarnation whose tokens collide with the live one's — must
-		// not reach the waiter tables or the dispatcher.
-		if n.cfg.Recover != nil && m.Epoch != n.epoch.Load() {
-			atomic.AddInt64(&n.stats.StaleFrames, 1)
-			continue
-		}
-		// Any frame proves its sender alive; the manager's liveness sweep
-		// reads these stamps.
-		if n.lastHeard != nil && f.From >= 0 && f.From < len(n.lastHeard) {
-			atomic.StoreInt64(&n.lastHeard[f.From], time.Now().UnixNano())
-		}
-		if m.Kind == wire.KHeartbeat {
-			atomic.AddInt64(&n.stats.HeartbeatsRecv, 1)
-			continue // carries nothing beyond the liveness stamp
-		}
+// deliver is the transport's frame handler, run on the goroutine the
+// frame arrived on: it routes replies to their waiters, retires the
+// flush flights the frame acknowledges, and queues requests for the
+// dispatcher.
+func (n *Node) deliver(f transport.Frame) {
+	m, err := wire.Decode(f.Payload)
+	if err != nil {
+		n.fail(fmt.Errorf("node %d: bad frame from %d: %w", n.id, f.From, err))
+		return
+	}
+	atomic.AddInt64(&n.stats.MsgsRecv, 1)
+	atomic.AddInt64(&n.stats.BytesRecv, int64(len(f.Payload)))
+	// Epoch fence: a frame from a previous recovery epoch — a delayed
+	// or retransmitted message from before a rollback, possibly from a
+	// dead incarnation whose tokens collide with the live one's — must
+	// not reach the waiter tables, the flights or the dispatcher.
+	if n.cfg.Recover != nil && m.Epoch != n.epoch.Load() {
+		atomic.AddInt64(&n.stats.StaleFrames, 1)
+		return
+	}
+	if len(m.Acks) > 0 {
+		n.retireAcks(int(m.From), m.Acks)
+	}
+	// Any frame proves its sender alive; the manager's liveness sweep
+	// reads these stamps.
+	if n.lastHeard != nil && f.From >= 0 && f.From < len(n.lastHeard) {
+		atomic.StoreInt64(&n.lastHeard[f.From], time.Now().UnixNano())
+	}
+	switch m.Kind {
+	case wire.KHeartbeat:
+		atomic.AddInt64(&n.stats.HeartbeatsRecv, 1)
+		return // carries nothing beyond the liveness stamp
+	case wire.KVoteReq, wire.KVoteResp, wire.KAppend, wire.KAppendAck,
+		wire.KSnapInstall, wire.KSnapAck:
 		// Consensus traffic bypasses the dispatcher: the replica runs its
 		// own event loop and its protocol is self-retrying, so a full
 		// inbox may simply drop.
-		switch m.Kind {
-		case wire.KVoteReq, wire.KVoteResp, wire.KAppend, wire.KAppendAck,
-			wire.KSnapInstall, wire.KSnapAck:
-			if g := n.mgr; g != nil {
-				g.rep.Deliver(m)
-			}
-			continue
+		if g := n.mgr; g != nil {
+			g.rep.Deliver(m)
 		}
-		if isReply(m.Kind) {
-			n.routeReply(m)
-			continue
+		return
+	case wire.KAck:
+		if m.Token == 0 {
+			return // a standalone carrier of flush acks, retired above
 		}
-		select {
-		case n.inq <- m:
-		case <-n.done:
-			return
-		}
+	}
+	if isReply(m.Kind) {
+		n.routeReply(m)
+		return
+	}
+	select {
+	case n.inq <- m:
+	case <-n.done:
 	}
 }
 
@@ -1615,13 +1640,16 @@ func (n *Node) dispatch() {
 		case <-n.done:
 			return
 		}
+		if len(n.inq) == 0 {
+			n.sendOwedAcks()
+		}
 		n.handled()
 	}
 }
 
 func (n *Node) handle(m *wire.Msg) {
-	// Re-check the epoch fence: the epoch may have been bumped after the
-	// pump queued this message but before the dispatcher got to it.
+	// Re-check the epoch fence: the epoch may have been bumped after
+	// deliver queued this message but before the dispatcher got to it.
 	if n.cfg.Recover != nil && m.Epoch != n.epoch.Load() {
 		atomic.AddInt64(&n.stats.StaleFrames, 1)
 		return
@@ -1744,7 +1772,11 @@ func (n *Node) handleDiffReq(m *wire.Msg) {
 // flush repeats the sender's older unacknowledged diffs for its pages,
 // so a diff the home already holds (by its per-writer version) is
 // skipped: re-applying it could clobber a newer write that landed on the
-// same words in between.
+// same words in between. The ack is owed rather than sent: it rides the
+// next frame to the writer — often the grant for a lock request queued
+// behind the flush — or, failing that, a standalone ack once the
+// dispatcher's queue runs dry (the checkpoint capture's drain, off the
+// dispatcher, sends its acks when it is done).
 func (n *Node) handleWriteNotices(m *wire.Msg) {
 	var applied int64
 	n.mu.Lock()
@@ -1776,8 +1808,10 @@ func (n *Node) handleWriteNotices(m *wire.Msg) {
 		ready = n.unparkLocked()
 	}
 	n.mu.Unlock()
+	// Always ack — including pure duplicates, whose original ack was lost.
+	n.oweAck(int(m.From), m.Token, m.Epoch)
 	// The parked requesters are on someone's critical path; the ack no
-	// longer is.
+	// longer is (and rides their replies to the writer, if any).
 	for i := range ready {
 		n.handle(ready[i].msg())
 	}
@@ -1785,9 +1819,5 @@ func (n *Node) handleWriteNotices(m *wire.Msg) {
 	if applied == 0 && len(m.Diffs) > 0 {
 		// Nothing new in the whole flush: a retransmission or a duplicate.
 		atomic.AddInt64(&n.stats.DupRequests, 1)
-	}
-	// Always ack — including pure duplicates, whose original ack was lost.
-	if err := n.send(int(m.From), &wire.Msg{Kind: wire.KAck, Token: m.Token}); err != nil {
-		return
 	}
 }

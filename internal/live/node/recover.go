@@ -98,8 +98,8 @@ func (e *RollbackError) Error() string {
 // ---- worker interrupt ----
 
 // InterruptWorker unwinds this node's worker out of whatever it is doing
-// — including RPC waits — with err. The engine (pump, dispatcher,
-// heartbeat) keeps running; the worker panics out at its next shared
+// — including RPC waits — with err. The engine (frame handler,
+// dispatcher, heartbeat) keeps running; the worker panics out at its next shared
 // access or wait and the interrupt stays armed until ClearInterrupt.
 func (n *Node) InterruptWorker(err error) {
 	n.intrMu.Lock()
@@ -327,6 +327,7 @@ func (n *Node) captureCheckpoint(episode int64) {
 	for _, m := range gated {
 		n.handleWriteNotices(m)
 	}
+	n.sendOwedAcks()
 
 	if rc.Replicate && !n.mgr.isLeader() {
 		n.pushSnapshot(episode, ckpt.EncodeNode(snap))

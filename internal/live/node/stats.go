@@ -12,7 +12,7 @@ import (
 // mapping table in DESIGN.md §9), so live runs and simulated runs report
 // comparable numbers; wait times are real wall-clock nanoseconds instead
 // of simulated cycles. All fields are updated with atomics — a node's
-// worker, dispatcher and pump touch them concurrently — with one
+// worker, dispatcher and frame handler touch them concurrently — with one
 // indirection: the own worker counts its lock-free SharedReads and
 // SharedWrites privately and adds them in whenever it enters the engine
 // (Node.foldHits), so a snapshot taken mid-run can trail by the hits
@@ -78,6 +78,9 @@ type Stats struct {
 	// FlushRetransmits is the share of RPCRetries spent on flush flights:
 	// KWriteNotices messages the retry timer resent for want of an ack.
 	FlushRetransmits int64 `json:"flush_retransmits"`
+	// AcksCarried counts flush acks this node, as a home, sent on a frame
+	// it was sending the writer anyway instead of on a standalone ack.
+	AcksCarried int64 `json:"acks_carried"`
 
 	// Recovery counters: the checkpoint/rejoin machinery's activity. All
 	// zero unless recovery is configured.
@@ -160,7 +163,7 @@ func (s *Stats) Snapshot() Stats {
 		{&out.RPCRetries, &s.RPCRetries}, {&out.DupRequests, &s.DupRequests},
 		{&out.DupReplies, &s.DupReplies},
 		{&out.HeartbeatsSent, &s.HeartbeatsSent}, {&out.HeartbeatsRecv, &s.HeartbeatsRecv},
-		{&out.FlushRetransmits, &s.FlushRetransmits},
+		{&out.FlushRetransmits, &s.FlushRetransmits}, {&out.AcksCarried, &s.AcksCarried},
 		{&out.CheckpointsTaken, &s.CheckpointsTaken}, {&out.CheckpointBytes, &s.CheckpointBytes},
 		{&out.StaleFrames, &s.StaleFrames},
 		{&out.LockWaitNs, &s.LockWaitNs}, {&out.BarrierWaitNs, &s.BarrierWaitNs},

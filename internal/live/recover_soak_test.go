@@ -25,28 +25,38 @@ import (
 // after the victim's worker already returned — a kill the supervisor
 // rightly ignores. Counting the victim's own sends (Local) pins the
 // first kill inside its worker and the second inside rejoin/replay.
-func crashSchedule(app string) []chaos.Crash {
+//
+// water's whole run is about 2 000 frames, too few for a second
+// threshold to land reliably, so its second kill is keyed on the rejoin
+// instead: the returned postRecoveryKiller (nil for the other apps)
+// fires once the restarted victim has sent a few frames of its own.
+func crashSchedule(app string) ([]chaos.Crash, *postRecoveryKiller) {
 	if app == "tsp" {
 		return []chaos.Crash{
 			{Node: 2, AtOp: 1, Local: true, RestartAfter: 5 * time.Millisecond},
 			{Node: 2, AtOp: 6, Local: true, RestartAfter: 5 * time.Millisecond},
-		}
+		}, nil
+	}
+	if app == "water" {
+		return []chaos.Crash{
+			{Node: 2, AtOp: 1000, RestartAfter: 5 * time.Millisecond},
+		}, &postRecoveryKiller{target: 2, n: 10}
 	}
 	ops := map[string][2]int64{
 		"jacobi":   {25, 50},
-		"water":    {1000, 2200},
 		"cholesky": {1000, 4000},
 	}[app]
 	return []chaos.Crash{
 		{Node: 2, AtOp: ops[0], RestartAfter: 5 * time.Millisecond},
 		{Node: 2, AtOp: ops[1], RestartAfter: 5 * time.Millisecond},
-	}
+	}, nil
 }
 
-// runAppSupervised executes one workload under a crash schedule on a
+// runAppSupervised executes one workload under a crash schedule — and,
+// if rekill is not nil, a kill keyed on the first rejoin — on a
 // supervised cluster and returns the finished cluster and stats.
 func runAppSupervised(t *testing.T, name string, prot core.Protocol, nodes int,
-	inner transport.Network, fcfg chaos.Config, opts RecoverOptions) (*Cluster, *Stats, *chaos.Net) {
+	inner transport.Network, fcfg chaos.Config, opts RecoverOptions, rekill *postRecoveryKiller) (*Cluster, *Stats, *chaos.Net) {
 	t.Helper()
 	app, err := harness.NewApp(name, harness.ScaleTest)
 	if err != nil {
@@ -57,6 +67,10 @@ func runAppSupervised(t *testing.T, name string, prot core.Protocol, nodes int,
 	nw := chaos.WrapNet(inner, fcfg)
 	cfg := chaosConfig(nodes, prot, nil)
 	cfg.Net = nw
+	if rekill != nil {
+		rekill.kill = func() { cl.Kill(rekill.target, 5*time.Millisecond) }
+		cfg.Observer = rekill
+	}
 	cl, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,16 +97,20 @@ func TestRecoverySoakInproc(t *testing.T) {
 			name, prot := name, prot
 			t.Run(fmt.Sprintf("%s/%v", name, prot), func(t *testing.T) {
 				t.Parallel()
-				fcfg := chaos.Config{Seed: 1, Crashes: crashSchedule(name)}
+				crashes, rekill := crashSchedule(name)
+				fcfg := chaos.Config{Seed: 1, Crashes: crashes}
 				opts := RecoverOptions{
 					MaxRestarts:     4,
 					CheckpointEvery: 1,
 					Replicate:       true,
 					Seed:            1,
 				}
-				got, stats, nw := runAppSupervised(t, name, prot, 4, transport.NewInprocNet(4), fcfg, opts)
+				got, stats, nw := runAppSupervised(t, name, prot, 4, transport.NewInprocNet(4), fcfg, opts, rekill)
 				if c := nw.Counters().Crashes; c == 0 {
 					t.Fatal("crash schedule fired no kills — the soak exercised nothing")
+				}
+				if rekill != nil && !rekill.fired.Load() {
+					t.Error("the second kill, keyed on the rejoin, never fired")
 				}
 				if stats.Restarts == 0 {
 					t.Error("kills fired but the supervisor recorded no restarts")
@@ -138,11 +156,12 @@ func TestRecoverySoakTCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			crashes, rekill := crashSchedule(tc.app)
 			fcfg := chaos.Config{
 				Seed:    2,
 				DropP:   0.01,
 				DupP:    0.02,
-				Crashes: crashSchedule(tc.app),
+				Crashes: crashes,
 			}
 			opts := RecoverOptions{
 				MaxRestarts:     4,
@@ -150,7 +169,7 @@ func TestRecoverySoakTCP(t *testing.T) {
 				Replicate:       true,
 				Seed:            2,
 			}
-			got, stats, nw := runAppSupervised(t, tc.app, tc.prot, 4, inner, fcfg, opts)
+			got, stats, nw := runAppSupervised(t, tc.app, tc.prot, 4, inner, fcfg, opts, rekill)
 			if nw.Counters().Crashes == 0 {
 				t.Fatal("crash schedule fired no kills over TCP")
 			}
@@ -176,7 +195,7 @@ func TestRecoveryLostStore(t *testing.T) {
 		Seed:             3,
 		LoseStoreOnCrash: true,
 	}
-	got, stats, nw := runAppSupervised(t, "jacobi", core.LH, 4, transport.NewInprocNet(4), fcfg, opts)
+	got, stats, nw := runAppSupervised(t, "jacobi", core.LH, 4, transport.NewInprocNet(4), fcfg, opts, nil)
 	if nw.Counters().Crashes == 0 {
 		t.Fatal("crash schedule fired no kills")
 	}
@@ -207,7 +226,7 @@ func TestRecoveryDirStore(t *testing.T) {
 		Stores:          stores,
 		Seed:            4,
 	}
-	got, stats, _ := runAppSupervised(t, "jacobi", core.LI, 4, transport.NewInprocNet(4), fcfg, opts)
+	got, stats, _ := runAppSupervised(t, "jacobi", core.LI, 4, transport.NewInprocNet(4), fcfg, opts, nil)
 	if stats.Restarts == 0 {
 		t.Error("kill fired but no restart recorded")
 	}
@@ -234,7 +253,7 @@ func TestRecoveryLockHomeCrash(t *testing.T) {
 				Replicate:       true,
 				Seed:            8,
 			}
-			got, stats, nw := runAppSupervised(t, "tsp", prot, 4, transport.NewInprocNet(4), fcfg, opts)
+			got, stats, nw := runAppSupervised(t, "tsp", prot, 4, transport.NewInprocNet(4), fcfg, opts, nil)
 			if nw.Counters().Crashes == 0 {
 				t.Fatal("crash schedule fired no kills")
 			}
@@ -257,7 +276,7 @@ func TestPartitionHealSupervised(t *testing.T) {
 		},
 	}
 	opts := RecoverOptions{MaxRestarts: 2, CheckpointEvery: 1, Seed: 5}
-	got, stats, _ := runAppSupervised(t, "water", core.LH, 4, transport.NewInprocNet(4), fcfg, opts)
+	got, stats, _ := runAppSupervised(t, "water", core.LH, 4, transport.NewInprocNet(4), fcfg, opts, nil)
 	if stats.Restarts != 0 {
 		t.Errorf("transient partition burned %d restarts; retries should have ridden it out", stats.Restarts)
 	}

@@ -12,27 +12,44 @@ import (
 
 // TestTCPLoopbackSmoke runs a small Jacobi on a 2-node cluster over real
 // TCP loopback sockets and compares the result regions against a 1-node
-// in-process reference. A hard timeout turns a wedged protocol into a
-// test failure instead of a hung suite.
+// in-process reference.
 func TestTCPLoopbackSmoke(t *testing.T) {
-	const nodes = 2
-	done := make(chan struct{})
+	if stats := runTCPAgainstReference(t, "jacobi", core.LH, 2); stats != nil && stats.Total.BytesSent == 0 {
+		t.Error("TCP run moved no bytes")
+	}
+}
+
+// TestCholeskyTCPFourNodes runs cholesky on four TCP nodes, where every
+// node's frames are handled on three connection readers at once and
+// flush acks ride lock traffic among all of them, against the 1-node
+// reference.
+func TestCholeskyTCPFourNodes(t *testing.T) {
+	if stats := runTCPAgainstReference(t, "cholesky", core.LH, 4); stats != nil && stats.Total.AcksCarried == 0 {
+		t.Error("no flush ack rode another frame")
+	}
+}
+
+// runTCPAgainstReference runs app on an n-node TCP loopback cluster and
+// compares its result regions with a 1-node in-process run, returning
+// the TCP run's stats (nil if it failed). A hard timeout turns a wedged
+// protocol into a test failure instead of a hung suite.
+func runTCPAgainstReference(t *testing.T, name string, prot core.Protocol, nodes int) *Stats {
+	t.Helper()
+	done := make(chan *Stats, 1)
 	go func() {
-		defer close(done)
+		var stats *Stats
+		defer func() { done <- stats }()
 		trs, err := transport.NewTCPLoopback(nodes, transport.TCPOptions{})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		got, stats := runApp(t, "jacobi", core.LH, nodes, trs)
+		got, st := runApp(t, name, prot, nodes, trs)
 		if t.Failed() {
 			return
 		}
-		if stats.Total.BytesSent == 0 {
-			t.Error("TCP run moved no bytes")
-		}
-		ref, _ := runApp(t, "jacobi", core.LH, 1, nil)
-		app, err := harness.NewApp("jacobi", harness.ScaleTest)
+		ref, _ := runApp(t, name, prot, 1, nil)
+		app, err := harness.NewApp(name, harness.ScaleTest)
 		if err != nil {
 			t.Error(err)
 			return
@@ -41,10 +58,13 @@ func TestTCPLoopbackSmoke(t *testing.T) {
 		for _, v := range check.CompareRegions(got, ref, ra.ResultRegions()) {
 			t.Errorf("region mismatch over TCP: %s", v.String())
 		}
+		stats = st
 	}()
 	select {
-	case <-done:
+	case stats := <-done:
+		return stats
 	case <-time.After(120 * time.Second):
-		t.Fatal("TCP loopback smoke test exceeded hard timeout")
+		t.Fatalf("%s over TCP exceeded hard timeout", name)
+		return nil
 	}
 }

@@ -5,11 +5,6 @@ import (
 	"sync"
 )
 
-// inboxDepth bounds each node's inbound queue. The protocol's dispatchers
-// drain their inboxes continuously, so the depth only has to absorb
-// bursts (a barrier fan-in of N arrivals, a batch of diff flushes).
-const inboxDepth = 4096
-
 // InprocNet is an in-process network: one transport slot per node, with
 // Rejoin replacing a slot by a fresh incarnation (the crashed node's old
 // inbox is abandoned, like frames lost on a dead host).
@@ -43,7 +38,7 @@ func (nw *InprocNet) Transports() []Transport {
 }
 
 // Rejoin implements Network: it closes node i's current transport and
-// replaces it with a fresh incarnation. Frames in the old inbox are
+// replaces it with a fresh incarnation. Frames queued at the old one are
 // dropped — exactly what a crash does — and concurrent Sends race
 // harmlessly: they deliver to whichever incarnation the slot held when
 // they looked it up, and a closed incarnation drops silently.
@@ -75,20 +70,22 @@ func (nw *InprocNet) peer(i int) *Inproc {
 	return nw.slots[i]
 }
 
-// Inproc is one node's in-process transport: an inbox channel fed by the
-// peers' Sends through the network's slot table.
+// Inproc is one node's in-process transport: the peers' Sends reach it
+// through the network's slot table and run its frame handler on the
+// sending goroutine.
 type Inproc struct {
 	net  *InprocNet
 	self int
 	n    int
 
-	inbox chan Frame
-	done  chan struct{}
-	once  sync.Once
+	in   *inbox
+	done chan struct{}
+	once sync.Once
 }
 
 func newInproc(nw *InprocNet, self, n int) *Inproc {
-	return &Inproc{net: nw, self: self, n: n, inbox: make(chan Frame, inboxDepth), done: make(chan struct{})}
+	done := make(chan struct{})
+	return &Inproc{net: nw, self: self, n: n, in: newInbox(done), done: done}
 }
 
 // Self implements Transport.
@@ -97,12 +94,13 @@ func (t *Inproc) Self() int { return t.self }
 // N implements Transport.
 func (t *Inproc) N() int { return t.n }
 
-// Send implements Transport. A send to a closed or replaced peer is
-// dropped silently and reports success — the in-process analogue of
-// writing to a dead host's address: the network accepts the frame and
-// nobody receives it. Only the sender's own closed transport is an
-// error; the protocol layer recovers lost frames by retransmission and
-// converts genuinely dead peers into structured failures.
+// Send implements Transport: the destination's handler runs on the
+// calling goroutine. A send to a closed or replaced peer is dropped
+// silently and reports success — the in-process analogue of writing to a
+// dead host's address: the network accepts the frame and nobody receives
+// it. Only the sender's own closed transport is an error; the protocol
+// layer recovers lost frames by retransmission and converts genuinely
+// dead peers into structured failures.
 func (t *Inproc) Send(to int, payload []byte) error {
 	if to < 0 || to >= t.n || to == t.self {
 		return fmt.Errorf("transport: inproc send to invalid peer %d", to)
@@ -118,32 +116,15 @@ func (t *Inproc) Send(to int, payload []byte) error {
 		return nil // dead destination: the frame is lost, not an error
 	default:
 	}
-	select {
-	case <-t.done:
-		return ErrClosed
-	case <-p.done:
-		return nil
-	case p.inbox <- Frame{From: t.self, Payload: payload}:
-		return nil
-	}
+	p.in.deliver(Frame{From: t.self, Payload: payload})
+	return nil
 }
 
+// Handle implements Transport.
+func (t *Inproc) Handle(h func(Frame)) { t.in.handle(h) }
+
 // Recv implements Transport.
-func (t *Inproc) Recv() (Frame, error) {
-	select {
-	case f := <-t.inbox:
-		return f, nil
-	case <-t.done:
-		// Drain anything already enqueued so shutdown never drops frames
-		// a peer believes delivered.
-		select {
-		case f := <-t.inbox:
-			return f, nil
-		default:
-			return Frame{}, ErrClosed
-		}
-	}
-}
+func (t *Inproc) Recv() (Frame, error) { return t.in.recv() }
 
 // Close implements Transport.
 func (t *Inproc) Close() error {

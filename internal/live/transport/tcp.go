@@ -39,7 +39,9 @@ type TCPOptions struct {
 	// DialAttempts is the number of connect attempts per Send before the
 	// error is surfaced (default 8).
 	DialAttempts int
-	// WriteTimeout bounds one frame write (default 10s).
+	// WriteTimeout bounds one frame write (default 10s). The connection's
+	// write deadline is re-armed only once less than half of it remains,
+	// so a write may get anywhere from WriteTimeout/2 to WriteTimeout.
 	WriteTimeout time.Duration
 	// Dial replaces net.DialTimeout, for tests that inject dial failures.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
@@ -88,19 +90,15 @@ type TCP struct {
 	// silently discarded as a replay of its previous life.
 	boot uint32
 
-	inbox chan Frame
-	done  chan struct{}
-	once  sync.Once
+	in   *inbox
+	done chan struct{}
+	once sync.Once
 
 	mu    sync.Mutex // guards conns, seq, accepted
 	conns map[int]net.Conn
 	seq   map[int]uint64
-	// sendLocks serializes Sends per destination: a frame's sequence
-	// number must reach the wire in sequence order or the receiver's
-	// de-duplication would discard reordered (not duplicated) frames.
-	// wbufs[to], under sendLocks[to], is that peer's write scratch.
-	sendLocks []sync.Mutex
-	wbufs     [][]byte
+	// out holds one sending slot per destination.
+	out []peerOut
 
 	recvMu   sync.Mutex // guards lastSeq, lastBoot
 	lastSeq  map[int]uint64
@@ -121,22 +119,34 @@ func NewTCPNode(self int, addrs []string, opts TCPOptions) (*TCP, error) {
 	return newTCPNode(self, addrs, ln, opts, 0), nil
 }
 
+// peerOut is one destination's sending slot. mu serializes Sends to the
+// peer: a frame's sequence number must reach the wire in sequence order
+// or the receiver's de-duplication would discard reordered (not
+// duplicated) frames. Under it, buf is the peer's write scratch and
+// deadline the write deadline armed on conn.
+type peerOut struct {
+	mu       sync.Mutex
+	buf      []byte
+	conn     net.Conn
+	deadline time.Time
+}
+
 func newTCPNode(self int, addrs []string, ln net.Listener, opts TCPOptions, boot uint32) *TCP {
+	done := make(chan struct{})
 	t := &TCP{
-		self:      self,
-		addrs:     addrs,
-		opts:      opts.withDefaults(),
-		ln:        ln,
-		boot:      boot,
-		inbox:     make(chan Frame, inboxDepth),
-		done:      make(chan struct{}),
-		conns:     make(map[int]net.Conn),
-		seq:       make(map[int]uint64),
-		lastSeq:   make(map[int]uint64),
-		lastBoot:  make(map[int]uint32),
-		accepted:  make(map[net.Conn]bool),
-		sendLocks: make([]sync.Mutex, len(addrs)),
-		wbufs:     make([][]byte, len(addrs)),
+		self:     self,
+		addrs:    addrs,
+		opts:     opts.withDefaults(),
+		ln:       ln,
+		boot:     boot,
+		in:       newInbox(done),
+		done:     done,
+		conns:    make(map[int]net.Conn),
+		seq:      make(map[int]uint64),
+		lastSeq:  make(map[int]uint64),
+		lastBoot: make(map[int]uint32),
+		accepted: make(map[net.Conn]bool),
+		out:      make([]peerOut, len(addrs)),
 	}
 	t.acceptWG.Add(1)
 	go t.acceptLoop()
@@ -185,8 +195,9 @@ func (t *TCP) Send(to int, payload []byte) error {
 	if to < 0 || to >= len(t.addrs) || to == t.self {
 		return fmt.Errorf("transport: tcp send to invalid peer %d", to)
 	}
-	t.sendLocks[to].Lock()
-	defer t.sendLocks[to].Unlock()
+	p := &t.out[to]
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	t.mu.Lock()
 	t.seq[to]++
 	seq := t.seq[to]
@@ -198,7 +209,7 @@ func (t *TCP) Send(to int, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if err = t.writeFrame(conn, to, seq, payload); err == nil {
+		if err = t.writeFrame(p, conn, seq, payload); err == nil {
 			return nil
 		}
 		lastErr = err
@@ -210,20 +221,24 @@ func (t *TCP) Send(to int, payload []byte) error {
 	return fmt.Errorf("transport: send to %d: %w", to, lastErr)
 }
 
-// writeFrame serializes one frame to peer to: 8-byte sequence, 4-byte
+// writeFrame serializes one frame to a peer: 8-byte sequence, 4-byte
 // length, payload, assembled in the peer's scratch buffer so that it
-// costs one write and no allocation. Writes hold a per-connection
-// deadline. Caller holds sendLocks[to].
-func (t *TCP) writeFrame(conn net.Conn, to int, seq uint64, payload []byte) error {
-	buf := append(t.wbufs[to][:0], make([]byte, frameHdr)...)
+// costs one write and no allocation. Writes hold a write deadline, which
+// is re-armed — a runtime timer update — only on a fresh connection or
+// once less than half of WriteTimeout remains. Caller holds p.mu.
+func (t *TCP) writeFrame(p *peerOut, conn net.Conn, seq uint64, payload []byte) error {
+	buf := append(p.buf[:0], make([]byte, frameHdr)...)
 	binary.BigEndian.PutUint64(buf, seq)
 	binary.BigEndian.PutUint32(buf[8:], uint32(len(payload)))
-	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	if now := time.Now(); conn != p.conn || p.deadline.Sub(now) < t.opts.WriteTimeout/2 {
+		p.conn, p.deadline = conn, now.Add(t.opts.WriteTimeout)
+		conn.SetWriteDeadline(p.deadline)
+	}
 	gather := frameHdr+len(payload) > wbufMax
 	if !gather {
 		buf = append(buf, payload...)
 	}
-	t.wbufs[to] = buf
+	p.buf = buf
 	if gather {
 		bufs := net.Buffers{buf, payload}
 		_, err := bufs.WriteTo(conn)
@@ -340,7 +355,8 @@ func (t *TCP) acceptLoop() {
 }
 
 // readLoop decodes frames off one inbound connection, de-duplicating by
-// per-peer sequence number, until the stream errors or closes. A partial
+// per-peer sequence number, and delivers each on this goroutine, until
+// the stream errors or closes. A partial
 // frame at the tail of a dropped connection is discarded silently — the
 // sender retransmits it with the same sequence number on its next
 // connection.
@@ -398,31 +414,18 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.lastSeq[from] = seq
 		}
 		t.recvMu.Unlock()
-		if dup {
-			continue
-		}
-		select {
-		case t.inbox <- Frame{From: from, Payload: payload}:
-		case <-t.done:
-			return
+		if !dup {
+			t.in.deliver(Frame{From: from, Payload: payload})
 		}
 	}
 }
 
+// Handle implements Transport: connection readers call h right after
+// sequence de-duplication.
+func (t *TCP) Handle(h func(Frame)) { t.in.handle(h) }
+
 // Recv implements Transport.
-func (t *TCP) Recv() (Frame, error) {
-	select {
-	case f := <-t.inbox:
-		return f, nil
-	case <-t.done:
-		select {
-		case f := <-t.inbox:
-			return f, nil
-		default:
-			return Frame{}, ErrClosed
-		}
-	}
-}
+func (t *TCP) Recv() (Frame, error) { return t.in.recv() }
 
 func (t *TCP) closed() bool {
 	select {

@@ -9,7 +9,11 @@
 // on every run.
 package transport
 
-import "errors"
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+)
 
 // Frame is one received payload and its sender.
 type Frame struct {
@@ -17,8 +21,8 @@ type Frame struct {
 	Payload []byte
 }
 
-// Transport connects one node to its peers. Send and Recv are safe for
-// concurrent use; payload ownership transfers on Send.
+// Transport connects one node to its peers. Send, Handle and Recv are
+// safe for concurrent use; payload ownership transfers on Send.
 type Transport interface {
 	// Self returns this node's id in [0, N); N the cluster size.
 	Self() int
@@ -26,15 +30,113 @@ type Transport interface {
 	// Send delivers payload to peer `to`. Frames from one sender to one
 	// receiver arrive in order; there is no cross-peer ordering.
 	Send(to int, payload []byte) error
-	// Recv blocks until a frame arrives or the transport closes.
+	// Handle registers h to receive every inbound frame, called on the
+	// goroutine the frame arrived on (a TCP connection's reader, an
+	// in-process sender) — so h must not wait on anything a sender could
+	// be holding. Frames that arrived before the registration are handed
+	// to h first, in arrival order. Register once.
+	Handle(h func(Frame))
+	// Recv blocks until a frame arrives or the transport closes. It is
+	// the default handler's queue: only frames that arrive while no
+	// handler is registered reach it.
 	Recv() (Frame, error)
 	// Close tears the transport down; pending and future Recv calls
-	// return ErrClosed.
+	// return ErrClosed once the queued frames are drained.
 	Close() error
 }
 
 // ErrClosed is returned once a transport is shut down.
 var ErrClosed = errors.New("transport: closed")
+
+// inbox is a transport's receive side: a frame goes to the registered
+// handler on the goroutine that delivers it, or — until one is
+// registered — into a queue that Recv drains and Handle hands over.
+type inbox struct {
+	h     atomic.Pointer[func(Frame)]
+	mu    sync.Mutex // guards queue
+	queue []Frame
+	ready chan struct{} // one token: the queue may have grown
+	done  chan struct{} // the owning transport's close
+}
+
+func newInbox(done chan struct{}) *inbox {
+	return &inbox{ready: make(chan struct{}, 1), done: done}
+}
+
+// deliver hands f to the handler, or queues it while there is none.
+func (q *inbox) deliver(f Frame) {
+	if h := q.h.Load(); h != nil {
+		(*h)(f)
+		return
+	}
+	q.mu.Lock()
+	if h := q.h.Load(); h != nil {
+		q.mu.Unlock()
+		(*h)(f)
+		return
+	}
+	q.queue = append(q.queue, f)
+	q.mu.Unlock()
+	q.signal()
+}
+
+func (q *inbox) signal() {
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+}
+
+// handle hands the queued frames to h, batch by batch without holding
+// the mutex, and installs h once the queue is empty: a frame delivered
+// meanwhile joins the queue behind the ones already there, so h sees
+// every sender's frames in order.
+func (q *inbox) handle(h func(Frame)) {
+	for {
+		q.mu.Lock()
+		batch := q.queue
+		q.queue = nil
+		if len(batch) == 0 {
+			q.h.Store(&h)
+			q.mu.Unlock()
+			return
+		}
+		q.mu.Unlock()
+		for _, f := range batch {
+			h(f)
+		}
+	}
+}
+
+// recv pops the oldest queued frame, waiting for one until the transport
+// closes; a closed transport still yields what was queued first.
+func (q *inbox) recv() (Frame, error) {
+	for {
+		q.mu.Lock()
+		if len(q.queue) > 0 {
+			f := q.queue[0]
+			q.queue[0] = Frame{}
+			q.queue = q.queue[1:]
+			more := len(q.queue) > 0
+			q.mu.Unlock()
+			if more {
+				q.signal() // another receiver may be waiting
+			}
+			return f, nil
+		}
+		q.mu.Unlock()
+		select {
+		case <-q.ready:
+		case <-q.done:
+			q.mu.Lock()
+			empty := len(q.queue) == 0
+			q.mu.Unlock()
+			if empty {
+				return Frame{}, ErrClosed
+			}
+		}
+	}
+}
 
 // Network owns the transports of a whole cluster and can rebuild one
 // node's transport after a crash. Rejoin(i) closes node i's current

@@ -1,7 +1,8 @@
 // Package wire is the binary codec of the live DSM runtime's message
 // set. Every frame moved by a transport (in-process channel or TCP) is
-// one encoded Msg: a fixed two-byte header (version, kind) followed by
-// kind-dependent fields in little-endian fixed-width encoding.
+// one encoded Msg: a header common to every kind (version, kind, sender,
+// token, epoch, piggybacked flush acks) followed by kind-dependent
+// fields, all in little-endian fixed-width encoding.
 //
 // Decode is strict and total: truncated frames, a foreign version byte,
 // unknown kinds, oversized counts and trailing garbage all return an
@@ -21,8 +22,9 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed.
-const Version = 8
+// from a different build is rejected instead of misparsed. Version 9
+// added Acks to the common header.
+const Version = 9
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -53,8 +55,9 @@ const (
 	// sender's barrier episode so homes can gate post-checkpoint flushes
 	// during capture.
 	KWriteNotices
-	// KAck acknowledges a KWriteNotices flush (and the manager requests
-	// that need no payload in reply).
+	// KAck answers the manager requests that need no payload in reply
+	// (Token names the request); with Token 0 it is a standalone carrier
+	// of flush acks (Acks) that found no other frame to ride.
 	KAck
 	// KLockReq asks a lock's home for the lock, carrying the requester's
 	// vector time.
@@ -243,6 +246,11 @@ type Msg struct {
 	// would otherwise collide — is fenced off at the receiver.
 	Epoch uint32
 
+	// Acks names the KWriteNotices flushes (by token) the sender has
+	// applied, on any kind: a home acknowledges a flush on the next frame
+	// it sends the writer. Senders attach them with EncodeAcks.
+	Acks []int64
+
 	// Incarnation numbers a node's restarts (0 for the original engine);
 	// the manager authenticates join/resume requests against it.
 	Incarnation uint32
@@ -330,17 +338,27 @@ var fields = map[Kind]fieldSet{
 }
 
 // Encode serializes m into a fresh buffer.
-func Encode(m *Msg) []byte {
+func Encode(m *Msg) []byte { return EncodeAcks(m, m.Acks) }
+
+// EncodeAcks serializes m with acks in place of m.Acks. A sender attaches
+// the acks it owes a peer to whatever frame goes there next without
+// writing them into m, which a reply cache may re-send long after they
+// were delivered.
+func EncodeAcks(m *Msg, acks []int64) []byte {
 	fs, ok := fields[m.Kind]
 	if !ok {
 		panic(fmt.Sprintf("wire: encode of unknown kind %v", m.Kind))
 	}
-	w := writer{b: make([]byte, 0, 64+len(m.Data))}
+	w := writer{b: make([]byte, 0, 64+8*len(acks)+len(m.Data))}
 	w.u8(Version)
 	w.u8(uint8(m.Kind))
 	w.i32(m.From)
 	w.i64(m.Token)
 	w.u32(m.Epoch)
+	w.u32(uint32(len(acks)))
+	for _, a := range acks {
+		w.i64(a)
+	}
 	if fs.attempt {
 		w.u8(m.Attempt)
 	}
@@ -455,6 +473,12 @@ func Decode(b []byte) (*Msg, error) {
 	m.From = r.i32()
 	m.Token = r.i64()
 	m.Epoch = r.u32()
+	if n := r.count(8); n > 0 {
+		m.Acks = make([]int64, n)
+		for i := range m.Acks {
+			m.Acks[i] = r.i64()
+		}
+	}
 	if fs.attempt {
 		m.Attempt = r.u8()
 	}

@@ -37,6 +37,8 @@ func sampleMsgs() []*Msg {
 		{Kind: KWriteNotices, From: 1, Token: 9, Epoch: 1, Episode: 6, Diffs: diffs, Interval: ival},
 		{Kind: KWriteNotices, From: 2, Token: 10, Epoch: 1, Episode: 6, Interval: ival}, // no diffs homed here
 		{Kind: KAck, From: 0, Token: 9},
+		{Kind: KAck, From: 0, Acks: []int64{9, 10, 14}}, // standalone flush acks
+		{Kind: KLockGrant, From: 0, Token: 12, Lock: 12, VT: []int32{5, 5, 5, 5}, Notices: notices, Acks: []int64{9}},
 		{Kind: KLockReq, From: 3, Token: 10, Lock: 12, VT: []int32{0, 1, 2, 3}, Attempt: 2},
 		{Kind: KLockGrant, From: 0, Token: 10, Lock: 12, VT: []int32{5, 5, 5, 5}, Notices: notices, Diffs: diffs},
 		{Kind: KLockGrant, From: 1, Token: 11, Lock: 3, VT: []int32{5, 5, 5, 5}}, // nothing missing
@@ -145,7 +147,8 @@ func TestDecodeMalformed(t *testing.T) {
 
 // TestDecodeRejectsOtherVersions pins the one-version contract: a frame
 // stamped with any version byte but Version is rejected, whatever its
-// kind and however well-formed the rest of it is.
+// kind and however well-formed the rest of it is — 8, the layout without
+// Acks in the header, included.
 func TestDecodeRejectsOtherVersions(t *testing.T) {
 	for _, m := range sampleMsgs() {
 		b := Encode(m)
@@ -179,7 +182,7 @@ func checkOldPeerRefused(t *testing.T, v byte) {
 	}
 }
 
-// TestDecodeV1Compat through TestDecodeV6Compat pin what compatibility
+// TestDecodeV1Compat through TestDecodeV8Compat pin what compatibility
 // means with one version: a frame from a peer of each earlier version is
 // refused by its version byte, never misread as the current layout.
 func TestDecodeV1Compat(t *testing.T) { checkOldPeerRefused(t, 1) }
@@ -188,6 +191,8 @@ func TestDecodeV3Compat(t *testing.T) { checkOldPeerRefused(t, 3) }
 func TestDecodeV4Compat(t *testing.T) { checkOldPeerRefused(t, 4) }
 func TestDecodeV5Compat(t *testing.T) { checkOldPeerRefused(t, 5) }
 func TestDecodeV6Compat(t *testing.T) { checkOldPeerRefused(t, 6) }
+func TestDecodeV7Compat(t *testing.T) { checkOldPeerRefused(t, 7) }
+func TestDecodeV8Compat(t *testing.T) { checkOldPeerRefused(t, 8) }
 
 // TestEncodeUnknownKindPanics pins the programming-error contract.
 func TestEncodeUnknownKindPanics(t *testing.T) {
