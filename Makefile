@@ -64,13 +64,13 @@ chaos:
 # regions checked against a fault-free 1-node reference.
 recover:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'TestRecovery|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters' \
+		-run 'TestRecovery|TestSupervisedExits|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters' \
 		./internal/live/...
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
-		-recover -crash 2:25:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
+		-recover -crash 2:2:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
 		-retry 10ms -hb-interval 50ms -check -timeout 60s -deadline 120s
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 2 -transport tcp -scale test \
-		-recover -crash 1:25:5ms -check -timeout 60s -deadline 120s
+		-recover -crash 1:2:5ms -check -timeout 60s -deadline 120s
 
 # failover: the replicated control plane's gate — the coordinator-kill
 # soaks (all four apps × {LI, LH} with node 0 — manager, barrier root,
@@ -83,7 +83,7 @@ failover:
 	$(GO) test -race -count=1 -timeout 600s \
 		-run 'TestFailover|TestServeFailoverSoak' ./internal/live/... ./internal/serve/
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
-		-recover -crash 0:30:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
+		-recover -crash 0:2:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
 		-retry 10ms -hb-interval 50ms -hb-timeout 2s -check -timeout 60s -deadline 120s
 
 # scale-smoke: the decentralized synchronization plane's scaling gate —
@@ -123,7 +123,7 @@ endurance:
 	DSM_ENDURANCE=1 DSM_ENDURANCE_EPISODES=$(ENDURANCE_EPISODES) \
 		$(GO) test -race -count=1 -timeout 1200s -run 'TestEndurance' ./internal/live/ ./internal/serve/
 	$(GO) run ./cmd/dsmd -app cholesky -nodes 4 -transport tcp -scale test \
-		-recover -crash 0:600:5ms -compact-every 2 -voters 3 -add-replica 3:5ms \
+		-recover -crash 0:10:5ms -compact-every 2 -voters 3 -add-replica 3:5ms \
 		-retry 10ms -hb-interval 50ms -hb-timeout 2s -check -timeout 60s -deadline 120s
 
 # bench-serve runs the serving request path's microbenchmarks, five runs

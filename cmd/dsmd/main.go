@@ -8,7 +8,7 @@
 //	dsmd -app jacobi -nodes 4 -protocol LH -transport inproc -scale test
 //	dsmd -app water -nodes 2 -transport tcp -json
 //	dsmd -app tsp -nodes 4 -chaos-seed 42 -drop 0.05 -delay 2ms -check
-//	dsmd -app jacobi -nodes 4 -recover -crash 2:50:10ms -check
+//	dsmd -app jacobi -nodes 4 -recover -crash 2:2:10ms -check
 //
 // With -json, one JSON object describing the run — configuration,
 // elapsed time, per-node and total protocol counters, and any injected
@@ -24,10 +24,11 @@
 // With -recover, the cluster survives node crashes: barrier-aligned
 // checkpoints are taken every -ckpt-every episodes (on disk under
 // -ckpt-dir, in memory otherwise), and a node killed by the -crash
-// schedule is restarted from the last stable checkpoint up to
-// -max-restarts times before the run degrades to the structured abort a
-// recovery-free cluster reports. -deadline bounds the whole run in wall
-// time; on expiry dsmd dumps a stats snapshot as JSON and exits nonzero.
+// schedule (at its nth release) is restarted from the last stable
+// checkpoint up to -max-restarts times before the run degrades to the
+// structured abort a recovery-free cluster reports. -deadline bounds
+// the whole run in wall time; on expiry dsmd dumps a stats snapshot as
+// JSON and exits nonzero.
 package main
 
 import (
@@ -72,7 +73,7 @@ type runOpts struct {
 	maxRestarts int
 	ckptEvery   int64
 	ckptDir     string
-	crashes     []chaos.Crash
+	crashes     []live.Crash
 	deadline    time.Duration
 	seed        int64
 
@@ -109,7 +110,7 @@ func main() {
 		maxRestarts = flag.Int("max-restarts", 3, "restart budget before degrading to a structured abort (with -recover)")
 		ckptEvery   = flag.Int64("ckpt-every", 1, "checkpoint at every Nth barrier episode (with -recover)")
 		ckptDir     = flag.String("ckpt-dir", "", "directory for on-disk checkpoint stores (default: in-memory)")
-		crashSpec   = flag.String("crash", "", "kill schedule: node:atop[:delay][,...] — kill node when the cluster send count reaches atop, restart after delay")
+		crashSpec   = flag.String("crash", "", "kill schedule: node:n[:delay][,...] — kill node at its nth release, restart after delay")
 		deadline    = flag.Duration("deadline", 0, "wall-clock budget for the run; on expiry dump a stats JSON snapshot and exit nonzero")
 
 		compactEvery = flag.Int64("compact-every", 0, "consensus log-compaction threshold in applied entries (0: default 512, negative: disable; with -recover)")
@@ -150,9 +151,9 @@ func main() {
 		opts.addReplicas = adds
 	}
 	if *crashSpec != "" {
-		crashes, err := parseCrashes(*crashSpec)
+		crashes, err := live.ParseCrashes(*crashSpec)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("-%w", err))
 		}
 		opts.crashes = crashes
 	}
@@ -249,34 +250,6 @@ func parsePartition(s string) (chaos.Partition, error) {
 	return p, nil
 }
 
-// parseCrashes reads "node:atop[:delay][,...]" — kill the node when the
-// cluster-wide transport send count reaches atop, and (under -recover)
-// restart it after the optional delay.
-func parseCrashes(s string) ([]chaos.Crash, error) {
-	var crashes []chaos.Crash
-	for _, entry := range strings.Split(s, ",") {
-		parts := strings.Split(entry, ":")
-		if len(parts) < 2 || len(parts) > 3 {
-			return nil, fmt.Errorf("-crash %q: want node:atop[:delay]", entry)
-		}
-		n, errN := strconv.Atoi(parts[0])
-		at, errA := strconv.ParseInt(parts[1], 10, 64)
-		if errN != nil || errA != nil || n < 0 || at < 1 {
-			return nil, fmt.Errorf("-crash %q: bad node or op count", entry)
-		}
-		c := chaos.Crash{Node: n, AtOp: at}
-		if len(parts) == 3 {
-			d, err := time.ParseDuration(parts[2])
-			if err != nil {
-				return nil, fmt.Errorf("-crash %q: bad restart delay: %w", entry, err)
-			}
-			c.RestartAfter = d
-		}
-		crashes = append(crashes, c)
-	}
-	return crashes, nil
-}
-
 // parseAddReplicas reads "node:delay[,...]" — promote the node to a
 // consensus voter once delay has elapsed into the run.
 func parseAddReplicas(s string) ([]live.ReplicaAdd, error) {
@@ -300,8 +273,9 @@ func parseAddReplicas(s string) ([]live.ReplicaAdd, error) {
 // result. With opts.chaos set, every node's transport is wrapped with
 // fault injection and the summed fault counters are returned. With
 // opts.recover or a crash schedule, the cluster runs under the
-// supervisor: killed nodes are restarted from the last stable
-// barrier-aligned checkpoint until the restart budget runs out.
+// supervisor, which kills the scheduled victims and restarts them from
+// the last stable barrier-aligned checkpoint until the restart budget
+// runs out.
 func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int, trans string, opts runOpts) (*live.Cluster, *live.Stats, *chaos.Counters, error) {
 	app, err := harness.NewApp(appName, scale)
 	if err != nil {
@@ -316,56 +290,26 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 		HeartbeatInterval: opts.hbInterval,
 		HeartbeatTimeout:  opts.hbTimeout,
 	}
-	var (
-		cluster *live.Cluster
-		wrapped []*chaos.Transport
-		nw      *chaos.Net
-	)
-	if supervised {
-		// Recovery needs a rebuildable transport fabric, not a fixed
-		// slice: a restarted node gets a fresh incarnation via Rejoin.
-		var inner transport.Network
-		switch trans {
-		case "inproc":
-			inner = transport.NewInprocNet(nodes)
-		case "tcp":
-			inner, err = transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-		default:
-			return nil, nil, nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", trans)
+	// One rebuildable network for every run: recovery gives a restarted
+	// node a fresh incarnation through Rejoin.
+	var inner transport.Network
+	switch trans {
+	case "inproc":
+		inner = transport.NewInprocNet(nodes)
+	case "tcp":
+		if inner, err = transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{}); err != nil {
+			return nil, nil, nil, err
 		}
-		fcfg := chaos.Config{Seed: opts.seed}
-		if opts.chaos != nil {
-			fcfg = *opts.chaos
-		}
-		fcfg.Crashes = opts.crashes
-		fcfg.OnCrash = func(n int, d time.Duration) { cluster.Kill(n, d) }
-		nw = chaos.WrapNet(inner, fcfg)
-		cfg.Net = nw
-	} else {
-		var trs []transport.Transport
-		switch trans {
-		case "inproc":
-			if opts.chaos != nil {
-				trs = transport.NewInprocNetwork(nodes)
-			}
-		case "tcp":
-			trs, err = transport.NewTCPLoopback(nodes, transport.TCPOptions{})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-		default:
-			return nil, nil, nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", trans)
-		}
-		if opts.chaos != nil {
-			wrapped = chaos.WrapAll(trs, *opts.chaos)
-			trs = chaos.Transports(wrapped)
-		}
-		cfg.Transports = trs
+	default:
+		return nil, nil, nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", trans)
 	}
-	cluster, err = live.New(cfg)
+	cfg.Net = inner
+	var nw *chaos.Net
+	if opts.chaos != nil {
+		nw = chaos.WrapNet(inner, *opts.chaos)
+		cfg.Net = nw
+	}
+	cluster, err := live.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -384,6 +328,7 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 			CompactEvery:    opts.compactEvery,
 			Voters:          opts.voters,
 			AddReplicas:     opts.addReplicas,
+			Crashes:         opts.crashes,
 		}
 		if !opts.recover {
 			// A crash schedule without -recover demonstrates the
@@ -425,7 +370,7 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 				App: appName, Scale: scaleString(scale), Transport: trans,
 				Stats: cluster.StatsSnapshot(),
 			}
-			rep.Chaos = liveFaults(nw, wrapped)
+			rep.Chaos = liveFaults(nw)
 			json.NewEncoder(os.Stdout).Encode(rep)
 			fmt.Fprintf(os.Stderr, "dsmd: deadline %v exceeded, aborting\n", opts.deadline)
 			os.Exit(2)
@@ -433,7 +378,7 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 	} else {
 		stats, err = run()
 	}
-	faults := liveFaults(nw, wrapped)
+	faults := liveFaults(nw)
 	if err != nil {
 		return nil, nil, faults, fmt.Errorf("%s/%v/%dn: %w", appName, prot, nodes, err)
 	}
@@ -443,18 +388,14 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 	return cluster, stats, faults, nil
 }
 
-// liveFaults sums injected-fault counters from whichever wrapping was in
-// play: the network wrapper (supervised runs) or the per-transport slice.
-func liveFaults(nw *chaos.Net, wrapped []*chaos.Transport) *chaos.Counters {
-	switch {
-	case nw != nil:
-		sum := nw.Counters()
-		return &sum
-	case wrapped != nil:
-		sum := chaos.SumCounters(wrapped)
-		return &sum
+// liveFaults returns the injected-fault totals, nil without fault
+// injection.
+func liveFaults(nw *chaos.Net) *chaos.Counters {
+	if nw == nil {
+		return nil
 	}
-	return nil
+	sum := nw.Counters()
+	return &sum
 }
 
 func scaleString(s harness.Scale) string {
@@ -494,9 +435,9 @@ func printReport(appName, trans string, st *live.Stats, faults *chaos.Counters) 
 		st.Total.RPCRetries, st.Total.DupRequests, st.Total.DupReplies,
 		st.Total.HeartbeatsSent, st.Total.HeartbeatsRecv)
 	if faults != nil {
-		fmt.Printf("  chaos: %d faults (drop %d, dup %d, delay %d, reset %d, partition %d, crash %d)\n",
+		fmt.Printf("  chaos: %d faults (drop %d, dup %d, delay %d, reset %d, partition %d)\n",
 			faults.Total(), faults.Dropped, faults.Duplicated, faults.Delayed,
-			faults.Resets, faults.Partitioned, faults.Crashes)
+			faults.Resets, faults.Partitioned)
 	}
 	if st.Restarts > 0 || st.Total.CheckpointsTaken > 0 || st.Total.StaleFrames > 0 {
 		fmt.Printf("  recovery: %d restarts (%.1f ms), %d checkpoints (%.1f KB), %d stale frames fenced\n",

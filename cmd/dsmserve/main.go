@@ -9,7 +9,7 @@
 //	dsmserve -nodes 2 -mix read-heavy-zipf -read-frac 0.95 -dist zipfian -rate 50000
 //	dsmserve -nodes 2 -listen 127.0.0.1:7070 -clients 8 -ops 20000
 //	dsmserve -nodes 2 -listen 127.0.0.1:7070 -ops 0        # serve until SIGINT
-//	dsmserve -nodes 3 -durable -recover -crash 1:400:5ms -check
+//	dsmserve -nodes 3 -durable -recover -crash 1:40:5ms -check
 //
 // Keys hash to DSM pages (-keys-per-page slots per page), pages group
 // into -shards shards, and each shard's operations are serialized under
@@ -17,7 +17,8 @@
 // a get observes the latest acknowledged put under lazy release
 // consistency. With -durable, acknowledgments wait for a stable
 // barrier-aligned checkpoint (group commit), so an acked write survives
-// node crashes injected with -crash under -recover.
+// node crashes injected with -crash under -recover (node:n kills the node
+// at its nth release).
 //
 // With -json, one JSON object — configuration, load result with latency
 // quantiles, the server-side histogram, and the cluster's protocol
@@ -33,14 +34,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"lrcdsm/internal/core"
 	"lrcdsm/internal/live"
-	"lrcdsm/internal/live/chaos"
 	"lrcdsm/internal/live/transport"
 	"lrcdsm/internal/serve"
 	"lrcdsm/internal/serve/hist"
@@ -61,8 +59,6 @@ type serveReport struct {
 	Listen       string          `json:"listen,omitempty"`
 	Load         *loadgen.Result `json:"load,omitempty"`
 	ServeHist    *hist.Summary   `json:"serve_hist"`
-	ChaosSeed    int64           `json:"chaos_seed,omitempty"`
-	Chaos        *chaos.Counters `json:"chaos,omitempty"`
 	Stats        *live.Stats     `json:"stats"`
 }
 
@@ -97,8 +93,8 @@ func main() {
 		recoverRun  = flag.Bool("recover", false, "survive node crashes: restart killed nodes from the last checkpoint")
 		maxRestarts = flag.Int("max-restarts", 3, "restart budget (with -recover)")
 		ckptEvery   = flag.Int64("ckpt-every", 1, "checkpoint at every Nth barrier episode (supervised runs)")
-		crashSpec   = flag.String("crash", "", "kill schedule: node:atop[:delay][,...] — kill node at the victim's own send count, restart after delay")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the fault-injection schedule")
+		crashSpec   = flag.String("crash", "", "kill schedule: node:n[:delay][,...] — kill node at its nth release, restart after delay")
+		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the supervisor's restart schedule (supervised runs)")
 
 		jsonOut  = flag.Bool("json", false, "print the run report as one JSON object")
 		checkRun = flag.Bool("check", false, "compare every key's final value against a 1-node reference run")
@@ -109,10 +105,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var crashes []chaos.Crash
+	var crashes []live.Crash
 	if *crashSpec != "" {
-		if crashes, err = parseCrashes(*crashSpec); err != nil {
-			fatal(err)
+		if crashes, err = live.ParseCrashes(*crashSpec); err != nil {
+			fatal(fmt.Errorf("-%w", err))
 		}
 	}
 
@@ -174,10 +170,6 @@ func main() {
 		ServeWorkers: *serveWk, Listen: *listen,
 		Load: got.res, ServeHist: got.hist, Stats: got.stats,
 	}
-	if got.faults != nil {
-		rep.ChaosSeed = *chaosSeed
-		rep.Chaos = got.faults
-	}
 	if *jsonOut {
 		if err := json.NewEncoder(os.Stdout).Encode(rep); err != nil {
 			fatal(err)
@@ -198,7 +190,7 @@ type runOpts struct {
 	recoverRun  bool
 	maxRestarts int
 	ckptEvery   int64
-	crashes     []chaos.Crash
+	crashes     []live.Crash
 	seed        int64
 }
 
@@ -209,7 +201,6 @@ type serveResult struct {
 	res    *loadgen.Result
 	hist   *hist.Summary
 	stats  *live.Stats
-	faults *chaos.Counters
 	route  string
 	kpp    int
 	shards int
@@ -220,41 +211,18 @@ type serveResult struct {
 // clients until SIGINT), shuts down and returns everything measured.
 func runServe(nodes int, scfg serve.Config, lcfg loadgen.Config, ro runOpts) (*serveResult, error) {
 	cfg := live.Config{Nodes: nodes, Protocol: ro.prot, RPCTimeout: ro.timeout}
-	var (
-		cl  *live.Cluster
-		nw  *chaos.Net
-		err error
-	)
-	if ro.supervised {
-		var inner transport.Network
-		switch ro.trans {
-		case "inproc":
-			inner = transport.NewInprocNet(nodes)
-		case "tcp":
-			if inner, err = transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{}); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", ro.trans)
+	var err error
+	switch ro.trans {
+	case "inproc":
+		cfg.Net = transport.NewInprocNet(nodes)
+	case "tcp":
+		if cfg.Net, err = transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{}); err != nil {
+			return nil, err
 		}
-		fcfg := chaos.Config{Seed: ro.seed, Crashes: ro.crashes}
-		fcfg.OnCrash = func(n int, d time.Duration) { cl.Kill(n, d) }
-		nw = chaos.WrapNet(inner, fcfg)
-		cfg.Net = nw
-	} else {
-		switch ro.trans {
-		case "inproc":
-		case "tcp":
-			net, terr := transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{})
-			if terr != nil {
-				return nil, terr
-			}
-			cfg.Transports = net.Transports()
-		default:
-			return nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", ro.trans)
-		}
+	default:
+		return nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", ro.trans)
 	}
-	cl, err = live.New(cfg)
+	cl, err := live.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +247,7 @@ func runServe(nodes int, scfg serve.Config, lcfg loadgen.Config, ro runOpts) (*s
 			}
 			stats, rerr = cl.RunSupervised(srv.NodeWorker, live.RecoverOptions{
 				MaxRestarts: restarts, CheckpointEvery: ro.ckptEvery,
-				Replicate: true, Seed: ro.seed,
+				Replicate: true, Seed: ro.seed, Crashes: ro.crashes,
 			})
 		} else {
 			stats, rerr = cl.Run(srv.NodeWorker)
@@ -341,38 +309,7 @@ func runServe(nodes int, scfg serve.Config, lcfg loadgen.Config, ro runOpts) (*s
 		cl: cl, store: st, res: res, hist: srv.HistSummary(), stats: o.stats,
 		route: rc.Route, kpp: rc.KeysPerPage, shards: rc.Shards,
 	}
-	if nw != nil {
-		sum := nw.Counters()
-		sr.faults = &sum
-	}
 	return sr, nil
-}
-
-// parseCrashes reads "node:atop[:delay][,...]" — kill the node when its
-// own transport send count reaches atop, restart after the delay.
-func parseCrashes(s string) ([]chaos.Crash, error) {
-	var crashes []chaos.Crash
-	for _, entry := range strings.Split(s, ",") {
-		parts := strings.Split(entry, ":")
-		if len(parts) < 2 || len(parts) > 3 {
-			return nil, fmt.Errorf("-crash %q: want node:atop[:delay]", entry)
-		}
-		n, errN := strconv.Atoi(parts[0])
-		at, errA := strconv.ParseInt(parts[1], 10, 64)
-		if errN != nil || errA != nil || n < 0 || at < 1 {
-			return nil, fmt.Errorf("-crash %q: bad node or op count", entry)
-		}
-		c := chaos.Crash{Node: n, AtOp: at, Local: true}
-		if len(parts) == 3 {
-			d, err := time.ParseDuration(parts[2])
-			if err != nil {
-				return nil, fmt.Errorf("-crash %q: bad restart delay: %w", entry, err)
-			}
-			c.RestartAfter = d
-		}
-		crashes = append(crashes, c)
-	}
-	return crashes, nil
 }
 
 func printReport(rep *serveReport) {
@@ -402,9 +339,8 @@ func printReport(rep *serveReport) {
 		st.Total.ServeGets, st.Total.ServePuts,
 		float64(st.Total.LockWaitNs)/1e6,
 		st.Total.MsgsSent, st.Total.DiffsApplied)
-	if rep.Chaos != nil {
-		fmt.Printf("  chaos: %d faults (%d crashes), %d restarts, %d checkpoints\n",
-			rep.Chaos.Total(), rep.Chaos.Crashes, st.Restarts, st.Total.CheckpointsTaken)
+	if st.Restarts > 0 || st.Total.CheckpointsTaken > 0 {
+		fmt.Printf("  recovery: %d restarts, %d checkpoints\n", st.Restarts, st.Total.CheckpointsTaken)
 	}
 }
 

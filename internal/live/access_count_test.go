@@ -1,15 +1,13 @@
 package live
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lrcdsm/internal/apps/jacobi"
 	"lrcdsm/internal/core"
+	"lrcdsm/internal/live/chaos"
 	"lrcdsm/internal/live/transport"
-	"lrcdsm/internal/live/wire"
-	"lrcdsm/internal/page"
 )
 
 // jacobi makes exactly five shared accesses per interior grid point per
@@ -47,75 +45,68 @@ func TestAccessCountsAreExact(t *testing.T) {
 	}
 }
 
-// sweepKiller kills the victim as its worker closes interval number at
-// — one interval per sweep, closed on the way into the sweep's barrier,
-// so the victim dies having made exactly that many sweeps' accesses and
-// before the barrier can complete.
-type sweepKiller struct {
-	victim int
-	at     int32
-	kill   func()
-	fired  atomic.Bool
-}
-
-func (k *sweepKiller) IntervalClosed(n int, idx int32, _ []page.ID) {
-	if n == k.victim && idx == k.at && k.fired.CompareAndSwap(false, true) {
-		k.kill()
-	}
-}
-func (k *sweepKiller) MsgSent(int, int, wire.Kind, int)     {}
-func (k *sweepKiller) PageFault(int, page.ID)               {}
-func (k *sweepKiller) DiffApplied(int, page.ID, int, int32) {}
-func (k *sweepKiller) Invalidated(int, page.ID)             {}
-func (k *sweepKiller) BarrierDeparted(int, int64)           {}
-
 // TestKilledIncarnationKeepsItsAccessCounts: a killed worker never
 // reaches FinalFlush, yet what it did must still be in the run total —
 // the supervisor folds the dead engine's stats in, and those already
 // hold every hit up to the engine call the worker died in. The victim
-// dies entering its third barrier, so its dead incarnation accounts for
+// dies at its third release — one interval per sweep, closed on the
+// way into the sweep's barrier — so its dead incarnation accounts for
 // exactly three sweeps of its band, and the run as a whole for at least
-// the fault-free count (the rolled-back work is done twice).
+// the fault-free count (the rolled-back work is done twice). The count
+// must not move when half the frames are sent twice: the kill is keyed
+// on the release, not on the frame count.
 func TestKilledIncarnationKeepsItsAccessCounts(t *testing.T) {
 	const nodes, victim, sweeps = 3, 2, 3
-	p := jacobi.Small()
-	p.Iters = 6
-	app := jacobi.New(p)
-	cfg := failoverConfig(nodes, core.LH)
-	cfg.Net = transport.NewInprocNet(nodes)
-	var cl *Cluster
-	killer := &sweepKiller{victim: victim, at: sweeps, kill: func() { cl.Kill(victim, time.Millisecond) }}
-	cfg.Observer = killer
-	cl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.Configure(cl)
-	st, err := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, RecoverOptions{MaxRestarts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Verify(cl); err != nil {
-		t.Fatal(err)
-	}
-	if !killer.fired.Load() || st.Restarts != 1 {
-		t.Fatalf("kill fired = %v, restarts = %d; the schedule exercised nothing", killer.fired.Load(), st.Restarts)
-	}
-	var liveR, liveW int64
-	for _, s := range st.PerNode {
-		liveR += s.SharedReads
-		liveW += s.SharedWrites
-	}
-	killedR, killedW := st.Total.SharedReads-liveR, st.Total.SharedWrites-liveW
-	interior := p.N - 2
-	band := int64((victim+1)*interior/nodes - victim*interior/nodes)
-	perSweepW := band * int64(interior)
-	if killedW != sweeps*perSweepW || killedR != 4*sweeps*perSweepW {
-		t.Errorf("dead incarnation: reads = %d, writes = %d; want %d and %d (%d sweeps of its band)",
-			killedR, killedW, 4*sweeps*perSweepW, sweeps*perSweepW, sweeps)
-	}
-	if wantR, wantW := jacobiAccesses(p); st.Total.SharedReads < wantR || st.Total.SharedWrites < wantW {
-		t.Errorf("run total: reads = %d, writes = %d; below the fault-free %d and %d",
-			st.Total.SharedReads, st.Total.SharedWrites, wantR, wantW)
+	for _, tc := range []struct {
+		name string
+		net  func() transport.Network
+	}{
+		{"fault-free", func() transport.Network { return transport.NewInprocNet(nodes) }},
+		{"dup-0.5", func() transport.Network {
+			return chaos.WrapNet(transport.NewInprocNet(nodes), chaos.Config{Seed: 1, DupP: 0.5})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := jacobi.Small()
+			p.Iters = 6
+			app := jacobi.New(p)
+			cfg := failoverConfig(nodes, core.LH)
+			cfg.Net = tc.net()
+			cl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app.Configure(cl)
+			st, err := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, RecoverOptions{
+				MaxRestarts: 1,
+				Crashes:     []Crash{{Node: victim, At: AtRelease, N: sweeps, RestartAfter: time.Millisecond}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.Verify(cl); err != nil {
+				t.Fatal(err)
+			}
+			if st.Restarts != 1 {
+				t.Fatalf("restarts = %d; the scheduled kill did not fire", st.Restarts)
+			}
+			var liveR, liveW int64
+			for _, s := range st.PerNode {
+				liveR += s.SharedReads
+				liveW += s.SharedWrites
+			}
+			killedR, killedW := st.Total.SharedReads-liveR, st.Total.SharedWrites-liveW
+			interior := p.N - 2
+			band := int64((victim+1)*interior/nodes - victim*interior/nodes)
+			perSweepW := band * int64(interior)
+			if killedW != sweeps*perSweepW || killedR != 4*sweeps*perSweepW {
+				t.Errorf("dead incarnation: reads = %d, writes = %d; want %d and %d (%d sweeps of its band)",
+					killedR, killedW, 4*sweeps*perSweepW, sweeps*perSweepW, sweeps)
+			}
+			if wantR, wantW := jacobiAccesses(p); st.Total.SharedReads < wantR || st.Total.SharedWrites < wantW {
+				t.Errorf("run total: reads = %d, writes = %d; below the fault-free %d and %d",
+					st.Total.SharedReads, st.Total.SharedWrites, wantR, wantW)
+			}
+		})
 	}
 }

@@ -14,6 +14,9 @@
 // re-ordering, duplicating network, exactly the paper's protocols'
 // worst case. Delayed frames intentionally break per-peer FIFO: a held
 // frame lets younger frames pass it.
+//
+// The package injects network faults only. Node crashes are scheduled
+// on protocol events by the supervisor (live.RecoverOptions.Crashes).
 package chaos
 
 import (
@@ -55,91 +58,6 @@ type Config struct {
 	ResetP float64
 	// Partitions lists node pairs to take offline for windows.
 	Partitions []Partition
-	// Crashes schedules whole-node failures on the cluster-wide operation
-	// count (frames attempted through any wrapped transport). Each entry
-	// fires OnCrash exactly once.
-	Crashes []Crash
-	// OnCrash is invoked (asynchronously) when a scheduled crash fires.
-	// The supervisor wires this to kill-and-restart; tests can wire it to
-	// anything. Nil disables the crash schedule.
-	OnCrash func(node int, restartAfter time.Duration)
-}
-
-// Crash kills node Node when the cluster-wide operation count reaches
-// AtOp, to be restarted after RestartAfter (non-positive means
-// immediately). The operation count is the number of sends attempted
-// through the wrapped cluster, so one seed and one schedule reproduce
-// one crash point up to goroutine interleaving.
-type Crash struct {
-	Node         int
-	AtOp         int64
-	RestartAfter time.Duration
-	// Local counts only frames sent by Node itself instead of the
-	// cluster-wide total. A workload whose victim finishes its own work
-	// early (tsp: the satellites make a handful of RPCs while node 0
-	// grinds on) needs this to pin the kill inside the victim's active
-	// lifetime regardless of how fast the rest of the cluster runs.
-	Local bool
-}
-
-// sched is the cluster-shared crash schedule: one op counter and one
-// fired flag per crash entry, shared by every wrapped transport of the
-// cluster (and by rejoined incarnations through Net).
-type sched struct {
-	ops     atomic.Int64
-	crashes []crashEntry
-	onCrash func(int, time.Duration)
-}
-
-type crashEntry struct {
-	c     Crash
-	local atomic.Int64 // Local entries: the victim's own send count
-	fired atomic.Bool
-}
-
-func newSched(cfg Config) *sched {
-	if cfg.OnCrash == nil || len(cfg.Crashes) == 0 {
-		return nil
-	}
-	s := &sched{crashes: make([]crashEntry, len(cfg.Crashes)), onCrash: cfg.OnCrash}
-	for i, c := range cfg.Crashes {
-		s.crashes[i].c = c
-	}
-	return s
-}
-
-// step advances the op counters for a send by node self and fires any
-// crash entries whose threshold was crossed. It returns the number
-// fired by this step.
-func (s *sched) step(self int) int64 {
-	op := s.ops.Add(1)
-	var fired int64
-	for i := range s.crashes {
-		e := &s.crashes[i]
-		at := op
-		if e.c.Local {
-			if self != e.c.Node {
-				continue
-			}
-			at = e.local.Add(1)
-		}
-		if at >= e.c.AtOp && e.fired.CompareAndSwap(false, true) {
-			fired++
-			if e.c.Local {
-				// The victim is killing itself mid-send: fire inline so it
-				// cannot finish its work before the kill lands — the rest
-				// of this Send already runs against the closed transport.
-				// (Kill is non-blocking, so running it under the sender's
-				// stack is safe.)
-				s.onCrash(e.c.Node, e.c.RestartAfter)
-				continue
-			}
-			// Fire asynchronously: the kill path closes transports, and
-			// must not run under the sender's locks.
-			go s.onCrash(e.c.Node, e.c.RestartAfter)
-		}
-	}
-	return fired
 }
 
 // Counters reports how many faults one wrapped transport injected.
@@ -149,7 +67,6 @@ type Counters struct {
 	Delayed     int64 `json:"delayed"`
 	Resets      int64 `json:"resets"`
 	Partitioned int64 `json:"partitioned"`
-	Crashes     int64 `json:"crashes"`
 }
 
 // Add accumulates other into c.
@@ -159,12 +76,11 @@ func (c *Counters) Add(other Counters) {
 	c.Delayed += other.Delayed
 	c.Resets += other.Resets
 	c.Partitioned += other.Partitioned
-	c.Crashes += other.Crashes
 }
 
 // Total is the number of injected faults.
 func (c Counters) Total() int64 {
-	return c.Dropped + c.Duplicated + c.Delayed + c.Resets + c.Partitioned + c.Crashes
+	return c.Dropped + c.Duplicated + c.Delayed + c.Resets + c.Partitioned
 }
 
 // Transport wraps an inner transport with fault injection. Handle, Recv,
@@ -173,7 +89,6 @@ type Transport struct {
 	inner transport.Transport
 	cfg   Config
 	start time.Time
-	sched *sched // cluster-shared crash schedule; nil when disabled
 
 	mu  sync.Mutex // guards rng
 	rng *rand.Rand
@@ -187,17 +102,16 @@ var _ transport.Transport = (*Transport)(nil)
 // is derived from cfg.Seed and the node id, so a cluster wrapped with
 // one config replays one schedule per seed.
 func Wrap(inner transport.Transport, cfg Config) *Transport {
-	return wrapAt(inner, cfg, time.Now(), newSched(cfg))
+	return wrapAt(inner, cfg, time.Now())
 }
 
-// WrapAll wraps every transport of a cluster with one shared config, a
-// common partition-window origin and one shared crash schedule.
+// WrapAll wraps every transport of a cluster with one shared config and
+// a common partition-window origin.
 func WrapAll(inner []transport.Transport, cfg Config) []*Transport {
 	start := time.Now()
-	sc := newSched(cfg)
 	out := make([]*Transport, len(inner))
 	for i, tr := range inner {
-		out[i] = wrapAt(tr, cfg, start, sc)
+		out[i] = wrapAt(tr, cfg, start)
 	}
 	return out
 }
@@ -221,7 +135,7 @@ func SumCounters(ts []*Transport) Counters {
 	return sum
 }
 
-func wrapAt(inner transport.Transport, cfg Config, start time.Time, sc *sched) *Transport {
+func wrapAt(inner transport.Transport, cfg Config, start time.Time) *Transport {
 	// splitmix-style seed derivation keeps per-node streams uncorrelated
 	// even for adjacent seeds/ids.
 	s := uint64(cfg.Seed) + 0x9e3779b97f4a7c15*uint64(inner.Self()+1)
@@ -232,7 +146,6 @@ func wrapAt(inner transport.Transport, cfg Config, start time.Time, sc *sched) *
 		inner: inner,
 		cfg:   cfg,
 		start: start,
-		sched: sc,
 		rng:   rand.New(rand.NewSource(int64(s))),
 	}
 }
@@ -263,7 +176,6 @@ func (t *Transport) Counters() Counters {
 		Delayed:     atomic.LoadInt64(&t.ctr.Delayed),
 		Resets:      atomic.LoadInt64(&t.ctr.Resets),
 		Partitioned: atomic.LoadInt64(&t.ctr.Partitioned),
-		Crashes:     atomic.LoadInt64(&t.ctr.Crashes),
 	}
 }
 
@@ -272,13 +184,6 @@ func (t *Transport) Counters() Counters {
 // the protocol layer must recover by retransmission, not by error
 // handling.
 func (t *Transport) Send(to int, payload []byte) error {
-	if t.sched != nil {
-		// Crashes attribute to whichever transport's send crossed the
-		// threshold, so summing per-transport counters counts each once.
-		if fired := t.sched.step(t.inner.Self()); fired > 0 {
-			atomic.AddInt64(&t.ctr.Crashes, fired)
-		}
-	}
 	if t.partitioned(to) {
 		atomic.AddInt64(&t.ctr.Partitioned, 1)
 		return nil

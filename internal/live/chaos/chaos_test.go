@@ -155,82 +155,17 @@ func TestResetExercisesReconnect(t *testing.T) {
 	}
 }
 
-// TestCrashScheduleFiresOnce runs a crash schedule over the cluster-wide
-// op count and requires each entry to fire exactly once, at or after its
-// threshold, with the counter attributing each crash once.
-func TestCrashScheduleFiresOnce(t *testing.T) {
-	type ev struct {
-		node  int
-		after time.Duration
-	}
-	events := make(chan ev, 8)
-	cfg := Config{
-		Seed:    3,
-		Crashes: []Crash{{Node: 1, AtOp: 5, RestartAfter: 10 * time.Millisecond}, {Node: 2, AtOp: 12}},
-		OnCrash: func(node int, after time.Duration) { events <- ev{node, after} },
-	}
-	ts := WrapAll(transport.NewInprocNetwork(3), cfg)
-	t.Cleanup(func() {
-		for _, tr := range ts {
-			tr.Close()
-		}
-	})
-	for i := 0; i < 20; i++ {
-		if err := ts[0].Send(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[int]ev{}
-	for i := 0; i < 2; i++ {
-		select {
-		case e := <-events:
-			got[e.node] = e
-		case <-time.After(2 * time.Second):
-			t.Fatalf("crash %d never fired", i)
-		}
-	}
-	if e, ok := got[1]; !ok || e.after != 10*time.Millisecond {
-		t.Fatalf("crash of node 1: %+v", got)
-	}
-	if _, ok := got[2]; !ok {
-		t.Fatalf("crash of node 2 missing: %+v", got)
-	}
-	select {
-	case e := <-events:
-		t.Fatalf("crash entry fired twice: %+v", e)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if n := SumCounters(ts).Crashes; n != 2 {
-		t.Fatalf("Crashes counter = %d, want 2", n)
-	}
-}
-
-// TestNetRejoinKeepsSchedule checks the Network wrapper: rejoined
-// incarnations stay fault-injected, already-fired crash entries stay
-// fired, and counters accumulate across incarnations.
+// TestNetRejoinKeepsSchedule checks the Network wrapper: a rejoined
+// incarnation stays fault-injected under the same schedule, and the
+// fault counters accumulate across incarnations.
 func TestNetRejoinKeepsSchedule(t *testing.T) {
-	fired := make(chan int, 4)
-	nw := WrapNet(transport.NewInprocNet(2), Config{
-		Seed:    9,
-		Crashes: []Crash{{Node: 1, AtOp: 3}},
-		OnCrash: func(node int, _ time.Duration) { fired <- node },
-	})
+	nw := WrapNet(transport.NewInprocNet(2), Config{Seed: 9, DupP: 1})
 	t.Cleanup(func() { nw.Close() })
-	ts := nw.Transports()
-	for i := 0; i < 5; i++ {
-		if err := ts[0].Send(1, nil); err != nil {
+	for i := 0; i < 3; i++ {
+		if err := nw.Transports()[0].Send(1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case n := <-fired:
-		if n != 1 {
-			t.Fatalf("crashed node %d, want 1", n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("scheduled crash never fired")
-	}
-
 	fresh, err := nw.Rejoin(1)
 	if err != nil {
 		t.Fatal(err)
@@ -238,22 +173,16 @@ func TestNetRejoinKeepsSchedule(t *testing.T) {
 	if _, ok := fresh.(*Transport); !ok {
 		t.Fatalf("rejoined transport is %T, not chaos-wrapped", fresh)
 	}
-	// More traffic through the new incarnation: the fired entry must not
-	// re-fire, and the crash stays counted once across incarnations.
-	for i := 0; i < 10; i++ {
-		if err := nw.Transports()[0].Send(1, nil); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 2; i++ {
 		if err := fresh.Send(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case n := <-fired:
-		t.Fatalf("crash entry re-fired for node %d after rejoin", n)
-	case <-time.After(50 * time.Millisecond):
+	if n := nw.Counters().Duplicated; n != 5 {
+		t.Fatalf("Duplicated across incarnations = %d, want 5", n)
 	}
-	if n := nw.Counters().Crashes; n != 1 {
-		t.Fatalf("Crashes across incarnations = %d, want 1", n)
+	nw.Rejoin(1)
+	if n := nw.Counters().Duplicated; n != 5 {
+		t.Fatalf("Duplicated after retiring an incarnation = %d, want 5", n)
 	}
 }

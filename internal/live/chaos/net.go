@@ -7,14 +7,12 @@ import (
 )
 
 // Net wraps a whole transport.Network with fault injection so the
-// supervisor's recovery path runs under the same chaos schedule as the
+// supervisor's recovery path runs under the same fault schedule as the
 // original run: a rejoined node's fresh transport is wrapped with the
-// same config, the same partition-window origin, and the same crash
-// schedule (already-fired crash entries stay fired).
+// same config and the same partition-window origin.
 type Net struct {
 	inner transport.Network
 	cfg   Config
-	sched *sched
 
 	mu      sync.Mutex
 	wrapped []*Transport
@@ -25,12 +23,7 @@ var _ transport.Network = (*Net)(nil)
 
 // WrapNet builds a fault-injecting view of a whole network.
 func WrapNet(inner transport.Network, cfg Config) *Net {
-	ts := WrapAll(inner.Transports(), cfg)
-	nw := &Net{inner: inner, cfg: cfg, wrapped: ts}
-	if len(ts) > 0 {
-		nw.sched = ts[0].sched
-	}
-	return nw
+	return &Net{inner: inner, cfg: cfg, wrapped: WrapAll(inner.Transports(), cfg)}
 }
 
 // Transports implements transport.Network.
@@ -42,14 +35,6 @@ func (nw *Net) Transports() []transport.Transport {
 		out[i] = t
 	}
 	return out
-}
-
-// Wrapped returns the current fault-injecting transports, for counter
-// inspection by tests and the dsmd report.
-func (nw *Net) Wrapped() []*Transport {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return append([]*Transport(nil), nw.wrapped...)
 }
 
 // Rejoin implements transport.Network: the fresh incarnation is wrapped
@@ -66,7 +51,7 @@ func (nw *Net) Rejoin(i int) (transport.Transport, error) {
 	nw.retired.Add(old.Counters())
 	// Keep the original partition-window origin so "From" offsets stay
 	// anchored at cluster start, not at each restart.
-	t := wrapAt(fresh, nw.cfg, old.start, nw.sched)
+	t := wrapAt(fresh, nw.cfg, old.start)
 	nw.wrapped[i] = t
 	return t, nil
 }

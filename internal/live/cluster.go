@@ -99,6 +99,10 @@ type Cluster struct {
 	final []byte
 	ran   bool
 
+	// obs is every node's Observer: Config.Observer, or a kill schedule
+	// chained ahead of it (crash.go).
+	obs node.Observer
+
 	// Crash plumbing (see supervisor.go): Kill records the event here and
 	// RunSupervised drains it; crashPending marks a rollback in flight so
 	// worker failures during it are forgiven.
@@ -139,7 +143,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Net != nil && cfg.Transports != nil {
 		return nil, fmt.Errorf("live: set Net or Transports, not both")
 	}
-	c := &Cluster{cfg: cfg, init: make(map[page.ID][]byte), crashCh: make(chan crashEvent, 4*cfg.Nodes)}
+	c := &Cluster{cfg: cfg, obs: cfg.Observer, init: make(map[page.ID][]byte), crashCh: make(chan crashEvent, 4*cfg.Nodes)}
 	for ps := cfg.PageSize; ps > 1; ps >>= 1 {
 		c.pageShift++
 	}
@@ -254,7 +258,7 @@ func (c *Cluster) nodeConfig(npages int, homes []int32, rc *node.RecoverConfig) 
 		NLocks:     c.nlocks,
 		NBars:      c.nbars,
 		Protocol:   c.cfg.Protocol,
-		Observer:   c.cfg.Observer,
+		Observer:   c.obs,
 		RPCTimeout: c.cfg.RPCTimeout,
 
 		RetryBase:         c.cfg.RetryBase,

@@ -5,14 +5,15 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"lrcdsm/internal/core"
 	"lrcdsm/internal/harness"
-	"lrcdsm/internal/live/chaos"
 	"lrcdsm/internal/live/consensus"
 	"lrcdsm/internal/live/transport"
+	"lrcdsm/internal/live/wire"
 )
 
 // enduranceCompactEvery is the soak's compaction threshold, chosen low
@@ -71,6 +72,23 @@ func (s *logLenSampler) maxLen() int {
 	return <-s.done
 }
 
+// slotTearer tears a durable consensus slot the way a torn write would,
+// once, at the first vote request any replica sends. Node 0 leads from
+// bootstrap, so the first election means it is down, and the survivors
+// must elect its successor before the supervisor can restart it: the
+// restarted incarnation loads the torn slot.
+type slotTearer struct {
+	nopObserver
+	slot *consensus.Stable
+	once sync.Once
+}
+
+func (s *slotTearer) MsgSent(_, _ int, kind wire.Kind, _ int) {
+	if kind == wire.KVoteReq {
+		s.once.Do(func() { s.slot.Corrupt() })
+	}
+}
+
 // TestEndurance is the long-haul claim: the replicated control plane
 // survives an unbounded sequence of runs — every round kills the
 // coordinator at least once — without the consensus log, the durable
@@ -91,7 +109,6 @@ func TestEndurance(t *testing.T) {
 		t.Skip("set DSM_ENDURANCE=1 to run the long-haul soak")
 	}
 	target := enduranceEpisodes(t)
-	atOp := map[string]int64{"jacobi": 30, "water": 100, "cholesky": 600, "tsp": 10}
 
 	var (
 		episodes     int64
@@ -131,32 +148,22 @@ func TestEndurance(t *testing.T) {
 			Seed:            int64(1000 + round),
 			Stables:         stables,
 			CompactEvery:    ce,
+			Crashes:         []Crash{coordinatorKill[name]},
 		}
 		if membership {
 			opts.Voters = 3
 			opts.AddReplicas = []ReplicaAdd{{Node: 3, After: 5 * time.Millisecond}}
 		}
-		fcfg := chaos.Config{Seed: int64(round), Crashes: []chaos.Crash{
-			{Node: 0, AtOp: atOp[name], Local: true, RestartAfter: 5 * time.Millisecond},
-		}}
-
 		app, err := harness.NewApp(name, harness.ScaleTest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cl *Cluster
-		fcfg.OnCrash = func(n int, d time.Duration) {
-			cl.Kill(n, d)
-			if corrupt && n == 0 {
-				// The victim is down: tear its durable slot the way a
-				// torn write would, before the supervisor revives it.
-				stables[0].Corrupt()
-			}
-		}
-		nw := chaos.WrapNet(transport.NewInprocNet(4), fcfg)
 		cfg := failoverConfig(4, prot)
-		cfg.Net = nw
-		cl, err = New(cfg)
+		cfg.Net = transport.NewInprocNet(4)
+		if corrupt {
+			cfg.Observer = &slotTearer{slot: stables[0]}
+		}
+		cl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +175,13 @@ func TestEndurance(t *testing.T) {
 
 		tag := fmt.Sprintf("round %d (%s/%v membership=%v corrupt=%v)", round, name, prot, membership, corrupt)
 		if runErr != nil {
-			t.Fatalf("%s: %v (faults %+v)", tag, runErr, nw.Counters())
+			t.Fatalf("%s: %v", tag, runErr)
 		}
 		if err := app.Verify(cl); err != nil {
 			t.Fatalf("%s: verification: %v", tag, err)
 		}
-		if nw.Counters().Crashes == 0 {
-			t.Fatalf("%s: coordinator kill never fired", tag)
+		if stats.Restarts != 1 {
+			t.Fatalf("%s: %d restarts, want 1 (the scheduled coordinator kill)", tag, stats.Restarts)
 		}
 		if maxLog > 2*enduranceCompactEvery {
 			t.Fatalf("%s: consensus log reached %d entries, bound is %d (2x compaction threshold)",

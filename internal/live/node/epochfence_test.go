@@ -111,3 +111,38 @@ func TestReleaseKeepsTheEpochItWasBuiltIn(t *testing.T) {
 		t.Fatal("the root never released episode 1")
 	}
 }
+
+// TestSetEpochWaitsForTheDispatcher: a request the dispatcher is
+// handling when the supervisor bumps the epoch must finish in the old
+// epoch, or what it sends (a lock forward, a barrier aggregate) carries
+// the new one past its receiver's fence and lands on state that receiver
+// has already rolled back. The dispatcher is held inside a control
+// function; the bump must not return until it is free again.
+func TestSetEpochWaitsForTheDispatcher(t *testing.T) {
+	trs := transport.NewInprocNetwork(1)
+	cfg := onePage(0, core.LI)
+	cfg.Recover = &node.RecoverConfig{
+		Store: ckpt.NewMemStore(), Every: 1, Epoch: 1,
+		Consensus: consensus.NewStable(), Seed: 1,
+	}
+	nd := node.New(trs[0], cfg)
+	nd.Start()
+	defer func() {
+		nd.Close()
+		trs[0].Close()
+		nd.Wait()
+	}()
+	busy, release := make(chan struct{}), make(chan struct{})
+	go nd.Control(func() { close(busy); <-release })
+	<-busy
+	bumped := make(chan struct{})
+	go func() { nd.SetEpoch(2); close(bumped) }()
+	select {
+	case <-bumped:
+		close(release)
+		t.Fatal("SetEpoch returned while the dispatcher was still inside a handler")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-bumped
+}

@@ -146,8 +146,16 @@ func (n *Node) panicInterrupted() {
 // SetEpoch moves the engine to recovery epoch e: frames stamped with any
 // other epoch are fenced from then on. The supervisor bumps every
 // surviving engine before resetting any state, so in-flight pre-rollback
-// traffic cannot touch post-rollback state.
-func (n *Node) SetEpoch(e uint32) { n.epoch.Store(e) }
+// traffic cannot touch post-rollback state. The store runs on the
+// dispatcher, between two requests: a handler that passed the fence in
+// the old epoch would otherwise stamp what it sends (a lock forward, a
+// barrier aggregate) with the new one, and its receiver would apply
+// pre-rollback state after its own reset.
+func (n *Node) SetEpoch(e uint32) {
+	if n.Control(func() { n.epoch.Store(e) }) != nil {
+		n.epoch.Store(e) // shut down: no handler runs any more
+	}
+}
 
 // ---- replay ----
 

@@ -33,12 +33,24 @@ func (st *DirStore) mgrPath(episode int64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("ep%d-mgr.ckpt", episode))
 }
 
+// write stores b under path through a temp file of its own: a killed
+// incarnation still finishing and its replacement may store the same
+// snapshot at once, and a shared temp name would let one rename the
+// other's file away.
 func (st *DirStore) write(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.CreateTemp(st.dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = f.Write(b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("recover: %w", err)
 	}
 	return nil

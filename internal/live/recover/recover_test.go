@@ -246,6 +246,33 @@ func TestDirStoreConcurrent(t *testing.T) {
 	storeConcurrent(t, st)
 }
 
+// TestDirStoreSameSnapshotTwice: a killed incarnation still finishing
+// and its replacement may store the same snapshot at once; every write
+// must succeed and leave the snapshot readable.
+func TestDirStoreSameSnapshotTwice(t *testing.T) {
+	st, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := st.PutManager(sampleManager(2)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, err := st.GetManager(2); err != nil || !reflect.DeepEqual(got, sampleManager(2)) {
+		t.Fatalf("GetManager(2) = %+v, %v", got, err)
+	}
+}
+
 // TestDecodeNodeAliasesInput pins the decoder's side of the ownership
 // rule: page contents are sub-slices of the input, never copies, one
 // buffer may be decoded any number of times, and appending to a decoded

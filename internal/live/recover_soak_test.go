@@ -14,76 +14,89 @@ import (
 	"lrcdsm/internal/live/transport"
 )
 
-// crashSchedule places two mid-run kills of node 2 (never the manager)
-// per workload, calibrated to each app's cross-node message volume so
-// both fire while real work is in flight. (The op counter only sees
-// frames that traverse a transport — the manager node's RPCs to itself
-// bypass it — so lock-heavy apps get low thresholds.)
-//
-// tsp is the odd one out: its satellite workers finish after a handful
-// of RPCs while node 0 grinds on, so a cluster-wide threshold can land
-// after the victim's worker already returned — a kill the supervisor
-// rightly ignores. Counting the victim's own sends (Local) pins the
-// first kill inside its worker and the second inside rejoin/replay.
-//
-// water's whole run is about 2 000 frames, too few for a second
-// threshold to land reliably, so its second kill is keyed on the rejoin
-// instead: the returned postRecoveryKiller (nil for the other apps)
-// fires once the restarted victim has sent a few frames of its own.
-func crashSchedule(app string) ([]chaos.Crash, *postRecoveryKiller) {
-	if app == "tsp" {
-		return []chaos.Crash{
-			{Node: 2, AtOp: 1, Local: true, RestartAfter: 5 * time.Millisecond},
-			{Node: 2, AtOp: 6, Local: true, RestartAfter: 5 * time.Millisecond},
-		}, nil
-	}
-	if app == "water" {
-		return []chaos.Crash{
-			{Node: 2, AtOp: 1000, RestartAfter: 5 * time.Millisecond},
-		}, &postRecoveryKiller{target: 2, n: 10}
-	}
-	ops := map[string][2]int64{
-		"jacobi":   {25, 50},
-		"cholesky": {1000, 4000},
-	}[app]
-	return []chaos.Crash{
-		{Node: 2, AtOp: ops[0], RestartAfter: 5 * time.Millisecond},
-		{Node: 2, AtOp: ops[1], RestartAfter: 5 * time.Millisecond},
-	}, nil
+// crashAt is one kill-schedule entry with the soaks' 5 ms restart
+// delay.
+func crashAt(victim int, at CrashEvent, n int64) Crash {
+	return Crash{Node: victim, At: at, N: n, RestartAfter: 5 * time.Millisecond}
 }
 
-// runAppSupervised executes one workload under a crash schedule — and,
-// if rekill is not nil, a kill keyed on the first rejoin — on a
-// supervised cluster and returns the finished cluster and stats.
-func runAppSupervised(t *testing.T, name string, prot core.Protocol, nodes int,
-	inner transport.Network, fcfg chaos.Config, opts RecoverOptions, rekill *postRecoveryKiller) (*Cluster, *Stats, *chaos.Net) {
+// crashSchedule kills node 2 (never the manager) twice per workload; the
+// second entry counts from the victim's rejoin. Each N sits well inside
+// node 2's own traffic at test scale on 4 nodes: jacobi releases 4
+// times per node, water 130 and cholesky 140-220 times. tsp's node 2
+// releases only 0-3 times — a satellite that finds the task queue
+// drained releases nothing — so its kills land at the cluster's first
+// page fault instead: the first read of the queue page under the queue
+// lock, while every worker is still busy.
+func crashSchedule(app string) []Crash {
+	switch app {
+	case "tsp":
+		return []Crash{crashAt(2, AtFault, 1), crashAt(2, AtFault, 1)}
+	case "water":
+		return []Crash{crashAt(2, AtRelease, 40), crashAt(2, AtRelease, 20)}
+	case "cholesky":
+		return []Crash{crashAt(2, AtRelease, 10), crashAt(2, AtRelease, 10)}
+	}
+	return []Crash{crashAt(2, AtRelease, 2), crashAt(2, AtRelease, 2)}
+}
+
+// runAppSupervised executes one workload on a supervised cluster and
+// returns the finished cluster and stats. The run must succeed, verify,
+// and restart exactly once per scheduled kill: a kill that never fires
+// fails the test.
+func runAppSupervised(t *testing.T, name string, cfg Config, opts RecoverOptions) (*Cluster, *Stats) {
 	t.Helper()
 	app, err := harness.NewApp(name, harness.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cl *Cluster
-	fcfg.OnCrash = func(n int, d time.Duration) { cl.Kill(n, d) }
-	nw := chaos.WrapNet(inner, fcfg)
-	cfg := chaosConfig(nodes, prot, nil)
-	cfg.Net = nw
-	if rekill != nil {
-		rekill.kill = func() { cl.Kill(rekill.target, 5*time.Millisecond) }
-		cfg.Observer = rekill
-	}
-	cl, err = New(cfg)
+	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	app.Configure(cl)
 	stats, err := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, opts)
 	if err != nil {
-		t.Fatalf("%s/%v/%dn supervised run: %v (faults %+v)", name, prot, nodes, err, nw.Counters())
+		t.Fatalf("%s/%v/%dn supervised run: %v", name, cfg.Protocol, cfg.Nodes, err)
 	}
 	if err := app.Verify(cl); err != nil {
-		t.Fatalf("%s/%v/%dn failed verification after recovery: %v", name, prot, nodes, err)
+		t.Fatalf("%s/%v/%dn failed verification after recovery: %v", name, cfg.Protocol, cfg.Nodes, err)
 	}
-	return cl, stats, nw
+	if want := int64(len(opts.Crashes)); stats.Restarts != want {
+		t.Fatalf("%s/%v/%dn: %d restarts, want one per scheduled kill (%d)", name, cfg.Protocol, cfg.Nodes, stats.Restarts, want)
+	}
+	if stats.RecoveryNs == 0 && stats.Restarts > 0 {
+		t.Error("restarts recorded but no recovery time")
+	}
+	return cl, stats
+}
+
+// runAppAborted executes one workload on a supervised cluster whose
+// schedule ends in a kill the budget cannot cover: the run must end in
+// a *node.PeerDownError naming the last entry's victim. It returns the
+// verdict and how long the run took to reach it.
+func runAppAborted(t *testing.T, name string, cfg Config, opts RecoverOptions) (*node.PeerDownError, time.Duration) {
+	t.Helper()
+	app, err := harness.NewApp(name, harness.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.Configure(cl)
+	t0 := time.Now()
+	_, runErr := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, opts)
+	elapsed := time.Since(t0)
+	var pd *node.PeerDownError
+	if !errors.As(runErr, &pd) {
+		t.Fatalf("want *node.PeerDownError, got %T: %v", runErr, runErr)
+	}
+	if last := opts.Crashes[len(opts.Crashes)-1].Node; pd.Node != last {
+		t.Fatalf("abort names node %d, want %d (the last scheduled victim): %v", pd.Node, last, runErr)
+	}
+	return pd, elapsed
 }
 
 // TestRecoverySoakInproc is the tentpole's end-to-end claim: all four
@@ -97,27 +110,15 @@ func TestRecoverySoakInproc(t *testing.T) {
 			name, prot := name, prot
 			t.Run(fmt.Sprintf("%s/%v", name, prot), func(t *testing.T) {
 				t.Parallel()
-				crashes, rekill := crashSchedule(name)
-				fcfg := chaos.Config{Seed: 1, Crashes: crashes}
-				opts := RecoverOptions{
+				cfg := chaosConfig(4, prot, nil)
+				cfg.Net = transport.NewInprocNet(4)
+				got, stats := runAppSupervised(t, name, cfg, RecoverOptions{
 					MaxRestarts:     4,
 					CheckpointEvery: 1,
 					Replicate:       true,
 					Seed:            1,
-				}
-				got, stats, nw := runAppSupervised(t, name, prot, 4, transport.NewInprocNet(4), fcfg, opts, rekill)
-				if c := nw.Counters().Crashes; c == 0 {
-					t.Fatal("crash schedule fired no kills — the soak exercised nothing")
-				}
-				if rekill != nil && !rekill.fired.Load() {
-					t.Error("the second kill, keyed on the rejoin, never fired")
-				}
-				if stats.Restarts == 0 {
-					t.Error("kills fired but the supervisor recorded no restarts")
-				}
-				if stats.RecoveryNs == 0 && stats.Restarts > 0 {
-					t.Error("restarts recorded but no recovery time")
-				}
+					Crashes:         crashSchedule(name),
+				})
 				// Barrier apps checkpoint at every episode; the lock-only
 				// apps (no barriers) legitimately roll back to the initial
 				// image instead.
@@ -156,26 +157,15 @@ func TestRecoverySoakTCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			crashes, rekill := crashSchedule(tc.app)
-			fcfg := chaos.Config{
-				Seed:    2,
-				DropP:   0.01,
-				DupP:    0.02,
-				Crashes: crashes,
-			}
-			opts := RecoverOptions{
+			cfg := chaosConfig(4, tc.prot, nil)
+			cfg.Net = chaos.WrapNet(inner, chaos.Config{Seed: 2, DropP: 0.01, DupP: 0.02})
+			got, _ := runAppSupervised(t, tc.app, cfg, RecoverOptions{
 				MaxRestarts:     4,
 				CheckpointEvery: 1,
 				Replicate:       true,
 				Seed:            2,
-			}
-			got, stats, nw := runAppSupervised(t, tc.app, tc.prot, 4, inner, fcfg, opts, rekill)
-			if nw.Counters().Crashes == 0 {
-				t.Fatal("crash schedule fired no kills over TCP")
-			}
-			if stats.Restarts == 0 {
-				t.Error("kills fired but the supervisor recorded no restarts")
-			}
+				Crashes:         crashSchedule(tc.app),
+			})
 			compareToReference(t, tc.app, tc.prot, got)
 		})
 	}
@@ -185,23 +175,16 @@ func TestRecoverySoakTCP(t *testing.T) {
 // forcing the rejoin to stream the stable snapshot back from the
 // manager's replica chunk by chunk.
 func TestRecoveryLostStore(t *testing.T) {
-	fcfg := chaos.Config{Seed: 3, Crashes: []chaos.Crash{
-		{Node: 2, AtOp: 50, RestartAfter: 5 * time.Millisecond},
-	}}
-	opts := RecoverOptions{
-		MaxRestarts:      4,
-		CheckpointEvery:  1,
-		Replicate:        true,
-		Seed:             3,
-		LoseStoreOnCrash: true,
-	}
-	got, stats, nw := runAppSupervised(t, "jacobi", core.LH, 4, transport.NewInprocNet(4), fcfg, opts, nil)
-	if nw.Counters().Crashes == 0 {
-		t.Fatal("crash schedule fired no kills")
-	}
-	if stats.Restarts == 0 {
-		t.Error("kill fired but no restart recorded")
-	}
+	cfg := chaosConfig(4, core.LH, nil)
+	cfg.Net = transport.NewInprocNet(4)
+	got, _ := runAppSupervised(t, "jacobi", cfg, RecoverOptions{
+		MaxRestarts:     4,
+		CheckpointEvery: 1,
+		Replicate:       true,
+		Seed:            3,
+		LoseStore:       true,
+		Crashes:         []Crash{crashAt(2, AtRelease, 3)},
+	})
 	compareToReference(t, "jacobi", core.LH, got)
 }
 
@@ -217,19 +200,15 @@ func TestRecoveryDirStore(t *testing.T) {
 		}
 		stores[i] = s
 	}
-	fcfg := chaos.Config{Seed: 4, Crashes: []chaos.Crash{
-		{Node: 1, AtOp: 40, RestartAfter: 0},
-	}}
-	opts := RecoverOptions{
+	cfg := chaosConfig(4, core.LI, nil)
+	cfg.Net = transport.NewInprocNet(4)
+	got, _ := runAppSupervised(t, "jacobi", cfg, RecoverOptions{
 		MaxRestarts:     2,
 		CheckpointEvery: 1,
 		Stores:          stores,
 		Seed:            4,
-	}
-	got, stats, _ := runAppSupervised(t, "jacobi", core.LI, 4, transport.NewInprocNet(4), fcfg, opts, nil)
-	if stats.Restarts == 0 {
-		t.Error("kill fired but no restart recorded")
-	}
+		Crashes:         []Crash{{Node: 1, At: AtRelease, N: 3}},
+	})
 	compareToReference(t, "jacobi", core.LI, got)
 }
 
@@ -243,23 +222,15 @@ func TestRecoveryLockHomeCrash(t *testing.T) {
 		prot := prot
 		t.Run(prot.String(), func(t *testing.T) {
 			t.Parallel()
-			fcfg := chaos.Config{Seed: 8, Crashes: []chaos.Crash{
-				{Node: 1, AtOp: 1, Local: true, RestartAfter: 5 * time.Millisecond},
-				{Node: 1, AtOp: 6, Local: true, RestartAfter: 5 * time.Millisecond},
-			}}
-			opts := RecoverOptions{
+			cfg := chaosConfig(4, prot, nil)
+			cfg.Net = transport.NewInprocNet(4)
+			got, _ := runAppSupervised(t, "tsp", cfg, RecoverOptions{
 				MaxRestarts:     4,
 				CheckpointEvery: 1,
 				Replicate:       true,
 				Seed:            8,
-			}
-			got, stats, nw := runAppSupervised(t, "tsp", prot, 4, transport.NewInprocNet(4), fcfg, opts, nil)
-			if nw.Counters().Crashes == 0 {
-				t.Fatal("crash schedule fired no kills")
-			}
-			if stats.Restarts == 0 {
-				t.Error("kills fired but the supervisor recorded no restarts")
-			}
+				Crashes:         []Crash{crashAt(1, AtFault, 1), crashAt(1, AtFault, 1)},
+			})
 			compareToReference(t, "tsp", prot, got)
 		})
 	}
@@ -269,17 +240,14 @@ func TestRecoveryLockHomeCrash(t *testing.T) {
 // transient partition window that heals on its own: retransmission must
 // ride it out without the supervisor burning a restart.
 func TestPartitionHealSupervised(t *testing.T) {
-	fcfg := chaos.Config{
+	cfg := chaosConfig(4, core.LH, nil)
+	cfg.Net = chaos.WrapNet(transport.NewInprocNet(4), chaos.Config{
 		Seed: 5,
 		Partitions: []chaos.Partition{
 			{A: 0, B: 3, From: 50 * time.Millisecond, Dur: 200 * time.Millisecond},
 		},
-	}
-	opts := RecoverOptions{MaxRestarts: 2, CheckpointEvery: 1, Seed: 5}
-	got, stats, _ := runAppSupervised(t, "water", core.LH, 4, transport.NewInprocNet(4), fcfg, opts, nil)
-	if stats.Restarts != 0 {
-		t.Errorf("transient partition burned %d restarts; retries should have ridden it out", stats.Restarts)
-	}
+	})
+	got, _ := runAppSupervised(t, "water", cfg, RecoverOptions{MaxRestarts: 2, CheckpointEvery: 1, Seed: 5})
 	compareToReference(t, "water", core.LH, got)
 }
 
@@ -288,44 +256,17 @@ func TestPartitionHealSupervised(t *testing.T) {
 // PeerDownError abort a recovery-free cluster reports — quickly, via
 // heartbeat detection, not by riding out the RPC deadline.
 func TestRestartBudgetExhausted(t *testing.T) {
-	app, err := harness.NewApp("jacobi", harness.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cl *Cluster
-	fcfg := chaos.Config{
-		Seed:    6,
-		Crashes: []chaos.Crash{{Node: 2, AtOp: 25}},
-		OnCrash: func(n int, d time.Duration) { cl.Kill(n, d) },
-	}
-	nw := chaos.WrapNet(transport.NewInprocNet(4), fcfg)
 	cfg := chaosConfig(4, core.LH, nil)
-	cfg.Net = nw
+	cfg.Net = transport.NewInprocNet(4)
 	cfg.RPCTimeout = 30 * time.Second
 	cfg.HeartbeatInterval = 25 * time.Millisecond
 	cfg.HeartbeatTimeout = 250 * time.Millisecond
-	cl, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.Configure(cl)
-
-	t0 := time.Now()
-	_, runErr := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, RecoverOptions{MaxRestarts: 0})
-	elapsed := time.Since(t0)
-
-	if runErr == nil {
-		t.Fatal("killed node with zero restart budget reported success")
-	}
-	var pd *node.PeerDownError
-	if !errors.As(runErr, &pd) {
-		t.Fatalf("want *node.PeerDownError, got %T: %v", runErr, runErr)
-	}
-	if pd.Node != 2 {
-		t.Errorf("suspect node = %d, want 2 (the killed node)", pd.Node)
-	}
+	pd, elapsed := runAppAborted(t, "jacobi", cfg, RecoverOptions{
+		MaxRestarts: 0,
+		Crashes:     []Crash{{Node: 2, At: AtRelease, N: 2}},
+	})
 	if elapsed > 10*time.Second {
 		t.Errorf("abort took %v — heartbeat detection did not convert the kill", elapsed)
 	}
-	t.Logf("degraded to structured abort in %v: %v", elapsed, runErr)
+	t.Logf("degraded to structured abort in %v: %v", elapsed, pd)
 }

@@ -37,10 +37,14 @@ type RecoverOptions struct {
 	RestartDelay time.Duration
 	// Seed drives the restart jitter (default 1).
 	Seed int64
-	// LoseStoreOnCrash replaces the victim's store with an empty one
+	// LoseStore replaces the victim's store with an empty one
 	// before it rejoins, forcing the chunk-pull path from the manager's
-	// replica (requires Replicate).
-	LoseStoreOnCrash bool
+	// replica (requires Replicate; RunSupervised refuses it without).
+	LoseStore bool
+	// Crashes is the run's kill schedule, keyed on protocol events (see
+	// Crash). The supervisor kills each victim itself, whether or not the
+	// restart budget can bring it back.
+	Crashes []Crash
 	// Stables supplies one durable consensus slot per node; nil selects
 	// fresh slots. Injecting them lets a harness inspect log growth or
 	// corrupt a slot mid-run (integrity soaks).
@@ -69,7 +73,8 @@ type ReplicaAdd struct {
 // mid-run, exactly as if the process died. Under RunSupervised the
 // cluster rolls back to the last stable checkpoint and restarts the node
 // after restartAfter; under Run the failure detector aborts the cluster.
-// Safe to call from any goroutine (chaos schedules call it from Send).
+// Safe to call from any goroutine (a kill schedule calls it from inside
+// a node's event).
 func (c *Cluster) Kill(victim int, restartAfter time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,7 +95,7 @@ func (c *Cluster) Kill(victim int, restartAfter time.Duration) {
 // runDegraded is RunSupervised with the restart budget exhausted from
 // the start: no checkpointing, no rejoin. It differs from Run in one
 // respect — a node killed through Kill dies like a separate process
-// would, so its worker's own unwinding does not abort the cluster; the
+// would, so no worker unwinding after the kill aborts the cluster; the
 // survivors keep running until the manager's failure detector converts
 // the silence into the structured PeerDownError abort.
 func (c *Cluster) runDegraded(worker func(core.Worker)) (*Stats, error) {
@@ -158,17 +163,17 @@ wait:
 	for {
 		select {
 		case <-errCh:
-			select {
-			case <-c.crashCh:
-				// A killed node's worker unwound. Leave the survivors
-				// running: the manager's heartbeat monitor will declare
-				// the node down and abort the cluster with the verdict.
-			default:
-				// A genuine worker failure aborts the run, as Run would.
-				teardown()
-				roundErrs = <-doneCh
-				break wait
+			if c.crashPending.Load() {
+				// A worker unwound after a kill: the victim's own, or a
+				// survivor's failing over its death. Leave the rest running:
+				// the manager's heartbeat monitor will declare the node down
+				// and abort the cluster with the verdict.
+				continue
 			}
+			// A genuine worker failure aborts the run, as Run would.
+			teardown()
+			roundErrs = <-doneCh
+			break wait
 		case roundErrs = <-doneCh:
 			break wait
 		}
@@ -180,6 +185,16 @@ wait:
 		}
 	}
 	firstErr := pickErr(roundErrs)
+	var pd *node.PeerDownError
+	if firstErr != nil && !errors.As(firstErr, &pd) {
+		select {
+		case ev := <-c.crashCh:
+			// The kill took the liveness judge (node 0) with it, so no
+			// verdict came; the node the cluster lost is still the victim.
+			firstErr = &node.PeerDownError{Node: ev.victim, Pending: firstErr.Error()}
+		default:
+		}
+	}
 	if firstErr == nil {
 		c.gatherFinal(nodes, homes)
 	}
@@ -215,6 +230,13 @@ wait:
 func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (*Stats, error) {
 	if c.cfg.Net == nil {
 		return nil, fmt.Errorf("live: RunSupervised requires Config.Net (recovery rebuilds a crashed node's transport through Network.Rejoin)")
+	}
+	if opts.LoseStore && !opts.Replicate {
+		return nil, fmt.Errorf("live: LoseStore requires Replicate (the victim's only checkpoint copy is the manager's replica)")
+	}
+	sched, err := c.scheduleCrashes(opts.Crashes)
+	if err != nil {
+		return nil, err
 	}
 	if opts.MaxRestarts <= 0 {
 		// No restart budget: run without the recovery machinery so a
@@ -587,7 +609,9 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 			if k > 0 {
 				s, gerr := stores[i].GetNode(k, i)
 				if gerr != nil {
-					return fail(nil, nil, fmt.Errorf("live: node %d lost stable checkpoint %d: %w", i, k, gerr))
+					return fail(nil, nil, &node.PeerDownError{
+						Node: i, Pending: fmt.Sprintf("lost stable checkpoint %d: %v", k, gerr),
+					})
 				}
 				snap = s
 			}
@@ -608,13 +632,13 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		if opts.LoseStoreOnCrash {
+		if opts.LoseStore {
 			stores[ev.victim] = ckpt.NewMemStore()
 		}
 
 		tr, err := c.cfg.Net.Rejoin(ev.victim)
 		if err != nil {
-			return fail(nil, nil, fmt.Errorf("live: rebuilding node %d transport: %w", ev.victim, err))
+			return fail(nil, nil, &node.PeerDownError{Node: ev.victim, Pending: "rebuilding its transport: " + err.Error()})
 		}
 		incarnations[ev.victim]++
 		fresh := node.New(tr, c.nodeConfig(npages, homes, rcFor(ev.victim)))
@@ -632,7 +656,10 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 				recoveryNs += time.Since(tRec).Nanoseconds()
 				continue
 			}
-			return fail(nil, nil, fmt.Errorf("live: node %d rejoin: %w", ev.victim, err))
+			return fail(nil, nil, &node.PeerDownError{Node: ev.victim, Pending: "rejoin: " + err.Error()})
+		}
+		if sched != nil {
+			sched.rejoined()
 		}
 		if len(c.crashCh) == 0 {
 			c.crashPending.Store(false)

@@ -55,22 +55,25 @@ func TestEnduranceServe(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
+		// Kill the coordinator three times while the load is in flight,
+		// each at its 25th release (of ~120 in a fault-free run) since the
+		// previous kill's rejoin.
+		kill := live.Crash{Node: 0, At: live.AtRelease, N: 25, RestartAfter: 5 * time.Millisecond}
 		stats, rerr := cl.RunSupervised(srv.NodeWorker, live.RecoverOptions{
 			MaxRestarts: 4, CheckpointEvery: 1, Replicate: true, Seed: 7,
 			Stables: stables, CompactEvery: compactEvery,
+			Crashes: []live.Crash{kill, kill, kill},
 		})
 		done <- out{stats, rerr}
 	}()
 
-	// Kill the coordinator three times while the load is in flight,
-	// and sample the replicas' durable log length throughout.
-	stopKill := make(chan struct{})
-	killed := make(chan int, 1)
+	// Sample the replicas' durable log length throughout.
+	stopSample := make(chan struct{})
+	sampled := make(chan int, 1)
 	go func() {
-		kills, maxLog := 0, 0
+		maxLog := 0
 		tick := time.NewTicker(2 * time.Millisecond)
 		defer tick.Stop()
-		next := time.After(200 * time.Millisecond)
 		for {
 			select {
 			case <-tick.C:
@@ -79,39 +82,32 @@ func TestEnduranceServe(t *testing.T) {
 						maxLog = ll
 					}
 				}
-			case <-next:
-				if kills < 3 {
-					cl.Kill(0, 5*time.Millisecond)
-					kills++
-					next = time.After(300 * time.Millisecond)
-				}
-			case <-stopKill:
-				if maxLog > 2*compactEvery {
-					t.Errorf("consensus log reached %d entries, bound is %d (2x compaction threshold)",
-						maxLog, 2*compactEvery)
-				}
-				killed <- kills
+			case <-stopSample:
+				sampled <- maxLog
 				return
 			}
 		}
 	}()
 
 	res, lerr := loadgen.Run(lcfg, func(int) (loadgen.Driver, error) { return srv, nil })
-	close(stopKill)
-	kills := <-killed
+	close(stopSample)
+	maxLog := <-sampled
 	srv.Shutdown()
 	o := <-done
 	if lerr != nil {
 		t.Fatalf("load: %v", lerr)
 	}
 	if o.err != nil {
-		t.Fatalf("cluster (after %d kills): %v", kills, o.err)
+		t.Fatalf("cluster: %v", o.err)
 	}
 	if res.Violations != 0 {
 		t.Fatalf("%d read-your-writes violations under kills", res.Violations)
 	}
-	if kills == 0 {
-		t.Fatal("the load finished before a single coordinator kill fired")
+	if o.stats.Restarts != 3 {
+		t.Fatalf("%d restarts, want 3 (one per scheduled coordinator kill)", o.stats.Restarts)
+	}
+	if maxLog > 2*compactEvery {
+		t.Errorf("consensus log reached %d entries, bound is %d (2x compaction threshold)", maxLog, 2*compactEvery)
 	}
 	if o.stats.Total.CheckpointsTaken == 0 {
 		t.Error("durable run took no checkpoints")
@@ -124,5 +120,5 @@ func TestEnduranceServe(t *testing.T) {
 	gotRun := &serveRun{cl: cl, res: res, stats: o.stats}
 	compareKeys(t, scfg, gotRun, ref, lcfg.Keys)
 	t.Logf("served %d ops across %d coordinator kills (%d checkpoints, %d compactions)",
-		res.Ops, kills, o.stats.Total.CheckpointsTaken, o.stats.Total.ConsensusCompactions)
+		res.Ops, o.stats.Restarts, o.stats.Total.CheckpointsTaken, o.stats.Total.ConsensusCompactions)
 }

@@ -6,7 +6,6 @@ import (
 
 	"lrcdsm/internal/core"
 	"lrcdsm/internal/live"
-	"lrcdsm/internal/live/chaos"
 	"lrcdsm/internal/live/transport"
 	"lrcdsm/internal/serve"
 	"lrcdsm/internal/serve/loadgen"
@@ -32,21 +31,11 @@ func TestServeFailoverSoak(t *testing.T) {
 		Partition: true, Verify: true,
 	}
 
-	fcfg := chaos.Config{
-		Seed: 43,
-		Crashes: []chaos.Crash{
-			{Node: 0, AtOp: 400, Local: true, RestartAfter: 5 * time.Millisecond},
-		},
-	}
-	var cl *live.Cluster
-	fcfg.OnCrash = func(n int, d time.Duration) { cl.Kill(n, d) }
-	nw := chaos.WrapNet(transport.NewInprocNet(nodes), fcfg)
-
 	cl, err := live.New(live.Config{
 		Nodes: nodes, Protocol: core.LH, RPCTimeout: 60 * time.Second,
 		RetryBase: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 2 * time.Second,
-		Net: nw,
+		Net: transport.NewInprocNet(nodes),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +53,9 @@ func TestServeFailoverSoak(t *testing.T) {
 	go func() {
 		stats, rerr := cl.RunSupervised(srv.NodeWorker, live.RecoverOptions{
 			MaxRestarts: 3, CheckpointEvery: 1, Replicate: true, Seed: 9,
+			// Kill node 0, the coordinator, at its 40th release of
+			// ~150 in this load, so real serving traffic is in flight.
+			Crashes: []live.Crash{{Node: 0, At: live.AtRelease, N: 40, RestartAfter: 5 * time.Millisecond}},
 		})
 		done <- out{stats, rerr}
 	}()
@@ -71,19 +63,16 @@ func TestServeFailoverSoak(t *testing.T) {
 	srv.Shutdown()
 	o := <-done
 	if lerr != nil {
-		t.Fatalf("load: %v (faults %+v)", lerr, nw.Counters())
+		t.Fatalf("load: %v", lerr)
 	}
 	if o.err != nil {
-		t.Fatalf("cluster: %v (faults %+v)", o.err, nw.Counters())
+		t.Fatalf("cluster: %v", o.err)
 	}
 	if res.Violations != 0 {
 		t.Fatalf("%d acknowledged writes lost across the coordinator failover", res.Violations)
 	}
-	if c := nw.Counters().Crashes; c == 0 {
-		t.Fatal("crash schedule fired no kills — the soak exercised nothing")
-	}
-	if o.stats.Restarts == 0 {
-		t.Error("kill fired but the supervisor recorded no restarts")
+	if o.stats.Restarts != 1 {
+		t.Errorf("%d restarts, want 1 (the scheduled kill)", o.stats.Restarts)
 	}
 	if o.stats.Total.ConsensusElections == 0 {
 		t.Error("coordinator died but no replica recorded an election")
