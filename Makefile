@@ -128,8 +128,9 @@ endurance:
 
 # bench-serve runs the serving request path's microbenchmarks, five runs
 # each, on a 1-node cluster with one executor: one caller's get and put
-# through Server.Do (the hand-off both ways, a local lock re-acquire,
-# one shared access) and eight callers' gets, where batches group. A get
+# through Server.Do (run inline on the idle executor's lane: a local
+# lock re-acquire, one shared access, no hand-off) and eight callers'
+# gets, some inline and the rest queued, where batches group. A get
 # allocates nothing; a put's allocations are the node's, closing its
 # interval; the serve layer's own are pinned at zero by
 # TestDoDoesNotAllocate. End-to-end

@@ -335,8 +335,8 @@ func printReport(rep *serveReport) {
 		fmt.Printf("  server queue+exec: p50 %s  p99 %s  p99.9 %s\n", ns(h.P50Ns), ns(h.P99Ns), ns(h.P999Ns))
 	}
 	st := rep.Stats
-	fmt.Printf("  cluster: %d gets, %d puts, lock wait %.1f ms, msgs %d, diffs %d applied\n",
-		st.Total.ServeGets, st.Total.ServePuts,
+	fmt.Printf("  cluster: %d gets, %d puts (%d inline), lock wait %.1f ms, msgs %d, diffs %d applied\n",
+		st.Total.ServeGets, st.Total.ServePuts, st.Total.ServeInline,
 		float64(st.Total.LockWaitNs)/1e6,
 		st.Total.MsgsSent, st.Total.DiffsApplied)
 	if st.Restarts > 0 || st.Total.CheckpointsTaken > 0 {

@@ -490,6 +490,7 @@ func addStats(dst, src *node.Stats) {
 	dst.ParkedReqs += src.ParkedReqs
 	dst.ServeGets += src.ServeGets
 	dst.ServePuts += src.ServePuts
+	dst.ServeInline += src.ServeInline
 	dst.ConsensusTerms += src.ConsensusTerms
 	dst.ConsensusElections += src.ConsensusElections
 	dst.ConsensusCommits += src.ConsensusCommits

@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -340,4 +341,79 @@ func TestOddAddresses(t *testing.T) {
 			w.WriteU64(a, 1)
 		}()
 	}
+}
+
+// TestLockInPlace pins a lane's non-blocking acquire (what a serving
+// caller borrowing an idle executor's lane uses) to Lock's zero-message
+// path. It refuses when the node does not own the lock, when the node is
+// replaying and when a successor is queued for the lock, and a refusal
+// sends and counts nothing. A success counts exactly what the lane's
+// zero-message Lock counts, and sends nothing either.
+func TestLockInPlace(t *testing.T) {
+	nodes, stop := startNodes(t, onePage(0, core.LH), 2)
+	defer stop()
+	lw := nodes[0].LaneWorker(1)
+	ip := lw.(interface{ LockInPlace(int) bool })
+	refuses := func(why string) {
+		t.Helper()
+		before := nodes[0].Stats()
+		if ip.LockInPlace(0) {
+			t.Fatalf("%s: LockInPlace acquired", why)
+		}
+		if after := nodes[0].Stats(); after != before {
+			t.Errorf("%s: a refusal changed the counters:\n%+v\n%+v", why, before, after)
+		}
+	}
+	// delta returns what acquire moved on node 0's counters.
+	delta := func(acquire func()) node.Stats {
+		before := nodes[0].Stats()
+		acquire()
+		d := nodes[0].Stats()
+		lw.Unlock(0)
+		dv, bv := reflect.ValueOf(&d).Elem(), reflect.ValueOf(before)
+		for i := 0; i < dv.NumField(); i++ {
+			dv.Field(i).SetInt(dv.Field(i).Int() - bv.Field(i).Int())
+		}
+		return d
+	}
+
+	refuses("unowned")
+	lw.Lock(0) // requested from the home (node 0 itself)
+	lw.Unlock(0)
+	inPlace := delta(func() {
+		if !ip.LockInPlace(0) {
+			t.Fatal("LockInPlace refused a lock the node owns with no successor")
+		}
+	})
+	viaLock := delta(func() { lw.Lock(0) })
+	if inPlace.MsgsSent != 0 || inPlace.LockAcquires != 1 || inPlace.LockLocalAcquires != 1 {
+		t.Errorf("LockInPlace: %d msgs, %d acquires, %d local; want 0, 1, 1",
+			inPlace.MsgsSent, inPlace.LockAcquires, inPlace.LockLocalAcquires)
+	}
+	if inPlace != viaLock {
+		t.Errorf("LockInPlace and Lock's zero-message path count differently:\n%+v\n%+v", inPlace, viaLock)
+	}
+
+	nodes[0].BeginReplay(1)
+	refuses("replaying")
+	nodes[0].BeginReplay(0)
+
+	lw.Lock(0)
+	granted := make(chan struct{})
+	go func() {
+		defer close(granted)
+		unwound(func() {
+			nodes[1].Lock(0) // forwarded to node 0, which queues it behind its holder
+			nodes[1].Unlock(0)
+		})
+	}()
+	for end := time.Now().Add(10 * time.Second); !nodes[0].SuccQueued(0); {
+		if time.Now().After(end) {
+			t.Fatal("node 1's request never queued at node 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	refuses("successor queued")
+	lw.Unlock(0) // hands the lock to node 1
+	<-granted
 }

@@ -646,13 +646,17 @@ func (n *Node) Wait() { n.wg.Wait() }
 func (n *Node) Stats() Stats { return n.stats.Snapshot() }
 
 // CountServe credits serving-path activity (internal/serve) to this
-// node's counters. Safe from any goroutine.
-func (n *Node) CountServe(gets, puts int64) {
+// node's counters: gets and puts executed, and how many of them their
+// caller ran inline on a borrowed lane. Safe from any goroutine.
+func (n *Node) CountServe(gets, puts, inline int64) {
 	if gets != 0 {
 		n.stats.add(&n.stats.ServeGets, gets)
 	}
 	if puts != 0 {
 		n.stats.add(&n.stats.ServePuts, puts)
+	}
+	if inline != 0 {
+		n.stats.add(&n.stats.ServeInline, inline)
 	}
 }
 
@@ -666,7 +670,11 @@ func (n *Node) Replaying() bool { return n.replaying }
 // private token lane, preserving the strictly-increasing,
 // one-outstanding invariant the receivers' per-(origin, lane) duplicate
 // windows rely on. lane must be positive, below 1<<15, and used by one
-// goroutine at a time; lane 0 is the node's own worker goroutine.
+// goroutine at a time; lane 0 is the node's own worker goroutine. A lane
+// may pass from one goroutine to another, but only across a
+// happens-before edge (a serving executor lends its lane to a caller
+// under a mutex both take): the duplicate windows order a lane's tokens,
+// not the goroutines that issue them.
 // Goroutines sharing a node must never acquire the same lock
 // concurrently; their releases need no serialization (a release vector
 // time covering a sibling's interval whose flush is still in flight is
@@ -695,6 +703,11 @@ type laneWorker struct {
 
 func (lw laneWorker) Lock(id int)   { lw.Node.lockLane(id, lw.lane) }
 func (lw laneWorker) Unlock(id int) { lw.Node.unlock(id) }
+
+// LockInPlace is Lock's zero-message path alone: it acquires id only if
+// that needs no message (the node owns the lock, no successor is queued
+// and it is not replaying) and reports whether it did. It never blocks.
+func (lw laneWorker) LockInPlace(id int) bool { return lw.Node.lockInPlace(id) }
 
 // Backoff never parks a lane: the poll state is the own worker's.
 func (lw laneWorker) Backoff(int64) {}

@@ -110,9 +110,12 @@ type Stats struct {
 
 	// Serving-path counters (internal/serve): get/put operations executed
 	// on this node (the time its executors waited on shard locks is in
-	// LockWaitNs with every other acquire). Zero outside serving runs.
-	ServeGets int64 `json:"serve_gets"`
-	ServePuts int64 `json:"serve_puts"`
+	// LockWaitNs with every other acquire), and the share of them their
+	// caller ran itself on an idle executor's lane instead of queueing.
+	// Zero outside serving runs.
+	ServeGets   int64 `json:"serve_gets"`
+	ServePuts   int64 `json:"serve_puts"`
+	ServeInline int64 `json:"serve_inline"`
 
 	// Consensus-health counters: the replicated control plane's activity
 	// on this node. Terms counts term advances this replica observed,
@@ -169,7 +172,7 @@ func (s *Stats) Snapshot() Stats {
 		{&out.LockWaitNs, &s.LockWaitNs}, {&out.BarrierWaitNs, &s.BarrierWaitNs},
 		{&out.FaultWaitNs, &s.FaultWaitNs}, {&out.FlushWaitNs, &s.FlushWaitNs},
 		{&out.HomeWaitNs, &s.HomeWaitNs}, {&out.ParkedReqs, &s.ParkedReqs},
-		{&out.ServeGets, &s.ServeGets}, {&out.ServePuts, &s.ServePuts},
+		{&out.ServeGets, &s.ServeGets}, {&out.ServePuts, &s.ServePuts}, {&out.ServeInline, &s.ServeInline},
 		{&out.ConsensusTerms, &s.ConsensusTerms}, {&out.ConsensusElections, &s.ConsensusElections},
 		{&out.ConsensusCommits, &s.ConsensusCommits}, {&out.LeaderRedirects, &s.LeaderRedirects},
 		{&out.ConsensusCompactions, &s.ConsensusCompactions}, {&out.ConsensusSnapInstalls, &s.ConsensusSnapInstalls},

@@ -235,27 +235,45 @@ func (n *Node) lockLane(id int, lane int64) {
 	if n.replaying {
 		return // replay re-derives private state only; locks are moot
 	}
-	// Only an acquire that sends a request is a wait (LockWaitNs).
-	n.mu.Lock()
-	lk := &n.sy.locks[id]
-	if lk.owned && lk.succ == nil {
-		lk.held = true
-		n.mu.Unlock()
-		atomic.AddInt64(&n.stats.LockAcquires, 1)
-		atomic.AddInt64(&n.stats.LockLocalAcquires, 1)
+	if n.lockInPlace(id) {
 		return
 	}
+	// Only an acquire that sends a request is a wait (LockWaitNs).
+	n.mu.Lock()
 	reqVT := n.vt.Clone()
 	n.mu.Unlock()
 	t0 := time.Now()
 	reply := n.rpcLane(n.lockHome(id), &wire.Msg{Kind: wire.KLockReq, Lock: int32(id), VT: reqVT}, lane)
 	n.applyNotices(reply.VT, reply.Notices, reply.Diffs)
 	n.mu.Lock()
+	lk := &n.sy.locks[id]
 	lk.owned = true
 	lk.held = true
 	n.mu.Unlock()
 	atomic.AddInt64(&n.stats.LockAcquires, 1)
 	atomic.AddInt64(&n.stats.LockWaitNs, time.Since(t0).Nanoseconds())
+}
+
+// lockInPlace is the zero-message acquire: it takes lock id only if this
+// node still owns it, no successor is queued for it and the node is not
+// replaying, and reports whether it did. A refusal sends nothing and
+// counts nothing; the caller then requests the lock (lockLane) or hands
+// the acquire to a goroutine that may (a serving executor).
+func (n *Node) lockInPlace(id int) bool {
+	if n.replaying {
+		return false
+	}
+	n.mu.Lock()
+	lk := &n.sy.locks[id]
+	if !lk.owned || lk.succ != nil {
+		n.mu.Unlock()
+		return false
+	}
+	lk.held = true
+	n.mu.Unlock()
+	atomic.AddInt64(&n.stats.LockAcquires, 1)
+	atomic.AddInt64(&n.stats.LockLocalAcquires, 1)
+	return true
 }
 
 // Unlock implements core.Worker: it closes the write interval — sending

@@ -64,9 +64,11 @@ func benchDo(b *testing.B, put bool, callers int) {
 }
 
 // BenchmarkDoGet and BenchmarkDoPut time one caller's Do on a 1-node
-// cluster: the queue hand-off both ways, a local lock re-acquire and
-// one shared access. BenchmarkDoGetParallel has eight callers keeping
-// the executor's queue non-empty, so batches group.
+// cluster. The caller always finds the executor parked, so every op
+// runs inline on its borrowed lane: a local lock re-acquire, one shared
+// access and the release, with no hand-off. BenchmarkDoGetParallel has
+// eight callers: while one holds the lane the others queue, so it times
+// both paths, and the executor's batches group.
 func BenchmarkDoGet(b *testing.B)         { benchDo(b, false, 1) }
 func BenchmarkDoPut(b *testing.B)         { benchDo(b, true, 1) }
 func BenchmarkDoGetParallel(b *testing.B) { benchDo(b, false, 8) }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,37 +25,68 @@ func (fakeMem) NewLocks(int) int        { return 0 }
 func (fakeMem) NewBarrier() int         { return 0 }
 func (fakeMem) Procs() int              { return 1 }
 
-// fakeWorker is a core.Worker over a word array: Lock can be scripted to
-// panic on its Nth call or to block until a gate opens. Executors of
-// one node share it (it has no lanes), hence the mutex. It allocates
-// nothing per call unless writes is set.
+// fakeWorker is a core.Worker over a word array: Lock and LockInPlace
+// can be scripted to panic on their Nth call or to block until a gate
+// opens, and LockInPlace to refuse. Executors and the callers borrowing
+// their lanes share it, hence the mutex; each executor's lane is a
+// fakeLane view of it. It allocates nothing per call unless writes is
+// set.
 type fakeWorker struct {
 	core.Worker // the methods serve never calls stay nil
 
-	mu      sync.Mutex
-	mem     []uint64
-	writes  map[core.Addr][]uint64 // non-nil: per address, in execution order
-	locks   int                    // Lock calls so far
-	held    []bool
-	panicAt int           // Lock call that panics; 0 = never
-	gate    chan struct{} // non-nil: Lock waits for it to close
-	entered chan struct{} // non-nil: signalled on every Lock entry
+	mu             sync.Mutex
+	mem            []uint64
+	writes         map[core.Addr][]uint64 // non-nil: per address, in execution order
+	locks          int                    // Lock calls so far
+	inPlaces       int                    // LockInPlace calls so far
+	held           []bool
+	panicAt        int           // Lock call that panics; 0 = never
+	panicInPlaceAt int           // LockInPlace call that panics; 0 = never
+	refuseInPlace  bool          // LockInPlace refuses, so every op queues
+	gate           chan struct{} // non-nil: acquires wait for it to close
+	entered        chan struct{} // non-nil: signalled on every acquire's entry
+
+	inLane []atomic.Bool // per lane: a goroutine is between an acquire and its Unlock
+	inline atomic.Int64  // ops CountServe was told ran inline
 }
 
 func newFakeWorker(s *Server) *fakeWorker {
 	return &fakeWorker{
-		mem:  make([]uint64, s.st.npages*uint64(s.st.pagesz)/8),
-		held: make([]bool, s.cfg.Shards),
+		mem:    make([]uint64, s.st.npages*uint64(s.st.pagesz)/8),
+		held:   make([]bool, s.cfg.Shards),
+		inLane: make([]atomic.Bool, s.cfg.Workers+1),
 	}
 }
 
 func (w *fakeWorker) ID() int { return 0 }
+
+func (w *fakeWorker) LaneWorker(lane int) core.Worker { return fakeLane{w, lane} }
+
+func (w *fakeWorker) CountServe(_, _, inline int64) { w.inline.Add(inline) }
 
 func (w *fakeWorker) Lock(id int) {
 	w.mu.Lock()
 	w.locks++
 	boom := w.locks == w.panicAt
 	w.mu.Unlock()
+	w.acquire(id, boom)
+}
+
+// LockInPlace acquires like Lock unless refuseInPlace is set.
+func (w *fakeWorker) LockInPlace(id int) bool {
+	w.mu.Lock()
+	w.inPlaces++
+	boom := w.inPlaces == w.panicInPlaceAt
+	refuse := w.refuseInPlace
+	w.mu.Unlock()
+	if refuse {
+		return false
+	}
+	w.acquire(id, boom)
+	return true
+}
+
+func (w *fakeWorker) acquire(id int, boom bool) {
 	if w.entered != nil {
 		select {
 		case w.entered <- struct{}{}:
@@ -81,6 +114,37 @@ func (w *fakeWorker) Unlock(id int) {
 		panic("fakeWorker: unlock of a free lock")
 	}
 	w.held[id] = false
+}
+
+// fakeLane is one executor's lane of a fakeWorker. It panics when two
+// goroutines are inside it at once: from an acquire to its Unlock.
+type fakeLane struct {
+	*fakeWorker
+	lane int
+}
+
+func (l fakeLane) Lock(id int) {
+	l.fakeWorker.Lock(id)
+	l.enter()
+}
+
+func (l fakeLane) LockInPlace(id int) bool {
+	if !l.fakeWorker.LockInPlace(id) {
+		return false
+	}
+	l.enter()
+	return true
+}
+
+func (l fakeLane) Unlock(id int) {
+	l.inLane[l.lane].Store(false)
+	l.fakeWorker.Unlock(id)
+}
+
+func (l fakeLane) enter() {
+	if !l.inLane[l.lane].CompareAndSwap(false, true) {
+		panic(fmt.Sprintf("fakeWorker: two goroutines inside lane %d", l.lane))
+	}
 }
 
 func (w *fakeWorker) ReadU64(a core.Addr) uint64 {
@@ -131,17 +195,35 @@ func runWorker(s *Server, w core.Worker) <-chan any {
 	return done
 }
 
-// TestDoUnblocksOnExecutorFailure: an executor dies mid-batch with
-// callers holding ops in its batch, in two executors' queues and still
-// arriving, while a third executor sits parked on an empty queue. Every
-// caller must come back with the structured error — the ops the
-// executor held from its unwind, the rest from the drainers — and the
-// parked executor must be woken, or NodeWorker never returns.
+// TestDoUnblocksOnExecutorFailure: the engine panics with callers
+// holding ops in an executor's batch, in two executors' queues and
+// still arriving, while a third executor sits parked on an empty queue.
+// In the queued row an executor dies mid-batch (every op queues); in
+// the inline row a caller running its own op on a borrowed lane does.
+// Every caller must come back with the structured error naming node and
+// executor — the panicking caller from its own unwind, the ops an
+// executor held from its unwind, the rest from the drainers — NodeWorker
+// must re-raise the panic value, and the parked executor must be woken,
+// or NodeWorker never returns.
 func TestDoUnblocksOnExecutorFailure(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		script func(*fakeWorker)
+	}{
+		{"queued", func(w *fakeWorker) { w.refuseInPlace, w.panicAt = true, 200 }},
+		{"inline", func(w *fakeWorker) { w.panicInPlaceAt = 200 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := fakeServer(t, Config{Keys: 1 << 10, KeysPerPage: 64, Shards: 16, Workers: 3, QueueDepth: 128})
+			w := newFakeWorker(s)
+			row.script(w)
+			doUntilFailure(t, s, w)
+		})
+	}
+}
+
+func doUntilFailure(t *testing.T, s *Server, w *fakeWorker) {
 	before := runtime.NumGoroutine()
-	s := fakeServer(t, Config{Keys: 1 << 10, KeysPerPage: 64, Shards: 16, Workers: 3, QueueDepth: 128})
-	w := newFakeWorker(s)
-	w.panicAt = 200
 	worker := runWorker(s, w)
 
 	const callers = 64
@@ -168,7 +250,7 @@ func TestDoUnblocksOnExecutorFailure(t *testing.T) {
 	for c := 0; c < callers; c++ {
 		select {
 		case err := <-errs:
-			if !strings.Contains(err.Error(), "executor") || !strings.Contains(err.Error(), "boom") {
+			if msg := err.Error(); !strings.HasPrefix(msg, "serve: node 0 executor ") || !strings.HasSuffix(msg, ": boom") {
 				t.Errorf("caller got %q, want the executor failure", err)
 			}
 		case <-deadline:
@@ -185,6 +267,155 @@ func TestDoUnblocksOnExecutorFailure(t *testing.T) {
 	}
 }
 
+// waitIdle waits until executor e of node 0 is parked on its queue.
+func waitIdle(t *testing.T, s *Server, e int) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); !s.lanes[0][e].idle.Load(); {
+		if time.Now().After(end) {
+			t.Fatalf("executor %d never parked", e)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBorrowedLaneNeverShared: many callers, each with its own keys,
+// race for few executors' lanes, so ops run inline and queued at once.
+// No lane may ever have two goroutines between an acquire and its
+// Unlock (fakeLane panics), no shard lock may be acquired twice
+// (fakeWorker panics), and every get must read the caller's last put.
+func TestBorrowedLaneNeverShared(t *testing.T) {
+	const callers, ops = 32, 300
+	s := fakeServer(t, Config{Keys: 1 << 10, KeysPerPage: 16, Shards: 16, Workers: 4, Batch: 8})
+	w := newFakeWorker(s)
+	worker := runWorker(s, w)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c uint64) {
+			defer wg.Done()
+			for i := uint64(1); i <= ops; i++ {
+				k := c + callers*(i%4) // four keys per caller, no key shared
+				if _, err := s.Do(true, k, i); err != nil {
+					errs <- err
+					return
+				}
+				if v, err := s.Do(false, k, 0); err != nil || v != i {
+					errs <- fmt.Errorf("caller %d: get(%d) after put %d = %d, %v", c, k, i, v, err)
+					return
+				}
+			}
+		}(uint64(c))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	s.Shutdown()
+	if pv := <-worker; pv != nil {
+		t.Fatalf("NodeWorker panicked: %v", pv)
+	}
+	t.Logf("%d of %d ops ran inline", w.inline.Load(), 2*callers*ops)
+}
+
+// TestExecutorInHandIsNotOvertaken: a caller runs its op inline and is
+// held inside the acquire while a second op queues; the executor
+// dequeues it and waits for its lane. The first caller's next op, issued
+// the moment its lane is given back, must queue behind the executor's
+// op, not borrow the lane ahead of it: the key's writes land 1, 2, 3.
+func TestExecutorInHandIsNotOvertaken(t *testing.T) {
+	s := fakeServer(t, Config{Keys: 1 << 10, KeysPerPage: 64, Shards: 16, Workers: 1})
+	w := newFakeWorker(s)
+	w.writes = map[core.Addr][]uint64{}
+	w.gate = make(chan struct{})
+	w.entered = make(chan struct{}, 1)
+	worker := runWorker(s, w)
+	waitIdle(t, s, 0)
+
+	const k = 5
+	errs := make(chan error, 3)
+	do := func(v uint64) {
+		if _, err := s.Do(true, k, v); err != nil {
+			errs <- err
+		}
+	}
+	first := make(chan struct{})
+	go func() {
+		do(1) // inline: the executor is parked
+		do(3) // the lane was just given back
+		close(first)
+	}()
+	<-w.entered // the caller holds the lane, inside the acquire
+	second := make(chan struct{})
+	go func() { do(2); close(second) }()
+	for end := time.Now().Add(5 * time.Second); s.lanes[0][0].idle.Load() || len(s.queues[0][0]) != 0; {
+		if time.Now().After(end) {
+			t.Fatal("the executor never took the second op")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(w.gate)
+	<-first
+	<-second
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s.Shutdown()
+	if pv := <-worker; pv != nil {
+		t.Fatalf("NodeWorker panicked: %v", pv)
+	}
+	if got := w.writes[s.st.KeyAddr(k)]; fmt.Sprint(got) != "[1 2 3]" {
+		t.Errorf("writes landed %v, want [1 2 3]: a caller overtook the executor's op", got)
+	}
+	if n := w.inline.Load(); n < 1 {
+		t.Errorf("%d ops ran inline, want the first caller's", n)
+	}
+}
+
+// TestShutdownWaitsForBorrowedLane: Shutdown arrives while a caller runs
+// its op on a borrowed lane. The executor must take the lane back before
+// it returns, so NodeWorker (after which the cluster flushes and tears
+// the node down) waits for the caller's op.
+func TestShutdownWaitsForBorrowedLane(t *testing.T) {
+	s := fakeServer(t, Config{Keys: 1 << 10, KeysPerPage: 64, Shards: 16, Workers: 1})
+	w := newFakeWorker(s)
+	w.gate = make(chan struct{})
+	w.entered = make(chan struct{}, 1)
+	worker := runWorker(s, w)
+	waitIdle(t, s, 0)
+
+	type res struct {
+		v   uint64
+		err error
+	}
+	out := make(chan res, 1)
+	go func() {
+		v, err := s.Do(true, 5, 7)
+		out <- res{v, err}
+	}()
+	<-w.entered // inline, holding the lane
+	s.Shutdown()
+	select {
+	case pv := <-worker:
+		t.Fatalf("NodeWorker returned (%v) while a caller held its executor's lane", pv)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(w.gate)
+	if r := <-out; r.v != 7 || r.err != nil {
+		t.Errorf("inline put across Shutdown = %d, %v; want 7", r.v, r.err)
+	}
+	select {
+	case pv := <-worker:
+		if pv != nil {
+			t.Errorf("NodeWorker panicked: %v", pv)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("NodeWorker did not return after the caller gave its lane back")
+	}
+}
+
 // TestShutdownAnswersQueuedOps: Shutdown arrives with several batches'
 // worth of ops queued behind a busy executor and a second executor
 // parked on an empty queue. The first must execute all of them, the
@@ -192,6 +423,7 @@ func TestDoUnblocksOnExecutorFailure(t *testing.T) {
 func TestShutdownAnswersQueuedOps(t *testing.T) {
 	s := fakeServer(t, Config{Keys: 1 << 10, KeysPerPage: 64, Shards: 16, Workers: 2, Batch: 4, QueueDepth: 64})
 	w := newFakeWorker(s)
+	w.refuseInPlace = true
 	w.gate = make(chan struct{})
 	w.entered = make(chan struct{}, 1)
 	worker := runWorker(s, w)
@@ -321,25 +553,39 @@ func TestBatchKeepsArrivalOrderPerKey(t *testing.T) {
 }
 
 // TestDoDoesNotAllocate: in steady state a get and a put allocate
-// nothing between Do and the worker — not the op, not its reply channel,
-// not the executor's batch or its sort. (Under the race detector
-// sync.Pool drops a quarter of what it is given; AllocsPerRun's
-// truncating average still reads 0 there, and anything per-op reads
-// >= 1. What the live node allocates under Lock and Unlock is its own:
-// `make bench-serve` shows it.)
+// nothing between Do and the worker, on either path: inline, not the
+// op; queued, not the op, not its reply channel, not the executor's
+// batch or its sort. (Under the race detector sync.Pool drops a quarter
+// of what it is given; AllocsPerRun's truncating average still reads 0
+// there, and anything per-op reads >= 1. What the live node allocates
+// under Lock and Unlock is its own: `make bench-serve` shows it.)
 func TestDoDoesNotAllocate(t *testing.T) {
+	const runs = 2000
 	s := fakeServer(t, Config{Keys: 1 << 10, KeysPerPage: 64, Shards: 16, Workers: 1})
-	worker := runWorker(s, newFakeWorker(s))
+	w := newFakeWorker(s)
+	worker := runWorker(s, w)
+	waitIdle(t, s, 0)
 	var i uint64
-	for _, put := range []bool{false, true} {
-		do := func() {
-			i++
-			if _, err := s.Do(put, i&(1<<10-1), i); err != nil {
-				t.Fatal(err)
+	for _, queued := range []bool{false, true} {
+		// A lone caller finds the executor parked and runs inline; with
+		// the in-place acquire refused, every op queues instead.
+		w.mu.Lock()
+		w.refuseInPlace = queued
+		w.mu.Unlock()
+		for _, put := range []bool{false, true} {
+			do := func() {
+				i++
+				if _, err := s.Do(put, i&(1<<10-1), i); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if a := testing.AllocsPerRun(2000, do); a != 0 {
-			t.Errorf("put=%v: %v allocs per Do, want 0", put, a)
+			inline := w.inline.Load()
+			if a := testing.AllocsPerRun(runs, do); a != 0 {
+				t.Errorf("queued=%v put=%v: %v allocs per Do, want 0", queued, put, a)
+			}
+			if n := w.inline.Load() - inline; queued && n != 0 || !queued && n != runs+1 {
+				t.Errorf("queued=%v put=%v: %d of %d ops ran inline", queued, put, n, runs+1)
+			}
 		}
 	}
 	s.Shutdown()
@@ -348,7 +594,7 @@ func TestDoDoesNotAllocate(t *testing.T) {
 	}
 	// One P never queues a second op behind the first, so the grouping
 	// path gets its batch by hand: 32 ops over every shard, out of order.
-	w := newFakeWorker(s)
+	w = newFakeWorker(s)
 	all := make([]*op, 32)
 	for k := range all {
 		key := uint64(len(all) - k)

@@ -15,7 +15,12 @@
 //
 //   - Direct (default): operations are acknowledged as soon as the
 //     shard lock is released. This is the throughput/latency
-//     configuration; `make bench-serve` times one Do on it.
+//     configuration; `make bench-serve` times one Do on it. An op runs
+//     one of two ways. When its executor is parked on an empty queue, no
+//     other goroutine holds that executor's lane and the shard lock
+//     re-acquires in place (no message), the caller borrows the lane and
+//     runs the op itself. Otherwise the op is queued to the executor,
+//     which also runs every acquire that needs a message.
 //   - Durable: a single executor per node executes operations between
 //     barrier episodes and acknowledges an operation only once the
 //     barrier-aligned checkpoint covering it is stable on every node
@@ -219,9 +224,9 @@ type opResult struct {
 }
 
 // serveCounter is the optional per-node stats hook (implemented by the
-// live node).
+// live node): gets and puts executed, and how many of them ran inline.
 type serveCounter interface {
-	CountServe(gets, puts int64)
+	CountServe(gets, puts, inline int64)
 }
 
 // replayer is the optional rollback-replay probe (implemented by the
@@ -237,6 +242,23 @@ type laner interface {
 	LaneWorker(lane int) core.Worker
 }
 
+// inPlacer is the optional non-blocking acquire (implemented by the live
+// node's lane workers): it takes a lock only when that needs no message,
+// and refuses otherwise.
+type inPlacer interface{ LockInPlace(id int) bool }
+
+// lane is one direct-mode executor's worker and the right to use it.
+// Whoever holds mu may use w: the executor around every batch, a caller
+// (which only ever TryLocks it) around the one op it runs inline. idle
+// is set while the executor is parked in its receive with no op in
+// hand; a caller borrows only then, so it never overtakes an executor
+// that already dequeued an op and is waiting for its lane back.
+type lane struct {
+	mu   sync.Mutex
+	w    core.Worker // set when execLoop starts, nil once it returns
+	idle atomic.Bool
+}
+
 // Server dispatches operations to per-node executor pools over a
 // configured Store. One Server serves one cluster run; Do may be called
 // from any goroutine and implements the load generator's Driver.
@@ -249,11 +271,13 @@ type laner interface {
 // everything queued or arriving later the server's error until
 // Shutdown. (Durable mode answers an op once its checkpoint is stable,
 // across supervisor restarts; only a supervised run that gives up
-// leaves its pending ops, and their callers, waiting.)
+// leaves its pending ops, and their callers, waiting.) An op its caller
+// runs inline enters no queue and owes no answer.
 type Server struct {
 	st     *Store
 	cfg    Config
 	queues [][]chan *op // [node][executor]
+	lanes  [][]lane     // [node][executor], direct mode only
 	ops    sync.Pool    // *op, each with its reply channel
 	t0     time.Time    // origin of the enqueue stamps: one monotonic read each
 	hist   hist.Hist
@@ -287,10 +311,16 @@ func NewServer(st *Store) *Server {
 		failedCh: make(chan struct{}),
 	}
 	s.ops.New = func() any { return &op{resp: make(chan opResult, 1)} }
+	if !st.cfg.Durable {
+		s.lanes = make([][]lane, st.nodes)
+	}
 	for n := range s.queues {
 		s.queues[n] = make([]chan *op, st.cfg.Workers)
 		for e := range s.queues[n] {
 			s.queues[n][e] = make(chan *op, st.cfg.QueueDepth)
+		}
+		if s.lanes != nil {
+			s.lanes[n] = make([]lane, st.cfg.Workers)
 		}
 	}
 	return s
@@ -317,15 +347,25 @@ func (s *Server) nodeOf(shard int) int {
 // Do executes one get (put=false, val ignored) or put and returns the
 // read value (gets) or the stored value (puts). It blocks until the
 // operation is acknowledged — in durable mode, until its checkpoint is
-// stable cluster-wide.
+// stable cluster-wide. In direct mode it runs the op on the caller's
+// goroutine when the op's executor would only have re-acquired the
+// shard lock in place on its behalf (see lane).
 func (s *Server) Do(put bool, key, val uint64) (uint64, error) {
 	if s.stopping.Load() {
 		return 0, fmt.Errorf("serve: server is shut down")
 	}
 	shard := s.st.shardOf(s.st.pageOf(s.st.slotOf(key)))
-	q := s.queues[s.nodeOf(shard)][s.executorOf(shard)]
+	node, e := s.nodeOf(shard), s.executorOf(shard)
+	q := s.queues[node][e]
+	enq := time.Since(s.t0)
+	if ln := s.borrow(node, e, q); ln != nil {
+		o := op{put: put, key: key, val: val, shard: shard, enq: enq}
+		if ran, err := s.runInline(ln, node, e, &o); ran {
+			return o.ackVal, err
+		}
+	}
 	o := s.ops.Get().(*op)
-	o.put, o.key, o.val, o.shard, o.enq = put, key, val, shard, time.Since(s.t0)
+	o.put, o.key, o.val, o.shard, o.enq = put, key, val, shard, enq
 	select {
 	case q <- o:
 	default:
@@ -344,6 +384,57 @@ func (s *Server) Do(put bool, key, val uint64) (uint64, error) {
 		s.ops.Put(o) // answered, so out of every batch and pending list
 	}
 	return r.val, r.err
+}
+
+// borrow takes executor e's lane on node for the caller if that
+// executor is parked on an empty queue with nothing in hand and no other
+// goroutine holds the lane, and returns it held; nil otherwise.
+func (s *Server) borrow(node, e int, q chan *op) *lane {
+	if s.lanes == nil {
+		return nil
+	}
+	ln := &s.lanes[node][e]
+	if !ln.idle.Load() || len(q) != 0 || !ln.mu.TryLock() {
+		return nil
+	}
+	if ln.w == nil { // the executor has returned
+		ln.mu.Unlock()
+		return nil
+	}
+	return ln
+}
+
+// runInline runs o on the caller's goroutine under the lane it borrowed,
+// and gives the lane back. It runs nothing and reports ran == false
+// when the shard lock cannot be re-acquired in place: the op must then
+// be queued, because only executors send acquire requests. An engine
+// panic fails the server as an executor's would, and the caller gets
+// the server's error.
+func (s *Server) runInline(ln *lane, node, e int, o *op) (ran bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(r, executorErr(node, e, r))
+			ran, err = true, s.err()
+		}
+		ln.mu.Unlock()
+	}()
+	ip, ok := ln.w.(inPlacer)
+	lk := s.st.lockOf(o.shard)
+	if !ok || !ip.LockInPlace(lk) {
+		return false, nil
+	}
+	o.exec(ln.w, s)
+	ln.w.Unlock(lk)
+	var puts int64
+	if o.put {
+		puts = 1
+	}
+	s.account(ln.w, []time.Duration{o.enq}, puts, 1)
+	return true, nil
+}
+
+func executorErr(node, e int, r any) error {
+	return fmt.Errorf("serve: node %d executor %d: %v", node, e, r)
 }
 
 // Shutdown stops the server: new operations are rejected, every
@@ -444,14 +535,27 @@ func (s *Server) NodeWorker(w core.Worker) {
 }
 
 // execLoop drains one executor queue until shutdown (direct mode). It
-// parks in a plain receive; Shutdown and fail wake it with a nil.
+// parks in a plain receive; Shutdown and fail wake it with a nil. It
+// holds its lane around every batch, and takes it back before it
+// returns, so NodeWorker waits for a caller still running an op on it.
 func (s *Server) execLoop(w core.Worker, node, e int) {
 	q := s.queues[node][e]
+	ln := &s.lanes[node][e]
+	ln.mu.Lock()
+	ln.w = w
+	ln.mu.Unlock()
+	held := false
 	batch := make([]*op, 0, s.cfg.Batch)
 	enq := make([]time.Duration, 0, s.cfg.Batch)
 	defer func() {
-		if r := recover(); r != nil {
-			s.fail(r, fmt.Errorf("serve: node %d executor %d: %v", node, e, r))
+		r := recover()
+		if !held {
+			ln.mu.Lock()
+		}
+		ln.w = nil
+		ln.mu.Unlock()
+		if r != nil {
+			s.fail(r, executorErr(node, e, r))
 		}
 		if s.failed() {
 			// Answer what this executor still holds (execBatch clears an
@@ -470,7 +574,9 @@ func (s *Server) execLoop(w core.Worker, node, e int) {
 			return
 		}
 		if !s.stopping.Load() {
+			ln.idle.Store(true)
 			o := <-q
+			ln.idle.Store(false)
 			if o == nil {
 				continue // woken: read the flags again
 			}
@@ -479,7 +585,11 @@ func (s *Server) execLoop(w core.Worker, node, e int) {
 		if batch = s.fill(batch, q); len(batch) == 0 {
 			return // stopping, and nothing is queued
 		}
+		ln.mu.Lock()
+		held = true
 		s.execBatch(w, batch, enq)
+		held = false
+		ln.mu.Unlock()
 	}
 }
 
@@ -541,12 +651,19 @@ func (s *Server) execBatch(w core.Worker, batch []*op, enq []time.Duration) {
 		}
 		w.Unlock(lk)
 	}
+	s.account(w, enq, puts, 0)
+}
+
+// account records executed ops against one clock read: each one's
+// latency from its enqueue stamp in the server histogram, and the
+// counts on the node (inline of them ran on a borrowed lane).
+func (s *Server) account(w core.Worker, enq []time.Duration, puts, inline int64) {
 	now := time.Since(s.t0)
 	for _, t := range enq {
 		s.hist.Record(int64(now - t))
 	}
 	if sc, ok := w.(serveCounter); ok {
-		sc.CountServe(int64(len(batch))-puts, puts)
+		sc.CountServe(int64(len(enq))-puts, puts, inline)
 	}
 }
 
@@ -626,7 +743,7 @@ func (s *Server) runDurable(w core.Worker) {
 			}
 		}
 		if sc, ok := w.(serveCounter); ok && gets+puts > 0 {
-			sc.CountServe(gets, puts)
+			sc.CountServe(gets, puts, 0)
 		}
 		if node == 0 && s.stopping.Load() && w.ReadU64(s.st.stop) == 0 {
 			// All clients are done (Shutdown follows the load), so the
