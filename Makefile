@@ -57,14 +57,15 @@ chaos:
 # over TCP loopback; lost-store and on-disk-store variants; the
 # two-node one-voter cluster; the partition-vs-restart discrimination
 # check), the incarnation-fencing, voter-majority liveness and
-# reply-cache-bound tests, and the restart-budget degradation check, all
-# under -race — then one seeded dsmd run that kills and restarts a node
+# reply-cache-bound tests, the restart-budget degradation check, and the
+# worker-panic and partition aborts (the same run loop without a budget),
+# all under -race — then one seeded dsmd run that kills and restarts a node
 # on real sockets with frame faults in the mix, and one 2-node run (node
 # 0 the manager's only voter) that kills and restarts node 1, result
 # regions checked against a fault-free 1-node reference.
 recover:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'TestRecovery|TestSupervisedExits|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters' \
+		-run 'TestRecovery|TestSupervisedExits|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters|TestWorkerPanicSurfaces|TestPartitionAbortsFast' \
 		./internal/live/...
 	$(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
 		-recover -crash 2:2:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \

@@ -271,17 +271,15 @@ func parseAddReplicas(s string) ([]live.ReplicaAdd, error) {
 
 // runLive executes one workload on a fresh live cluster and verifies its
 // result. With opts.chaos set, every node's transport is wrapped with
-// fault injection and the summed fault counters are returned. With
-// opts.recover or a crash schedule, the cluster runs under the
-// supervisor, which kills the scheduled victims and restarts them from
-// the last stable barrier-aligned checkpoint until the restart budget
-// runs out.
+// fault injection and the summed fault counters are returned. The
+// supervisor kills the scheduled victims; with opts.recover it restarts
+// them from the last stable barrier-aligned checkpoint until the restart
+// budget runs out, without it the first kill ends the run.
 func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int, trans string, opts runOpts) (*live.Cluster, *live.Stats, *chaos.Counters, error) {
 	app, err := harness.NewApp(appName, scale)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	supervised := opts.recover || len(opts.crashes) > 0
 	cfg := live.Config{
 		Nodes:             nodes,
 		Protocol:          prot,
@@ -317,34 +315,27 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 
 	worker := func(w core.Worker) { app.Worker(w) }
 	run := func() (*live.Stats, error) {
-		if !supervised {
-			return cluster.Run(worker)
-		}
-		ropts := live.RecoverOptions{
-			MaxRestarts:     opts.maxRestarts,
-			CheckpointEvery: opts.ckptEvery,
-			Replicate:       true,
-			Seed:            opts.seed,
-			CompactEvery:    opts.compactEvery,
-			Voters:          opts.voters,
-			AddReplicas:     opts.addReplicas,
-			Crashes:         opts.crashes,
-		}
-		if !opts.recover {
-			// A crash schedule without -recover demonstrates the
-			// degraded path: no restarts, structured abort.
-			ropts.MaxRestarts = 0
-		}
-		if opts.ckptDir != "" {
-			stores := make([]ckpt.Store, nodes)
-			for i := range stores {
-				s, err := ckpt.NewDirStore(filepath.Join(opts.ckptDir, fmt.Sprintf("node%d", i)))
-				if err != nil {
-					return nil, err
+		// A kill schedule alone has no restart budget: its first kill
+		// ends the run.
+		ropts := live.RecoverOptions{Crashes: opts.crashes}
+		if opts.recover {
+			ropts.MaxRestarts = opts.maxRestarts
+			ropts.CheckpointEvery = opts.ckptEvery
+			ropts.Replicate = true
+			ropts.Seed = opts.seed
+			ropts.CompactEvery = opts.compactEvery
+			ropts.Voters = opts.voters
+			ropts.AddReplicas = opts.addReplicas
+			if opts.ckptDir != "" {
+				ropts.Stores = make([]ckpt.Store, nodes)
+				for i := range ropts.Stores {
+					s, err := ckpt.NewDirStore(filepath.Join(opts.ckptDir, fmt.Sprintf("node%d", i)))
+					if err != nil {
+						return nil, err
+					}
+					ropts.Stores[i] = s
 				}
-				stores[i] = s
 			}
-			ropts.Stores = stores
 		}
 		return cluster.RunSupervised(worker, ropts)
 	}

@@ -15,10 +15,11 @@
 // into -shards shards, and each shard's operations are serialized under
 // one distributed lock from the cluster's decentralized lock plane, so
 // a get observes the latest acknowledged put under lazy release
-// consistency. With -durable, acknowledgments wait for a stable
+// consistency. With -durable (which needs -recover: only a run with a
+// restart budget takes checkpoints), acknowledgments wait for a stable
 // barrier-aligned checkpoint (group commit), so an acked write survives
-// node crashes injected with -crash under -recover (node:n kills the node
-// at its nth release).
+// node crashes injected with -crash (node:n kills the node at its nth
+// release).
 //
 // With -json, one JSON object — configuration, load result with latency
 // quantiles, the server-side histogram, and the cluster's protocol
@@ -89,7 +90,7 @@ func main() {
 
 		listen = flag.String("listen", "", "serve the TCP frontend on this address and drive the load through it")
 
-		durable     = flag.Bool("durable", false, "group-commit acks: acknowledge only after a stable checkpoint")
+		durable     = flag.Bool("durable", false, "group-commit acks: acknowledge only after a stable checkpoint (needs -recover)")
 		recoverRun  = flag.Bool("recover", false, "survive node crashes: restart killed nodes from the last checkpoint")
 		maxRestarts = flag.Int("max-restarts", 3, "restart budget (with -recover)")
 		ckptEvery   = flag.Int64("ckpt-every", 1, "checkpoint at every Nth barrier episode (supervised runs)")
@@ -100,6 +101,11 @@ func main() {
 		checkRun = flag.Bool("check", false, "compare every key's final value against a 1-node reference run")
 	)
 	flag.Parse()
+	if err := checkFlags(*durable, *recoverRun, *maxRestarts); err != nil {
+		fmt.Fprintln(os.Stderr, "dsmserve:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	prot, err := core.ParseProtocol(*protocol)
 	if err != nil {
@@ -131,9 +137,10 @@ func main() {
 
 	ro := runOpts{
 		prot: prot, trans: *trans, timeout: *timeout, listen: *listen,
-		supervised:  *durable || *recoverRun || len(crashes) > 0,
-		maxRestarts: *maxRestarts, ckptEvery: *ckptEvery,
-		crashes: crashes, seed: *chaosSeed, recoverRun: *recoverRun,
+		ckptEvery: *ckptEvery, crashes: crashes, seed: *chaosSeed,
+	}
+	if *recoverRun {
+		ro.maxRestarts = *maxRestarts
 	}
 	got, err := runServe(*nodes, scfg, lcfg, ro)
 	if err != nil {
@@ -186,12 +193,21 @@ type runOpts struct {
 	timeout time.Duration
 	listen  string
 
-	supervised  bool
-	recoverRun  bool
-	maxRestarts int
+	maxRestarts int // 0: no recovery, and a crash ends the run
 	ckptEvery   int64
 	crashes     []live.Crash
 	seed        int64
+}
+
+// checkFlags refuses flag combinations that cannot do what they promise.
+// -durable acknowledges an op once a stable checkpoint covers it, and
+// only a run with a restart budget takes checkpoints: without one every
+// op would be acknowledged with nothing durable behind it.
+func checkFlags(durable, recoverRun bool, maxRestarts int) error {
+	if durable && (!recoverRun || maxRestarts <= 0) {
+		return fmt.Errorf("-durable needs -recover with -max-restarts above 0 (only a recovering run takes checkpoints)")
+	}
+	return nil
 }
 
 // serveResult is one finished serving run.
@@ -238,20 +254,10 @@ func runServe(nodes int, scfg serve.Config, lcfg loadgen.Config, ro runOpts) (*s
 	}
 	done := make(chan out, 1)
 	go func() {
-		var stats *live.Stats
-		var rerr error
-		if ro.supervised {
-			restarts := ro.maxRestarts
-			if !ro.recoverRun {
-				restarts = 0
-			}
-			stats, rerr = cl.RunSupervised(srv.NodeWorker, live.RecoverOptions{
-				MaxRestarts: restarts, CheckpointEvery: ro.ckptEvery,
-				Replicate: true, Seed: ro.seed, Crashes: ro.crashes,
-			})
-		} else {
-			stats, rerr = cl.Run(srv.NodeWorker)
-		}
+		stats, rerr := cl.RunSupervised(srv.NodeWorker, live.RecoverOptions{
+			MaxRestarts: ro.maxRestarts, CheckpointEvery: ro.ckptEvery,
+			Replicate: true, Seed: ro.seed, Crashes: ro.crashes,
+		})
 		done <- out{stats, rerr}
 	}()
 

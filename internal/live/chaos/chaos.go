@@ -98,15 +98,10 @@ type Transport struct {
 
 var _ transport.Transport = (*Transport)(nil)
 
-// Wrap builds a fault-injecting view of inner. The node's fault stream
-// is derived from cfg.Seed and the node id, so a cluster wrapped with
-// one config replays one schedule per seed.
-func Wrap(inner transport.Transport, cfg Config) *Transport {
-	return wrapAt(inner, cfg, time.Now())
-}
-
 // WrapAll wraps every transport of a cluster with one shared config and
-// a common partition-window origin.
+// a common partition-window origin. Each node's fault stream is derived
+// from cfg.Seed and the node id, so a cluster wrapped with one config
+// replays one schedule per seed.
 func WrapAll(inner []transport.Transport, cfg Config) []*Transport {
 	start := time.Now()
 	out := make([]*Transport, len(inner))
@@ -114,25 +109,6 @@ func WrapAll(inner []transport.Transport, cfg Config) []*Transport {
 		out[i] = wrapAt(tr, cfg, start)
 	}
 	return out
-}
-
-// Transports converts a wrapped set to the interface slice a cluster
-// config takes.
-func Transports(ts []*Transport) []transport.Transport {
-	out := make([]transport.Transport, len(ts))
-	for i, t := range ts {
-		out[i] = t
-	}
-	return out
-}
-
-// SumCounters totals the fault counters of a wrapped cluster.
-func SumCounters(ts []*Transport) Counters {
-	var sum Counters
-	for _, t := range ts {
-		sum.Add(t.Counters())
-	}
-	return sum
 }
 
 func wrapAt(inner transport.Transport, cfg Config, start time.Time) *Transport {

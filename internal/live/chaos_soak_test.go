@@ -19,11 +19,11 @@ import (
 // and a heartbeat cadence fast enough that failure detection is
 // exercised (but with a timeout generous enough that retry stalls are
 // never mistaken for death).
-func chaosConfig(nodes int, prot core.Protocol, trs []transport.Transport) Config {
+func chaosConfig(nodes int, prot core.Protocol, nw transport.Network) Config {
 	return Config{
 		Nodes:             nodes,
 		Protocol:          prot,
-		Transports:        trs,
+		Net:               nw,
 		RPCTimeout:        60 * time.Second,
 		RetryBase:         10 * time.Millisecond,
 		RetryMax:          100 * time.Millisecond,
@@ -32,27 +32,27 @@ func chaosConfig(nodes int, prot core.Protocol, trs []transport.Transport) Confi
 	}
 }
 
-// runAppChaos executes one workload on a cluster whose transports are
-// wrapped with the given fault schedule and returns the finished
-// cluster, the run stats and the injected-fault totals.
+// runAppChaos executes one workload on a cluster whose network (nil:
+// in-process) is wrapped with the given fault schedule and returns the
+// finished cluster, the run stats and the injected-fault totals.
 func runAppChaos(t *testing.T, name string, prot core.Protocol, nodes int,
-	inner []transport.Transport, fcfg chaos.Config) (*Cluster, *Stats, chaos.Counters) {
+	inner transport.Network, fcfg chaos.Config) (*Cluster, *Stats, chaos.Counters) {
 	t.Helper()
 	app, err := harness.NewApp(name, harness.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inner == nil {
-		inner = transport.NewInprocNetwork(nodes)
+		inner = transport.NewInprocNet(nodes)
 	}
-	wrapped := chaos.WrapAll(inner, fcfg)
-	c, err := New(chaosConfig(nodes, prot, chaos.Transports(wrapped)))
+	nw := chaos.WrapNet(inner, fcfg)
+	c, err := New(chaosConfig(nodes, prot, nw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	app.Configure(c)
 	stats, err := c.Run(func(w core.Worker) { app.Worker(w) })
-	faults := chaos.SumCounters(wrapped)
+	faults := nw.Counters()
 	if err != nil {
 		t.Fatalf("%s/%v/%dn under %+v faults: %v", name, prot, nodes, faults, err)
 	}
@@ -133,7 +133,7 @@ func TestChaosSoakTCP(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/%v", tc.app, tc.prot), func(t *testing.T) {
 			t.Parallel()
-			inner, err := transport.NewTCPLoopback(4, transport.TCPOptions{
+			inner, err := transport.NewTCPLoopbackNet(4, transport.TCPOptions{
 				DialBackoff:  time.Millisecond,
 				DialAttempts: 10,
 			})
@@ -166,17 +166,16 @@ func TestChaosSoakTCP(t *testing.T) {
 // operation. (A partition that does not cut the synchronization tree,
 // e.g. 0<->3 on four nodes, no longer necessarily stalls the run at all
 // with the sync plane distributed; TestPartitionOffTreeCompletes covers
-// that side.)
+// that side.) The run has no restart budget, so this is also the test of
+// a heartbeat verdict ending a run without recovery.
 func TestPartitionAbortsFast(t *testing.T) {
 	app, err := harness.NewApp("jacobi", harness.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := transport.NewInprocNetwork(4)
-	wrapped := chaos.WrapAll(inner, chaos.Config{
+	cfg := chaosConfig(4, core.LH, chaos.WrapNet(transport.NewInprocNet(4), chaos.Config{
 		Partitions: []chaos.Partition{{A: 0, B: 1}}, // Dur 0: forever
-	})
-	cfg := chaosConfig(4, core.LH, chaos.Transports(wrapped))
+	}))
 	cfg.RPCTimeout = 30 * time.Second
 	cfg.RetryBase = 10 * time.Millisecond
 	cfg.HeartbeatInterval = 25 * time.Millisecond
@@ -233,11 +232,10 @@ func TestPartitionAbortsFast(t *testing.T) {
 // until failure detection killed the cluster. The results must still
 // match the fault-free 1-node reference.
 func TestPartitionOffTreeCompletes(t *testing.T) {
-	inner := transport.NewInprocNetwork(4)
 	fcfg := chaos.Config{
 		Partitions: []chaos.Partition{{A: 0, B: 3}}, // Dur 0: forever
 	}
-	got, _, _ := runAppChaos(t, "jacobi", core.LH, 4, inner, fcfg)
+	got, _, _ := runAppChaos(t, "jacobi", core.LH, 4, nil, fcfg)
 	compareToReference(t, "jacobi", core.LH, got)
 }
 
@@ -254,8 +252,7 @@ func TestLockHomeHolderPartition(t *testing.T) {
 		t.Run(prot.String(), func(t *testing.T) {
 			t.Parallel()
 			const iters = 3000
-			inner := transport.NewInprocNetwork(4)
-			wrapped := chaos.WrapAll(inner, chaos.Config{
+			nw := chaos.WrapNet(transport.NewInprocNet(4), chaos.Config{
 				Seed: 7,
 				Partitions: []chaos.Partition{
 					{A: 1, B: 2, From: 0, Dur: 150 * time.Millisecond},
@@ -263,7 +260,7 @@ func TestLockHomeHolderPartition(t *testing.T) {
 					{A: 1, B: 3, From: 400 * time.Millisecond, Dur: 150 * time.Millisecond},
 				},
 			})
-			c, err := New(chaosConfig(4, prot, chaos.Transports(wrapped)))
+			c, err := New(chaosConfig(4, prot, nw))
 			if err != nil {
 				t.Fatal(err)
 			}

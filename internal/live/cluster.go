@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +32,9 @@ type Config struct {
 	// paper's hybrid — cached pages are refreshed with diffs pulled from
 	// their home) or core.LI (noticed pages are invalidated).
 	Protocol core.Protocol
-	// Transports, when non-nil, supplies one transport per node (e.g.
-	// transport.NewTCPLoopback). Nil selects the in-process transport.
-	Transports []transport.Transport
-	// Net, when non-nil, supplies the whole network instead of
-	// Transports. RunSupervised requires it: recovery rebuilds a crashed
-	// node's transport through Network.Rejoin.
+	// Net supplies the cluster's links, one transport per node (e.g.
+	// transport.NewTCPLoopbackNet); nil selects an in-process network.
+	// Recovery rebuilds a crashed node's transport through Network.Rejoin.
 	Net transport.Network
 	// Observer, when non-nil, receives protocol events from every node.
 	Observer node.Observer
@@ -74,8 +70,9 @@ type Stats struct {
 	MaxMsgFrac float64 `json:"max_msg_frac"`
 	MaxMsgNode int     `json:"max_msg_node"`
 
-	// Recovery outcome (RunSupervised only). Total folds in the counters
-	// of killed engine incarnations, so it can exceed the sum of PerNode.
+	// Recovery outcome (zero without a restart budget). Total folds in
+	// the counters of killed engine incarnations, so it can exceed the
+	// sum of PerNode.
 	Restarts   int64 `json:"restarts,omitempty"`
 	RecoveryNs int64 `json:"recovery_ns,omitempty"`
 }
@@ -93,7 +90,7 @@ type Cluster struct {
 	nbars  int
 	init   map[page.ID][]byte
 
-	mu    sync.Mutex // guards nodes/trs against Kill during construction
+	mu    sync.Mutex // guards nodes/trs against kill during construction
 	nodes []*node.Node
 	trs   []transport.Transport
 	final []byte
@@ -103,9 +100,9 @@ type Cluster struct {
 	// chained ahead of it (crash.go).
 	obs node.Observer
 
-	// Crash plumbing (see supervisor.go): Kill records the event here and
-	// RunSupervised drains it; crashPending marks a rollback in flight so
-	// worker failures during it are forgiven.
+	// Crash plumbing (see supervisor.go): kill records the event here and
+	// RunSupervised drains it; crashPending marks a crash being handled,
+	// so liveness reports during its rollback are swallowed.
 	crashCh      chan crashEvent
 	crashPending atomic.Bool
 }
@@ -137,11 +134,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Protocol != core.LI && cfg.Protocol != core.LH {
 		return nil, fmt.Errorf("live: protocol %v not supported (want LI or LH)", cfg.Protocol)
 	}
-	if cfg.Transports != nil && len(cfg.Transports) != cfg.Nodes {
-		return nil, fmt.Errorf("live: %d transports for %d nodes", len(cfg.Transports), cfg.Nodes)
+	if cfg.Net == nil {
+		cfg.Net = transport.NewInprocNet(cfg.Nodes)
 	}
-	if cfg.Net != nil && cfg.Transports != nil {
-		return nil, fmt.Errorf("live: set Net or Transports, not both")
+	if n := len(cfg.Net.Transports()); n != cfg.Nodes {
+		return nil, fmt.Errorf("live: %d transports for %d nodes", n, cfg.Nodes)
 	}
 	c := &Cluster{cfg: cfg, obs: cfg.Observer, init: make(map[page.ID][]byte), crashCh: make(chan crashEvent, 4*cfg.Nodes)}
 	for ps := cfg.PageSize; ps > 1; ps >>= 1 {
@@ -247,8 +244,8 @@ func (c *Cluster) homeAssignment(npages int) []int32 {
 	return homes
 }
 
-// nodeConfig builds the per-node engine configuration shared by Run and
-// RunSupervised; rc is nil when recovery is disabled.
+// nodeConfig builds the per-node engine configuration; rc is nil when
+// the run has no restart budget.
 func (c *Cluster) nodeConfig(npages int, homes []int32, rc *node.RecoverConfig) node.Config {
 	return node.Config{
 		PageSize:   c.cfg.PageSize,
@@ -272,108 +269,10 @@ func (c *Cluster) nodeConfig(npages int, homes []int32, rc *node.RecoverConfig) 
 // Run executes worker on every node concurrently and returns the run's
 // statistics. Shared memory must be allocated and initialized first; the
 // initial image is placed at each page's home, and all other nodes start
-// with no copies.
+// with no copies. It is RunSupervised without a restart budget: no
+// checkpoints, and a crash ends the run.
 func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
-	if c.ran {
-		return nil, fmt.Errorf("live: Cluster already ran")
-	}
-	c.ran = true
-	if c.brk == 0 {
-		return nil, fmt.Errorf("live: no shared memory allocated")
-	}
-	npages := int(c.pageOf(c.brk-1)) + 1
-	homes := c.homeAssignment(npages)
-
-	trs := c.cfg.Transports
-	if c.cfg.Net != nil {
-		trs = c.cfg.Net.Transports()
-	}
-	if trs == nil {
-		trs = transport.NewInprocNetwork(c.cfg.Nodes)
-	}
-	nodes := make([]*node.Node, c.cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = node.New(trs[i], c.nodeConfig(npages, homes, nil))
-	}
-	c.mu.Lock()
-	c.nodes = nodes
-	c.trs = trs
-	c.mu.Unlock()
-	for _, nd := range nodes {
-		nd.Start()
-	}
-
-	// abort tears the cluster down once, so one node's failure unblocks
-	// every other node's waits instead of letting them ride out their
-	// RPC timeouts.
-	var abortOnce sync.Once
-	abort := func() {
-		abortOnce.Do(func() {
-			for _, nd := range c.nodes {
-				nd.Close()
-			}
-			for _, tr := range trs {
-				tr.Close()
-			}
-		})
-	}
-
-	t0 := time.Now()
-	errs := make([]error, c.cfg.Nodes)
-	var wg sync.WaitGroup
-	for i, nd := range c.nodes {
-		wg.Add(1)
-		go func(i int, nd *node.Node) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if re, ok := r.(interface{ Unwrap() error }); ok {
-						errs[i] = re.Unwrap()
-					} else {
-						errs[i] = fmt.Errorf("live: node %d worker panic: %v\n%s", i, r, debug.Stack())
-					}
-					abort()
-				}
-			}()
-			worker(nd)
-			// Flush the last interval so the homes hold final memory.
-			nd.FinalFlush()
-		}(i, nd)
-	}
-	wg.Wait()
-	elapsed := time.Since(t0)
-
-	for _, nd := range c.nodes {
-		if err := nd.Err(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	firstErr := pickErr(errs)
-	if firstErr == nil {
-		// Gather the final image from the homes before teardown.
-		c.gatherFinal(c.nodes, homes)
-	}
-	abort()
-	for _, nd := range c.nodes {
-		nd.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	st := &Stats{
-		Nodes:     c.cfg.Nodes,
-		Protocol:  c.cfg.Protocol.String(),
-		ElapsedNs: elapsed.Nanoseconds(),
-	}
-	for _, nd := range c.nodes {
-		s := nd.Stats()
-		st.PerNode = append(st.PerNode, s)
-		addStats(&st.Total, &s)
-	}
-	st.Total.Node = -1
-	st.computeBalance()
-	return st, nil
+	return c.RunSupervised(worker, RecoverOptions{})
 }
 
 // gatherFinal assembles the final memory image from the pages' homes,
@@ -394,6 +293,12 @@ func (c *Cluster) StatsSnapshot() *Stats {
 	c.mu.Lock()
 	nds := append([]*node.Node(nil), c.nodes...)
 	c.mu.Unlock()
+	return c.collectStats(nds, &node.Stats{})
+}
+
+// collectStats sums the counters of nds (nil entries are skipped) and of
+// killed, the incarnations a run lost to crashes.
+func (c *Cluster) collectStats(nds []*node.Node, killed *node.Stats) *Stats {
 	st := &Stats{Nodes: c.cfg.Nodes, Protocol: c.cfg.Protocol.String()}
 	for _, nd := range nds {
 		if nd == nil {
@@ -403,6 +308,7 @@ func (c *Cluster) StatsSnapshot() *Stats {
 		st.PerNode = append(st.PerNode, s)
 		addStats(&st.Total, &s)
 	}
+	addStats(&st.Total, killed)
 	st.Total.Node = -1
 	st.computeBalance()
 	return st
@@ -423,26 +329,34 @@ func (st *Stats) computeBalance() {
 	}
 }
 
-// pickErr selects the error to surface from a failed run. The manager's
-// failure-detection verdict (*node.PeerDownError) names the suspect node
-// and its pending operation, so it wins over the secondary
-// *node.RemoteAbortError panics it triggers on every other node; absent
-// one, the first error wins.
-func pickErr(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
+// pickErr selects the error a failed round ends with, nil for a clean
+// one. errs holds each worker's error and first the index of the worker
+// that failed first (-1: none); the nodes' own errors join them. The
+// failure detector's verdict (*node.PeerDownError) names the suspect
+// node and its pending operation, so it wins over the secondary
+// *node.RemoteAbortError panics it triggers on every other node. Absent
+// one, the first-failing worker's error wins: it is the root cause, and
+// the others unwound in the teardown it started.
+func pickErr(nodes []*node.Node, errs []error, first int) error {
+	for _, nd := range nodes {
+		if err := nd.Err(); err != nil {
+			errs = append(errs, err)
 		}
+	}
+	var other error
+	for _, err := range errs {
 		var pd *node.PeerDownError
 		if errors.As(err, &pd) {
 			return err
 		}
-		if first == nil {
-			first = err
+		if other == nil {
+			other = err
 		}
 	}
-	return first
+	if first >= 0 && errs[first] != nil {
+		return errs[first]
+	}
+	return other
 }
 
 // addStats accumulates src's counters into dst.

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 
 // runApp executes one workload on a live cluster and verifies its
 // result, returning the finished cluster for memory comparison.
-func runApp(t *testing.T, name string, prot core.Protocol, nodes int, trs []transport.Transport) (*Cluster, *Stats) {
+// A nil nw selects the in-process network.
+func runApp(t *testing.T, name string, prot core.Protocol, nodes int, nw transport.Network) (*Cluster, *Stats) {
 	t.Helper()
 	app, err := harness.NewApp(name, harness.ScaleTest)
 	if err != nil {
@@ -22,7 +24,7 @@ func runApp(t *testing.T, name string, prot core.Protocol, nodes int, trs []tran
 	c, err := New(Config{
 		Nodes:      nodes,
 		Protocol:   prot,
-		Transports: trs,
+		Net:        nw,
 		RPCTimeout: 60 * time.Second,
 	})
 	if err != nil {
@@ -92,6 +94,10 @@ func TestProtocolCounters(t *testing.T) {
 	if li.Total.BarrierEpisodes == 0 {
 		t.Error("LI jacobi crossed no barriers")
 	}
+	if li.Total.CheckpointsTaken != 0 || li.Total.ConsensusTerms != 0 {
+		t.Errorf("run without a restart budget built recovery machinery: %d checkpoints, %d consensus terms",
+			li.Total.CheckpointsTaken, li.Total.ConsensusTerms)
+	}
 
 	_, lh := runApp(t, "jacobi", core.LH, 4, nil)
 	if lh.Total.DiffPulls == 0 {
@@ -109,7 +115,9 @@ func TestProtocolCounters(t *testing.T) {
 }
 
 // TestWorkerPanicSurfaces checks that an application panic on one node
-// aborts the whole run with an error instead of deadlocking the others.
+// aborts the whole run instead of deadlocking the others, and that the
+// run's error is the panic itself, not the teardown error it caused on
+// the node that was waiting at the barrier.
 func TestWorkerPanicSurfaces(t *testing.T) {
 	c, err := New(Config{Nodes: 2, RPCTimeout: 10 * time.Second})
 	if err != nil {
@@ -133,6 +141,9 @@ func TestWorkerPanicSurfaces(t *testing.T) {
 		if err == nil {
 			t.Fatal("run with panicking worker returned nil error")
 		}
+		if !strings.Contains(err.Error(), "application bug") {
+			t.Fatalf("run error is not the worker's panic: %v", err)
+		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run with panicking worker hung")
 	}
@@ -149,7 +160,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 2, Protocol: core.EI}); err == nil {
 		t.Error("eager protocol accepted by live runtime")
 	}
-	if _, err := New(Config{Nodes: 2, Transports: make([]transport.Transport, 3)}); err == nil {
+	if _, err := New(Config{Nodes: 2, Net: transport.NewInprocNet(3)}); err == nil {
 		t.Error("mismatched transport count accepted")
 	}
 	c, err := New(Config{Nodes: 2})

@@ -83,7 +83,7 @@ func (c *Cluster) scheduleCrashes(crashes []Crash) (*schedule, error) {
 	if len(crashes) == 0 {
 		return nil, nil
 	}
-	s := &schedule{Observer: nopObserver{}, crashes: crashes, kill: c.Kill, armed: true}
+	s := &schedule{Observer: nopObserver{}, crashes: crashes, kill: c.kill, armed: true}
 	if c.cfg.Observer != nil {
 		s.Observer = c.cfg.Observer
 	}

@@ -33,9 +33,9 @@ func (noRejoinNet) Rejoin(int) (transport.Transport, error) {
 // node the cluster could not bring back, never in a bare internal
 // error. Most rows kill node 2 of a 4-node jacobi at its third release
 // (so a stable checkpoint exists) and break one step of its recovery;
-// without a restart budget, a kill of node 0 leaves no liveness judge
-// to give the verdict. An option pair that cannot work is refused
-// before any worker runs.
+// without a restart budget the first kill ends the run naming its
+// victim, even when it takes node 0, the liveness judge. An option pair
+// that cannot work is refused before any worker runs.
 func TestSupervisedExits(t *testing.T) {
 	forgets := func(i int) []ckpt.Store {
 		stores := make([]ckpt.Store, 4)
@@ -71,8 +71,7 @@ func TestSupervisedExits(t *testing.T) {
 			}
 			cfg := chaosConfig(4, core.LH, nil)
 			cfg.Net = transport.NewInprocNet(4)
-			// With node 0 gone and no budget, only the survivors' RPC
-			// timeouts end the run.
+			// Bounds any wait a broken recovery step leaves behind.
 			cfg.RPCTimeout = 2 * time.Second
 			if tc.net != nil {
 				cfg.Net = tc.net()

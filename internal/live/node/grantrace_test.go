@@ -32,8 +32,8 @@ func TestDuplicatedForwardsReserveGrants(t *testing.T) {
 		Seed: 1, DupP: 1, DelayP: 0.7, DelayMax: 300 * time.Microsecond,
 	})
 	nodes := make([]*node.Node, nn)
-	for i, tr := range chaos.Transports(wrapped) {
-		nodes[i] = node.New(tr, cfg)
+	for i := range nodes {
+		nodes[i] = node.New(wrapped[i], cfg)
 		nodes[i].Start()
 	}
 	defer func() {

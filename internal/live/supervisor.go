@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -18,10 +17,11 @@ import (
 
 // RecoverOptions parameterizes RunSupervised's crash-recovery policy.
 type RecoverOptions struct {
-	// MaxRestarts bounds how many node restarts the supervisor performs
-	// before degrading to the structured abort a recovery-free cluster
-	// produces. Zero or negative disables recovery entirely: the run
-	// behaves like Run and a killed node aborts the cluster.
+	// MaxRestarts bounds how many node restarts the supervisor performs;
+	// the next crash ends the run with a *node.PeerDownError naming its
+	// victim. Zero or negative disables recovery entirely: the nodes run
+	// without checkpoints or a consensus replica, and the first crash
+	// ends the run.
 	MaxRestarts int
 	// CheckpointEvery takes a barrier-aligned checkpoint at every episode
 	// divisible by it (default 1: every barrier).
@@ -69,13 +69,13 @@ type ReplicaAdd struct {
 	After time.Duration
 }
 
-// Kill crashes node victim: its engine and transport are torn down
-// mid-run, exactly as if the process died. Under RunSupervised the
-// cluster rolls back to the last stable checkpoint and restarts the node
-// after restartAfter; under Run the failure detector aborts the cluster.
-// Safe to call from any goroutine (a kill schedule calls it from inside
-// a node's event).
-func (c *Cluster) Kill(victim int, restartAfter time.Duration) {
+// kill crashes node victim: its engine and transport are torn down
+// mid-run, exactly as if the process died. The supervisor then rolls the
+// cluster back to the last stable checkpoint and restarts the node after
+// restartAfter, or ends the run when the restart budget cannot cover it.
+// Safe to call from any goroutine (the kill schedule calls it from
+// inside a node's event).
+func (c *Cluster) kill(victim int, restartAfter time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if victim < 0 || victim >= len(c.nodes) || c.nodes[victim] == nil {
@@ -92,156 +92,23 @@ func (c *Cluster) Kill(victim int, restartAfter time.Duration) {
 	c.trs[victim].Close()
 }
 
-// runDegraded is RunSupervised with the restart budget exhausted from
-// the start: no checkpointing, no rejoin. It differs from Run in one
-// respect — a node killed through Kill dies like a separate process
-// would, so no worker unwinding after the kill aborts the cluster; the
-// survivors keep running until the manager's failure detector converts
-// the silence into the structured PeerDownError abort.
-func (c *Cluster) runDegraded(worker func(core.Worker)) (*Stats, error) {
-	if c.ran {
-		return nil, fmt.Errorf("live: Cluster already ran")
-	}
-	c.ran = true
-	if c.brk == 0 {
-		return nil, fmt.Errorf("live: no shared memory allocated")
-	}
-	npages := int(c.pageOf(c.brk-1)) + 1
-	homes := c.homeAssignment(npages)
-
-	trs := c.cfg.Net.Transports()
-	nodes := make([]*node.Node, c.cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = node.New(trs[i], c.nodeConfig(npages, homes, nil))
-	}
-	c.mu.Lock()
-	c.nodes = nodes
-	c.trs = trs
-	c.mu.Unlock()
-	for _, nd := range nodes {
-		nd.Start()
-	}
-	teardown := func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}
-
-	t0 := time.Now()
-	doneCh := make(chan []error, 1)
-	errCh := make(chan int, c.cfg.Nodes)
-	go func() {
-		errs := make([]error, c.cfg.Nodes)
-		var wg sync.WaitGroup
-		for i, nd := range nodes {
-			wg.Add(1)
-			go func(i int, nd *node.Node) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						if re, ok := r.(interface{ Unwrap() error }); ok {
-							errs[i] = re.Unwrap()
-						} else {
-							errs[i] = fmt.Errorf("live: node %d worker panic: %v\n%s", i, r, debug.Stack())
-						}
-						errCh <- i
-					}
-				}()
-				worker(nd)
-				nd.FinalFlush()
-			}(i, nd)
-		}
-		wg.Wait()
-		doneCh <- errs
-	}()
-
-	var roundErrs []error
-wait:
-	for {
-		select {
-		case <-errCh:
-			if c.crashPending.Load() {
-				// A worker unwound after a kill: the victim's own, or a
-				// survivor's failing over its death. Leave the rest running:
-				// the manager's heartbeat monitor will declare the node down
-				// and abort the cluster with the verdict.
-				continue
-			}
-			// A genuine worker failure aborts the run, as Run would.
-			teardown()
-			roundErrs = <-doneCh
-			break wait
-		case roundErrs = <-doneCh:
-			break wait
-		}
-	}
-	elapsed := time.Since(t0)
-	for _, nd := range nodes {
-		if err := nd.Err(); err != nil {
-			roundErrs = append(roundErrs, err)
-		}
-	}
-	firstErr := pickErr(roundErrs)
-	var pd *node.PeerDownError
-	if firstErr != nil && !errors.As(firstErr, &pd) {
-		select {
-		case ev := <-c.crashCh:
-			// The kill took the liveness judge (node 0) with it, so no
-			// verdict came; the node the cluster lost is still the victim.
-			firstErr = &node.PeerDownError{Node: ev.victim, Pending: firstErr.Error()}
-		default:
-		}
-	}
-	if firstErr == nil {
-		c.gatherFinal(nodes, homes)
-	}
-	teardown()
-	for _, nd := range nodes {
-		nd.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	st := &Stats{
-		Nodes:     c.cfg.Nodes,
-		Protocol:  c.cfg.Protocol.String(),
-		ElapsedNs: elapsed.Nanoseconds(),
-	}
-	for _, nd := range nodes {
-		s := nd.Stats()
-		st.PerNode = append(st.PerNode, s)
-		addStats(&st.Total, &s)
-	}
-	st.Total.Node = -1
-	st.computeBalance()
-	return st, nil
-}
-
-// RunSupervised executes worker on every node like Run, but survives
-// node crashes (Kill, or death detected by the manager's liveness
-// machinery): the cluster rolls back to the last barrier-aligned
-// checkpoint every node has confirmed, the victim rejoins with a fresh
-// transport incarnation and restored state, and every worker re-executes
-// — replaying its private state up to the checkpoint against a scratch
-// image, then continuing live. Requires Config.Net.
+// RunSupervised executes worker on every node concurrently and returns
+// the run's statistics. It ends in nil, the root cause of a failed run
+// (pickErr), or a *node.PeerDownError naming a node the cluster lost.
+// Within the restart budget it survives node crashes (the kill
+// schedule, or death detected by the manager's liveness machinery): the
+// cluster rolls back to the last barrier-aligned checkpoint every node
+// has confirmed, the victim rejoins with a fresh transport incarnation
+// and restored state, and every worker re-executes — replaying its
+// private state up to the checkpoint against a scratch image, then
+// continuing live.
 func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (*Stats, error) {
-	if c.cfg.Net == nil {
-		return nil, fmt.Errorf("live: RunSupervised requires Config.Net (recovery rebuilds a crashed node's transport through Network.Rejoin)")
-	}
 	if opts.LoseStore && !opts.Replicate {
 		return nil, fmt.Errorf("live: LoseStore requires Replicate (the victim's only checkpoint copy is the manager's replica)")
 	}
 	sched, err := c.scheduleCrashes(opts.Crashes)
 	if err != nil {
 		return nil, err
-	}
-	if opts.MaxRestarts <= 0 {
-		// No restart budget: run without the recovery machinery so a
-		// crash produces the structured PeerDownError abort.
-		return c.runDegraded(worker)
 	}
 	if c.ran {
 		return nil, fmt.Errorf("live: Cluster already ran")
@@ -303,6 +170,9 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	}
 	leaderHint := 0
 	rcFor := func(i int) *node.RecoverConfig {
+		if opts.MaxRestarts <= 0 {
+			return nil
+		}
 		rc := &node.RecoverConfig{
 			Store:        stores[i],
 			Every:        opts.CheckpointEvery,
@@ -433,13 +303,15 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		return doneCh, errCh
 	}
 
-	fail := func(doneCh chan []error, roundErrs []error, err error) (*Stats, error) {
+	// fail ends the run: it tears the cluster down, waits for the round
+	// still running (doneCh; nil once it has unwound) and returns err, or
+	// the round's own error when err is nil.
+	fail := func(doneCh chan []error, first int, err error) (*Stats, error) {
 		teardown()
-		if roundErrs == nil && doneCh != nil {
-			roundErrs = <-doneCh
-		}
-		if err == nil {
-			err = pickErr(roundErrs)
+		if doneCh != nil {
+			if errs := <-doneCh; err == nil {
+				err = pickErr(nodes, errs, first)
+			}
 		}
 		for _, nd := range nodes {
 			nd.Wait()
@@ -515,9 +387,8 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	for {
 		doneCh, errCh := launch()
 		var (
-			ev        crashEvent
-			crashed   bool
-			roundErrs []error
+			ev      crashEvent
+			crashed bool
 		)
 		select {
 		case ev = <-c.crashCh:
@@ -525,55 +396,51 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		case first := <-errCh:
 			// A worker failed. If a crash event is already queued this
 			// is (or races with) a rollback; otherwise it is a genuine
-			// failure and the run aborts like Run would.
+			// failure and the run ends with its root cause.
 			select {
 			case ev = <-c.crashCh:
 				crashed = true
 			default:
-				teardown()
-				roundErrs = <-doneCh
-				for _, nd := range nodes {
-					if err := nd.Err(); err != nil {
-						roundErrs = append(roundErrs, err)
-					}
-				}
-				err := pickErr(roundErrs)
-				var pd *node.PeerDownError
-				if !errors.As(err, &pd) && roundErrs[first] != nil {
-					err = roundErrs[first]
-				}
-				for _, nd := range nodes {
-					nd.Wait()
-				}
-				return nil, err
+				return fail(doneCh, first, nil)
 			}
-		case roundErrs = <-doneCh:
+		case errs := <-doneCh:
+			doneCh = nil
+			// Every failed worker reported on errCh before the round
+			// unwound; the first report names the root cause.
+			first := -1
+			select {
+			case first = <-errCh:
+			default:
+			}
+			err := pickErr(nodes, errs, first)
 			select {
 			case ev = <-c.crashCh:
 				// A crash landed as the round finished. If every worker
 				// already completed cleanly the results are flushed and
 				// final — the late crash changes nothing.
-				crashed = pickErr(roundErrs) != nil
+				crashed = err != nil
 			default:
 			}
 			if !crashed {
-				if err := pickErr(roundErrs); err != nil {
-					return fail(nil, roundErrs, nil)
+				if err != nil {
+					return fail(nil, -1, err)
 				}
 				goto finished
 			}
 		}
 
 		// ---- crash: roll back, rejoin, re-run ----
+		// The budget is judged first: without one there is no consensus
+		// group to ask whether the voters survive.
+		if int(restarts.Load()) >= opts.MaxRestarts {
+			return fail(doneCh, -1, budgetExhausted(ev.victim))
+		}
 		if !votersSurvive(nodes, ev.victim) {
 			// No survivor can be elected to lead the rollback: below
 			// three nodes, node 0 is the whole voting group.
-			return fail(doneCh, roundErrs, &node.PeerDownError{
+			return fail(doneCh, -1, &node.PeerDownError{
 				Node: ev.victim, Pending: "the manager's voting group lost its majority with it",
 			})
-		}
-		if int(restarts.Load()) >= opts.MaxRestarts {
-			return fail(doneCh, roundErrs, budgetExhausted(ev.victim))
 		}
 		restarts.Add(1)
 		tRec := time.Now()
@@ -581,7 +448,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		// Unwind every worker; their rollback panics (and the victim's
 		// death) are forgiven. Interrupting the victim's dead engine is
 		// harmless and speeds up a compute-bound worker's exit.
-		if roundErrs == nil {
+		if doneCh != nil {
 			for _, nd := range nodes {
 				nd.InterruptWorker(&node.RollbackError{Victim: ev.victim})
 			}
@@ -599,7 +466,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 
 		k, err := rollback(ev.victim)
 		if err != nil {
-			return fail(nil, nil, err)
+			return fail(nil, -1, err)
 		}
 		for i, nd := range nodes {
 			if i == ev.victim {
@@ -609,7 +476,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 			if k > 0 {
 				s, gerr := stores[i].GetNode(k, i)
 				if gerr != nil {
-					return fail(nil, nil, &node.PeerDownError{
+					return fail(nil, -1, &node.PeerDownError{
 						Node: i, Pending: fmt.Sprintf("lost stable checkpoint %d: %v", k, gerr),
 					})
 				}
@@ -638,7 +505,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 
 		tr, err := c.cfg.Net.Rejoin(ev.victim)
 		if err != nil {
-			return fail(nil, nil, &node.PeerDownError{Node: ev.victim, Pending: "rebuilding its transport: " + err.Error()})
+			return fail(nil, -1, &node.PeerDownError{Node: ev.victim, Pending: "rebuilding its transport: " + err.Error()})
 		}
 		incarnations[ev.victim]++
 		fresh := node.New(tr, c.nodeConfig(npages, homes, rcFor(ev.victim)))
@@ -656,7 +523,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 				recoveryNs += time.Since(tRec).Nanoseconds()
 				continue
 			}
-			return fail(nil, nil, &node.PeerDownError{Node: ev.victim, Pending: "rejoin: " + err.Error()})
+			return fail(nil, -1, &node.PeerDownError{Node: ev.victim, Pending: "rejoin: " + err.Error()})
 		}
 		if sched != nil {
 			sched.rejoined()
@@ -674,22 +541,10 @@ finished:
 	for _, nd := range nodes {
 		nd.Wait()
 	}
-
-	st := &Stats{
-		Nodes:      c.cfg.Nodes,
-		Protocol:   c.cfg.Protocol.String(),
-		ElapsedNs:  elapsed.Nanoseconds(),
-		Restarts:   restarts.Load(),
-		RecoveryNs: recoveryNs,
-	}
-	for _, nd := range nodes {
-		s := nd.Stats()
-		st.PerNode = append(st.PerNode, s)
-		addStats(&st.Total, &s)
-	}
-	addStats(&st.Total, &killedTotal)
-	st.Total.Node = -1
-	st.computeBalance()
+	st := c.collectStats(nodes, &killedTotal)
+	st.ElapsedNs = elapsed.Nanoseconds()
+	st.Restarts = restarts.Load()
+	st.RecoveryNs = recoveryNs
 	return st, nil
 }
 

@@ -39,12 +39,12 @@ func runTCPAgainstReference(t *testing.T, name string, prot core.Protocol, nodes
 	go func() {
 		var stats *Stats
 		defer func() { done <- stats }()
-		trs, err := transport.NewTCPLoopback(nodes, transport.TCPOptions{})
+		nw, err := transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		got, st := runApp(t, name, prot, nodes, trs)
+		got, st := runApp(t, name, prot, nodes, nw)
 		if t.Failed() {
 			return
 		}

@@ -20,15 +20,16 @@ type serveRun struct {
 }
 
 // runServe brings up a serving cluster, drives it with the load, shuts
-// down, and returns everything needed for verification. drv wraps the
-// in-proc server into the per-client driver (nil = in-proc direct).
-func runServe(t *testing.T, nodes int, trs []transport.Transport, scfg serve.Config,
+// down, and returns everything needed for verification. A nil nw selects
+// the in-process network; drv wraps the in-proc server into the
+// per-client driver (nil = in-proc direct).
+func runServe(t *testing.T, nodes int, nw transport.Network, scfg serve.Config,
 	lcfg loadgen.Config, mkDrv func(*serve.Server) func(int) (loadgen.Driver, error)) *serveRun {
 	t.Helper()
 	cl, err := live.New(live.Config{
 		Nodes:      nodes,
 		Protocol:   core.LH,
-		Transports: trs,
+		Net:        nw,
 		RPCTimeout: 60 * time.Second,
 	})
 	if err != nil {
@@ -175,13 +176,13 @@ func TestServeTCPTransport(t *testing.T) {
 		t.Skip("TCP sockets in -short")
 	}
 	nodes := 2
-	trs, err := transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{})
+	nw, err := transport.NewTCPLoopbackNet(nodes, transport.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	scfg, lcfg := testServeCfg(), testLoadCfg(loadgen.Mix{Name: "update-uniform", ReadFrac: 0.5, Dist: "uniform"})
 	lcfg.Ops = 2000
-	got := runServe(t, nodes, trs.Transports(), scfg, lcfg, nil)
+	got := runServe(t, nodes, nw, scfg, lcfg, nil)
 	ref := runServe(t, 1, nil, scfg, lcfg, nil)
 	compareKeys(t, scfg, got, ref, lcfg.Keys)
 }
