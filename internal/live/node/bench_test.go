@@ -84,6 +84,24 @@ func BenchmarkFirstWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstWriteLane: BenchmarkFirstWrite through a LaneWorker,
+// whose first write to a page saves only the 64-byte region it touches.
+func BenchmarkFirstWriteLane(b *testing.B) {
+	nd := benchNode(b)
+	w := nd.LaneWorker(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pg := i % benchPages
+		if pg == 0 && i > 0 {
+			b.StopTimer()
+			nd.FinalFlush()
+			b.StartTimer()
+		}
+		w.WriteU64(core.Addr(pg*4096), uint64(i))
+	}
+}
+
 // BenchmarkLockLocal: Lock and Unlock of a lock the node owns, with no
 // writes in between — the zero-message acquire and release a polling
 // worker and a serve get make. It reads no clock and allocates nothing.

@@ -304,42 +304,51 @@ func TestHitCountsSurviveUnwinding(t *testing.T) {
 
 // TestOddAddresses: unaligned and out-of-range addresses never take the
 // fast path and keep their old behaviour — an unaligned word is read and
-// written byte-wise under the mutex (and still twinned and flushed), an
-// address past the shared space is a structured worker error.
+// written byte-wise under the mutex (and still twinned and flushed, by
+// the own worker and by a lane, whose twin saves both regions a word
+// straddles on these one-word-region pages), an address past the shared
+// space is a structured worker error.
 func TestOddAddresses(t *testing.T) {
-	nodes, stop := startNodes(t, onePage(0, core.LH), 2)
-	defer stop()
-	runWorkers(t, func() {}, func() {
-		w := nodes[1]
+	for _, lane := range []bool{false, true} {
+		nodes, stop := startNodes(t, onePage(0, core.LH), 2)
+		runWorkers(t, func() {}, func() {
+			var w core.Worker = nodes[1]
+			if lane {
+				w = nodes[1].LaneWorker(1)
+			}
+			w.Lock(0)
+			w.WriteU64(0, 0x1111111111111111)
+			w.WriteU64(8, 0x2222222222222222)
+			w.Unlock(0)
+			w.Lock(0)
+			w.WriteU64(4, 0xaabbccddeeff0011) // straddles both words
+			if v := w.ReadU64(4); v != 0xaabbccddeeff0011 {
+				t.Errorf("lane %v: unaligned read back %#x", lane, v)
+			}
+			if lo, hi := w.ReadU64(0), w.ReadU64(8); lo != 0xeeff001111111111 || hi != 0x22222222aabbccdd {
+				t.Errorf("lane %v: aligned words around it = %#x, %#x", lane, lo, hi)
+			}
+			w.Unlock(0)
+		})
+		w := nodes[0]
 		w.Lock(0)
-		w.WriteU64(0, 0x1111111111111111)
-		w.WriteU64(8, 0x2222222222222222)
-		w.WriteU64(4, 0xaabbccddeeff0011) // straddles both words
 		if v := w.ReadU64(4); v != 0xaabbccddeeff0011 {
-			t.Errorf("unaligned read back %#x", v)
-		}
-		if lo, hi := w.ReadU64(0), w.ReadU64(8); lo != 0xeeff001111111111 || hi != 0x22222222aabbccdd {
-			t.Errorf("aligned words around it = %#x, %#x", lo, hi)
+			t.Errorf("lane %v: home sees unaligned word %#x", lane, v)
 		}
 		w.Unlock(0)
-	})
-	w := nodes[0]
-	w.Lock(0)
-	if v := w.ReadU64(4); v != 0xaabbccddeeff0011 {
-		t.Errorf("home sees unaligned word %#x", v)
-	}
-	w.Unlock(0)
 
-	for _, a := range []core.Addr{256, 1 << 20} {
-		func() {
-			defer func() {
-				re, ok := recover().(interface{ Unwrap() error })
-				if !ok || !strings.Contains(re.Unwrap().Error(), "beyond shared space") {
-					t.Errorf("access at %d: want a beyond-shared-space worker error", a)
-				}
+		for _, a := range []core.Addr{256, 1 << 20} {
+			func() {
+				defer func() {
+					re, ok := recover().(interface{ Unwrap() error })
+					if !ok || !strings.Contains(re.Unwrap().Error(), "beyond shared space") {
+						t.Errorf("access at %d: want a beyond-shared-space worker error", a)
+					}
+				}()
+				w.WriteU64(a, 1)
 			}()
-			w.WriteU64(a, 1)
-		}()
+		}
+		stop()
 	}
 }
 

@@ -124,8 +124,8 @@ type Config struct {
 const (
 	// pageReadable: the copy is valid.
 	pageReadable uint32 = 1 << iota
-	// pageWritable: valid and already twinned this interval, so a write
-	// needs no bookkeeping.
+	// pageWritable: valid and already twinned whole this interval, so a
+	// write needs no bookkeeping.
 	pageWritable
 )
 
@@ -145,9 +145,11 @@ const (
 //     homeRecordLocked set it only once the version has caught up;
 //   - the only other goroutine that touches a resident page is the
 //     dispatcher, under Node.mu and only on pages homed here. It reads
-//     the committed view — twin if present, else data — and the worker
-//     writes data lock-free only while a twin exists, so the dispatcher
-//     never reads what the worker is writing. Twin creation, MakeDiff and
+//     the committed view (committed): the twin in the dirty regions, data
+//     only outside them and only under a partial twin. The worker writes
+//     data lock-free only under a whole twin (dirty == page.Full, which
+//     pageWritable requires), so the dispatcher never reads what the
+//     worker is writing. Twin creation, region saves, MakeDiffMasked and
 //     twin release stay under Node.mu;
 //   - the dispatcher stores into data at one site, homeRecordLocked
 //     applying a remote diff. For a data-race-free program that store and
@@ -157,7 +159,14 @@ const (
 //     is page.Diff.ApplyAtomic and the worker's load page.Buf.LoadU64.
 type lpage struct {
 	data page.Buf
-	twin page.Buf
+	// twin holds the committed bytes of the regions set in dirty (a
+	// page.Region mask) and unspecified bytes elsewhere, where data is
+	// still the committed view. A write under Node.mu saves each region
+	// its word touches the first time; the own worker's saves the whole page
+	// (page.Full), because its later writes go lock-free. Nil, with dirty
+	// zero, while the page has no open interval.
+	twin  page.Buf
+	dirty uint64
 	// state holds the page* bits; see setState.
 	state atomic.Uint32
 	// copyVT[w] is the highest interval index of writer w whose
@@ -200,18 +209,39 @@ func covers(have vc.VC, need []int32) bool {
 	return true
 }
 
-// setState publishes the page's validity and, from twin, whether the
-// current interval already twinned it. Call under Node.mu after every
-// change to either.
+// setState publishes the page's validity and, from dirty, whether the
+// current interval already twinned it whole. Call under Node.mu after
+// every change to either.
 func (ps *lpage) setState(valid bool) {
 	var s uint32
 	if valid {
 		s = pageReadable
-		if ps.twin != nil {
+		if ps.dirty == page.Full {
 			s |= pageWritable
 		}
 	}
 	ps.state.Store(s)
+}
+
+// committed copies the page's committed view — its contents as of its
+// last interval close plus the diffs applied since — into dst, as much
+// as fits: the twin in the dirty regions, data elsewhere. Under a whole
+// twin it reads the twin alone: the own worker may be writing data
+// lock-free. Call under Node.mu.
+func (ps *lpage) committed(dst []byte) {
+	if ps.dirty == page.Full {
+		copy(dst, ps.twin)
+		return
+	}
+	copy(dst, ps.data)
+	page.CopyRegions(dst, ps.twin, ps.dirty)
+}
+
+// dropTwin ends the page's open interval: the twin goes back to the pool
+// and the mask clears. Call under Node.mu.
+func (ps *lpage) dropTwin() {
+	page.FreeTwin(ps.twin)
+	ps.twin, ps.dirty = nil, 0
 }
 
 // runError wraps a fatal protocol error panicking out of a worker
@@ -687,7 +717,9 @@ func (n *Node) Replaying() bool { return n.replaying }
 // twin and never be flushed. Under the mutex the late write finds the
 // twin gone and re-twins. For the same reason the node's own worker
 // (lane 0, the *Node itself) must not touch shared memory while lane
-// workers are running.
+// workers are running. A lane's write saves only the regions its word
+// touches in the twin (see lpage.twin), so a lane-written page never becomes
+// pageWritable.
 func (n *Node) LaneWorker(lane int) core.Worker {
 	return laneWorker{Node: n, lane: int64(lane)}
 }
@@ -713,14 +745,14 @@ func (lw laneWorker) LockInPlace(id int) bool { return lw.Node.lockInPlace(id) }
 func (lw laneWorker) Backoff(int64) {}
 
 func (lw laneWorker) ReadU64(a core.Addr) uint64     { return lw.Node.readLocked(a) }
-func (lw laneWorker) WriteU64(a core.Addr, v uint64) { lw.Node.writeLocked(a, v) }
+func (lw laneWorker) WriteU64(a core.Addr, v uint64) { lw.Node.writeLocked(a, v, false) }
 func (lw laneWorker) ReadI64(a core.Addr) int64      { return int64(lw.Node.readLocked(a)) }
-func (lw laneWorker) WriteI64(a core.Addr, v int64)  { lw.Node.writeLocked(a, uint64(v)) }
+func (lw laneWorker) WriteI64(a core.Addr, v int64)  { lw.Node.writeLocked(a, uint64(v), false) }
 func (lw laneWorker) ReadF64(a core.Addr) float64 {
 	return math.Float64frombits(lw.Node.readLocked(a))
 }
 func (lw laneWorker) WriteF64(a core.Addr, v float64) {
-	lw.Node.writeLocked(a, math.Float64bits(v))
+	lw.Node.writeLocked(a, math.Float64bits(v), false)
 }
 
 func (n *Node) fail(err error) {
@@ -815,7 +847,7 @@ func (n *Node) WriteU64(a core.Addr, v uint64) {
 		return
 	}
 	n.foldHits()
-	n.writeLocked(a, v)
+	n.writeLocked(a, v, true)
 }
 
 // readLocked is the read path under the node mutex: the only one for
@@ -838,9 +870,13 @@ func (n *Node) readLocked(a core.Addr) uint64 {
 	return v
 }
 
-// writeLocked is the write path under the node mutex (see readLocked);
-// the first write of an interval twins the page here.
-func (n *Node) writeLocked(a core.Addr, v uint64) {
+// writeLocked is the write path under the node mutex (see readLocked).
+// The first write of an interval to a page takes a twin buffer, and the
+// first write to each region saves that region's committed bytes in it
+// (both regions, when an unaligned word straddles a boundary);
+// own, the node's own worker, saves the whole page at once, which makes
+// the page pageWritable for its lock-free writes.
+func (n *Node) writeLocked(a core.Addr, v uint64, own bool) {
 	pg, off := n.locate(a)
 	if n.replaying {
 		n.scratchPage(pg).PutU64(off, v)
@@ -855,10 +891,19 @@ func (n *Node) writeLocked(a core.Addr, v uint64) {
 		n.mu.Lock()
 	}
 	if ps.twin == nil {
-		ps.twin = page.NewTwin(ps.data)
-		ps.setState(true)
+		ps.twin = page.GetTwin(len(ps.data))
 		n.mod = append(n.mod, pg)
 		atomic.AddInt64(&n.stats.TwinsCreated, 1)
+	}
+	m := page.Full
+	if !own {
+		// An unaligned word can reach into the next region.
+		m = page.Region(len(ps.data), off) | page.Region(len(ps.data), off+page.WordSize-1)
+	}
+	if m &^= ps.dirty; m != 0 {
+		page.CopyRegions(ps.twin, ps.data, m)
+		ps.dirty |= m
+		ps.setState(true)
 	}
 	ps.data.PutU64(off, v)
 	n.mu.Unlock()
@@ -886,7 +931,7 @@ func (n *Node) WriteF64(a core.Addr, v float64) {
 		return
 	}
 	n.foldHits()
-	n.writeLocked(a, math.Float64bits(v))
+	n.writeLocked(a, math.Float64bits(v), true)
 }
 
 // ReadI64 implements core.Worker.
@@ -907,7 +952,7 @@ func (n *Node) WriteI64(a core.Addr, v int64) {
 		return
 	}
 	n.foldHits()
-	n.writeLocked(a, uint64(v))
+	n.writeLocked(a, uint64(v), true)
 }
 
 // Lock, Unlock and Barrier (core.Worker) live in sync.go with the rest
@@ -927,12 +972,7 @@ func (n *Node) FinalFlush() {
 // node into dst (as much as fits).
 func (n *Node) CopyHomePage(pg page.ID, dst []byte) {
 	n.mu.Lock()
-	ps := &n.pages[pg]
-	src := ps.data
-	if ps.twin != nil {
-		src = ps.twin
-	}
-	copy(dst, src)
+	n.pages[pg].committed(dst)
 	n.mu.Unlock()
 }
 
@@ -966,8 +1006,9 @@ func (n *Node) fault(pg page.ID) {
 
 // installPage overwrites the local copy with a fresh home copy. When the
 // page has a twin — uncommitted local writes, possible under false
-// sharing — those writes are re-applied on top and the twin is reset to
-// the fresh copy, so the eventual diff carries exactly the local writes.
+// sharing — those writes are re-applied on top and the twin's saved
+// regions are reset to the fresh copy, so the eventual diff carries
+// exactly the local writes.
 //
 // The home answered for the need the request carried; a sibling lane's
 // acquire may have raised the page's need while the reply was in flight.
@@ -984,9 +1025,9 @@ func (n *Node) installPage(pg page.ID, data []byte, homeVT []int32) bool {
 		ps.data = page.NewBuf(n.cfg.PageSize)
 	}
 	if ps.twin != nil {
-		own := page.MakeDiff(pg, ps.twin, ps.data)
+		own := page.MakeDiffMasked(pg, ps.twin, ps.data, ps.dirty)
 		copy(ps.data, data)
-		copy(ps.twin, data)
+		page.CopyRegions(ps.twin, data, ps.dirty)
 		own.Apply(ps.data)
 	} else {
 		copy(ps.data, data)
@@ -1021,9 +1062,8 @@ func (n *Node) closeInterval() {
 	var diffBytes int64
 	for _, pg := range n.mod {
 		ps := &n.pages[pg]
-		d := page.MakeDiff(pg, ps.twin, ps.data)
-		page.FreeTwin(ps.twin)
-		ps.twin = nil
+		d := page.MakeDiffMasked(pg, ps.twin, ps.data, ps.dirty)
+		ps.dropTwin()
 		ps.setState(ps.valid())
 		diffBytes += int64(d.SizeBytes())
 		wd := wire.Diff{Writer: int32(n.id), Index: idx, D: d}
@@ -1089,7 +1129,11 @@ func (n *Node) homeRecordLocked(ps *lpage, wd wire.Diff, applyData bool) {
 				ps.logBase.Set(int(old.Writer), old.Index)
 			}
 		}
-		ps.log = append(ps.log[:0], ps.log[drop:]...)
+		// Re-slicing keeps a full log's prune O(1) per record; append's
+		// regrowth pays the copy once per cap records. The dropped slots
+		// are cleared so their diffs can be collected before that.
+		clear(ps.log[:drop])
+		ps.log = ps.log[drop:]
 	}
 	w := int(wd.Writer)
 	if wd.Index > ps.homeVT.Get(w) {
@@ -1706,9 +1750,9 @@ func (n *Node) handle(m *wire.Msg) {
 
 // handlePageReq serves a full committed copy of a page homed here — once
 // the copy holds every version the requester was told about (m.Need);
-// until then the request is parked (see parkLocked). When the local
-// worker has uncommitted writes (a twin exists), the twin is the
-// committed view — remote diffs are applied to both data and twin.
+// until then the request is parked (see parkLocked). Uncommitted local
+// writes are left out (lpage.committed); remote diffs are applied to
+// both data and twin.
 func (n *Node) handlePageReq(m *wire.Msg) {
 	pg := page.ID(m.Page)
 	n.mu.Lock()
@@ -1718,12 +1762,8 @@ func (n *Node) handlePageReq(m *wire.Msg) {
 		n.mu.Unlock()
 		return
 	}
-	src := ps.data
-	if ps.twin != nil {
-		src = ps.twin
-	}
-	data := make([]byte, len(src))
-	copy(data, src)
+	data := make([]byte, len(ps.data))
+	ps.committed(data)
 	hvt := ps.homeVT.Clone()
 	n.mu.Unlock()
 	reply := &wire.Msg{Kind: wire.KPageReply, Token: m.Token, Page: m.Page, VT: hvt, Data: data}
@@ -1759,12 +1799,8 @@ func (n *Node) handleDiffReq(m *wire.Msg) {
 	}
 	reply := &wire.Msg{Kind: wire.KDiffReply, Token: m.Token, Page: m.Page, VT: ps.homeVT.Clone()}
 	if pruned {
-		src := ps.data
-		if ps.twin != nil {
-			src = ps.twin
-		}
-		reply.Data = make([]byte, len(src))
-		copy(reply.Data, src)
+		reply.Data = make([]byte, len(ps.data))
+		ps.committed(reply.Data)
 	} else {
 		for _, wd := range ps.log {
 			if w := int(wd.Writer); w < len(m.VT) && wd.Index <= m.VT[w] {

@@ -347,13 +347,13 @@ func (n *Node) captureCheckpoint(episode int64) {
 }
 
 // snapshotLocked builds this node's snapshot of episode: the committed
-// view of every page homed here (the twin while the local worker has
-// uncommitted writes) and its home version. A stored snapshot is
-// immutable, so a page whose home version has not moved since the
-// node's previous snapshot shares that snapshot's image: every change to
-// a homed page's committed view goes through homeRecordLocked, which
-// advances homeVT. Only the changed pages are copied under n.mu. Caller
-// holds n.mu and is the worker (lastSnap is worker-private).
+// view of every page homed here (lpage.committed) and its home version.
+// A stored snapshot is immutable, so a page whose home version has not
+// moved since the node's previous snapshot shares that snapshot's image:
+// every change to a homed page's committed view goes through
+// homeRecordLocked, which advances homeVT. Only the changed pages are
+// copied under n.mu. Caller holds n.mu and is the worker (lastSnap is
+// worker-private).
 func (n *Node) snapshotLocked(episode int64) *ckpt.NodeSnapshot {
 	var prev []ckpt.PageImage
 	if n.lastSnap != nil {
@@ -374,13 +374,11 @@ func (n *Node) snapshotLocked(episode int64) *ckpt.NodeSnapshot {
 			snap.Pages = append(snap.Pages, prev[k])
 			continue
 		}
-		src := ps.data
-		if ps.twin != nil {
-			src = ps.twin
-		}
+		data := make([]byte, len(ps.data))
+		ps.committed(data)
 		snap.Pages = append(snap.Pages, ckpt.PageImage{
 			Page:   int32(pg),
-			Data:   append([]byte(nil), src...),
+			Data:   data,
 			HomeVT: ps.homeVT.Clone(),
 		})
 	}
@@ -448,10 +446,7 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 	}
 	for pg := range n.pages {
 		ps := &n.pages[pg]
-		if ps.twin != nil {
-			page.FreeTwin(ps.twin)
-			ps.twin = nil
-		}
+		ps.dropTwin()
 		ps.log = nil
 		ps.need = nil // every interval up to the cut is at its home
 		if int(n.cfg.Homes[pg]) != n.id {

@@ -55,7 +55,11 @@ func Twin(data []byte) []byte {
 // churns one twin per dirtied page — across a sweep that is millions of
 // page-sized allocations the garbage collector otherwise has to chase.
 // sync.Pool is safe under the parallel experiment harness, where many
-// simulations (all with the same page size) run concurrently.
+// simulations (all with the same page size) run concurrently. A pool
+// holds each buffer's first-byte pointer, not the slice: a pointer goes
+// into sync.Pool's interface without a slice-header box, so getting and
+// freeing a twin allocates nothing, and idle buffers still go at the
+// next GC.
 var twinPools sync.Map // int -> *sync.Pool
 
 func twinPool(size int) *sync.Pool {
@@ -63,25 +67,98 @@ func twinPool(size int) *sync.Pool {
 		return p.(*sync.Pool)
 	}
 	p, _ := twinPools.LoadOrStore(size, &sync.Pool{
-		New: func() any { return make([]byte, size) },
+		New: func() any { return unsafe.SliceData(make([]byte, size)) },
 	})
 	return p.(*sync.Pool)
+}
+
+// GetTwin returns a pooled buffer of size bytes with unspecified
+// contents; the caller owns it until FreeTwin. A partial twin fills only
+// the regions it saves (see MakeDiffMasked).
+func GetTwin(size int) Buf {
+	b := unsafe.Slice(twinPool(size).Get().(*byte), size)
+	return b //dsmlint:ignore poolsafe ownership transfers to the caller until FreeTwin
 }
 
 // NewTwin returns a copy of data backed by a pooled buffer. The caller owns
 // it until FreeTwin; pooled contents are fully overwritten by the copy.
 func NewTwin(data []byte) Buf {
-	b := twinPool(len(data)).Get().([]byte)
+	b := GetTwin(len(data))
 	copy(b, data)
-	return b //dsmlint:ignore poolsafe ownership transfers to the caller until FreeTwin
+	return b
 }
 
-// FreeTwin recycles a twin obtained from NewTwin. The buffer must not be
-// referenced afterwards (MakeDiff copies modified words out, so diffs never
-// alias their twin).
+// FreeTwin recycles a twin obtained from GetTwin or NewTwin. The buffer
+// must not be referenced afterwards (MakeDiff copies modified words out,
+// so diffs never alias their twin).
 func FreeTwin(b Buf) {
-	if b != nil {
-		twinPool(len(b)).Put([]byte(b))
+	if len(b) > 0 {
+		twinPool(len(b)).Put(unsafe.SliceData(b))
+	}
+}
+
+// A write mask divides a page into R = min(64, words) regions, one bit
+// each: 64-byte regions on a 4 KB page, one word each on a page of fewer
+// than 64 words. When R does not divide the word count, the last region
+// takes the remainder. A writer that knows which regions it wrote twins
+// and diffs only those (MakeDiffMasked, CopyRegions).
+
+// Full is the mask of every region, whatever the page size.
+const Full = ^uint64(0)
+
+// regions returns R and the words of every region but the last of a page
+// of size bytes.
+func regions(size int) (r, rw int) {
+	r = min(size/WordSize, 64)
+	if r == 0 {
+		return 0, 0
+	}
+	return r, size / WordSize / r
+}
+
+// Region returns the mask bit of the region holding byte offset off of a
+// page of size bytes.
+func Region(size, off int) uint64 {
+	r, rw := regions(size)
+	return 1 << min(off/WordSize/rw, r-1)
+}
+
+// clip drops the bits of mask past the last region of a page of size
+// bytes.
+func clip(size int, mask uint64) uint64 {
+	if r, _ := regions(size); r < 64 {
+		mask &= 1<<r - 1
+	}
+	return mask
+}
+
+// extent returns the byte range [lo, hi) of the lowest run of adjacent
+// regions set in mask (non-zero, clipped to the page), and mask with that
+// run cleared.
+func extent(size int, mask uint64) (lo, hi int, rest uint64) {
+	r, rw := regions(size)
+	a := bits.TrailingZeros64(mask)
+	b := a + bits.TrailingZeros64(^(mask >> a))
+	if b < 64 {
+		rest = mask &^ (1<<b - 1)
+	}
+	lo, hi = a*rw*WordSize, b*rw*WordSize
+	if b >= r {
+		hi = size
+	}
+	return lo, hi, rest
+}
+
+// CopyRegions copies the regions of mask from the page src to dst, as
+// much of them as fits, with one copy per run of adjacent regions.
+func CopyRegions(dst, src []byte, mask uint64) {
+	for m := clip(len(src), mask); m != 0; {
+		var lo, hi int
+		lo, hi, m = extent(len(src), m)
+		if lo >= len(dst) {
+			return
+		}
+		copy(dst[lo:], src[lo:hi])
 	}
 }
 
@@ -108,7 +185,15 @@ var diffScratchPool = sync.Pool{New: func() any { return new(diffScratch) }}
 // MakeDiff computes the run-length encoded difference between twin (the
 // page contents at the start of the interval) and cur (the contents now).
 // Both must have the same length, a multiple of WordSize.
-func MakeDiff(id ID, twin, cur []byte) Diff {
+func MakeDiff(id ID, twin, cur []byte) Diff { return MakeDiffMasked(id, twin, cur, Full) }
+
+// MakeDiffMasked is MakeDiff over the regions of mask alone: twin need
+// hold the start-of-interval bytes of those regions only, and the
+// interval's writes must all lie inside them. Each run of adjacent set
+// regions is scanned as one extent, so a run of modified words crossing
+// a region boundary stays one run, and the diff is byte for byte the
+// full scan's whenever the regions outside mask are unmodified.
+func MakeDiffMasked(id ID, twin, cur []byte, mask uint64) Diff {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("page: MakeDiff length mismatch %d != %d", len(twin), len(cur)))
 	}
@@ -116,17 +201,39 @@ func MakeDiff(id ID, twin, cur []byte) Diff {
 		panic(fmt.Sprintf("page: size %d not a multiple of word size", len(cur)))
 	}
 	d := Diff{Page: id}
-	words := len(cur) / WordSize
 	sc := diffScratchPool.Get().(*diffScratch)
 	vals, spans := sc.vals[:0], sc.spans[:0]
-	i := 0
-	for i < words {
+	for m := clip(len(cur), mask); m != 0; {
+		var lo, hi int
+		lo, hi, m = extent(len(cur), m)
+		vals, spans = scanRuns(twin, cur, lo/WordSize, hi/WordSize, vals, spans)
+	}
+	if len(spans) > 0 {
+		out := make([]uint64, len(vals))
+		copy(out, vals)
+		d.Runs = make([]Run, len(spans))
+		pos := 0
+		for k, sp := range spans {
+			n := int(int32(sp))
+			d.Runs[k] = Run{Off: int32(sp >> 32), Words: out[pos : pos+n : pos+n]}
+			pos += n
+		}
+	}
+	sc.vals, sc.spans = vals, spans
+	diffScratchPool.Put(sc)
+	return d
+}
+
+// scanRuns appends the modified words of words [i, end) to vals and
+// their runs, packed as (start, length), to spans.
+func scanRuns(twin, cur []byte, i, end int, vals []uint64, spans []int64) ([]uint64, []int64) {
+	for i < end {
 		off := i * WordSize
 		// Fast-skip unmodified cache-line-sized regions (the chunkEq
 		// compare, spelled out because the call is beyond the inlining
 		// budget). Skipping equal words early never moves a run boundary,
 		// so diffs stay byte-identical to the plain word-by-word scan.
-		if i+chunkWords <= words {
+		if i+chunkWords <= end {
 			t, c := twin[off:off+chunkBytes], cur[off:off+chunkBytes]
 			if binary.LittleEndian.Uint64(t) == binary.LittleEndian.Uint64(c) &&
 				binary.LittleEndian.Uint64(t[8:]) == binary.LittleEndian.Uint64(c[8:]) &&
@@ -146,7 +253,7 @@ func MakeDiff(id ID, twin, cur []byte) Diff {
 		}
 		// start of a run
 		start := i
-		for i < words {
+		for i < end {
 			o := i * WordSize
 			if wordEq(twin[o:o+WordSize], cur[o:o+WordSize]) {
 				break
@@ -156,20 +263,7 @@ func MakeDiff(id ID, twin, cur []byte) Diff {
 		}
 		spans = append(spans, int64(start)<<32|int64(i-start))
 	}
-	if len(spans) > 0 {
-		out := make([]uint64, len(vals))
-		copy(out, vals)
-		d.Runs = make([]Run, len(spans))
-		pos := 0
-		for k, sp := range spans {
-			n := int(int32(sp))
-			d.Runs[k] = Run{Off: int32(sp >> 32), Words: out[pos : pos+n : pos+n]}
-			pos += n
-		}
-	}
-	sc.vals, sc.spans = vals, spans
-	diffScratchPool.Put(sc)
-	return d
+	return vals, spans
 }
 
 func wordEq(a, b []byte) bool {

@@ -365,3 +365,116 @@ func TestQuickApplyAtomicEqualsApply(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ---- write masks ----
+
+// refDiff is the plain word-by-word scan MakeDiff's fast paths must
+// reproduce exactly.
+func refDiff(twin, cur []byte) []Run {
+	var runs []Run
+	for i := 0; i < len(cur)/WordSize; i++ {
+		o := i * WordSize
+		if wordEq(twin[o:], cur[o:]) {
+			continue
+		}
+		if k := len(runs) - 1; k >= 0 && int(runs[k].Off)+len(runs[k].Words) == i {
+			runs[k].Words = append(runs[k].Words, Buf(cur).U64(o))
+			continue
+		}
+		runs = append(runs, Run{Off: int32(i), Words: []uint64{Buf(cur).U64(o)}})
+	}
+	return runs
+}
+
+func sameRuns(a, b []Run) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Off != b[k].Off || len(a[k].Words) != len(b[k].Words) {
+			return false
+		}
+		for i, w := range a[k].Words {
+			if b[k].Words[i] != w {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Property: with every write confined to the regions of a random mask,
+// the masked diff of a twin holding only those regions (junk elsewhere)
+// is byte for byte the full scan's — on pages of fewer than 64 words
+// (one word per region), of a multiple of 64 words, and of word counts
+// that leave the last region a remainder.
+func TestQuickMaskedDiffEqualsFullScan(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		words := 1 + r.Intn(600)
+		if r.Intn(2) == 0 {
+			words = 32 << r.Intn(5) // 256 B .. 4 KB
+		}
+		size := words * WordSize
+		base := NewBuf(size)
+		r.Read(base)
+		mask := r.Uint64()
+		if r.Intn(2) == 0 { // a few runs of adjacent regions
+			mask = 0
+			for k := r.Intn(4); k >= 0; k-- {
+				lo := r.Intn(64)
+				mask |= (1<<min(64-lo, 1+r.Intn(8)) - 1) << lo
+			}
+		}
+		twin := NewBuf(size)
+		r.Read(twin)
+		CopyRegions(twin, base, mask)
+		cur := Buf(Twin(base))
+		for i := r.Intn(2 * words); i > 0; i-- {
+			off := r.Intn(words) * WordSize
+			if Region(size, off)&mask != 0 {
+				cur.PutU64(off, r.Uint64())
+			}
+		}
+		want := refDiff(base, cur)
+		return sameRuns(MakeDiffMasked(0, twin, cur, mask).Runs, want) &&
+			sameRuns(MakeDiff(0, base, cur).Runs, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A run of modified words crossing from one dirty region into the
+// adjacent one is one run, not one per region.
+func TestMaskedRunSpansAdjacentRegions(t *testing.T) {
+	cur := NewBuf(4096)
+	twin := NewBuf(4096)
+	for i := range twin {
+		twin[i] = 0xee // junk outside the mask
+	}
+	mask := Region(4096, 200) | Region(4096, 256) // regions 3 and 4
+	CopyRegions(twin, cur, mask)
+	for off := 240; off < 272; off += WordSize { // words 30..33
+		cur.PutU64(off, uint64(off))
+	}
+	d := MakeDiffMasked(0, twin, cur, mask)
+	if len(d.Runs) != 1 || d.Runs[0].Off != 30 || len(d.Runs[0].Words) != 4 {
+		t.Fatalf("runs = %+v, want one run of 4 words at word 30", d.Runs)
+	}
+}
+
+func TestRegionBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		size, off int
+		bit       int
+	}{
+		{4096, 0, 0}, {4096, 63, 0}, {4096, 64, 1}, {4096, 4095, 63},
+		{256, 8, 1}, {256, 255, 31}, // one word per region
+		{800, 62 * 8, 62}, {800, 63 * 8, 63}, {800, 799, 63}, // 100 words: the last region takes 37
+	} {
+		if got := Region(c.size, c.off); got != 1<<c.bit {
+			t.Errorf("Region(%d, %d) = %#x, want bit %d", c.size, c.off, got, c.bit)
+		}
+	}
+}
