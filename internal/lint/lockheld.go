@@ -23,7 +23,7 @@ import (
 // canonical for-loop idiom, and — matched by name, the way poolsafe
 // matches FreeTwin — the project's transport and RPC entry points:
 // Send/Recv methods (transport.Transport and its wrappers) and the
-// node's rpc/send/trySend/awaitRetry helpers.
+// node's rpc/send/trySend/rpcTry helpers.
 //
 // The analysis is intra-procedural and flow-insensitive across
 // branches, like poolsafe: within each straight-line statement sequence
@@ -47,12 +47,12 @@ var LockHeld = &analysis.Analyzer{
 // helpers are unexported, so type identity is not available to fixture
 // code; name matching mirrors poolsafe's FreeTwin convention).
 var blockingMethodNames = map[string]string{
-	"Send":       "transport send",
-	"Recv":       "transport receive",
-	"rpc":        "blocking RPC",
-	"send":       "message send",
-	"trySend":    "message send",
-	"awaitRetry": "RPC reply wait",
+	"Send":    "transport send",
+	"Recv":    "transport receive",
+	"rpc":     "blocking RPC",
+	"send":    "message send",
+	"trySend": "message send",
+	"rpcTry":  "RPC reply wait",
 }
 
 func runLockHeld(pass *analysis.Pass) error {

@@ -1,7 +1,8 @@
 // Fixture for the lockheld analyzer: channel operations, blocking
-// selects, time.Sleep, transport sends and condition waits under a held
-// mutex are flagged; the release-then-send discipline, nonblocking
-// selects, goroutine bodies, and the canonical Cond.Wait loop are not.
+// selects, time.Sleep, transport sends, RPC waits and condition waits
+// under a held mutex are flagged; the release-then-send discipline,
+// nonblocking selects, goroutine bodies, and the canonical Cond.Wait
+// loop are not.
 package lockheld
 
 import (
@@ -15,6 +16,12 @@ type conn struct{}
 
 func (c *conn) Send(b []byte) error { return nil }
 func (c *conn) Recv() []byte        { return nil }
+
+// node stands in for the live node; its RPC retransmission loop is
+// recognized by name.
+type node struct{}
+
+func (n *node) rpcTry(to int, wait time.Duration) ([]byte, bool) { return nil, false }
 
 func badSendUnderLock(mu *sync.Mutex, ch chan int) {
 	mu.Lock()
@@ -47,6 +54,12 @@ func badSleepUnderRLock(mu *sync.RWMutex, n *int) {
 func badTransportSendUnderLock(c *conn, mu *sync.Mutex) {
 	mu.Lock()
 	c.Send(nil) // want "transport send Send while mu is held"
+	mu.Unlock()
+}
+
+func badRPCWaitUnderLock(n *node, mu *sync.Mutex) {
+	mu.Lock()
+	n.rpcTry(1, time.Second) // want "RPC reply wait rpcTry while mu is held"
 	mu.Unlock()
 }
 

@@ -32,7 +32,6 @@
 package consensus
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -42,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lrcdsm/internal/live/codec"
 	"lrcdsm/internal/live/wire"
 )
 
@@ -166,27 +166,20 @@ func (s *Stable) Corrupt() bool {
 // it. decodeSlot is its strict inverse: any truncation, trailing bytes
 // or checksum mismatch is an error, never a panic.
 func encodeSlot(d *durable) []byte {
-	var b []byte
-	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	u64(uint64(d.term))
-	u32(uint32(d.votedFor))
-	u64(uint64(d.snapIndex))
-	u64(uint64(d.snapTerm))
-	u32(uint32(len(d.voters)))
-	for _, v := range d.voters {
-		u32(uint32(v))
-	}
-	u32(uint32(len(d.snapshot)))
-	b = append(b, d.snapshot...)
-	u32(uint32(len(d.log)))
+	var w codec.Writer
+	w.I64(d.term)
+	w.I32(d.votedFor)
+	w.I64(d.snapIndex)
+	w.I64(d.snapTerm)
+	w.I32s(d.voters)
+	w.Bytes(d.snapshot)
+	w.U32(uint32(len(d.log)))
 	for i := range d.log {
-		u64(uint64(d.log[i].Term))
-		u32(uint32(len(d.log[i].Cmd)))
-		b = append(b, d.log[i].Cmd...)
+		w.I64(d.log[i].Term)
+		w.Bytes(d.log[i].Cmd)
 	}
-	u32(crc32.ChecksumIEEE(b))
-	return b
+	w.U32(crc32.ChecksumIEEE(w.B))
+	return w.B
 }
 
 func decodeSlot(b []byte) (durable, error) {
@@ -194,84 +187,26 @@ func decodeSlot(b []byte) (durable, error) {
 	if len(b) < 4 {
 		return d, fmt.Errorf("consensus: slot of %d bytes is short", len(b))
 	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
+	body := b[:len(b)-4]
+	sum := codec.NewReader(b[len(body):], "consensus: slot checksum")
+	if crc32.ChecksumIEEE(body) != sum.U32() {
 		return d, fmt.Errorf("consensus: slot checksum mismatch")
 	}
-	off := 0
-	fail := fmt.Errorf("consensus: slot truncated")
-	u32 := func() (uint32, bool) {
-		if len(body)-off < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(body[off:])
-		off += 4
-		return v, true
+	r := codec.NewReader(body, "consensus: slot")
+	d.term = r.I64()
+	d.votedFor = r.I32()
+	d.snapIndex = r.I64()
+	d.snapTerm = r.I64()
+	d.voters = r.I32s()
+	d.snapshot = r.Bytes()
+	n := r.Count(12) // minimum bytes per entry (term + length)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var e wire.Entry
+		e.Term = r.I64()
+		e.Cmd = r.Bytes()
+		d.log = append(d.log, e)
 	}
-	u64 := func() (uint64, bool) {
-		if len(body)-off < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		return v, true
-	}
-	t, ok := u64()
-	if !ok {
-		return d, fail
-	}
-	d.term = int64(t)
-	vf, ok := u32()
-	if !ok {
-		return d, fail
-	}
-	d.votedFor = int32(vf)
-	si, ok1 := u64()
-	st, ok2 := u64()
-	if !ok1 || !ok2 {
-		return d, fail
-	}
-	d.snapIndex, d.snapTerm = int64(si), int64(st)
-	nv, ok := u32()
-	if !ok || int64(nv)*4 > int64(len(body)-off) {
-		return d, fail
-	}
-	for i := 0; i < int(nv); i++ {
-		v, _ := u32()
-		d.voters = append(d.voters, int32(v))
-	}
-	ns, ok := u32()
-	if !ok || int(ns) > len(body)-off {
-		return d, fail
-	}
-	if ns > 0 {
-		d.snapshot = append([]byte(nil), body[off:off+int(ns)]...)
-		off += int(ns)
-	}
-	nl, ok := u32()
-	if !ok || int64(nl)*12 > int64(len(body)-off) {
-		return d, fail
-	}
-	for i := 0; i < int(nl); i++ {
-		et, ok := u64()
-		if !ok {
-			return d, fail
-		}
-		nc, ok := u32()
-		if !ok || int(nc) > len(body)-off {
-			return d, fail
-		}
-		var cmd []byte
-		if nc > 0 {
-			cmd = append([]byte(nil), body[off:off+int(nc)]...)
-			off += int(nc)
-		}
-		d.log = append(d.log, wire.Entry{Term: int64(et), Cmd: cmd})
-	}
-	if off != len(body) {
-		return d, fmt.Errorf("consensus: %d trailing slot bytes", len(body)-off)
-	}
-	return d, nil
+	return d, r.Done()
 }
 
 // ---- snapshot blob ----
@@ -280,36 +215,21 @@ func decodeSlot(b []byte) (durable, error) {
 // membership as of the snapshot index, so an installed snapshot seeds
 // both the state machine and the receiver's config.
 func encodeSnap(voters []int32, app []byte) []byte {
-	b := make([]byte, 0, 8+4*len(voters)+len(app))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(voters)))
-	for _, v := range voters {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(app)))
-	b = append(b, app...)
-	return b
+	w := codec.Writer{B: make([]byte, 0, 8+4*len(voters)+len(app))}
+	w.I32s(voters)
+	w.Bytes(app)
+	return w.B
 }
 
+// decodeSnap is encodeSnap's strict inverse; app aliases b.
 func decodeSnap(b []byte) (voters []int32, app []byte, err error) {
-	bad := fmt.Errorf("consensus: malformed snapshot blob (%d bytes)", len(b))
-	if len(b) < 8 {
-		return nil, nil, bad
+	r := codec.NewReader(b, "consensus: snapshot blob")
+	voters = r.I32s()
+	app = r.View()
+	if err := r.Done(); err != nil {
+		return nil, nil, err
 	}
-	nv := int(binary.LittleEndian.Uint32(b))
-	off := 4
-	if int64(nv)*4 > int64(len(b)-off-4) {
-		return nil, nil, bad
-	}
-	for i := 0; i < nv; i++ {
-		voters = append(voters, int32(binary.LittleEndian.Uint32(b[off:])))
-		off += 4
-	}
-	na := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if na != len(b)-off {
-		return nil, nil, bad
-	}
-	return voters, b[off:], nil
+	return voters, app, nil
 }
 
 // ---- membership-change commands ----
@@ -321,20 +241,21 @@ func decodeSnap(b []byte) (voters []int32, app []byte, err error) {
 const confMagic byte = 0xC6
 
 func encodeConfCmd(add bool, node int) []byte {
-	b := make([]byte, 6)
-	b[0] = confMagic
-	if add {
-		b[1] = 1
-	}
-	binary.LittleEndian.PutUint32(b[2:], uint32(node))
-	return b
+	w := codec.Writer{B: make([]byte, 0, 6)}
+	w.U8(confMagic)
+	w.Bool(add)
+	w.I32(int32(node))
+	return w.B
 }
 
 func decodeConfCmd(cmd []byte) (add bool, node int, ok bool) {
-	if len(cmd) != 6 || cmd[0] != confMagic {
+	if len(cmd) == 0 || cmd[0] != confMagic {
 		return false, 0, false
 	}
-	return cmd[1] == 1, int(binary.LittleEndian.Uint32(cmd[2:])), true
+	r := codec.NewReader(cmd[1:], "consensus: conf command")
+	add = r.Bool()
+	node = int(r.I32())
+	return add, node, r.Done() == nil
 }
 
 // Counters points into the owning node's stat fields; nil pointers are

@@ -1,7 +1,6 @@
 package node_test
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -9,6 +8,7 @@ import (
 	"lrcdsm/internal/live/chaos"
 	"lrcdsm/internal/live/node"
 	"lrcdsm/internal/live/transport"
+	"lrcdsm/internal/page"
 )
 
 // TestDuplicatedForwardsReserveGrants pins the reply cache's ownership
@@ -63,7 +63,7 @@ func TestDuplicatedForwardsReserveGrants(t *testing.T) {
 	runWorkers(t, bodies...)
 	img := make([]byte, 8)
 	nodes[0].CopyHomePage(0, img)
-	if got := binary.LittleEndian.Uint64(img); got != nn*iters {
+	if got := page.Buf(img).U64(0); got != nn*iters {
 		t.Errorf("counter = %d, want %d", got, nn*iters)
 	}
 	var dups int64

@@ -1,11 +1,11 @@
 package node
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
+	"lrcdsm/internal/live/codec"
 	"lrcdsm/internal/vc"
 )
 
@@ -74,46 +74,43 @@ type mcmd struct {
 	vt      []int32
 }
 
+// encode serializes c: its opcode, then the fields that opcode carries.
+// decodeCmd is its strict inverse.
+func (c mcmd) encode() []byte {
+	w := codec.Writer{B: make([]byte, 0, 13+4*len(c.vt))}
+	w.U8(c.op)
+	switch c.op {
+	case opCkptDone, opReset:
+		w.I32(c.node)
+		w.I64(c.episode)
+	case opMgrSnap:
+		w.I64(c.episode)
+		w.I32s(c.vt)
+	case opJoin:
+		w.I32(c.node)
+		w.U32(c.inc)
+	case opResume:
+		w.I32(c.node)
+	}
+	return w.B
+}
+
 func encodeCkptDone(node int32, episode int64) []byte {
-	b := make([]byte, 13)
-	b[0] = opCkptDone
-	binary.LittleEndian.PutUint32(b[1:], uint32(node))
-	binary.LittleEndian.PutUint64(b[5:], uint64(episode))
-	return b
+	return mcmd{op: opCkptDone, node: node, episode: episode}.encode()
 }
 
 func encodeMgrSnap(episode int64, vt []int32) []byte {
-	b := make([]byte, 13+4*len(vt))
-	b[0] = opMgrSnap
-	binary.LittleEndian.PutUint64(b[1:], uint64(episode))
-	binary.LittleEndian.PutUint32(b[9:], uint32(len(vt)))
-	for i, v := range vt {
-		binary.LittleEndian.PutUint32(b[13+4*i:], uint32(v))
-	}
-	return b
+	return mcmd{op: opMgrSnap, episode: episode, vt: vt}.encode()
 }
 
 func encodeJoin(node int32, inc uint32) []byte {
-	b := make([]byte, 9)
-	b[0] = opJoin
-	binary.LittleEndian.PutUint32(b[1:], uint32(node))
-	binary.LittleEndian.PutUint32(b[5:], inc)
-	return b
+	return mcmd{op: opJoin, node: node, inc: inc}.encode()
 }
 
-func encodeResume(node int32) []byte {
-	b := make([]byte, 5)
-	b[0] = opResume
-	binary.LittleEndian.PutUint32(b[1:], uint32(node))
-	return b
-}
+func encodeResume(node int32) []byte { return mcmd{op: opResume, node: node}.encode() }
 
 func encodeReset(victim int32, episode int64) []byte {
-	b := make([]byte, 13)
-	b[0] = opReset
-	binary.LittleEndian.PutUint32(b[1:], uint32(victim))
-	binary.LittleEndian.PutUint64(b[5:], uint64(episode))
-	return b
+	return mcmd{op: opReset, node: victim, episode: episode}.encode()
 }
 
 func decodeCmd(b []byte) (mcmd, error) {
@@ -122,44 +119,23 @@ func decodeCmd(b []byte) (mcmd, error) {
 		return c, nil // noop
 	}
 	c.op = b[0]
-	short := func() (mcmd, error) {
-		return c, fmt.Errorf("manager: command op %d truncated (%d bytes)", c.op, len(b))
-	}
+	r := codec.NewReader(b[1:], "manager: command")
 	switch c.op {
 	case opCkptDone, opReset:
-		if len(b) < 13 {
-			return short()
-		}
-		c.node = int32(binary.LittleEndian.Uint32(b[1:]))
-		c.episode = int64(binary.LittleEndian.Uint64(b[5:]))
+		c.node = r.I32()
+		c.episode = r.I64()
 	case opMgrSnap:
-		if len(b) < 13 {
-			return short()
-		}
-		c.episode = int64(binary.LittleEndian.Uint64(b[1:]))
-		k := int(binary.LittleEndian.Uint32(b[9:]))
-		if len(b) < 13+4*k {
-			return short()
-		}
-		c.vt = make([]int32, k)
-		for i := range c.vt {
-			c.vt[i] = int32(binary.LittleEndian.Uint32(b[13+4*i:]))
-		}
+		c.episode = r.I64()
+		c.vt = r.I32s()
 	case opJoin:
-		if len(b) < 9 {
-			return short()
-		}
-		c.node = int32(binary.LittleEndian.Uint32(b[1:]))
-		c.inc = binary.LittleEndian.Uint32(b[5:])
+		c.node = r.I32()
+		c.inc = r.U32()
 	case opResume:
-		if len(b) < 5 {
-			return short()
-		}
-		c.node = int32(binary.LittleEndian.Uint32(b[1:]))
+		c.node = r.I32()
 	default:
 		return c, fmt.Errorf("manager: unknown command op %d", c.op)
 	}
-	return c, nil
+	return c, r.Done()
 }
 
 // apply mutates the state with one decoded command. Every command is
@@ -274,47 +250,30 @@ func (s *mstate) mgrVT(e int64) ([]int32, bool) {
 func (s *mstate) encodeState() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var b []byte
-	u32 := func(v uint32) {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	u64 := func(v uint64) {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	u32(uint32(s.nn))
+	var w codec.Writer
+	w.U32(uint32(s.nn))
 	for _, e := range s.ckptConfirmed {
-		u64(uint64(e))
+		w.I64(e)
 	}
 	for _, i := range s.incarnations {
-		u32(i)
+		w.U32(i)
 	}
 	for _, r := range s.recovering {
-		if r {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		w.Bool(r)
 	}
-	u64(uint64(s.resumeEpisode))
-	u32(uint32(len(s.resumeVT)))
-	for _, v := range s.resumeVT {
-		u32(uint32(v))
-	}
+	w.I64(s.resumeEpisode)
+	w.I32s(s.resumeVT)
 	eps := make([]int64, 0, len(s.mgrVTs))
 	for e := range s.mgrVTs {
 		eps = append(eps, e)
 	}
 	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-	u32(uint32(len(eps)))
+	w.U32(uint32(len(eps)))
 	for _, e := range eps {
-		u64(uint64(e))
-		vt := s.mgrVTs[e]
-		u32(uint32(len(vt)))
-		for _, v := range vt {
-			u32(uint32(v))
-		}
+		w.I64(e)
+		w.I32s(s.mgrVTs[e])
 	}
-	return b
+	return w.B
 }
 
 // restoreState replaces the state with a decoded encodeState image — a
@@ -323,97 +282,38 @@ func (s *mstate) encodeState() []byte {
 // match; any truncation or trailing bytes is an error and leaves the
 // state untouched.
 func (s *mstate) restoreState(b []byte) error {
-	off := 0
-	short := fmt.Errorf("manager: state image truncated (%d bytes)", len(b))
-	u32 := func() (uint32, bool) {
-		if len(b)-off < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(b[off:])
-		off += 4
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if len(b)-off < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		return v, true
-	}
-	nn, ok := u32()
-	if !ok {
-		return short
-	}
-	if int(nn) != s.nn {
+	r := codec.NewReader(b, "manager: state image")
+	if nn := r.U32(); r.Err() == nil && int(nn) != s.nn {
 		return fmt.Errorf("manager: state image is for %d nodes, cluster has %d", nn, s.nn)
 	}
 	confirmed := make([]int64, s.nn)
 	for w := range confirmed {
-		e, ok := u64()
-		if !ok {
-			return short
-		}
-		confirmed[w] = int64(e)
+		confirmed[w] = r.I64()
 	}
 	incs := make([]uint32, s.nn)
 	for w := range incs {
-		i, ok := u32()
-		if !ok {
-			return short
-		}
-		incs[w] = i
-	}
-	if len(b)-off < s.nn {
-		return short
+		incs[w] = r.U32()
 	}
 	rec := make([]bool, s.nn)
 	for w := range rec {
-		rec[w] = b[off+w] != 0
+		rec[w] = r.Bool()
 	}
-	off += s.nn
-	re, ok := u64()
-	if !ok {
-		return short
-	}
-	nvt, ok := u32()
-	if !ok || int64(nvt)*4 > int64(len(b)-off) {
-		return short
-	}
-	var rvt vc.VC
-	for i := 0; i < int(nvt); i++ {
-		v, _ := u32()
-		rvt = append(rvt, int32(v))
-	}
-	neps, ok := u32()
-	if !ok {
-		return short
-	}
+	re := r.I64()
+	rvt := vc.VC(r.I32s())
 	vts := map[int64][]int32{}
-	for i := 0; i < int(neps); i++ {
-		e, ok := u64()
-		if !ok {
-			return short
-		}
-		k, ok := u32()
-		if !ok || int64(k)*4 > int64(len(b)-off) {
-			return short
-		}
-		vt := make([]int32, k)
-		for j := range vt {
-			v, _ := u32()
-			vt[j] = int32(v)
-		}
-		vts[int64(e)] = vt
+	n := r.Count(12) // minimum bytes per episode (episode + length)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e := r.I64()
+		vts[e] = r.I32s()
 	}
-	if off != len(b) {
-		return fmt.Errorf("manager: %d trailing state image bytes", len(b)-off)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.ckptConfirmed = confirmed
 	s.incarnations = incs
 	s.recovering = rec
-	s.resumeEpisode = int64(re)
+	s.resumeEpisode = re
 	s.resumeVT = rvt
 	s.mgrVTs = vts
 	s.mu.Unlock()

@@ -1363,12 +1363,14 @@ func (n *Node) rpc(to int, m *wire.Msg) *wire.Msg { return n.rpcLane(to, m, 0) }
 
 // rpcLane is rpc with the request's token stamped into a lane (see
 // laneShift); the reply carries the token back, so routing and reply
-// de-duplication are lane-oblivious.
+// de-duplication are lane-oblivious. Exceeding RPCTimeout fails the run
+// with an error naming the operation and peer instead of hanging.
 func (n *Node) rpcLane(to int, m *wire.Msg, lane int64) *wire.Msg {
-	tok, ch := n.newLaneToken(lane)
-	m.Token = tok
-	n.trySend(to, m)
-	return n.awaitRetry(to, m, ch)
+	if r, ok := n.rpcTry(to, m, n.cfg.RPCTimeout, lane); ok {
+		return r
+	}
+	panic(runError{fmt.Errorf("node %d: rpc timeout: %v to node %d after %v (token %d, attempt %d)",
+		n.id, m.Kind, to, n.cfg.RPCTimeout, m.Token, m.Attempt)})
 }
 
 // jitter draws a uniform duration in [d/2, d] from a lock-free
@@ -1388,70 +1390,14 @@ func (n *Node) jitter(d time.Duration) time.Duration {
 	return time.Duration(half + x%(half+1))
 }
 
-// awaitRetry blocks for the reply to m (already sent once under its
-// token), retransmitting on a jittered backoff schedule. A node failure
-// aborts the worker via runError; exceeding RPCTimeout fails the run
-// with an error naming the operation and peer instead of hanging.
-func (n *Node) awaitRetry(to int, m *wire.Msg, ch chan *wire.Msg) *wire.Msg {
-	deadline := time.Now().Add(n.cfg.RPCTimeout)
-	backoff := n.cfg.RetryBase
-	timer := time.NewTimer(n.jitter(backoff))
-	defer timer.Stop()
-	intr := n.intrChan()
-	for attempt := 0; ; {
-		select {
-		case r := <-ch:
-			return r
-		case <-intr:
-			n.panicInterrupted()
-		case <-n.done:
-			// A reply may have been routed concurrently with shutdown.
-			select {
-			case r := <-ch:
-				return r
-			default:
-			}
-			err := n.Err()
-			if err == nil {
-				err = fmt.Errorf("node %d: shut down while waiting for %v reply from %d", n.id, m.Kind, to)
-			}
-			panic(runError{err})
-		case <-timer.C:
-		}
-		if !time.Now().Before(deadline) {
-			panic(runError{fmt.Errorf("node %d: rpc timeout: %v to node %d after %v (token %d, %d retransmissions)",
-				n.id, m.Kind, to, n.cfg.RPCTimeout, m.Token, attempt)})
-		}
-		attempt++
-		if attempt > 255 {
-			m.Attempt = 255
-		} else {
-			m.Attempt = uint8(attempt)
-		}
-		atomic.AddInt64(&n.stats.RPCRetries, 1)
-		n.trySend(to, m)
-		backoff *= 2
-		if backoff > n.cfg.RetryMax {
-			backoff = n.cfg.RetryMax
-		}
-		wait := n.jitter(backoff)
-		if rem := time.Until(deadline); rem < wait {
-			wait = rem
-			if wait <= 0 {
-				wait = time.Millisecond
-			}
-		}
-		timer.Reset(wait)
-	}
-}
-
 // rpcTry sends a request and waits at most wait for its reply,
-// retransmitting on the same jittered schedule as rpc but returning
-// (nil, false) on expiry instead of failing the run — for callers that
-// re-resolve their target and retry as a fresh request (mgrRPC chasing
-// the quorum's leader). The pending token is withdrawn on expiry, so a
-// straggling reply is dropped as a duplicate. The request's token is
-// stamped into lane (see laneShift), so concurrent requesters — the
+// retransmitting on a jittered exponential backoff schedule; it is the
+// one retransmission loop, rpc's too. It returns (nil, false) on expiry,
+// for callers that re-resolve their target and retry as a fresh request
+// (mgrRPC chasing the quorum's leader). A node failure aborts the worker
+// via runError. The pending token is withdrawn on expiry or interrupt,
+// so a straggling reply is dropped as a duplicate. The request's token
+// is stamped into lane (see laneShift), so concurrent requesters — the
 // worker on lane 0, the supervisor's membership RPCs on confLane — each
 // keep their own monotonic dedup window at the receiver.
 func (n *Node) rpcTry(to int, m *wire.Msg, wait time.Duration, lane int64) (*wire.Msg, bool) {
@@ -1471,6 +1417,7 @@ func (n *Node) rpcTry(to int, m *wire.Msg, wait time.Duration, lane int64) (*wir
 			n.withdraw(tok)
 			n.panicInterrupted()
 		case <-n.done:
+			// A reply may have been routed concurrently with shutdown.
 			select {
 			case r := <-ch:
 				return r, true

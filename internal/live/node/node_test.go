@@ -1,7 +1,6 @@
 package node_test
 
 import (
-	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"lrcdsm/internal/core"
 	"lrcdsm/internal/live/node"
 	"lrcdsm/internal/live/transport"
+	"lrcdsm/internal/page"
 )
 
 // startNodes builds and starts an n-node cluster with the given shared
@@ -63,7 +63,7 @@ func TestLockCounter(t *testing.T) {
 	wg.Wait()
 	img := make([]byte, 8)
 	nodes[0].CopyHomePage(0, img)
-	if got := binary.LittleEndian.Uint64(img); got != nn*iters {
+	if got := page.Buf(img).U64(0); got != nn*iters {
 		t.Fatalf("counter = %d, want %d", got, nn*iters)
 	}
 }

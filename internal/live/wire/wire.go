@@ -12,9 +12,9 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"lrcdsm/internal/live/codec"
 	"lrcdsm/internal/page"
 )
 
@@ -349,109 +349,107 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 	if !ok {
 		panic(fmt.Sprintf("wire: encode of unknown kind %v", m.Kind))
 	}
-	w := writer{b: make([]byte, 0, 64+8*len(acks)+len(m.Data))}
-	w.u8(Version)
-	w.u8(uint8(m.Kind))
-	w.i32(m.From)
-	w.i64(m.Token)
-	w.u32(m.Epoch)
-	w.u32(uint32(len(acks)))
+	w := codec.Writer{B: make([]byte, 0, 64+8*len(acks)+len(m.Data))}
+	w.U8(Version)
+	w.U8(uint8(m.Kind))
+	w.I32(m.From)
+	w.I64(m.Token)
+	w.U32(m.Epoch)
+	w.U32(uint32(len(acks)))
 	for _, a := range acks {
-		w.i64(a)
+		w.I64(a)
 	}
 	if fs.attempt {
-		w.u8(m.Attempt)
+		w.U8(m.Attempt)
 	}
 	if fs.incarn {
-		w.u32(m.Incarnation)
+		w.U32(m.Incarnation)
 	}
 	if fs.chunk {
-		w.i32(m.Chunk)
-		w.i32(m.NChunks)
+		w.I32(m.Chunk)
+		w.I32(m.NChunks)
 	}
 	if fs.term {
-		w.i64(m.Term)
+		w.I64(m.Term)
 	}
 	if fs.logidx {
-		w.i64(m.LogIndex)
+		w.I64(m.LogIndex)
 	}
 	if fs.logterm {
-		w.i64(m.LogTerm)
+		w.I64(m.LogTerm)
 	}
 	if fs.commit {
-		w.i64(m.Commit)
+		w.I64(m.Commit)
 	}
 	if fs.flag {
-		w.u8(m.Flag)
+		w.U8(m.Flag)
 	}
 	if fs.leader {
-		w.i32(m.Leader)
+		w.I32(m.Leader)
 	}
 	if fs.errstr {
-		w.bytes([]byte(m.Err))
+		w.Bytes([]byte(m.Err))
 	}
 	if fs.lock {
-		w.i32(m.Lock)
+		w.I32(m.Lock)
 	}
 	if fs.reqfrom {
-		w.i32(m.ReqFrom)
+		w.I32(m.ReqFrom)
 	}
 	if fs.seg {
-		w.i32(m.Lo)
-		w.i32(m.Hi)
+		w.I32(m.Lo)
+		w.I32(m.Hi)
 	}
 	if fs.barrier {
-		w.i32(m.Barrier)
+		w.I32(m.Barrier)
 	}
 	if fs.episode {
-		w.i64(m.Episode)
+		w.I64(m.Episode)
 	}
 	if fs.pg {
-		w.i32(m.Page)
+		w.I32(m.Page)
 	}
 	if fs.vt {
-		w.i32slice(m.VT)
+		w.I32s(m.VT)
 	}
 	if fs.need {
-		w.i32slice(m.Need)
+		w.I32s(m.Need)
 	}
 	if fs.data {
-		w.bytes(m.Data)
+		w.Bytes(m.Data)
 	}
 	if fs.diffs {
-		w.u32(uint32(len(m.Diffs)))
+		w.U32(uint32(len(m.Diffs)))
 		for i := range m.Diffs {
-			w.diff(&m.Diffs[i])
+			writeDiff(&w, &m.Diffs[i])
 		}
 	}
 	if fs.notices {
-		w.u32(uint32(len(m.Notices)))
+		w.U32(uint32(len(m.Notices)))
 		for i := range m.Notices {
 			n := &m.Notices[i]
-			w.i32(n.Writer)
-			w.i32(n.Index)
-			w.i32slice(n.Pages)
+			w.I32(n.Writer)
+			w.I32(n.Index)
+			w.I32s(n.Pages)
 		}
 	}
 	if fs.ival {
-		if m.Interval == nil {
-			w.u8(0)
-		} else {
-			w.u8(1)
-			w.i32(m.Interval.Writer)
-			w.i32(m.Interval.Index)
-			w.i32slice(m.Interval.VT)
-			w.i32slice(m.Interval.Pages)
+		w.Bool(m.Interval != nil)
+		if m.Interval != nil {
+			w.I32(m.Interval.Writer)
+			w.I32(m.Interval.Index)
+			w.I32s(m.Interval.VT)
+			w.I32s(m.Interval.Pages)
 		}
 	}
 	if fs.entries {
-		w.u32(uint32(len(m.Entries)))
+		w.U32(uint32(len(m.Entries)))
 		for i := range m.Entries {
-			w.i64(m.Entries[i].Term)
-			w.bytes(m.Entries[i].Cmd)
+			w.I64(m.Entries[i].Term)
+			w.Bytes(m.Entries[i].Cmd)
 		}
 	}
-	return w.b
+	return w.B
 }
 
 // Decode parses one frame. It returns an error — never panics — on
@@ -460,275 +458,157 @@ func Decode(b []byte) (*Msg, error) {
 	if len(b) > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(b))
 	}
-	r := reader{b: b}
-	if v := r.u8(); r.err == nil && v != Version {
+	r := codec.NewReader(b, "wire: frame")
+	if v := r.U8(); r.Err() == nil && v != Version {
 		return nil, fmt.Errorf("wire: version %d frame, want %d", v, Version)
 	}
-	k := Kind(r.u8())
+	k := Kind(r.U8())
 	fs, ok := fields[k]
-	if r.err == nil && !ok {
+	if r.Err() == nil && !ok {
 		return nil, fmt.Errorf("wire: unknown kind %d", uint8(k))
 	}
 	m := &Msg{Kind: k}
-	m.From = r.i32()
-	m.Token = r.i64()
-	m.Epoch = r.u32()
-	if n := r.count(8); n > 0 {
+	m.From = r.I32()
+	m.Token = r.I64()
+	m.Epoch = r.U32()
+	if n := r.Count(8); n > 0 {
 		m.Acks = make([]int64, n)
 		for i := range m.Acks {
-			m.Acks[i] = r.i64()
+			m.Acks[i] = r.I64()
 		}
 	}
 	if fs.attempt {
-		m.Attempt = r.u8()
+		m.Attempt = r.U8()
 	}
 	if fs.incarn {
-		m.Incarnation = r.u32()
+		m.Incarnation = r.U32()
 	}
 	if fs.chunk {
-		m.Chunk = r.i32()
-		m.NChunks = r.i32()
+		m.Chunk = r.I32()
+		m.NChunks = r.I32()
 	}
 	if fs.term {
-		m.Term = r.i64()
+		m.Term = r.I64()
 	}
 	if fs.logidx {
-		m.LogIndex = r.i64()
+		m.LogIndex = r.I64()
 	}
 	if fs.logterm {
-		m.LogTerm = r.i64()
+		m.LogTerm = r.I64()
 	}
 	if fs.commit {
-		m.Commit = r.i64()
+		m.Commit = r.I64()
 	}
 	if fs.flag {
-		m.Flag = r.u8()
+		m.Flag = r.U8()
 	}
 	if fs.leader {
-		m.Leader = r.i32()
+		m.Leader = r.I32()
 	}
 	if fs.errstr {
-		if e := r.bytes(); len(e) > 0 {
+		if e := r.Bytes(); len(e) > 0 {
 			m.Err = string(e)
 		}
 	}
 	if fs.lock {
-		m.Lock = r.i32()
+		m.Lock = r.I32()
 	}
 	if fs.reqfrom {
-		m.ReqFrom = r.i32()
+		m.ReqFrom = r.I32()
 	}
 	if fs.seg {
-		m.Lo = r.i32()
-		m.Hi = r.i32()
+		m.Lo = r.I32()
+		m.Hi = r.I32()
 	}
 	if fs.barrier {
-		m.Barrier = r.i32()
+		m.Barrier = r.I32()
 	}
 	if fs.episode {
-		m.Episode = r.i64()
+		m.Episode = r.I64()
 	}
 	if fs.pg {
-		m.Page = r.i32()
+		m.Page = r.I32()
 	}
 	if fs.vt {
-		m.VT = r.i32slice()
+		m.VT = r.I32s()
 	}
 	if fs.need {
-		m.Need = r.i32slice()
+		m.Need = r.I32s()
 	}
 	if fs.data {
-		m.Data = r.bytes()
+		m.Data = r.Bytes()
 	}
 	if fs.diffs {
-		n := r.count(9) // minimum bytes per encoded diff
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Diffs = append(m.Diffs, r.diff())
+		n := r.Count(9) // minimum bytes per encoded diff
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m.Diffs = append(m.Diffs, readDiff(&r))
 		}
 	}
 	if fs.notices {
-		n := r.count(12)
-		for i := 0; i < n && r.err == nil; i++ {
+		n := r.Count(12)
+		for i := 0; i < n && r.Err() == nil; i++ {
 			var nt Notice
-			nt.Writer = r.i32()
-			nt.Index = r.i32()
-			nt.Pages = r.i32slice()
+			nt.Writer = r.I32()
+			nt.Index = r.I32()
+			nt.Pages = r.I32s()
 			m.Notices = append(m.Notices, nt)
 		}
 	}
 	if fs.ival {
-		if r.u8() == 1 && r.err == nil {
+		if r.Bool() {
 			iv := &Interval{}
-			iv.Writer = r.i32()
-			iv.Index = r.i32()
-			iv.VT = r.i32slice()
-			iv.Pages = r.i32slice()
+			iv.Writer = r.I32()
+			iv.Index = r.I32()
+			iv.VT = r.I32s()
+			iv.Pages = r.I32s()
 			m.Interval = iv
 		}
 	}
 	if fs.entries {
-		n := r.count(12) // minimum bytes per encoded entry (term + len)
-		for i := 0; i < n && r.err == nil; i++ {
+		n := r.Count(12) // minimum bytes per encoded entry (term + len)
+		for i := 0; i < n && r.Err() == nil; i++ {
 			var e Entry
-			e.Term = r.i64()
-			e.Cmd = r.bytes()
+			e.Term = r.I64()
+			e.Cmd = r.Bytes()
 			m.Entries = append(m.Entries, e)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v", len(b)-r.off, k)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// ---- writer ----
-
-type writer struct{ b []byte }
-
-func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
-func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-
-func (w *writer) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
-}
-
-func (w *writer) i32slice(v []int32) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.i32(x)
-	}
-}
-
-func (w *writer) diff(d *Diff) {
-	w.i32(d.Writer)
-	w.i32(d.Index)
-	w.i32(int32(d.D.Page))
-	w.u32(uint32(len(d.D.Runs)))
+func writeDiff(w *codec.Writer, d *Diff) {
+	w.I32(d.Writer)
+	w.I32(d.Index)
+	w.I32(int32(d.D.Page))
+	w.U32(uint32(len(d.D.Runs)))
 	for _, r := range d.D.Runs {
-		w.i32(r.Off)
-		w.u32(uint32(len(r.Words)))
+		w.I32(r.Off)
+		w.U32(uint32(len(r.Words)))
 		for _, x := range r.Words {
-			w.u64(x)
+			w.U64(x)
 		}
 	}
 }
 
-// ---- reader ----
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: "+format, args...)
-	}
-}
-
-func (r *reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.b)-r.off < n {
-		r.fail("truncated frame: need %d bytes at offset %d of %d", n, r.off, len(r.b))
-		return false
-	}
-	return true
-}
-
-func (r *reader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i32() int32 { return int32(r.u32()) }
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-// count reads an element count and validates it against the bytes left,
-// assuming each element occupies at least minBytes — an oversized count
-// fails immediately instead of driving a huge allocation.
-func (r *reader) count(minBytes int) int {
-	n := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if int64(n)*int64(minBytes) > int64(len(r.b)-r.off) {
-		r.fail("oversized count %d (%d bytes remain)", n, len(r.b)-r.off)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) bytes() []byte {
-	n := r.count(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, r.b[r.off:r.off+n])
-	r.off += n
-	return v
-}
-
-func (r *reader) i32slice() []int32 {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = r.i32()
-	}
-	return v
-}
-
-func (r *reader) diff() Diff {
+func readDiff(r *codec.Reader) Diff {
 	var d Diff
-	d.Writer = r.i32()
-	d.Index = r.i32()
-	d.D.Page = page.ID(r.i32())
-	nr := r.count(8)
-	for i := 0; i < nr && r.err == nil; i++ {
+	d.Writer = r.I32()
+	d.Index = r.I32()
+	d.D.Page = page.ID(r.I32())
+	nr := r.Count(8)
+	for i := 0; i < nr && r.Err() == nil; i++ {
 		var run page.Run
-		run.Off = r.i32()
-		nw := r.count(8)
-		if r.err != nil {
+		run.Off = r.I32()
+		nw := r.Count(8)
+		if r.Err() != nil {
 			break
 		}
 		run.Words = make([]uint64, nw)
 		for j := range run.Words {
-			run.Words[j] = r.u64()
+			run.Words[j] = r.U64()
 		}
 		d.D.Runs = append(d.D.Runs, run)
 	}
