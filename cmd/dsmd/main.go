@@ -13,8 +13,11 @@
 // With -json, one JSON object describing the run — configuration,
 // elapsed time, per-node and total protocol counters, and any injected
 // faults — is printed to stdout (one object per run, suitable for
-// appending to a JSON-lines file). With -check, the result regions are
-// compared against a 1-node reference run of the live engine.
+// appending to a JSON-lines file). With -check, the run is held to the
+// release-consistency invariants (internal/check) — except under
+// -recover, whose rollbacks the checker has no rule for — and its result
+// regions are compared against a 1-node reference run of the live
+// engine.
 //
 // The -drop/-dup/-delay/-reset/-partition flags inject transport faults
 // (internal/live/chaos) on a schedule derived from -chaos-seed, so a
@@ -66,7 +69,8 @@ type runOpts struct {
 	retryBase  time.Duration
 	hbInterval time.Duration
 	hbTimeout  time.Duration
-	chaos      *chaos.Config // nil: no fault injection
+	chaos      *chaos.Config  // nil: no fault injection
+	checker    *check.Checker // nil: no invariant checking
 
 	// Recovery knobs (-recover and friends).
 	recover     bool
@@ -92,7 +96,7 @@ func main() {
 		scaleName = flag.String("scale", "test", "problem scale: paper, bench, test")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-wait RPC timeout")
 		jsonOut   = flag.Bool("json", false, "print the run report as one JSON object")
-		checkRun  = flag.Bool("check", false, "compare result regions against a 1-node live reference run")
+		checkRun  = flag.Bool("check", false, "check the run's invariants (without -recover) and its result regions against a 1-node live reference run")
 
 		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the fault-injection schedule")
 		dropP     = flag.Float64("drop", 0, "per-frame probability of a silent drop")
@@ -176,9 +180,16 @@ func main() {
 		opts.chaos = cfg
 	}
 
+	if *checkRun && *nodes > 1 && !*recoverRun {
+		opts.checker = check.New(*nodes)
+	}
 	cluster, stats, faults, err := runLive(*appName, scale, prot, *nodes, *trans, opts)
 	if err != nil {
 		fatal(err)
+	}
+	if opts.checker != nil {
+		iv, d := opts.checker.Seen()
+		fmt.Fprintf(os.Stderr, "check: no invariant violations in %d intervals and %d diff applications\n", iv, d)
 	}
 
 	if *checkRun && *nodes > 1 {
@@ -307,6 +318,9 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 		nw = chaos.WrapNet(inner, *opts.chaos)
 		cfg.Net = nw
 	}
+	if opts.checker != nil {
+		cfg.Observer = opts.checker
+	}
 	cluster, err := live.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -370,6 +384,10 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 		stats, err = run()
 	}
 	faults := liveFaults(nw)
+	if opts.checker != nil && opts.checker.Err() != nil {
+		// A violation is the root cause of whatever the run did next.
+		err = opts.checker.Err()
+	}
 	if err != nil {
 		return nil, nil, faults, fmt.Errorf("%s/%v/%dn: %w", appName, prot, nodes, err)
 	}

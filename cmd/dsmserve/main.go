@@ -121,7 +121,7 @@ func main() {
 	scfg := serve.Config{
 		Keys: *keys, KeysPerPage: *keysPerPage, Shards: *shards,
 		Workers: *serveWk, Batch: *batch, Route: *route,
-		Durable: *durable, CkptEvery: *ckptEvery,
+		Durable: *durable,
 	}
 	lcfg := loadgen.Config{
 		Clients: *clients, Workers: *loadWk, Keys: *keys, Ops: *ops,

@@ -282,23 +282,6 @@ func (s *System) placePages() {
 // Stats returns the (possibly in-progress) statistics.
 func (s *System) Stats() *RunStats { return &s.stats }
 
-// FinalImage returns a copy of the authoritative shared-memory image over
-// the allocated region [0, Brk): every write performed by any processor,
-// incorporated in happened-before order. Used by the runtime checker to
-// compare runs against a 1-processor reference.
-func (s *System) FinalImage() []byte {
-	out := make([]byte, s.brk)
-	ps := s.cfg.PageSize
-	for off := 0; off < len(out); off += ps {
-		pg := s.oraclePage(page.ID(off >> s.pageShift))
-		copy(out[off:], pg)
-	}
-	return out
-}
-
-// Brk returns the current top of the shared allocation.
-func (s *System) Brk() Addr { return s.brk }
-
 // ---- messaging ----
 
 // attr attributes a message to the operation that caused it.

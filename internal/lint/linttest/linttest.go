@@ -11,7 +11,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -101,10 +100,4 @@ func consume(expects []*expectation, pos token.Position, msg string) bool {
 		}
 	}
 	return false
-}
-
-// Describe formats a diagnostic position for error messages.
-func Describe(fset *token.FileSet, d analysis.Diagnostic) string {
-	p := fset.Position(d.Pos)
-	return fmt.Sprintf("%s:%d:%d: %s: %s", p.Filename, p.Line, p.Column, d.Analyzer, d.Message)
 }

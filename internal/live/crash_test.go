@@ -108,15 +108,14 @@ func TestSupervisedExits(t *testing.T) {
 func TestScheduleArmsOnRejoin(t *testing.T) {
 	var killed []int
 	s := &schedule{
-		Observer: nopObserver{},
-		crashes:  []Crash{{Node: 1, At: AtRelease, N: 2}, {Node: 0, At: AtFault, N: 2}},
-		kill:     func(v int, _ time.Duration) { killed = append(killed, v) },
-		armed:    true,
+		crashes: []Crash{{Node: 1, At: AtRelease, N: 2}, {Node: 0, At: AtFault, N: 2}},
+		kill:    func(v int, _ time.Duration) { killed = append(killed, v) },
+		armed:   true,
 	}
-	s.IntervalClosed(0, 1, nil) // another node's release
-	s.PageFault(1, 0)           // another kind
-	s.IntervalClosed(1, 1, nil)
-	s.IntervalClosed(1, 2, nil)
+	s.IntervalClosed(0, 1, nil, nil) // another node's release
+	s.PageFault(1, 0)                // another kind
+	s.IntervalClosed(1, 1, nil, nil)
+	s.IntervalClosed(1, 2, nil, nil)
 	s.PageFault(2, 0) // inside the recovery: not counted
 	s.PageFault(2, 0)
 	if !reflect.DeepEqual(killed, []int{1}) {
@@ -125,7 +124,7 @@ func TestScheduleArmsOnRejoin(t *testing.T) {
 	s.rejoined()
 	s.PageFault(2, 0) // any node's fault counts
 	s.PageFault(3, 0)
-	s.IntervalClosed(1, 3, nil)
+	s.IntervalClosed(1, 3, nil, nil)
 	if !reflect.DeepEqual(killed, []int{1, 0}) {
 		t.Fatalf("after the rejoin, killed %v; want [1 0]", killed)
 	}

@@ -607,7 +607,7 @@ func (n *Node) Barrier(id int) {
 	atomic.AddInt64(&n.stats.BarrierEpisodes, 1)
 	atomic.AddInt64(&n.stats.BarrierWaitNs, time.Since(t0).Nanoseconds())
 	if n.obs != nil {
-		n.obs.BarrierDeparted(n.id, reply.Episode)
+		n.obs.BarrierDeparted(n.id, reply.Episode, vc.VC(reply.VT).Clone())
 	}
 	n.barsDone++
 	if flagged {

@@ -66,9 +66,9 @@ type Config struct {
 	// diff pulls).
 	Route string
 	// Durable enables the group-commit episode loop; see the package
-	// comment. CkptEvery must match the supervisor's CheckpointEvery.
-	Durable   bool
-	CkptEvery int64
+	// comment. The checkpoint cadence it acknowledges against is the
+	// engine's own (the supervisor's CheckpointEvery).
+	Durable bool
 }
 
 func (c Config) withDefaults(pagesz int) (Config, error) {
@@ -109,9 +109,6 @@ func (c Config) withDefaults(pagesz int) (Config, error) {
 	}
 	if c.Route != "affinity" && c.Route != "any" {
 		return c, fmt.Errorf("serve: Route = %q, want affinity or any", c.Route)
-	}
-	if c.CkptEvery <= 0 {
-		c.CkptEvery = 1
 	}
 	return c, nil
 }
@@ -229,10 +226,15 @@ type serveCounter interface {
 	CountServe(gets, puts, inline int64)
 }
 
-// replayer is the optional rollback-replay probe (implemented by the
-// live node); during replay the lock plane no-ops and reads are
-// scratch, so the durable loop must not execute client operations.
-type replayer interface{ Replaying() bool }
+// recoverer is the optional recovery probe (implemented by the live
+// node): during replay the lock plane no-ops and reads are scratch, so
+// the durable loop must not execute client operations; and the engine
+// checkpoints at every CheckpointEvery'th barrier, which decides the
+// ops a stable checkpoint covers (stableFloor).
+type recoverer interface {
+	Replaying() bool
+	CheckpointEvery() int64
+}
 
 // laner is the optional per-goroutine token-lane hook (implemented by
 // the live node): each executor goroutine acquires locks through its
@@ -671,17 +673,17 @@ func (s *Server) account(w core.Worker, enq []time.Duration, puts, inline int64)
 // execution time) whose effects a cluster-wide stable checkpoint is
 // guaranteed to cover after this node departs its bars'th barrier. An
 // op tagged E runs in engine episode E+1 and is first covered by the
-// flagged crossing ceil((E+1)/CkptEvery)*CkptEvery. Each node captures
+// flagged crossing ceil((E+1)/every)*every. Each node captures
 // that checkpoint AFTER departing the flagged barrier and confirms it
 // with a blocking ckpt-done RPC before arriving at the next one — so
 // departing crossing `bars` only proves every node confirmed flagged
 // crossings <= bars-1. Acking against the flagged crossing itself (off
 // by one) loses acknowledged writes when a crash rolls back to the
 // previous cut.
-func (s *Server) stableFloor(bars int64) int64 {
+func stableFloor(bars, every int64) int64 {
 	f := bars - 1
-	f -= f % s.cfg.CkptEvery // newest flagged crossing everyone confirmed
-	return f - 1             // tags E <= f-1 have cover(E) <= f
+	f -= f % every // newest flagged crossing everyone confirmed
+	return f - 1   // tags E <= f-1 have cover(E) <= f
 }
 
 // runDurable is the group-commit episode loop (durable mode): execute a
@@ -696,8 +698,9 @@ func (s *Server) stableFloor(bars int64) int64 {
 func (s *Server) runDurable(w core.Worker) {
 	node := w.ID()
 	q := s.queues[node][0]
-	var bars int64
-	if rp, ok := w.(replayer); ok {
+	bars, every := int64(0), int64(1)
+	if rp, ok := w.(recoverer); ok {
+		every = max(rp.CheckpointEvery(), 1)
 		for rp.Replaying() {
 			w.Barrier(s.st.bar)
 			bars++
@@ -754,7 +757,7 @@ func (s *Server) runDurable(w core.Worker) {
 		w.Barrier(s.st.bar)
 		bars++
 		// Acknowledge everything the now-stable checkpoint covers.
-		floor := s.stableFloor(bars)
+		floor := stableFloor(bars, every)
 		now := time.Since(s.t0)
 		keep := s.pending[node][:0]
 		for _, o := range s.pending[node] {

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -217,56 +218,62 @@ func TestServeFrontendTCP(t *testing.T) {
 }
 
 // TestServeDurable runs the group-commit episode loop under the
-// supervisor with no crash: every acknowledgment waits for a stable
-// checkpoint, and the results still match the direct reference.
+// supervisor with no crash, checkpointing at every barrier and at every
+// second one: every acknowledgment waits for a stable checkpoint, which
+// the loop computes from the engine's own cadence, and the results
+// still match the direct reference.
 func TestServeDurable(t *testing.T) {
-	scfg := testServeCfg()
-	scfg.Durable = true
-	lcfg := testLoadCfg(loadgen.Mix{Name: "update-uniform", ReadFrac: 0.5, Dist: "uniform"})
-	lcfg.Ops = 600
-	lcfg.Clients = 4
+	for _, every := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("ckpt-every=%d", every), func(t *testing.T) {
+			scfg := testServeCfg()
+			scfg.Durable = true
+			lcfg := testLoadCfg(loadgen.Mix{Name: "update-uniform", ReadFrac: 0.5, Dist: "uniform"})
+			lcfg.Ops = 600
+			lcfg.Clients = 4
 
-	cl, err := live.New(live.Config{
-		Nodes: 2, Protocol: core.LH, RPCTimeout: 60 * time.Second,
-		Net: transport.NewInprocNet(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := serve.NewStore(cl, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.NewServer(st)
-	type out struct {
-		stats *live.Stats
-		err   error
-	}
-	done := make(chan out, 1)
-	go func() {
-		stats, rerr := cl.RunSupervised(srv.NodeWorker, live.RecoverOptions{
-			MaxRestarts: 2, CheckpointEvery: 1, Replicate: true, Seed: 1,
+			cl, err := live.New(live.Config{
+				Nodes: 2, Protocol: core.LH, RPCTimeout: 60 * time.Second,
+				Net: transport.NewInprocNet(2),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := serve.NewStore(cl, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := serve.NewServer(st)
+			type out struct {
+				stats *live.Stats
+				err   error
+			}
+			done := make(chan out, 1)
+			go func() {
+				stats, rerr := cl.RunSupervised(srv.NodeWorker, live.RecoverOptions{
+					MaxRestarts: 2, CheckpointEvery: every, Replicate: true, Seed: 1,
+				})
+				done <- out{stats, rerr}
+			}()
+			res, lerr := loadgen.Run(lcfg, func(int) (loadgen.Driver, error) { return srv, nil })
+			srv.Shutdown()
+			o := <-done
+			if lerr != nil {
+				t.Fatalf("load: %v", lerr)
+			}
+			if o.err != nil {
+				t.Fatalf("cluster: %v", o.err)
+			}
+			if res.Violations != 0 {
+				t.Fatalf("%d violations in durable mode", res.Violations)
+			}
+			if o.stats.Total.CheckpointsTaken == 0 {
+				t.Error("durable run took no checkpoints")
+			}
+			ref := runServe(t, 1, nil, testServeCfg(), lcfg, nil)
+			gotRun := &serveRun{cl: cl, res: res, stats: o.stats}
+			compareKeys(t, scfg, gotRun, ref, lcfg.Keys)
 		})
-		done <- out{stats, rerr}
-	}()
-	res, lerr := loadgen.Run(lcfg, func(int) (loadgen.Driver, error) { return srv, nil })
-	srv.Shutdown()
-	o := <-done
-	if lerr != nil {
-		t.Fatalf("load: %v", lerr)
 	}
-	if o.err != nil {
-		t.Fatalf("cluster: %v", o.err)
-	}
-	if res.Violations != 0 {
-		t.Fatalf("%d violations in durable mode", res.Violations)
-	}
-	if o.stats.Total.CheckpointsTaken == 0 {
-		t.Error("durable run took no checkpoints")
-	}
-	ref := runServe(t, 1, nil, testServeCfg(), lcfg, nil)
-	gotRun := &serveRun{cl: cl, res: res, stats: o.stats}
-	compareKeys(t, scfg, gotRun, ref, lcfg.Keys)
 }
 
 // TestServeConfigValidation pins the config error paths.

@@ -132,9 +132,6 @@ func New(n int) *Engine {
 // Procs returns the engine's processors.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// NumProcs returns the number of simulated processors.
-func (e *Engine) NumProcs() int { return len(e.procs) }
-
 // Now returns the current global virtual time: the timestamp of the entity
 // being executed.
 func (e *Engine) Now() Time { return e.now }
