@@ -7,11 +7,11 @@ import (
 	"lrcdsm/internal/live/node"
 )
 
-// TestAddStatsAccumulatesEveryCounter guards the hand-maintained sum in
-// addStats against drift: a counter added to node.Stats — like the
-// consensus_terms/elections/commits and leader_redirects counters the
-// replicated control plane reports — but not to addStats would silently
-// vanish from cluster totals (and from dsmd -json). Every field gets a
+// TestAddStatsAccumulatesEveryCounter guards the sum in node.Stats.Add,
+// which cluster totals (and dsmd -json) are built from, against drift: a
+// counter added to node.Stats — like the consensus_terms/elections/commits
+// and leader_redirects counters the replicated control plane reports —
+// that Add skipped would silently vanish from them. Every field gets a
 // distinct nonzero value; the accumulated total must carry all of them.
 func TestAddStatsAccumulatesEveryCounter(t *testing.T) {
 	var src node.Stats
@@ -26,15 +26,15 @@ func TestAddStatsAccumulatesEveryCounter(t *testing.T) {
 		}
 	}
 	var dst node.Stats
-	addStats(&dst, &src)
-	addStats(&dst, &src)
+	dst.Add(&src)
+	dst.Add(&src)
 	dv := reflect.ValueOf(&dst).Elem()
 	for i := 0; i < rv.NumField(); i++ {
 		if rv.Type().Field(i).Name == "Node" {
 			continue // identity, not a counter — totals keep their own
 		}
 		if got, want := dv.Field(i).Int(), 2*rv.Field(i).Int(); got != want {
-			t.Errorf("addStats drops %s: got %d, want %d (add it to the sum)",
+			t.Errorf("Stats.Add drops %s: got %d, want %d (add it to the sum)",
 				rv.Type().Field(i).Name, got, want)
 		}
 	}
