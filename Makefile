@@ -11,7 +11,7 @@
 GO ?= go
 SUMMARY ?= $(or $(GITHUB_STEP_SUMMARY),/dev/stdout)
 
-.PHONY: fmt build vet lint test fuzz bench-smoke sim-footprint race check-smoke live chaos recover failover scale-smoke serve endurance bench-live bench-scale bench-serve bench-node bench-sim verify
+.PHONY: fmt build vet lint test fuzz bench-smoke sim-footprint race check-smoke live chaos recover failover scale-smoke serve endurance bench-live bench-scale bench-serve bench-node bench-sim loc verify
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -264,5 +264,11 @@ bench-node:
 bench-sim:
 	$(GO) test -run '^$$' -bench 'HotPageApply|NewSystem' -benchmem -count=5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'Interact' -benchmem -count=5 ./internal/sim/
+
+# loc prints the Go line counts CHANGES.md's scoreboard quotes: every
+# .go file in the tree, non-test and _test.go apart.
+loc:
+	@find . -path ./.git -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf 'non-test Go lines: %s\n'
+	@find . -path ./.git -prune -o -name '*_test.go' -exec cat {} + | wc -l | xargs printf 'test Go lines: %s\n'
 
 verify: fmt build vet lint test fuzz bench-smoke sim-footprint check-smoke race live chaos recover failover scale-smoke serve endurance

@@ -29,7 +29,7 @@
 // -ckpt-dir, in memory otherwise), and a node killed by the -crash
 // schedule (at its nth release) is restarted from the last stable
 // checkpoint up to -max-restarts times before the run degrades to the
-// structured abort a recovery-free cluster reports. -deadline bounds
+// structured abort a run without a restart budget reports. -deadline bounds
 // the whole run in wall time; on expiry dsmd dumps a stats snapshot as
 // JSON and exits nonzero.
 package main
@@ -71,20 +71,11 @@ type runOpts struct {
 	hbTimeout  time.Duration
 	chaos      *chaos.Config  // nil: no fault injection
 	checker    *check.Checker // nil: no invariant checking
+	deadline   time.Duration
 
-	// Recovery knobs (-recover and friends).
-	recover     bool
-	maxRestarts int
-	ckptEvery   int64
-	ckptDir     string
-	crashes     []live.Crash
-	deadline    time.Duration
-	seed        int64
-
-	// Long-haul control-plane knobs.
-	compactEvery int64
-	voters       int
-	addReplicas  []live.ReplicaAdd
+	// supervise is the run's kill schedule and control-plane knobs, with
+	// -recover also its restart budget and checkpoints.
+	supervise live.RecoverOptions
 }
 
 func main() {
@@ -117,9 +108,9 @@ func main() {
 		crashSpec   = flag.String("crash", "", "kill schedule: node:n[:delay][,...] — kill node at its nth release, restart after delay")
 		deadline    = flag.Duration("deadline", 0, "wall-clock budget for the run; on expiry dump a stats JSON snapshot and exit nonzero")
 
-		compactEvery = flag.Int64("compact-every", 0, "consensus log-compaction threshold in applied entries (0: default 512, negative: disable; with -recover)")
-		votersN      = flag.Int("voters", 0, "initial consensus voting membership: nodes [0,N) vote, the rest run non-voting replicas (0: all, or node 0 alone below 3 nodes; with -recover)")
-		addReplica   = flag.String("add-replica", "", "runtime voter promotions: node:delay[,...] — promote node to a voter after delay (with -recover)")
+		compactEvery = flag.Int64("compact-every", 0, "consensus log-compaction threshold in applied entries (0: default 512, negative: disable)")
+		votersN      = flag.Int("voters", 0, "initial consensus voting membership: nodes [0,N) vote, the rest run non-voting replicas (0: all, or node 0 alone below 3 nodes)")
+		addReplica   = flag.String("add-replica", "", "runtime voter promotions: node:delay[,...] — promote node to a voter after delay")
 	)
 	flag.Parse()
 
@@ -133,33 +124,37 @@ func main() {
 	}
 
 	opts := runOpts{
-		timeout:     *timeout,
-		retryBase:   *retryBase,
-		hbInterval:  *hbInterval,
-		hbTimeout:   *hbTimeout,
-		recover:     *recoverRun,
-		maxRestarts: *maxRestarts,
-		ckptEvery:   *ckptEvery,
-		ckptDir:     *ckptDir,
-		deadline:    *deadline,
-		seed:        *chaosSeed,
-
-		compactEvery: *compactEvery,
-		voters:       *votersN,
+		timeout:    *timeout,
+		retryBase:  *retryBase,
+		hbInterval: *hbInterval,
+		hbTimeout:  *hbTimeout,
+		deadline:   *deadline,
+		supervise: live.RecoverOptions{
+			Seed: *chaosSeed, CompactEvery: *compactEvery, Voters: *votersN,
+		},
+	}
+	// Without -recover the restart budget is zero: no checkpoints, and
+	// the first kill ends the run.
+	if ro := &opts.supervise; *recoverRun {
+		ro.MaxRestarts, ro.CheckpointEvery, ro.Replicate = *maxRestarts, *ckptEvery, true
+		if *ckptDir != "" {
+			ro.Stores = make([]ckpt.Store, *nodes)
+			for i := range ro.Stores {
+				if ro.Stores[i], err = ckpt.NewDirStore(filepath.Join(*ckptDir, fmt.Sprintf("node%d", i))); err != nil {
+					fatal(err)
+				}
+			}
+		}
 	}
 	if *addReplica != "" {
-		adds, err := parseAddReplicas(*addReplica)
-		if err != nil {
+		if opts.supervise.AddReplicas, err = parseAddReplicas(*addReplica); err != nil {
 			fatal(err)
 		}
-		opts.addReplicas = adds
 	}
 	if *crashSpec != "" {
-		crashes, err := live.ParseCrashes(*crashSpec)
-		if err != nil {
+		if opts.supervise.Crashes, err = live.ParseCrashes(*crashSpec); err != nil {
 			fatal(fmt.Errorf("-%w", err))
 		}
-		opts.crashes = crashes
 	}
 	if *dropP > 0 || *dupP > 0 || *delayP > 0 || *resetP > 0 || *partition != "" {
 		cfg := &chaos.Config{
@@ -283,9 +278,9 @@ func parseAddReplicas(s string) ([]live.ReplicaAdd, error) {
 // runLive executes one workload on a fresh live cluster and verifies its
 // result. With opts.chaos set, every node's transport is wrapped with
 // fault injection and the summed fault counters are returned. The
-// supervisor kills the scheduled victims; with opts.recover it restarts
-// them from the last stable barrier-aligned checkpoint until the restart
-// budget runs out, without it the first kill ends the run.
+// supervisor kills the scheduled victims and restarts them from the
+// last stable barrier-aligned checkpoint until opts.supervise's restart
+// budget runs out; the first kill past it ends the run.
 func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int, trans string, opts runOpts) (*live.Cluster, *live.Stats, *chaos.Counters, error) {
 	app, err := harness.NewApp(appName, scale)
 	if err != nil {
@@ -328,31 +323,7 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 	app.Configure(cluster)
 
 	worker := func(w core.Worker) { app.Worker(w) }
-	run := func() (*live.Stats, error) {
-		// A kill schedule alone has no restart budget: its first kill
-		// ends the run.
-		ropts := live.RecoverOptions{Crashes: opts.crashes}
-		if opts.recover {
-			ropts.MaxRestarts = opts.maxRestarts
-			ropts.CheckpointEvery = opts.ckptEvery
-			ropts.Replicate = true
-			ropts.Seed = opts.seed
-			ropts.CompactEvery = opts.compactEvery
-			ropts.Voters = opts.voters
-			ropts.AddReplicas = opts.addReplicas
-			if opts.ckptDir != "" {
-				ropts.Stores = make([]ckpt.Store, nodes)
-				for i := range ropts.Stores {
-					s, err := ckpt.NewDirStore(filepath.Join(opts.ckptDir, fmt.Sprintf("node%d", i)))
-					if err != nil {
-						return nil, err
-					}
-					ropts.Stores[i] = s
-				}
-			}
-		}
-		return cluster.RunSupervised(worker, ropts)
-	}
+	run := func() (*live.Stats, error) { return cluster.RunSupervised(worker, opts.supervise) }
 
 	var stats *live.Stats
 	if opts.deadline > 0 {

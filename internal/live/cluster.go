@@ -48,8 +48,8 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// HeartbeatInterval / HeartbeatTimeout parameterize failure
-	// detection (defaults 1s / 10s): every non-manager node beacons the
-	// manager at the interval, and the manager aborts the cluster when a
+	// detection (defaults 1s / 10s): every node beacons the manager
+	// leader at the interval, and the leader aborts the cluster when a
 	// peer has been silent past the timeout. A negative timeout disables
 	// detection.
 	HeartbeatInterval time.Duration
@@ -246,9 +246,8 @@ func (c *Cluster) homeAssignment(npages int) []int32 {
 	return homes
 }
 
-// nodeConfig builds the per-node engine configuration; rc is nil when
-// the run has no restart budget.
-func (c *Cluster) nodeConfig(npages int, homes []int32, rc *node.RecoverConfig) node.Config {
+// nodeConfig builds the per-node engine configuration.
+func (c *Cluster) nodeConfig(npages int, homes []int32, rc node.RecoverConfig) node.Config {
 	return node.Config{
 		PageSize:   c.cfg.PageSize,
 		NPages:     npages,
@@ -271,7 +270,7 @@ func (c *Cluster) nodeConfig(npages int, homes []int32, rc *node.RecoverConfig) 
 // Run executes worker on every node concurrently and returns the run's
 // statistics. Shared memory must be allocated and initialized first; the
 // initial image is placed at each page's home, and all other nodes start
-// with no copies. It is RunSupervised without a restart budget: no
+// with no copies. It is RunSupervised with a restart budget of zero: no
 // checkpoints, and a crash ends the run.
 func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
 	return c.RunSupervised(worker, RecoverOptions{})

@@ -102,6 +102,32 @@ func TestSupervisedExits(t *testing.T) {
 	}
 }
 
+// TestRefusedRunIsUndone: a RunSupervised call refused for its inputs
+// changes nothing. Once the cluster has shared memory it still runs,
+// and without the refused call's kill schedule.
+func TestRefusedRunIsUndone(t *testing.T) {
+	c, err := New(Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill := RecoverOptions{Crashes: []Crash{{Node: 1, At: AtRelease, N: 1}}}
+	if _, err := c.RunSupervised(func(core.Worker) {}, kill); err == nil {
+		t.Fatal("run without shared memory accepted")
+	}
+	a := c.Alloc(8)
+	lk := c.NewLock()
+	if _, err := c.Run(func(w core.Worker) {
+		w.Lock(lk)
+		w.WriteU64(a, w.ReadU64(a)+1)
+		w.Unlock(lk)
+	}); err != nil {
+		t.Fatalf("run after a refused one: %v", err)
+	}
+	if got := c.PeekU64(a); got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
+	}
+}
+
 // TestScheduleArmsOnRejoin: an entry counts only its own kind (and,
 // for releases, its own victim), fires once at N, and the next entry
 // counts nothing until the previous victim has rejoined.

@@ -22,7 +22,7 @@ func TestConsensusLaneDropCounted(t *testing.T) {
 		PageSize: 256, NPages: 1, Homes: []int32{0},
 		NLocks: 1, NBars: 1, Protocol: core.LI,
 		HeartbeatTimeout: -1,
-		Recover:          &RecoverConfig{Consensus: consensus.NewStable()},
+		Recover:          RecoverConfig{Consensus: consensus.NewStable()},
 	}
 	trs := transport.NewInprocNetwork(3)
 	defer func() {

@@ -16,7 +16,7 @@ import (
 
 const ckptBenchPages = 512
 
-func ckptBenchNodes(b *testing.B, nn int, rc func(i int) *RecoverConfig) []*Node {
+func ckptBenchNodes(b *testing.B, nn int, rc func(i int) RecoverConfig) []*Node {
 	b.Helper()
 	trs := transport.NewInprocNetwork(nn)
 	nodes := make([]*Node, nn)
@@ -54,7 +54,7 @@ var ckptSink *ckpt.NodeSnapshot
 func BenchmarkCaptureCheckpoint(b *testing.B) {
 	for _, pct := range []int{0, 50, 100} {
 		b.Run(fmt.Sprintf("rewritten=%d%%", pct), func(b *testing.B) {
-			n := ckptBenchNodes(b, 1, func(int) *RecoverConfig { return nil })[0]
+			n := ckptBenchNodes(b, 1, func(int) RecoverConfig { return RecoverConfig{} })[0]
 			n.mu.Lock()
 			n.lastSnap = n.snapshotLocked(0)
 			n.mu.Unlock()
@@ -83,11 +83,11 @@ func BenchmarkCaptureCheckpoint(b *testing.B) {
 // worker and waits for the one acknowledgement.
 func BenchmarkSnapPush(b *testing.B) {
 	store := ckpt.NewMemStore()
-	nodes := ckptBenchNodes(b, 2, func(i int) *RecoverConfig {
+	nodes := ckptBenchNodes(b, 2, func(i int) RecoverConfig {
 		if i == 0 {
-			return &RecoverConfig{Store: store, Replicate: true}
+			return RecoverConfig{Store: store, Replicate: true}
 		}
-		return &RecoverConfig{Store: ckpt.NewMemStore(), Replicate: true}
+		return RecoverConfig{Store: ckpt.NewMemStore(), Replicate: true}
 	})
 	n := nodes[1]
 	n.mu.Lock()

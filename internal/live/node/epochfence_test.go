@@ -39,7 +39,7 @@ func TestReleaseKeepsTheEpochItWasBuiltIn(t *testing.T) {
 	}}
 	for i, tr := range []transport.Transport{gate, trs[1]} {
 		cfg := onePage(0, core.LI)
-		cfg.Recover = &node.RecoverConfig{
+		cfg.Recover = node.RecoverConfig{
 			Store: ckpt.NewMemStore(), Every: 1, Epoch: built,
 			Consensus: consensus.NewStable(), Seed: int64(i + 1),
 		}
@@ -121,7 +121,7 @@ func TestReleaseKeepsTheEpochItWasBuiltIn(t *testing.T) {
 func TestSetEpochWaitsForTheDispatcher(t *testing.T) {
 	trs := transport.NewInprocNetwork(1)
 	cfg := onePage(0, core.LI)
-	cfg.Recover = &node.RecoverConfig{
+	cfg.Recover = node.RecoverConfig{
 		Store: ckpt.NewMemStore(), Every: 1, Epoch: 1,
 		Consensus: consensus.NewStable(), Seed: 1,
 	}

@@ -22,7 +22,7 @@ func TestIncarnationFencing(t *testing.T) {
 		PageSize: 256, NPages: 2, Homes: []int32{0, 0},
 		NLocks: 2, NBars: 1, Protocol: core.LI,
 		HeartbeatTimeout: -1,
-		Recover:          &node.RecoverConfig{Store: ckpt.NewMemStore(), Every: 1, Epoch: 1},
+		Recover:          node.RecoverConfig{Store: ckpt.NewMemStore(), Every: 1, Epoch: 1},
 	})
 	mgr.Start()
 	defer func() {

@@ -11,11 +11,11 @@ import (
 	"lrcdsm/internal/live/wire"
 )
 
-// TestLivenessCountsVoters pins who may hand down a silence verdict on a
-// recovery-enabled cluster: the manager leader, and only while it hears
-// from a majority of the voters, itself included. Node 0 runs an engine
-// and leads from the start; every other node is a raw transport that
-// either keeps beaconing node 0 or has gone silent for good.
+// TestLivenessCountsVoters pins who may hand down a silence verdict: the
+// manager leader, and only while it hears from a majority of the voters,
+// itself included. Node 0 runs an engine and leads from the start; every
+// other node is a raw transport that either keeps beaconing node 0 or
+// has gone silent for good.
 func TestLivenessCountsVoters(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -42,7 +42,7 @@ func TestLivenessCountsVoters(t *testing.T) {
 				NLocks: 1, NBars: 1, Protocol: core.LI,
 				HeartbeatInterval: 10 * time.Millisecond,
 				HeartbeatTimeout:  timeout,
-				Recover: &node.RecoverConfig{
+				Recover: node.RecoverConfig{
 					Store:  ckpt.NewMemStore(),
 					Voters: tc.voters,
 					OnPeerDown: func(pe *node.PeerDownError) bool {

@@ -20,14 +20,13 @@ import (
 // snapshot replication, the crash/rejoin handshake, and the liveness
 // verdicts.
 //
-// Every node of a recovery-enabled cluster runs a manager replica, and
-// the authoritative state lives in a replicated state machine (mstate)
-// driven by commands committed on a consensus log
-// (internal/live/consensus): the elected leader serves requests by
-// proposing the corresponding command and replying only after commit, a
-// non-leader replica answers every manager request with KNotLeader and
-// the current leader hint, and a leader crash triggers an election
-// instead of an abort. On three or more nodes every node votes (unless
+// Every node runs a manager replica, and the authoritative state lives
+// in a replicated state machine (mstate) driven by commands committed on
+// a consensus log (internal/live/consensus): the elected leader serves
+// requests by proposing the corresponding command and replying only
+// after commit, a non-leader replica answers every manager request with
+// KNotLeader and the current leader hint, and a leader crash triggers an
+// election instead of an abort. On three or more nodes every node votes (unless
 // RecoverConfig.Voters says otherwise); below three, node 0 alone forms
 // the voting group, so its commits need no round trip and its crash is
 // final.
@@ -343,11 +342,9 @@ func (g *manager) applyCmd(cmd []byte) error {
 	}
 	switch c.op {
 	case opMgrSnap:
-		if rc := g.n.cfg.Recover; rc != nil {
-			snap := &ckpt.ManagerSnapshot{Episode: c.episode, VT: append([]int32(nil), c.vt...)}
-			if err := rc.Store.PutManager(snap); err != nil {
-				return fmt.Errorf("manager: storing checkpoint %d: %w", c.episode, err)
-			}
+		snap := &ckpt.ManagerSnapshot{Episode: c.episode, VT: append([]int32(nil), c.vt...)}
+		if err := g.n.cfg.Recover.Store.PutManager(snap); err != nil {
+			return fmt.Errorf("manager: storing checkpoint %d: %w", c.episode, err)
 		}
 	case opResume:
 		w := int(c.node)
@@ -569,13 +566,13 @@ func (g *manager) heard(w int) {
 // aborted with a structured error naming it and its pending
 // synchronization — a clean fast failure instead of N workers each
 // riding out an RPC timeout — unless a supervisor takes the hand-off.
-// One node judges: the manager leader on a recovery-enabled cluster
-// (every node beacons at the leader, so only its stamps mean anything,
-// and a deposed leader's verdict frames are term-fenced by the
-// receivers), node 0 on any other (the only node that stamps).
+// One node judges: the manager leader, while it hears from a majority
+// of the voters (judges). Every node beacons at the leader, so only its
+// stamps mean anything, and a deposed leader's verdict frames are
+// term-fenced by the receivers.
 func (n *Node) checkLiveness() {
 	g := n.mgr
-	if g != nil && !g.judges() {
+	if !g.judges() {
 		return
 	}
 	now := time.Now().UnixNano()
@@ -585,7 +582,7 @@ func (n *Node) checkLiveness() {
 			continue
 		}
 		perr := &PeerDownError{Node: w, Silence: silence, Pending: n.pendingFor(w)}
-		if g != nil && g.handOff(perr) {
+		if g.handOff(perr) {
 			continue
 		}
 		n.abortCluster(perr)
@@ -629,7 +626,7 @@ func (g *manager) handOff(perr *PeerDownError) bool {
 	if sus {
 		return true
 	}
-	rc := g.n.cfg.Recover
+	rc := &g.n.cfg.Recover
 	if rc.OnPeerDown == nil {
 		return false
 	}

@@ -23,10 +23,9 @@
 // rooted at node 0 and release down it, and the write notices a grant
 // or release carries come from per-writer interval logs — each node
 // keeps its own log authoritatively and peers replicate segments on
-// demand. What stays centralized is the liveness judge and, on a
-// recovery-enabled cluster, the recovery manager (join/checkpoint
-// coordination), replicated on every node and served by the elected
-// leader (see manager.go); without recovery node 0 judges.
+// demand. What stays centralized is the manager — the liveness judge
+// and the join/checkpoint coordinator — replicated on every node and
+// served by the elected leader (see manager.go).
 //
 // Each node runs two goroutine roles of its own: the worker (application
 // code, calling the core.Worker operations) and a dispatcher serving
@@ -115,11 +114,11 @@ type Config struct {
 	// disables failure detection.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	// Recover, when non-nil, enables barrier-aligned checkpointing and
-	// the crash/rejoin protocol (see recover.go). Nil keeps the node's
-	// behaviour identical to a recovery-free build: no epoch fencing, no
-	// checkpoint capture, and peer death aborts the cluster.
-	Recover *RecoverConfig
+	// Recover configures the node's manager replica, epoch fence and
+	// checkpoints (see recover.go, manager.go). Every node runs all three;
+	// the zero value takes no checkpoints and gives the replica a fresh
+	// in-memory store and consensus slot.
+	Recover RecoverConfig
 }
 
 // Page state bits (lpage.state).
@@ -314,8 +313,8 @@ type Node struct {
 	lastSnap *ckpt.NodeSnapshot
 
 	// epoch is the cluster recovery epoch this engine currently belongs
-	// to; deliver and the dispatcher fence frames from other epochs when
-	// recovery is enabled. incarnation numbers this engine's restarts.
+	// to; deliver and the dispatcher fence frames from other epochs.
+	// incarnation numbers this engine's restarts.
 	epoch       atomic.Uint32
 	incarnation uint32
 
@@ -355,14 +354,12 @@ type Node struct {
 	owed  []owedAcks
 	owing []atomic.Bool
 
-	// mgr is this node's manager replica, non-nil exactly when recovery
-	// is enabled (the elected leader serves).
+	// mgr is this node's manager replica (the elected leader serves).
 	mgr *manager
 
 	// leaderHint is this node's cache of the manager's current leader —
 	// the node manager requests and heartbeats go to — updated by the
 	// local replica's leadership changes and by KNotLeader redirects.
-	// Always 0 without recovery, where node 0 judges liveness.
 	leaderHint atomic.Int32
 
 	// repOut holds one buffered outbound lane per peer for consensus
@@ -375,9 +372,9 @@ type Node struct {
 	// rngState seeds the retry-jitter mixer (see jitter).
 	rngState atomic.Uint64
 
-	// lastHeard[w] (manager replicas, and node 0 without recovery) is the
-	// unix-nano time this node last received any frame from peer w;
-	// deliver stamps it, the liveness sweep reads it. Accessed with atomics.
+	// lastHeard[w] is the unix-nano time this node last received any
+	// frame from peer w; deliver stamps it, the liveness sweep reads it.
+	// Accessed with atomics.
 	lastHeard []int64
 	// hbCheck wakes the dispatcher to run a liveness sweep, so the check
 	// reads manager state from the goroutine that owns it.
@@ -431,12 +428,20 @@ func New(tr transport.Transport, cfg Config) *Node {
 		ctl:     make(chan func()),
 		done:    make(chan struct{}),
 		sy:      newSyncState(cfg.NLocks, tr.N()),
+
+		lastHeard: make([]int64, tr.N()),
+		hbCheck:   make(chan struct{}, 1),
 	}
 	n.lobs, _ = cfg.Observer.(LiveObserver)
-	if rc := cfg.Recover; rc != nil {
-		n.epoch.Store(rc.Epoch)
-		n.incarnation = rc.Incarnation
+	rc := &n.cfg.Recover
+	if rc.Store == nil {
+		rc.Store = ckpt.NewMemStore()
 	}
+	if rc.Consensus == nil {
+		rc.Consensus = consensus.NewStable()
+	}
+	n.epoch.Store(rc.Epoch)
+	n.incarnation = rc.Incarnation
 	for ps := cfg.PageSize; ps > 1; ps >>= 1 {
 		n.pageShift++
 	}
@@ -457,91 +462,79 @@ func New(tr transport.Transport, cfg Config) *Node {
 		ps.homeVT = vc.New(n.nn)
 		ps.logBase = vc.New(n.nn)
 	}
-	// Every manager replica may come to judge liveness, and node 0 is
-	// the fixed judge without recovery: they stamp their peers.
-	if n.id == 0 || cfg.Recover != nil {
-		n.lastHeard = make([]int64, n.nn)
-		n.hbCheck = make(chan struct{}, 1)
+	n.mgr = newManager(n)
+	n.leaderHint.Store(int32(rc.LeaderHint))
+	voters := rc.Voters
+	if voters == nil && n.nn < 3 {
+		// Two voters cannot outlive the failure a voting group exists
+		// for: node 0 votes alone and commits without a round trip.
+		voters = []int{0}
 	}
-	if rc := cfg.Recover; rc != nil {
-		n.mgr = newManager(n)
-		n.leaderHint.Store(int32(rc.LeaderHint))
-		st := rc.Consensus
-		if st == nil {
-			st = consensus.NewStable()
+	// The election timeout rides the failure-detection budget: well
+	// under the heartbeat timeout, so a failover completes before
+	// anyone's silence verdict could fire, but long enough that a busy
+	// leader's appends keep elections quiet.
+	et := n.cfg.HeartbeatTimeout / 4
+	if et < 100*time.Millisecond {
+		et = 100 * time.Millisecond
+	}
+	// Outbound consensus frames go through one buffered lane per peer,
+	// drained by a dedicated goroutine: a send to a dead peer can stall
+	// in the transport's dial retries for hundreds of milliseconds, and
+	// the replica's event loop must never block on it (a candidate stuck
+	// dialing the dead leader cannot collect votes, and every survivor
+	// stalling in lock-step livelocks the election). Per-peer lanes
+	// preserve per-peer ordering; a full lane drops, like the wire would
+	// — the protocol is self-retrying.
+	n.repOut = make([]chan *wire.Msg, n.nn)
+	for p := range n.repOut {
+		if p != n.id {
+			n.repOut[p] = make(chan *wire.Msg, 64)
 		}
-		voters := rc.Voters
-		if voters == nil && n.nn < 3 {
-			// Two voters cannot outlive the failure a voting group exists
-			// for: node 0 votes alone and commits without a round trip.
-			voters = []int{0}
-		}
-		// The election timeout rides the failure-detection budget: well
-		// under the heartbeat timeout, so a failover completes before
-		// anyone's silence verdict could fire, but long enough that a
-		// busy leader's appends keep elections quiet.
-		et := n.cfg.HeartbeatTimeout / 4
-		if et < 100*time.Millisecond {
-			et = 100 * time.Millisecond
-		}
-		// Outbound consensus frames go through one buffered lane per
-		// peer, drained by a dedicated goroutine: a send to a dead peer
-		// can stall in the transport's dial retries for hundreds of
-		// milliseconds, and the replica's event loop must never block on
-		// it (a candidate stuck dialing the dead leader cannot collect
-		// votes, and every survivor stalling in lock-step livelocks the
-		// election). Per-peer lanes preserve per-peer ordering; a full
-		// lane drops, like the wire would — the protocol is self-retrying.
-		n.repOut = make([]chan *wire.Msg, n.nn)
-		for p := range n.repOut {
-			if p != n.id {
-				n.repOut[p] = make(chan *wire.Msg, 64)
+	}
+	// Compaction is on by default: an unbounded runtime must hold a
+	// bounded log. Negative disables it (tests that want full replay).
+	ce := rc.CompactEvery
+	if ce == 0 {
+		ce = 512
+	} else if ce < 0 {
+		ce = 0
+	}
+	n.mgr.rep = consensus.New(consensus.Config{
+		Self:            n.id,
+		N:               n.nn,
+		Voters:          voters,
+		ElectionTimeout: et,
+		Seed:            rc.Seed + int64(rc.Incarnation)*7919,
+		CompactEvery:    ce,
+		Send:            n.consensusSend,
+		Apply: func(_ int64, cmd []byte) {
+			if err := n.mgr.applyCmd(cmd); err != nil {
+				n.abortCluster(err)
 			}
-		}
-		// Compaction is on by default: an unbounded runtime must hold a
-		// bounded log. Negative disables it (tests that want full replay).
-		ce := rc.CompactEvery
-		if ce == 0 {
-			ce = 512
-		} else if ce < 0 {
-			ce = 0
-		}
-		n.mgr.rep = consensus.New(consensus.Config{
-			Self:            n.id,
-			N:               n.nn,
-			Voters:          voters,
-			ElectionTimeout: et,
-			Seed:            rc.Seed + int64(rc.Incarnation)*7919,
-			CompactEvery:    ce,
-			Send:            n.consensusSend,
-			Apply: func(_ int64, cmd []byte) {
-				if err := n.mgr.applyCmd(cmd); err != nil {
-					n.abortCluster(err)
-				}
-			},
-			SnapshotState: func() []byte { return n.mgr.st.encodeState() },
-			InstallState: func(app []byte) {
-				if err := n.mgr.st.restoreState(app); err != nil {
-					n.abortCluster(err)
-				}
-			},
-			LeaderChange: func(_ int64, leader int, _ bool) {
-				if leader >= 0 {
-					n.leaderHint.Store(int32(leader))
-				}
-			},
-			Bootstrap: true, // ignored once the Stable slot holds a term
-			Counters: consensus.Counters{
-				Terms:        &n.stats.ConsensusTerms,
-				Elections:    &n.stats.ConsensusElections,
-				Commits:      &n.stats.ConsensusCommits,
-				Compactions:  &n.stats.ConsensusCompactions,
-				SnapInstalls: &n.stats.ConsensusSnapInstalls,
-				ConfChanges:  &n.stats.ConsensusConfChanges,
-				Quarantines:  &n.stats.ConsensusSlotQuarantines,
-			},
-		}, st)
-	}
+		},
+		SnapshotState: func() []byte { return n.mgr.st.encodeState() },
+		InstallState: func(app []byte) {
+			if err := n.mgr.st.restoreState(app); err != nil {
+				n.abortCluster(err)
+			}
+		},
+		LeaderChange: func(_ int64, leader int, _ bool) {
+			if leader >= 0 {
+				n.leaderHint.Store(int32(leader))
+			}
+		},
+		Bootstrap: true, // ignored once the Stable slot holds a term
+		Counters: consensus.Counters{
+			Terms:        &n.stats.ConsensusTerms,
+			Elections:    &n.stats.ConsensusElections,
+			Commits:      &n.stats.ConsensusCommits,
+			Compactions:  &n.stats.ConsensusCompactions,
+			SnapInstalls: &n.stats.ConsensusSnapInstalls,
+			ConfChanges:  &n.stats.ConsensusConfChanges,
+			Quarantines:  &n.stats.ConsensusSlotQuarantines,
+		},
+	}, rc.Consensus)
 	return n
 }
 
@@ -564,61 +557,56 @@ func (n *Node) consensusSend(to int, m *wire.Msg) {
 // Start registers the node's frame handler with the transport (frames
 // that arrived before are handed over first) and launches the dispatcher
 // goroutine, the manager replica, and the liveness machinery on clusters
-// of more than one node: every node beats a heartbeat at the liveness
-// judge, and the nodes that stamp peers sweep for silent ones.
+// of more than one node: every node beats a heartbeat at the manager
+// leader and sweeps for silent peers while it leads.
 func (n *Node) Start() {
 	n.wg.Add(1)
 	go n.dispatch()
 	n.tr.Handle(n.deliver)
-	if g := n.mgr; g != nil {
-		g.rep.Start()
-		for p, lane := range n.repOut {
-			if lane == nil {
-				continue
-			}
-			n.wg.Add(1)
-			go func(p int, lane chan *wire.Msg) {
-				defer n.wg.Done()
-				for {
-					select {
-					case m := <-lane:
-						n.send(p, m)
-					case <-n.done:
-						return
-					}
-				}
-			}(p, lane)
+	n.mgr.rep.Start()
+	for p, lane := range n.repOut {
+		if lane == nil {
+			continue
 		}
 		n.wg.Add(1)
-		go func() {
+		go func(p int, lane chan *wire.Msg) {
 			defer n.wg.Done()
-			<-n.done
-			g.rep.Stop()
-		}()
+			for {
+				select {
+				case m := <-lane:
+					n.send(p, m)
+				case <-n.done:
+					return
+				}
+			}
+		}(p, lane)
 	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		<-n.done
+		n.mgr.rep.Stop()
+	}()
 	if n.nn < 2 {
 		return
 	}
-	if n.lastHeard != nil {
-		now := time.Now().UnixNano()
-		for w := range n.lastHeard {
-			atomic.StoreInt64(&n.lastHeard[w], now)
-		}
-		if n.cfg.HeartbeatTimeout > 0 {
-			n.wg.Add(1)
-			go n.monitor()
-		}
+	now := time.Now().UnixNano()
+	for w := range n.lastHeard {
+		atomic.StoreInt64(&n.lastHeard[w], now)
+	}
+	if n.cfg.HeartbeatTimeout > 0 {
+		n.wg.Add(1)
+		go n.monitor()
 	}
 	n.wg.Add(1)
 	go n.heartbeat()
 }
 
-// heartbeat beats a periodic liveness beacon at the liveness judge
-// until shutdown: the manager's current leader, or node 0 without
-// recovery (a beacon to itself is skipped while this node judges).
-// Losses are tolerated: the judge's timeout spans many intervals, so
-// only sustained silence — a dead or partitioned node — trips
-// detection.
+// heartbeat beats a periodic liveness beacon at the manager's current
+// leader, the liveness judge, until shutdown (a beacon to itself is
+// skipped while this node leads). Losses are tolerated: the judge's
+// timeout spans many intervals, so only sustained silence — a dead or
+// partitioned node — trips detection.
 func (n *Node) heartbeat() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.cfg.HeartbeatInterval)
@@ -642,8 +630,8 @@ func (n *Node) heartbeat() {
 }
 
 // monitor periodically wakes the dispatcher to sweep for silent peers;
-// the sweep itself runs on the dispatcher goroutine and, on a manager
-// replica, only acts while it leads.
+// the sweep itself runs on the dispatcher goroutine and only acts while
+// this node's replica leads.
 func (n *Node) monitor() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.cfg.HeartbeatInterval)
@@ -700,13 +688,8 @@ func (n *Node) CountServe(gets, puts, inline int64) {
 func (n *Node) Replaying() bool { return n.replaying }
 
 // CheckpointEvery returns the barrier cadence of the node's checkpoints,
-// 0 without recovery.
-func (n *Node) CheckpointEvery() int64 {
-	if rc := n.cfg.Recover; rc != nil {
-		return rc.Every
-	}
-	return 0
-}
+// 0 when it takes none.
+func (n *Node) CheckpointEvery() int64 { return n.cfg.Recover.Every }
 
 // LaneWorker returns a view of this node for one additional requester
 // goroutine (a serving executor): lock acquires issue their RPCs on a
@@ -1550,13 +1533,10 @@ func (n *Node) sendEpoch(to int, m *wire.Msg, epoch uint32) error {
 	return n.transmit(to, m, acks)
 }
 
-// stamp sets m's envelope: the sender, and the recovery epoch when
-// recovery is enabled.
+// stamp sets m's envelope: the sender and the recovery epoch.
 func (n *Node) stamp(m *wire.Msg, epoch uint32) {
 	m.From = int32(n.id)
-	if n.cfg.Recover != nil {
-		m.Epoch = epoch
-	}
+	m.Epoch = epoch
 }
 
 // transmit encodes m, carrying acks, and hands it to the transport.
@@ -1611,7 +1591,7 @@ func (n *Node) deliver(f transport.Frame) {
 	// or retransmitted message from before a rollback, possibly from a
 	// dead incarnation whose tokens collide with the live one's — must
 	// not reach the waiter tables, the flights or the dispatcher.
-	if n.cfg.Recover != nil && m.Epoch != n.epoch.Load() {
+	if m.Epoch != n.epoch.Load() {
 		atomic.AddInt64(&n.stats.StaleFrames, 1)
 		return
 	}
@@ -1620,7 +1600,7 @@ func (n *Node) deliver(f transport.Frame) {
 	}
 	// Any frame proves its sender alive; the manager's liveness sweep
 	// reads these stamps.
-	if n.lastHeard != nil && f.From >= 0 && f.From < len(n.lastHeard) {
+	if f.From >= 0 && f.From < n.nn {
 		atomic.StoreInt64(&n.lastHeard[f.From], time.Now().UnixNano())
 	}
 	switch m.Kind {
@@ -1632,9 +1612,7 @@ func (n *Node) deliver(f transport.Frame) {
 		// Consensus traffic bypasses the dispatcher: the replica runs its
 		// own event loop and its protocol is self-retrying, so a full
 		// inbox may simply drop.
-		if g := n.mgr; g != nil {
-			g.rep.Deliver(m)
-		}
+		n.mgr.rep.Deliver(m)
 		return
 	case wire.KAck:
 		if m.Token == 0 {
@@ -1675,7 +1653,7 @@ func (n *Node) dispatch() {
 func (n *Node) handle(m *wire.Msg) {
 	// Re-check the epoch fence: the epoch may have been bumped after
 	// deliver queued this message but before the dispatcher got to it.
-	if n.cfg.Recover != nil && m.Epoch != n.epoch.Load() {
+	if m.Epoch != n.epoch.Load() {
 		atomic.AddInt64(&n.stats.StaleFrames, 1)
 		return
 	}
@@ -1689,7 +1667,7 @@ func (n *Node) handle(m *wire.Msg) {
 	case wire.KAbort:
 		// Term fence: a deposed leader's stale silence verdict must not
 		// kill a cluster that already moved on to a newer term.
-		if g := n.mgr; g != nil && m.Term > 0 && m.Term < g.rep.Leader().Term {
+		if m.Term > 0 && m.Term < n.mgr.rep.Leader().Term {
 			atomic.AddInt64(&n.stats.StaleFrames, 1)
 			return
 		}
@@ -1706,10 +1684,6 @@ func (n *Node) handle(m *wire.Msg) {
 		n.handleLogSegReq(m)
 	case wire.KJoinReq, wire.KSnapReq, wire.KSnapPush, wire.KResume, wire.KCkptDone, wire.KMgrSnap,
 		wire.KConfChange:
-		if n.mgr == nil {
-			n.fail(fmt.Errorf("node %d: manager message %v at non-manager", n.id, m.Kind))
-			return
-		}
 		n.mgr.handle(m)
 	default:
 		n.fail(fmt.Errorf("node %d: unexpected request kind %v", n.id, m.Kind))

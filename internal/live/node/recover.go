@@ -38,15 +38,17 @@ func snapChunk(blob []byte, i int32) []byte {
 // to the newest few can never drop the episode a recovery would pick.
 const keepCheckpoints = 4
 
-// RecoverConfig enables barrier-aligned checkpointing and the
-// crash/rejoin protocol on a node.
+// RecoverConfig parameterizes a node's manager replica, its recovery
+// epoch and its barrier-aligned checkpoints. The zero value is a node
+// that takes no checkpoints, in epoch 0, with a fresh in-memory store
+// and consensus slot.
 type RecoverConfig struct {
 	// Store receives this node's snapshots, the manager snapshots its
 	// replica applies and, while it leads, the peers' replicas
-	// (Replicate).
+	// (Replicate); nil selects a fresh in-memory one.
 	Store ckpt.Store
 	// Every takes a checkpoint at each barrier episode divisible by it;
-	// non-positive disables capture (the epoch fence stays active).
+	// non-positive takes none.
 	Every int64
 	// Replicate streams every snapshot to the manager leader's store,
 	// so a node that loses its own store (disk gone with the host) can
@@ -58,8 +60,8 @@ type RecoverConfig struct {
 	Incarnation uint32
 	// OnPeerDown intercepts failure detection while this node's replica
 	// leads: return true to hand the failure to the supervisor (the peer
-	// is marked recovering and the cluster keeps running), false to
-	// abort as a recovery-free cluster would. Called on the dispatcher
+	// is marked recovering and the cluster keeps running), false (or a
+	// nil OnPeerDown) to abort the cluster. Called on the dispatcher
 	// goroutine; it must not block. Set it on every node — any voter
 	// can be elected to judge.
 	OnPeerDown func(err *PeerDownError) bool
@@ -314,7 +316,7 @@ func (n *Node) mgrRPCLane(m *wire.Msg, lane int64) *wire.Msg {
 // through, replicates to the manager if configured, and confirms the
 // checkpoint so the manager can advance the stable episode.
 func (n *Node) captureCheckpoint(episode int64) {
-	rc := n.cfg.Recover
+	rc := &n.cfg.Recover
 	n.mu.Lock()
 	snap := n.snapshotLocked(episode)
 	gated := n.gated
@@ -509,7 +511,7 @@ func (n *Node) JoinCluster() (err error) {
 			err = fmt.Errorf("node %d: rejoin: %w", n.id, re.err)
 		}
 	}()
-	rc := n.cfg.Recover
+	rc := &n.cfg.Recover
 	localBest := int64(-1)
 	if ep, ok := rc.Store.LatestNode(n.id); ok {
 		localBest = ep
@@ -608,9 +610,6 @@ func (n *Node) awaitCommit(cmd []byte) error {
 // only. A noop is committed first as a read barrier, so the answer
 // reflects everything any previous leader acknowledged.
 func (n *Node) StableCheckpoint() (int64, error) {
-	if n.mgr == nil {
-		return 0, fmt.Errorf("node %d: recovery is not enabled", n.id)
-	}
 	if err := n.awaitCommit(nil); err != nil {
 		return 0, err
 	}
@@ -623,29 +622,20 @@ func (n *Node) StableCheckpoint() (int64, error) {
 // manager leader only; the reset commits before returning. Call after
 // SetEpoch on every surviving engine.
 func (n *Node) ResetManager(k int64, victim int) error {
-	if n.mgr == nil {
-		return fmt.Errorf("node %d: recovery is not enabled", n.id)
-	}
 	return n.awaitCommit(encodeReset(int32(victim), k))
 }
 
 // ConsensusLeader reports this node's view of the manager's voting
-// group: the current term's leader (-1 while an election is unsettled,
-// or without recovery) and whether this node is it.
+// group: the current term's leader (-1 while an election is unsettled)
+// and whether this node is it.
 func (n *Node) ConsensusLeader() (leader int, isLeader bool) {
-	if n.mgr == nil {
-		return -1, false
-	}
 	info := n.mgr.rep.Leader()
 	return info.Leader, info.IsLeader
 }
 
 // ConsensusVoters reports this node's current view of the manager's
-// voting membership (nil without recovery).
+// voting membership.
 func (n *Node) ConsensusVoters() []int {
-	if n.mgr == nil {
-		return nil
-	}
 	return n.mgr.rep.Leader().Voters
 }
 
@@ -657,10 +647,10 @@ const confLane int64 = 0x3F0C
 // ChangeMembership commits a single-server change to the quorum's
 // voting membership through the current leader: add (or remove) node
 // target as a voter. It follows leader redirects like any manager RPC
-// and returns an error without recovery, when the change is rejected
-// (one change at a time; a removal may not shrink the voting set below
-// three), or when no settled leader was reached in time. Safe to call
-// from supervisor goroutines while the worker runs.
+// and returns an error when the change is rejected (one change at a
+// time; a removal may not shrink the voting set below three), or when
+// no settled leader was reached in time. Safe to call from supervisor
+// goroutines while the worker runs.
 func (n *Node) ChangeMembership(add bool, target int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -671,9 +661,6 @@ func (n *Node) ChangeMembership(add bool, target int) (err error) {
 			err = fmt.Errorf("node %d: membership change: %w", n.id, re.err)
 		}
 	}()
-	if n.mgr == nil {
-		return fmt.Errorf("node %d: membership change without recovery", n.id)
-	}
 	m := &wire.Msg{Kind: wire.KConfChange, ReqFrom: int32(target)}
 	if add {
 		m.Flag = 1

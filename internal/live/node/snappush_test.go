@@ -35,7 +35,7 @@ func pushCfg(pusher int, store ckpt.Store) node.Config {
 		HeartbeatTimeout: -1,
 		RetryBase:        20 * time.Millisecond,
 		RetryMax:         50 * time.Millisecond, // a manager RPC tries its next target after 4x this
-		Recover:          &node.RecoverConfig{Store: store, Every: 1, Replicate: true},
+		Recover:          node.RecoverConfig{Store: store, Every: 1, Replicate: true},
 	}
 }
 

@@ -85,7 +85,7 @@ type Stats struct {
 	AcksCarried int64 `json:"acks_carried"`
 
 	// Recovery counters: the checkpoint/rejoin machinery's activity. All
-	// zero unless recovery is configured.
+	// zero on a fault-free run without a restart budget.
 	CheckpointsTaken int64 `json:"checkpoints_taken"` // barrier-aligned snapshots captured
 	CheckpointBytes  int64 `json:"checkpoint_bytes"`  // serialized snapshot bytes stored
 	StaleFrames      int64 `json:"stale_frames"`      // frames fenced for carrying an old recovery epoch
@@ -123,7 +123,8 @@ type Stats struct {
 	// on this node. Terms counts term advances this replica observed,
 	// Elections the elections it stood for, Commits the log entries it
 	// applied, and LeaderRedirects the not-leader redirects its manager
-	// RPCs followed. All zero unless recovery is enabled.
+	// RPCs followed. All zero on a fault-free run without a restart
+	// budget: the bootstrap term holds and nothing is proposed.
 	ConsensusTerms     int64 `json:"consensus_terms"`
 	ConsensusElections int64 `json:"consensus_elections"`
 	ConsensusCommits   int64 `json:"consensus_commits"`

@@ -579,7 +579,7 @@ func (n *Node) Barrier(id int) {
 	// so they were all acknowledged before this node's own departure.
 	episodeNext := n.barsDone + 1
 	flagged := false
-	if rc := n.cfg.Recover; rc != nil && rc.Every > 0 && episodeNext%rc.Every == 0 {
+	if every := n.cfg.Recover.Every; every > 0 && episodeNext%every == 0 {
 		flagged = true
 		n.mu.Lock()
 		n.gateEpisode = episodeNext
@@ -695,8 +695,8 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 	rel := &wire.Msg{Kind: wire.KBarRelease, Barrier: barrier, Episode: episode, VT: merged, Notices: notices}
 	sy.relEpisode = episode
 	sy.bar = barAgg{}
-	rc := n.cfg.Recover
-	flagged := rc != nil && rc.Every > 0 && episode%rc.Every == 0
+	every := n.cfg.Recover.Every
+	flagged := every > 0 && episode%every == 0
 	if !flagged {
 		sy.lastRelease = rel
 		n.mu.Unlock()
@@ -995,18 +995,18 @@ func (n *Node) handleLogSegReq(m *wire.Msg) {
 // abortCluster fails this node with err and broadcasts it so every peer
 // unblocks immediately instead of waiting out its own timeout. The
 // broadcast is best-effort — a peer the abort cannot reach (the dead or
-// partitioned one) is torn down by the cluster anyway.
+// partitioned one) is torn down by the cluster anyway. The node fails
+// first: a peer's abort can tear the cluster down, this node included,
+// before the broadcast ends, and err must already be this node's error
+// then, not the teardown's.
 func (n *Node) abortCluster(err error) {
-	msg := &wire.Msg{Kind: wire.KAbort, Err: err.Error()}
+	n.fail(err)
 	// Stamp the quorum term so receivers can fence an abort from a
 	// deposed leader whose cluster view is stale.
-	if g := n.mgr; g != nil {
-		msg.Term = g.rep.Leader().Term
-	}
+	msg := &wire.Msg{Kind: wire.KAbort, Err: err.Error(), Term: n.mgr.rep.Leader().Term}
 	for p := 0; p < n.nn; p++ {
 		if p != n.id {
 			n.send(p, msg)
 		}
 	}
-	n.fail(err)
 }

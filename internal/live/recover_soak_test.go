@@ -254,7 +254,7 @@ func TestPartitionHealSupervised(t *testing.T) {
 // TestRestartBudgetExhausted is the degradation claim: with the restart
 // budget set to zero, a kill ends the run at once with the PeerDownError
 // a spent budget gives, naming the victim — not by riding out the RPC
-// deadline. (A heartbeat verdict ending a run without recovery is
+// deadline. (A heartbeat verdict ending a run without a budget is
 // TestPartitionAbortsFast.)
 func TestRestartBudgetExhausted(t *testing.T) {
 	cfg := chaosConfig(4, core.LH, nil)

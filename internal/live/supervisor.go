@@ -18,12 +18,12 @@ import (
 type RecoverOptions struct {
 	// MaxRestarts bounds how many node restarts the supervisor performs;
 	// the next crash ends the run with a *node.PeerDownError naming its
-	// victim. Zero or negative disables recovery entirely: the nodes run
-	// without checkpoints or a consensus replica, and the first crash
-	// ends the run.
+	// victim. Zero or negative means no restarts: the first crash ends
+	// the run, and no checkpoints are taken.
 	MaxRestarts int
 	// CheckpointEvery takes a barrier-aligned checkpoint at every episode
-	// divisible by it (default 1: every barrier).
+	// divisible by it (default 1: every barrier) when MaxRestarts is
+	// positive.
 	CheckpointEvery int64
 	// Replicate streams every non-manager checkpoint to the manager's
 	// store, so a node whose own store dies with it can still rejoin.
@@ -99,22 +99,30 @@ func (c *Cluster) kill(victim int, restartAfter time.Duration) {
 // private state up to the checkpoint against a scratch image, then
 // continuing live.
 func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (*Stats, error) {
-	if opts.LoseStore && !opts.Replicate {
+	// Every input is checked before anything changes: a refused call
+	// leaves the cluster as it found it.
+	switch {
+	case c.ran:
+		return nil, fmt.Errorf("live: Cluster already ran")
+	case c.brk == 0:
+		return nil, fmt.Errorf("live: no shared memory allocated")
+	case opts.LoseStore && !opts.Replicate:
 		return nil, fmt.Errorf("live: LoseStore requires Replicate (the victim's only checkpoint copy is the manager's replica)")
+	case opts.Stores != nil && len(opts.Stores) != c.cfg.Nodes:
+		return nil, fmt.Errorf("live: %d checkpoint stores for %d nodes", len(opts.Stores), c.cfg.Nodes)
+	case opts.Stables != nil && len(opts.Stables) != c.cfg.Nodes:
+		return nil, fmt.Errorf("live: %d consensus slots for %d nodes", len(opts.Stables), c.cfg.Nodes)
+	case opts.Voters > 0 && opts.Voters < c.cfg.Nodes && opts.Voters < 3:
+		return nil, fmt.Errorf("live: initial voting membership of %d is below a usable quorum", opts.Voters)
 	}
 	sched, err := c.scheduleCrashes(opts.Crashes)
 	if err != nil {
 		return nil, err
 	}
-	if c.ran {
-		return nil, fmt.Errorf("live: Cluster already ran")
-	}
 	c.ran = true
-	if c.brk == 0 {
-		return nil, fmt.Errorf("live: no shared memory allocated")
-	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 1
+	every := int64(0)
+	if opts.MaxRestarts > 0 {
+		every = max(opts.CheckpointEvery, 1)
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -125,9 +133,6 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		for i := range stores {
 			stores[i] = ckpt.NewMemStore()
 		}
-	}
-	if len(stores) != c.cfg.Nodes {
-		return nil, fmt.Errorf("live: %d checkpoint stores for %d nodes", len(stores), c.cfg.Nodes)
 	}
 
 	npages := int(c.pageOf(c.brk-1)) + 1
@@ -150,27 +155,18 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 			stables[i] = consensus.NewStable()
 		}
 	}
-	if len(stables) != c.cfg.Nodes {
-		return nil, fmt.Errorf("live: %d consensus slots for %d nodes", len(stables), c.cfg.Nodes)
-	}
 	var voters []int
 	if opts.Voters > 0 && opts.Voters < c.cfg.Nodes {
-		if opts.Voters < 3 {
-			return nil, fmt.Errorf("live: initial voting membership of %d is below a usable quorum", opts.Voters)
-		}
 		voters = make([]int, opts.Voters)
 		for i := range voters {
 			voters[i] = i
 		}
 	}
 	leaderHint := 0
-	rcFor := func(i int) *node.RecoverConfig {
-		if opts.MaxRestarts <= 0 {
-			return nil
-		}
-		rc := &node.RecoverConfig{
+	rcFor := func(i int) node.RecoverConfig {
+		rc := node.RecoverConfig{
 			Store:        stores[i],
-			Every:        opts.CheckpointEvery,
+			Every:        every,
 			Replicate:    opts.Replicate,
 			Epoch:        epoch,
 			Incarnation:  incarnations[i],
@@ -425,8 +421,8 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		}
 
 		// ---- crash: roll back, rejoin, re-run ----
-		// The budget is judged first: without one there is no consensus
-		// group to ask whether the voters survive.
+		// The budget is judged first: a spent one names the victim even
+		// where the voting group would survive it.
 		if int(restarts.Load()) >= opts.MaxRestarts {
 			return fail(doneCh, -1, budgetExhausted(ev.victim))
 		}
