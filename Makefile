@@ -100,13 +100,13 @@ chaos:
 	$(GO) test -race -count=1 -timeout 300s -run 'TestChaosSoak|TestPartitionAbortsFast' ./internal/live/
 	timeout 120 $(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
 		-chaos-seed 42 -drop 0.03 -dup 0.03 -delay-p 0.05 -delay 2ms -reset 0.05 \
-		-retry 10ms -hb-interval 50ms -check -timeout 60s
+		-retry 10ms -check -timeout 60s
 
 # recover: the crash-recovery gate — the seeded kill+restart soaks (all
 # four apps × {LI, LH} with a node killed twice mid-run, in-proc and
 # over TCP loopback; lost-store and on-disk-store variants; the
 # two-node one-voter cluster; the partition-vs-restart discrimination
-# check), the incarnation-fencing, voter-majority liveness and
+# check), the incarnation-fencing, voter-majority and non-voter liveness and
 # reply-cache-bound tests, the restart-budget degradation check, and the
 # worker-panic and partition aborts (the same run loop without a budget),
 # all under -race; then the crash table without the race detector, x3 on
@@ -117,14 +117,14 @@ chaos:
 # node 1, result regions checked against a fault-free 1-node reference.
 recover:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'TestRecovery|TestSupervisedExits|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters|TestWorkerPanicSurfaces|TestPartitionAbortsFast' \
+		-run 'TestRecovery|TestSupervisedExits|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters|TestNonVoterOutlivesLeaderChange|TestWorkerPanicSurfaces|TestPartitionAbortsFast' \
 		./internal/live/...
 	$(GO) test -count=3 -cpu 1,2,4 -timeout 900s \
 		-run 'TestRecovery|TestFailover|TestRestartBudget|TestKilledIncarnation|TestSupervisedExits|TestEndurance|TestServeChaosSoak|TestServeFailoverSoak|TestWorkerPanicSurfaces|TestPartitionAbortsFast|TestRestartBudgetExhausted' \
 		./internal/live/... ./internal/serve/...
 	timeout 150 $(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
 		-recover -crash 2:2:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
-		-retry 10ms -hb-interval 50ms -check -timeout 60s -deadline 120s
+		-retry 10ms -check -timeout 60s -deadline 120s
 	timeout 150 $(GO) run ./cmd/dsmd -app jacobi -nodes 2 -transport tcp -scale test \
 		-recover -crash 1:2:5ms -check -timeout 60s -deadline 120s
 
@@ -141,7 +141,7 @@ failover:
 		-run 'TestFailover|TestServeFailoverSoak' ./internal/live/... ./internal/serve/
 	timeout 150 $(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
 		-recover -crash 0:2:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
-		-retry 10ms -hb-interval 50ms -hb-timeout 2s -check -json \
+		-retry 10ms -hb-timeout 2s -check -json \
 		-timeout 60s -deadline 120s > failover_ci.json
 	@{ \
 		echo "### coordinator failover (4 nodes, node 0 killed, this runner)"; echo ""; \
@@ -196,7 +196,7 @@ endurance:
 		$(GO) test -race -count=1 -timeout 1200s -run 'TestEndurance' ./internal/live/ ./internal/serve/
 	timeout 150 $(GO) run ./cmd/dsmd -app cholesky -nodes 4 -transport tcp -scale test \
 		-recover -crash 0:10:5ms -compact-every 2 -voters 3 -add-replica 3:5ms \
-		-retry 10ms -hb-interval 50ms -hb-timeout 2s -check -json \
+		-retry 10ms -hb-timeout 2s -check -json \
 		-timeout 60s -deadline 120s > endurance_ci.json
 	@{ \
 		echo "### long-haul control plane (4 nodes, coordinator killed, replica promoted, this runner)"; echo ""; \

@@ -21,7 +21,7 @@
 //
 // The -drop/-dup/-delay/-reset/-partition flags inject transport faults
 // (internal/live/chaos) on a schedule derived from -chaos-seed, so a
-// faulty run is reproducible; -retry, -hb-interval and -hb-timeout tune
+// faulty run is reproducible; -retry and -hb-timeout tune
 // the engine's recovery machinery to match the fault rate.
 //
 // With -recover, the cluster survives node crashes: barrier-aligned
@@ -65,13 +65,12 @@ type runReport struct {
 
 // runOpts carries the tuning knobs from flags into runLive.
 type runOpts struct {
-	timeout    time.Duration
-	retryBase  time.Duration
-	hbInterval time.Duration
-	hbTimeout  time.Duration
-	chaos      *chaos.Config  // nil: no fault injection
-	checker    *check.Checker // nil: no invariant checking
-	deadline   time.Duration
+	timeout   time.Duration
+	retryBase time.Duration
+	hbTimeout time.Duration
+	chaos     *chaos.Config  // nil: no fault injection
+	checker   *check.Checker // nil: no invariant checking
+	deadline  time.Duration
 
 	// supervise is the run's kill schedule and control-plane knobs, with
 	// -recover also its restart budget and checkpoints.
@@ -97,9 +96,8 @@ func main() {
 		resetP    = flag.Float64("reset", 0, "per-frame probability of a connection reset (tcp)")
 		partition = flag.String("partition", "", "partition a node pair: a:b[:from[:dur]] (durations; dur 0 = forever)")
 
-		retryBase  = flag.Duration("retry", 0, "base RPC retransmission backoff (0: default 200ms)")
-		hbInterval = flag.Duration("hb-interval", 0, "heartbeat beacon interval (0: default 1s)")
-		hbTimeout  = flag.Duration("hb-timeout", 0, "silence before the manager declares a node down (0: default 10s, negative: disable)")
+		retryBase = flag.Duration("retry", 0, "base RPC retransmission backoff (0: default 200ms)")
+		hbTimeout = flag.Duration("hb-timeout", 0, "silence before the manager declares a node down (0: default 10s, negative: disable)")
 
 		recoverRun  = flag.Bool("recover", false, "survive node crashes: checkpoint at barriers, restart killed nodes")
 		maxRestarts = flag.Int("max-restarts", 3, "restart budget before degrading to a structured abort (with -recover)")
@@ -124,11 +122,10 @@ func main() {
 	}
 
 	opts := runOpts{
-		timeout:    *timeout,
-		retryBase:  *retryBase,
-		hbInterval: *hbInterval,
-		hbTimeout:  *hbTimeout,
-		deadline:   *deadline,
+		timeout:   *timeout,
+		retryBase: *retryBase,
+		hbTimeout: *hbTimeout,
+		deadline:  *deadline,
 		supervise: live.RecoverOptions{
 			Seed: *chaosSeed, CompactEvery: *compactEvery, Voters: *votersN,
 		},
@@ -287,12 +284,11 @@ func runLive(appName string, scale harness.Scale, prot core.Protocol, nodes int,
 		return nil, nil, nil, err
 	}
 	cfg := live.Config{
-		Nodes:             nodes,
-		Protocol:          prot,
-		RPCTimeout:        opts.timeout,
-		RetryBase:         opts.retryBase,
-		HeartbeatInterval: opts.hbInterval,
-		HeartbeatTimeout:  opts.hbTimeout,
+		Nodes:            nodes,
+		Protocol:         prot,
+		RPCTimeout:       opts.timeout,
+		RetryBase:        opts.retryBase,
+		HeartbeatTimeout: opts.hbTimeout,
 	}
 	// One rebuildable network for every run: recovery gives a restarted
 	// node a fresh incarnation through Rejoin.
@@ -411,9 +407,8 @@ func printReport(appName, trans string, st *live.Stats, faults *chaos.Counters) 
 		fmt.Printf("  balance: busiest node %d sent %.1f%% of all messages\n",
 			st.MaxMsgNode, 100*st.MaxMsgFrac)
 	}
-	fmt.Printf("  retries %d, dup reqs %d, dup replies %d, heartbeats %d sent / %d recv\n",
-		st.Total.RPCRetries, st.Total.DupRequests, st.Total.DupReplies,
-		st.Total.HeartbeatsSent, st.Total.HeartbeatsRecv)
+	fmt.Printf("  retries %d, dup reqs %d, dup replies %d\n",
+		st.Total.RPCRetries, st.Total.DupRequests, st.Total.DupReplies)
 	if faults != nil {
 		fmt.Printf("  chaos: %d faults (drop %d, dup %d, delay %d, reset %d, partition %d)\n",
 			faults.Total(), faults.Dropped, faults.Duplicated, faults.Delayed,

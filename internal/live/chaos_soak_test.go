@@ -16,19 +16,17 @@ import (
 
 // chaosOpts are the recovery knobs used by the soak tests: aggressive
 // retransmission so the injected faults resolve inside a test budget,
-// and a heartbeat cadence fast enough that failure detection is
-// exercised (but with a timeout generous enough that retry stalls are
-// never mistaken for death).
+// and failure detection running (with a timeout generous enough that
+// retry stalls are never mistaken for death).
 func chaosConfig(nodes int, prot core.Protocol, nw transport.Network) Config {
 	return Config{
-		Nodes:             nodes,
-		Protocol:          prot,
-		Net:               nw,
-		RPCTimeout:        60 * time.Second,
-		RetryBase:         10 * time.Millisecond,
-		RetryMax:          100 * time.Millisecond,
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  30 * time.Second,
+		Nodes:            nodes,
+		Protocol:         prot,
+		Net:              nw,
+		RPCTimeout:       60 * time.Second,
+		RetryBase:        10 * time.Millisecond,
+		RetryMax:         100 * time.Millisecond,
+		HeartbeatTimeout: 30 * time.Second,
 	}
 }
 
@@ -200,7 +198,6 @@ func TestPartitionAbortsFast(t *testing.T) {
 			cfg := chaosConfig(4, core.LH, chaos.WrapNet(transport.NewInprocNet(4), chaos.Config{Partitions: parts}))
 			cfg.RPCTimeout = 30 * time.Second
 			cfg.RetryBase = 10 * time.Millisecond
-			cfg.HeartbeatInterval = 25 * time.Millisecond
 			cfg.HeartbeatTimeout = 250 * time.Millisecond
 			c, err := New(cfg)
 			if err != nil {

@@ -47,13 +47,11 @@ type Config struct {
 	// injection so recovery fits in a test budget.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// HeartbeatInterval / HeartbeatTimeout parameterize failure
-	// detection (defaults 1s / 10s): every node beacons the manager
-	// leader at the interval, and the leader aborts the cluster when a
-	// peer has been silent past the timeout. A negative timeout disables
-	// detection.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
+	// HeartbeatTimeout parameterizes failure detection (default 10s):
+	// every node acks the manager leader's consensus appends, and the
+	// leader aborts the cluster when a peer has been silent past the
+	// timeout. Negative disables detection.
+	HeartbeatTimeout time.Duration
 }
 
 // Stats is the outcome of a live run: per-node protocol counters, their
@@ -259,11 +257,10 @@ func (c *Cluster) nodeConfig(npages int, homes []int32, rc node.RecoverConfig) n
 		Observer:   c.obs,
 		RPCTimeout: c.cfg.RPCTimeout,
 
-		RetryBase:         c.cfg.RetryBase,
-		RetryMax:          c.cfg.RetryMax,
-		HeartbeatInterval: c.cfg.HeartbeatInterval,
-		HeartbeatTimeout:  c.cfg.HeartbeatTimeout,
-		Recover:           rc,
+		RetryBase:        c.cfg.RetryBase,
+		RetryMax:         c.cfg.RetryMax,
+		HeartbeatTimeout: c.cfg.HeartbeatTimeout,
+		Recover:          rc,
 	}
 }
 

@@ -392,10 +392,18 @@ type Rep struct {
 	next     []int64
 	match    []int64
 	pending  map[int64][]func(error)
-	electAt  time.Time   // follower/candidate: election deadline
-	heardAt  time.Time   // follower: when the current leader was last heard
-	beatAt   time.Time   // leader: next heartbeat
-	ackAt    []time.Time // leader: when each peer last acked this term
+	electAt  time.Time // follower/candidate: election deadline
+	beatAt   time.Time // leader: next heartbeat
+
+	// heard[p] is when this replica last heard from peer p, in unix
+	// nanoseconds: a follower stamps its leader's appends and snapshot
+	// chunks, a leader every peer's acks. It is the one failure detector:
+	// check-quorum reads the voters' stamps, and the owning node's
+	// liveness sweep reads every peer's through Silences, from another
+	// goroutine. followed is the last leader this replica followed (-1:
+	// none), the one peer a new leader keeps a stamp for (takeOffice).
+	heard    []atomic.Int64
+	followed int
 
 	// Compaction state: the log is truncated at snapIndex, whose entry
 	// had term snapTerm; snap is the encoded snapshot covering
@@ -433,21 +441,22 @@ func New(cfg Config, st *Stable) *Rep {
 		cfg.HeartbeatEvery = cfg.ElectionTimeout / 10
 	}
 	r := &Rep{
-		cfg:     cfg,
-		st:      st,
-		rng:     rand.New(rand.NewSource(cfg.Seed*1315423911 + int64(cfg.Self)<<8 + 1)),
-		inbox:   make(chan *wire.Msg, 1024),
-		props:   make(chan proposal, 256),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		leader:  -1,
-		votes:   map[int]bool{},
-		next:    make([]int64, cfg.N),
-		match:   make([]int64, cfg.N),
-		ackAt:   make([]time.Time, cfg.N),
-		pending: map[int64][]func(error){},
-		voters:  map[int]bool{},
-		xfer:    map[int]*snapXfer{},
+		cfg:      cfg,
+		st:       st,
+		rng:      rand.New(rand.NewSource(cfg.Seed*1315423911 + int64(cfg.Self)<<8 + 1)),
+		inbox:    make(chan *wire.Msg, 1024),
+		props:    make(chan proposal, 256),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+		leader:   -1,
+		votes:    map[int]bool{},
+		next:     make([]int64, cfg.N),
+		match:    make([]int64, cfg.N),
+		heard:    make([]atomic.Int64, cfg.N),
+		followed: -1,
+		pending:  map[int64][]func(error){},
+		voters:   map[int]bool{},
+		xfer:     map[int]*snapXfer{},
 	}
 	d, quarantined := st.load()
 	if quarantined {
@@ -497,8 +506,16 @@ func New(cfg Config, st *Stable) *Rep {
 	return r
 }
 
-// Start launches the event loop.
+// Start launches the event loop. Every peer counts as heard at the
+// start, and a replica that knows its leader (a bootstrap follower of
+// node 0) follows it from then on, so a leader that never sends a frame
+// is as silent as one that dies at once (takeOffice).
 func (r *Rep) Start() {
+	now := time.Now().UnixNano()
+	for p := range r.heard {
+		r.heard[p].Store(now)
+	}
+	r.followed = r.leader
 	go r.run()
 }
 
@@ -558,7 +575,6 @@ func (r *Rep) run() {
 	defer close(r.done)
 	defer r.failPending(ErrStopped)
 	if r.role == leader {
-		r.resetAcks()
 		r.broadcast()
 		r.beatAt = time.Now().Add(r.cfg.HeartbeatEvery)
 	} else {
@@ -587,7 +603,7 @@ func (r *Rep) run() {
 func (r *Rep) tickTimers() {
 	now := time.Now()
 	if r.role == leader {
-		if !r.heardQuorum(now) {
+		if !r.heardQuorum(r.Leader().Voters, now.UnixNano(), r.cfg.ElectionTimeout) {
 			r.stepDown()
 			return
 		}
@@ -602,25 +618,69 @@ func (r *Rep) tickTimers() {
 	}
 }
 
-// resetAcks starts a new leader's check-quorum window: every peer
-// counts as heard until an election timeout passes without its ack.
-func (r *Rep) resetAcks() {
-	now := time.Now()
-	for p := range r.ackAt {
-		r.ackAt[p] = now
+// takeOffice starts a new leader's record: every peer counts as heard
+// now, so none is judged on silence from before this replica led —
+// except the leader it last followed, whose appends it was hearing.
+// That silence is what got this replica elected, and it keeps counting,
+// so a dead former leader is named as soon as if nobody had changed
+// office.
+func (r *Rep) takeOffice() {
+	now := time.Now().UnixNano()
+	for p := range r.heard {
+		if p != r.followed {
+			r.heard[p].Store(now)
+		}
 	}
 }
 
-// heardQuorum reports whether a majority of the voters, this leader
-// included, acked within the last election timeout.
-func (r *Rep) heardQuorum(now time.Time) bool {
+// silence is how long peer p has gone unheard at now (unix nanoseconds).
+func (r *Rep) silence(p int, now int64) time.Duration {
+	return time.Duration(now - r.heard[p].Load())
+}
+
+// heardQuorum reports whether a majority of voters, this replica
+// included, was heard within window of now (unix nanoseconds).
+func (r *Rep) heardQuorum(voters []int, now int64, window time.Duration) bool {
 	heard := 0
-	for v := range r.voters {
-		if v == r.cfg.Self || now.Sub(r.ackAt[v]) < r.cfg.ElectionTimeout {
+	for _, v := range voters {
+		if v == r.cfg.Self || r.silence(v, now) < window {
 			heard++
 		}
 	}
-	return 2*heard > len(r.voters)
+	return 2*heard > len(voters)
+}
+
+// Silences reports how long each peer has been silent to this leader:
+// the time since its last ack, or since this replica took office if
+// that is later (takeOffice). Self's entry is zero. It returns nil
+// unless this replica leads and heard a voter majority within window —
+// check-quorum deposes a leader that has not within the election
+// timeout, and a shorter window withholds a probably partitioned
+// leader's verdicts until check-quorum catches up. Safe from any
+// goroutine.
+func (r *Rep) Silences(window time.Duration) []time.Duration {
+	info := r.Leader()
+	now := time.Now().UnixNano()
+	if !info.IsLeader || !r.heardQuorum(info.Voters, now, window) {
+		return nil
+	}
+	out := make([]time.Duration, len(r.heard))
+	for p := range out {
+		if p != r.cfg.Self {
+			out[p] = r.silence(p, now)
+		}
+	}
+	return out
+}
+
+// Heard stamps peer p as heard now, for the owning node to vouch for a
+// peer the consensus traffic has not had the chance to reach (one that
+// just rejoined, or every peer after a rollback). Safe from any
+// goroutine.
+func (r *Rep) Heard(p int) {
+	if p >= 0 && p < len(r.heard) {
+		r.heard[p].Store(time.Now().UnixNano())
+	}
 }
 
 // stepDown turns a leader that has not heard a voter majority within an
@@ -754,7 +814,7 @@ func (r *Rep) becomeLeader() {
 	}
 	r.match[r.cfg.Self] = r.lastIndex()
 	r.xfer = map[int]*snapXfer{}
-	r.resetAcks()
+	r.takeOffice()
 	// Re-derive the one-pending-change gate from the uncommitted log
 	// suffix: a config entry a dead leader appended is now ours to see
 	// through before any new change is admitted.
@@ -828,17 +888,14 @@ func (r *Rep) confAllowed(add bool, nd int) error {
 	return nil
 }
 
+// broadcast appends to every peer. Non-voters are learners: they learn
+// the leader and the log and ack like voters, so every peer's stamp
+// moves each heartbeat, but their acks count toward no commit and no
+// quorum.
 func (r *Rep) broadcast() {
-	for p := range r.voters {
+	for p := 0; p < r.cfg.N; p++ {
 		if p != r.cfg.Self {
 			r.sendAppend(p)
-		}
-	}
-	// Keep streaming to peers mid-snapshot-install even if a config
-	// change just removed them from the voting set.
-	for p := range r.xfer {
-		if !r.voters[p] && p != r.cfg.Self {
-			r.sendSnapshot(p)
 		}
 	}
 }
@@ -967,22 +1024,14 @@ func (r *Rep) applyConf(add bool, nd int) {
 	}
 	bump(r.cfg.Counters.ConfChanges)
 	r.persist()
-	if r.role == leader && add && nd != r.cfg.Self {
-		// Start replicating to the new voter; its empty log backs the
-		// cursor up into the snapshot-install path if we have compacted.
-		r.next[nd] = r.lastIndex() + 1
-		r.match[nd] = 0
-		r.sendAppend(nd)
-	}
-	if !add {
-		delete(r.xfer, nd)
-		if nd == r.cfg.Self && r.role == leader {
-			// We removed ourselves: step down and let the remaining
-			// voters elect.
-			r.role, r.leader = follower, -1
-			r.failPending(ErrDeposed)
-			r.resetElectionTimer()
-		}
+	// A promoted learner was already replicated to, and a demoted voter
+	// keeps learning (an install in flight included).
+	if !add && nd == r.cfg.Self && r.role == leader {
+		// We removed ourselves: step down and let the remaining voters
+		// elect.
+		r.role, r.leader = follower, -1
+		r.failPending(ErrDeposed)
+		r.resetElectionTimer()
 	}
 	r.updateInfo()
 }
@@ -1019,7 +1068,7 @@ func (r *Rep) compact() {
 
 func (r *Rep) step(m *wire.Msg) {
 	if m.Kind == wire.KVoteReq && m.Term > r.term && r.leader >= 0 &&
-		(r.role == leader || time.Since(r.heardAt) < r.cfg.ElectionTimeout) {
+		(r.role == leader || r.silence(r.leader, time.Now().UnixNano()) < r.cfg.ElectionTimeout) {
 		// A replica that heard from the current leader within the minimum
 		// election timeout neither adopts a vote request's newer term nor
 		// grants it (Raft thesis §4.2.3): a node cut off from the leader
@@ -1097,7 +1146,8 @@ func (r *Rep) followLeader(m *wire.Msg) {
 		}
 		r.updateInfo()
 	}
-	r.heardAt = time.Now()
+	r.heard[m.From].Store(time.Now().UnixNano())
+	r.followed = int(m.From)
 	r.resetElectionTimer()
 }
 
@@ -1185,7 +1235,7 @@ func (r *Rep) onAppendAck(m *wire.Msg) {
 		return
 	}
 	from := int(m.From)
-	r.ackAt[from] = time.Now()
+	r.heard[from].Store(time.Now().UnixNano())
 	if m.Flag == 2 {
 		// A fenced replica refuses replay: it must be re-seeded from a
 		// snapshot. Cut one on demand if the committed prefix has not
@@ -1306,7 +1356,7 @@ func (r *Rep) onSnapAck(m *wire.Msg) {
 		return
 	}
 	from := int(m.From)
-	r.ackAt[from] = time.Now()
+	r.heard[from].Store(time.Now().UnixNano())
 	if m.Flag == 1 {
 		delete(r.xfer, from)
 		if m.LogIndex > r.match[from] {

@@ -438,6 +438,62 @@ func TestQuorumlessLeaderStepsDown(t *testing.T) {
 	}
 }
 
+// TestLearnersFollowFailover: non-voters learn the log and the leader
+// from the leader's appends. With voters {0, 1, 2} on five replicas,
+// leader 0 cut off from 1 and 2 loses office to one of them although
+// learners 3 and 4 can still reach it; the learners follow the new
+// leader and apply its entries, and its Silences count 0's silence from
+// the cut, before it took office, and the learners' from their last ack.
+// (That learners' acks hold no quorum is TestLivenessCountsVoters in
+// internal/live/node.)
+func TestLearnersFollowFailover(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	h := newHarnessOpt(t, 5, timeout, 0, []int{0, 1, 2})
+	defer h.stopAll()
+	h.waitLeader()
+	if err := h.proposeOK(0, "before"); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{3, 4} {
+		h.waitApplied(i, "before")
+	}
+	if s := h.reps[1].Silences(timeout); s != nil {
+		t.Errorf("a follower reports silences %v", s)
+	}
+
+	h.mu.Lock()
+	h.cut[[2]int{0, 1}] = true
+	h.cut[[2]int{0, 2}] = true
+	h.mu.Unlock()
+	cutAt := time.Now()
+	ld := h.waitLeader(0)
+	if err := h.proposeOK(ld, "after"); err != nil {
+		t.Fatalf("propose on new leader %d: %v", ld, err)
+	}
+	for _, i := range []int{3, 4} {
+		h.waitApplied(i, "after")
+		if got := h.reps[i].Leader().Leader; got != ld {
+			t.Errorf("learner %d follows %d, want %d", i, got, ld)
+		}
+	}
+	if h.reps[0].Leader().IsLeader {
+		t.Error("node 0 still leads beside the new leader")
+	}
+	since := time.Since(cutAt)
+	s := h.reps[ld].Silences(timeout)
+	if s == nil {
+		t.Fatalf("leader %d reports no silences", ld)
+	}
+	if s[0] < since {
+		t.Errorf("former leader silent %v, want at least the %v since the cut", s[0], since)
+	}
+	for _, i := range []int{3, 4} {
+		if s[i] >= timeout {
+			t.Errorf("learner %d silent %v to the leader that replicates to it", i, s[i])
+		}
+	}
+}
+
 // TestCompactionBoundsLog: with CompactEvery=8, a 40-command run folds
 // the applied prefix into snapshots on every replica, the persisted log
 // stays within 2x the threshold, and the apply order still converges.

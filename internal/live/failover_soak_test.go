@@ -14,8 +14,8 @@ import (
 // failoverConfig is chaosConfig with a heartbeat timeout small enough
 // that a leader election (randomized timeout derived from it) resolves
 // in well under a second, instead of the soak default's tens of
-// seconds. Liveness false positives are kept at bay by the 50ms
-// heartbeat beacon.
+// seconds. Liveness false positives are kept at bay by the leader's
+// appends, which every peer acks each 50ms (election timeout / 10).
 func failoverConfig(nodes int, prot core.Protocol) Config {
 	cfg := chaosConfig(nodes, prot, nil)
 	cfg.HeartbeatTimeout = 2 * time.Second
@@ -33,9 +33,10 @@ func failoverChecks(t *testing.T, stats *Stats) {
 	if stats.Total.ConsensusCommits == 0 {
 		t.Error("replicated manager recorded no committed commands")
 	}
-	t.Logf("failover: terms=%d elections=%d commits=%d redirects=%d restarts=%d",
+	t.Logf("failover: terms=%d elections=%d commits=%d redirects=%d restarts=%d recovery=%v",
 		stats.Total.ConsensusTerms, stats.Total.ConsensusElections,
-		stats.Total.ConsensusCommits, stats.Total.LeaderRedirects, stats.Restarts)
+		stats.Total.ConsensusCommits, stats.Total.LeaderRedirects, stats.Restarts,
+		time.Duration(stats.RecoveryNs))
 }
 
 // coordinatorKill is each app's kill of node 0 at test scale on 4

@@ -16,7 +16,8 @@ import (
 // writer, or on a standalone ack once its queue runs dry; an owed ack
 // never crosses a recovery epoch; and frames that reach a transport
 // before the node registers its handler are handed over, not stranded.
-// Heartbeats are off throughout (they would carry owed acks too).
+// Retransmissions and consensus heartbeats are off throughout (they
+// would carry owed acks too).
 
 // ackTap wraps a node's transport: it records every frame the node
 // sends and drops the first drop frames of kind dropKind.
@@ -65,8 +66,11 @@ func startAckPair(t *testing.T, tune func(*Config)) (a, b *Node, taps []*ackTap)
 	cfg := Config{
 		PageSize: 256, NPages: 1, Homes: []int32{1},
 		NLocks: 2, NBars: 1, Protocol: core.LI,
-		HeartbeatInterval: time.Hour, HeartbeatTimeout: -1,
-		RetryBase: time.Hour, RetryMax: time.Hour,
+		// No retransmission, and no consensus append past the bootstrap
+		// one, whose ack startAckPair waits out (the next is 90 s away):
+		// either would carry owed acks too.
+		HeartbeatTimeout: time.Hour,
+		RetryBase:        time.Hour, RetryMax: time.Hour,
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -89,6 +93,7 @@ func startAckPair(t *testing.T, tune func(*Config)) (a, b *Node, taps []*ackTap)
 			nd.Wait()
 		}
 	})
+	waitUntil(t, "b's ack of the bootstrap append", func() bool { return nodes[0].Stats().MsgsRecv == 1 })
 	return nodes[0], nodes[1], taps
 }
 
@@ -139,12 +144,15 @@ func TestOwedAckStaysInItsEpoch(t *testing.T) {
 	}
 	b.oweAck(0, toks[0], 0)
 	b.sendOwedAcks()
-	b.send(0, &wire.Msg{Kind: wire.KHeartbeat})
-	waitUntil(t, "the heartbeat", func() bool { return a.Stats().HeartbeatsRecv == 1 })
+	// The carrier: an empty log-segment request, which a answers.
+	b.send(0, &wire.Msg{Kind: wire.KLogSegReq, Token: 1 << 40})
+	waitUntil(t, "the carrier's answer", func() bool { return len(taps[0].frames(wire.KLogSegResp)) == 1 })
 	if got := flightTokens(a, 1); len(got) != 1 {
 		t.Errorf("an epoch-0 ack retired the epoch-1 flight %d", toks[0])
 	}
-	for _, m := range append(taps[1].frames(wire.KHeartbeat), taps[1].frames(wire.KAck)...) {
+	taps[1].mu.Lock()
+	defer taps[1].mu.Unlock()
+	for _, m := range taps[1].sent {
 		if len(m.Acks) > 0 {
 			t.Errorf("%v carried stale acks %v", m.Kind, m.Acks)
 		}
@@ -261,7 +269,7 @@ func TestFramesBeforeHandlerDelivered(t *testing.T) {
 			}()
 			nd := New(trs[1], Config{
 				PageSize: 256, NPages: 1, Homes: []int32{1}, NLocks: 2, NBars: 1,
-				Protocol: core.LI, HeartbeatInterval: time.Hour, HeartbeatTimeout: -1,
+				Protocol: core.LI, HeartbeatTimeout: -1,
 			})
 			req := &wire.Msg{Kind: wire.KLockReq, From: 0, Token: 1, Lock: 1, VT: []int32{0, 0}}
 			if err := trs[0].Send(1, wire.Encode(req)); err != nil {

@@ -16,7 +16,7 @@ import (
 // over a millisecond later.
 
 // startIdle starts an n-node in-process cluster over one word homed at
-// node 0, with heartbeats off and the backstop out of the picture.
+// node 0, with failure detection off and the backstop out of the picture.
 func startIdle(t *testing.T, n int) []*Node {
 	t.Helper()
 	old := backoffBackstop

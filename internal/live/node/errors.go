@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// PeerDownError is the manager's structured verdict when heartbeat-based
-// failure detection declares a peer dead: the cluster aborts with this
-// error instead of letting every blocked worker ride out its RPC
-// timeout. It names the suspect node, how long it has been silent, and
-// the synchronization state the manager believes it holds or owes.
+// PeerDownError is the manager's structured verdict when failure
+// detection declares a peer dead: the cluster aborts with this error
+// instead of letting every blocked worker ride out its RPC timeout. It
+// names the suspect node, how long it has been silent, and the
+// synchronization state the manager believes it holds or owes.
 type PeerDownError struct {
 	// Node is the suspect node's id.
 	Node int

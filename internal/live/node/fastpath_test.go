@@ -23,10 +23,12 @@ func onePage(home int32, prot core.Protocol) node.Config {
 	return node.Config{
 		PageSize: 256, NPages: 1, Homes: []int32{home},
 		NLocks: 2, NBars: 1, Protocol: prot,
-		HeartbeatTimeout: -1,
-		// Node 0 votes alone, as on two nodes, so no consensus frame
-		// crosses a data-plane test's transports at any size.
-		Recover: node.RecoverConfig{Voters: []int{0}},
+		// Node 0 votes alone, as on two nodes, and an hour's timeout
+		// spaces its appends to every node (each election timeout / 10)
+		// 90 s apart: past the bootstrap append and its acks at Start, no
+		// consensus frame crosses a data-plane test's transports.
+		HeartbeatTimeout: time.Hour,
+		Recover:          node.RecoverConfig{Voters: []int{0}},
 	}
 }
 
@@ -389,6 +391,7 @@ func TestLockInPlace(t *testing.T) {
 		return d
 	}
 
+	waitFor(t, "node 1's ack of the bootstrap append", nil, func() bool { return nodes[0].Stats().MsgsRecv == 1 })
 	refuses("unowned")
 	lw.Lock(0) // requested from the home (node 0 itself)
 	lw.Unlock(0)

@@ -35,7 +35,7 @@ func TestIncarnationFencing(t *testing.T) {
 	raw := trs[1] // node 1 is driven by hand, frame by frame
 
 	// Frames a previous incarnation could plausibly have left in flight:
-	// synchronization requests, data requests, flushes, liveness beacons
+	// synchronization requests, data requests, flushes, consensus appends
 	// and recovery handshake traffic.
 	stale := []struct {
 		name string
@@ -46,7 +46,7 @@ func TestIncarnationFencing(t *testing.T) {
 		{"bar-arrive", &wire.Msg{Kind: wire.KBarArrive, Token: 3, Barrier: 0, Interval: &wire.Interval{}}},
 		{"page-req", &wire.Msg{Kind: wire.KPageReq, Token: 4, Page: 0}},
 		{"write-notices", &wire.Msg{Kind: wire.KWriteNotices, Token: 5}},
-		{"heartbeat", &wire.Msg{Kind: wire.KHeartbeat, Token: 6}},
+		{"append", &wire.Msg{Kind: wire.KAppend, Token: 6, Term: 1}},
 		{"join-req", &wire.Msg{Kind: wire.KJoinReq, Token: 7, Incarnation: 1}},
 		{"ckpt-done", &wire.Msg{Kind: wire.KCkptDone, Token: 8, Episode: 1}},
 	}
@@ -76,15 +76,20 @@ func TestIncarnationFencing(t *testing.T) {
 	}
 	recvCh := make(chan *wire.Msg, 1)
 	go func() {
-		f, err := raw.Recv()
-		if err != nil {
-			return
+		for {
+			f, err := raw.Recv()
+			if err != nil {
+				return
+			}
+			m, err := wire.Decode(f.Payload)
+			if err != nil {
+				return
+			}
+			if m.Kind != wire.KAppend { // node 0 leads and appends to every peer
+				recvCh <- m
+				return
+			}
 		}
-		m, err := wire.Decode(f.Payload)
-		if err != nil {
-			return
-		}
-		recvCh <- m
 	}()
 	select {
 	case m := <-recvCh:

@@ -198,13 +198,13 @@ func TestLIGrantsCarryNoDiffs(t *testing.T) {
 		nodes, gates, stop := startGated(t, sameCfg(onePage(0, prot), 2)...)
 		defer stop()
 		carried := 0
-		gates[0].kind = wire.KLockGrant
 		gates[0].rewrite = func(payload []byte) [][]byte {
 			if m, err := wire.Decode(payload); err == nil {
 				carried += len(m.Diffs)
 			}
 			return [][]byte{payload}
 		}
+		gates[0].setKind(wire.KLockGrant)
 		a, b := nodes[0], nodes[1]
 		if v := b.ReadU64(0); v != 0 {
 			t.Fatalf("first read = %d, want 0", v)

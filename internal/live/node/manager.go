@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lrcdsm/internal/live/consensus"
 	ckpt "lrcdsm/internal/live/recover"
@@ -351,7 +350,7 @@ func (g *manager) applyCmd(cmd []byte) error {
 		g.cmu.Lock()
 		g.setJoinBlob(w, nil)
 		g.cmu.Unlock()
-		g.heard(w)
+		g.rep.Heard(w)
 	case opReset:
 		g.cmu.Lock()
 		g.clients = map[clientKey]*mclient{}
@@ -365,9 +364,8 @@ func (g *manager) applyCmd(cmd []byte) error {
 			g.suspect[w] = false
 		}
 		g.cmu.Unlock()
-		now := time.Now().UnixNano()
-		for w := range g.n.lastHeard {
-			atomic.StoreInt64(&g.n.lastHeard[w], now)
+		for w := 0; w < g.nn; w++ {
+			g.rep.Heard(w)
 		}
 	}
 	return nil
@@ -552,33 +550,21 @@ func (g *manager) confChange(m *wire.Msg) {
 	})
 }
 
-// heard re-stamps a peer's liveness clock (after its resume commits).
-func (g *manager) heard(w int) {
-	if w >= 0 && w < len(g.n.lastHeard) {
-		atomic.StoreInt64(&g.n.lastHeard[w], time.Now().UnixNano())
-	}
-}
-
 // ---- failure detection ----
 
-// checkLiveness sweeps the per-peer last-heard stamps; a peer silent
-// past HeartbeatTimeout is presumed dead and the whole cluster is
+// checkLiveness sweeps the manager replica's per-peer stamps; a peer
+// silent past HeartbeatTimeout is presumed dead and the whole cluster is
 // aborted with a structured error naming it and its pending
 // synchronization — a clean fast failure instead of N workers each
 // riding out an RPC timeout — unless a supervisor takes the hand-off.
-// One node judges: the manager leader, while it hears from a majority
-// of the voters (judges). Every node beacons at the leader, so only its
-// stamps mean anything, and a deposed leader's verdict frames are
+// One node judges: the manager leader, which every peer acks each
+// heartbeat and which check-quorum deposes when it stops hearing a voter
+// majority (consensus Silences). A deposed leader's verdict frames are
 // term-fenced by the receivers.
 func (n *Node) checkLiveness() {
 	g := n.mgr
-	if !g.judges() {
-		return
-	}
-	now := time.Now().UnixNano()
-	for w := 0; w < n.nn; w++ {
-		silence := time.Duration(now - atomic.LoadInt64(&n.lastHeard[w]))
-		if w == n.id || silence <= n.cfg.HeartbeatTimeout {
+	for w, silence := range g.rep.Silences(n.cfg.HeartbeatTimeout) {
+		if silence <= n.cfg.HeartbeatTimeout {
 			continue
 		}
 		perr := &PeerDownError{Node: w, Silence: silence, Pending: n.pendingFor(w)}
@@ -588,26 +574,6 @@ func (n *Node) checkLiveness() {
 		n.abortCluster(perr)
 		return
 	}
-}
-
-// judges reports whether this replica may hand down silence verdicts:
-// it leads and hears from a majority of the voters, itself included. A
-// leader that cannot withholds verdicts entirely — it is probably the
-// partitioned one, and the voters' next leader will judge it instead.
-// Non-voters' beacons count for nothing here: they cannot elect anyone.
-func (g *manager) judges() bool {
-	info := g.rep.Leader()
-	if !info.IsLeader {
-		return false
-	}
-	now := time.Now().UnixNano()
-	heard := 0
-	for _, v := range info.Voters {
-		if v == g.n.id || time.Duration(now-atomic.LoadInt64(&g.n.lastHeard[v])) <= g.n.cfg.HeartbeatTimeout {
-			heard++
-		}
-	}
-	return 2*heard > len(info.Voters)
 }
 
 // handOff settles a silence verdict without an abort where it can: a

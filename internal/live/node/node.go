@@ -107,13 +107,13 @@ type Config struct {
 	// total wait stays bounded by RPCTimeout.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// HeartbeatInterval is the period of each node's liveness beacon to
-	// the manager (default 1s). HeartbeatTimeout is the silence after
-	// which the manager presumes a peer dead and aborts the whole cluster
-	// with a PeerDownError (default 10s). A negative HeartbeatTimeout
-	// disables failure detection.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
+	// HeartbeatTimeout is the silence after which the manager leader
+	// presumes a peer dead and aborts the whole cluster with a
+	// PeerDownError (default 10s); negative disables failure detection.
+	// A peer is heard when it acks the leader's consensus appends, which
+	// go to every node each election timeout / 10 (the election timeout
+	// is HeartbeatTimeout/4, at least 100ms).
+	HeartbeatTimeout time.Duration
 	// Recover configures the node's manager replica, epoch fence and
 	// checkpoints (see recover.go, manager.go). Every node runs all three;
 	// the zero value takes no checkpoints and gives the replica a fresh
@@ -358,8 +358,8 @@ type Node struct {
 	mgr *manager
 
 	// leaderHint is this node's cache of the manager's current leader —
-	// the node manager requests and heartbeats go to — updated by the
-	// local replica's leadership changes and by KNotLeader redirects.
+	// the node manager requests go to — updated by the local replica's
+	// leadership changes and by KNotLeader redirects.
 	leaderHint atomic.Int32
 
 	// repOut holds one buffered outbound lane per peer for consensus
@@ -372,10 +372,6 @@ type Node struct {
 	// rngState seeds the retry-jitter mixer (see jitter).
 	rngState atomic.Uint64
 
-	// lastHeard[w] is the unix-nano time this node last received any
-	// frame from peer w; deliver stamps it, the liveness sweep reads it.
-	// Accessed with atomics.
-	lastHeard []int64
 	// hbCheck wakes the dispatcher to run a liveness sweep, so the check
 	// reads manager state from the goroutine that owns it.
 	hbCheck chan struct{}
@@ -404,9 +400,6 @@ func New(tr transport.Transport, cfg Config) *Node {
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 2 * time.Second
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = time.Second
-	}
 	if cfg.HeartbeatTimeout == 0 {
 		cfg.HeartbeatTimeout = 10 * time.Second
 	}
@@ -428,9 +421,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		ctl:     make(chan func()),
 		done:    make(chan struct{}),
 		sy:      newSyncState(cfg.NLocks, tr.N()),
-
-		lastHeard: make([]int64, tr.N()),
-		hbCheck:   make(chan struct{}, 1),
+		hbCheck: make(chan struct{}, 1),
 	}
 	n.lobs, _ = cfg.Observer.(LiveObserver)
 	rc := &n.cfg.Recover
@@ -470,14 +461,6 @@ func New(tr transport.Transport, cfg Config) *Node {
 		// for: node 0 votes alone and commits without a round trip.
 		voters = []int{0}
 	}
-	// The election timeout rides the failure-detection budget: well
-	// under the heartbeat timeout, so a failover completes before
-	// anyone's silence verdict could fire, but long enough that a busy
-	// leader's appends keep elections quiet.
-	et := n.cfg.HeartbeatTimeout / 4
-	if et < 100*time.Millisecond {
-		et = 100 * time.Millisecond
-	}
 	// Outbound consensus frames go through one buffered lane per peer,
 	// drained by a dedicated goroutine: a send to a dead peer can stall
 	// in the transport's dial retries for hundreds of milliseconds, and
@@ -504,7 +487,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		Self:            n.id,
 		N:               n.nn,
 		Voters:          voters,
-		ElectionTimeout: et,
+		ElectionTimeout: n.electionTimeout(),
 		Seed:            rc.Seed + int64(rc.Incarnation)*7919,
 		CompactEvery:    ce,
 		Send:            n.consensusSend,
@@ -538,6 +521,14 @@ func New(tr transport.Transport, cfg Config) *Node {
 	return n
 }
 
+// electionTimeout is the manager replica's. It rides the
+// failure-detection budget: well under the heartbeat timeout, so a
+// failover completes before anyone's silence verdict could fire, but
+// long enough that a busy leader's appends keep elections quiet.
+func (n *Node) electionTimeout() time.Duration {
+	return max(n.cfg.HeartbeatTimeout/4, 100*time.Millisecond)
+}
+
 // consensusSend enqueues one outbound consensus frame on its peer's
 // buffered lane. A full lane drops the frame — the replica's event loop
 // must never block on a stalled transport, and the protocol is
@@ -556,9 +547,8 @@ func (n *Node) consensusSend(to int, m *wire.Msg) {
 
 // Start registers the node's frame handler with the transport (frames
 // that arrived before are handed over first) and launches the dispatcher
-// goroutine, the manager replica, and the liveness machinery on clusters
-// of more than one node: every node beats a heartbeat at the manager
-// leader and sweeps for silent peers while it leads.
+// goroutine, the manager replica, and on clusters of more than one node
+// the liveness sweep, which judges silent peers while this node leads.
 func (n *Node) Start() {
 	n.wg.Add(1)
 	go n.dispatch()
@@ -587,54 +577,19 @@ func (n *Node) Start() {
 		<-n.done
 		n.mgr.rep.Stop()
 	}()
-	if n.nn < 2 {
-		return
-	}
-	now := time.Now().UnixNano()
-	for w := range n.lastHeard {
-		atomic.StoreInt64(&n.lastHeard[w], now)
-	}
-	if n.cfg.HeartbeatTimeout > 0 {
+	if n.nn > 1 && n.cfg.HeartbeatTimeout > 0 {
 		n.wg.Add(1)
 		go n.monitor()
 	}
-	n.wg.Add(1)
-	go n.heartbeat()
 }
 
-// heartbeat beats a periodic liveness beacon at the manager's current
-// leader, the liveness judge, until shutdown (a beacon to itself is
-// skipped while this node leads). Losses are tolerated: the judge's
-// timeout spans many intervals, so only sustained silence — a dead or
-// partitioned node — trips detection.
-func (n *Node) heartbeat() {
-	defer n.wg.Done()
-	tick := time.NewTicker(n.cfg.HeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			to := int(n.leaderHint.Load())
-			if to < 0 || to >= n.nn {
-				to = 0
-			}
-			if to == n.id {
-				continue
-			}
-			n.send(to, &wire.Msg{Kind: wire.KHeartbeat})
-			atomic.AddInt64(&n.stats.HeartbeatsSent, 1)
-		case <-n.done:
-			return
-		}
-	}
-}
-
-// monitor periodically wakes the dispatcher to sweep for silent peers;
-// the sweep itself runs on the dispatcher goroutine and only acts while
-// this node's replica leads.
+// monitor wakes the dispatcher to sweep for silent peers at the
+// leader's append cadence (consensus HeartbeatEvery's default), the
+// fastest a peer's stamp can move; the sweep itself runs on the
+// dispatcher goroutine and only acts while this node's replica leads.
 func (n *Node) monitor() {
 	defer n.wg.Done()
-	tick := time.NewTicker(n.cfg.HeartbeatInterval)
+	tick := time.NewTicker(n.electionTimeout() / 10)
 	defer tick.Stop()
 	for {
 		select {
@@ -1598,15 +1553,7 @@ func (n *Node) deliver(f transport.Frame) {
 	if len(m.Acks) > 0 {
 		n.retireAcks(int(m.From), m.Acks)
 	}
-	// Any frame proves its sender alive; the manager's liveness sweep
-	// reads these stamps.
-	if f.From >= 0 && f.From < n.nn {
-		atomic.StoreInt64(&n.lastHeard[f.From], time.Now().UnixNano())
-	}
 	switch m.Kind {
-	case wire.KHeartbeat:
-		atomic.AddInt64(&n.stats.HeartbeatsRecv, 1)
-		return // carries nothing beyond the liveness stamp
 	case wire.KVoteReq, wire.KVoteResp, wire.KAppend, wire.KAppendAck,
 		wire.KSnapInstall, wire.KSnapAck:
 		// Consensus traffic bypasses the dispatcher: the replica runs its

@@ -23,10 +23,10 @@ import (
 
 // flushGate wraps a transport and, on demand, holds back or drops the
 // frames of one kind its node sends — KWriteNotices unless a test sets
-// another.
+// another (setKind).
 type flushGate struct {
 	transport.Transport
-	kind wire.Kind
+	kind wire.Kind // guarded by mu: consensus frames cross every gate
 	// before, if set, runs on the sending goroutine ahead of every frame
 	// of the gated kind (set it before the nodes start).
 	before func()
@@ -46,7 +46,10 @@ type heldFlush struct {
 }
 
 func (g *flushGate) Send(to int, payload []byte) error {
-	if len(payload) > 1 && wire.Kind(payload[1]) == g.kind {
+	g.mu.Lock()
+	gated := len(payload) > 1 && wire.Kind(payload[1]) == g.kind
+	g.mu.Unlock()
+	if gated {
 		if g.before != nil {
 			g.before()
 		}
@@ -73,6 +76,13 @@ func (g *flushGate) Send(to int, payload []byte) error {
 		g.mu.Unlock()
 	}
 	return g.Transport.Send(to, payload)
+}
+
+// setKind gates frames of kind k from now on.
+func (g *flushGate) setKind(k wire.Kind) {
+	g.mu.Lock()
+	g.kind = k
+	g.mu.Unlock()
 }
 
 func (g *flushGate) hold() {
@@ -360,7 +370,7 @@ func TestLaneAcquireDuringSiblingPull(t *testing.T) {
 	nodes, gates, stop := startGated(t, sameCfg(onePage(2, core.LH), 3)...)
 	defer stop()
 	a, b := nodes[0], nodes[1]
-	gates[1].kind = wire.KDiffReq
+	gates[1].setKind(wire.KDiffReq)
 	gates[1].hold()
 	if v := b.ReadU64(0); v != 0 { // B caches the page before its lanes start
 		t.Fatalf("first read = %d, want 0", v)

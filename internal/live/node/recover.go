@@ -101,8 +101,9 @@ func (e *RollbackError) Error() string {
 
 // InterruptWorker unwinds this node's worker out of whatever it is doing
 // — including RPC waits — with err. The engine (frame handler,
-// dispatcher, heartbeat) keeps running; the worker panics out at its next shared
-// access or wait and the interrupt stays armed until ClearInterrupt.
+// dispatcher, manager replica) keeps running; the worker panics out at
+// its next shared access or wait and the interrupt stays armed until
+// ClearInterrupt.
 func (n *Node) InterruptWorker(err error) {
 	n.intrMu.Lock()
 	defer n.intrMu.Unlock()

@@ -72,11 +72,9 @@ type Stats struct {
 
 	// Robustness counters: the retransmission and failure-detection
 	// machinery's activity. All zero on a healthy network.
-	RPCRetries     int64 `json:"rpc_retries"`     // requests retransmitted after a silent backoff window (flush flights included)
-	DupRequests    int64 `json:"dup_requests"`    // retransmitted requests de-duplicated at this node
-	DupReplies     int64 `json:"dup_replies"`     // late/duplicate replies dropped (token already resolved)
-	HeartbeatsSent int64 `json:"heartbeats_sent"` // liveness beacons sent to the manager
-	HeartbeatsRecv int64 `json:"heartbeats_recv"` // beacons received (manager only)
+	RPCRetries  int64 `json:"rpc_retries"`  // requests retransmitted after a silent backoff window (flush flights included)
+	DupRequests int64 `json:"dup_requests"` // retransmitted requests de-duplicated at this node
+	DupReplies  int64 `json:"dup_replies"`  // late/duplicate replies dropped (token already resolved)
 	// FlushRetransmits is the share of RPCRetries spent on flush flights:
 	// KWriteNotices messages the retry timer resent for want of an ack.
 	FlushRetransmits int64 `json:"flush_retransmits"`

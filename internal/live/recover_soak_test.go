@@ -260,7 +260,6 @@ func TestRestartBudgetExhausted(t *testing.T) {
 	cfg := chaosConfig(4, core.LH, nil)
 	cfg.Net = transport.NewInprocNet(4)
 	cfg.RPCTimeout = 30 * time.Second
-	cfg.HeartbeatInterval = 25 * time.Millisecond
 	cfg.HeartbeatTimeout = 250 * time.Millisecond
 	pd, elapsed := runAppAborted(t, "jacobi", cfg, RecoverOptions{
 		MaxRestarts: 0,

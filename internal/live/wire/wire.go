@@ -22,9 +22,9 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed. Version 9
-// added Acks to the common header.
-const Version = 9
+// from a different build is rejected instead of misparsed. Version 10
+// deleted the heartbeat beacon kind, renumbering the kinds after it.
+const Version = 10
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -72,9 +72,6 @@ const (
 	// KBarDepart releases a node from a barrier with the merged vector
 	// time and the write notices it is missing.
 	KBarDepart
-	// KHeartbeat is a node's periodic liveness beacon to the manager
-	// leader.
-	KHeartbeat
 	// KAbort broadcasts a fatal cluster abort with a structured reason,
 	// stamped with the sender's consensus term so a deposed leader's
 	// stale verdict is fenced.
@@ -132,13 +129,15 @@ const (
 	// KVoteResp answers a vote request: Flag is 1 if the vote was
 	// granted in Term.
 	KVoteResp
-	// KAppend is the leader's append-entries/heartbeat: Entries extend
-	// the follower's log after the (LogIndex, LogTerm) match point, and
-	// Commit advertises the leader's commit frontier.
+	// KAppend is the leader's append-entries/heartbeat to every replica,
+	// non-voters included: Entries extend the follower's log after the
+	// (LogIndex, LogTerm) match point, and Commit advertises the
+	// leader's commit frontier.
 	KAppend
-	// KAppendAck answers an append: Flag is 1 on a match-point hit, and
-	// LogIndex carries the follower's last matching index (on success)
-	// or a back-up hint (on mismatch).
+	// KAppendAck answers an append, and is the sender's liveness stamp
+	// at the leader: Flag is 1 on a match-point hit, and LogIndex
+	// carries the follower's last matching index (on success) or a
+	// back-up hint (on mismatch).
 	KAppendAck
 	// KNotLeader is a replica's redirect reply to a manager RPC it
 	// cannot serve: Leader names the replica's current leader hint (-1
@@ -177,7 +176,7 @@ var kindNames = [...]string{
 	KWriteNotices: "write-notices", KAck: "ack",
 	KLockReq: "lock-req", KLockGrant: "lock-grant",
 	KBarArrive: "bar-arrive", KBarDepart: "bar-depart",
-	KHeartbeat: "heartbeat", KAbort: "abort",
+	KAbort:   "abort",
 	KJoinReq: "join-req", KJoinGrant: "join-grant",
 	KSnapReq: "snap-req", KSnapChunk: "snap-chunk", KSnapPush: "snap-push",
 	KResume: "resume", KCkptDone: "ckpt-done",
@@ -312,7 +311,6 @@ var fields = map[Kind]fieldSet{
 	KLockGrant:    {lock: true, vt: true, notices: true, diffs: true},
 	KBarArrive:    {barrier: true, vt: true, ival: true, attempt: true, episode: true, notices: true},
 	KBarDepart:    {barrier: true, episode: true, vt: true, notices: true},
-	KHeartbeat:    {},
 	KAbort:        {errstr: true, term: true},
 	KJoinReq:      {incarn: true, episode: true, attempt: true},
 	KJoinGrant:    {incarn: true, episode: true, vt: true, chunk: true},

@@ -45,7 +45,7 @@ func sampleMsgs() []*Msg {
 		{Kind: KBarArrive, From: 2, Token: 13, Barrier: 1, Episode: 7, VT: []int32{1, 1, 1, 1}, Notices: notices, Interval: ival},
 		{Kind: KBarArrive, From: 3, Token: 14, Barrier: 0, Episode: 8, VT: []int32{1, 1, 1, 2}}, // no interval, leaf
 		{Kind: KBarDepart, From: 0, Token: 13, Barrier: 1, Episode: 4, VT: []int32{2, 2, 2, 2}, Notices: notices},
-		{Kind: KHeartbeat, From: 2, Epoch: 3},
+		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14, Flag: 1}, // a learner's heartbeat ack
 		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
 		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Incarnation: 1, Episode: -1, Attempt: 1},
 		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Incarnation: 1, Episode: 4, VT: []int32{4, 4, 4, 4}, NChunks: 3},

@@ -34,8 +34,8 @@ func TestServeFailoverSoak(t *testing.T) {
 	cl, err := live.New(live.Config{
 		Nodes: nodes, Protocol: core.LH, RPCTimeout: 60 * time.Second,
 		RetryBase: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond,
-		HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 2 * time.Second,
-		Net: transport.NewInprocNet(nodes),
+		HeartbeatTimeout: 2 * time.Second,
+		Net:              transport.NewInprocNet(nodes),
 	})
 	if err != nil {
 		t.Fatal(err)
