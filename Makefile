@@ -114,7 +114,8 @@ chaos:
 # aborts run the same loop); then one seeded dsmd run that kills and
 # restarts a node on real sockets with frame faults in the mix, and one
 # 2-node run (node 0 the manager's only voter) that kills and restarts
-# node 1, result regions checked against a fault-free 1-node reference.
+# node 1 from on-disk stores in a fresh temporary directory, result
+# regions checked against a fault-free 1-node reference.
 recover:
 	$(GO) test -race -count=1 -timeout 300s \
 		-run 'TestRecovery|TestSupervisedExits|TestPartitionHealSupervised|TestRestartBudgetExhausted|TestIncarnationFencing|TestReplyCacheBounded|TestLivenessCountsVoters|TestNonVoterOutlivesLeaderChange|TestWorkerPanicSurfaces|TestPartitionAbortsFast' \
@@ -125,8 +126,10 @@ recover:
 	timeout 150 $(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
 		-recover -crash 2:2:5ms -chaos-seed 7 -drop 0.01 -dup 0.02 \
 		-retry 10ms -check -timeout 60s -deadline 120s
+	dir=$$(mktemp -d) && \
 	timeout 150 $(GO) run ./cmd/dsmd -app jacobi -nodes 2 -transport tcp -scale test \
-		-recover -crash 1:2:5ms -check -timeout 60s -deadline 120s
+		-recover -crash 1:2:5ms -ckpt-dir "$$dir" -check -timeout 60s -deadline 120s; \
+	status=$$?; rm -rf "$$dir"; exit $$status
 
 # failover: the replicated control plane's gate — the coordinator-kill
 # soaks (all four apps × {LI, LH} with node 0 — manager, barrier root,

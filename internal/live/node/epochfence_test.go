@@ -13,18 +13,18 @@ import (
 	"lrcdsm/internal/live/wire"
 )
 
-// TestReleaseKeepsTheEpochItWasBuiltIn: the root of a replicated-manager
-// cluster commits a flagged barrier episode on a helper goroutine, looks
-// at the recovery epoch one last time and fans the release out. A
-// rollback that lands between that look and a send must not get the
-// release through the fence of a child already reset to its checkpoint
-// ("release for barrier 0 episode 2 without a local arrival"), so every
-// copy carries the epoch the episode was built in, not the one current
-// when it is sent. Nodes 0 and 1 are real (a quorum of the three
-// replicas); node 2 is driven frame by frame. The supervisor's epoch bump
-// is played by the root's transport, on the root's own goroutine, right
-// after the first release frame is encoded: the frame to node 2 is the
-// next thing that goroutine sends.
+// TestReleaseKeepsTheEpochItWasBuiltIn: the root of a barrier episode —
+// a flagged one, which takes a checkpoint — fans the release out on its
+// dispatcher. A rollback that lands between two of those sends must not
+// get the release through the fence of a child already reset to its
+// checkpoint ("release for barrier 0 episode 2 without a local
+// arrival"), so every copy carries the epoch the episode was built in,
+// not the one current when it is sent. Nodes 0 and 1 are real; node 2 is
+// driven frame by frame. The supervisor's epoch bump is played by the
+// root's transport right after the first release frame is encoded: it
+// starts the bump on its own goroutine (the root's own bump waits for
+// the dispatcher that is sending), waits until node 1 is in the new
+// epoch, and lets the root go on to its frame to node 2.
 func TestReleaseKeepsTheEpochItWasBuiltIn(t *testing.T) {
 	const built, bumped = 1, 2
 	trs := transport.NewInprocNetwork(3)
@@ -32,9 +32,13 @@ func TestReleaseKeepsTheEpochItWasBuiltIn(t *testing.T) {
 	var bump sync.Once
 	gate := &flushGate{Transport: trs[0], kind: wire.KBarRelease, before: func() {
 		bump.Do(func() {
-			for _, nd := range nodes {
-				nd.SetEpoch(bumped)
-			}
+			peerBumped := make(chan struct{})
+			go func() {
+				nodes[1].SetEpoch(bumped)
+				close(peerBumped)
+				nodes[0].SetEpoch(bumped)
+			}()
+			<-peerBumped
 		})
 	}}
 	for i, tr := range []transport.Transport{gate, trs[1]} {

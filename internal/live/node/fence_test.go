@@ -47,7 +47,7 @@ func TestIncarnationFencing(t *testing.T) {
 		{"page-req", &wire.Msg{Kind: wire.KPageReq, Token: 4, Page: 0}},
 		{"write-notices", &wire.Msg{Kind: wire.KWriteNotices, Token: 5}},
 		{"append", &wire.Msg{Kind: wire.KAppend, Token: 6, Term: 1}},
-		{"join-req", &wire.Msg{Kind: wire.KJoinReq, Token: 7, Incarnation: 1}},
+		{"join-req", &wire.Msg{Kind: wire.KJoinReq, Token: 7}},
 		{"ckpt-done", &wire.Msg{Kind: wire.KCkptDone, Token: 8, Episode: 1}},
 	}
 	for i, tc := range stale {

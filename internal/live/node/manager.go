@@ -270,11 +270,6 @@ func (g *manager) handle(m *wire.Msg) {
 	case wire.KCkptDone:
 		// A node durably stored its snapshot for an episode.
 		g.ackOnCommit(m, encodeCkptDone(m.From, m.Episode))
-	case wire.KMgrSnap:
-		// The manager's half of a flagged barrier episode — its merged
-		// vector time — from the barrier root, which holds the episode's
-		// releases until this ack.
-		g.ackOnCommit(m, encodeMgrSnap(m.Episode, m.VT))
 	case wire.KConfChange:
 		g.confChange(m)
 	}
@@ -326,9 +321,7 @@ func (g *manager) redirect(m *wire.Msg) {
 
 // ---- command plumbing ----
 
-// applyCmd decodes and applies one committed command, then performs the
-// per-replica side effects that hang off it: persisting the manager's
-// half of a checkpoint to this replica's own store, and re-arming
+// applyCmd decodes and applies one committed command, then re-arms
 // leader-local serving state on reset/resume. Runs on the consensus
 // goroutine, on every replica, in log order.
 func (g *manager) applyCmd(cmd []byte) error {
@@ -340,11 +333,6 @@ func (g *manager) applyCmd(cmd []byte) error {
 		return err
 	}
 	switch c.op {
-	case opMgrSnap:
-		snap := &ckpt.ManagerSnapshot{Episode: c.episode, VT: append([]int32(nil), c.vt...)}
-		if err := g.n.cfg.Recover.Store.PutManager(snap); err != nil {
-			return fmt.Errorf("manager: storing checkpoint %d: %w", c.episode, err)
-		}
 	case opResume:
 		w := int(c.node)
 		g.cmu.Lock()
@@ -476,20 +464,18 @@ func (g *manager) snapPush(m *wire.Msg) {
 	}
 }
 
-// joinReq admits a restarted node: once its incarnation commits, the
-// grant names the checkpoint episode the cluster rolled back to, its
-// merged vector time, and — when this replica's store holds a copy of
-// the joiner's snapshot — how many chunks the joiner may stream with
-// KSnapReq if its own store is gone.
+// joinReq admits a restarted node. A noop is committed first as a read
+// barrier, so the grant reflects the rollback any previous leader
+// committed; it names the checkpoint episode the cluster rolled back to
+// and — when this replica's store holds a copy of the joiner's snapshot
+// — how many chunks the joiner may stream with KSnapReq if its own store
+// is gone.
 func (g *manager) joinReq(m *wire.Msg) {
 	w := int(m.From)
-	from, tok, inc := m.From, m.Token, m.Incarnation
-	g.rep.Propose(encodeJoin(m.From, inc), g.commitReply(from, func() *wire.Msg {
-		k, rvt := g.st.resumePoint()
-		reply := &wire.Msg{
-			Kind: wire.KJoinGrant, Token: tok,
-			Incarnation: inc, Episode: k, VT: rvt,
-		}
+	from, tok := m.From, m.Token
+	g.rep.Propose(nil, g.commitReply(from, func() *wire.Msg {
+		k := g.st.resumePoint()
+		reply := &wire.Msg{Kind: wire.KJoinGrant, Token: tok, Episode: k}
 		if k > 0 {
 			if snap, err := g.n.cfg.Recover.Store.GetNode(k, w); err == nil {
 				blob := ckpt.EncodeNode(snap)

@@ -7,16 +7,12 @@ import (
 )
 
 // sampleMstate is a three-node state with every field set: a
-// confirmation, an incarnation, a node mid-recovery, a resume point and
-// two flagged episodes.
+// confirmation, a node mid-recovery and a resume point.
 func sampleMstate(t testing.TB) *mstate {
 	s := newMstate(3)
 	for _, b := range [][]byte{
-		encodeMgrSnap(2, []int32{5, 6, 7}),
 		encodeCkptDone(1, 2),
-		encodeJoin(2, 9),
 		encodeReset(2, 2),
-		encodeMgrSnap(3, []int32{8, 9, -1}),
 	} {
 		c, err := decodeCmd(b)
 		if err != nil {
@@ -46,8 +42,6 @@ func TestMstateRejectsMalformed(t *testing.T) {
 		decode func([]byte) error
 	}{
 		{"ckpt-done", encodeCkptDone(1, 2), 1, cmd},
-		{"mgr-snap", encodeMgrSnap(2, []int32{5, 6, 7}), 1, cmd},
-		{"join", encodeJoin(2, 9), 1, cmd},
 		{"resume", encodeResume(1), 1, cmd},
 		{"reset", encodeReset(2, 2), 1, cmd},
 		{"state image", sampleMstate(t).encodeState(), 0, restore},

@@ -7,30 +7,19 @@ import (
 
 // mstateLog is a command history exercising every opcode, including the
 // duplications and re-applies a leader change produces: confirmations
-// arriving twice, a snapshot re-committed after a retry, a rollback
-// clamping confirmations, and enough snapshots to trigger pruning.
+// arriving twice, a rollback clamping confirmations, and the rejoin
+// that ends it.
 func mstateLog(nn int) [][]byte {
-	vt := func(base int32) []int32 {
-		v := make([]int32, nn)
-		for i := range v {
-			v[i] = base + int32(i)
-		}
-		return v
-	}
 	var log [][]byte
 	log = append(log, nil) // leader-change noop
 	for e := int64(1); e <= int64(keepCheckpoints)+2; e++ {
-		log = append(log, encodeMgrSnap(e, vt(int32(10*e))))
 		for w := 0; w < nn; w++ {
 			log = append(log, encodeCkptDone(int32(w), e))
 		}
-		// A retried proposal commits the same facts twice.
-		log = append(log, encodeMgrSnap(e, vt(int32(10*e))))
+		// A retried proposal commits the same fact twice.
 		log = append(log, encodeCkptDone(0, e))
 	}
-	log = append(log, encodeJoin(2, 7))
 	log = append(log, encodeReset(2, int64(keepCheckpoints)))
-	log = append(log, encodeJoin(2, 8))
 	log = append(log, encodeResume(2))
 	log = append(log, []byte{}) // empty = noop too
 	return log
@@ -70,8 +59,8 @@ func TestMstateReplicaDivergence(t *testing.T) {
 	}
 }
 
-// TestMstateEncodeRoundsStable re-encodes the same replica twice; map
-// iteration order must not leak into the bytes.
+// TestMstateEncodeRoundsStable re-encodes the same replica twice; the
+// image must be a function of the state alone.
 func TestMstateEncodeRoundsStable(t *testing.T) {
 	s := newMstate(4)
 	for _, raw := range mstateLog(4) {

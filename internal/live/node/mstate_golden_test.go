@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestMstateGoldenBytes pins the exact encoding of the five manager
+// TestMstateGoldenBytes pins the exact encoding of the three manager
 // commands and of the state image. Commands sit in the consensus log
 // and the image in its snapshots, so any change to these bytes is a
 // format change.
@@ -18,21 +18,12 @@ func TestMstateGoldenBytes(t *testing.T) {
 		want string
 		c    mcmd
 	}{
-		{"mgr-snap", encodeMgrSnap(2, []int32{5, 6, 7}),
-			"02" + "0200000000000000" + "03000000" + "05000000" + "06000000" + "07000000",
-			mcmd{op: opMgrSnap, episode: 2, vt: []int32{5, 6, 7}}},
 		{"ckpt-done", encodeCkptDone(1, 2),
 			"01" + "01000000" + "0200000000000000",
 			mcmd{op: opCkptDone, node: 1, episode: 2}},
-		{"join", encodeJoin(2, 9),
-			"03" + "02000000" + "09000000",
-			mcmd{op: opJoin, node: 2, inc: 9}},
 		{"reset", encodeReset(2, 2),
 			"05" + "02000000" + "0200000000000000",
 			mcmd{op: opReset, node: 2, episode: 2}},
-		{"mgr-snap-2", encodeMgrSnap(3, []int32{8, 9, -1}),
-			"02" + "0300000000000000" + "03000000" + "08000000" + "09000000" + "ffffffff",
-			mcmd{op: opMgrSnap, episode: 3, vt: []int32{8, 9, -1}}},
 		{"resume", encodeResume(1),
 			"04" + "01000000",
 			mcmd{op: opResume, node: 1}},
@@ -57,12 +48,8 @@ func TestMstateGoldenBytes(t *testing.T) {
 	want, _ := hex.DecodeString("" +
 		"03000000" + // nodes
 		"0000000000000000" + "0200000000000000" + "0000000000000000" + // confirmed
-		"00000000" + "00000000" + "09000000" + // incarnations
 		"000001" + // recovering
-		"0200000000000000" + "03000000" + "05000000" + "06000000" + "07000000" + // resume point
-		"02000000" + // flagged episodes
-		"0200000000000000" + "03000000" + "05000000" + "06000000" + "07000000" +
-		"0300000000000000" + "03000000" + "08000000" + "09000000" + "ffffffff")
+		"0200000000000000") // resume point
 	if !bytes.Equal(img, want) {
 		t.Errorf("state image encodes as\n%x\nwant\n%x", img, want)
 	}
@@ -72,5 +59,23 @@ func TestMstateGoldenBytes(t *testing.T) {
 	}
 	if got := r.encodeState(); !bytes.Equal(got, want) {
 		t.Errorf("restored state re-encodes as\n%x\nwant\n%x", got, want)
+	}
+}
+
+// TestMstateRetiredOpcodes: opcodes 2 and 3 (a flagged episode's merged
+// vector time, a join's incarnation) are retired. A log entry carrying
+// either, in the shape it used to have, is an unknown command.
+func TestMstateRetiredOpcodes(t *testing.T) {
+	for _, hexCmd := range []string{
+		"02" + "0200000000000000" + "03000000" + "05000000" + "06000000" + "07000000",
+		"03" + "02000000" + "09000000",
+	} {
+		b, _ := hex.DecodeString(hexCmd)
+		if c, err := decodeCmd(b); err == nil {
+			t.Errorf("retired command %s decodes as %+v", hexCmd, c)
+		}
+		if err := newMstate(3).apply(mcmd{op: b[0]}); err == nil {
+			t.Errorf("retired opcode %d applies", b[0])
+		}
 	}
 }

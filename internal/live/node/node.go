@@ -314,9 +314,7 @@ type Node struct {
 
 	// epoch is the cluster recovery epoch this engine currently belongs
 	// to; deliver and the dispatcher fence frames from other epochs.
-	// incarnation numbers this engine's restarts.
-	epoch       atomic.Uint32
-	incarnation uint32
+	epoch atomic.Uint32
 
 	// Worker interrupt: the supervisor arms it to roll every worker back
 	// for recovery. intrFlag is the fast path checked on every shared
@@ -432,7 +430,6 @@ func New(tr transport.Transport, cfg Config) *Node {
 		rc.Consensus = consensus.NewStable()
 	}
 	n.epoch.Store(rc.Epoch)
-	n.incarnation = rc.Incarnation
 	for ps := cfg.PageSize; ps > 1; ps >>= 1 {
 		n.pageShift++
 	}
@@ -1629,8 +1626,7 @@ func (n *Node) handle(m *wire.Msg) {
 		n.handleBarRelease(m)
 	case wire.KLogSegReq:
 		n.handleLogSegReq(m)
-	case wire.KJoinReq, wire.KSnapReq, wire.KSnapPush, wire.KResume, wire.KCkptDone, wire.KMgrSnap,
-		wire.KConfChange:
+	case wire.KJoinReq, wire.KSnapReq, wire.KSnapPush, wire.KResume, wire.KCkptDone, wire.KConfChange:
 		n.mgr.handle(m)
 	default:
 		n.fail(fmt.Errorf("node %d: unexpected request kind %v", n.id, m.Kind))

@@ -43,9 +43,9 @@ const keepCheckpoints = 4
 // that takes no checkpoints, in epoch 0, with a fresh in-memory store
 // and consensus slot.
 type RecoverConfig struct {
-	// Store receives this node's snapshots, the manager snapshots its
-	// replica applies and, while it leads, the peers' replicas
-	// (Replicate); nil selects a fresh in-memory one.
+	// Store receives this node's snapshots and, while its replica
+	// leads, the peers' replicas (Replicate); nil selects a fresh
+	// in-memory one.
 	Store ckpt.Store
 	// Every takes a checkpoint at each barrier episode divisible by it;
 	// non-positive takes none.
@@ -55,7 +55,8 @@ type RecoverConfig struct {
 	// still rejoin by pulling chunks from the leader.
 	Replicate bool
 	// Epoch is the cluster recovery epoch this engine starts in;
-	// Incarnation counts the node's restarts (0 for the original).
+	// Incarnation counts the node's restarts (0 for the original) and
+	// seeds its election timers apart from its previous incarnation's.
 	Epoch       uint32
 	Incarnation uint32
 	// OnPeerDown intercepts failure detection while this node's replica
@@ -513,13 +514,9 @@ func (n *Node) JoinCluster() (err error) {
 		}
 	}()
 	rc := &n.cfg.Recover
-	localBest := int64(-1)
-	if ep, ok := rc.Store.LatestNode(n.id); ok {
-		localBest = ep
-	}
 rejoin:
 	for {
-		grant := n.mgrRPC(&wire.Msg{Kind: wire.KJoinReq, Incarnation: n.incarnation, Episode: localBest})
+		grant := n.mgrRPC(&wire.Msg{Kind: wire.KJoinReq})
 		k := grant.Episode
 		var snap *ckpt.NodeSnapshot
 		if k > 0 {
@@ -551,7 +548,7 @@ rejoin:
 			}
 		}
 		n.ResetToCheckpoint(snap)
-		n.mgrRPC(&wire.Msg{Kind: wire.KResume, Incarnation: n.incarnation})
+		n.mgrRPC(&wire.Msg{Kind: wire.KResume})
 		n.BeginReplay(k)
 		return nil
 	}

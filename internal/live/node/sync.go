@@ -88,7 +88,9 @@ type syncState struct {
 
 	// Barrier tree state: the episode currently aggregating, the last
 	// released episode, and the retained release for re-serving
-	// duplicate arrivals that surface after it.
+	// duplicate arrivals that surface after it. relEpisode and
+	// lastRelease move together under Node.mu; lastRelease is nil only
+	// between a rollback and the first release after it.
 	bar         barAgg
 	relEpisode  int64
 	lastRelease *wire.Msg
@@ -625,17 +627,11 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 	sy := n.sy
 	if m.Episode <= sy.relEpisode {
 		// Already released: a lost release or a straggling retransmission.
-		// Re-serve the newest release — unless it is older than the
-		// arrival's episode, which happens at the root while a flagged
-		// episode's manager commit is still in flight (relEpisode has
-		// moved, lastRelease has not): serving the stale release would
-		// unblock the arriver with the previous episode's state. Drop and
-		// let the commit's own fan-out (or the next retransmission)
-		// deliver the right one.
+		// Re-serve the newest release (none yet right after a rollback).
 		rel := sy.lastRelease
 		n.mu.Unlock()
 		atomic.AddInt64(&n.stats.DupRequests, 1)
-		if rel == nil || rel.Episode < m.Episode {
+		if rel == nil {
 			return
 		}
 		if int(m.From) == n.id {
@@ -686,110 +682,29 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 		n.send(n.barParent(), agg)
 		return
 	}
-	// Root: the episode is complete across the cluster.
-	episode := b.episode
-	barrier := b.barrier
-	merged := b.vt.Clone()
-	notices := b.notices
+	// Root: the episode is complete across the cluster. A flagged
+	// episode releases like any other: each node snapshots its own share
+	// after departing, holding the merged vector time (DESIGN.md §11.1).
+	rel := &wire.Msg{Kind: wire.KBarRelease, Barrier: b.barrier, Episode: b.episode, VT: b.vt.Clone(), Notices: b.notices}
 	selfTok := b.arrived[int32(n.id)]
-	rel := &wire.Msg{Kind: wire.KBarRelease, Barrier: barrier, Episode: episode, VT: merged, Notices: notices}
-	sy.relEpisode = episode
+	sy.relEpisode = rel.Episode
+	sy.lastRelease = rel
 	sy.bar = barAgg{}
-	every := n.cfg.Recover.Every
-	flagged := every > 0 && episode%every == 0
-	if !flagged {
-		sy.lastRelease = rel
-		n.mu.Unlock()
-		n.fanRelease(rel, selfTok, m.Epoch)
-		return
-	}
-	// A flagged episode commits the root's half of the checkpoint — the
-	// episode number and merged vector time — before any release
-	// escapes: by the time a node can snapshot (after its depart) or
-	// confirm, the manager snapshot it pairs with exists on the quorum.
-	// lastRelease still names the previous episode meanwhile, so a
-	// duplicate arrival for this one is dropped instead of re-served
-	// early (see the stale-release path above).
 	n.mu.Unlock()
-	// The root (node 0) may not be the manager leader, and the
-	// dispatcher must not block on a quorum round-trip — a helper
-	// goroutine chases the leader with KMgrSnap and fans the releases
-	// out once the commit is acknowledged. A rollback that lands
-	// meanwhile supersedes the episode: the epoch moves and the sync
-	// plane resets, so the release is quietly abandoned — and one
-	// already past the check below still goes out under the epoch it
-	// was built in, so the children fence it.
-	startEpoch := m.Epoch
-	go func() {
-		for {
-			committed := func() (ok bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, isRun := r.(runError); !isRun {
-							panic(r)
-						}
-						// Interrupted, timed out (e.g. a partition outlasting
-						// the RPC deadline) or shut down mid-chase: report
-						// failure and let the loop decide whether the episode
-						// is still worth chasing.
-						ok = false
-					}
-				}()
-				n.mgrRPC(&wire.Msg{Kind: wire.KMgrSnap, Episode: episode, VT: merged})
-				return true
-			}()
-			superseded := func() bool {
-				select {
-				case <-n.done:
-					return true
-				default:
-				}
-				if n.epoch.Load() != startEpoch {
-					return true
-				}
-				n.mu.Lock()
-				defer n.mu.Unlock()
-				return n.sy.relEpisode != episode ||
-					(n.sy.lastRelease != nil && n.sy.lastRelease.Episode >= episode)
-			}
-			if !committed {
-				if superseded() {
-					return
-				}
-				// Still the current episode: duplicate arrivals are dropped
-				// while lastRelease is nil, so nothing else will re-fire the
-				// commit — keep chasing until it lands or a rollback (or
-				// teardown) supersedes the episode.
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			n.mu.Lock()
-			if n.epoch.Load() != startEpoch || n.sy.relEpisode != episode ||
-				(n.sy.lastRelease != nil && n.sy.lastRelease.Episode >= episode) {
-				n.mu.Unlock()
-				return
-			}
-			n.sy.lastRelease = rel
-			n.mu.Unlock()
-			n.fanRelease(rel, selfTok, startEpoch)
-			return
-		}
-	}()
+	n.fanRelease(rel, selfTok)
 }
 
-// fanRelease sends a completed episode's release to the root's
-// children and the local worker's synthesized depart, stamped with the
-// recovery epoch of the arrivals it was built from: a rollback can land
-// between the caller's last look at the epoch and these sends, and a
-// release stamped at send time would then pass the fence of a child
-// already reset to its checkpoint. Call without Node.mu held, after
-// publishing lastRelease under it.
-func (n *Node) fanRelease(rel *wire.Msg, selfTok int64, epoch uint32) {
+// fanRelease sends a completed episode's release to this node's
+// children and the local worker's synthesized depart. Call on the
+// dispatcher without Node.mu held, after publishing lastRelease under
+// it: the recovery epoch only moves between two dispatcher turns (see
+// SetEpoch), so every copy carries the epoch the episode was built in.
+func (n *Node) fanRelease(rel *wire.Msg, selfTok int64) {
 	for _, c := range n.barChildren() {
 		cp := *rel
-		n.sendEpoch(c, &cp, epoch)
+		n.send(c, &cp)
 	}
-	n.sendEpoch(n.id, departFrom(rel, selfTok), epoch)
+	n.send(n.id, departFrom(rel, selfTok))
 }
 
 // handleBarRelease fans a completed episode down: remember it for
@@ -814,11 +729,7 @@ func (n *Node) handleBarRelease(m *wire.Msg) {
 	sy.lastRelease = m
 	sy.bar = barAgg{}
 	n.mu.Unlock()
-	for _, c := range n.barChildren() {
-		cp := *m
-		n.send(c, &cp)
-	}
-	n.send(n.id, departFrom(m, selfTok))
+	n.fanRelease(m, selfTok)
 }
 
 // departFrom synthesizes the local worker's departure reply from a

@@ -12,7 +12,6 @@ import (
 // and total.
 const (
 	nodeMagic    = "LRCN"
-	managerMagic = "LRCM"
 	codecVersion = 1
 )
 
@@ -23,7 +22,9 @@ const MaxSnapshot = 1 << 30
 // EncodeNode serializes a node snapshot into a fresh, exactly sized
 // buffer.
 func EncodeNode(s *NodeSnapshot) []byte {
-	w := newWriter(nodeSize(s), nodeMagic)
+	w := codec.Writer{B: make([]byte, 0, nodeSize(s))}
+	w.B = append(w.B, nodeMagic...)
+	w.U32(codecVersion)
 	w.I64(s.Episode)
 	w.I32(s.Node)
 	w.I32s(s.VT)
@@ -51,9 +52,15 @@ func nodeSize(s *NodeSnapshot) int {
 // b: the caller hands the buffer over with it (decoding one buffer more
 // than once is fine, the snapshots share it read-only).
 func DecodeNode(b []byte) (*NodeSnapshot, error) {
-	r, err := newReader(b, nodeMagic)
-	if err != nil {
-		return nil, err
+	if len(b) > MaxSnapshot {
+		return nil, fmt.Errorf("recover: snapshot of %d bytes exceeds bound", len(b))
+	}
+	if len(b) < len(nodeMagic) || string(b[:len(nodeMagic)]) != nodeMagic {
+		return nil, fmt.Errorf("recover: bad snapshot magic")
+	}
+	r := codec.NewReader(b[len(nodeMagic):], "recover: snapshot")
+	if v := r.U32(); r.Err() == nil && v != codecVersion {
+		return nil, fmt.Errorf("recover: unknown snapshot version %d", v)
 	}
 	s := &NodeSnapshot{}
 	s.Episode = r.I64()
@@ -71,79 +78,4 @@ func DecodeNode(b []byte) (*NodeSnapshot, error) {
 		s.Pages = append(s.Pages, p)
 	}
 	return s, r.Done()
-}
-
-// EncodeManager serializes a manager snapshot.
-func EncodeManager(s *ManagerSnapshot) []byte {
-	w := newWriter(256, managerMagic)
-	w.I64(s.Episode)
-	w.I32s(s.VT)
-	w.U32(uint32(len(s.LockVT)))
-	for _, vt := range s.LockVT {
-		w.Bool(vt != nil)
-		if vt != nil {
-			w.I32s(vt)
-		}
-	}
-	w.U32(uint32(len(s.Log)))
-	for _, recs := range s.Log {
-		w.U32(uint32(len(recs)))
-		for _, rec := range recs {
-			w.I32s(rec.Pages)
-		}
-	}
-	return w.B
-}
-
-// DecodeManager parses a manager snapshot.
-func DecodeManager(b []byte) (*ManagerSnapshot, error) {
-	r, err := newReader(b, managerMagic)
-	if err != nil {
-		return nil, err
-	}
-	s := &ManagerSnapshot{}
-	s.Episode = r.I64()
-	s.VT = r.I32s()
-	nl := r.Count(1)
-	for i := 0; i < nl && r.Err() == nil; i++ {
-		var vt []int32
-		if r.Bool() {
-			vt = r.I32s()
-		}
-		s.LockVT = append(s.LockVT, vt)
-	}
-	nw := r.Count(4)
-	for w := 0; w < nw && r.Err() == nil; w++ {
-		ni := r.Count(4)
-		recs := make([]LogRec, 0, ni)
-		for i := 0; i < ni && r.Err() == nil; i++ {
-			recs = append(recs, LogRec{Pages: r.I32s()})
-		}
-		s.Log = append(s.Log, recs)
-	}
-	return s, r.Done()
-}
-
-// newWriter starts an encoding of capacity n with its magic and version.
-func newWriter(n int, magic string) codec.Writer {
-	w := codec.Writer{B: make([]byte, 0, n)}
-	w.B = append(w.B, magic...)
-	w.U32(codecVersion)
-	return w
-}
-
-// newReader checks b's size, magic and version and returns a reader over
-// the fields behind them.
-func newReader(b []byte, magic string) (codec.Reader, error) {
-	if len(b) > MaxSnapshot {
-		return codec.Reader{}, fmt.Errorf("recover: snapshot of %d bytes exceeds bound", len(b))
-	}
-	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		return codec.Reader{}, fmt.Errorf("recover: bad snapshot magic")
-	}
-	r := codec.NewReader(b[len(magic):], "recover: snapshot")
-	if v := r.U32(); r.Err() == nil && v != codecVersion {
-		return r, fmt.Errorf("recover: unknown snapshot version %d", v)
-	}
-	return r, r.Err()
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// DirStore is an on-disk Store: one file per snapshot under a
-// directory, named ep<episode>-node<k>.ckpt / ep<episode>-mgr.ckpt.
+// DirStore is an on-disk Store: one file per node snapshot under a
+// directory, named ep<episode>-node<k>.ckpt.
 // Writes go through a temp file and rename, so a crash mid-write never
 // leaves a truncated snapshot behind a valid name.
 type DirStore struct {
@@ -27,10 +26,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 
 func (st *DirStore) nodePath(episode int64, node int) string {
 	return filepath.Join(st.dir, fmt.Sprintf("ep%d-node%d.ckpt", episode, node))
-}
-
-func (st *DirStore) mgrPath(episode int64) string {
-	return filepath.Join(st.dir, fmt.Sprintf("ep%d-mgr.ckpt", episode))
 }
 
 // write stores b under path through a temp file of its own: a killed
@@ -73,43 +68,14 @@ func (st *DirStore) GetNode(episode int64, node int) (*NodeSnapshot, error) {
 	return DecodeNode(b)
 }
 
-// LatestNode implements Store.
-func (st *DirStore) LatestNode(node int) (int64, bool) {
-	best, ok := int64(0), false
-	for _, ep := range st.episodes() {
-		if _, err := os.Stat(st.nodePath(ep, node)); err == nil && (!ok || ep > best) {
-			best, ok = ep, true
-		}
-	}
-	return best, ok
-}
-
-// PutManager implements Store.
-func (st *DirStore) PutManager(s *ManagerSnapshot) error {
-	return st.write(st.mgrPath(s.Episode), EncodeManager(s))
-}
-
-// GetManager implements Store.
-func (st *DirStore) GetManager(episode int64) (*ManagerSnapshot, error) {
-	b, err := os.ReadFile(st.mgrPath(episode))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: episode %d manager", ErrNotFound, episode)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("recover: %w", err)
-	}
-	return DecodeManager(b)
-}
-
 // Prune implements Store.
 func (st *DirStore) Prune(keep int) error {
-	eps := st.episodes()
-	sort.Slice(eps, func(i, j int) bool { return eps[i] > eps[j] })
-	if len(eps) <= keep {
+	old := dropList(st.episodes(), keep)
+	if len(old) == 0 {
 		return nil
 	}
 	drop := make(map[int64]bool)
-	for _, ep := range eps[keep:] {
+	for _, ep := range old {
 		drop[ep] = true
 	}
 	ents, err := os.ReadDir(st.dir)

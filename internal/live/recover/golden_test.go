@@ -20,12 +20,6 @@ func TestGoldenBytes(t *testing.T) {
 			{Page: 9},
 		},
 	}
-	ms := &ManagerSnapshot{
-		Episode: 6,
-		VT:      []int32{1, 2},
-		LockVT:  [][]int32{nil, {3, 4}},
-		Log:     [][]LogRec{{{Pages: []int32{7}}, {}}, {}},
-	}
 	for _, tc := range []struct {
 		name   string
 		got    []byte
@@ -41,15 +35,6 @@ func TestGoldenBytes(t *testing.T) {
 			"04000000" + "04000000" + "deadbeef" + "03000000" + "01000000" + "00000000" + "ffffffff" +
 			"09000000" + "00000000" + "00000000",
 			func(b []byte) (any, error) { return DecodeNode(b) }, ns},
-		{"manager", EncodeManager(ms), "" +
-			"4c52434d" + "01000000" + // magic, version
-			"0600000000000000" + // episode
-			"02000000" + "01000000" + "02000000" + // VT
-			"02000000" + "00" + "01" + "02000000" + "03000000" + "04000000" + // LockVT
-			"02000000" + // log rows
-			"02000000" + "01000000" + "07000000" + "00000000" +
-			"00000000",
-			func(b []byte) (any, error) { return DecodeManager(b) }, ms},
 	} {
 		want, _ := hex.DecodeString(tc.want)
 		if !bytes.Equal(tc.got, want) {

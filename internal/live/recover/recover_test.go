@@ -20,20 +20,6 @@ func sampleNode(ep int64, node int32) *NodeSnapshot {
 	}
 }
 
-func sampleManager(ep int64) *ManagerSnapshot {
-	return &ManagerSnapshot{
-		Episode: ep,
-		VT:      []int32{3, 1, 4, 1},
-		LockVT:  [][]int32{nil, {2, 0, 1, 0}, nil},
-		Log: [][]LogRec{
-			{{Pages: []int32{0, 1}}, {Pages: []int32{2}}},
-			{},
-			{{Pages: nil}},
-			{{Pages: []int32{5}}},
-		},
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	ns := sampleNode(4, 2)
 	got, err := DecodeNode(EncodeNode(ns))
@@ -43,52 +29,21 @@ func TestCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(ns, got) {
 		t.Errorf("node snapshot round trip mismatch:\n got %+v\nwant %+v", got, ns)
 	}
-	ms := sampleManager(4)
-	gotM, err := DecodeManager(EncodeManager(ms))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty Log rows decode as empty (not nil) only when allocated; accept
-	// structural equality after normalizing nils.
-	if gotM.Episode != ms.Episode || !reflect.DeepEqual(gotM.VT, ms.VT) || !reflect.DeepEqual(gotM.LockVT, ms.LockVT) {
-		t.Errorf("manager snapshot round trip mismatch:\n got %+v\nwant %+v", gotM, ms)
-	}
-	if len(gotM.Log) != len(ms.Log) {
-		t.Fatalf("log rows = %d, want %d", len(gotM.Log), len(ms.Log))
-	}
-	for w := range ms.Log {
-		if len(gotM.Log[w]) != len(ms.Log[w]) {
-			t.Fatalf("log[%d] = %d recs, want %d", w, len(gotM.Log[w]), len(ms.Log[w]))
-		}
-		for i := range ms.Log[w] {
-			if !reflect.DeepEqual(gotM.Log[w][i].Pages, ms.Log[w][i].Pages) {
-				t.Errorf("log[%d][%d] = %v, want %v", w, i, gotM.Log[w][i].Pages, ms.Log[w][i].Pages)
-			}
-		}
-	}
 }
 
 func TestCodecRejectsMalformed(t *testing.T) {
 	nb := EncodeNode(sampleNode(1, 0))
-	mb := EncodeManager(sampleManager(1))
 	for i := 0; i < len(nb); i++ {
 		if _, err := DecodeNode(nb[:i]); err == nil {
 			t.Fatalf("truncated node snapshot (%d/%d bytes) decoded", i, len(nb))
 		}
 	}
-	for i := 0; i < len(mb); i++ {
-		if _, err := DecodeManager(mb[:i]); err == nil {
-			t.Fatalf("truncated manager snapshot (%d/%d bytes) decoded", i, len(mb))
-		}
-	}
 	if _, err := DecodeNode(append(nb, 0)); err == nil {
 		t.Error("node snapshot with trailing byte decoded")
 	}
-	if _, err := DecodeManager(append(mb, 0)); err == nil {
-		t.Error("manager snapshot with trailing byte decoded")
-	}
-	if _, err := DecodeNode(mb); err == nil {
-		t.Error("manager bytes decoded as node snapshot")
+	foreign := append([]byte("LRCX"), nb[4:]...)
+	if _, err := DecodeNode(foreign); err == nil {
+		t.Error("bytes under another magic decoded as node snapshot")
 	}
 	bad := append([]byte(nil), nb...)
 	bad[4] = 99 // version
@@ -104,21 +59,12 @@ func storeContract(t *testing.T, st Store) {
 	if _, err := st.GetNode(1, 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty store GetNode err = %v, want ErrNotFound", err)
 	}
-	if _, err := st.GetManager(1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("empty store GetManager err = %v, want ErrNotFound", err)
-	}
-	if _, ok := st.LatestNode(0); ok {
-		t.Fatal("empty store claims a latest episode")
-	}
 
 	for _, ep := range []int64{2, 4, 6} {
 		for n := int32(0); n < 3; n++ {
 			if err := st.PutNode(sampleNode(ep, n)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := st.PutManager(sampleManager(ep)); err != nil {
-			t.Fatal(err)
 		}
 	}
 
@@ -153,11 +99,8 @@ func storeContract(t *testing.T, st Store) {
 		t.Errorf("GetNode(4,2) changed after its pages were put again: %+v", still)
 	}
 
-	if ep, ok := st.LatestNode(1); !ok || ep != 6 {
-		t.Errorf("LatestNode(1) = %d,%v want 6,true", ep, ok)
-	}
-	if _, err := st.GetManager(6); err != nil {
-		t.Errorf("GetManager(6): %v", err)
+	if got, err := st.GetNode(6, 1); err != nil || !reflect.DeepEqual(got, sampleNode(6, 1)) {
+		t.Errorf("GetNode(6,1) = %+v, %v", got, err)
 	}
 
 	if err := st.Prune(3); err != nil {
@@ -165,9 +108,6 @@ func storeContract(t *testing.T, st Store) {
 	}
 	if _, err := st.GetNode(2, 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("pruned episode 2 still present (err %v)", err)
-	}
-	if _, err := st.GetManager(2); !errors.Is(err, ErrNotFound) {
-		t.Errorf("pruned manager episode 2 still present (err %v)", err)
 	}
 	if _, err := st.GetNode(4, 1); err != nil {
 		t.Errorf("kept episode 4 missing after prune: %v", err)
@@ -208,11 +148,8 @@ func storeConcurrent(t *testing.T, st Store) {
 		go func(n int32) {
 			defer wg.Done()
 			for i := 0; i < 4*episodes; i++ {
-				ep, ok := st.LatestNode(int(n))
-				if !ok {
-					continue
-				}
-				// A concurrent Prune may have dropped ep since.
+				// Not stored yet, or dropped by a concurrent Prune.
+				ep := int64(i%episodes + 1)
 				s, err := st.GetNode(ep, int(n))
 				if errors.Is(err, ErrNotFound) {
 					continue
@@ -230,8 +167,8 @@ func storeConcurrent(t *testing.T, st Store) {
 	}
 	wg.Wait()
 	for n := 0; n < nodes; n++ {
-		if ep, ok := st.LatestNode(n); !ok || ep != episodes {
-			t.Errorf("LatestNode(%d) = %d,%v want %d,true", n, ep, ok, episodes)
+		if s, err := st.GetNode(episodes, n); err != nil || s.Episode != episodes || s.Node != int32(n) {
+			t.Errorf("GetNode(%d,%d) = %+v, %v", episodes, n, s, err)
 		}
 	}
 }
@@ -260,7 +197,7 @@ func TestDirStoreSameSnapshotTwice(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if err := st.PutManager(sampleManager(2)); err != nil {
+				if err := st.PutNode(sampleNode(2, 1)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -268,8 +205,8 @@ func TestDirStoreSameSnapshotTwice(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, err := st.GetManager(2); err != nil || !reflect.DeepEqual(got, sampleManager(2)) {
-		t.Fatalf("GetManager(2) = %+v, %v", got, err)
+	if got, err := st.GetNode(2, 1); err != nil || !reflect.DeepEqual(got, sampleNode(2, 1)) {
+		t.Fatalf("GetNode(2,1) = %+v, %v", got, err)
 	}
 }
 
@@ -353,9 +290,6 @@ func TestDirStorePersistence(t *testing.T) {
 	st2, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ep, ok := st2.LatestNode(1); !ok || ep != 8 {
-		t.Fatalf("reopened LatestNode = %d,%v want 8,true", ep, ok)
 	}
 	got, err := st2.GetNode(8, 1)
 	if err != nil {

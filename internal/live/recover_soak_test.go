@@ -3,6 +3,8 @@ package live
 import (
 	"errors"
 	"fmt"
+	"os"
+	"regexp"
 	"testing"
 	"time"
 
@@ -190,11 +192,15 @@ func TestRecoveryLostStore(t *testing.T) {
 
 // TestRecoveryDirStore runs one crash-recovery cycle with on-disk
 // checkpoint stores, proving the serialized snapshot round-trips through
-// a real filesystem during recovery.
+// a real filesystem during recovery. A checkpoint is nothing but the
+// nodes' own snapshots: without replication each store directory holds
+// only its node's ep<k>-node<i>.ckpt files.
 func TestRecoveryDirStore(t *testing.T) {
 	stores := make([]ckpt.Store, 4)
+	dirs := make([]string, len(stores))
 	for i := range stores {
-		s, err := ckpt.NewDirStore(t.TempDir())
+		dirs[i] = t.TempDir()
+		s, err := ckpt.NewDirStore(dirs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,6 +216,21 @@ func TestRecoveryDirStore(t *testing.T) {
 		Crashes:         []Crash{{Node: 1, At: AtRelease, N: 3}},
 	})
 	compareToReference(t, "jacobi", core.LI, got)
+	for i, dir := range dirs {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := regexp.MustCompile(fmt.Sprintf(`^ep[0-9]+-node%d\.ckpt$`, i))
+		for _, e := range ents {
+			if !own.MatchString(e.Name()) {
+				t.Errorf("node %d's store holds %s, want only ep<k>-node%d.ckpt files", i, e.Name(), i)
+			}
+		}
+		if len(ents) == 0 {
+			t.Errorf("node %d's store is empty", i)
+		}
+	}
 }
 
 // TestRecoveryLockHomeCrash kills node 1 — the home of tsp's min-cost

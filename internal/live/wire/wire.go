@@ -22,9 +22,10 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed. Version 10
-// deleted the heartbeat beacon kind, renumbering the kinds after it.
-const Version = 10
+// from a different build is rejected instead of misparsed. Version 11
+// deleted the manager-snapshot kind, renumbering the kinds after it, and
+// the join handshake's unread incarnation, episode and vector time.
+const Version = 11
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -79,13 +80,11 @@ const (
 
 	// Recovery: a restarted node's rejoin and checkpoint replication.
 
-	// KJoinReq is a restarted node's request to rejoin the cluster,
-	// carrying its new incarnation number and the newest checkpoint
-	// episode it holds locally (-1 for none).
+	// KJoinReq is a restarted node's request to rejoin the cluster.
 	KJoinReq
 	// KJoinGrant admits a joiner: the checkpoint episode the cluster
-	// resumed from, its merged vector time, and how many snapshot chunks
-	// the manager's replica can stream if the joiner's store is blank.
+	// resumed from, and how many snapshot chunks the manager's replica
+	// can stream if the joiner's store is blank.
 	KJoinGrant
 	// KSnapReq asks the manager's replica for one chunk of the joiner's
 	// checkpoint.
@@ -143,10 +142,6 @@ const (
 	// cannot serve: Leader names the replica's current leader hint (-1
 	// for unknown) so the client can re-resolve and retry.
 	KNotLeader
-	// KMgrSnap proposes a barrier episode's merged vector time to the
-	// leader for quorum commit; the barrier root may not be the leader,
-	// so the snapshot travels as an RPC before releases fan out.
-	KMgrSnap
 	// KSnapInstall streams one chunk of the leader's consensus snapshot
 	// — the compacted committed prefix, folded into an encoded state
 	// image — to a replica too far behind its truncated log: LogIndex
@@ -184,7 +179,7 @@ var kindNames = [...]string{
 	KLogSegReq: "log-seg-req", KLogSegResp: "log-seg-resp",
 	KVoteReq: "vote-req", KVoteResp: "vote-resp",
 	KAppend: "append", KAppendAck: "append-ack",
-	KNotLeader: "not-leader", KMgrSnap: "mgr-snap",
+	KNotLeader:   "not-leader",
 	KSnapInstall: "snap-install", KSnapAck: "snap-ack",
 	KConfChange: "conf-change", KConfAck: "conf-ack",
 }
@@ -250,10 +245,6 @@ type Msg struct {
 	// it sends the writer. Senders attach them with EncodeAcks.
 	Acks []int64
 
-	// Incarnation numbers a node's restarts (0 for the original engine);
-	// the manager authenticates join/resume requests against it.
-	Incarnation uint32
-
 	Lock    int32
 	Barrier int32
 	Episode int64
@@ -291,7 +282,6 @@ type fieldSet struct {
 	vt, data, diffs, notices, ival bool
 	attempt                        bool // retryable request kinds
 	errstr                         bool
-	incarn                         bool
 	chunk                          bool // Chunk + NChunks pair
 	reqfrom                        bool
 	seg                            bool // Lo + Hi pair
@@ -312,12 +302,12 @@ var fields = map[Kind]fieldSet{
 	KBarArrive:    {barrier: true, vt: true, ival: true, attempt: true, episode: true, notices: true},
 	KBarDepart:    {barrier: true, episode: true, vt: true, notices: true},
 	KAbort:        {errstr: true, term: true},
-	KJoinReq:      {incarn: true, episode: true, attempt: true},
-	KJoinGrant:    {incarn: true, episode: true, vt: true, chunk: true},
+	KJoinReq:      {attempt: true},
+	KJoinGrant:    {episode: true, chunk: true},
 	KSnapReq:      {episode: true, chunk: true, attempt: true},
 	KSnapChunk:    {episode: true, pg: true, chunk: true, vt: true, data: true},
 	KSnapPush:     {episode: true, pg: true, chunk: true, vt: true, data: true, attempt: true},
-	KResume:       {incarn: true, episode: true, attempt: true},
+	KResume:       {attempt: true},
 	KCkptDone:     {episode: true, attempt: true},
 	KLockForward:  {lock: true, reqfrom: true, vt: true},
 	KBarRelease:   {barrier: true, episode: true, vt: true, notices: true},
@@ -328,7 +318,6 @@ var fields = map[Kind]fieldSet{
 	KAppend:       {term: true, logidx: true, logterm: true, commit: true, entries: true},
 	KAppendAck:    {term: true, logidx: true, flag: true},
 	KNotLeader:    {term: true, leader: true},
-	KMgrSnap:      {episode: true, vt: true, attempt: true},
 	KSnapInstall:  {term: true, logidx: true, logterm: true, chunk: true, data: true},
 	KSnapAck:      {term: true, logidx: true, chunk: true, flag: true},
 	KConfChange:   {flag: true, reqfrom: true, attempt: true},
@@ -359,9 +348,6 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 	}
 	if fs.attempt {
 		w.U8(m.Attempt)
-	}
-	if fs.incarn {
-		w.U32(m.Incarnation)
 	}
 	if fs.chunk {
 		w.I32(m.Chunk)
@@ -477,9 +463,6 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.attempt {
 		m.Attempt = r.U8()
-	}
-	if fs.incarn {
-		m.Incarnation = r.U32()
 	}
 	if fs.chunk {
 		m.Chunk = r.I32()

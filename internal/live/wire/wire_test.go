@@ -47,12 +47,12 @@ func sampleMsgs() []*Msg {
 		{Kind: KBarDepart, From: 0, Token: 13, Barrier: 1, Episode: 4, VT: []int32{2, 2, 2, 2}, Notices: notices},
 		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14, Flag: 1}, // a learner's heartbeat ack
 		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
-		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Incarnation: 1, Episode: -1, Attempt: 1},
-		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Incarnation: 1, Episode: 4, VT: []int32{4, 4, 4, 4}, NChunks: 3},
+		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Attempt: 1},
+		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, NChunks: 3},
 		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Chunk: 1},
 		{Kind: KSnapChunk, From: 0, Token: 2, Epoch: 2, Episode: 4, Page: 7, Chunk: 1, NChunks: 3, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)},
 		{Kind: KSnapPush, From: 1, Token: 5, Epoch: 1, Episode: 4, Page: 9, Chunk: 0, NChunks: 2, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}, Attempt: 2},
-		{Kind: KResume, From: 3, Token: 3, Epoch: 2, Incarnation: 1, Episode: 4},
+		{Kind: KResume, From: 3, Token: 3, Epoch: 2},
 		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
 		{Kind: KLockForward, From: 0, Token: 21, Epoch: 2, Lock: 12, ReqFrom: 3, VT: []int32{0, 1, 2, 3}},
 		{Kind: KBarRelease, From: 0, Token: 0, Epoch: 1, Barrier: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Notices: notices},
@@ -65,7 +65,6 @@ func sampleMsgs() []*Msg {
 		{Kind: KAppendAck, From: 2, Epoch: 1, Term: 5, LogIndex: 14, Flag: 1},
 		{Kind: KNotLeader, From: 2, Token: 31, Epoch: 1, Term: 5, Leader: 1},
 		{Kind: KNotLeader, From: 1, Token: 33, Epoch: 1, Term: 6, Leader: -1}, // election unsettled
-		{Kind: KMgrSnap, From: 0, Token: 32, Epoch: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Attempt: 1},
 		{Kind: KSnapInstall, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Chunk: 1, NChunks: 3, Data: bytes.Repeat([]byte{0xc3}, 64)},
 		{Kind: KSnapAck, From: 2, Epoch: 1, Term: 6, LogIndex: 512, Chunk: 2, NChunks: 3, Flag: 1},
 		{Kind: KConfChange, From: 3, Token: 40, Epoch: 2, Flag: 1, ReqFrom: 4, Attempt: 1},
