@@ -40,14 +40,16 @@ func failoverChecks(t *testing.T, stats *Stats) {
 }
 
 // coordinatorKill is each app's kill of node 0 at test scale on 4
-// nodes: jacobi's node 0 releases 4 times, water's 350, cholesky's
-// 56-200 (it also runs the manager). tsp's node 0 homes every page it reads and may dequeue no
-// task, so it may neither fault nor release; it dies at the cluster's
-// first page fault.
+// nodes: jacobi's node 0 releases 4 times and water's 350. tsp's node 0
+// homes every page it reads and may dequeue no task, so it may neither
+// fault nor release; cholesky's releases 42-710 times in 40 dsmd runs
+// per protocol, but only because another node may drain the task queue
+// just as well. Both die at the cluster's first page fault, which every
+// run reaches.
 var coordinatorKill = map[string]Crash{
 	"jacobi":   crashAt(0, AtRelease, 2),
 	"water":    crashAt(0, AtRelease, 100),
-	"cholesky": crashAt(0, AtRelease, 10),
+	"cholesky": crashAt(0, AtFault, 1),
 	"tsp":      crashAt(0, AtFault, 1),
 }
 

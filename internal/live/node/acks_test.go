@@ -162,24 +162,41 @@ func TestOwedAckStaysInItsEpoch(t *testing.T) {
 // TestLoneFlushAckedAtOnce, piece (b): a flush with nothing queued behind
 // it is acknowledged by a standalone ack as soon as the home's queue
 // runs dry — with no later traffic to ride and no retransmission (the
-// retry timer is an hour away) to prompt it.
+// retry timer is an hour away) to prompt it — whether the home's
+// dispatcher handled it or the writer's goroutine did, in place.
 func TestLoneFlushAckedAtOnce(t *testing.T) {
-	a, _, taps := startAckPair(t, nil)
-	msg := await(t, "the final flush", goWorker(func() {
-		a.Lock(0)
-		a.WriteU64(0, 7)
-		a.Unlock(0)
-		a.FinalFlush()
-	}))
-	if msg != "" {
-		t.Fatalf("writer unwound: %s", msg)
-	}
-	acks := taps[1].frames(wire.KAck)
-	if len(acks) != 1 || acks[0].Token != 0 || len(acks[0].Acks) != 1 {
-		t.Errorf("home sent acks %+v, want one standalone ack of one flush", acks)
-	}
-	if r := a.Stats().FlushRetransmits; r != 0 {
-		t.Errorf("%d flush retransmits", r)
+	for _, tc := range []struct {
+		name    string
+		inPlace bool
+		inline  int64 // requests handled in place
+	}{{"queued", false, 0}, {"in-place", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b, taps := startAckPair(t, nil)
+			turns := b.gen.Load()
+			a.Lock(0)
+			a.WriteU64(0, 7) // faults: a page request to the home's dispatcher
+			waitUntil(t, "the home's turn to end", func() bool { return b.gen.Load() > turns })
+			if !tc.inPlace {
+				blockDispatcher(t, b, 1)
+			}
+			msg := await(t, "the final flush", goWorker(func() {
+				a.Unlock(0)
+				a.FinalFlush()
+			}))
+			if msg != "" {
+				t.Fatalf("writer unwound: %s", msg)
+			}
+			acks := taps[1].frames(wire.KAck)
+			if len(acks) != 1 || acks[0].Token != 0 || len(acks[0].Acks) != 1 {
+				t.Errorf("home sent acks %+v, want one standalone ack of one flush", acks)
+			}
+			if r := a.Stats().FlushRetransmits; r != 0 {
+				t.Errorf("%d flush retransmits", r)
+			}
+			if got := b.Stats().InlineRequests; got != tc.inline {
+				t.Errorf("home handled %d requests in place, want %d", got, tc.inline)
+			}
+		})
 	}
 }
 

@@ -99,11 +99,17 @@ func await(t *testing.T, what string, out <-chan string) string {
 
 // TestBackoffParksUntilFrame: a worker polling a lock its node owns parks
 // instead of spinning, stays parked while nothing happens, and a peer's
-// acquire of that lock — one frame at the poller's dispatcher — wakes it.
+// acquire of that lock and its flush — frames handled in place on the
+// peer's goroutine — wake it. The peer fetches a copy of the page
+// first, and the poller's dispatcher finishes that turn before the poll
+// begins, so that no fault sends the dispatcher a request later on.
 func TestBackoffParksUntilFrame(t *testing.T) {
 	nodes := startIdle(t, 2)
 	a, b := nodes[0], nodes[1]
 	own(t, a)
+	turns := a.gen.Load()
+	b.ReadU64(0)
+	waitUntil(t, "the page request's turn to end", func() bool { return a.gen.Load() > turns })
 	out := goWorker(func() {
 		for {
 			a.Lock(0)
@@ -129,6 +135,9 @@ func TestBackoffParksUntilFrame(t *testing.T) {
 	}
 	if s := a.Stats(); s.BackoffParks != 1 || s.BackoffTimeouts != 0 {
 		t.Errorf("parks %d, backstop timeouts %d; want 1 park, ended by the frame", s.BackoffParks, s.BackoffTimeouts)
+	}
+	if a.Stats().InlineRequests == 0 {
+		t.Error("the peer's requests went through the poller's dispatcher, not in place")
 	}
 }
 

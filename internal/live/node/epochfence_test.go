@@ -116,37 +116,61 @@ func TestReleaseKeepsTheEpochItWasBuiltIn(t *testing.T) {
 	}
 }
 
-// TestSetEpochWaitsForTheDispatcher: a request the dispatcher is
-// handling when the supervisor bumps the epoch must finish in the old
-// epoch, or what it sends (a lock forward, a barrier aggregate) carries
-// the new one past its receiver's fence and lands on state that receiver
-// has already rolled back. The dispatcher is held inside a control
-// function; the bump must not return until it is free again.
+// TestSetEpochWaitsForTheDispatcher: a request being handled when the
+// supervisor bumps the epoch must finish in the old epoch, or what it
+// sends (a lock forward, a barrier aggregate) carries the new one past
+// its receiver's fence and lands on state that receiver has already
+// rolled back. The bump must not return while a turn is held: the
+// dispatcher's, held inside a control function, or an in-place one,
+// held by node 0's lock request whose grant the node's transport keeps
+// back. Piece: the dispatch turn around control functions.
 func TestSetEpochWaitsForTheDispatcher(t *testing.T) {
-	trs := transport.NewInprocNetwork(1)
-	cfg := onePage(0, core.LI)
-	cfg.Recover = node.RecoverConfig{
-		Store: ckpt.NewMemStore(), Every: 1, Epoch: 1,
-		Consensus: consensus.NewStable(), Seed: 1,
+	for _, tc := range []struct {
+		name    string
+		inPlace bool
+		inline  int64 // requests handled in place
+	}{{"control-function", false, 0}, {"in-place-handler", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs := transport.NewInprocNetwork(2)
+			busy, release := make(chan struct{}), make(chan struct{})
+			gate := &flushGate{Transport: trs[1], kind: wire.KLockGrant, before: func() {
+				close(busy)
+				<-release
+			}}
+			cfg := onePage(1, core.LI)
+			cfg.Recover = node.RecoverConfig{
+				Store: ckpt.NewMemStore(), Every: 1, Epoch: 1,
+				Consensus: consensus.NewStable(), Seed: 1,
+			}
+			nd := node.New(gate, cfg)
+			nd.Start()
+			defer func() {
+				nd.Close()
+				for _, tr := range trs {
+					tr.Close()
+				}
+				nd.Wait()
+			}()
+			if tc.inPlace {
+				req := &wire.Msg{Kind: wire.KLockReq, From: 0, Token: 1, Lock: 1, VT: make([]int32, 2), Epoch: 1}
+				go trs[0].Send(1, wire.Encode(req))
+			} else {
+				go nd.Control(func() { close(busy); <-release })
+			}
+			<-busy
+			bumped := make(chan struct{})
+			go func() { nd.SetEpoch(2); close(bumped) }()
+			select {
+			case <-bumped:
+				close(release)
+				t.Fatal("SetEpoch returned while a turn was still inside a handler")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			<-bumped
+			if got := nd.Stats().InlineRequests; got != tc.inline {
+				t.Errorf("%d requests handled in place, want %d", got, tc.inline)
+			}
+		})
 	}
-	nd := node.New(trs[0], cfg)
-	nd.Start()
-	defer func() {
-		nd.Close()
-		trs[0].Close()
-		nd.Wait()
-	}()
-	busy, release := make(chan struct{}), make(chan struct{})
-	go nd.Control(func() { close(busy); <-release })
-	<-busy
-	bumped := make(chan struct{})
-	go func() { nd.SetEpoch(2); close(bumped) }()
-	select {
-	case <-bumped:
-		close(release)
-		t.Fatal("SetEpoch returned while the dispatcher was still inside a handler")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	<-bumped
 }

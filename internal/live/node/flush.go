@@ -10,9 +10,9 @@ package node
 // is woken unless a worker is draining. An ack is a flush token in the
 // Acks header of whatever frame the home sends the writer next (most
 // often the grant for a lock request the writer queued behind its
-// flush), or of a standalone KAck when the home's dispatcher runs out of
-// work with acks still owed (see oweAck). Acks never cross a recovery
-// epoch: a restarted writer's tokens start again at 1. A home
+// flush), or of a standalone KAck when a turn at the home ends with
+// nothing queued and acks still owed (see oweAck). Acks never cross a
+// recovery epoch: a restarted writer's tokens start again at 1. A home
 // tracks one version per writer and page, so it must apply one writer's
 // diffs to a page in interval order even when an earlier flight is lost
 // or overtaken. The sender guarantees it: a flight also carries, ahead of
@@ -194,8 +194,9 @@ func (n *Node) takeAcks(w int, epoch uint32, dst []int64) []int64 {
 }
 
 // sendOwedAcks sends each writer still owed acks one standalone KAck
-// (Token 0) carrying them: after every dispatcher turn that leaves its
-// queue empty, and after the checkpoint capture's drain.
+// (Token 0) carrying them: after every turn, the dispatcher's or an
+// in-place one, that leaves the queue empty, and after the checkpoint
+// capture's drain.
 func (n *Node) sendOwedAcks() {
 	epoch := n.epoch.Load()
 	for w := range n.owing {

@@ -33,7 +33,9 @@
 // Inbound frames are handled where they land (deliver, the transport's
 // frame handler — a TCP connection's reader, an in-process sender):
 // replies go straight to their waiting requesters, the acks a frame
-// carries retire flush flights, requests join the dispatcher's queue.
+// carries retire flush flights, requests join the dispatcher's queue —
+// except an in-process lock request, forward or flush, which its
+// sender's goroutine handles in place while the dispatcher is idle.
 // Workers never hold the node mutex across a message wait, and only the
 // worker invalidates its own pages, so faults cannot race an
 // invalidation.
@@ -137,22 +139,23 @@ const (
 //
 //   - state only changes under Node.mu, and on a node whose worker runs
 //     lock-free only that worker takes a bit away (setState's callers), so
-//     the worker always sees its own latest store. The dispatcher sets
+//     the worker always sees its own latest store. A request handler
+//     (the dispatcher, or a sender's goroutine in place; see deliver) sets
 //     pageReadable at one site — homeRecordLocked, when the flush a home
 //     page was waiting for lands — after writing the data it publishes;
 //   - a page is readable only while its version (copyVT, homeVT on its
 //     home) covers need: applyNotices clears the bit in the critical
 //     section that raises need, and installPage, pullDiffs and
 //     homeRecordLocked set it only once the version has caught up;
-//   - the only other goroutine that touches a resident page is the
-//     dispatcher, under Node.mu and only on pages homed here. It reads
+//   - the only other goroutines that touch a resident page are the
+//     request handlers', under Node.mu and only on pages homed here. They read
 //     the committed view (committed): the twin in the dirty regions, data
 //     only outside them and only under a partial twin. The worker writes
 //     data lock-free only under a whole twin (dirty == page.Full, which
-//     pageWritable requires), so the dispatcher never reads what the
-//     worker is writing. Twin creation, region saves, MakeDiffMasked and
+//     pageWritable requires), so a handler never reads what the worker
+//     is writing. Twin creation, region saves, MakeDiffMasked and
 //     twin release stay under Node.mu;
-//   - the dispatcher stores into data at one site, homeRecordLocked
+//   - a handler stores into data at one site, homeRecordLocked
 //     applying a remote diff. For a data-race-free program that store and
 //     the worker's accesses to the same word are ordered through Node.mu,
 //     which every acquire and release takes. A deliberately racy read
@@ -294,7 +297,7 @@ type Node struct {
 	hitReads, hitWrites int64
 
 	// Poll parking (see Backoff); the last two are worker-private.
-	gen       atomic.Uint64 // dispatcher turns finished
+	gen       atomic.Uint64 // turns finished, the dispatcher's and in place
 	idle      atomic.Int32  // non-zero while the own worker is parked
 	wake      chan struct{} // one-token wake-up slot
 	heldLocks int           // the own worker's open Lock calls
@@ -328,7 +331,15 @@ type Node struct {
 	// manager state the supervisor must read and reset.
 	ctl chan func()
 
-	inq chan *wire.Msg
+	// inq is the dispatcher's request queue; queued counts the requests
+	// in it or being taken from it, raised before each enqueue and
+	// lowered once the request is handled. turn is the dispatch turn:
+	// the dispatcher holds it around every request, ctl function and
+	// liveness sweep, and an in-process request handled in place on its
+	// sender's goroutine holds it instead (deliver).
+	inq    chan *wire.Msg
+	queued atomic.Int32
+	turn   sync.Mutex
 
 	pmu     sync.Mutex
 	pending map[int64]chan *wire.Msg
@@ -1468,12 +1479,7 @@ func (n *Node) sendEpoch(to int, m *wire.Msg, epoch uint32) error {
 			n.routeReply(&mc)
 			return nil
 		}
-		select {
-		case n.inq <- &mc:
-			return nil
-		case <-n.done:
-			return transport.ErrClosed
-		}
+		return n.enqueue(&mc)
 	}
 	// Whatever goes to a writer carries the flush acks owed to it.
 	var acks []int64
@@ -1529,7 +1535,9 @@ func (n *Node) routeReply(m *wire.Msg) {
 
 // deliver is the transport's frame handler, run on the goroutine the
 // frame arrived on: it routes replies to their waiters, retires the
-// flush flights the frame acknowledges, and queues requests for the
+// flush flights the frame acknowledges, handles a lock request, forward
+// or flush from an in-process sender in place when the dispatcher is
+// idle (handleInPlace), and queues every other request for the
 // dispatcher.
 func (n *Node) deliver(f transport.Frame) {
 	m, err := wire.Decode(f.Payload)
@@ -1567,36 +1575,91 @@ func (n *Node) deliver(f transport.Frame) {
 		n.routeReply(m)
 		return
 	}
+	switch m.Kind {
+	case wire.KLockReq, wire.KLockForward, wire.KWriteNotices:
+		if f.OnSender && n.handleInPlace(m) {
+			return
+		}
+	}
+	n.enqueue(m)
+}
+
+// enqueue queues request m for the dispatcher. The count rises first: a
+// request its sender sends after m sees it and queues behind m.
+func (n *Node) enqueue(m *wire.Msg) error {
+	n.queued.Add(1)
 	select {
 	case n.inq <- m:
+		return nil
 	case <-n.done:
+		n.queued.Add(-1)
+		return transport.ErrClosed
 	}
 }
 
-// dispatch serves protocol requests and liveness sweeps until shutdown.
+// handleInPlace handles request m on the calling goroutine, an
+// in-process sender's, if nothing is queued and it gets the dispatch
+// turn, and reports whether it did; the caller then need not pay a
+// goroutine hop to the dispatcher. A request its sender sent earlier is
+// either finished or still counted in queued, so none is overtaken. A
+// node whose turn is held up the stack — a chain of in-place handlers
+// that came back to it — queues instead. The handler only sends (never
+// trySend: a panic would unwind the sender) and emits no event a crash
+// schedule kills on (DESIGN.md §9.7).
+func (n *Node) handleInPlace(m *wire.Msg) bool {
+	if n.queued.Load() != 0 || !n.turn.TryLock() {
+		return false
+	}
+	if n.queued.Load() != 0 {
+		n.turn.Unlock()
+		return false
+	}
+	n.handle(m)
+	atomic.AddInt64(&n.stats.InlineRequests, 1)
+	n.turn.Unlock()
+	n.endTurn()
+	return true
+}
+
+// dispatch serves protocol requests and liveness sweeps until shutdown,
+// each in a dispatch turn.
 func (n *Node) dispatch() {
 	defer n.wg.Done()
 	for {
 		select {
 		case m := <-n.inq:
+			n.turn.Lock()
 			n.handle(m)
+			n.queued.Add(-1)
+			n.turn.Unlock()
 		case fn := <-n.ctl:
+			n.turn.Lock()
 			fn()
+			n.turn.Unlock()
 		case <-n.hbCheck:
+			n.turn.Lock()
 			n.checkLiveness()
+			n.turn.Unlock()
 		case <-n.done:
 			return
 		}
-		if len(n.inq) == 0 {
-			n.sendOwedAcks()
-		}
-		n.handled()
+		n.endTurn()
 	}
+}
+
+// endTurn closes a turn, the dispatcher's or an in-place one: with
+// nothing queued it sends the acks still owed, then it wakes a parked
+// poller.
+func (n *Node) endTurn() {
+	if len(n.inq) == 0 {
+		n.sendOwedAcks()
+	}
+	n.handled()
 }
 
 func (n *Node) handle(m *wire.Msg) {
 	// Re-check the epoch fence: the epoch may have been bumped after
-	// deliver queued this message but before the dispatcher got to it.
+	// deliver passed this message but before its turn began.
 	if m.Epoch != n.epoch.Load() {
 		atomic.AddInt64(&n.stats.StaleFrames, 1)
 		return
@@ -1708,9 +1771,9 @@ func (n *Node) handleDiffReq(m *wire.Msg) {
 // skipped: re-applying it could clobber a newer write that landed on the
 // same words in between. The ack is owed rather than sent: it rides the
 // next frame to the writer — often the grant for a lock request queued
-// behind the flush — or, failing that, a standalone ack once the
-// dispatcher's queue runs dry (the checkpoint capture's drain, off the
-// dispatcher, sends its acks when it is done).
+// behind the flush — or, failing that, a standalone ack once a turn
+// ends with nothing queued (the checkpoint capture's drain, outside any
+// turn, sends its acks when it is done).
 func (n *Node) handleWriteNotices(m *wire.Msg) {
 	var applied int64
 	n.mu.Lock()
@@ -1720,7 +1783,7 @@ func (n *Node) handleWriteNotices(m *wire.Msg) {
 	// checkpoint captures the pre-barrier state. The capture drains the
 	// buffer (re-applications are version-checked no-ops).
 	if n.gateEpisode > 0 && m.Episode >= n.gateEpisode {
-		//dsmlint:ignore vtalias the gated frame is buffered whole and untouched until the capture drains it; the dispatcher owns decoded frames outright
+		//dsmlint:ignore vtalias the gated frame is buffered whole and untouched until the capture drains it; its handler owns decoded frames outright
 		n.gated = append(n.gated, m)
 		n.mu.Unlock()
 		return

@@ -433,6 +433,10 @@ func TestParkedWaitsUnwind(t *testing.T) {
 	parkRemoteRequest := func(t *testing.T) (nodes []*node.Node, gate *flushGate, out chan string, stop func()) {
 		nodes, gates, stop := startGated(t, sameCfg(onePage(2, core.LI), 3)...)
 		a, b, c := nodes[0], nodes[1], nodes[2]
+		// The leader's bootstrap append reaches each node once, from its
+		// own goroutine; let it land before the rollback row counts the
+		// frames that reach the reader.
+		waitFor(t, "the bootstrap append", nil, func() bool { return b.Stats().MsgsRecv > 0 })
 		gates[0].hold()
 		a.Lock(0)
 		a.WriteU64(0, 7)

@@ -65,6 +65,10 @@ type Stats struct {
 	LockForwards      int64 `json:"lock_forwards"`
 	LockHandoffs      int64 `json:"lock_handoffs"`
 	LogSegFetches     int64 `json:"log_seg_fetches"`
+	// InlineRequests counts the lock requests, forwards and flushes this
+	// node handled in place on an in-process sender's goroutine instead
+	// of its dispatcher's (always zero over TCP).
+	InlineRequests int64 `json:"inline_requests"`
 	// Polls parked in Node.Backoff, and those the backstop ended instead
 	// of a frame (a healthy run has next to none).
 	BackoffParks    int64 `json:"backoff_parks"`

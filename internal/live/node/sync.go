@@ -319,11 +319,11 @@ func (n *Node) unlock(id int) {
 // wake-up (BackoffTimeouts counts its firings); a variable for tests.
 var backoffBackstop = time.Millisecond
 
-// Backoff implements core.Worker: the own worker parks until the
-// dispatcher handles its next frame or ctl function (the only way what a
-// poll reads can change), an interrupt, shutdown or the backstop — if it
-// holds no lock, has no open interval, is not replaying, and nothing was
-// handled since its last Lock began. Raising idle before re-reading gen
+// Backoff implements core.Worker: the own worker parks until the next
+// turn ends, the dispatcher's or an in-place one (the only way what a
+// poll reads can change), an interrupt, shutdown or the backstop — if
+// it holds no lock, has no open interval, is not replaying, and nothing
+// was handled since its last Lock began. Raising idle before re-reading gen
 // is what loses no wake-up (DESIGN.md §12.6).
 func (n *Node) Backoff(int64) {
 	if n.heldLocks != 0 || n.replaying || n.gen.Load() != n.pollGen {
@@ -351,8 +351,8 @@ func (n *Node) Backoff(int64) {
 	}
 }
 
-// handled counts a finished turn of the dispatcher loop and wakes a
-// parked poller: one atomic add and one load when nobody is parked.
+// handled counts a finished turn and wakes a parked poller: one atomic
+// add and one load when nobody is parked.
 func (n *Node) handled() {
 	n.gen.Add(1)
 	if n.idle.Load() != 0 {

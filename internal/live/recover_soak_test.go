@@ -25,19 +25,19 @@ func crashAt(victim int, at CrashEvent, n int64) Crash {
 // crashSchedule kills node 2 (never the manager) twice per workload; the
 // second entry counts from the victim's rejoin. Each N sits well inside
 // node 2's own traffic at test scale on 4 nodes: jacobi releases 4
-// times per node, water 130 and cholesky 140-220 times. tsp's node 2
-// releases only 0-3 times — a satellite that finds the task queue
-// drained releases nothing — so its kills land at the cluster's first
-// page fault instead: the first read of the queue page under the queue
-// lock, while every worker is still busy.
+// times per node and water 130 times. tsp and cholesky hand out tasks
+// from a shared queue, and a node that finds it drained releases
+// nothing: tsp's node 2 releases 0-3 times, and cholesky's 0-264 (40
+// dsmd runs per protocol; in one LI run node 0 drained the queue alone,
+// 710 releases to 0 0 0). Their kills land at the cluster's first page
+// fault instead, which every run reaches while every worker is still
+// busy (4-551 faults a run under LI, 21 under LH).
 func crashSchedule(app string) []Crash {
 	switch app {
-	case "tsp":
+	case "tsp", "cholesky":
 		return []Crash{crashAt(2, AtFault, 1), crashAt(2, AtFault, 1)}
 	case "water":
 		return []Crash{crashAt(2, AtRelease, 40), crashAt(2, AtRelease, 20)}
-	case "cholesky":
-		return []Crash{crashAt(2, AtRelease, 10), crashAt(2, AtRelease, 10)}
 	}
 	return []Crash{crashAt(2, AtRelease, 2), crashAt(2, AtRelease, 2)}
 }

@@ -95,12 +95,12 @@ func (t *Inproc) Self() int { return t.self }
 func (t *Inproc) N() int { return t.n }
 
 // Send implements Transport: the destination's handler runs on the
-// calling goroutine. A send to a closed or replaced peer is dropped
-// silently and reports success — the in-process analogue of writing to a
-// dead host's address: the network accepts the frame and nobody receives
-// it. Only the sender's own closed transport is an error; the protocol
-// layer recovers lost frames by retransmission and converts genuinely
-// dead peers into structured failures.
+// calling goroutine (Frame.OnSender). A send to a closed or replaced
+// peer is dropped silently and reports success — the in-process analogue
+// of writing to a dead host's address: the network accepts the frame and
+// nobody receives it. Only the sender's own closed transport is an
+// error; the protocol layer recovers lost frames by retransmission and
+// converts genuinely dead peers into structured failures.
 func (t *Inproc) Send(to int, payload []byte) error {
 	if to < 0 || to >= t.n || to == t.self {
 		return fmt.Errorf("transport: inproc send to invalid peer %d", to)
@@ -116,7 +116,7 @@ func (t *Inproc) Send(to int, payload []byte) error {
 		return nil // dead destination: the frame is lost, not an error
 	default:
 	}
-	p.in.deliver(Frame{From: t.self, Payload: payload})
+	p.in.deliver(Frame{From: t.self, Payload: payload, OnSender: true})
 	return nil
 }
 

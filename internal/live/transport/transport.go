@@ -19,6 +19,12 @@ import (
 type Frame struct {
 	From    int
 	Payload []byte
+	// OnSender reports that the handler runs on the goroutine that sent
+	// the frame: set by Inproc.Send, never by a TCP reader, and cleared
+	// on a frame queued before a handler was registered (the registering
+	// goroutine hands it over). A handler may do a sender's frame's work
+	// right there; a reader's goroutine has to get back to its socket.
+	OnSender bool
 }
 
 // Transport connects one node to its peers. Send, Handle and Recv are
@@ -33,8 +39,12 @@ type Transport interface {
 	// Handle registers h to receive every inbound frame, called on the
 	// goroutine the frame arrived on (a TCP connection's reader, an
 	// in-process sender) — so h must not wait on anything a sender could
-	// be holding. Frames that arrived before the registration are handed
-	// to h first, in arrival order. Register once.
+	// be holding. An in-process handler may do protocol work on the
+	// sender's goroutine (Frame.OnSender), and a send inside it may run
+	// another node's handler on that goroutine in turn: the depth is at
+	// most the node count, since a node busy up the stack takes no second
+	// frame in place. Frames that arrived before the registration are
+	// handed to h first, in arrival order. Register once.
 	Handle(h func(Frame))
 	// Recv blocks until a frame arrives or the transport closes. It is
 	// the default handler's queue: only frames that arrive while no
@@ -75,6 +85,7 @@ func (q *inbox) deliver(f Frame) {
 		(*h)(f)
 		return
 	}
+	f.OnSender = false
 	q.queue = append(q.queue, f)
 	q.mu.Unlock()
 	q.signal()
