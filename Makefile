@@ -186,26 +186,26 @@ serve:
 
 # endurance: the long-haul gate — the control-plane soak (all four apps
 # × {LI, LH}, the coordinator killed every round, membership growth and
-# slot-corruption rounds, a compaction-bounded consensus log, byte-
-# identical results vs a 1-node reference) and the durable serving soak
-# under repeated coordinator kills, both under -race with a CI-sized
-# episode budget (override: make endurance ENDURANCE_EPISODES=2000),
-# then one seeded dsmd run over real TCP sockets that compacts the log,
-# promotes a replica at runtime and re-seeds the restarted coordinator
-# by snapshot, checked against a fault-free 1-node reference, its
-# control-plane counters tabled to $(SUMMARY).
+# slot-corruption rounds, a bounded consensus log — every commit is
+# folded into the state — byte-identical results vs a 1-node reference)
+# and the durable serving soak under repeated coordinator kills, both
+# under -race with a CI-sized episode budget (override: make endurance
+# ENDURANCE_EPISODES=2000), then one seeded dsmd run over real TCP
+# sockets that promotes a replica at runtime and kills the coordinator,
+# checked against a fault-free 1-node reference, its control-plane
+# counters tabled to $(SUMMARY).
 ENDURANCE_EPISODES ?= 400
 endurance:
 	DSM_ENDURANCE=1 DSM_ENDURANCE_EPISODES=$(ENDURANCE_EPISODES) \
 		$(GO) test -race -count=1 -timeout 1200s -run 'TestEndurance' ./internal/live/ ./internal/serve/
 	timeout 150 $(GO) run ./cmd/dsmd -app cholesky -nodes 4 -transport tcp -scale test \
-		-recover -crash 0:10:5ms -compact-every 2 -voters 3 -add-replica 3:5ms \
+		-recover -crash 0:10:5ms -voters 3 -add-replica 3:5ms \
 		-retry 10ms -hb-timeout 2s -check -json \
 		-timeout 60s -deadline 120s > endurance_ci.json
 	@{ \
 		echo "### long-haul control plane (4 nodes, coordinator killed, replica promoted, this runner)"; echo ""; \
-		echo "| compactions | snap installs | conf changes | quarantines | lane drops |"; echo "|---|---|---|---|---|"; \
-		jq -r '.stats.total | "| \(.consensus_compactions) | \(.consensus_snap_installs) | \(.consensus_conf_changes) | \(.consensus_slot_quarantines) | \(.consensus_lane_drops) |"' endurance_ci.json; \
+		echo "| snap installs | conf changes | quarantines | lane drops |"; echo "|---|---|---|---|"; \
+		jq -r '.stats.total | "| \(.consensus_snap_installs) | \(.consensus_conf_changes) | \(.consensus_slot_quarantines) | \(.consensus_lane_drops) |"' endurance_ci.json; \
 	} >> $(SUMMARY)
 
 # bench-serve runs the serving request path's microbenchmarks, five runs

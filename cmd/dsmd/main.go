@@ -106,9 +106,8 @@ func main() {
 		crashSpec   = flag.String("crash", "", "kill schedule: node:n[:delay][,...] — kill node at its nth release, restart after delay")
 		deadline    = flag.Duration("deadline", 0, "wall-clock budget for the run; on expiry dump a stats JSON snapshot and exit nonzero")
 
-		compactEvery = flag.Int64("compact-every", 0, "consensus log-compaction threshold in applied entries (0: default 512, negative: disable)")
-		votersN      = flag.Int("voters", 0, "initial consensus voting membership: nodes [0,N) vote, the rest run non-voting replicas (0: all, or node 0 alone below 3 nodes)")
-		addReplica   = flag.String("add-replica", "", "runtime voter promotions: node:delay[,...] — promote node to a voter after delay")
+		votersN    = flag.Int("voters", 0, "initial consensus voting membership: nodes [0,N) vote, the rest run non-voting replicas (0: all, or node 0 alone below 3 nodes)")
+		addReplica = flag.String("add-replica", "", "runtime voter promotions: node:delay[,...] — promote node to a voter after delay")
 	)
 	flag.Parse()
 
@@ -127,7 +126,7 @@ func main() {
 		hbTimeout: *hbTimeout,
 		deadline:  *deadline,
 		supervise: live.RecoverOptions{
-			Seed: *chaosSeed, CompactEvery: *compactEvery, Voters: *votersN,
+			Seed: *chaosSeed, Voters: *votersN,
 		},
 	}
 	// Without -recover the restart budget is zero: no checkpoints, and

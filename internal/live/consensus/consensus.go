@@ -7,14 +7,14 @@
 // supplies a Send callback for outbound ones — so the quorum shares the
 // cluster's sockets, chaos middleware and epoch fencing.
 //
-// The log is compacted: once the applied prefix outgrows CompactEvery
-// entries, the replica folds it into a snapshot (the deterministic
-// encoding of the applied state machine, captured through the
-// SnapshotState hook) and truncates the log behind it, so unbounded
-// runtimes hold bounded memory. A replica whose next needed entry has
-// been compacted away — a far-behind follower, or a freshly seeded
-// one — is brought up by the leader with a chunked snapshot install
-// (KSnapInstall/KSnapAck) instead of entry replay.
+// The state is the snapshot: every batch of applied entries is folded
+// into the state image (the deterministic encoding of the applied state
+// machine, captured through the SnapshotState hook), so a replica's log
+// holds only its uncommitted tail. The replicated state is small enough
+// for one frame, so a replica that needs entries already folded away —
+// a follower that missed a commit window, a fresh or quarantined one —
+// gets the leader's state inline, on an ordinary append, and installs
+// it instead of replaying entries.
 //
 // The voting membership is dynamic: a committed single-server
 // config-change entry adds or removes one voter at a time (ProposeConf,
@@ -27,8 +27,8 @@
 // node's fresh incarnation cannot vote twice in a term it already voted
 // in or forget entries it acknowledged. Every slot is checksummed: a
 // corrupt or torn slot is quarantined at load — the replica comes back
-// empty, with its votes fenced until a leader re-seeds it through the
-// snapshot-install flow — rather than silently diverging or panicking.
+// empty, with its votes fenced until an append carrying the leader's
+// state re-seeds it — rather than silently diverging or panicking.
 package consensus
 
 import (
@@ -59,10 +59,6 @@ var (
 	// the cluster or shrinking the voting set below a usable quorum.
 	ErrConfInvalid = errors.New("consensus: invalid membership change")
 )
-
-// snapChunk is the payload size of one KSnapInstall frame when a
-// snapshot is streamed to a re-seeding replica.
-const snapChunk = 32 << 10
 
 // ---- durable slot ----
 
@@ -134,7 +130,8 @@ func (s *Stable) LogLen() int {
 	return s.logLen
 }
 
-// SnapIndex reports the persisted snapshot's log index (0 = none).
+// SnapIndex reports the persisted fold point: the log index the stored
+// state covers, the replica's applied index (0 = none).
 func (s *Stable) SnapIndex() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,8 +209,8 @@ func decodeSlot(b []byte) (durable, error) {
 // ---- snapshot blob ----
 
 // encodeSnap wraps the application state image with the voting
-// membership as of the snapshot index, so an installed snapshot seeds
-// both the state machine and the receiver's config.
+// membership as of the fold point, so an installed state seeds both the
+// state machine and the receiver's config.
 func encodeSnap(voters []int32, app []byte) []byte {
 	w := codec.Writer{B: make([]byte, 0, 8+4*len(voters)+len(app))}
 	w.I32s(voters)
@@ -262,7 +259,7 @@ func decodeConfCmd(cmd []byte) (add bool, node int, ok bool) {
 // skipped so tests can run replicas without a node.
 type Counters struct {
 	Terms, Elections, Commits *int64
-	Compactions, SnapInstalls *int64
+	SnapInstalls              *int64
 	ConfChanges, Quarantines  *int64
 }
 
@@ -292,27 +289,28 @@ type Config struct {
 	HeartbeatEvery  time.Duration
 	Seed            int64
 
-	// CompactEvery folds the applied prefix into a snapshot and
-	// truncates the log once it exceeds this many applied entries.
-	// Non-positive disables compaction. Requires SnapshotState.
+	// Deprecated: ignored. Every commit is folded into the state.
 	CompactEvery int64
 
 	// Send transmits one frame to a peer (never Self). It must not
 	// block indefinitely; consensus tolerates dropped frames.
 	Send func(to int, m *wire.Msg)
-	// Apply consumes entry index (1-based) with its command bytes, in
-	// log order, exactly once per replica lifetime. A nil/empty command
-	// is a leadership no-op and is still delivered. Config-change
-	// entries are consumed by the replica itself and never reach Apply.
+	// Apply consumes a committed entry index (1-based) with its command
+	// bytes, in log order, at most once per replica lifetime: a
+	// restarted replica resumes from its persisted state and applies
+	// only the tail past it, and an install stands in for the entries it
+	// folds, which Apply never sees. A nil/empty command is a leadership
+	// no-op and is still delivered. Config-change entries are consumed
+	// by the replica itself and never reach Apply.
 	Apply func(index int64, cmd []byte)
 	// SnapshotState captures the application state machine exactly as
-	// of the applied prefix, deterministically encoded. Called from the
-	// replica goroutine, synchronously with Apply.
+	// of the applied prefix, deterministically encoded. Required; called
+	// from the replica goroutine after every batch of Apply calls.
 	SnapshotState func() []byte
-	// InstallState replaces the application state machine with a
-	// snapshot image (the inverse of SnapshotState). Called from the
-	// replica goroutine, and once from New when the slot holds a
-	// snapshot.
+	// InstallState replaces the application state machine with a state
+	// image (the inverse of SnapshotState). Required; called from the
+	// replica goroutine when a leader's inline state is installed, and
+	// once from New when the slot holds a state.
 	InstallState func(app []byte)
 	// LeaderChange reports every observed leadership or term change.
 	// Optional.
@@ -333,9 +331,11 @@ const (
 	leader
 )
 
-// maxBatch bounds entries per append frame; a lagging follower catches
-// up over successive acks rather than one giant frame.
-const maxBatch = 64
+// MaxBatch bounds entries per append frame; a lagging follower catches
+// up over successive acks rather than one giant frame. An append also
+// carries the state image when it must, so that image plus MaxBatch
+// entries must fit one wire frame.
+const MaxBatch = 64
 
 type proposal struct {
 	cmd  []byte
@@ -349,21 +349,6 @@ type Info struct {
 	Leader   int // -1 unknown
 	IsLeader bool
 	Voters   []int // sorted voting membership
-}
-
-// snapXfer is the leader's cursor into one outbound snapshot stream.
-type snapXfer struct {
-	index, term int64
-	blob        []byte
-	next        int32
-}
-
-// snapAsm reassembles an inbound snapshot stream on a follower.
-type snapAsm struct {
-	index, term int64
-	nchunks     int32
-	next        int32
-	buf         []byte
 }
 
 // Rep is one consensus replica. All protocol state is owned by the
@@ -384,7 +369,7 @@ type Rep struct {
 	role     int
 	term     int64
 	votedFor int32
-	log      []wire.Entry // entries (snapIndex, lastIndex]
+	log      []wire.Entry // the uncommitted tail (snapIndex, lastIndex]
 	commit   int64
 	applied  int64
 	leader   int // current hint, -1 unknown
@@ -396,8 +381,8 @@ type Rep struct {
 	beatAt   time.Time // leader: next heartbeat
 
 	// heard[p] is when this replica last heard from peer p, in unix
-	// nanoseconds: a follower stamps its leader's appends and snapshot
-	// chunks, a leader every peer's acks. It is the one failure detector:
+	// nanoseconds: a follower stamps its leader's appends, a leader
+	// every peer's acks. It is the one failure detector:
 	// check-quorum reads the voters' stamps, and the owning node's
 	// liveness sweep reads every peer's through Silences, from another
 	// goroutine. followed is the last leader this replica followed (-1:
@@ -405,9 +390,9 @@ type Rep struct {
 	heard    []atomic.Int64
 	followed int
 
-	// Compaction state: the log is truncated at snapIndex, whose entry
-	// had term snapTerm; snap is the encoded snapshot covering
-	// [1, snapIndex].
+	// The fold point: every applied entry is folded into snap, the
+	// encoded state covering [1, snapIndex]; snapIndex is the applied
+	// index and its entry had term snapTerm.
 	snapIndex int64
 	snapTerm  int64
 	snap      []byte
@@ -417,16 +402,11 @@ type Rep struct {
 	voters      map[int]bool
 	confPending int64
 
-	// Snapshot streaming: per-peer outbound cursors (leader) and the
-	// inbound assembly (follower).
-	xfer map[int]*snapXfer
-	asm  *snapAsm
-
 	// fenced marks a replica whose slot was quarantined at load: it
 	// must not vote or campaign — its lost slot may have held a vote
 	// for the current term — and it refuses plain entry replay,
-	// NACKing appends with Flag 2 until a leader re-seeds it with a
-	// snapshot install (cut on demand if none exists yet).
+	// NACKing appends with Flag 2 until an append carrying the leader's
+	// state re-seeds it.
 	fenced bool
 
 	info atomic.Value // Info
@@ -456,7 +436,6 @@ func New(cfg Config, st *Stable) *Rep {
 		followed: -1,
 		pending:  map[int64][]func(error){},
 		voters:   map[int]bool{},
-		xfer:     map[int]*snapXfer{},
 	}
 	d, quarantined := st.load()
 	if quarantined {
@@ -483,9 +462,9 @@ func New(cfg Config, st *Stable) *Rep {
 			r.voters[p] = true
 		}
 	}
-	if len(r.snap) > 0 && cfg.InstallState != nil {
-		// The state machine resumes from the persisted snapshot; the log
-		// suffix replays on top as commit advances.
+	if len(r.snap) > 0 {
+		// The state machine resumes from the persisted state; the
+		// uncommitted tail applies on top as commit advances.
 		if _, app, err := decodeSnap(r.snap); err == nil {
 			cfg.InstallState(app)
 		}
@@ -752,7 +731,6 @@ func (r *Rep) adoptTerm(t int64, ldr int) {
 	wasLeader := r.role == leader
 	r.term, r.votedFor, r.role, r.leader = t, -1, follower, ldr
 	r.votes = map[int]bool{}
-	r.xfer = map[int]*snapXfer{}
 	r.persist()
 	bump(r.cfg.Counters.Terms)
 	if wasLeader {
@@ -813,7 +791,6 @@ func (r *Rep) becomeLeader() {
 		r.match[p] = 0
 	}
 	r.match[r.cfg.Self] = r.lastIndex()
-	r.xfer = map[int]*snapXfer{}
 	r.takeOffice()
 	// Re-derive the one-pending-change gate from the uncommitted log
 	// suffix: a config entry a dead leader appended is now ours to see
@@ -900,63 +877,23 @@ func (r *Rep) broadcast() {
 	}
 }
 
+// sendAppend sends peer to the entries after its next index. When those
+// lie at or before the fold point, the append starts at the fold point
+// and carries the state instead (Data): the entries folded into it are
+// gone, and the state fits one frame.
 func (r *Rep) sendAppend(to int) {
-	prev := r.next[to] - 1
-	if prev < 0 {
-		prev = 0
-	}
+	m := &wire.Msg{Kind: wire.KAppend, Term: r.term, Commit: r.commit}
+	prev := max(r.next[to]-1, 0)
 	if prev < r.snapIndex {
-		// The entries the follower needs are compacted away: stream the
-		// snapshot instead.
-		r.sendSnapshot(to)
-		return
+		prev = r.snapIndex
+		m.Data = r.snap
 	}
-	var entries []wire.Entry
-	if n := r.lastIndex() - prev; n > 0 {
-		if n > maxBatch {
-			n = maxBatch
-		}
+	m.LogIndex, m.LogTerm = prev, r.termAt(prev)
+	if n := min(r.lastIndex()-prev, MaxBatch); n > 0 {
 		base := prev - r.snapIndex
-		entries = append(entries, r.log[base:base+n]...)
+		m.Entries = append([]wire.Entry(nil), r.log[base:base+n]...)
 	}
-	r.cfg.Send(to, &wire.Msg{
-		Kind: wire.KAppend, Term: r.term,
-		LogIndex: prev, LogTerm: r.termAt(prev),
-		Commit: r.commit, Entries: entries,
-	})
-}
-
-// sendSnapshot sends the next chunk of the leader's snapshot to a
-// replica whose needed entries were compacted away. One chunk flies per
-// ack (or heartbeat resend), so a slow receiver never sees an unbounded
-// burst.
-func (r *Rep) sendSnapshot(to int) {
-	x := r.xfer[to]
-	if x == nil || x.index != r.snapIndex {
-		x = &snapXfer{index: r.snapIndex, term: r.snapTerm, blob: r.snap}
-		r.xfer[to] = x
-	}
-	total := int32((len(x.blob) + snapChunk - 1) / snapChunk)
-	if total == 0 {
-		total = 1
-	}
-	if x.next >= total {
-		x.next = total - 1
-	}
-	lo := int(x.next) * snapChunk
-	hi := lo + snapChunk
-	if hi > len(x.blob) {
-		hi = len(x.blob)
-	}
-	var data []byte
-	if lo < hi {
-		data = x.blob[lo:hi]
-	}
-	r.cfg.Send(to, &wire.Msg{
-		Kind: wire.KSnapInstall, Term: r.term,
-		LogIndex: x.index, LogTerm: x.term,
-		Chunk: x.next, NChunks: total, Data: data,
-	})
+	r.cfg.Send(to, m)
 }
 
 func (r *Rep) advanceCommit() {
@@ -997,7 +934,7 @@ func (r *Rep) applyCommitted() {
 			}
 		}
 	}
-	r.maybeCompact()
+	r.fold()
 }
 
 // applyConf applies a committed single-server membership change. The
@@ -1036,34 +973,19 @@ func (r *Rep) applyConf(add bool, nd int) {
 	r.updateInfo()
 }
 
-// maybeCompact folds the applied prefix into a snapshot and truncates
-// the log once the prefix outgrows CompactEvery. Every replica compacts
+// fold folds the applied entries into the state and drops them from
+// the log, leaving only the uncommitted tail. Every replica folds
 // independently: the state machine is deterministic, so equal applied
-// indexes mean equal snapshots.
-func (r *Rep) maybeCompact() {
-	ce := r.cfg.CompactEvery
-	if ce <= 0 || r.applied-r.snapIndex < ce {
+// indexes mean equal states.
+func (r *Rep) fold() {
+	if r.applied <= r.snapIndex {
 		return
 	}
-	r.compact()
-}
-
-// compact folds the applied prefix into a snapshot unconditionally;
-// callers decide the cadence (the periodic CompactEvery threshold, or
-// on demand when a fenced replica must be re-seeded and no snapshot
-// exists yet).
-func (r *Rep) compact() {
-	if r.cfg.SnapshotState == nil || r.applied <= r.snapIndex {
-		return
-	}
-	app := r.cfg.SnapshotState()
-	r.snap = encodeSnap(r.votersList(), app)
-	keep := r.applied - r.snapIndex
+	r.snap = encodeSnap(r.votersList(), r.cfg.SnapshotState())
 	r.snapTerm = r.termAt(r.applied)
-	r.log = append([]wire.Entry(nil), r.log[keep:]...)
+	r.log = r.log[r.applied-r.snapIndex:]
 	r.snapIndex = r.applied
 	r.persist()
-	bump(r.cfg.Counters.Compactions)
 }
 
 func (r *Rep) step(m *wire.Msg) {
@@ -1078,7 +1000,7 @@ func (r *Rep) step(m *wire.Msg) {
 	}
 	if m.Term > r.term {
 		ldr := -1
-		if m.Kind == wire.KAppend || m.Kind == wire.KSnapInstall {
+		if m.Kind == wire.KAppend {
 			ldr = int(m.From)
 		}
 		r.adoptTerm(m.Term, ldr)
@@ -1092,10 +1014,6 @@ func (r *Rep) step(m *wire.Msg) {
 		r.onAppend(m)
 	case wire.KAppendAck:
 		r.onAppendAck(m)
-	case wire.KSnapInstall:
-		r.onSnapInstall(m)
-	case wire.KSnapAck:
-		r.onSnapAck(m)
 	}
 }
 
@@ -1135,7 +1053,7 @@ func (r *Rep) onVoteResp(m *wire.Msg) {
 }
 
 // followLeader adopts m's sender as the legitimate leader of the
-// current term (append and snapshot-install frames both prove it).
+// current term (its append proves it).
 func (r *Rep) followLeader(m *wire.Msg) {
 	if r.role != follower || r.leader != int(m.From) {
 		wasLeader := r.role == leader
@@ -1158,11 +1076,14 @@ func (r *Rep) onAppend(m *wire.Msg) {
 	}
 	// m.Term == r.term: the sender is the legitimate leader of this term.
 	r.followLeader(m)
+	if len(m.Data) > 0 {
+		r.catchUp(m.LogIndex, m.LogTerm, m.Data)
+	}
 	if r.fenced {
 		// A quarantined slot means our durable history is gone: refuse
-		// entry replay outright and demand a leader-certified snapshot
-		// (Flag 2), so the re-seed never trusts replayed state against
-		// an empty match point.
+		// entry replay outright and demand the leader's state (Flag 2),
+		// so the re-seed never trusts replayed state against an empty
+		// match point.
 		r.cfg.Send(int(m.From), &wire.Msg{Kind: wire.KAppendAck, Term: r.term, Flag: 2})
 		return
 	}
@@ -1170,9 +1091,9 @@ func (r *Rep) onAppend(m *wire.Msg) {
 	logTerm := m.LogTerm
 	entries := m.Entries
 	if prev < r.snapIndex {
-		// Our snapshot already covers part of this append: skip the
-		// entries the snapshot subsumes and rebase the match point onto
-		// the snapshot boundary.
+		// Our state already covers part of this append: skip the
+		// entries folded into it and rebase the match point onto the
+		// fold point.
 		skip := r.snapIndex - prev
 		if skip >= int64(len(entries)) {
 			r.cfg.Send(int(m.From), &wire.Msg{
@@ -1237,19 +1158,15 @@ func (r *Rep) onAppendAck(m *wire.Msg) {
 	from := int(m.From)
 	r.heard[from].Store(time.Now().UnixNano())
 	if m.Flag == 2 {
-		// A fenced replica refuses replay: it must be re-seeded from a
-		// snapshot. Cut one on demand if the committed prefix has not
-		// been compacted yet; with nothing applied there is nothing to
-		// seed from, and the next heartbeat retries.
-		if r.snapIndex == 0 {
-			r.compact()
-			if r.snapIndex == 0 {
-				return
-			}
-		}
-		r.next[from] = r.snapIndex + 1
+		// A fenced replica refuses replay: re-seed it with the state,
+		// which an append from the fold point carries. With nothing
+		// applied there is nothing to seed from, and the next heartbeat
+		// retries.
+		r.next[from] = r.snapIndex
 		r.match[from] = 0
-		r.sendSnapshot(from)
+		if r.snapIndex > 0 {
+			r.sendAppend(from)
+		}
 		return
 	}
 	if m.Flag == 1 {
@@ -1278,106 +1195,45 @@ func (r *Rep) onAppendAck(m *wire.Msg) {
 	r.sendAppend(from)
 }
 
-func (r *Rep) onSnapInstall(m *wire.Msg) {
-	if m.Term < r.term {
-		r.cfg.Send(int(m.From), &wire.Msg{Kind: wire.KSnapAck, Term: r.term})
-		return
+// catchUp brings this replica up to a leader's fold point (idx, tm),
+// whose state an append carried, when it has not applied that far or
+// is fenced. A replica whose log holds the entry at the fold point
+// holds every entry before it too (log matching), and they are
+// committed: it applies its own copies. Any other installs the state.
+func (r *Rep) catchUp(idx, tm int64, blob []byte) {
+	switch {
+	case !r.fenced && idx <= r.applied:
+	case !r.fenced && idx <= r.lastIndex() && r.termAt(idx) == tm:
+		r.commit = idx
+		r.applyCommitted()
+	default:
+		r.installSnapshot(idx, tm, blob)
 	}
-	r.followLeader(m)
-	idx, tm := m.LogIndex, m.LogTerm
-	if idx <= r.snapIndex || (idx <= r.lastIndex() && r.termAt(idx) == tm) {
-		// Already covered: tell the leader to resume entry replication.
-		r.cfg.Send(int(m.From), &wire.Msg{
-			Kind: wire.KSnapAck, Term: r.term, LogIndex: idx, Flag: 1,
-		})
-		return
-	}
-	a := r.asm
-	if m.Chunk == 0 && (a == nil || a.index != idx || a.term != tm) {
-		a = &snapAsm{index: idx, term: tm, nchunks: m.NChunks}
-		r.asm = a
-	}
-	if a == nil || a.index != idx || a.term != tm || m.Chunk != a.next {
-		// Out of sync (dropped or duplicated chunk): tell the leader
-		// which chunk the assembly actually needs.
-		var next int32
-		if a != nil && a.index == idx && a.term == tm {
-			next = a.next
-		}
-		r.cfg.Send(int(m.From), &wire.Msg{
-			Kind: wire.KSnapAck, Term: r.term, LogIndex: idx, Chunk: next,
-		})
-		return
-	}
-	a.buf = append(a.buf, m.Data...)
-	a.next++
-	if a.next < a.nchunks {
-		r.cfg.Send(int(m.From), &wire.Msg{
-			Kind: wire.KSnapAck, Term: r.term, LogIndex: idx, Chunk: a.next,
-		})
-		return
-	}
-	r.asm = nil
-	r.installSnapshot(idx, tm, a.buf)
-	r.cfg.Send(int(m.From), &wire.Msg{
-		Kind: wire.KSnapAck, Term: r.term, LogIndex: idx, Chunk: a.next, Flag: 1,
-	})
 }
 
-// installSnapshot replaces this replica's log prefix and state machine
-// with a fully assembled leader snapshot. It also lifts the quarantine
-// fence: the replica now holds leader-certified durable state again.
+// installSnapshot replaces this replica's state machine and log with a
+// leader's state at fold point (idx, tm). The log goes: catchUp installs
+// only when the entry at the fold is missing or has another term, and
+// then nothing after it is the leader's either. It also lifts the
+// quarantine fence: the replica now holds leader-certified durable
+// state again.
 func (r *Rep) installSnapshot(idx, tm int64, blob []byte) {
-	if idx <= r.applied {
-		return
-	}
 	voters, app, err := decodeSnap(blob)
 	if err != nil {
-		return // corrupt transfer; the leader's resend will rebuild it
+		return // corrupt frame; the leader's next append carries it again
 	}
-	r.snapIndex, r.snapTerm, r.snap = idx, tm, blob
+	// Clone the state: blob sub-slices the frame, and the fold point
+	// outlives it.
+	r.snapIndex, r.snapTerm, r.snap = idx, tm, append([]byte(nil), blob...)
 	r.log = nil
 	r.commit, r.applied = idx, idx
 	r.voters = map[int]bool{}
 	for _, v := range voters {
 		r.voters[int(v)] = true
 	}
-	if r.cfg.InstallState != nil {
-		r.cfg.InstallState(app)
-	}
+	r.cfg.InstallState(app)
 	r.fenced = false
 	r.persist()
 	bump(r.cfg.Counters.SnapInstalls)
 	r.updateInfo()
-}
-
-func (r *Rep) onSnapAck(m *wire.Msg) {
-	if r.role != leader || m.Term != r.term {
-		return
-	}
-	from := int(m.From)
-	r.heard[from].Store(time.Now().UnixNano())
-	if m.Flag == 1 {
-		delete(r.xfer, from)
-		if m.LogIndex > r.match[from] {
-			r.match[from] = m.LogIndex
-		}
-		if m.LogIndex+1 > r.next[from] {
-			r.next[from] = m.LogIndex + 1
-		}
-		r.advanceCommit()
-		if r.next[from] <= r.lastIndex() {
-			r.sendAppend(from)
-		}
-		return
-	}
-	x := r.xfer[from]
-	if x == nil {
-		r.sendAppend(from) // re-derive entries vs snapshot from the cursor
-		return
-	}
-	if x.index == m.LogIndex {
-		x.next = m.Chunk
-	}
-	r.sendSnapshot(from)
 }

@@ -12,51 +12,50 @@ import (
 )
 
 // repCounters mirrors the node stat fields a replica bumps, so tests
-// can assert on compaction/snapshot/membership activity without a node.
+// can assert on install/membership activity without a node.
 type repCounters struct {
 	terms, elections, commits int64
-	compactions, snapInstalls int64
+	snapInstalls              int64
 	confChanges, quarantines  int64
 }
 
 // harness wires N replicas through an in-memory network with cuttable
 // links and per-replica apply logs, so protocol behavior is testable
 // without the live engine. The "state machine" under replication is the
-// apply log itself: snapshots serialize it newline-joined, so a replica
-// seeded by snapshot install resumes with the exact prefix the leader
-// had applied.
+// apply log itself: its state image is the log newline-joined, so a
+// replica that installs a leader's state resumes with the exact prefix
+// the leader had applied.
 type harness struct {
-	t            *testing.T
-	n            int
-	compactEvery int64
-	voters       []int
-	mu           sync.Mutex
-	reps         []*Rep
-	stables      []*Stable
-	counters     []repCounters
-	down         []bool
-	cut          map[[2]int]bool
-	applied      [][]string // per-replica apply log ("idx:cmd")
+	t        *testing.T
+	n        int
+	voters   []int
+	mu       sync.Mutex
+	reps     []*Rep
+	stables  []*Stable
+	counters []repCounters
+	down     []bool
+	cut      map[[2]int]bool // both directions
+	oneWay   map[[2]int]bool // from -> to only
+	applied  [][]string      // per-replica apply log ("idx:cmd")
 }
 
 func newHarness(t *testing.T, n int, timeout time.Duration) *harness {
-	return newHarnessOpt(t, n, timeout, 0, nil)
+	return newHarnessOpt(t, n, timeout, nil)
 }
 
-// newHarnessOpt builds a cluster with log compaction every compactEvery
-// applied entries (0 disables) and an initial voting membership (nil:
-// all n nodes vote).
-func newHarnessOpt(t *testing.T, n int, timeout time.Duration, compactEvery int64, voters []int) *harness {
+// newHarnessOpt builds a cluster with an initial voting membership
+// (nil: all n nodes vote).
+func newHarnessOpt(t *testing.T, n int, timeout time.Duration, voters []int) *harness {
 	h := &harness{
 		t: t, n: n,
-		compactEvery: compactEvery,
-		voters:       voters,
-		reps:         make([]*Rep, n),
-		stables:      make([]*Stable, n),
-		counters:     make([]repCounters, n),
-		down:         make([]bool, n),
-		cut:          map[[2]int]bool{},
-		applied:      make([][]string, n),
+		voters:   voters,
+		reps:     make([]*Rep, n),
+		stables:  make([]*Stable, n),
+		counters: make([]repCounters, n),
+		down:     make([]bool, n),
+		cut:      map[[2]int]bool{},
+		oneWay:   map[[2]int]bool{},
+		applied:  make([][]string, n),
 	}
 	for i := 0; i < n; i++ {
 		h.stables[i] = NewStable()
@@ -77,7 +76,6 @@ func (h *harness) build(i int, timeout time.Duration) *Rep {
 		ElectionTimeout: timeout,
 		HeartbeatEvery:  timeout / 10,
 		Seed:            int64(42 + i),
-		CompactEvery:    h.compactEvery,
 		Send:            h.sender(i),
 		Apply: func(idx int64, cmd []byte) {
 			h.mu.Lock()
@@ -100,8 +98,7 @@ func (h *harness) build(i int, timeout time.Duration) *Rep {
 		},
 		Counters: Counters{
 			Terms: &c.terms, Elections: &c.elections, Commits: &c.commits,
-			Compactions: &c.compactions, SnapInstalls: &c.snapInstalls,
-			ConfChanges: &c.confChanges, Quarantines: &c.quarantines,
+			SnapInstalls: &c.snapInstalls, ConfChanges: &c.confChanges, Quarantines: &c.quarantines,
 		},
 		Bootstrap: true,
 	}, h.stables[i])
@@ -110,7 +107,7 @@ func (h *harness) build(i int, timeout time.Duration) *Rep {
 func (h *harness) sender(from int) func(int, *wire.Msg) {
 	return func(to int, m *wire.Msg) {
 		h.mu.Lock()
-		blocked := h.down[from] || h.down[to] ||
+		blocked := h.down[from] || h.down[to] || h.oneWay[[2]int{from, to}] ||
 			h.cut[[2]int{from, to}] || h.cut[[2]int{to, from}]
 		r := h.reps[to]
 		h.mu.Unlock()
@@ -138,15 +135,17 @@ func (h *harness) kill(i int) {
 }
 
 // restart rebuilds replica i over its surviving Stable slot. The apply
-// log is reset: a fresh incarnation rebuilds its state machine by
-// replaying the replicated log from index 1, so "exactly once" holds
-// per replica lifetime, not across restarts.
+// log is reset first: a fresh incarnation rebuilds its state machine
+// from the persisted state (New installs it) and applies the tail past
+// it, so "at most once" holds per replica lifetime.
 func (h *harness) restart(i int, timeout time.Duration) {
+	h.mu.Lock()
+	h.applied[i] = nil
+	h.mu.Unlock()
 	r := h.build(i, timeout)
 	h.mu.Lock()
 	h.reps[i] = r
 	h.down[i] = false
-	h.applied[i] = nil
 	h.mu.Unlock()
 	r.Start()
 }
@@ -448,7 +447,7 @@ func TestQuorumlessLeaderStepsDown(t *testing.T) {
 // internal/live/node.)
 func TestLearnersFollowFailover(t *testing.T) {
 	const timeout = 100 * time.Millisecond
-	h := newHarnessOpt(t, 5, timeout, 0, []int{0, 1, 2})
+	h := newHarnessOpt(t, 5, timeout, []int{0, 1, 2})
 	defer h.stopAll()
 	h.waitLeader()
 	if err := h.proposeOK(0, "before"); err != nil {
@@ -494,11 +493,53 @@ func TestLearnersFollowFailover(t *testing.T) {
 	}
 }
 
-// TestCompactionBoundsLog: with CompactEvery=8, a 40-command run folds
-// the applied prefix into snapshots on every replica, the persisted log
-// stays within 2x the threshold, and the apply order still converges.
+// lastApplied returns the index of replica i's newest applied entry.
+func (h *harness) lastApplied(i int) int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	a := h.applied[i]
+	if len(a) == 0 {
+		return 0
+	}
+	var idx int64
+	fmt.Sscanf(a[len(a)-1], "%d:", &idx)
+	return idx
+}
+
+// waitInstalled polls until replica i has installed a leader's state.
+// The install bumps its counter after the state machine has taken the
+// state, so the applied commands can show first.
+func (h *harness) waitInstalled(i int, msg string) {
+	h.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for atomic.LoadInt64(&h.counters[i].snapInstalls) == 0 {
+		if time.Now().After(deadline) {
+			h.t.Fatal(msg)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sameApplyOrder fails unless every replica in is applied exactly what
+// replica ref did, in the same order.
+func (h *harness) sameApplyOrder(ref int, is ...int) {
+	h.t.Helper()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, i := range is {
+		if fmt.Sprint(h.applied[i]) != fmt.Sprint(h.applied[ref]) {
+			h.t.Fatalf("replica %d apply order diverged from %d:\n %v\nvs\n %v", i, ref, h.applied[i], h.applied[ref])
+		}
+	}
+}
+
+// TestCompactionBoundsLog: every commit is folded into the state, so
+// after a 40-command run each replica's persisted fold point is its
+// applied index and its persisted log holds only the uncommitted tail —
+// nothing, once the last commit has reached it — and the apply order
+// still converges.
 func TestCompactionBoundsLog(t *testing.T) {
-	h := newHarnessOpt(t, 3, 200*time.Millisecond, 8, nil)
+	h := newHarness(t, 3, 200*time.Millisecond)
 	defer h.stopAll()
 
 	h.waitLeader()
@@ -509,39 +550,28 @@ func TestCompactionBoundsLog(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		h.waitApplied(i, "cmd-39")
-	}
-	// Compaction runs synchronously after apply; give the tail batch a
-	// moment to persist its snapshot on every replica.
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; i < 3; i++ {
-		for h.stables[i].SnapIndex() == 0 && time.Now().Before(deadline) {
+		// The fold persists right after the apply batch; give it a moment.
+		want := h.lastApplied(i)
+		deadline := time.Now().Add(5 * time.Second)
+		for h.stables[i].SnapIndex() != want && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if si := h.stables[i].SnapIndex(); si == 0 {
-			t.Fatalf("replica %d never compacted", i)
+		if si := h.stables[i].SnapIndex(); si != want {
+			t.Fatalf("replica %d folded up to %d, applied %d", i, si, want)
 		}
-		if ll := h.stables[i].LogLen(); ll > 16 {
-			t.Fatalf("replica %d persisted log holds %d entries, want <= 16 (2x threshold)", i, ll)
-		}
-	}
-	if c := atomic.LoadInt64(&h.counters[0].compactions); c == 0 {
-		t.Fatal("leader's compaction counter never moved")
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := 1; i < 3; i++ {
-		if fmt.Sprint(h.applied[i]) != fmt.Sprint(h.applied[0]) {
-			t.Fatalf("replica %d apply order diverged under compaction:\n %v\nvs\n %v", i, h.applied[i], h.applied[0])
+		if ll := h.stables[i].LogLen(); ll > 1 {
+			t.Fatalf("replica %d persisted log holds %d entries past its fold, want <= 1", i, ll)
 		}
 	}
+	h.sameApplyOrder(0, 1, 2)
 }
 
 // TestSnapshotCatchUp: a replica that loses its durable slot while the
-// leader compacts past its last entry cannot be caught up by replay —
-// the leader must stream its snapshot, and the re-seeded replica
+// leader folds past its last entry cannot be caught up by replay — the
+// leader's append carries its state inline, and the re-seeded replica
 // converges on the survivors' state.
 func TestSnapshotCatchUp(t *testing.T) {
-	h := newHarnessOpt(t, 3, 100*time.Millisecond, 4, nil)
+	h := newHarness(t, 3, 100*time.Millisecond)
 	defer h.stopAll()
 
 	h.waitLeader()
@@ -556,25 +586,118 @@ func TestSnapshotCatchUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.stables[0].SnapIndex() < 5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if h.stables[0].SnapIndex() < 5 {
-		t.Fatalf("leader never compacted past the dead replica's log (snapIndex=%d)", h.stables[0].SnapIndex())
-	}
-
 	h.restartFresh(1, 100*time.Millisecond)
 	h.waitApplied(1, "post-11")
-	if n := atomic.LoadInt64(&h.counters[1].snapInstalls); n == 0 {
-		t.Fatal("re-seeded replica caught up without a snapshot install")
-	}
+	h.waitInstalled(1, "re-seeded replica caught up without installing the leader's state")
 	h.waitApplied(2, "post-11")
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if fmt.Sprint(h.applied[1]) != fmt.Sprint(h.applied[2]) {
-		t.Fatalf("snapshot-seeded replica diverged:\n %v\nvs\n %v", h.applied[1], h.applied[2])
+	h.sameApplyOrder(2, 1)
+}
+
+// TestLaggingReplicaCatchesUp: a replica whose appends are cut while the
+// majority commits misses entries the leader has folded away; after the
+// heal the leader's append carries its state, the replica installs it,
+// and it goes on applying the commands that follow like the others.
+func TestLaggingReplicaCatchesUp(t *testing.T) {
+	h := newHarness(t, 3, 100*time.Millisecond)
+	defer h.stopAll()
+
+	h.waitLeader()
+	if err := h.proposeOK(0, "shared"); err != nil {
+		t.Fatal(err)
 	}
+	h.waitApplied(2, "shared")
+	h.mu.Lock()
+	h.cut[[2]int{0, 2}] = true
+	h.mu.Unlock()
+	for k := 0; k < 12; k++ {
+		if err := h.proposeOK(0, fmt.Sprintf("cut-%d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.mu.Lock()
+	delete(h.cut, [2]int{0, 2})
+	h.mu.Unlock()
+	h.waitApplied(2, "cut-11")
+	h.waitInstalled(2, "lagging replica caught up without installing the leader's state")
+	ld := h.waitLeader()
+	if err := h.proposeOK(ld, "after"); err != nil {
+		t.Fatalf("propose on %d after the heal: %v", ld, err)
+	}
+	for i := 0; i < 3; i++ {
+		h.waitApplied(i, "after")
+	}
+	h.sameApplyOrder(ld, 0, 1, 2)
+}
+
+// TestFollowerAppliesOwnEntries: a follower whose acks are lost keeps
+// receiving the leader's entries, but its next index stalls, so the
+// leader's appends carry the state once it has folded past them. The
+// follower's log holds those entries with the leader's terms, so it
+// applies its own copies instead of installing the state.
+func TestFollowerAppliesOwnEntries(t *testing.T) {
+	h := newHarness(t, 3, 100*time.Millisecond)
+	defer h.stopAll()
+
+	h.waitLeader()
+	h.mu.Lock()
+	h.oneWay[[2]int{2, 0}] = true
+	h.mu.Unlock()
+	for k := 0; k < 8; k++ {
+		if err := h.proposeOK(0, fmt.Sprintf("unacked-%d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.waitApplied(2, "unacked-7")
+	// Let a few heartbeats carry the state to the stalled follower.
+	time.Sleep(50 * time.Millisecond)
+	h.mu.Lock()
+	delete(h.oneWay, [2]int{2, 0})
+	h.mu.Unlock()
+	if err := h.proposeOK(0, "after"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		h.waitApplied(i, "after")
+	}
+	if n := atomic.LoadInt64(&h.counters[2].snapInstalls); n != 0 {
+		t.Errorf("follower installed the state %d times, holding every entry it folds", n)
+	}
+	h.sameApplyOrder(0, 1, 2)
+}
+
+// TestCatchUpAcrossLeaderChange: a replica cut off while the majority
+// commits is healed just as its leader dies, so whatever reached it from
+// the old leader, the new leader must finish catching it up from its own
+// state — and the apply order still converges.
+func TestCatchUpAcrossLeaderChange(t *testing.T) {
+	h := newHarness(t, 3, 100*time.Millisecond)
+	defer h.stopAll()
+
+	h.waitLeader()
+	h.mu.Lock()
+	h.cut[[2]int{0, 2}] = true
+	h.cut[[2]int{1, 2}] = true
+	h.mu.Unlock()
+	for k := 0; k < 12; k++ {
+		if err := h.proposeOK(0, fmt.Sprintf("cut-%d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.mu.Lock()
+	h.cut = map[[2]int]bool{}
+	h.mu.Unlock()
+	h.kill(0)
+	ld := h.waitLeader(0)
+	if ld != 1 {
+		t.Fatalf("replica %d, whose log lacks the cut entries, was elected", ld)
+	}
+	if err := h.proposeOK(ld, "after"); err != nil {
+		t.Fatalf("propose on new leader %d: %v", ld, err)
+	}
+	h.waitApplied(2, "cut-11")
+	h.waitApplied(2, "after")
+	h.waitInstalled(2, "lagging replica caught up without installing a leader's state")
+	h.sameApplyOrder(1, 2)
 }
 
 // TestMembershipAddServesFailover: a non-voting spare is promoted by a
@@ -582,7 +705,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 // the cluster available through a leader crash — the scenario a live
 // cluster uses to grow 3->5 or replace a dead replica without restart.
 func TestMembershipAddServesFailover(t *testing.T) {
-	h := newHarnessOpt(t, 4, 100*time.Millisecond, 0, []int{0, 1, 2})
+	h := newHarnessOpt(t, 4, 100*time.Millisecond, []int{0, 1, 2})
 	defer h.stopAll()
 
 	h.waitLeader()
@@ -615,7 +738,7 @@ func TestMembershipAddServesFailover(t *testing.T) {
 // refused once it would leave fewer than three voters — the smallest
 // set that still tolerates a fault.
 func TestMembershipRemoveFloor(t *testing.T) {
-	h := newHarnessOpt(t, 4, 100*time.Millisecond, 0, nil)
+	h := newHarnessOpt(t, 4, 100*time.Millisecond, nil)
 	defer h.stopAll()
 
 	h.waitLeader()
@@ -635,7 +758,7 @@ func TestMembershipRemoveFloor(t *testing.T) {
 // a second proposal while the first is uncommitted fails fast with
 // ErrConfPending instead of queueing behind an unknown outcome.
 func TestConfPendingRejected(t *testing.T) {
-	h := newHarnessOpt(t, 4, 100*time.Millisecond, 0, []int{0, 1, 2})
+	h := newHarnessOpt(t, 4, 100*time.Millisecond, []int{0, 1, 2})
 	defer h.stopAll()
 
 	h.waitLeader()
@@ -668,11 +791,11 @@ func TestConfPendingRejected(t *testing.T) {
 
 // TestQuarantineReseed: a corrupted Stable slot is quarantined at load
 // — the replica comes back fenced and empty instead of diverging on
-// torn state — and the leader re-seeds it by snapshot. Once seeded the
+// torn state — and the leader re-seeds it with its state. Once seeded the
 // fence lifts: the replica votes in a later election, proving the
 // quarantine is a recovery path and not a permanent demotion.
 func TestQuarantineReseed(t *testing.T) {
-	h := newHarnessOpt(t, 3, 100*time.Millisecond, 4, nil)
+	h := newHarness(t, 3, 100*time.Millisecond)
 	defer h.stopAll()
 
 	h.waitLeader()
@@ -698,9 +821,7 @@ func TestQuarantineReseed(t *testing.T) {
 		t.Fatalf("quarantine count = %d, want 1", q)
 	}
 	h.waitApplied(1, "cmd-11")
-	if n := atomic.LoadInt64(&h.counters[1].snapInstalls); n == 0 {
-		t.Fatal("quarantined replica was not re-seeded by snapshot")
-	}
+	h.waitInstalled(1, "quarantined replica was not re-seeded by snapshot")
 
 	// The re-seeded replica must be able to carry an election again.
 	h.kill(0)

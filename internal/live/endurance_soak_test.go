@@ -18,11 +18,11 @@ import (
 	"lrcdsm/internal/vc"
 )
 
-// enduranceCompactEvery is the soak's compaction threshold, chosen low
-// enough that every round compacts several times. The acceptance bound
-// is 2x: the sampled consensus log must never hold more than twice this
-// many entries.
-const enduranceCompactEvery = 8
+// enduranceMaxLog bounds the sampled consensus log, in entries. Every
+// commit is folded into the state, so a replica's log holds only its
+// uncommitted tail: at most 5 entries in this soak and the serving one
+// under -race on a 2-vCPU VM. The bound is twice that.
+const enduranceMaxLog = 10
 
 // enduranceEpisodes reads the cumulative barrier-episode target
 // (cluster-wide, summed over nodes and rounds) from
@@ -108,7 +108,7 @@ func (s *slotTearer) MsgSent(_, _ int, kind wire.Kind, _ int) {
 // voting set from three to four mid-run, and every fourth round
 // corrupts the coordinator's durable slot while it is down, so the
 // restarted incarnation must quarantine the slot and be re-seeded by
-// snapshot. Each round's results are checked byte-for-byte against a
+// installing the leader's state. Each round's results are checked byte-for-byte against a
 // fault-free 1-node reference.
 //
 // The soak is opt-in (DSM_ENDURANCE=1): it runs until the cluster-wide
@@ -126,7 +126,6 @@ func TestEndurance(t *testing.T) {
 		quarantines  int64
 		confChanges  int64
 		snapInstalls int64
-		compactions  int64
 	)
 	// At least four rounds always run, so the membership and corruption
 	// variants fire even under a tiny CI episode budget.
@@ -138,9 +137,8 @@ func TestEndurance(t *testing.T) {
 		}
 		// Membership rounds ride cholesky (the longest run, latest kill):
 		// the promotion must commit well before the coordinator dies.
-		// Corruption rounds ride water and force an aggressive compaction
-		// cadence, so the leader is guaranteed to hold a snapshot and the
-		// quarantined replica is re-seeded by install, not plain replay.
+		// Corruption rounds ride water; the quarantined replica refuses
+		// replay and is re-seeded by installing the leader's state.
 		membership := round%4 == 3 // grow the voting set 3 -> 4 mid-run
 		corrupt := round%4 == 2    // corrupt the coordinator's slot while it is down
 
@@ -148,17 +146,12 @@ func TestEndurance(t *testing.T) {
 		for i := range stables {
 			stables[i] = consensus.NewStable()
 		}
-		ce := int64(enduranceCompactEvery)
-		if corrupt {
-			ce = 4
-		}
 		opts := RecoverOptions{
 			MaxRestarts:     4,
 			CheckpointEvery: 1,
 			Replicate:       true,
 			Seed:            int64(1000 + round),
 			Stables:         stables,
-			CompactEvery:    ce,
 			Crashes:         []Crash{coordinatorKill[name]},
 		}
 		if membership {
@@ -194,9 +187,13 @@ func TestEndurance(t *testing.T) {
 		if stats.Restarts != 1 {
 			t.Fatalf("%s: %d restarts, want 1 (the scheduled coordinator kill)", tag, stats.Restarts)
 		}
-		if maxLog > 2*enduranceCompactEvery {
-			t.Fatalf("%s: consensus log reached %d entries, bound is %d (2x compaction threshold)",
-				tag, maxLog, 2*enduranceCompactEvery)
+		if maxLog > enduranceMaxLog {
+			t.Fatalf("%s: consensus log reached %d entries, bound is %d", tag, maxLog, enduranceMaxLog)
+		}
+		for i, st := range stables {
+			if st.SnapIndex() == 0 {
+				t.Errorf("%s: replica %d never folded a commit into its state", tag, i)
+			}
 		}
 		if membership && stats.Total.ConsensusConfChanges == 0 {
 			t.Errorf("%s: membership round committed no config change", tag)
@@ -206,7 +203,7 @@ func TestEndurance(t *testing.T) {
 				t.Errorf("%s: corrupted slot was not quarantined", tag)
 			}
 			if stats.Total.ConsensusSnapInstalls == 0 {
-				t.Errorf("%s: quarantined replica was not re-seeded by snapshot", tag)
+				t.Errorf("%s: quarantined replica was not re-seeded by an install", tag)
 			}
 		}
 		compareToReference(t, name, prot, cl)
@@ -215,24 +212,23 @@ func TestEndurance(t *testing.T) {
 		quarantines += stats.Total.ConsensusSlotQuarantines
 		confChanges += stats.Total.ConsensusConfChanges
 		snapInstalls += stats.Total.ConsensusSnapInstalls
-		compactions += stats.Total.ConsensusCompactions
 
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		t.Logf("%s: episodes %d/%d, maxlog %d, heap %d KiB, compactions %d",
-			tag, episodes, target, maxLog, ms.HeapAlloc>>10, stats.Total.ConsensusCompactions)
+		t.Logf("%s: episodes %d/%d, maxlog %d, heap %d KiB, commits %d",
+			tag, episodes, target, maxLog, ms.HeapAlloc>>10, stats.Total.ConsensusCommits)
 		// The heap after GC must stay flat across rounds; a control
-		// plane that leaks log entries or snapshot chunks trips this
+		// plane that leaks log entries or states trips this
 		// long before an operator would notice.
 		if ms.HeapAlloc > 512<<20 {
 			t.Fatalf("%s: heap grew to %d MiB — the control plane is leaking", tag, ms.HeapAlloc>>20)
 		}
 	}
-	t.Logf("endurance done: %d episodes, %d compactions, %d conf changes, %d quarantines, %d snapshot installs",
-		episodes, compactions, confChanges, quarantines, snapInstalls)
-	if compactions == 0 || quarantines == 0 || confChanges == 0 || snapInstalls == 0 {
-		t.Errorf("soak exercised too little: compactions=%d quarantines=%d confChanges=%d snapInstalls=%d",
-			compactions, quarantines, confChanges, snapInstalls)
+	t.Logf("endurance done: %d episodes, %d conf changes, %d quarantines, %d state installs",
+		episodes, confChanges, quarantines, snapInstalls)
+	if quarantines == 0 || confChanges == 0 || snapInstalls == 0 {
+		t.Errorf("soak exercised too little: quarantines=%d confChanges=%d snapInstalls=%d",
+			quarantines, confChanges, snapInstalls)
 	}
 }

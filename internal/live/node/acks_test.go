@@ -90,7 +90,7 @@ func startAckPair(t *testing.T, tune func(*Config)) (a, b *Node, taps []*ackTap)
 			tr.Close()
 		}
 		for _, nd := range nodes {
-			nd.Wait()
+			waitClosed(t, nd)
 		}
 	})
 	waitUntil(t, "b's ack of the bootstrap append", func() bool { return nodes[0].Stats().MsgsRecv == 1 })

@@ -19,8 +19,7 @@ import (
 // node 0, with failure detection off and the backstop out of the picture.
 func startIdle(t *testing.T, n int) []*Node {
 	t.Helper()
-	old := backoffBackstop
-	backoffBackstop = time.Hour
+	old := backoffBackstop.Swap(int64(time.Hour))
 	trs := transport.NewInprocNetwork(n)
 	cfg := Config{
 		PageSize: 256, NPages: 1, Homes: []int32{0},
@@ -39,9 +38,9 @@ func startIdle(t *testing.T, n int) []*Node {
 			tr.Close()
 		}
 		for _, nd := range nodes {
-			nd.Wait()
+			waitClosed(t, nd)
 		}
-		backoffBackstop = old
+		backoffBackstop.Store(old)
 	})
 	return nodes
 }

@@ -40,7 +40,7 @@ func ckptBenchNodes(b *testing.B, nn int, rc func(i int) RecoverConfig) []*Node 
 			tr.Close()
 		}
 		for _, nd := range nodes {
-			nd.Wait()
+			waitClosed(b, nd)
 		}
 	})
 	return nodes

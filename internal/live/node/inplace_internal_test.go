@@ -35,7 +35,7 @@ func startOn(t *testing.T, trs []transport.Transport, cfg Config) []*Node {
 			tr.Close()
 		}
 		for _, nd := range nodes {
-			nd.Wait()
+			waitClosed(t, nd)
 		}
 	})
 	return nodes

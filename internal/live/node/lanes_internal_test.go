@@ -43,7 +43,7 @@ func TestLaneConcurrentAcquires(t *testing.T) {
 			tr.Close()
 		}
 		for _, nd := range nodes {
-			nd.Wait()
+			waitClosed(t, nd)
 		}
 	}()
 

@@ -38,7 +38,7 @@ func laneCluster(t *testing.T, n, pageSize, npages int, prot core.Protocol) []*N
 			tr.Close()
 		}
 		for _, nd := range nodes {
-			nd.Wait()
+			waitClosed(t, nd)
 		}
 	})
 	return nodes

@@ -36,7 +36,7 @@ func TestLogSegmentFetchOnPrunedGrant(t *testing.T) {
 			tr.Close()
 		}
 		for _, nd := range nodes {
-			nd.Wait()
+			waitClosed(t, nd)
 		}
 	}()
 

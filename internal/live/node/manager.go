@@ -340,22 +340,41 @@ func (g *manager) applyCmd(cmd []byte) error {
 		g.cmu.Unlock()
 		g.rep.Heard(w)
 	case opReset:
-		g.cmu.Lock()
-		g.clients = map[clientKey]*mclient{}
-		g.clientSeen = nil
-		g.push = map[int]*pushAsm{}
-		g.pushSeen = nil
-		g.pushed = map[int]int64{}
-		g.joinBlob = map[int][]byte{}
-		g.joinSeen = nil
-		for w := range g.suspect {
-			g.suspect[w] = false
-		}
-		g.cmu.Unlock()
+		g.dropServing()
 		for w := 0; w < g.nn; w++ {
 			g.rep.Heard(w)
 		}
 	}
+	return nil
+}
+
+// dropServing clears the leader-local serving state: a rollback
+// restarts every node's tokens and episodes, so none of it holds.
+func (g *manager) dropServing() {
+	g.cmu.Lock()
+	defer g.cmu.Unlock()
+	g.clients = map[clientKey]*mclient{}
+	g.clientSeen = nil
+	g.push = map[int]*pushAsm{}
+	g.pushSeen = nil
+	g.pushed = map[int]int64{}
+	g.joinBlob = map[int][]byte{}
+	g.joinSeen = nil
+	for w := range g.suspect {
+		g.suspect[w] = false
+	}
+}
+
+// installState replaces the replicated state with a leader's image (the
+// consensus InstallState hook). The image cannot say whether the
+// commands it stands in for held a reset or a resume, so the serving
+// state goes as at a reset, which covers a resume; a replica that never
+// led has none either. The peer stamps need no refresh (DESIGN.md §16.1).
+func (g *manager) installState(app []byte) error {
+	if err := g.st.restoreState(app); err != nil {
+		return err
+	}
+	g.dropServing()
 	return nil
 }
 

@@ -185,8 +185,8 @@ func (s *mstate) encodeState() []byte {
 }
 
 // restoreState replaces the state with a decoded encodeState image — a
-// consensus snapshot install bringing a far-behind or re-seeded replica
-// up without replaying the compacted log. The image's cluster size must
+// consensus install bringing a lagging or re-seeded replica up without
+// the entries folded into the image. The image's cluster size must
 // match; any truncation or trailing bytes is an error and leaves the
 // state untouched.
 func (s *mstate) restoreState(b []byte) error {

@@ -483,21 +483,12 @@ func New(tr transport.Transport, cfg Config) *Node {
 			n.repOut[p] = make(chan *wire.Msg, 64)
 		}
 	}
-	// Compaction is on by default: an unbounded runtime must hold a
-	// bounded log. Negative disables it (tests that want full replay).
-	ce := rc.CompactEvery
-	if ce == 0 {
-		ce = 512
-	} else if ce < 0 {
-		ce = 0
-	}
 	n.mgr.rep = consensus.New(consensus.Config{
 		Self:            n.id,
 		N:               n.nn,
 		Voters:          voters,
 		ElectionTimeout: n.electionTimeout(),
 		Seed:            rc.Seed + int64(rc.Incarnation)*7919,
-		CompactEvery:    ce,
 		Send:            n.consensusSend,
 		Apply: func(_ int64, cmd []byte) {
 			if err := n.mgr.applyCmd(cmd); err != nil {
@@ -506,7 +497,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 		},
 		SnapshotState: func() []byte { return n.mgr.st.encodeState() },
 		InstallState: func(app []byte) {
-			if err := n.mgr.st.restoreState(app); err != nil {
+			if err := n.mgr.installState(app); err != nil {
 				n.abortCluster(err)
 			}
 		},
@@ -520,7 +511,6 @@ func New(tr transport.Transport, cfg Config) *Node {
 			Terms:        &n.stats.ConsensusTerms,
 			Elections:    &n.stats.ConsensusElections,
 			Commits:      &n.stats.ConsensusCommits,
-			Compactions:  &n.stats.ConsensusCompactions,
 			SnapInstalls: &n.stats.ConsensusSnapInstalls,
 			ConfChanges:  &n.stats.ConsensusConfChanges,
 			Quarantines:  &n.stats.ConsensusSlotQuarantines,
@@ -1559,8 +1549,7 @@ func (n *Node) deliver(f transport.Frame) {
 		n.retireAcks(int(m.From), m.Acks)
 	}
 	switch m.Kind {
-	case wire.KVoteReq, wire.KVoteResp, wire.KAppend, wire.KAppendAck,
-		wire.KSnapInstall, wire.KSnapAck:
+	case wire.KVoteReq, wire.KVoteResp, wire.KAppend, wire.KAppendAck:
 		// Consensus traffic bypasses the dispatcher: the replica runs its
 		// own event loop and its protocol is self-retrying, so a full
 		// inbox may simply drop.

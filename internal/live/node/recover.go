@@ -77,10 +77,6 @@ type RecoverConfig struct {
 	LeaderHint int
 	// Seed drives the replica's randomized election timers.
 	Seed int64
-	// CompactEvery folds the consensus replica's applied log prefix into
-	// a snapshot and truncates it once it exceeds this many entries.
-	// 0 takes the default (512); negative disables compaction.
-	CompactEvery int64
 	// Voters names the initial voting membership (nil: every node, or
 	// node 0 alone below three nodes). Non-voting nodes still run
 	// replicas and can be promoted at runtime with ChangeMembership.

@@ -132,15 +132,14 @@ type Stats struct {
 	ConsensusCommits   int64 `json:"consensus_commits"`
 	LeaderRedirects    int64 `json:"leader_redirects"`
 
-	// Long-haul control-plane counters. Compactions counts log prefixes
-	// this replica folded into snapshots; SnapInstalls snapshots it
-	// installed from a leader (catching up past compacted entries);
-	// ConfChanges committed voting-membership changes it applied;
-	// SlotQuarantines corrupt durable slots quarantined at load;
+	// Long-haul control-plane counters. SnapInstalls counts leader states
+	// this replica installed from an append (catching up past entries
+	// already folded into the state); ConfChanges committed
+	// voting-membership changes it applied; SlotQuarantines corrupt
+	// durable slots quarantined at load;
 	// LaneDrops outbound consensus frames discarded on a full peer lane;
 	// MgrCacheEvictions snapshot-chunk cache entries the manager evicted
 	// under its LRU bound.
-	ConsensusCompactions     int64 `json:"consensus_compactions"`
 	ConsensusSnapInstalls    int64 `json:"consensus_snap_installs"`
 	ConsensusConfChanges     int64 `json:"consensus_conf_changes"`
 	ConsensusSlotQuarantines int64 `json:"consensus_slot_quarantines"`

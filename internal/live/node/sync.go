@@ -315,9 +315,12 @@ func (n *Node) unlock(id int) {
 	}
 }
 
-// backoffBackstop bounds a park in Backoff: defence in depth, not the
-// wake-up (BackoffTimeouts counts its firings); a variable for tests.
-var backoffBackstop = time.Millisecond
+// backoffBackstop bounds a park in Backoff, in nanoseconds: defence in
+// depth, not the wake-up (BackoffTimeouts counts its firings). Tests
+// raise it while pollers may still park, so it is read atomically.
+var backoffBackstop atomic.Int64
+
+func init() { backoffBackstop.Store(int64(time.Millisecond)) }
 
 // Backoff implements core.Worker: the own worker parks until the next
 // turn ends, the dispatcher's or an in-place one (the only way what a
@@ -338,7 +341,7 @@ func (n *Node) Backoff(int64) {
 		return
 	}
 	atomic.AddInt64(&n.stats.BackoffParks, 1)
-	backstop := time.NewTimer(backoffBackstop)
+	backstop := time.NewTimer(time.Duration(backoffBackstop.Load()))
 	defer backstop.Stop()
 	select {
 	case <-n.wake: // possibly a stale token: one extra poll

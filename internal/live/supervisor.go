@@ -45,9 +45,6 @@ type RecoverOptions struct {
 	// fresh slots. Injecting them lets a harness inspect log growth or
 	// corrupt a slot mid-run (integrity soaks).
 	Stables []*consensus.Stable
-	// CompactEvery is the consensus log-compaction threshold handed to
-	// every replica (0: the node default of 512; negative: disabled).
-	CompactEvery int64
 	// Voters, when positive and below the cluster size, restricts the
 	// initial voting membership to nodes [0, Voters); the rest run
 	// non-voting replicas until promoted (AddReplicas, or
@@ -165,16 +162,15 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	leaderHint := 0
 	rcFor := func(i int) node.RecoverConfig {
 		rc := node.RecoverConfig{
-			Store:        stores[i],
-			Every:        every,
-			Replicate:    opts.Replicate,
-			Epoch:        epoch,
-			Incarnation:  incarnations[i],
-			Seed:         opts.Seed + int64(i+1)*104729,
-			CompactEvery: opts.CompactEvery,
-			Voters:       voters,
-			Consensus:    stables[i],
-			LeaderHint:   leaderHint,
+			Store:       stores[i],
+			Every:       every,
+			Replicate:   opts.Replicate,
+			Epoch:       epoch,
+			Incarnation: incarnations[i],
+			Seed:        opts.Seed + int64(i+1)*104729,
+			Voters:      voters,
+			Consensus:   stables[i],
+			LeaderHint:  leaderHint,
 		}
 		rc.OnPeerDown = func(pe *node.PeerDownError) bool {
 			// Dispatcher goroutine: hand the failure to the supervisor

@@ -22,10 +22,11 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed. Version 11
-// deleted the manager-snapshot kind, renumbering the kinds after it, and
-// the join handshake's unread incarnation, episode and vector time.
-const Version = 11
+// from a different build is rejected instead of misparsed. Version 12
+// deleted the consensus snapshot-install kinds, renumbering the kinds
+// after them, and gave KAppend the Data field that carries the leader's
+// state inline.
+const Version = 12
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -131,7 +132,10 @@ const (
 	// KAppend is the leader's append-entries/heartbeat to every replica,
 	// non-voters included: Entries extend the follower's log after the
 	// (LogIndex, LogTerm) match point, and Commit advertises the
-	// leader's commit frontier.
+	// leader's commit frontier. When the follower needs entries the
+	// leader has already folded into its state, the match point is the
+	// fold point and Data carries the encoded state, which fits one
+	// frame.
 	KAppend
 	// KAppendAck answers an append, and is the sender's liveness stamp
 	// at the leader: Flag is 1 on a match-point hit, and LogIndex
@@ -142,17 +146,6 @@ const (
 	// cannot serve: Leader names the replica's current leader hint (-1
 	// for unknown) so the client can re-resolve and retry.
 	KNotLeader
-	// KSnapInstall streams one chunk of the leader's consensus snapshot
-	// — the compacted committed prefix, folded into an encoded state
-	// image — to a replica too far behind its truncated log: LogIndex
-	// and LogTerm name the snapshot's position, Chunk/NChunks the
-	// stream position, Data the chunk payload.
-	KSnapInstall
-	// KSnapAck answers a snapshot chunk: Flag is 1 once the snapshot at
-	// LogIndex is fully installed, otherwise Chunk names the next chunk
-	// the assembling replica expects (its cursor doubles as a resend
-	// request after a drop).
-	KSnapAck
 	// KConfChange asks the manager leader to commit a single-server
 	// membership change: Flag is 1 to add (0 to remove) the voting
 	// replica named by ReqFrom. At most one change may be uncommitted
@@ -179,8 +172,7 @@ var kindNames = [...]string{
 	KLogSegReq: "log-seg-req", KLogSegResp: "log-seg-resp",
 	KVoteReq: "vote-req", KVoteResp: "vote-resp",
 	KAppend: "append", KAppendAck: "append-ack",
-	KNotLeader:   "not-leader",
-	KSnapInstall: "snap-install", KSnapAck: "snap-ack",
+	KNotLeader:  "not-leader",
 	KConfChange: "conf-change", KConfAck: "conf-ack",
 }
 
@@ -266,7 +258,7 @@ type Msg struct {
 
 	VT       []int32 // vector time (requester VT, grant VT, page version)
 	Need     []int32 // per-writer version the home must hold before answering (KPageReq/KDiffReq)
-	Data     []byte  // full page image (page/diff replies)
+	Data     []byte  // page image, snapshot chunk, or a consensus state (KAppend)
 	Diffs    []Diff
 	Notices  []Notice
 	Interval *Interval // closed interval (flushes, barrier arrivals)
@@ -315,11 +307,9 @@ var fields = map[Kind]fieldSet{
 	KLogSegResp:   {seg: true, notices: true},
 	KVoteReq:      {term: true, logidx: true, logterm: true},
 	KVoteResp:     {term: true, flag: true},
-	KAppend:       {term: true, logidx: true, logterm: true, commit: true, entries: true},
+	KAppend:       {term: true, logidx: true, logterm: true, commit: true, data: true, entries: true},
 	KAppendAck:    {term: true, logidx: true, flag: true},
 	KNotLeader:    {term: true, leader: true},
-	KSnapInstall:  {term: true, logidx: true, logterm: true, chunk: true, data: true},
-	KSnapAck:      {term: true, logidx: true, chunk: true, flag: true},
 	KConfChange:   {flag: true, reqfrom: true, attempt: true},
 	KConfAck:      {flag: true, errstr: true},
 }

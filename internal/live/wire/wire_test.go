@@ -62,11 +62,31 @@ func sampleMsgs() []*Msg {
 		{Kind: KVoteResp, From: 1, Epoch: 1, Term: 5, Flag: 1},
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4, Commit: 10, Entries: entries},
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 14, LogTerm: 5, Commit: 14}, // pure heartbeat
+		// The leader's state inline, with and without a tail after it.
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Commit: 513, Data: bytes.Repeat([]byte{0xc3}, 64), Entries: entries},
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 513, LogTerm: 6, Commit: 513, Data: []byte{3, 0, 0, 0}},
+		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14, Flag: 1}, // a learner's heartbeat ack
+		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
+		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Attempt: 1},
+		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, NChunks: 3},
+		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Chunk: 1},
+		{Kind: KSnapChunk, From: 0, Token: 2, Epoch: 2, Episode: 4, Page: 7, Chunk: 1, NChunks: 3, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)},
+		{Kind: KSnapPush, From: 1, Token: 5, Epoch: 1, Episode: 4, Page: 9, Chunk: 0, NChunks: 2, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}, Attempt: 2},
+		{Kind: KResume, From: 3, Token: 3, Epoch: 2},
+		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
+		{Kind: KLockForward, From: 0, Token: 21, Epoch: 2, Lock: 12, ReqFrom: 3, VT: []int32{0, 1, 2, 3}},
+		{Kind: KBarRelease, From: 0, Token: 0, Epoch: 1, Barrier: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Notices: notices},
+		{Kind: KLogSegReq, From: 2, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Attempt: 1},
+		{Kind: KLogSegResp, From: 1, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Notices: notices},
+		{Kind: KVoteReq, From: 2, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4},
+		{Kind: KVoteResp, From: 1, Epoch: 1, Term: 5, Flag: 1},
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4, Commit: 10, Entries: entries},
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 14, LogTerm: 5, Commit: 14},                                                           // pure heartbeat
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Commit: 513, Data: bytes.Repeat([]byte{0xc3}, 64), Entries: entries}, // inline state
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 513, LogTerm: 6, Commit: 513, Data: []byte{3, 0, 0, 0}},                               // state, no tail
 		{Kind: KAppendAck, From: 2, Epoch: 1, Term: 5, LogIndex: 14, Flag: 1},
 		{Kind: KNotLeader, From: 2, Token: 31, Epoch: 1, Term: 5, Leader: 1},
 		{Kind: KNotLeader, From: 1, Token: 33, Epoch: 1, Term: 6, Leader: -1}, // election unsettled
-		{Kind: KSnapInstall, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Chunk: 1, NChunks: 3, Data: bytes.Repeat([]byte{0xc3}, 64)},
-		{Kind: KSnapAck, From: 2, Epoch: 1, Term: 6, LogIndex: 512, Chunk: 2, NChunks: 3, Flag: 1},
 		{Kind: KConfChange, From: 3, Token: 40, Epoch: 2, Flag: 1, ReqFrom: 4, Attempt: 1},
 		{Kind: KConfAck, From: 0, Token: 40, Epoch: 2, Flag: 1},
 		{Kind: KConfAck, From: 0, Token: 41, Epoch: 2, Err: "consensus: a membership change is already pending"},
