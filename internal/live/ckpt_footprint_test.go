@@ -12,18 +12,22 @@ import (
 // TestCheckpointFootprint bounds what checkpointing allocates. A
 // supervised 3-node jacobi runs twice, with a replicated checkpoint at
 // every barrier and with none; the difference in bytes allocated is
-// bounded at 4.5 times the bytes checkpointed. The structural cost is
-// 3.2: the changed pages' images (half of jacobi's snapshot) and, on the
-// two nodes of three that push, the encoding, the frames of the push,
-// the frames' payloads and the replica's assembly; 3.5 is measured, and
+// bounded at twice the bytes checkpointed. The structural cost is 1.23:
+// the changed pages' images (half of jacobi's snapshot, 0.5) and, on the
+// two nodes of three that push (2/3), a page frame encoded for each
+// changed page (0.5, in a 4 864-byte size class: 0.59) and decoded by
+// the leader into the replica's image (0.5); 1.45-1.50 is measured, and
 // the rest of the bound is room for allocations that depend on the
-// scheduler and on retries. Before snapshots were immutable it was
-// twelve times (two store clones, two regrowing encoders, the regrowing
-// assembly, the decoder's copy, and the leader's push to itself).
+// scheduler and on retries. Pushing the whole encoded snapshot in 32 KiB
+// chunks it was 4.5 (3.5 measured: the encoding, the chunk frames, their
+// payloads and the assembly, for every page); before snapshots were
+// immutable it was twelve times (two store clones, two regrowing
+// encoders, the regrowing assembly, the decoder's copy, and the leader's
+// push to itself).
 func TestCheckpointFootprint(t *testing.T) {
 	run := func(every int64) (alloc, ckpts, bytes int64) {
-		// 350 KB a node, eleven chunks: a snapshot of two or three chunks
-		// would measure how the last chunk and its frame are rounded up.
+		// 350 KB a node, 85 pages: enough that one seal per checkpoint
+		// does not weigh on the ratio.
 		app := jacobi.New(jacobi.Params{N: 256, Iters: 10, PointCycles: 10})
 		cfg := chaosConfig(3, core.LH, nil)
 		cfg.Net = transport.NewInprocNet(3)
@@ -56,7 +60,7 @@ func TestCheckpointFootprint(t *testing.T) {
 	extra := alloc - base
 	t.Logf("%d checkpoints of %d bytes each cost %d allocated bytes each (%.2fx)",
 		ckpts, bytes/ckpts, extra/ckpts, float64(extra)/float64(bytes))
-	if 2*extra > 9*bytes {
-		t.Errorf("checkpointing %d bytes allocated %d (%.2fx, want <= 4.5x)", bytes, extra, float64(extra)/float64(bytes))
+	if extra > 2*bytes {
+		t.Errorf("checkpointing %d bytes allocated %d (%.2fx, want <= 2x)", bytes, extra, float64(extra)/float64(bytes))
 	}
 }

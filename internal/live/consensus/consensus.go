@@ -841,10 +841,10 @@ func (r *Rep) propose(p proposal) {
 	if r.pending[idx] != nil || idx > r.applied {
 		r.pending[idx] = append(r.pending[idx], p.done)
 	} else {
-		// Single-replica quorum: the entry already committed and
-		// applied inside appendLocal.
+		// Single-voter quorum: the entry already committed and applied
+		// inside appendLocal. The learners hear of it now, not at the
+		// next heartbeat.
 		p.done(nil)
-		return
 	}
 	r.broadcast()
 	r.beatAt = time.Now().Add(r.cfg.HeartbeatEvery)

@@ -437,6 +437,48 @@ func TestQuorumlessLeaderStepsDown(t *testing.T) {
 	}
 }
 
+// TestOneVoterBroadcastsCommits: a one-voter leader commits inside
+// its proposal, with no round trip to wait for, and still sends the
+// commit to its learners at once. With a 1 s heartbeat, a learner that
+// heard of commits only from heartbeats would lag each one by up to a
+// second.
+func TestOneVoterBroadcastsCommits(t *testing.T) {
+	h := newHarnessOpt(t, 3, 10*time.Second, []int{0}) // HeartbeatEvery 1 s
+	defer h.stopAll()
+
+	if ld := h.waitLeader(); ld != 0 {
+		t.Fatalf("leader %d, want the only voter", ld)
+	}
+	for k := 0; k < 5; k++ {
+		cmd := fmt.Sprintf("cmd-%d", k)
+		if err := h.proposeOK(0, cmd); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(100 * time.Millisecond)
+		for _, i := range []int{1, 2} {
+			for !h.hasApplied(i, cmd) {
+				if time.Now().After(deadline) {
+					t.Fatalf("learner %d has not applied %s 100ms after its commit", i, cmd)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	h.sameApplyOrder(0, 1, 2)
+}
+
+// hasApplied reports whether replica i's apply log contains cmd.
+func (h *harness) hasApplied(i int, cmd string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, a := range h.applied[i] {
+		if strings.HasSuffix(a, ":"+cmd) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestLearnersFollowFailover: non-voters learn the log and the leader
 // from the leader's appends. With voters {0, 1, 2} on five replicas,
 // leader 0 cut off from 1 and 2 loses office to one of them although

@@ -56,62 +56,50 @@ func TestConsensusLaneDropCounted(t *testing.T) {
 	}
 }
 
-// TestManagerBlobCachesBounded storms the manager's two snapshot-blob
-// caches — inbound push assemblies and outbound join blobs — with far
-// more concurrent streams than blobCacheCap and checks the LRU
-// discipline: the maps never exceed the cap, the least-recently-touched
-// entry is the one evicted, explicit clears drop entries without
-// counting as evictions, and every forced eviction lands in
+// TestManagerBlobCachesBounded storms the manager's join-blob cache
+// with far more concurrent rejoins than blobCacheCap and checks the LRU
+// discipline: the map never exceeds the cap, the least-recently-touched
+// entry is the one evicted, an explicit clear drops an entry without
+// counting as an eviction, and every forced eviction lands in
 // mgr_cache_evictions.
 func TestManagerBlobCachesBounded(t *testing.T) {
 	nd := &Node{nn: 64}
 	g := newManager(nd)
 
-	// Push-assembly storm: 3x the cap, round-robin touches.
+	// 3x the cap, round-robin touches.
 	for w := 0; w < 3*blobCacheCap; w++ {
-		g.setPush(w, &pushAsm{})
-		if len(g.push) > blobCacheCap {
-			t.Fatalf("push cache grew to %d entries (cap %d)", len(g.push), blobCacheCap)
-		}
-	}
-	if got := atomic.LoadInt64(&nd.stats.MgrCacheEvictions); got != 2*blobCacheCap {
-		t.Fatalf("push evictions = %d, want %d", got, 2*blobCacheCap)
-	}
-	// The survivors are exactly the most recently touched cap-many.
-	for w := 2 * blobCacheCap; w < 3*blobCacheCap; w++ {
-		if g.push[w] == nil {
-			t.Fatalf("recently touched push assembly %d was evicted", w)
-		}
-	}
-
-	// Touching an old stream moves it off the eviction end.
-	g.setPush(2*blobCacheCap, &pushAsm{}) // now most recent
-	g.setPush(99, &pushAsm{})             // evicts 2*cap+1, not 2*cap
-	if g.push[2*blobCacheCap] == nil {
-		t.Fatal("touched push assembly was evicted ahead of older entries")
-	}
-	if g.push[2*blobCacheCap+1] != nil {
-		t.Fatal("least-recently-touched push assembly survived past the cap")
-	}
-
-	// Completing a stream clears its slot without counting an eviction.
-	before := atomic.LoadInt64(&nd.stats.MgrCacheEvictions)
-	g.setPush(99, nil)
-	if len(g.pushSeen) != blobCacheCap-1 {
-		t.Fatalf("clear left %d tracked streams, want %d", len(g.pushSeen), blobCacheCap-1)
-	}
-	if got := atomic.LoadInt64(&nd.stats.MgrCacheEvictions); got != before {
-		t.Fatalf("explicit clear bumped evictions: %d -> %d", before, got)
-	}
-
-	// Join-blob storm: same discipline on the outbound cache.
-	for w := 0; w < 2*blobCacheCap; w++ {
 		g.setJoinBlob(w, []byte{byte(w)})
 		if len(g.joinBlob) > blobCacheCap {
 			t.Fatalf("join cache grew to %d entries (cap %d)", len(g.joinBlob), blobCacheCap)
 		}
 	}
-	if got := atomic.LoadInt64(&nd.stats.MgrCacheEvictions) - before; got != blobCacheCap {
-		t.Fatalf("join evictions = %d, want %d", got, blobCacheCap)
+	if got := atomic.LoadInt64(&nd.stats.MgrCacheEvictions); got != 2*blobCacheCap {
+		t.Fatalf("join evictions = %d, want %d", got, 2*blobCacheCap)
+	}
+	// The survivors are exactly the most recently touched cap-many.
+	for w := 2 * blobCacheCap; w < 3*blobCacheCap; w++ {
+		if g.joinBlob[w] == nil {
+			t.Fatalf("recently touched join blob %d was evicted", w)
+		}
+	}
+
+	// Touching an old blob moves it off the eviction end.
+	g.setJoinBlob(2*blobCacheCap, []byte{1}) // now most recent
+	g.setJoinBlob(99, []byte{2})             // evicts 2*cap+1, not 2*cap
+	if g.joinBlob[2*blobCacheCap] == nil {
+		t.Fatal("touched join blob was evicted ahead of older entries")
+	}
+	if g.joinBlob[2*blobCacheCap+1] != nil {
+		t.Fatal("least-recently-touched join blob survived past the cap")
+	}
+
+	// A resumed joiner's blob is cleared without counting an eviction.
+	before := atomic.LoadInt64(&nd.stats.MgrCacheEvictions)
+	g.setJoinBlob(99, nil)
+	if len(g.joinSeen) != blobCacheCap-1 {
+		t.Fatalf("clear left %d tracked blobs, want %d", len(g.joinSeen), blobCacheCap-1)
+	}
+	if got := atomic.LoadInt64(&nd.stats.MgrCacheEvictions); got != before {
+		t.Fatalf("explicit clear bumped evictions: %d -> %d", before, got)
 	}
 }

@@ -56,7 +56,7 @@ func BenchmarkCaptureCheckpoint(b *testing.B) {
 		b.Run(fmt.Sprintf("rewritten=%d%%", pct), func(b *testing.B) {
 			n := ckptBenchNodes(b, 1, func(int) RecoverConfig { return RecoverConfig{} })[0]
 			n.mu.Lock()
-			n.lastSnap = n.snapshotLocked(0)
+			n.lastSnap, _ = n.snapshotLocked(0)
 			n.mu.Unlock()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -68,7 +68,7 @@ func BenchmarkCaptureCheckpoint(b *testing.B) {
 				for pg := 0; pg < ckptBenchPages*pct/100; pg++ {
 					n.pages[pg].homeVT[0]++
 				}
-				snap := n.snapshotLocked(int64(i + 1))
+				snap, _ := n.snapshotLocked(int64(i + 1))
 				n.mu.Unlock()
 				n.lastSnap = snap
 			}
@@ -77,35 +77,46 @@ func BenchmarkCaptureCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapPush: a 2 MiB snapshot, encoded and pushed into the
-// manager's store, in-process — every chunk through the wire codec,
-// assembled, decoded and put; the benchmark goroutine is the pushing
-// worker and waits for the one acknowledgement.
+// BenchmarkSnapPush: a 2 MiB snapshot pushed into the manager's store,
+// in-process, with half or all of its pages changed since the previous
+// push — every changed page through the wire codec as its own frame,
+// then the seal, which builds the replica over the previous one and puts
+// it; the benchmark goroutine is the pushing worker and waits for the
+// one acknowledgement. SetBytes counts the pushed pages only.
 func BenchmarkSnapPush(b *testing.B) {
-	store := ckpt.NewMemStore()
-	nodes := ckptBenchNodes(b, 2, func(i int) RecoverConfig {
-		if i == 0 {
-			return RecoverConfig{Store: store, Replicate: true}
-		}
-		return RecoverConfig{Store: ckpt.NewMemStore(), Replicate: true}
-	})
-	n := nodes[1]
-	n.mu.Lock()
-	snap := n.snapshotLocked(0)
-	n.mu.Unlock()
-	b.SetBytes(snap.Bytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap.Episode = int64(i + 1)
-		n.pushSnapshot(snap.Episode, ckpt.EncodeNode(snap))
-		if err := store.Prune(keepCheckpoints); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	got, err := store.GetNode(int64(b.N), 1)
-	if err != nil || got.Bytes() != snap.Bytes() {
-		b.Fatalf("the manager's store holds no replica of the last push: %v", err)
+	for _, pct := range []int{50, 100} {
+		b.Run(fmt.Sprintf("rewritten=%d%%", pct), func(b *testing.B) {
+			store := ckpt.NewMemStore()
+			nodes := ckptBenchNodes(b, 2, func(i int) RecoverConfig {
+				if i == 0 {
+					return RecoverConfig{Store: store, Replicate: true}
+				}
+				return RecoverConfig{Store: ckpt.NewMemStore(), Replicate: true}
+			})
+			n := nodes[1]
+			n.mu.Lock()
+			snap, all := n.snapshotLocked(1)
+			n.mu.Unlock()
+			n.pushSnapshot(snap, 0, all) // the base every timed push goes on
+			fresh := all[:len(all)*pct/100]
+			b.SetBytes(snap.Bytes() * int64(pct) / 100)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap.Episode = int64(i + 2)
+				n.pushSnapshot(snap, snap.Episode-1, fresh)
+				if err := store.Prune(keepCheckpoints); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			got, err := store.GetNode(int64(b.N+1), 1)
+			if err != nil || got.Bytes() != snap.Bytes() {
+				b.Fatalf("the manager's store holds no replica of the last push: %v", err)
+			}
+			if st := n.Stats(); st.LeaderRedirects != 0 {
+				b.Fatalf("%d pushes were redirected: the leader lost its base", st.LeaderRedirects)
+			}
+		})
 	}
 }

@@ -35,12 +35,11 @@ import (
 // increasing tokens, so a request whose token is not newer than the
 // client's last is a retransmission — the cached reply is re-sent (the
 // original was lost) or, while the original is still pending, the
-// duplicate is simply dropped. (Snapshot chunks skip the table: placing
-// a chunk at its index is idempotent, see snapPush.) The dedup tables,
-// chunk assemblers and join blobs are leader-local (guarded by cmu, not
-// replicated): every command is idempotent and a client whose leader
-// died retries at the new one with fresh tokens, so serving state never
-// needs to agree across replicas.
+// duplicate is simply dropped (snapshot page frames are not requests,
+// see snapPage). The dedup tables, page pushes and join blobs are
+// leader-local (guarded by cmu, not replicated): every command is
+// idempotent and a client whose leader died retries at the new one with
+// fresh tokens, so serving state never needs to agree across replicas.
 type manager struct {
 	n  *Node
 	nn int
@@ -56,22 +55,17 @@ type manager struct {
 	// (origin node, token lane) — each lane issues tokens from its own
 	// monotonic sequence, so a supervisor RPC on the conf lane cannot
 	// shadow a worker's lane-0 tokens — and LRU-bounded by
-	// clientCacheCap. push[w] assembles a snapshot blob w is streaming
-	// in KSnapPush chunks and pushed[w] is the newest episode of w's
-	// stored here since the last rollback (a resent stream finds its
-	// episode there once a mid-stream chunk has filled the last hole;
-	// episodes restart at a rollback, so opReset clears it with push);
-	// joinBlob[w] is the encoded replica served back to a rejoining w in
-	// KSnapChunk replies; both chunk caches are LRU-bounded by blobCacheCap (an evicted stream self-heals: the
-	// client is redirected and sends the stream again, a rejoining node
-	// re-runs its join handshake). suspect[w] marks a peer this leader
-	// already reported down, so one silence fires one verdict.
+	// clientCacheCap. pushes[w] is node w's page push, filled in term
+	// pushTerm. joinBlob[w] is the encoded replica served back to a
+	// rejoining w in KSnapChunk replies, LRU-bounded by blobCacheCap (a
+	// rejoining node whose blob was evicted re-runs its join handshake).
+	// suspect[w] marks a peer this leader already reported down, so one
+	// silence fires one verdict.
 	cmu        sync.Mutex
 	clients    map[clientKey]*mclient
 	clientSeen []clientKey
-	push       map[int]*pushAsm
-	pushSeen   []int
-	pushed     map[int]int64
+	pushes     []pushSlot
+	pushTerm   int64
 	joinBlob   map[int][]byte
 	joinSeen   []int
 	suspect    []bool
@@ -83,21 +77,18 @@ type clientKey struct {
 	lane int64
 }
 
-// pushAsm reassembles one node's replicated snapshot from its chunks.
-// buf is allocated once, from the stream's chunk count, and every chunk
-// is copied to its own offset, so arrival order and duplicates do not
-// matter; have marks the offsets filled, so a lost chunk leaves the
-// assembly incomplete instead of passing zeroes for data. size is the
-// encoded length, known once the last chunk has arrived.
-type pushAsm struct {
+// pushSlot is one node's page push at this leader. base is the newest
+// replica of its snapshot this leader stored since the last rollback,
+// in this term (nil: none), the only snapshot a seal may build on: the
+// store can hold a replica of the same episode from before a rollback.
+// frames holds the page images pushed for episode, until its seal.
+type pushSlot struct {
+	base    *ckpt.NodeSnapshot
 	episode int64
-	buf     []byte
-	have    []bool
-	missing int
-	size    int
+	frames  map[int32]ckpt.PageImage
 }
 
-// maxSnapChunks bounds the chunk count a push stream may announce.
+// maxSnapChunks bounds the chunk count a join grant may announce.
 const maxSnapChunks = ckpt.MaxSnapshot / snapChunkSize
 
 // replyCacheCap bounds each client's cached-reply window. A worker has
@@ -108,12 +99,11 @@ const maxSnapChunks = ckpt.MaxSnapshot / snapChunkSize
 const replyCacheCap = 32
 
 // clientCacheCap bounds the dedup table across (node, lane) streams;
-// blobCacheCap bounds the snapshot-chunk caches (inbound push
-// assemblies and outbound join blobs, independently). Both follow the
+// blobCacheCap bounds the outbound join blobs. Both follow the
 // reply-cache discipline: oldest-first eviction, and an evicted stream
 // re-establishes itself — a client whose dedup entry aged out simply
-// starts a fresh token window, an evicted chunk stream is redirected
-// and restarts from chunk 0.
+// starts a fresh token window, a joiner whose blob was evicted is
+// redirected and re-runs its join handshake.
 const (
 	clientCacheCap = 256
 	blobCacheCap   = 8
@@ -156,8 +146,7 @@ func newManager(n *Node) *manager {
 		nn:       n.nn,
 		st:       newMstate(n.nn),
 		clients:  map[clientKey]*mclient{},
-		push:     map[int]*pushAsm{},
-		pushed:   map[int]int64{},
+		pushes:   make([]pushSlot, n.nn),
 		joinBlob: map[int][]byte{},
 		suspect:  make([]bool, n.nn),
 	}
@@ -181,16 +170,6 @@ func (g *manager) client(from int32, tok int64) *mclient {
 	return c
 }
 
-// touchSeen moves w to the most-recent end of an LRU order slice.
-func touchSeen(order []int, w int) []int {
-	for i, v := range order {
-		if v == w {
-			return append(append(order[:i:i], order[i+1:]...), w)
-		}
-	}
-	return append(order, w)
-}
-
 // dropSeen removes w from an LRU order slice.
 func dropSeen(order []int, w int) []int {
 	for i, v := range order {
@@ -199,25 +178,6 @@ func dropSeen(order []int, w int) []int {
 		}
 	}
 	return order
-}
-
-// setPush installs (or clears, a == nil) node w's inbound snapshot
-// assembly, evicting the least-recently-touched one past blobCacheCap.
-// Caller holds cmu.
-func (g *manager) setPush(w int, a *pushAsm) {
-	if a == nil {
-		delete(g.push, w)
-		g.pushSeen = dropSeen(g.pushSeen, w)
-		return
-	}
-	g.push[w] = a
-	g.pushSeen = touchSeen(g.pushSeen, w)
-	if len(g.pushSeen) > blobCacheCap {
-		ev := g.pushSeen[0]
-		g.pushSeen = g.pushSeen[1:]
-		delete(g.push, ev)
-		atomic.AddInt64(&g.n.stats.MgrCacheEvictions, 1)
-	}
 }
 
 // setJoinBlob installs (or clears) the outbound join blob served to a
@@ -229,7 +189,7 @@ func (g *manager) setJoinBlob(w int, blob []byte) {
 		return
 	}
 	g.joinBlob[w] = blob
-	g.joinSeen = touchSeen(g.joinSeen, w)
+	g.joinSeen = append(dropSeen(g.joinSeen, w), w)
 	if len(g.joinSeen) > blobCacheCap {
 		ev := g.joinSeen[0]
 		g.joinSeen = g.joinSeen[1:]
@@ -244,15 +204,15 @@ func (g *manager) isLeader() bool { return g.rep.Leader().IsLeader }
 
 func (g *manager) handle(m *wire.Msg) {
 	if !g.isLeader() {
-		// Token 0 is an unacknowledged stream chunk: nobody waits for its
-		// redirect, the stream's last chunk collects it.
+		// Token 0 is an unacknowledged page frame: nobody waits for its
+		// redirect, the push's seal collects it.
 		if m.Token != 0 {
 			g.redirect(m)
 		}
 		return
 	}
 	if m.Kind == wire.KSnapPush {
-		g.snapPush(m)
+		g.snapPage(m)
 		return
 	}
 	if g.dropDup(m) {
@@ -263,6 +223,8 @@ func (g *manager) handle(m *wire.Msg) {
 		g.joinReq(m)
 	case wire.KSnapReq:
 		g.snapReq(m)
+	case wire.KSnapSeal:
+		g.snapSeal(m)
 	case wire.KResume:
 		// A rejoined node is live again: its recovery ends and liveness
 		// re-arms for it on every replica.
@@ -310,8 +272,8 @@ func (g *manager) reply(to int32, m *wire.Msg) {
 // redirect answers a request with KNotLeader and this replica's leader
 // hint: at a non-leader, so the client re-resolves the leader; at the
 // leader, when the request's leader-local serving state straddled a
-// leader change (a chunk stream split across replicas), so the client
-// restarts the whole exchange here from a clean slate.
+// leader change (a join blob granted elsewhere), so the client restarts
+// the whole exchange here from a clean slate.
 func (g *manager) redirect(m *wire.Msg) {
 	info := g.rep.Leader()
 	g.n.send(int(m.From), &wire.Msg{
@@ -355,9 +317,7 @@ func (g *manager) dropServing() {
 	defer g.cmu.Unlock()
 	g.clients = map[clientKey]*mclient{}
 	g.clientSeen = nil
-	g.push = map[int]*pushAsm{}
-	g.pushSeen = nil
-	g.pushed = map[int]int64{}
+	g.pushes = make([]pushSlot, g.nn) // a seal under way writes to the old slots
 	g.joinBlob = map[int][]byte{}
 	g.joinSeen = nil
 	for w := range g.suspect {
@@ -410,77 +370,89 @@ func (g *manager) ackOnCommit(m *wire.Msg, cmd []byte) {
 
 // ---- checkpoint and rejoin ----
 
-// snapPush places one chunk of a snapshot a node is replicating here and
-// stores the snapshot once every chunk is in. Only the stream's last
-// chunk is a request: it is acknowledged when the snapshot is stored and
-// redirected while chunks are missing — one was lost, or the stream went
-// to a previous leader — which makes the sender put the whole stream in
-// the air again; the holes fill and nothing already placed is lost.
-// Chunks are neither de-duplicated nor reply-cached: a duplicate lands
-// on the bytes it already wrote, and a retransmitted last chunk is
-// answered from the state it finds. Snapshot replication is leader-local
-// store traffic, not replicated state. The assembled buffer becomes the
-// stored replica's backing memory (DecodeNode aliases it).
-func (g *manager) snapPush(m *wire.Msg) {
-	w, last := int(m.From), m.Chunk == m.NChunks-1
-	sized := len(m.Data) == snapChunkSize || last && len(m.Data) > 0 && len(m.Data) < snapChunkSize
-	if m.NChunks < 1 || m.NChunks > maxSnapChunks || m.Chunk < 0 || m.Chunk >= m.NChunks || !sized {
-		g.abort(fmt.Errorf("manager: snapshot chunk %d/%d of %d bytes from %d is out of range",
-			m.Chunk, m.NChunks, len(m.Data), w))
+// slot returns node w's push slot. A new term empties every slot: a
+// new leader holds no base. Slots are replaced, not cleared (here and in
+// dropServing), so a seal that took its slot before writes only to the
+// discarded one. Caller holds cmu.
+func (g *manager) slot(w int) *pushSlot {
+	if t := g.rep.Leader().Term; t != g.pushTerm {
+		g.pushes, g.pushTerm = make([]pushSlot, g.nn), t
+	}
+	return &g.pushes[w]
+}
+
+// snapPage keeps one page frame of a node's push until its seal. Frames
+// are not requests: nobody waits for one, and a duplicate or a resent
+// frame replaces the image it repeats (a node's snapshot of an episode
+// is one set of images per epoch). A frame older than the push under way
+// is a late copy; one of a page the node does not home is never read.
+func (g *manager) snapPage(m *wire.Msg) {
+	g.cmu.Lock()
+	s := g.slot(int(m.From))
+	if m.Episode > s.episode {
+		s.episode, s.frames = m.Episode, map[int32]ckpt.PageImage{}
+	}
+	if m.Episode == s.episode && s.frames != nil {
+		//dsmlint:ignore vtalias Decode allocates exactly sized Data and VT per frame and the frame is kept nowhere else, so the replica's image takes them without a copy
+		s.frames[m.Page] = ckpt.PageImage{Page: m.Page, Data: m.Data, HomeVT: m.VT}
+	}
+	g.cmu.Unlock()
+}
+
+// snapSeal stores the snapshot a node sealed: each page it homes is the
+// frame pushed for the episode, else the base replica's image (stored
+// snapshots are immutable, so they share it). Without the base the seal
+// names, or with a frame it names missing, it is answered with a
+// redirect naming this leader, and the node pushes every page again with
+// no base. The seal is an ordinary request: a retransmission is answered
+// from the reply cache.
+func (g *manager) snapSeal(m *wire.Msg) {
+	w := int(m.From)
+	if w == g.n.id { // the leader's own snapshot is in its store already
+		g.reply(m.From, &wire.Msg{Kind: wire.KAck, Token: m.Token})
 		return
 	}
 	g.cmu.Lock()
-	// The leader's own snapshot is in its store already, and so is one
-	// whose stream completed before this (late or resent) chunk.
-	stored := w == g.n.id || m.Episode <= g.pushed[w]
-	var done *pushAsm
-	if !stored {
-		a := g.push[w]
-		if a == nil || a.episode != m.Episode || len(a.have) != int(m.NChunks) {
-			a = &pushAsm{
-				episode: m.Episode,
-				buf:     make([]byte, int(m.NChunks)*snapChunkSize),
-				have:    make([]bool, m.NChunks),
-				missing: int(m.NChunks),
-			}
+	s := g.slot(w)
+	var base []ckpt.PageImage
+	if m.Base > 0 && s.base != nil && s.base.Episode == m.Base {
+		base = s.base.Pages
+	}
+	var frames map[int32]ckpt.PageImage
+	if s.episode == m.Episode {
+		frames = s.frames
+	}
+	ok := true
+	for _, pg := range m.Pages {
+		_, in := frames[pg]
+		ok = ok && in
+	}
+	//dsmlint:ignore vtalias the seal is decoded fresh and kept nowhere else, so the replica owns its VT
+	snap := &ckpt.NodeSnapshot{Episode: m.Episode, Node: m.From, VT: m.VT, Pages: make([]ckpt.PageImage, 0, len(base))}
+	for pg, h := range g.n.cfg.Homes {
+		if int(h) != w {
+			continue
 		}
-		lo := int(m.Chunk) * snapChunkSize
-		copy(a.buf[lo:], m.Data)
-		if last {
-			a.size = lo + len(m.Data)
+		img, in := frames[int32(pg)]
+		if !in && base != nil {
+			img, in = base[len(snap.Pages)], true // one image per homed page, in page order
 		}
-		if !a.have[m.Chunk] {
-			a.have[m.Chunk] = true
-			a.missing--
-		}
-		if a.missing == 0 {
-			done = a
-			g.pushed[w] = m.Episode
-			g.setPush(w, nil)
-		} else {
-			g.setPush(w, a) // LRU touch; an evicted stream is sent again
-		}
+		ok = ok && in
+		snap.Pages = append(snap.Pages, img)
 	}
 	g.cmu.Unlock()
-	if done != nil {
-		snap, err := ckpt.DecodeNode(done.buf[:done.size])
-		if err != nil {
-			g.abort(fmt.Errorf("manager: replicated snapshot from %d: %w", w, err))
-			return
-		}
-		if err := g.n.cfg.Recover.Store.PutNode(snap); err != nil {
-			g.abort(fmt.Errorf("manager: storing replica of %d: %w", w, err))
-			return
-		}
-	}
-	if !last {
+	if !ok {
+		g.reply(m.From, &wire.Msg{Kind: wire.KNotLeader, Token: m.Token, Term: g.rep.Leader().Term, Leader: int32(g.n.id)})
 		return
 	}
-	if stored || done != nil {
-		g.n.send(int(m.From), &wire.Msg{Kind: wire.KAck, Token: m.Token})
-	} else {
-		g.redirect(m)
+	if err := g.n.cfg.Recover.Store.PutNode(snap); err != nil {
+		g.abort(fmt.Errorf("manager: storing replica of %d: %w", w, err))
+		return
 	}
+	g.cmu.Lock()
+	s.base, s.frames = snap, nil
+	g.cmu.Unlock()
+	g.reply(m.From, &wire.Msg{Kind: wire.KAck, Token: m.Token})
 }
 
 // joinReq admits a restarted node. A noop is committed first as a read
@@ -516,7 +488,7 @@ func (g *manager) snapReq(m *wire.Msg) {
 	g.cmu.Lock()
 	blob := g.joinBlob[w]
 	if blob != nil {
-		g.joinSeen = touchSeen(g.joinSeen, w) // an active stream stays resident
+		g.joinSeen = append(dropSeen(g.joinSeen, w), w) // an active stream stays resident
 	}
 	g.cmu.Unlock()
 	if blob == nil {
@@ -525,7 +497,7 @@ func (g *manager) snapReq(m *wire.Msg) {
 		g.redirect(m)
 		return
 	}
-	if m.Chunk < 0 || m.Chunk >= snapChunks(blob) {
+	if m.Chunk < 0 || int(m.Chunk)*snapChunkSize >= len(blob) {
 		g.abort(fmt.Errorf("manager: snapshot chunk %d requested by %d, have %d bytes", m.Chunk, w, len(blob)))
 		return
 	}

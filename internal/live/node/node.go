@@ -1678,7 +1678,7 @@ func (n *Node) handle(m *wire.Msg) {
 		n.handleBarRelease(m)
 	case wire.KLogSegReq:
 		n.handleLogSegReq(m)
-	case wire.KJoinReq, wire.KSnapReq, wire.KSnapPush, wire.KResume, wire.KCkptDone, wire.KConfChange:
+	case wire.KJoinReq, wire.KSnapReq, wire.KSnapPush, wire.KSnapSeal, wire.KResume, wire.KCkptDone, wire.KConfChange:
 		n.mgr.handle(m)
 	default:
 		n.fail(fmt.Errorf("node %d: unexpected request kind %v", n.id, m.Kind))

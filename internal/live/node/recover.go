@@ -12,16 +12,11 @@ import (
 	"lrcdsm/internal/vc"
 )
 
-// snapChunkSize is the payload size of one KSnapPush/KSnapChunk frame
-// when a serialized snapshot is streamed to or from the manager.
+// snapChunkSize is the payload size of one KSnapChunk frame when a
+// rejoining node streams its serialized snapshot from the manager.
 const snapChunkSize = 32 << 10
 
-// snapChunks is the number of chunks an encoded snapshot travels in.
-func snapChunks(blob []byte) int32 {
-	return int32((len(blob) + snapChunkSize - 1) / snapChunkSize)
-}
-
-// snapChunk is chunk i of an encoded snapshot, 0 <= i < snapChunks(blob).
+// snapChunk is chunk i of an encoded snapshot, 0 <= i*snapChunkSize < len(blob).
 func snapChunk(blob []byte, i int32) []byte {
 	lo := int(i) * snapChunkSize
 	hi := lo + snapChunkSize
@@ -50,9 +45,10 @@ type RecoverConfig struct {
 	// Every takes a checkpoint at each barrier episode divisible by it;
 	// non-positive takes none.
 	Every int64
-	// Replicate streams every snapshot to the manager leader's store,
-	// so a node that loses its own store (disk gone with the host) can
-	// still rejoin by pulling chunks from the leader.
+	// Replicate pushes every snapshot to the manager leader's store
+	// (the pages that changed since the previous one), so a node that
+	// loses its own store (disk gone with the host) can still rejoin by
+	// pulling chunks from the leader.
 	Replicate bool
 	// Epoch is the cluster recovery epoch this engine starts in;
 	// Incarnation counts the node's restarts (0 for the original) and
@@ -211,7 +207,7 @@ func (n *Node) replayBarrier() {
 // after a lost reply converges — and every redirect both counts and
 // updates the node's leader cache.
 func (n *Node) mgrRPC(m *wire.Msg) *wire.Msg {
-	r := n.mgrRPCRedirect(m)
+	r := n.mgrRPCLane(m, 0)
 	if r.Kind == wire.KNotLeader {
 		// Exhausted RPCTimeout without ever reaching a settled leader.
 		panic(runError{fmt.Errorf("node %d: manager rpc %v gave up chasing the leader after %v",
@@ -219,14 +215,6 @@ func (n *Node) mgrRPC(m *wire.Msg) *wire.Msg {
 	}
 	return r
 }
-
-// mgrRPCRedirect is mgrRPC for stream steps (snapshot chunks) whose
-// leader-local serving state cannot survive a leader change: instead of
-// silently retrying a redirected request at the new leader — whose
-// assembler or join blob knows nothing of the stream — the final
-// KNotLeader is returned so the caller restarts the whole exchange.
-// Transient redirects during an unsettled election are still absorbed.
-func (n *Node) mgrRPCRedirect(m *wire.Msg) *wire.Msg { return n.mgrRPCLane(m, 0) }
 
 // mgrTarget is the node a manager request is sent to first: the cached
 // leader.
@@ -238,9 +226,14 @@ func (n *Node) mgrTarget() int {
 	return to
 }
 
-// mgrRPCLane is mgrRPCRedirect with the requests issued on a token lane
-// of their own, for callers running concurrently with the worker's
-// lane-0 manager RPCs (the supervisor's membership changes).
+// mgrRPCLane is mgrRPC on a token lane (0 is the worker's; the
+// supervisor's membership changes run concurrently on one of their own)
+// that returns the final KNotLeader instead of giving up on it: a step
+// of an exchange whose leader-local serving state cannot survive a
+// leader change (a snapshot seal, a join chunk) is not retried at the
+// new leader, which knows nothing of the exchange, and the caller
+// restarts the whole exchange. Transient redirects during an unsettled
+// election are still absorbed.
 func (n *Node) mgrRPCLane(m *wire.Msg, lane int64) *wire.Msg {
 	deadline := time.Now().Add(n.cfg.RPCTimeout)
 	perTry := 4 * n.cfg.RetryMax
@@ -316,7 +309,11 @@ func (n *Node) mgrRPCLane(m *wire.Msg, lane int64) *wire.Msg {
 func (n *Node) captureCheckpoint(episode int64) {
 	rc := &n.cfg.Recover
 	n.mu.Lock()
-	snap := n.snapshotLocked(episode)
+	var base int64
+	if n.lastSnap != nil {
+		base = n.lastSnap.Episode
+	}
+	snap, fresh := n.snapshotLocked(episode)
 	gated := n.gated
 	n.gated = nil
 	n.gateEpisode = 0
@@ -338,7 +335,7 @@ func (n *Node) captureCheckpoint(episode int64) {
 	n.sendOwedAcks()
 
 	if rc.Replicate && !n.mgr.isLeader() {
-		n.pushSnapshot(episode, ckpt.EncodeNode(snap))
+		n.pushSnapshot(snap, base, fresh)
 	}
 	n.mgrRPC(&wire.Msg{Kind: wire.KCkptDone, Episode: episode})
 	if err := rc.Store.Prune(keepCheckpoints); err != nil {
@@ -352,14 +349,14 @@ func (n *Node) captureCheckpoint(episode int64) {
 // moved since the node's previous snapshot shares that snapshot's image:
 // every change to a homed page's committed view goes through
 // homeRecordLocked, which advances homeVT. Only the changed pages are
-// copied under n.mu. Caller holds n.mu and is the worker (lastSnap is
-// worker-private).
-func (n *Node) snapshotLocked(episode int64) *ckpt.NodeSnapshot {
+// copied under n.mu; fresh lists their indices in snap.Pages. Caller
+// holds n.mu and is the worker (lastSnap is worker-private).
+func (n *Node) snapshotLocked(episode int64) (snap *ckpt.NodeSnapshot, fresh []int) {
 	var prev []ckpt.PageImage
 	if n.lastSnap != nil {
 		prev = n.lastSnap.Pages
 	}
-	snap := &ckpt.NodeSnapshot{Episode: episode, Node: int32(n.id), VT: n.vt.Clone()}
+	snap = &ckpt.NodeSnapshot{Episode: episode, Node: int32(n.id), VT: n.vt.Clone()}
 	if len(prev) > 0 {
 		snap.Pages = make([]ckpt.PageImage, 0, len(prev))
 	}
@@ -376,47 +373,49 @@ func (n *Node) snapshotLocked(episode int64) *ckpt.NodeSnapshot {
 		}
 		data := make([]byte, len(ps.data))
 		ps.committed(data)
+		fresh = append(fresh, len(snap.Pages))
 		snap.Pages = append(snap.Pages, ckpt.PageImage{
 			Page:   int32(pg),
 			Data:   data,
 			HomeVT: ps.homeVT.Clone(),
 		})
 	}
-	return snap
+	return snap, fresh
 }
 
-// pushSnapshot replicates an encoded snapshot in the current leader's
-// store with one wait: every KSnapPush chunk but the last goes out
-// unacknowledged (token 0) and the last one is the stream's single
-// request, acknowledged once the leader holds all of them. The chunks
-// are leader-local state, placed by index: if one was lost, or the
-// leader changed under the stream, the last chunk is answered with a
-// redirect and the whole stream goes out again, to the leader the
-// redirect named. A node that is the leader itself has nothing to push:
-// its own store is the replica store.
-func (n *Node) pushSnapshot(episode int64, blob []byte) {
-	total := snapChunks(blob)
-	chunk := func(i int32) *wire.Msg {
-		return &wire.Msg{Kind: wire.KSnapPush, Episode: episode, Chunk: i, NChunks: total, Data: snapChunk(blob, i)}
-	}
-	for {
-		if n.mgr.isLeader() {
-			return
-		}
+// pushSnapshot replicates snap in the current leader's store with one
+// wait. The images the capture copied (fresh, indices into snap.Pages)
+// go out as unacknowledged KSnapPush frames (token 0); then one
+// KSnapSeal names them and the episode they go on, base (0: none), and
+// is acknowledged once the leader stored the snapshot. A leader without
+// that base, or missing a frame — lost, or sent to a previous leader —
+// answers the seal with a redirect, and every page goes out again with
+// no base, to the leader the redirect named. A node that is the leader
+// itself has nothing to push: its own store is the replica store.
+func (n *Node) pushSnapshot(snap *ckpt.NodeSnapshot, base int64, fresh []int) {
+	for !n.mgr.isLeader() {
 		to := n.mgrTarget()
-		for i := int32(0); i < total-1; i++ {
+		seal := &wire.Msg{Kind: wire.KSnapSeal, Episode: snap.Episode, Base: base, VT: snap.VT}
+		var err error
+		for _, k := range fresh {
 			if n.intrFlag.Load() {
 				n.panicInterrupted()
 			}
-			// A leader that cannot be reached gets no more of the stream
-			// (each send may sit out the transport's dial retries); the
-			// last chunk's RPC finds its successor.
-			if n.trySend(to, chunk(i)) != nil {
-				break
+			img := &snap.Pages[k]
+			seal.Pages = append(seal.Pages, img.Page)
+			// A leader that cannot be reached gets no more frames (each
+			// send may sit out the transport's dial retries); the seal's
+			// RPC finds its successor.
+			if err == nil {
+				err = n.trySend(to, &wire.Msg{Kind: wire.KSnapPush, Episode: snap.Episode, Page: img.Page, VT: img.HomeVT, Data: img.Data})
 			}
 		}
-		if r := n.mgrRPCRedirect(chunk(total - 1)); r.Kind != wire.KNotLeader {
+		if n.mgrRPCLane(seal, 0).Kind != wire.KNotLeader {
 			return
+		}
+		base, fresh = 0, fresh[:0]
+		for k := range snap.Pages {
+			fresh = append(fresh, k)
 		}
 	}
 }
@@ -523,7 +522,7 @@ rejoin:
 			} else if grant.NChunks > 0 {
 				blob := make([]byte, 0, int(grant.NChunks)*snapChunkSize)
 				for i := int32(0); i < grant.NChunks; i++ {
-					r := n.mgrRPCRedirect(&wire.Msg{Kind: wire.KSnapReq, Episode: k, Chunk: i})
+					r := n.mgrRPCLane(&wire.Msg{Kind: wire.KSnapReq, Episode: k, Chunk: i}, 0)
 					if r.Kind == wire.KNotLeader {
 						// The granting leader died mid-stream; its successor
 						// holds no join blob. Re-run the whole handshake.

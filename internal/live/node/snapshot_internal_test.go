@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -75,18 +76,26 @@ func TestIncrementalSnapshotMatchesFullCapture(t *testing.T) {
 			check := func(n *Node, episode int64) *ckpt.NodeSnapshot {
 				prev := n.lastSnap
 				n.mu.Lock()
-				inc, ref := n.snapshotLocked(episode), refSnapshotLocked(n, episode)
+				inc, fresh := n.snapshotLocked(episode)
+				ref := refSnapshotLocked(n, episode)
 				n.mu.Unlock()
 				n.lastSnap = inc
 				if !bytes.Equal(ckpt.EncodeNode(inc), ckpt.EncodeNode(ref)) {
 					t.Errorf("seed %d %v node %d episode %d: incremental snapshot differs from the full capture", seed, prot, n.id, episode)
 				}
+				var unshared []int
 				for k := range inc.Pages {
 					if prev != nil && &inc.Pages[k].Data[0] == &prev.Pages[k].Data[0] {
 						shared[n.id]++
 					} else {
 						copied[n.id]++
+						unshared = append(unshared, k)
 					}
+				}
+				// fresh is what a page push sends: exactly the images the
+				// capture did not share.
+				if fmt.Sprint(fresh) != fmt.Sprint(unshared) {
+					t.Errorf("seed %d %v node %d episode %d: fresh images %v, want %v", seed, prot, n.id, episode, fresh, unshared)
 				}
 				return inc
 			}

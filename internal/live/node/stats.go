@@ -89,8 +89,10 @@ type Stats struct {
 	// Recovery counters: the checkpoint/rejoin machinery's activity. All
 	// zero on a fault-free run without a restart budget.
 	CheckpointsTaken int64 `json:"checkpoints_taken"` // barrier-aligned snapshots captured
-	CheckpointBytes  int64 `json:"checkpoint_bytes"`  // serialized snapshot bytes stored
-	StaleFrames      int64 `json:"stale_frames"`      // frames fenced for carrying an old recovery epoch
+	// CheckpointBytes is the page payload of every snapshot captured,
+	// images shared with the previous one included (pushed: BytesSent).
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
+	StaleFrames     int64 `json:"stale_frames"` // frames fenced for carrying an old recovery epoch
 
 	// Wall-clock waits, in nanoseconds (the live analogue of the
 	// simulator's *WaitCycles).
@@ -138,8 +140,8 @@ type Stats struct {
 	// voting-membership changes it applied; SlotQuarantines corrupt
 	// durable slots quarantined at load;
 	// LaneDrops outbound consensus frames discarded on a full peer lane;
-	// MgrCacheEvictions snapshot-chunk cache entries the manager evicted
-	// under its LRU bound.
+	// MgrCacheEvictions join blobs (a rejoiner's encoded replica) the
+	// manager evicted under its LRU bound.
 	ConsensusSnapInstalls    int64 `json:"consensus_snap_installs"`
 	ConsensusConfChanges     int64 `json:"consensus_conf_changes"`
 	ConsensusSlotQuarantines int64 `json:"consensus_slot_quarantines"`

@@ -21,7 +21,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{Version})
 	f.Add([]byte{Version, byte(KPageReply), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	// A full-length header whose kind byte is one past the last kind.
-	f.Add([]byte{Version, byte(KConfAck) + 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{Version, byte(kindEnd), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {

@@ -22,11 +22,11 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed. Version 12
-// deleted the consensus snapshot-install kinds, renumbering the kinds
-// after them, and gave KAppend the Data field that carries the leader's
-// state inline.
-const Version = 12
+// from a different build is rejected instead of misparsed. Version 13
+// made KSnapPush one page image of a snapshot instead of one chunk of
+// its encoding, and added KSnapSeal, which stores the pushed pages as a
+// snapshot.
+const Version = 13
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -92,8 +92,9 @@ const (
 	KSnapReq
 	// KSnapChunk returns one chunk of an encoded node snapshot.
 	KSnapChunk
-	// KSnapPush replicates one chunk of a node's encoded snapshot to the
-	// manager leader's store (the inverse direction of KSnapChunk).
+	// KSnapPush carries one page image of a node's snapshot to the
+	// manager leader, unacknowledged: Page, its home version (VT) and
+	// the image (Data). A KSnapSeal stores the pushed pages.
 	KSnapPush
 	// KResume tells the manager a rejoined node is live again, re-arming
 	// its liveness accounting.
@@ -154,6 +155,10 @@ const (
 	// KConfAck answers a membership change: Flag is 1 once the change
 	// committed, 0 with Err naming the rejection reason.
 	KConfAck
+	// KSnapSeal asks the manager leader to store a node's snapshot of
+	// Episode (VT): the KSnapPush frames of Pages over its replica of
+	// episode Base (0: none).
+	KSnapSeal
 
 	kindEnd
 )
@@ -174,6 +179,7 @@ var kindNames = [...]string{
 	KAppend: "append", KAppendAck: "append-ack",
 	KNotLeader:  "not-leader",
 	KConfChange: "conf-change", KConfAck: "conf-ack",
+	KSnapSeal: "snap-seal",
 }
 
 func (k Kind) String() string {
@@ -241,7 +247,8 @@ type Msg struct {
 	Barrier int32
 	Episode int64
 	Page    int32
-	Chunk   int32  // snapshot chunk index (KSnapReq/KSnapChunk/KSnapPush)
+	Base    int64  // episode a snapshot seal builds on, 0 for none (KSnapSeal)
+	Chunk   int32  // snapshot chunk index (KSnapReq/KSnapChunk)
 	NChunks int32  // total chunks in the snapshot being streamed
 	ReqFrom int32  // original requester of a forwarded lock request
 	Lo, Hi  int32  // interval-log segment range (Lo, Hi] (KLogSeg*)
@@ -258,6 +265,7 @@ type Msg struct {
 
 	VT       []int32 // vector time (requester VT, grant VT, page version)
 	Need     []int32 // per-writer version the home must hold before answering (KPageReq/KDiffReq)
+	Pages    []int32 // pages whose frames a snapshot seal stores (KSnapSeal)
 	Data     []byte  // page image, snapshot chunk, or a consensus state (KAppend)
 	Diffs    []Diff
 	Notices  []Notice
@@ -271,6 +279,7 @@ type Msg struct {
 // Encode tests them in.
 type fieldSet struct {
 	lock, barrier, episode, pg     bool
+	base, pages                    bool
 	vt, data, diffs, notices, ival bool
 	attempt                        bool // retryable request kinds
 	errstr                         bool
@@ -298,7 +307,7 @@ var fields = map[Kind]fieldSet{
 	KJoinGrant:    {episode: true, chunk: true},
 	KSnapReq:      {episode: true, chunk: true, attempt: true},
 	KSnapChunk:    {episode: true, pg: true, chunk: true, vt: true, data: true},
-	KSnapPush:     {episode: true, pg: true, chunk: true, vt: true, data: true, attempt: true},
+	KSnapPush:     {episode: true, pg: true, vt: true, data: true},
 	KResume:       {attempt: true},
 	KCkptDone:     {episode: true, attempt: true},
 	KLockForward:  {lock: true, reqfrom: true, vt: true},
@@ -312,6 +321,7 @@ var fields = map[Kind]fieldSet{
 	KNotLeader:    {term: true, leader: true},
 	KConfChange:   {flag: true, reqfrom: true, attempt: true},
 	KConfAck:      {flag: true, errstr: true},
+	KSnapSeal:     {episode: true, base: true, vt: true, pages: true, attempt: true},
 }
 
 // Encode serializes m into a fresh buffer.
@@ -380,6 +390,9 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 	if fs.episode {
 		w.I64(m.Episode)
 	}
+	if fs.base {
+		w.I64(m.Base)
+	}
 	if fs.pg {
 		w.I32(m.Page)
 	}
@@ -388,6 +401,9 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 	}
 	if fs.need {
 		w.I32s(m.Need)
+	}
+	if fs.pages {
+		w.I32s(m.Pages)
 	}
 	if fs.data {
 		w.Bytes(m.Data)
@@ -497,6 +513,9 @@ func Decode(b []byte) (*Msg, error) {
 	if fs.episode {
 		m.Episode = r.I64()
 	}
+	if fs.base {
+		m.Base = r.I64()
+	}
 	if fs.pg {
 		m.Page = r.I32()
 	}
@@ -505,6 +524,9 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.need {
 		m.Need = r.I32s()
+	}
+	if fs.pages {
+		m.Pages = r.I32s()
 	}
 	if fs.data {
 		m.Data = r.Bytes()

@@ -51,7 +51,7 @@ func sampleMsgs() []*Msg {
 		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, NChunks: 3},
 		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Chunk: 1},
 		{Kind: KSnapChunk, From: 0, Token: 2, Epoch: 2, Episode: 4, Page: 7, Chunk: 1, NChunks: 3, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)},
-		{Kind: KSnapPush, From: 1, Token: 5, Epoch: 1, Episode: 4, Page: 9, Chunk: 0, NChunks: 2, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}, Attempt: 2},
+		{Kind: KSnapPush, From: 1, Epoch: 1, Episode: 4, Page: 9, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}},
 		{Kind: KResume, From: 3, Token: 3, Epoch: 2},
 		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
 		{Kind: KLockForward, From: 0, Token: 21, Epoch: 2, Lock: 12, ReqFrom: 3, VT: []int32{0, 1, 2, 3}},
@@ -71,7 +71,7 @@ func sampleMsgs() []*Msg {
 		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, NChunks: 3},
 		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Chunk: 1},
 		{Kind: KSnapChunk, From: 0, Token: 2, Epoch: 2, Episode: 4, Page: 7, Chunk: 1, NChunks: 3, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)},
-		{Kind: KSnapPush, From: 1, Token: 5, Epoch: 1, Episode: 4, Page: 9, Chunk: 0, NChunks: 2, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}, Attempt: 2},
+		{Kind: KSnapPush, From: 1, Epoch: 1, Episode: 4, Page: 9, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}},
 		{Kind: KResume, From: 3, Token: 3, Epoch: 2},
 		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
 		{Kind: KLockForward, From: 0, Token: 21, Epoch: 2, Lock: 12, ReqFrom: 3, VT: []int32{0, 1, 2, 3}},
@@ -90,6 +90,8 @@ func sampleMsgs() []*Msg {
 		{Kind: KConfChange, From: 3, Token: 40, Epoch: 2, Flag: 1, ReqFrom: 4, Attempt: 1},
 		{Kind: KConfAck, From: 0, Token: 40, Epoch: 2, Flag: 1},
 		{Kind: KConfAck, From: 0, Token: 41, Epoch: 2, Err: "consensus: a membership change is already pending"},
+		{Kind: KSnapSeal, From: 1, Token: 5, Epoch: 1, Episode: 4, Base: 3, VT: []int32{4, 4, 4, 4}, Pages: []int32{9, 11}, Attempt: 1},
+		{Kind: KSnapSeal, From: 2, Token: 6, Epoch: 1, Episode: 5, VT: []int32{5, 5, 5, 5}}, // nothing changed, no base
 	}
 }
 
