@@ -806,6 +806,7 @@ func (r *Rep) becomeLeader() {
 	// applied state machine is current before it serves reads.
 	r.appendLocal(nil)
 	r.broadcast()
+	r.fold()
 	r.beatAt = time.Now().Add(r.cfg.HeartbeatEvery)
 }
 
@@ -847,6 +848,7 @@ func (r *Rep) propose(p proposal) {
 		p.done(nil)
 	}
 	r.broadcast()
+	r.fold()
 	r.beatAt = time.Now().Add(r.cfg.HeartbeatEvery)
 }
 
@@ -919,6 +921,11 @@ func (r *Rep) applyCommitted() {
 		r.applied++
 		e := r.entryAt(r.applied)
 		bump(r.cfg.Counters.Commits)
+		// Taken before the entry applies: a leader that commits its own
+		// removal steps down in applyConf and fails what is still
+		// pending, but this entry is committed.
+		cbs := r.pending[r.applied]
+		delete(r.pending, r.applied)
 		if add, nd, ok := decodeConfCmd(e.Cmd); ok {
 			r.applyConf(add, nd)
 		} else if r.cfg.Apply != nil {
@@ -927,14 +934,10 @@ func (r *Rep) applyCommitted() {
 		if r.confPending != 0 && r.applied >= r.confPending {
 			r.confPending = 0
 		}
-		if cbs := r.pending[r.applied]; cbs != nil {
-			delete(r.pending, r.applied)
-			for _, cb := range cbs {
-				cb(nil)
-			}
+		for _, cb := range cbs {
+			cb(nil)
 		}
 	}
-	r.fold()
 }
 
 // applyConf applies a committed single-server membership change. The
@@ -976,7 +979,9 @@ func (r *Rep) applyConf(add bool, nd int) {
 // fold folds the applied entries into the state and drops them from
 // the log, leaving only the uncommitted tail. Every replica folds
 // independently: the state machine is deterministic, so equal applied
-// indexes mean equal states.
+// indexes mean equal states. A leader folds after the appends that
+// carry a commit, not before: a peer that acked everything up to the
+// entry then gets the entry, not the whole state in its place.
 func (r *Rep) fold() {
 	if r.applied <= r.snapIndex {
 		return
@@ -1145,6 +1150,7 @@ func (r *Rep) onAppend(m *wire.Msg) {
 		}
 		r.commit = c
 		r.applyCommitted()
+		r.fold()
 	}
 	r.cfg.Send(int(m.From), &wire.Msg{
 		Kind: wire.KAppendAck, Term: r.term, LogIndex: newLast, Flag: 1,
@@ -1180,6 +1186,7 @@ func (r *Rep) onAppendAck(m *wire.Msg) {
 		if r.next[from] <= r.lastIndex() {
 			r.sendAppend(from) // keep a lagging follower streaming
 		}
+		r.fold()
 		return
 	}
 	// Mismatch: adopt the follower's back-up hint and retry.
@@ -1206,6 +1213,7 @@ func (r *Rep) catchUp(idx, tm int64, blob []byte) {
 	case !r.fenced && idx <= r.lastIndex() && r.termAt(idx) == tm:
 		r.commit = idx
 		r.applyCommitted()
+		r.fold()
 	default:
 		r.installSnapshot(idx, tm, blob)
 	}

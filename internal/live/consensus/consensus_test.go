@@ -441,7 +441,9 @@ func TestQuorumlessLeaderStepsDown(t *testing.T) {
 // its proposal, with no round trip to wait for, and still sends the
 // commit to its learners at once. With a 1 s heartbeat, a learner that
 // heard of commits only from heartbeats would lag each one by up to a
-// second.
+// second. A learner that acked the previous commit gets the entry
+// itself: a leader that folded the commit into its state before sending
+// it would install the whole state at every learner instead.
 func TestOneVoterBroadcastsCommits(t *testing.T) {
 	h := newHarnessOpt(t, 3, 10*time.Second, []int{0}) // HeartbeatEvery 1 s
 	defer h.stopAll()
@@ -451,6 +453,10 @@ func TestOneVoterBroadcastsCommits(t *testing.T) {
 	}
 	for k := 0; k < 5; k++ {
 		cmd := fmt.Sprintf("cmd-%d", k)
+		var installs [3]int64
+		for _, i := range []int{1, 2} {
+			installs[i] = atomic.LoadInt64(&h.counters[i].snapInstalls)
+		}
 		if err := h.proposeOK(0, cmd); err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +468,14 @@ func TestOneVoterBroadcastsCommits(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
+			if got := atomic.LoadInt64(&h.counters[i].snapInstalls); k > 0 && got != installs[i] {
+				t.Errorf("learner %d installed the state %d times for %s; the leader should have sent the entry", i, got-installs[i], cmd)
+			}
 		}
+		// Let the learners' acks of this commit reach the leader before
+		// the next proposal: the entry goes to a learner the leader knows
+		// is up to date.
+		time.Sleep(20 * time.Millisecond)
 	}
 	h.sameApplyOrder(0, 1, 2)
 }
@@ -793,6 +806,24 @@ func TestMembershipRemoveFloor(t *testing.T) {
 	// The shrunken set still commits.
 	if err := h.proposeOK(0, "three-voters"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelfRemovalReportsCommit: a leader that commits its own removal
+// steps down at the commit and fails what is still pending, but the
+// removal itself committed and its proposer hears so. Failed instead,
+// the client would retry at the successor, which refuses every change
+// while the one it inherited is uncommitted in its own log.
+func TestSelfRemovalReportsCommit(t *testing.T) {
+	h := newHarnessOpt(t, 4, 100*time.Millisecond, nil)
+	defer h.stopAll()
+
+	ld := h.waitLeader()
+	if err := h.proposeConfOK(ld, false, ld); err != nil {
+		t.Fatalf("leader %d removing itself: %v", ld, err)
+	}
+	if h.reps[ld].Leader().IsLeader {
+		t.Errorf("removed leader %d still leads", ld)
 	}
 }
 

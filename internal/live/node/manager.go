@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,10 +37,11 @@ import (
 // client's last is a retransmission — the cached reply is re-sent (the
 // original was lost) or, while the original is still pending, the
 // duplicate is simply dropped (snapshot page frames are not requests,
-// see snapPage). The dedup tables, page pushes and join blobs are
-// leader-local (guarded by cmu, not replicated): every command is
-// idempotent and a client whose leader died retries at the new one with
-// fresh tokens, so serving state never needs to agree across replicas.
+// see snapPage). The dedup tables and the push slots (page pushes, and
+// the replicas joiners pull) are leader-local (guarded by cmu, not
+// replicated): every command is idempotent and a client whose leader
+// died retries at the new one with fresh tokens, so serving state never
+// needs to agree across replicas.
 type manager struct {
 	n  *Node
 	nn int
@@ -55,10 +57,8 @@ type manager struct {
 	// (origin node, token lane) — each lane issues tokens from its own
 	// monotonic sequence, so a supervisor RPC on the conf lane cannot
 	// shadow a worker's lane-0 tokens — and LRU-bounded by
-	// clientCacheCap. pushes[w] is node w's page push, filled in term
-	// pushTerm. joinBlob[w] is the encoded replica served back to a
-	// rejoining w in KSnapChunk replies, LRU-bounded by blobCacheCap (a
-	// rejoining node whose blob was evicted re-runs its join handshake).
+	// clientCacheCap. pushes[w] is node w's push slot, filled in term
+	// pushTerm: its page push and the replica it pulls while it rejoins.
 	// suspect[w] marks a peer this leader already reported down, so one
 	// silence fires one verdict.
 	cmu        sync.Mutex
@@ -66,8 +66,6 @@ type manager struct {
 	clientSeen []clientKey
 	pushes     []pushSlot
 	pushTerm   int64
-	joinBlob   map[int][]byte
-	joinSeen   []int
 	suspect    []bool
 }
 
@@ -77,19 +75,20 @@ type clientKey struct {
 	lane int64
 }
 
-// pushSlot is one node's page push at this leader. base is the newest
-// replica of its snapshot this leader stored since the last rollback,
-// in this term (nil: none), the only snapshot a seal may build on: the
-// store can hold a replica of the same episode from before a rollback.
-// frames holds the page images pushed for episode, until its seal.
+// pushSlot is one node's snapshot traffic at this leader, in both
+// directions. base is the newest replica of its snapshot this leader
+// stored since the last rollback, in this term (nil: none), the only
+// snapshot a seal may build on: the store can hold a replica of the
+// same episode from before a rollback. frames holds the page images
+// pushed for episode, until its seal. join is the replica this leader
+// granted the node's rejoin from, served a page per KSnapReq until its
+// KResume commits (nil: none).
 type pushSlot struct {
 	base    *ckpt.NodeSnapshot
 	episode int64
 	frames  map[int32]ckpt.PageImage
+	join    *ckpt.NodeSnapshot
 }
-
-// maxSnapChunks bounds the chunk count a join grant may announce.
-const maxSnapChunks = ckpt.MaxSnapshot / snapChunkSize
 
 // replyCacheCap bounds each client's cached-reply window. A worker has
 // at most one manager RPC outstanding, so one slot would suffice for
@@ -98,16 +97,10 @@ const maxSnapChunks = ckpt.MaxSnapshot / snapChunkSize
 // without bound.
 const replyCacheCap = 32
 
-// clientCacheCap bounds the dedup table across (node, lane) streams;
-// blobCacheCap bounds the outbound join blobs. Both follow the
-// reply-cache discipline: oldest-first eviction, and an evicted stream
-// re-establishes itself — a client whose dedup entry aged out simply
-// starts a fresh token window, a joiner whose blob was evicted is
-// redirected and re-runs its join handshake.
-const (
-	clientCacheCap = 256
-	blobCacheCap   = 8
-)
+// clientCacheCap bounds the dedup table across (node, lane) streams.
+// It follows the reply-cache discipline: oldest-first eviction, and a
+// client whose dedup entry aged out simply starts a fresh token window.
+const clientCacheCap = 256
 
 // mclient is one node's request de-duplication state: the newest token
 // seen from it and a bounded cache of recent replies, keyed by token
@@ -142,13 +135,12 @@ func (c *mclient) cache(m *wire.Msg) {
 
 func newManager(n *Node) *manager {
 	return &manager{
-		n:        n,
-		nn:       n.nn,
-		st:       newMstate(n.nn),
-		clients:  map[clientKey]*mclient{},
-		pushes:   make([]pushSlot, n.nn),
-		joinBlob: map[int][]byte{},
-		suspect:  make([]bool, n.nn),
+		n:       n,
+		nn:      n.nn,
+		st:      newMstate(n.nn),
+		clients: map[clientKey]*mclient{},
+		pushes:  make([]pushSlot, n.nn),
+		suspect: make([]bool, n.nn),
 	}
 }
 
@@ -168,34 +160,6 @@ func (g *manager) client(from int32, tok int64) *mclient {
 		}
 	}
 	return c
-}
-
-// dropSeen removes w from an LRU order slice.
-func dropSeen(order []int, w int) []int {
-	for i, v := range order {
-		if v == w {
-			return append(order[:i], order[i+1:]...)
-		}
-	}
-	return order
-}
-
-// setJoinBlob installs (or clears) the outbound join blob served to a
-// rejoining node w, with the same LRU bound. Caller holds cmu.
-func (g *manager) setJoinBlob(w int, blob []byte) {
-	if blob == nil {
-		delete(g.joinBlob, w)
-		g.joinSeen = dropSeen(g.joinSeen, w)
-		return
-	}
-	g.joinBlob[w] = blob
-	g.joinSeen = append(dropSeen(g.joinSeen, w), w)
-	if len(g.joinSeen) > blobCacheCap {
-		ev := g.joinSeen[0]
-		g.joinSeen = g.joinSeen[1:]
-		delete(g.joinBlob, ev)
-		atomic.AddInt64(&g.n.stats.MgrCacheEvictions, 1)
-	}
 }
 
 // isLeader reports whether this replica currently serves manager
@@ -272,7 +236,7 @@ func (g *manager) reply(to int32, m *wire.Msg) {
 // redirect answers a request with KNotLeader and this replica's leader
 // hint: at a non-leader, so the client re-resolves the leader; at the
 // leader, when the request's leader-local serving state straddled a
-// leader change (a join blob granted elsewhere), so the client restarts
+// leader change (a rejoin granted elsewhere), so the client restarts
 // the whole exchange here from a clean slate.
 func (g *manager) redirect(m *wire.Msg) {
 	info := g.rep.Leader()
@@ -298,7 +262,7 @@ func (g *manager) applyCmd(cmd []byte) error {
 	case opResume:
 		w := int(c.node)
 		g.cmu.Lock()
-		g.setJoinBlob(w, nil)
+		g.slot(w).join = nil
 		g.cmu.Unlock()
 		g.rep.Heard(w)
 	case opReset:
@@ -318,8 +282,6 @@ func (g *manager) dropServing() {
 	g.clients = map[clientKey]*mclient{}
 	g.clientSeen = nil
 	g.pushes = make([]pushSlot, g.nn) // a seal under way writes to the old slots
-	g.joinBlob = map[int][]byte{}
-	g.joinSeen = nil
 	for w := range g.suspect {
 		g.suspect[w] = false
 	}
@@ -459,8 +421,8 @@ func (g *manager) snapSeal(m *wire.Msg) {
 // barrier, so the grant reflects the rollback any previous leader
 // committed; it names the checkpoint episode the cluster rolled back to
 // and — when this replica's store holds a copy of the joiner's snapshot
-// — how many chunks the joiner may stream with KSnapReq if its own store
-// is gone.
+// — that copy's vector time. The copy stays in the joiner's slot, for
+// a joiner whose own store is gone to pull page by page with KSnapReq.
 func (g *manager) joinReq(m *wire.Msg) {
 	w := int(m.From)
 	from, tok := m.From, m.Token
@@ -469,42 +431,36 @@ func (g *manager) joinReq(m *wire.Msg) {
 		reply := &wire.Msg{Kind: wire.KJoinGrant, Token: tok, Episode: k}
 		if k > 0 {
 			if snap, err := g.n.cfg.Recover.Store.GetNode(k, w); err == nil {
-				blob := ckpt.EncodeNode(snap)
 				g.cmu.Lock()
-				g.setJoinBlob(w, blob)
+				g.slot(w).join = snap
 				g.cmu.Unlock()
-				reply.NChunks = int32((len(blob) + snapChunkSize - 1) / snapChunkSize)
+				reply.VT = snap.VT
 			}
 		}
 		return reply
 	}))
 }
 
-// snapReq serves one chunk of the joiner's replicated snapshot. A
-// leader granted after a failover has no blob for the joiner — the
-// redirect sends it back to re-run the join handshake here.
+// snapReq serves one page of the replica a joiner was granted its
+// rejoin from, as a page reply: the image and its home version. A
+// leader that granted no rejoin to the joiner in this term — the grant
+// came from its predecessor — holds none, and the redirect sends the
+// joiner back to re-run the join handshake here. A page the replica
+// does not hold is answered empty, which the joiner rejects.
 func (g *manager) snapReq(m *wire.Msg) {
-	w := int(m.From)
 	g.cmu.Lock()
-	blob := g.joinBlob[w]
-	if blob != nil {
-		g.joinSeen = append(dropSeen(g.joinSeen, w), w) // an active stream stays resident
-	}
+	snap := g.slot(int(m.From)).join
 	g.cmu.Unlock()
-	if blob == nil {
-		// No blob for the joiner — granted by a different leader, or
-		// evicted under cache pressure: re-run the join handshake here.
+	if snap == nil || snap.Episode != m.Episode {
 		g.redirect(m)
 		return
 	}
-	if m.Chunk < 0 || int(m.Chunk)*snapChunkSize >= len(blob) {
-		g.abort(fmt.Errorf("manager: snapshot chunk %d requested by %d, have %d bytes", m.Chunk, w, len(blob)))
-		return
+	reply := &wire.Msg{Kind: wire.KPageReply, Token: m.Token, Page: m.Page}
+	pages := snap.Pages
+	if i := sort.Search(len(pages), func(i int) bool { return pages[i].Page >= m.Page }); i < len(pages) && pages[i].Page == m.Page {
+		reply.VT, reply.Data = pages[i].HomeVT, pages[i].Data
 	}
-	g.reply(m.From, &wire.Msg{
-		Kind: wire.KSnapChunk, Token: m.Token,
-		Episode: m.Episode, Chunk: m.Chunk, Data: snapChunk(blob, m.Chunk),
-	})
+	g.reply(m.From, reply)
 }
 
 // confChange commits a single-server voting-membership change (add or

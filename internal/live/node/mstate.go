@@ -15,7 +15,7 @@ import (
 // only through apply, driven by commands committed on the consensus
 // log, so every replica that applies the same command sequence holds
 // byte-identical state (see encodeState). Leader-local serving state —
-// request dedup, snapshot page pushes, join blobs — deliberately
+// request dedup, snapshot page pushes, joiners' replicas — deliberately
 // lives outside, in the manager: it never needs to agree across
 // replicas because every command is idempotent and clients retry with
 // fresh tokens.

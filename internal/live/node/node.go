@@ -1287,7 +1287,7 @@ func (n *Node) pullDiffs(pg page.ID) {
 func isReply(k wire.Kind) bool {
 	switch k {
 	case wire.KPageReply, wire.KDiffReply, wire.KAck, wire.KLockGrant, wire.KBarDepart,
-		wire.KJoinGrant, wire.KSnapChunk, wire.KLogSegResp, wire.KNotLeader, wire.KConfAck:
+		wire.KJoinGrant, wire.KLogSegResp, wire.KNotLeader, wire.KConfAck:
 		return true
 	}
 	return false

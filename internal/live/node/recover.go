@@ -12,20 +12,6 @@ import (
 	"lrcdsm/internal/vc"
 )
 
-// snapChunkSize is the payload size of one KSnapChunk frame when a
-// rejoining node streams its serialized snapshot from the manager.
-const snapChunkSize = 32 << 10
-
-// snapChunk is chunk i of an encoded snapshot, 0 <= i*snapChunkSize < len(blob).
-func snapChunk(blob []byte, i int32) []byte {
-	lo := int(i) * snapChunkSize
-	hi := lo + snapChunkSize
-	if hi > len(blob) {
-		hi = len(blob)
-	}
-	return blob[lo:hi]
-}
-
 // keepCheckpoints bounds how many checkpoint episodes a node's store
 // retains. The stable checkpoint lags the newest by at most one episode
 // (KCkptDone is an acknowledged RPC inside the barrier, so no node can
@@ -48,7 +34,7 @@ type RecoverConfig struct {
 	// Replicate pushes every snapshot to the manager leader's store
 	// (the pages that changed since the previous one), so a node that
 	// loses its own store (disk gone with the host) can still rejoin by
-	// pulling chunks from the leader.
+	// pulling its pages from the leader.
 	Replicate bool
 	// Epoch is the cluster recovery epoch this engine starts in;
 	// Incarnation counts the node's restarts (0 for the original) and
@@ -230,7 +216,7 @@ func (n *Node) mgrTarget() int {
 // supervisor's membership changes run concurrently on one of their own)
 // that returns the final KNotLeader instead of giving up on it: a step
 // of an exchange whose leader-local serving state cannot survive a
-// leader change (a snapshot seal, a join chunk) is not retried at the
+// leader change (a snapshot seal, a page pull) is not retried at the
 // new leader, which knows nothing of the exchange, and the caller
 // restarts the whole exchange. Transient redirects during an unsettled
 // election are still absorbed.
@@ -494,10 +480,10 @@ func (n *Node) ResetToCheckpoint(snap *ckpt.NodeSnapshot) {
 
 // JoinCluster runs a restarted node's rejoin handshake: it announces
 // itself to the manager, restores the checkpoint the cluster rolled back
-// to — from its own store if it survived the crash, else streamed from
-// the manager's replica — resumes liveness, and arms replay up to the
-// checkpoint episode. Call on a freshly built engine after Start, before
-// launching the worker.
+// to — from its own store if it survived the crash, else pulled page by
+// page from the manager's replica — resumes liveness, and arms replay up
+// to the checkpoint episode. Call on a freshly built engine after Start,
+// before launching the worker.
 func (n *Node) JoinCluster() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -509,7 +495,6 @@ func (n *Node) JoinCluster() (err error) {
 		}
 	}()
 	rc := &n.cfg.Recover
-rejoin:
 	for {
 		grant := n.mgrRPC(&wire.Msg{Kind: wire.KJoinReq})
 		k := grant.Episode
@@ -517,29 +502,18 @@ rejoin:
 		if k > 0 {
 			if s, gerr := rc.Store.GetNode(k, n.id); gerr == nil {
 				snap = s
-			} else if grant.NChunks > maxSnapChunks {
-				return fmt.Errorf("node %d: join grant announces %d snapshot chunks", n.id, grant.NChunks)
-			} else if grant.NChunks > 0 {
-				blob := make([]byte, 0, int(grant.NChunks)*snapChunkSize)
-				for i := int32(0); i < grant.NChunks; i++ {
-					r := n.mgrRPCLane(&wire.Msg{Kind: wire.KSnapReq, Episode: k, Chunk: i}, 0)
-					if r.Kind == wire.KNotLeader {
-						// The granting leader died mid-stream; its successor
-						// holds no join blob. Re-run the whole handshake.
-						continue rejoin
-					}
-					blob = append(blob, r.Data...)
-				}
-				if snap, err = ckpt.DecodeNode(blob); err != nil {
-					return fmt.Errorf("node %d: decoding streamed snapshot %d: %w", n.id, k, err)
-				}
-				// Keep the restored snapshot locally so the next stable-episode
-				// accounting and a repeated crash stay honest.
-				if err = rc.Store.PutNode(snap); err != nil {
-					return fmt.Errorf("node %d: storing streamed snapshot %d: %w", n.id, k, err)
-				}
-			} else {
+			} else if len(grant.VT) == 0 {
 				return fmt.Errorf("node %d: checkpoint %d neither local nor at manager", n.id, k)
+			} else if snap, err = n.pullSnapshot(k, grant.VT); err != nil {
+				return err
+			} else if snap == nil {
+				// The granting leader lost office mid-pull; its successor
+				// holds no replica for us. Re-run the whole handshake.
+				continue
+			} else if err = rc.Store.PutNode(snap); err != nil {
+				// Kept locally so the next stable-episode accounting and a
+				// repeated crash stay honest.
+				return fmt.Errorf("node %d: storing pulled snapshot %d: %w", n.id, k, err)
 			}
 		}
 		n.ResetToCheckpoint(snap)
@@ -547,6 +521,36 @@ rejoin:
 		n.BeginReplay(k)
 		return nil
 	}
+}
+
+// pullSnapshot fetches this node's snapshot of episode k, whose vector
+// time a join grant carried, from the manager leader's replica: one
+// KSnapReq per page it homes, in page order, each an ordinary manager
+// RPC answered with the page's image and home version. It returns nil
+// when the leader holds no replica for it any more (a leader change),
+// and an error when a reply does not fit the page asked for.
+func (n *Node) pullSnapshot(k int64, vt []int32) (*ckpt.NodeSnapshot, error) {
+	if len(vt) != n.nn {
+		return nil, fmt.Errorf("node %d: join grant of snapshot %d carries a %d-entry vector time, want %d", n.id, k, len(vt), n.nn)
+	}
+	//dsmlint:ignore vtalias the grant is decoded fresh and kept nowhere else, so the snapshot owns its VT
+	snap := &ckpt.NodeSnapshot{Episode: k, Node: int32(n.id), VT: vt}
+	for pg, h := range n.cfg.Homes {
+		if int(h) != n.id {
+			continue
+		}
+		r := n.mgrRPCLane(&wire.Msg{Kind: wire.KSnapReq, Episode: k, Page: int32(pg)}, 0)
+		switch {
+		case r.Kind == wire.KNotLeader:
+			return nil, nil
+		case r.Kind != wire.KPageReply || r.Page != int32(pg) || len(r.Data) != n.cfg.PageSize || len(r.VT) != n.nn:
+			return nil, fmt.Errorf("node %d: pulling snapshot %d: page %d answered by %v of page %d, %d bytes, %d-entry vector time",
+				n.id, k, pg, r.Kind, r.Page, len(r.Data), len(r.VT))
+		}
+		//dsmlint:ignore vtalias Decode allocates exactly sized Data and VT per frame and the reply is kept nowhere else, so the snapshot's image takes them without a copy
+		snap.Pages = append(snap.Pages, ckpt.PageImage{Page: r.Page, Data: r.Data, HomeVT: r.VT})
+	}
+	return snap, nil
 }
 
 // ---- dispatcher control ----

@@ -138,15 +138,12 @@ type Stats struct {
 	// this replica installed from an append (catching up past entries
 	// already folded into the state); ConfChanges committed
 	// voting-membership changes it applied; SlotQuarantines corrupt
-	// durable slots quarantined at load;
-	// LaneDrops outbound consensus frames discarded on a full peer lane;
-	// MgrCacheEvictions join blobs (a rejoiner's encoded replica) the
-	// manager evicted under its LRU bound.
+	// durable slots quarantined at load; LaneDrops outbound consensus
+	// frames discarded on a full peer lane.
 	ConsensusSnapInstalls    int64 `json:"consensus_snap_installs"`
 	ConsensusConfChanges     int64 `json:"consensus_conf_changes"`
 	ConsensusSlotQuarantines int64 `json:"consensus_slot_quarantines"`
 	ConsensusLaneDrops       int64 `json:"consensus_lane_drops"`
-	MgrCacheEvictions        int64 `json:"mgr_cache_evictions"`
 }
 
 // counters returns a pointer to each of s's counters — every field but

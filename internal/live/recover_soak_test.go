@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"lrcdsm/internal/live/node"
 	ckpt "lrcdsm/internal/live/recover"
 	"lrcdsm/internal/live/transport"
+	"lrcdsm/internal/live/wire"
 )
 
 // crashAt is one kill-schedule entry with the soaks' 5 ms restart
@@ -174,20 +176,84 @@ func TestRecoverySoakTCP(t *testing.T) {
 }
 
 // TestRecoveryLostStore kills a node AND discards its checkpoint store,
-// forcing the rejoin to stream the stable snapshot back from the
-// manager's replica chunk by chunk.
+// forcing the rejoin to pull the stable snapshot back from the manager's
+// replica page by page: in process, and over loopback TCP with dropped
+// and duplicated frames, so the pull's retransmissions and the leader's
+// reply cache run over real sockets. A tap on every transport counts
+// the pull's snap-req frames.
 func TestRecoveryLostStore(t *testing.T) {
-	cfg := chaosConfig(4, core.LH, nil)
-	cfg.Net = transport.NewInprocNet(4)
-	got, _ := runAppSupervised(t, "jacobi", cfg, RecoverOptions{
-		MaxRestarts:     4,
-		CheckpointEvery: 1,
-		Replicate:       true,
-		Seed:            3,
-		LoseStore:       true,
-		Crashes:         []Crash{crashAt(2, AtRelease, 3)},
-	})
-	compareToReference(t, "jacobi", core.LH, got)
+	for _, tc := range []struct {
+		name string
+		net  func(t *testing.T) transport.Network
+	}{
+		{"inproc", func(*testing.T) transport.Network { return transport.NewInprocNet(4) }},
+		{"tcp-chaos", func(t *testing.T) transport.Network {
+			inner, err := transport.NewTCPLoopbackNet(4, transport.TCPOptions{
+				DialBackoff:  time.Millisecond,
+				DialAttempts: 10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return chaos.WrapNet(inner, chaos.Config{Seed: 3, DropP: 0.01, DupP: 0.02})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pulls := &kindCounter{Network: tc.net(t), kind: wire.KSnapReq}
+			cfg := chaosConfig(4, core.LH, nil)
+			cfg.Net = pulls
+			got, _ := runAppSupervised(t, "jacobi", cfg, RecoverOptions{
+				MaxRestarts:     4,
+				CheckpointEvery: 1,
+				Replicate:       true,
+				Seed:            3,
+				LoseStore:       true,
+				Crashes:         []Crash{crashAt(2, AtRelease, 3)},
+			})
+			compareToReference(t, "jacobi", core.LH, got)
+			if pulls.n.Load() == 0 {
+				t.Error("the rejoin sent no snap-req: it did not pull its snapshot from the manager")
+			}
+			t.Logf("%d snap-req frames", pulls.n.Load())
+		})
+	}
+}
+
+// kindCounter counts the frames of one kind sent through every
+// transport of a network, a rejoined node's fresh one included.
+type kindCounter struct {
+	transport.Network
+	kind wire.Kind
+	n    atomic.Int64
+}
+
+func (c *kindCounter) Transports() []transport.Transport {
+	trs := c.Network.Transports()
+	out := make([]transport.Transport, len(trs))
+	for i, tr := range trs {
+		out[i] = &countingTransport{Transport: tr, c: c}
+	}
+	return out
+}
+
+func (c *kindCounter) Rejoin(i int) (transport.Transport, error) {
+	tr, err := c.Network.Rejoin(i)
+	if err != nil {
+		return nil, err
+	}
+	return &countingTransport{Transport: tr, c: c}, nil
+}
+
+type countingTransport struct {
+	transport.Transport
+	c *kindCounter
+}
+
+func (t *countingTransport) Send(to int, payload []byte) error {
+	if len(payload) > 1 && wire.Kind(payload[1]) == t.c.kind {
+		t.c.n.Add(1)
+	}
+	return t.Transport.Send(to, payload)
 }
 
 // TestRecoveryDirStore runs one crash-recovery cycle with on-disk

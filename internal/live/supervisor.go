@@ -34,7 +34,7 @@ type RecoverOptions struct {
 	// Seed drives the consensus replicas' election timers (default 1).
 	Seed int64
 	// LoseStore replaces the victim's store with an empty one
-	// before it rejoins, forcing the chunk-pull path from the manager's
+	// before it rejoins, forcing the page pull from the manager's
 	// replica (requires Replicate; RunSupervised refuses it without).
 	LoseStore bool
 	// Crashes is the run's kill schedule, keyed on protocol events (see

@@ -22,11 +22,11 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed. Version 13
-// made KSnapPush one page image of a snapshot instead of one chunk of
-// its encoding, and added KSnapSeal, which stores the pushed pages as a
-// snapshot.
-const Version = 13
+// from a different build is rejected instead of misparsed. Version 14
+// made a rejoiner's pull a page at a time: KSnapReq names a page and is
+// answered with a KPageReply, KJoinGrant carries the replica's vector
+// time, and the chunked pull's kind and fields are gone.
+const Version = 14
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -84,14 +84,12 @@ const (
 	// KJoinReq is a restarted node's request to rejoin the cluster.
 	KJoinReq
 	// KJoinGrant admits a joiner: the checkpoint episode the cluster
-	// resumed from, and how many snapshot chunks the manager's replica
-	// can stream if the joiner's store is blank.
+	// resumed from, and the vector time of the leader's replica of the
+	// joiner's snapshot of it (empty: the leader holds none).
 	KJoinGrant
-	// KSnapReq asks the manager's replica for one chunk of the joiner's
-	// checkpoint.
+	// KSnapReq asks the manager leader for one page of the joiner's
+	// replica (Episode, Page); a KPageReply answers it.
 	KSnapReq
-	// KSnapChunk returns one chunk of an encoded node snapshot.
-	KSnapChunk
 	// KSnapPush carries one page image of a node's snapshot to the
 	// manager leader, unacknowledged: Page, its home version (VT) and
 	// the image (Data). A KSnapSeal stores the pushed pages.
@@ -171,7 +169,7 @@ var kindNames = [...]string{
 	KBarArrive: "bar-arrive", KBarDepart: "bar-depart",
 	KAbort:   "abort",
 	KJoinReq: "join-req", KJoinGrant: "join-grant",
-	KSnapReq: "snap-req", KSnapChunk: "snap-chunk", KSnapPush: "snap-push",
+	KSnapReq: "snap-req", KSnapPush: "snap-push",
 	KResume: "resume", KCkptDone: "ckpt-done",
 	KLockForward: "lock-forward", KBarRelease: "bar-release",
 	KLogSegReq: "log-seg-req", KLogSegResp: "log-seg-resp",
@@ -248,8 +246,6 @@ type Msg struct {
 	Episode int64
 	Page    int32
 	Base    int64  // episode a snapshot seal builds on, 0 for none (KSnapSeal)
-	Chunk   int32  // snapshot chunk index (KSnapReq/KSnapChunk)
-	NChunks int32  // total chunks in the snapshot being streamed
 	ReqFrom int32  // original requester of a forwarded lock request
 	Lo, Hi  int32  // interval-log segment range (Lo, Hi] (KLogSeg*)
 	Err     string // abort reason (KAbort)
@@ -266,7 +262,7 @@ type Msg struct {
 	VT       []int32 // vector time (requester VT, grant VT, page version)
 	Need     []int32 // per-writer version the home must hold before answering (KPageReq/KDiffReq)
 	Pages    []int32 // pages whose frames a snapshot seal stores (KSnapSeal)
-	Data     []byte  // page image, snapshot chunk, or a consensus state (KAppend)
+	Data     []byte  // page image, or a consensus state (KAppend)
 	Diffs    []Diff
 	Notices  []Notice
 	Interval *Interval // closed interval (flushes, barrier arrivals)
@@ -283,7 +279,6 @@ type fieldSet struct {
 	vt, data, diffs, notices, ival bool
 	attempt                        bool // retryable request kinds
 	errstr                         bool
-	chunk                          bool // Chunk + NChunks pair
 	reqfrom                        bool
 	seg                            bool // Lo + Hi pair
 	term, logidx, logterm, commit  bool
@@ -304,9 +299,8 @@ var fields = map[Kind]fieldSet{
 	KBarDepart:    {barrier: true, episode: true, vt: true, notices: true},
 	KAbort:        {errstr: true, term: true},
 	KJoinReq:      {attempt: true},
-	KJoinGrant:    {episode: true, chunk: true},
-	KSnapReq:      {episode: true, chunk: true, attempt: true},
-	KSnapChunk:    {episode: true, pg: true, chunk: true, vt: true, data: true},
+	KJoinGrant:    {episode: true, vt: true},
+	KSnapReq:      {episode: true, pg: true, attempt: true},
 	KSnapPush:     {episode: true, pg: true, vt: true, data: true},
 	KResume:       {attempt: true},
 	KCkptDone:     {episode: true, attempt: true},
@@ -348,10 +342,6 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 	}
 	if fs.attempt {
 		w.U8(m.Attempt)
-	}
-	if fs.chunk {
-		w.I32(m.Chunk)
-		w.I32(m.NChunks)
 	}
 	if fs.term {
 		w.I64(m.Term)
@@ -469,10 +459,6 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.attempt {
 		m.Attempt = r.U8()
-	}
-	if fs.chunk {
-		m.Chunk = r.I32()
-		m.NChunks = r.I32()
 	}
 	if fs.term {
 		m.Term = r.I64()

@@ -48,9 +48,10 @@ func sampleMsgs() []*Msg {
 		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14, Flag: 1}, // a learner's heartbeat ack
 		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
 		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Attempt: 1},
-		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, NChunks: 3},
-		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Chunk: 1},
-		{Kind: KSnapChunk, From: 0, Token: 2, Epoch: 2, Episode: 4, Page: 7, Chunk: 1, NChunks: 3, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)},
+		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, VT: []int32{4, 2, 3, 4}},
+		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4}, // no replica at the leader
+		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Page: 7, Attempt: 1},
+		{Kind: KPageReply, From: 0, Token: 2, Epoch: 2, Page: 7, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)}, // a pulled page
 		{Kind: KSnapPush, From: 1, Epoch: 1, Episode: 4, Page: 9, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}},
 		{Kind: KResume, From: 3, Token: 3, Epoch: 2},
 		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
@@ -68,9 +69,10 @@ func sampleMsgs() []*Msg {
 		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14, Flag: 1}, // a learner's heartbeat ack
 		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
 		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Attempt: 1},
-		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, NChunks: 3},
-		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Chunk: 1},
-		{Kind: KSnapChunk, From: 0, Token: 2, Epoch: 2, Episode: 4, Page: 7, Chunk: 1, NChunks: 3, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)},
+		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, VT: []int32{4, 2, 3, 4}},
+		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4}, // no replica at the leader
+		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Page: 7, Attempt: 1},
+		{Kind: KPageReply, From: 0, Token: 2, Epoch: 2, Page: 7, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)}, // a pulled page
 		{Kind: KSnapPush, From: 1, Epoch: 1, Episode: 4, Page: 9, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}},
 		{Kind: KResume, From: 3, Token: 3, Epoch: 2},
 		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
