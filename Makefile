@@ -67,7 +67,8 @@ check-smoke:
 # (all four apps on 2- and 4-node in-proc clusters, held to the
 # invariant checker and checked against a 1-node reference), the
 # ordering-sensitive node tests (the in-place request path's and every
-# snapshot push and pull fault schedule among them) repeated x5 and x20
+# snapshot push and pull fault schedule and a far-behind requester's
+# grant among them) repeated x5 and x20
 # under -race (the page package in its own command: beside another race
 # binary TestDroppedCarrierRetransmits flakes), then a 2-node jacobi and a
 # 2-node cholesky (both protocols) over real TCP loopback sockets, a
@@ -81,7 +82,7 @@ live:
 		-run 'TestAtomicWord|TestQuickApplyAtomic|TestReadHitThenInvalidation|TestWriteHitRetwinsAfterRelease|TestHomeSpinsOnUnlockedRead|TestLaneWritesSurviveSiblingRelease|TestLaneConcurrentAcquires|TestHitCountsSurviveUnwinding|TestOddAddresses|TestDuplicatedForwardsReserveGrants|TestAccessCountsAreExact|TestKilledIncarnationKeepsItsAccessCounts' \
 		./internal/page/ ./internal/live/node/ ./internal/live/
 	$(GO) test -race -count=20 -timeout 300s \
-		-run 'TestGrantOvertakesFlush|TestDroppedFlushIsRetransmitted|TestOwnFlushHeldDuringRefetch|TestLaneAcquireDuringSiblingPull|TestParkedWaitsUnwind|TestGrantDiffs|TestLIGrantsCarryNoDiffs|TestBackoffParksUntilFrame|TestBackoffNoLostWakeup|TestBackoffNeverParksHolding|TestBackoffUnwindsOnInterrupt|TestOwedAckStaysInItsEpoch|TestLoneFlushAckedAtOnce|TestQueuedLockReqCarriesAck|TestDroppedCarrierRetransmits|TestFramesBeforeHandlerDelivered|TestLaneTwinCommittedView|TestLaneUnalignedWriteStraddlesRegions|TestPartialTwinNotWritable|TestLaneFalseSharingSmallPage|TestLaneRebaseUnderPartialTwin|TestResetClearsMask|TestQueuedRequestNotOvertaken|TestInPlaceChainQueues|TestSetEpochWaitsForTheDispatcher|TestClosedNodeDoesNotUnwindSender|TestInlineRequestsCounted|TestPush|TestPull' \
+		-run 'TestGrantOvertakesFlush|TestDroppedFlushIsRetransmitted|TestOwnFlushHeldDuringRefetch|TestLaneAcquireDuringSiblingPull|TestParkedWaitsUnwind|TestGrantDiffs|TestLIGrantsCarryNoDiffs|TestBackoffParksUntilFrame|TestBackoffNoLostWakeup|TestBackoffNeverParksHolding|TestBackoffUnwindsOnInterrupt|TestOwedAckStaysInItsEpoch|TestLoneFlushAckedAtOnce|TestQueuedLockReqCarriesAck|TestDroppedCarrierRetransmits|TestFramesBeforeHandlerDelivered|TestLaneTwinCommittedView|TestLaneUnalignedWriteStraddlesRegions|TestPartialTwinNotWritable|TestLaneFalseSharingSmallPage|TestLaneRebaseUnderPartialTwin|TestResetClearsMask|TestQueuedRequestNotOvertaken|TestInPlaceChainQueues|TestSetEpochWaitsForTheDispatcher|TestClosedNodeDoesNotUnwindSender|TestInlineRequestsCounted|TestPush|TestPull|TestFarBehindGrantCarriesEveryNotice' \
 		./internal/live/node/
 	$(GO) test -race -count=20 -timeout 300s -run 'TestQuickMaskedDiffEqualsFullScan|TestMaskedRunSpansAdjacentRegions' ./internal/page/
 	$(GO) test -race -count=20 -timeout 600s -run 'TestCheckerArmedOnLiveRun|TestScheduleArmsOnRejoin|TestCholeskyTCPFourNodes' ./internal/live/

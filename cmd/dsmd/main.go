@@ -399,9 +399,9 @@ func printReport(appName, trans string, st *live.Stats, faults *chaos.Counters) 
 	fmt.Printf("  release: flush drain %.1f ms (barriers, final flush), home-page wait %.1f ms, %d requests parked at homes, %d flush retransmits, %d acks carried on other frames\n",
 		float64(st.Total.FlushWaitNs)/1e6, float64(st.Total.HomeWaitNs)/1e6,
 		st.Total.ParkedReqs, st.Total.FlushRetransmits, st.Total.AcksCarried)
-	fmt.Printf("  lock plane: %d local reacquires, %d home forwards, %d handoffs, %d log-segment fetches, %d requests handled on their sender, %d idle polls parked (%d by the backstop)\n",
+	fmt.Printf("  lock plane: %d local reacquires, %d home forwards, %d handoffs, %d requests handled on their sender, %d idle polls parked (%d by the backstop)\n",
 		st.Total.LockLocalAcquires, st.Total.LockForwards, st.Total.LockHandoffs,
-		st.Total.LogSegFetches, st.Total.InlineRequests, st.Total.BackoffParks, st.Total.BackoffTimeouts)
+		st.Total.InlineRequests, st.Total.BackoffParks, st.Total.BackoffTimeouts)
 	if st.MaxMsgNode >= 0 {
 		fmt.Printf("  balance: busiest node %d sent %.1f%% of all messages\n",
 			st.MaxMsgNode, 100*st.MaxMsgFrac)

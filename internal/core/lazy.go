@@ -22,8 +22,6 @@ import (
 //     believes the acquirer caches (its copyset); the acquirer invalidates
 //     the noticed pages for which no diffs were included. A single message
 //     pair, like LI, with the reduced miss rate of LU.
-var debugNoPush = false
-
 type lazyProto struct {
 	kind Protocol
 }
@@ -83,7 +81,7 @@ func (l *lazyProto) barrierPush(p *Proc) *arrival {
 			}
 		}
 		p.pushedUpTo = p.vt.Get(p.id)
-		if len(tds) > 0 && debugNoPush == false {
+		if len(tds) > 0 {
 			p.batchedPush(tds, l.kind == LU, attrBarrier)
 		}
 	}

@@ -37,6 +37,10 @@ type harness struct {
 	cut      map[[2]int]bool // both directions
 	oneWay   map[[2]int]bool // from -> to only
 	applied  [][]string      // per-replica apply log ("idx:cmd")
+	// acked is when from last sent to an append-ack, delivered or not:
+	// a replica stamps the leader as heard before it acks the append,
+	// so this bounds from's record of hearing to from above.
+	acked map[[2]int]time.Time
 }
 
 func newHarness(t *testing.T, n int, timeout time.Duration) *harness {
@@ -56,6 +60,7 @@ func newHarnessOpt(t *testing.T, n int, timeout time.Duration, voters []int) *ha
 		cut:      map[[2]int]bool{},
 		oneWay:   map[[2]int]bool{},
 		applied:  make([][]string, n),
+		acked:    map[[2]int]time.Time{},
 	}
 	for i := 0; i < n; i++ {
 		h.stables[i] = NewStable()
@@ -107,6 +112,9 @@ func (h *harness) build(i int, timeout time.Duration) *Rep {
 func (h *harness) sender(from int) func(int, *wire.Msg) {
 	return func(to int, m *wire.Msg) {
 		h.mu.Lock()
+		if m.Kind == wire.KAppendAck {
+			h.acked[[2]int{from, to}] = time.Now()
+		}
 		blocked := h.down[from] || h.down[to] || h.oneWay[[2]int{from, to}] ||
 			h.cut[[2]int{from, to}] || h.cut[[2]int{to, from}]
 		r := h.reps[to]
@@ -497,7 +505,8 @@ func (h *harness) hasApplied(i int, cmd string) bool {
 // leader 0 cut off from 1 and 2 loses office to one of them although
 // learners 3 and 4 can still reach it; the learners follow the new
 // leader and apply its entries, and its Silences count 0's silence from
-// the cut, before it took office, and the learners' from their last ack.
+// before it took office, at least since it acked 0's last append, and
+// the learners' from their last ack.
 // (That learners' acks hold no quorum is TestLivenessCountsVoters in
 // internal/live/node.)
 func TestLearnersFollowFailover(t *testing.T) {
@@ -519,7 +528,6 @@ func TestLearnersFollowFailover(t *testing.T) {
 	h.cut[[2]int{0, 1}] = true
 	h.cut[[2]int{0, 2}] = true
 	h.mu.Unlock()
-	cutAt := time.Now()
 	ld := h.waitLeader(0)
 	if err := h.proposeOK(ld, "after"); err != nil {
 		t.Fatalf("propose on new leader %d: %v", ld, err)
@@ -533,13 +541,15 @@ func TestLearnersFollowFailover(t *testing.T) {
 	if h.reps[0].Leader().IsLeader {
 		t.Error("node 0 still leads beside the new leader")
 	}
-	since := time.Since(cutAt)
+	h.mu.Lock()
+	since := time.Since(h.acked[[2]int{ld, 0}])
+	h.mu.Unlock()
 	s := h.reps[ld].Silences(timeout)
 	if s == nil {
 		t.Fatalf("leader %d reports no silences", ld)
 	}
 	if s[0] < since {
-		t.Errorf("former leader silent %v, want at least the %v since the cut", s[0], since)
+		t.Errorf("former leader silent %v, want at least the %v since %d acked its last append", s[0], since, ld)
 	}
 	for _, i := range []int{3, 4} {
 		if s[i] >= timeout {

@@ -58,25 +58,13 @@ func (t *ackTap) frames(k wire.Kind) []*wire.Msg {
 	return out
 }
 
-// startAckPair starts writer a (node 0, home of lock 0) and home b (node
-// 1, home of page 0 and lock 1) over tapped in-process transports.
-func startAckPair(t *testing.T, tune func(*Config)) (a, b *Node, taps []*ackTap) {
+// startTapped starts nn nodes with cfg over tapped in-process
+// transports and stops them when the test ends.
+func startTapped(t *testing.T, cfg Config, nn int) ([]*Node, []*ackTap) {
 	t.Helper()
-	trs := transport.NewInprocNetwork(2)
-	cfg := Config{
-		PageSize: 256, NPages: 1, Homes: []int32{1},
-		NLocks: 2, NBars: 1, Protocol: core.LI,
-		// No retransmission, and no consensus append past the bootstrap
-		// one, whose ack startAckPair waits out (the next is 90 s away):
-		// either would carry owed acks too.
-		HeartbeatTimeout: time.Hour,
-		RetryBase:        time.Hour, RetryMax: time.Hour,
-	}
-	if tune != nil {
-		tune(&cfg)
-	}
-	nodes := make([]*Node, 2)
-	taps = make([]*ackTap, 2)
+	trs := transport.NewInprocNetwork(nn)
+	nodes := make([]*Node, nn)
+	taps := make([]*ackTap, nn)
 	for i := range nodes {
 		taps[i] = &ackTap{Transport: trs[i]}
 		nodes[i] = New(taps[i], cfg)
@@ -93,6 +81,27 @@ func startAckPair(t *testing.T, tune func(*Config)) (a, b *Node, taps []*ackTap)
 			waitClosed(t, nd)
 		}
 	})
+	return nodes, taps
+}
+
+// startAckPair starts writer a (node 0, home of lock 0) and home b (node
+// 1, home of page 0 and lock 1) over tapped in-process transports.
+func startAckPair(t *testing.T, tune func(*Config)) (a, b *Node, taps []*ackTap) {
+	t.Helper()
+	cfg := Config{
+		PageSize: 256, NPages: 1, Homes: []int32{1},
+		NLocks: 2, NBars: 1, Protocol: core.LI,
+		// No retransmission, and no consensus append past the bootstrap
+		// one, whose ack startAckPair waits out (the next is 90 s away):
+		// either would carry owed acks too.
+		HeartbeatTimeout: time.Hour,
+		RetryBase:        time.Hour, RetryMax: time.Hour,
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	var nodes []*Node
+	nodes, taps = startTapped(t, cfg, 2)
 	waitUntil(t, "b's ack of the bootstrap append", func() bool { return nodes[0].Stats().MsgsRecv == 1 })
 	return nodes[0], nodes[1], taps
 }
@@ -129,7 +138,8 @@ func blockDispatcher(t *testing.T, nd *Node, want int) {
 // writer's current, unacknowledged epoch-1 flight; neither the next
 // frame to the writer nor the home's standalone acks may carry it.
 func TestOwedAckStaysInItsEpoch(t *testing.T) {
-	a, b, taps := startAckPair(t, nil)
+	// Page 1 is homed at a, so a answers a request for it.
+	a, b, taps := startAckPair(t, func(c *Config) { c.NPages, c.Homes = 2, []int32{1, 0} })
 	a.SetEpoch(1)
 	b.SetEpoch(1)
 	taps[0].mu.Lock()
@@ -144,9 +154,9 @@ func TestOwedAckStaysInItsEpoch(t *testing.T) {
 	}
 	b.oweAck(0, toks[0], 0)
 	b.sendOwedAcks()
-	// The carrier: an empty log-segment request, which a answers.
-	b.send(0, &wire.Msg{Kind: wire.KLogSegReq, Token: 1 << 40})
-	waitUntil(t, "the carrier's answer", func() bool { return len(taps[0].frames(wire.KLogSegResp)) == 1 })
+	// The carrier: a fetch of the page a homes, which a answers.
+	b.send(0, &wire.Msg{Kind: wire.KPageReq, Token: 1 << 40, Page: 1})
+	waitUntil(t, "the carrier's answer", func() bool { return len(taps[0].frames(wire.KPageReply)) == 1 })
 	if got := flightTokens(a, 1); len(got) != 1 {
 		t.Errorf("an epoch-0 ack retired the epoch-1 flight %d", toks[0])
 	}

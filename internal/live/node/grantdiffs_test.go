@@ -47,65 +47,6 @@ func pingPong(t *testing.T, a, b *node.Node, rounds int, off core.Addr) (last ui
 	return last
 }
 
-// TestGrantDiffsAllOrNothing, piece (a): a bundle that would leave the
-// copy short of its need applies nothing, and the page is pulled. C
-// writes word 8 of A's page and its flush to A is held; C then closes
-// more intervals than A's learned log keeps, so A's grant to B omits
-// C's interval and B back-fills it from C. A's own write to word 16 is
-// carried, but the page needs C's interval too: B must pull — parked at
-// A until C's flush lands — and read C's 9. Applying the bundle on its
-// own would make the page readable without C's write.
-func TestGrantDiffsAllOrNothing(t *testing.T) {
-	cfg := node.Config{
-		PageSize: 256, NPages: 2, Homes: []int32{0, 2}, // page 0 (P) at A, page 1 (Q) at C
-		NLocks: 3, NBars: 1, Protocol: core.LH, HeartbeatTimeout: -1,
-	}
-	nodes, gates, stop := startGated(t, sameCfg(cfg, 3)...)
-	defer stop()
-	a, b, c := nodes[0], nodes[1], nodes[2]
-	const qAddr = 256
-	if v := b.ReadU64(8); v != 0 { // B caches P
-		t.Fatalf("first read = %d, want 0", v)
-	}
-	gates[2].hold()
-	c.Lock(2) // lock 2 is homed at C
-	c.WriteU64(8, 9)
-	c.Unlock(2)
-	for i := 0; i < 1100; i++ { // past learnedKnowCap, all on C's own page
-		c.Lock(2)
-		c.WriteU64(qAddr, uint64(i))
-		c.Unlock(2)
-	}
-	a.Lock(0)
-	a.WriteU64(16, 5)
-	a.Lock(2) // learns C's intervals: P's copy at A waits for the flush
-	a.Unlock(2)
-	a.Unlock(0)
-
-	read := make(chan struct{})
-	go func() {
-		waitFor(t, "the pull to park at the home", read, func() bool { return a.Stats().ParkedReqs > 0 })
-		gates[2].release()
-	}()
-	var got8, got16 uint64
-	runWorkers(t, func() {
-		b.Lock(0)
-		got8, got16 = b.ReadU64(8), b.ReadU64(16)
-		b.Unlock(0)
-		close(read)
-	})
-	if got8 != 9 || got16 != 5 {
-		t.Errorf("B read (%d, %d) under the lock, want C's 9 and A's 5", got8, got16)
-	}
-	s := b.Stats()
-	if s.LogSegFetches == 0 {
-		t.Error("B back-filled no notices; the grant did not omit C's interval")
-	}
-	if s.GrantDiffs != 0 || s.DiffPulls != 1 {
-		t.Errorf("grant diffs %d, pulls %d; want the short bundle ignored and one pull", s.GrantDiffs, s.DiffPulls)
-	}
-}
-
 // TestGrantDiffsSkipPrunedLog, piece (b): a page whose log was pruned
 // past the requester's vector time is not carried — the tail would miss
 // the pruned intervals — and the pull falls back to a full copy.

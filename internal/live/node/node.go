@@ -22,10 +22,10 @@
 // from last holder to next requester, barriers combine up a fan-in tree
 // rooted at node 0 and release down it, and the write notices a grant
 // or release carries come from per-writer interval logs — each node
-// keeps its own log authoritatively and peers replicate segments on
-// demand. What stays centralized is the manager — the liveness judge
-// and the join/checkpoint coordinator — replicated on every node and
-// served by the elected leader (see manager.go).
+// keeps its own and learns the others' from grants and releases, whole
+// within an epoch. What stays centralized is the manager — the liveness
+// judge and the join/checkpoint coordinator — replicated on every node
+// and served by the elected leader (see manager.go).
 //
 // Each node runs two goroutine roles of its own: the worker (application
 // code, calling the core.Worker operations) and a dispatcher serving
@@ -1037,15 +1037,15 @@ func (n *Node) closeInterval() {
 		pages = append(pages, int32(pg))
 	}
 	n.mod = n.mod[:0]
-	// The closed interval extends this node's authoritative per-writer
-	// log: the source every lock grant, barrier release, and on-demand
-	// segment fetch draws its write notices from.
+	// The closed interval extends this node's own per-writer log: the
+	// source every lock grant and barrier arrival draws its write
+	// notices of this node from.
 	n.recordOwnIntervalLocked(idx, pages)
 	// Flights are registered under mu so that each home's unacknowledged
 	// diffs stay in interval order even when lanes release concurrently.
 	out := n.launchFlights(perHome)
 	if n.obs != nil {
-		// Under mu: no grant, log segment or home diff can carry the
+		// Under mu: no grant, barrier arrival or home diff can carry the
 		// interval to a peer before the observer has it. A kill the
 		// event triggers (crash.go) closes this node and its transport,
 		// which takes neither mu nor anything held while waiting for it.
@@ -1112,22 +1112,22 @@ func (n *Node) homeRecordLocked(ps *lpage, wd wire.Diff, applyData bool) {
 
 // ---- acquire-side notice processing ----
 
-// applyNotices back-fills any notice gaps from the writers' logs,
-// records the learned intervals, joins the granted vector time, and
-// processes the write notices. Every noticed page's need vector is
-// raised, whatever the page's state, and a readable page whose copy no
-// longer covers its need stops being readable in the same critical
-// section that advances the vector time — so neither this worker nor a
-// sibling lane (whose next acquire will advertise the new vector time
-// and be told nothing about these pages) can read the old copy. How the
-// page becomes readable again is the protocol: under LI it is fetched at
-// the next access; under LH cached copies are refreshed here — from the
-// diffs the grant carried when they make the copy current, in this same
-// critical section (applyCarriedLocked), else by pulling the missing
-// diffs from the home; a page homed on this node waits, at its next
-// access, for the flush to land (the writer's release did not).
+// applyNotices records the learned intervals, joins the granted vector
+// time, and processes the write notices, which cover every interval
+// between this node's vector time and the grant time. Every noticed
+// page's need vector is raised, whatever the page's state, and a
+// readable page whose copy no longer covers its need stops being
+// readable in the same critical section that advances the vector time
+// — so neither this worker nor a sibling lane (whose next acquire will
+// advertise the new vector time and be told nothing about these pages)
+// can read the old copy. How the page becomes readable again is the
+// protocol: under LI it is fetched at the next access; under LH cached
+// copies are refreshed here — from the diffs the grant carried when
+// they make the copy current, in this same critical section
+// (applyCarriedLocked), else by pulling the missing diffs from the
+// home; a page homed on this node waits, at its next access, for the
+// flush to land (the writer's release did not).
 func (n *Node) applyNotices(grantVT []int32, notices []wire.Notice, carried []wire.Diff) {
-	notices = n.fillNotices(grantVT, notices)
 	var pulls []page.ID
 	n.mu.Lock()
 	n.recordKnowledgeLocked(notices)
@@ -1287,7 +1287,7 @@ func (n *Node) pullDiffs(pg page.ID) {
 func isReply(k wire.Kind) bool {
 	switch k {
 	case wire.KPageReply, wire.KDiffReply, wire.KAck, wire.KLockGrant, wire.KBarDepart,
-		wire.KJoinGrant, wire.KLogSegResp, wire.KNotLeader, wire.KConfAck:
+		wire.KJoinGrant, wire.KNotLeader, wire.KConfAck:
 		return true
 	}
 	return false
@@ -1676,8 +1676,6 @@ func (n *Node) handle(m *wire.Msg) {
 		n.handleBarArrive(m)
 	case wire.KBarRelease:
 		n.handleBarRelease(m)
-	case wire.KLogSegReq:
-		n.handleLogSegReq(m)
 	case wire.KJoinReq, wire.KSnapReq, wire.KSnapPush, wire.KSnapSeal, wire.KResume, wire.KCkptDone, wire.KConfChange:
 		n.mgr.handle(m)
 	default:

@@ -58,13 +58,11 @@ type Stats struct {
 
 	// Distributed-lock plane counters: acquires served entirely locally
 	// (this node still owned the lock), requests a home forwarded to the
-	// probable owner, grants handed out (first grants and owner-to-owner
-	// handoffs), and interval-log segments fetched from a writer because
-	// a grant's notices had a pruned gap.
+	// probable owner, and grants handed out (first grants and
+	// owner-to-owner handoffs).
 	LockLocalAcquires int64 `json:"lock_local_acquires"`
 	LockForwards      int64 `json:"lock_forwards"`
 	LockHandoffs      int64 `json:"lock_handoffs"`
-	LogSegFetches     int64 `json:"log_seg_fetches"`
 	// InlineRequests counts the lock requests, forwards and flushes this
 	// node handled in place on an in-process sender's goroutine instead
 	// of its dispatcher's (always zero over TCP).

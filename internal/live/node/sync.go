@@ -26,12 +26,11 @@ package node
 // degree.
 //
 // Interval knowledge is per-writer: each node appends its own closed
-// intervals to an authoritative local log (never pruned within an
-// epoch) and records what it learns from grants and releases in capped
-// learned logs. A granter whose learned log has pruned an interval the
-// grant needs simply omits it; the acquirer detects the gap against the
-// grant vector time and back-fills it from the writer's own log with a
-// KLogSegReq — on-demand segment replication instead of a global log.
+// intervals to its own log and the intervals it learns from grants and
+// releases to a learned log per writer. Within an epoch no log is
+// pruned, so each runs without gaps from the rollback cut to this
+// node's vector time, and a grant's notices always cover everything
+// between the requester's vector time and the grant time.
 //
 // Idempotence: a worker's RPC tokens are strictly increasing and a
 // worker blocked on a lock or barrier sends nothing newer, so every
@@ -56,11 +55,6 @@ import (
 	"lrcdsm/internal/live/wire"
 	"lrcdsm/internal/vc"
 )
-
-// learnedKnowCap bounds each learned per-writer knowledge log. A node's
-// own log is authoritative and never pruned within an epoch; learned
-// logs only save the granter a segment fetch, so pruning them is safe.
-const learnedKnowCap = 1024
 
 // lockHome maps a lock to its static home node.
 func (n *Node) lockHome(id int) int { return id % n.nn }
@@ -159,17 +153,35 @@ func (cs *lclients) lane(tok int64) *lclient {
 	return c
 }
 
-// knowLog is one writer's interval knowledge: recs[i] holds the pages
-// of interval base+1+i. The contiguous prefix (0, base] has been pruned
-// (learned logs only); coverage always reaches at least this node's
-// vector time entry for the writer.
+// knowLog is one writer's interval knowledge from the rollback cut base
+// on: interval base+1+i wrote pgs[ends[i-1]:ends[i]] (ends[-1] = 0).
+// Two pointer-free slices instead of a slice per record keep a long log
+// cheap to hold and invisible to the garbage collector's scan. Coverage
+// always reaches at least this node's vector time entry for the writer.
 type knowLog struct {
 	base int32
-	recs [][]int32
+	pgs  []int32
+	ends []int
 }
 
-func (k *knowLog) covered() int32          { return k.base + int32(len(k.recs)) }
-func (k *knowLog) pages(idx int32) []int32 { return k.recs[idx-k.base-1] }
+func (k *knowLog) covered() int32 { return k.base + int32(len(k.ends)) }
+
+// add appends the next interval's pages, copying them.
+func (k *knowLog) add(pages []int32) {
+	k.pgs = append(k.pgs, pages...)
+	k.ends = append(k.ends, len(k.pgs))
+}
+
+// pages returns interval idx's pages, capacity clipped so an append by
+// the caller cannot overwrite the next record.
+func (k *knowLog) pages(idx int32) []int32 {
+	i := int(idx - k.base - 1)
+	lo := 0
+	if i > 0 {
+		lo = k.ends[i-1]
+	}
+	return k.pgs[lo:k.ends[i]:k.ends[i]]
+}
 
 // barAgg accumulates one barrier episode's arrivals from this node's
 // worker and tree children.
@@ -755,53 +767,47 @@ func (n *Node) recordOwnIntervalLocked(idx int32, pages []int32) {
 		n.fail(fmt.Errorf("node %d: own interval %d, log covers %d", n.id, idx, k.covered()))
 		return
 	}
-	k.recs = append(k.recs, pages)
+	k.add(pages)
 }
 
 // recordKnowledgeLocked folds notices learned from a grant or release
-// into the per-writer logs, pruning learned logs past learnedKnowCap.
-// Caller holds Node.mu.
+// into the per-writer logs; each notice's pages are copied into its
+// writer's log. Caller holds Node.mu.
 func (n *Node) recordKnowledgeLocked(notices []wire.Notice) {
 	if len(notices) == 0 {
 		return
 	}
-	perW := make(map[int32][]wire.Notice)
-	for _, nt := range notices {
-		if int(nt.Writer) == n.id {
-			continue // own log is authoritative
+	order := make([]int, 0, len(notices))
+	for i := range notices {
+		if int(notices[i].Writer) != n.id { // own log is authoritative
+			order = append(order, i)
 		}
-		// The page lists survive in sy.know long after the frame that
-		// carried them; clone here — the one chokepoint every learned
-		// notice passes through — so the logs own their memory.
-		cp := wire.Notice{Writer: nt.Writer, Index: nt.Index, Pages: append([]int32(nil), nt.Pages...)}
-		perW[nt.Writer] = append(perW[nt.Writer], cp)
 	}
-	for w, nts := range perW {
-		sort.Slice(nts, func(i, j int) bool { return nts[i].Index < nts[j].Index })
-		k := &n.sy.know[w]
-		for _, nt := range nts {
-			cov := k.covered()
-			if nt.Index <= cov {
-				continue
-			}
-			if nt.Index > cov+1 {
-				n.fail(fmt.Errorf("node %d: notice gap for writer %d: have %d, got %d", n.id, w, cov, nt.Index))
-				return
-			}
-			k.recs = append(k.recs, nt.Pages)
+	sort.Slice(order, func(i, j int) bool {
+		x, y := &notices[order[i]], &notices[order[j]]
+		return x.Writer < y.Writer || x.Writer == y.Writer && x.Index < y.Index
+	})
+	for _, i := range order {
+		nt := &notices[i]
+		k := &n.sy.know[nt.Writer]
+		cov := k.covered()
+		if nt.Index <= cov {
+			continue
 		}
-		if len(k.recs) > learnedKnowCap {
-			drop := len(k.recs) - learnedKnowCap
-			k.base += int32(drop)
-			k.recs = append(k.recs[:0], k.recs[drop:]...)
+		if nt.Index > cov+1 {
+			n.fail(fmt.Errorf("node %d: notice gap for writer %d: have %d, got %d", n.id, nt.Writer, cov, nt.Index))
+			return
 		}
+		k.add(nt.Pages)
 	}
 }
 
 // noticesBetweenLocked returns the write notices of every interval
-// covered by to but not by from, from local knowledge. Intervals the
-// learned logs have pruned are omitted — the acquirer back-fills them
-// from the writers' own logs. Caller holds Node.mu.
+// covered by to but not by from, from local knowledge. Every log runs
+// without gaps from its base to at least this node's vector time, so
+// the notices cover (from, to] whole. The one thing skipped is a
+// writer's history at or before its base, the rollback cut, which every
+// vector time in the epoch already covers. Caller holds Node.mu.
 func (n *Node) noticesBetweenLocked(from, to []int32) []wire.Notice {
 	var out []wire.Notice
 	for w := 0; w < n.nn; w++ {
@@ -826,82 +832,6 @@ func (n *Node) noticesBetweenLocked(from, to []int32) []wire.Notice {
 		}
 	}
 	return out
-}
-
-// fillNotices back-fills the gaps between this node's vector time and
-// the grant time that the provided notices do not cover (the granter's
-// learned log had pruned them), fetching each missing run from the
-// writer's own authoritative log.
-func (n *Node) fillNotices(grantVT []int32, notices []wire.Notice) []wire.Notice {
-	n.mu.Lock()
-	myvt := n.vt.Clone()
-	n.mu.Unlock()
-	var have map[int32]map[int32]bool
-	for _, nt := range notices {
-		if have == nil {
-			have = make(map[int32]map[int32]bool)
-		}
-		s := have[nt.Writer]
-		if s == nil {
-			s = make(map[int32]bool)
-			have[nt.Writer] = s
-		}
-		s[nt.Index] = true
-	}
-	type segRun struct {
-		w      int
-		lo, hi int32 // (lo, hi]
-	}
-	var runs []segRun
-	for w := 0; w < n.nn; w++ {
-		if w == n.id {
-			continue
-		}
-		var lo, hi int32
-		if w < len(myvt) {
-			lo = myvt[w]
-		}
-		if w < len(grantVT) {
-			hi = grantVT[w]
-		}
-		s := have[int32(w)]
-		start := int32(0)
-		for idx := lo + 1; idx <= hi+1; idx++ {
-			missing := idx <= hi && !s[idx]
-			if missing && start == 0 {
-				start = idx
-			} else if !missing && start != 0 {
-				runs = append(runs, segRun{w, start - 1, idx - 1})
-				start = 0
-			}
-		}
-	}
-	for _, r := range runs {
-		atomic.AddInt64(&n.stats.LogSegFetches, 1)
-		reply := n.rpc(r.w, &wire.Msg{Kind: wire.KLogSegReq, Lo: r.lo, Hi: r.hi})
-		notices = append(notices, reply.Notices...)
-	}
-	return notices
-}
-
-// handleLogSegReq serves a segment (Lo, Hi] of this node's own interval
-// log. The request is read-only, so it is served statelessly: a
-// retransmission just gets a fresh identical reply.
-func (n *Node) handleLogSegReq(m *wire.Msg) {
-	n.mu.Lock()
-	k := &n.sy.know[n.id]
-	var out []wire.Notice
-	for idx := m.Lo + 1; idx <= m.Hi; idx++ {
-		if idx <= k.base || idx > k.covered() {
-			n.mu.Unlock()
-			n.fail(fmt.Errorf("node %d: segment (%d,%d] outside own log (%d,%d]",
-				n.id, m.Lo, m.Hi, k.base, k.covered()))
-			return
-		}
-		out = append(out, wire.Notice{Writer: int32(n.id), Index: idx, Pages: k.pages(idx)})
-	}
-	n.mu.Unlock()
-	n.send(int(m.From), &wire.Msg{Kind: wire.KLogSegResp, Token: m.Token, Lo: m.Lo, Hi: m.Hi, Notices: out})
 }
 
 // ---- cluster abort ----

@@ -76,11 +76,11 @@ func TestRecordKnowledgeClonesNoticePages(t *testing.T) {
 	n.mu.Unlock()
 
 	k := &n.sy.know[1]
-	if len(k.recs) != 1 {
-		t.Fatalf("learned log has %d records, want 1", len(k.recs))
+	if k.covered() != 1 {
+		t.Fatalf("learned log covers %d, want 1", k.covered())
 	}
 	pages[0] = 99 // the frame's page list is reused after the handler
-	if got := k.recs[0][0]; got != 1 {
+	if got := k.pages(1)[0]; got != 1 {
 		t.Fatalf("learned log page[0] = %d after frame mutation, want 1 (must be cloned)", got)
 	}
 }

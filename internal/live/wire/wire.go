@@ -22,11 +22,10 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed. Version 14
-// made a rejoiner's pull a page at a time: KSnapReq names a page and is
-// answered with a KPageReply, KJoinGrant carries the replica's vector
-// time, and the chunked pull's kind and fields are gone.
-const Version = 14
+// from a different build is rejected instead of misparsed. Version 15
+// dropped the interval-log segment fetch, its two kinds and their index
+// range: a grant carries every notice the acquirer lacks.
+const Version = 15
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -102,8 +101,8 @@ const (
 	// episode across nodes.
 	KCkptDone
 
-	// Decentralized synchronization: lock forwarding, the barrier tree's
-	// release fan-out and interval-log segment replication.
+	// Decentralized synchronization: lock forwarding and the barrier
+	// tree's release fan-out.
 
 	// KLockForward relays a lock request from the lock's home to its
 	// probable owner: Token and VT are the original requester's, ReqFrom
@@ -112,12 +111,6 @@ const (
 	// KBarRelease fans a completed barrier episode down the barrier tree
 	// with the merged vector time and the episode's aggregated notices.
 	KBarRelease
-	// KLogSegReq asks a writer for its own interval log entries in the
-	// index range (Lo, Hi] — the on-demand segment replication a grant
-	// receiver uses when piggybacked notices skip pruned history.
-	KLogSegReq
-	// KLogSegResp returns the requested interval-log segment as notices.
-	KLogSegResp
 
 	// The replicated control plane: the manager replicas' consensus log.
 
@@ -172,7 +165,6 @@ var kindNames = [...]string{
 	KSnapReq: "snap-req", KSnapPush: "snap-push",
 	KResume: "resume", KCkptDone: "ckpt-done",
 	KLockForward: "lock-forward", KBarRelease: "bar-release",
-	KLogSegReq: "log-seg-req", KLogSegResp: "log-seg-resp",
 	KVoteReq: "vote-req", KVoteResp: "vote-resp",
 	KAppend: "append", KAppendAck: "append-ack",
 	KNotLeader:  "not-leader",
@@ -247,7 +239,6 @@ type Msg struct {
 	Page    int32
 	Base    int64  // episode a snapshot seal builds on, 0 for none (KSnapSeal)
 	ReqFrom int32  // original requester of a forwarded lock request
-	Lo, Hi  int32  // interval-log segment range (Lo, Hi] (KLogSeg*)
 	Err     string // abort reason (KAbort)
 
 	// Consensus fields. Term also stamps KAbort so a deposed leader's
@@ -280,7 +271,6 @@ type fieldSet struct {
 	attempt                        bool // retryable request kinds
 	errstr                         bool
 	reqfrom                        bool
-	seg                            bool // Lo + Hi pair
 	term, logidx, logterm, commit  bool
 	flag, leader, entries          bool
 	need                           bool
@@ -306,8 +296,6 @@ var fields = map[Kind]fieldSet{
 	KCkptDone:     {episode: true, attempt: true},
 	KLockForward:  {lock: true, reqfrom: true, vt: true},
 	KBarRelease:   {barrier: true, episode: true, vt: true, notices: true},
-	KLogSegReq:    {seg: true, attempt: true},
-	KLogSegResp:   {seg: true, notices: true},
 	KVoteReq:      {term: true, logidx: true, logterm: true},
 	KVoteResp:     {term: true, flag: true},
 	KAppend:       {term: true, logidx: true, logterm: true, commit: true, data: true, entries: true},
@@ -369,10 +357,6 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 	}
 	if fs.reqfrom {
 		w.I32(m.ReqFrom)
-	}
-	if fs.seg {
-		w.I32(m.Lo)
-		w.I32(m.Hi)
 	}
 	if fs.barrier {
 		w.I32(m.Barrier)
@@ -488,10 +472,6 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.reqfrom {
 		m.ReqFrom = r.I32()
-	}
-	if fs.seg {
-		m.Lo = r.I32()
-		m.Hi = r.I32()
 	}
 	if fs.barrier {
 		m.Barrier = r.I32()

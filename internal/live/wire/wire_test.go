@@ -23,6 +23,13 @@ func sampleMsgs() []*Msg {
 		{Writer: 0, Index: 4, Pages: []int32{1, 2, 3}},
 		{Writer: 3, Index: 1, Pages: nil},
 	}
+	// Every interval of writers 0 and 2 a requester at time zero lacks.
+	run := []Notice{
+		{Writer: 0, Index: 1, Pages: []int32{0}}, {Writer: 0, Index: 2, Pages: []int32{0}},
+		{Writer: 0, Index: 3, Pages: []int32{0, 5}}, {Writer: 0, Index: 4, Pages: []int32{0}},
+		{Writer: 0, Index: 5, Pages: []int32{0}},
+		{Writer: 2, Index: 1, Pages: []int32{5}}, {Writer: 2, Index: 2, Pages: nil},
+	}
 	ival := &Interval{Writer: 2, Index: 5, VT: []int32{1, 0, 5, 2}, Pages: []int32{4, 8}}
 	entries := []Entry{
 		{Term: 2, Cmd: []byte{1, 2, 3, 4}},
@@ -57,8 +64,8 @@ func sampleMsgs() []*Msg {
 		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
 		{Kind: KLockForward, From: 0, Token: 21, Epoch: 2, Lock: 12, ReqFrom: 3, VT: []int32{0, 1, 2, 3}},
 		{Kind: KBarRelease, From: 0, Token: 0, Epoch: 1, Barrier: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Notices: notices},
-		{Kind: KLogSegReq, From: 2, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Attempt: 1},
-		{Kind: KLogSegResp, From: 1, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Notices: notices},
+		{Kind: KLockGrant, From: 1, Token: 30, Epoch: 1, Lock: 0, VT: []int32{5, 0, 2, 0}, Notices: run}, // a far-behind requester's grant
+		{Kind: KBarRelease, From: 0, Epoch: 1, Barrier: 0, Episode: 10, VT: []int32{3, 3, 3, 3}},         // nobody wrote
 		{Kind: KVoteReq, From: 2, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4},
 		{Kind: KVoteResp, From: 1, Epoch: 1, Term: 5, Flag: 1},
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4, Commit: 10, Entries: entries},
@@ -78,8 +85,8 @@ func sampleMsgs() []*Msg {
 		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
 		{Kind: KLockForward, From: 0, Token: 21, Epoch: 2, Lock: 12, ReqFrom: 3, VT: []int32{0, 1, 2, 3}},
 		{Kind: KBarRelease, From: 0, Token: 0, Epoch: 1, Barrier: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Notices: notices},
-		{Kind: KLogSegReq, From: 2, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Attempt: 1},
-		{Kind: KLogSegResp, From: 1, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Notices: notices},
+		{Kind: KBarDepart, From: 0, Token: 15, Barrier: 0, Episode: 10, VT: []int32{3, 3, 3, 3}}, // nobody wrote
+		{Kind: KPageReq, From: 1, Token: 43, Page: 2},                                            // a first fetch that needs no version
 		{Kind: KVoteReq, From: 2, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4},
 		{Kind: KVoteResp, From: 1, Epoch: 1, Term: 5, Flag: 1},
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4, Commit: 10, Entries: entries},
