@@ -47,7 +47,7 @@ fuzz:
 # bench-smoke runs every committed microbenchmark once, so none rots.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=MakeDiff -benchtime=1x ./internal/page/
-	$(GO) test -run '^$$' -bench='HotPageApply|NewSystem' -benchtime=1x ./internal/core/
+	$(GO) test -run '^$$' -bench='HotPageApply|NewSystem|CloseInterval' -benchtime=1x ./internal/core/
 	$(GO) test -run '^$$' -bench=Interact -benchtime=1x ./internal/sim/
 	$(GO) test -run '^$$' -bench='CaptureCheckpoint|SnapPush' -benchtime=1x -benchmem ./internal/live/node/
 	$(GO) test -run '^$$' -bench='Do(Get|Put)' -benchtime=1x -benchmem ./internal/serve/
@@ -264,10 +264,11 @@ bench-node:
 # 100 / 1 000 / 10 000 write notices (flat: the dominator check is O(1)
 # when diffs arrive in order), the bytes a 64-page cell allocates at
 # 1/4/16 processors (page state follows the allocation, not the 64 MiB
-# cap), and the baton hand-off per interaction (none on one processor,
-# one goroutine switch otherwise).
+# cap), the bytes closing an interval over 1 / 8 / 64 dirty pages
+# retains (record, diffs, notices), and the baton hand-off per
+# interaction (none on one processor, one goroutine switch otherwise).
 bench-sim:
-	$(GO) test -run '^$$' -bench 'HotPageApply|NewSystem' -benchmem -count=5 ./internal/core/
+	$(GO) test -run '^$$' -bench 'HotPageApply|NewSystem|CloseInterval' -benchmem -count=5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'Interact' -benchmem -count=5 ./internal/sim/
 
 # loc prints the Go line counts CHANGES.md's scoreboard quotes: every

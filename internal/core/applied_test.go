@@ -55,7 +55,7 @@ func TestQuickAppliedSetExact(t *testing.T) {
 					p.insertRec(&intervalRec{
 						proc: writer, idx: idx, vt: vc.New(4),
 						pages: []page.ID{pg},
-						diffs: map[page.ID]page.Diff{pg: {}},
+						diffs: []page.Diff{{}},
 					})
 				}
 			} else {
@@ -102,7 +102,7 @@ func TestQuickPromotionInvariants(t *testing.T) {
 				p.insertRec(&intervalRec{
 					proc: writer, idx: idx, vt: vc.New(3),
 					pages: []page.ID{pg},
-					diffs: map[page.ID]page.Diff{pg: {}},
+					diffs: []page.Diff{{}},
 				})
 			}
 			p.markApplied(pg, writer, idx)
@@ -140,7 +140,7 @@ func TestQuickNoticesSorted(t *testing.T) {
 			p.insertRec(&intervalRec{
 				proc: 1, idx: int32(idx + 1), vt: vc.New(2),
 				pages: []page.ID{pg},
-				diffs: map[page.ID]page.Diff{pg: {}},
+				diffs: []page.Diff{{}},
 			})
 		}
 		ns := p.pages[pg].notices[1]

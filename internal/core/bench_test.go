@@ -19,7 +19,7 @@ func hotPageInterval(idx int32, pageSize int) *intervalRec {
 	return &intervalRec{
 		proc: 1, idx: idx, vt: vc.VC{0, idx},
 		pages: []page.ID{pg},
-		diffs: map[page.ID]page.Diff{pg: page.MakeDiff(pg, twin, cur)},
+		diffs: []page.Diff{page.MakeDiff(pg, twin, cur)},
 	}
 }
 
@@ -133,4 +133,72 @@ func TestAccessBeyondAllocationPanics(t *testing.T) {
 		}
 	})
 	t.Fatal("access beyond the last allocated page did not panic")
+}
+
+// dirtyPages twins and writes one word of each of the first k pages of
+// p, the way a write fault does, ready for the interval to close.
+func dirtyPages(p *Proc, k int, v uint64) {
+	for pg := page.ID(0); pg < page.ID(k); pg++ {
+		ps := &p.pages[pg]
+		ps.twin = page.NewTwin(ps.data)
+		ps.data.PutU64(0, v)
+		p.modList = append(p.modList, pg)
+	}
+}
+
+// BenchmarkCloseInterval reports what closing an interval that dirtied k
+// pages costs the host, the record retained for the rest of the run
+// included: B/op is the record, its diffs and the notice bookkeeping.
+func BenchmarkCloseInterval(b *testing.B) {
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("pages=%d", k), func(b *testing.B) {
+			p := newBareProc(b, 1, 64)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dirtyPages(p, k, uint64(i+1))
+				if p.closeInterval() == nil {
+					b.Fatal("no interval closed")
+				}
+			}
+		})
+	}
+}
+
+// lockedWrites runs an LI system of two processors in which each closes n
+// one-page intervals under its own lock and returns the bytes the run
+// allocated.
+func lockedWrites(tb testing.TB, n int) uint64 {
+	cfg := testConfig(LI, 2)
+	s, err := NewSystem(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a := s.AllocPage(2 * cfg.PageSize)
+	l := s.NewLocks(2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Run(func(p *Proc) {
+		at := a + Addr(p.ID()*cfg.PageSize)
+		for i := 0; i < n; i++ {
+			p.Lock(l + p.ID())
+			p.WriteU64(at, uint64(i))
+			p.Unlock(l + p.ID())
+		}
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestIntervalFootprint: a closed interval costs the host its record, its
+// diff and its notice, not a hash map. The lazy protocols keep every
+// record for the whole run, so this is what a long simulation retains.
+func TestIntervalFootprint(t *testing.T) {
+	const lo, hi = 500, 2500
+	per := float64(lockedWrites(t, hi)-lockedWrites(t, lo)) / (2 * (hi - lo))
+	t.Logf("%.0f bytes allocated per closed one-page interval", per)
+	if per > 480 {
+		t.Fatalf("%.0f bytes allocated per closed one-page interval, want at most 480", per)
+	}
 }

@@ -72,7 +72,7 @@ func randomHistory(r *rand.Rand, writers, n, pageSize int) []*intervalRec {
 			cur.PutU64(x*page.WordSize, val<<8|uint64(k))
 			lastWrite[x] = rec
 		}
-		rec.diffs = map[page.ID]page.Diff{pg: page.MakeDiff(pg, twin, cur)}
+		rec.diffs = []page.Diff{page.MakeDiff(pg, twin, cur)}
 		recs = append(recs, rec)
 	}
 	return recs

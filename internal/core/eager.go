@@ -67,14 +67,7 @@ func (e *eagerProto) barrierPush(p *Proc) *arrival {
 		// rounds, unlike the lazy barrier pushes whose missed cachers are
 		// caught by the departure's write notices.
 		if len(tds) > 0 {
-			pgs := make([]page.ID, 0, len(tds))
-			seen := make(map[page.ID]bool)
-			for _, td := range tds {
-				if !seen[td.pg] {
-					seen[td.pg] = true
-					pgs = append(pgs, td.pg)
-				}
-			}
+			pgs := tds[0].rec.pages // each modified page once
 			p.acquireFlushTokens(pgs)
 			p.startFlush(tds, false, true, attrBarrier)
 			p.releaseFlushTokens(pgs)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lrcdsm/internal/page"
@@ -13,43 +15,50 @@ import (
 // are shared by pointer; *possessing* a record (having received its write
 // notices) is distinct from possessing its diffs, which a processor may only
 // serve if it created or applied them (tracked by per-page copy timestamps).
+// diffs parallels pages: diffs[i] is the diff of pages[i].
 type intervalRec struct {
 	proc  int
 	idx   int32
 	vt    vc.VC
 	pages []page.ID
-	diffs map[page.ID]page.Diff
+	diffs []page.Diff
 }
 
 func recKey(proc int, idx int32) int64 { return int64(proc)<<32 | int64(idx) }
 
 // taggedDiff is a diff labelled with the interval that produced it, as
-// transmitted in updates, grants and diff replies.
+// transmitted in updates, grants and diff replies. slot is pg's index in
+// rec.pages.
 type taggedDiff struct {
-	rec *intervalRec
-	pg  page.ID
+	rec  *intervalRec
+	pg   page.ID
+	slot int32
 }
 
-func (t taggedDiff) diff() page.Diff { return t.rec.diffs[t.pg] }
+// tag labels rec's diff of pg, which must be one of rec's pages.
+func (r *intervalRec) tag(pg page.ID) taggedDiff {
+	return taggedDiff{rec: r, pg: pg, slot: int32(slices.Index(r.pages, pg))}
+}
+
+func (t taggedDiff) diff() page.Diff { return t.rec.diffs[t.slot] }
 
 // sortDiffsHB orders tagged diffs by a linear extension of happened-before-1
 // (vector-sum order: if a happened-before b then sum(a.vt) < sum(b.vt)).
 // Concurrent diffs of data-race-free programs touch disjoint words, so any
 // deterministic order among them is sound; ties break on (proc, idx).
 func sortDiffsHB(ds []taggedDiff) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i].rec, ds[j].rec
-		as, bs := a.vt.Sum(), b.vt.Sum()
-		if as != bs {
-			return as < bs
+	slices.SortFunc(ds, func(x, y taggedDiff) int {
+		a, b := x.rec, y.rec
+		if c := cmp.Compare(a.vt.Sum(), b.vt.Sum()); c != 0 {
+			return c
 		}
-		if a.proc != b.proc {
-			return a.proc < b.proc
+		if c := cmp.Compare(a.proc, b.proc); c != 0 {
+			return c
 		}
-		if a.idx != b.idx {
-			return a.idx < b.idx
+		if c := cmp.Compare(a.idx, b.idx); c != 0 {
+			return c
 		}
-		return ds[i].pg < ds[j].pg
+		return cmp.Compare(x.pg, y.pg)
 	})
 }
 
@@ -78,12 +87,11 @@ func (p *Proc) closeInterval() *intervalRec {
 		idx:   idx,
 		vt:    p.vt.Clone(),
 		pages: p.modList,
-		diffs: make(map[page.ID]page.Diff, len(p.modList)),
+		diffs: make([]page.Diff, len(p.modList)),
 	}
-	for _, pg := range p.modList {
+	for i, pg := range p.modList {
 		ps := &p.pages[pg]
-		d := page.MakeDiff(pg, ps.twin, ps.data)
-		rec.diffs[pg] = d
+		rec.diffs[i] = page.MakeDiff(pg, ps.twin, ps.data)
 		page.FreeTwin(ps.twin)
 		ps.twin = nil
 		p.chargeDiffCreation()
@@ -117,17 +125,16 @@ func (p *Proc) flushModified() []taggedDiff {
 		proc:  p.id,
 		idx:   p.eagerEpoch,
 		pages: p.modList,
-		diffs: make(map[page.ID]page.Diff, len(p.modList)),
+		diffs: make([]page.Diff, len(p.modList)),
 	}
-	var out []taggedDiff
-	for _, pg := range p.modList {
+	out := make([]taggedDiff, len(p.modList))
+	for i, pg := range p.modList {
 		ps := &p.pages[pg]
-		d := page.MakeDiff(pg, ps.twin, ps.data)
-		rec.diffs[pg] = d
+		rec.diffs[i] = page.MakeDiff(pg, ps.twin, ps.data)
 		page.FreeTwin(ps.twin)
 		ps.twin = nil
 		p.chargeDiffCreation()
-		out = append(out, taggedDiff{rec: rec, pg: pg})
+		out[i] = taggedDiff{rec: rec, pg: pg, slot: int32(i)}
 	}
 	p.modList = nil
 	p.sys.obsEagerFlushed(p.id, rec.idx, rec.pages)
@@ -233,7 +240,7 @@ func (p *Proc) neededDiffs(pg page.ID) []taggedDiff {
 		}
 		for _, idx := range noticesAbove(ps.notices[w], base) {
 			if !ps.applied(w, idx) {
-				out = append(out, taggedDiff{rec: p.recByKey[recKey(w, idx)], pg: pg})
+				out = append(out, p.recByKey[recKey(w, idx)].tag(pg))
 			}
 		}
 	}
@@ -266,7 +273,7 @@ func (p *Proc) servableDiffs(pg page.ID, haveVT, need []int32) []taggedDiff {
 			}
 			rec := p.recByKey[recKey(w, idx)]
 			if p.hasDiff(rec, pg) {
-				out = append(out, taggedDiff{rec: rec, pg: pg})
+				out = append(out, rec.tag(pg))
 			}
 		}
 	}

@@ -37,9 +37,9 @@ func (l *lazyProto) buildGrant(r *Proc, to int, acqVT vc.VC) *grantInfo {
 	g := &grantInfo{vt: r.vt.Clone(), recs: r.recsNotCoveredBy(acqVT)}
 	if l.kind == LH || l.kind == LU {
 		for _, rec := range g.recs {
-			for _, pg := range rec.pages {
+			for i, pg := range rec.pages {
 				if r.pages[pg].copyset&(1<<uint(to)) != 0 && r.hasDiff(rec, pg) {
-					g.diffs = append(g.diffs, taggedDiff{rec: rec, pg: pg})
+					g.diffs = append(g.diffs, taggedDiff{rec: rec, pg: pg, slot: int32(i)})
 				}
 			}
 		}
@@ -76,8 +76,8 @@ func (l *lazyProto) barrierPush(p *Proc) *arrival {
 			if rec.idx <= p.pushedUpTo {
 				continue
 			}
-			for _, pg := range rec.pages {
-				tds = append(tds, taggedDiff{rec: rec, pg: pg})
+			for i, pg := range rec.pages {
+				tds = append(tds, taggedDiff{rec: rec, pg: pg, slot: int32(i)})
 			}
 		}
 		p.pushedUpTo = p.vt.Get(p.id)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lrcdsm/internal/cachesim"
@@ -198,21 +199,21 @@ type fetchOp struct {
 // acknowledgements, possibly over multiple rounds as copysets close).
 type flushOp struct {
 	pending int
-	// sentTo[pg] is the set of processors already sent to for that page.
-	sentTo map[page.ID]uint64
-	// readded[pg] is the set of processors that re-joined the copyset
-	// (fetched through us) after the flush began; they must survive the
+	// tds holds flushModified's diffs, one per page and one update message
+	// per (page, target). sentTo[i] is the set of processors already sent
+	// tds[i]'s page; readded[i] those that re-joined its copyset (fetched
+	// through us) after the flush began, which must survive the
 	// completion-time removal of invalidated members.
-	readded map[page.ID]uint64
-	// tds[pg] carries every diff being flushed for that page; a single
-	// update message per (page, target) carries the whole group (the
-	// paper's per-cacher update count). pgOrder lists tds' keys in first-
-	// seen order so completion-time bookkeeping iterates deterministically.
-	tds        map[page.ID][]taggedDiff
-	pgOrder    []page.ID
+	tds        []taggedDiff
+	sentTo     []uint64
+	readded    []uint64
 	invalidate bool
 	attr       attr
-	onDone     func()
+}
+
+// slot returns the index of pg in the flush, or -1 if it is not flushed.
+func (fl *flushOp) slot(pg page.ID) int {
+	return slices.IndexFunc(fl.tds, func(td taggedDiff) bool { return td.pg == pg })
 }
 
 // Proc is a simulated processor with its DSM state. Application workers
@@ -576,7 +577,7 @@ func (p *Proc) dominators(td taggedDiff) []taggedDiff {
 			}
 			rec := p.recByKey[recKey(w, i)]
 			if rec.vt.Covers(td.rec.vt) {
-				redo = append(redo, taggedDiff{rec: rec, pg: td.pg})
+				redo = append(redo, rec.tag(td.pg))
 			}
 		}
 	}
@@ -838,7 +839,7 @@ func (p *Proc) completeFetchRound() {
 				for _, ni := range ps.notices[w] {
 					if !ps.applied(w, ni) {
 						rec := p.recByKey[recKey(w, ni)]
-						detail += fmt.Sprintf(" missing=(%d,%d) vt=%v canApply=%v", w, ni, rec.vt, p.canApply(taggedDiff{rec: rec, pg: f.pg}))
+						detail += fmt.Sprintf(" missing=(%d,%d) vt=%v canApply=%v", w, ni, rec.vt, p.canApply(rec.tag(f.pg)))
 					}
 				}
 			}
@@ -912,7 +913,7 @@ func (p *Proc) finishFetch() {
 // fault later — the write notices travel with the barrier departure.
 // Runs in processor context; blocks for acknowledgements when withAcks.
 func (p *Proc) batchedPush(tds []taggedDiff, withAcks bool, a attr) {
-	perTarget := make(map[int][]taggedDiff)
+	perTarget := make([][]taggedDiff, p.nprocs())
 	var order []int
 	for _, td := range tds {
 		targets := p.pages[td.pg].copyset &^ (1 << uint(p.id))
@@ -929,12 +930,7 @@ func (p *Proc) batchedPush(tds []taggedDiff, withAcks bool, a attr) {
 	if len(order) == 0 {
 		return
 	}
-	fl := &flushOp{
-		sentTo:  make(map[page.ID]uint64),
-		readded: make(map[page.ID]uint64),
-		tds:     make(map[page.ID][]taggedDiff),
-		attr:    a,
-	}
+	fl := &flushOp{attr: a}
 	p.flush = fl
 	for _, w := range order {
 		group := perTarget[w]
@@ -956,29 +952,23 @@ func (p *Proc) batchedPush(tds []taggedDiff, withAcks bool, a attr) {
 	p.pstats.FlushWait += d
 }
 
-// startFlush sends the diffs (or invalidations) for the given tagged diffs
-// to every processor in the page's copyset, tracking acknowledgements and
-// extending to newly discovered cachers in further rounds. withAcks selects
-// whether the operation blocks until acknowledged (EU/EI releases, EU/LU
-// barrier pushes) or is fire-and-forget (LH barrier pushes). Runs in
+// startFlush sends the diffs (or invalidations) of flushModified's tagged
+// diffs, one per page, to every processor in the page's copyset, tracking
+// acknowledgements and extending to newly discovered cachers in further
+// rounds. withAcks selects whether the operation blocks until acknowledged
+// (EU/EI releases, EU barrier pushes) or is fire-and-forget. Runs in
 // processor context.
 func (p *Proc) startFlush(tds []taggedDiff, invalidate, withAcks bool, a attr) {
 	fl := &flushOp{
-		sentTo:     make(map[page.ID]uint64),
-		readded:    make(map[page.ID]uint64),
-		tds:        make(map[page.ID][]taggedDiff),
+		tds:        tds,
+		sentTo:     make([]uint64, len(tds)),
+		readded:    make([]uint64, len(tds)),
 		invalidate: invalidate,
 		attr:       a,
 	}
-	for _, td := range tds {
-		if _, ok := fl.tds[td.pg]; !ok {
-			fl.pgOrder = append(fl.pgOrder, td.pg)
-		}
-		fl.tds[td.pg] = append(fl.tds[td.pg], td)
-	}
 	p.flush = fl
-	for _, pg := range fl.pgOrder {
-		group := fl.tds[pg]
+	for i, td := range tds {
+		pg := td.pg
 		targets := p.pages[pg].copyset &^ (1 << uint(p.id))
 		if invalidate {
 			// Always inform the page's owner so its last-writer hint stays
@@ -988,7 +978,7 @@ func (p *Proc) startFlush(tds []taggedDiff, invalidate, withAcks bool, a attr) {
 				targets |= 1 << uint(o)
 			}
 		}
-		fl.sentTo[pg] = targets | 1<<uint(p.id)
+		fl.sentTo[i] = targets | 1<<uint(p.id)
 		for w := 0; w < p.nprocs(); w++ {
 			if targets&(1<<uint(w)) == 0 {
 				continue
@@ -998,8 +988,8 @@ func (p *Proc) startFlush(tds []taggedDiff, invalidate, withAcks bool, a attr) {
 				m.kind = mInval
 			} else {
 				m.kind = mUpdate
-				m.diffs = group
-				m.payload = diffsPayloadBytes(group)
+				m.diffs = tds[i : i+1 : i+1]
+				m.payload = td.diff().SizeBytes()
 			}
 			if withAcks {
 				fl.pending++
@@ -1051,9 +1041,9 @@ func (p *Proc) handleFlushAck(m *msg) {
 		ps.copyset |= m.copyset
 	}
 	// Another round for cachers we did not know about.
-	if more := (m.copyset &^ fl.sentTo[m.pg]) &^ (1 << uint(p.id)); more != 0 && m.flag {
-		fl.sentTo[m.pg] |= more
-		group := fl.tds[m.pg]
+	i := fl.slot(m.pg)
+	if more := (m.copyset &^ fl.sentTo[i]) &^ (1 << uint(p.id)); more != 0 && m.flag {
+		fl.sentTo[i] |= more
 		for w := 0; w < p.nprocs(); w++ {
 			if more&(1<<uint(w)) == 0 {
 				continue
@@ -1063,8 +1053,8 @@ func (p *Proc) handleFlushAck(m *msg) {
 				mm.kind = mInval
 			} else {
 				mm.kind = mUpdate
-				mm.diffs = group
-				mm.payload = diffsPayloadBytes(group)
+				mm.diffs = fl.tds[i : i+1 : i+1]
+				mm.payload = fl.tds[i].diff().SizeBytes()
 			}
 			fl.pending++
 			p.sys.sendFromHandler(mm)
@@ -1076,9 +1066,9 @@ func (p *Proc) handleFlushAck(m *msg) {
 			// Remove exactly the processors we invalidated; anyone who
 			// re-fetched (through the owner) after the flush began must
 			// stay in the copyset or it would never be invalidated again.
-			for _, pg := range fl.pgOrder {
-				ps := &p.pages[pg]
-				ps.copyset = (ps.copyset &^ (fl.sentTo[pg] &^ fl.readded[pg])) | 1<<uint(p.id)
+			for i, td := range fl.tds {
+				ps := &p.pages[td.pg]
+				ps.copyset = (ps.copyset &^ (fl.sentTo[i] &^ fl.readded[i])) | 1<<uint(p.id)
 			}
 		}
 		p.flush = nil
@@ -1128,10 +1118,9 @@ func (s *System) handleInval(p *Proc, m *msg) {
 			// the invalidator so they are not lost; keep the twin so our
 			// release still publishes them.
 			p.eagerEpoch++
-			rec := &intervalRec{proc: p.id, idx: p.eagerEpoch,
-				pages: []page.ID{m.pg}, diffs: map[page.ID]page.Diff{}}
 			d := page.MakeDiff(m.pg, ps.twin, ps.data)
-			rec.diffs[m.pg] = d
+			rec := &intervalRec{proc: p.id, idx: p.eagerEpoch,
+				pages: []page.ID{m.pg}, diffs: []page.Diff{d}}
 			s.stats.DiffsCreated++
 			s.stats.DiffCycles += s.cfg.diffCreationCycles()
 			ack.diffs = []taggedDiff{{rec: rec, pg: m.pg}}
@@ -1216,8 +1205,8 @@ func (p *Proc) serveDeferredPageReqs(pg page.ID) {
 func (p *Proc) noteCopysetJoin(pg page.ID, w int) {
 	p.pages[pg].copyset |= 1 << uint(w)
 	if p.flush != nil && p.flush.invalidate {
-		if _, ok := p.flush.tds[pg]; ok {
-			p.flush.readded[pg] |= 1 << uint(w)
+		if i := p.flush.slot(pg); i >= 0 {
+			p.flush.readded[i] |= 1 << uint(w)
 		}
 	}
 }

@@ -558,15 +558,17 @@ func (n *Node) pendingFor(w int) string {
 			parts = append(parts, fmt.Sprintf("probably owns lock %d", id))
 		}
 	}
-	if b := &n.sy.bar; b.arrived != nil && w != n.id {
-		// The root sees w through the child-of-root subtree containing it.
-		anc := w
-		for anc > 2 {
-			anc = (anc - 1) / 2
+	if b := &n.sy.bar; b.arrived != nil {
+		// This node sees w only if w is in its subtree, through its child
+		// on the path to w; climbing from w stops at that child, or below
+		// this node's id if w lies elsewhere in the tree.
+		c := w
+		for c > n.id && (c-1)/2 != n.id {
+			c = (c - 1) / 2
 		}
-		if _, ok := b.arrived[int32(anc)]; !ok {
-			parts = append(parts, fmt.Sprintf("barrier %d episode %d awaits its subtree (%d/%d arrivals at root)",
-				b.barrier, b.episode, len(b.arrived), 1+len(n.barChildren())))
+		if _, ok := b.arrived[int32(c)]; c > n.id && !ok {
+			parts = append(parts, fmt.Sprintf("barrier %d episode %d awaits its subtree (%d/%d arrivals at node %d)",
+				b.barrier, b.episode, len(b.arrived), 1+len(n.barChildren()), n.id))
 		}
 	}
 	n.mu.Unlock()

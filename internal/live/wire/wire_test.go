@@ -73,26 +73,8 @@ func sampleMsgs() []*Msg {
 		// The leader's state inline, with and without a tail after it.
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Commit: 513, Data: bytes.Repeat([]byte{0xc3}, 64), Entries: entries},
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 513, LogTerm: 6, Commit: 513, Data: []byte{3, 0, 0, 0}},
-		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14, Flag: 1}, // a learner's heartbeat ack
-		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
-		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Attempt: 1},
-		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, VT: []int32{4, 2, 3, 4}},
-		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4}, // no replica at the leader
-		{Kind: KSnapReq, From: 3, Token: 2, Epoch: 2, Episode: 4, Page: 7, Attempt: 1},
-		{Kind: KPageReply, From: 0, Token: 2, Epoch: 2, Page: 7, VT: []int32{2, 0, 1, 4}, Data: bytes.Repeat([]byte{0x5a}, 256)}, // a pulled page
-		{Kind: KSnapPush, From: 1, Epoch: 1, Episode: 4, Page: 9, VT: []int32{1, 3, 0, 0}, Data: []byte{9, 8, 7}},
-		{Kind: KResume, From: 3, Token: 3, Epoch: 2},
-		{Kind: KCkptDone, From: 1, Token: 6, Epoch: 1, Episode: 4},
-		{Kind: KLockForward, From: 0, Token: 21, Epoch: 2, Lock: 12, ReqFrom: 3, VT: []int32{0, 1, 2, 3}},
-		{Kind: KBarRelease, From: 0, Token: 0, Epoch: 1, Barrier: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Notices: notices},
 		{Kind: KBarDepart, From: 0, Token: 15, Barrier: 0, Episode: 10, VT: []int32{3, 3, 3, 3}}, // nobody wrote
 		{Kind: KPageReq, From: 1, Token: 43, Page: 2},                                            // a first fetch that needs no version
-		{Kind: KVoteReq, From: 2, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4},
-		{Kind: KVoteResp, From: 1, Epoch: 1, Term: 5, Flag: 1},
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4, Commit: 10, Entries: entries},
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 14, LogTerm: 5, Commit: 14},                                                           // pure heartbeat
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Commit: 513, Data: bytes.Repeat([]byte{0xc3}, 64), Entries: entries}, // inline state
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 513, LogTerm: 6, Commit: 513, Data: []byte{3, 0, 0, 0}},                               // state, no tail
 		{Kind: KAppendAck, From: 2, Epoch: 1, Term: 5, LogIndex: 14, Flag: 1},
 		{Kind: KNotLeader, From: 2, Token: 31, Epoch: 1, Term: 5, Leader: 1},
 		{Kind: KNotLeader, From: 1, Token: 33, Epoch: 1, Term: 6, Leader: -1}, // election unsettled
