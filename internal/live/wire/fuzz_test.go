@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -22,6 +23,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{Version, byte(KPageReply), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	// A full-length header whose kind byte is one past the last kind.
 	f.Add([]byte{Version, byte(kindEnd), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Three corruptions of the first sample frame of six layouts: a
+	// trailing byte, a newer build's version, and a kind byte that names
+	// the next kind's layout.
+	for _, k := range []Kind{KPageReply, KDiffReply, KLockGrant, KBarArrive, KAbort, KAppend} {
+		b := Encode(firstSample(k))
+		f.Add(append(bytes.Clone(b), 0))
+		newer := bytes.Clone(b)
+		newer[0] = Version + 1
+		f.Add(newer)
+		relabelled := bytes.Clone(b)
+		relabelled[1] = byte(k%(kindEnd-1) + 1)
+		f.Add(relabelled)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {
@@ -39,4 +53,14 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encode round trip mismatch:\n got %+v\nwant %+v", m2, m)
 		}
 	})
+}
+
+// firstSample returns the first of sampleMsgs of kind k.
+func firstSample(k Kind) *Msg {
+	for _, m := range sampleMsgs() {
+		if m.Kind == k {
+			return m
+		}
+	}
+	panic("wire: no sample frame of kind " + k.String())
 }
