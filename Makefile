@@ -133,8 +133,9 @@ recover:
 		-recover -crash 1:2:5ms -ckpt-dir "$$dir" -check -timeout 60s -deadline 120s; \
 	status=$$?; rm -rf "$$dir"; exit $$status
 
-# failover: the replicated control plane's gate — the coordinator-kill
-# soaks (all four apps × {LI, LH} with node 0 — manager, barrier root,
+# failover: the replicated control plane's gate — the one-slot
+# consensus package's tests x5 under -race, the coordinator-kill soaks
+# (all four apps × {LI, LH} with node 0 — manager, barrier root,
 # bootstrap leader — killed mid-run, in-proc and over TCP loopback; the
 # mid-checkpoint-confirm kill; the durable serving failover with zero
 # acked-write loss) under -race, then one seeded dsmd run that kills
@@ -142,6 +143,7 @@ recover:
 # checked against a fault-free 1-node reference, and its consensus
 # counters tabled to $(SUMMARY).
 failover:
+	$(GO) test -race -count=5 -timeout 600s ./internal/live/consensus
 	$(GO) test -race -count=1 -timeout 600s \
 		-run 'TestFailover|TestServeFailoverSoak' ./internal/live/... ./internal/serve/
 	timeout 150 $(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
@@ -187,8 +189,8 @@ serve:
 
 # endurance: the long-haul gate — the control-plane soak (all four apps
 # × {LI, LH}, the coordinator killed every round, membership growth and
-# slot-corruption rounds, a bounded consensus log — every commit is
-# folded into the state — byte-identical results vs a 1-node reference)
+# slot-corruption rounds, durable slots of one state image each,
+# byte-identical results vs a 1-node reference)
 # and the durable serving soak under repeated coordinator kills, both
 # under -race with a CI-sized episode budget (override: make endurance
 # ENDURANCE_EPISODES=2000), then one seeded dsmd run over real TCP
@@ -205,8 +207,8 @@ endurance:
 		-timeout 60s -deadline 120s > endurance_ci.json
 	@{ \
 		echo "### long-haul control plane (4 nodes, coordinator killed, replica promoted, this runner)"; echo ""; \
-		echo "| snap installs | conf changes | quarantines | lane drops |"; echo "|---|---|---|---|"; \
-		jq -r '.stats.total | "| \(.consensus_snap_installs) | \(.consensus_conf_changes) | \(.consensus_slot_quarantines) | \(.consensus_lane_drops) |"' endurance_ci.json; \
+		echo "| conf changes | quarantines | lane drops |"; echo "|---|---|---|"; \
+		jq -r '.stats.total | "| \(.consensus_conf_changes) | \(.consensus_slot_quarantines) | \(.consensus_lane_drops) |"' endurance_ci.json; \
 	} >> $(SUMMARY)
 
 # bench-serve runs the serving request path's microbenchmarks, five runs

@@ -12,10 +12,9 @@ import (
 )
 
 // repCounters mirrors the node stat fields a replica bumps, so tests
-// can assert on install/membership activity without a node.
+// can assert on membership activity without a node.
 type repCounters struct {
 	terms, elections, commits int64
-	snapInstalls              int64
 	confChanges, quarantines  int64
 }
 
@@ -23,8 +22,8 @@ type repCounters struct {
 // links and per-replica apply logs, so protocol behavior is testable
 // without the live engine. The "state machine" under replication is the
 // apply log itself: its state image is the log newline-joined, so a
-// replica that installs a leader's state resumes with the exact prefix
-// the leader had applied.
+// replica that installs a leader's state holds the exact sequence the
+// leader had applied.
 type harness struct {
 	t        *testing.T
 	n        int
@@ -36,7 +35,8 @@ type harness struct {
 	down     []bool
 	cut      map[[2]int]bool // both directions
 	oneWay   map[[2]int]bool // from -> to only
-	applied  [][]string      // per-replica apply log ("idx:cmd")
+	applied  [][]string      // per-replica apply log ("version:cmd")
+	installs []int           // per-replica InstallState calls
 	// acked is when from last sent to an append-ack, delivered or not:
 	// a replica stamps the leader as heard before it acks the append,
 	// so this bounds from's record of hearing to from above.
@@ -60,6 +60,7 @@ func newHarnessOpt(t *testing.T, n int, timeout time.Duration, voters []int) *ha
 		cut:      map[[2]int]bool{},
 		oneWay:   map[[2]int]bool{},
 		applied:  make([][]string, n),
+		installs: make([]int, n),
 		acked:    map[[2]int]time.Time{},
 	}
 	for i := 0; i < n; i++ {
@@ -95,6 +96,7 @@ func (h *harness) build(i int, timeout time.Duration) *Rep {
 		InstallState: func(app []byte) {
 			h.mu.Lock()
 			defer h.mu.Unlock()
+			h.installs[i]++
 			if len(app) == 0 {
 				h.applied[i] = nil
 			} else {
@@ -103,7 +105,7 @@ func (h *harness) build(i int, timeout time.Duration) *Rep {
 		},
 		Counters: Counters{
 			Terms: &c.terms, Elections: &c.elections, Commits: &c.commits,
-			SnapInstalls: &c.snapInstalls, ConfChanges: &c.confChanges, Quarantines: &c.quarantines,
+			ConfChanges: &c.confChanges, Quarantines: &c.quarantines,
 		},
 		Bootstrap: true,
 	}, h.stables[i])
@@ -144,11 +146,10 @@ func (h *harness) kill(i int) {
 
 // restart rebuilds replica i over its surviving Stable slot. The apply
 // log is reset first: a fresh incarnation rebuilds its state machine
-// from the persisted state (New installs it) and applies the tail past
-// it, so "at most once" holds per replica lifetime.
+// from the persisted state (New installs it).
 func (h *harness) restart(i int, timeout time.Duration) {
 	h.mu.Lock()
-	h.applied[i] = nil
+	h.applied[i], h.installs[i] = nil, 0
 	h.mu.Unlock()
 	r := h.build(i, timeout)
 	h.mu.Lock()
@@ -302,8 +303,8 @@ func TestLeaderFailover(t *testing.T) {
 
 // TestRestartCatchUp: the killed bootstrap leader restarts over its
 // Stable slot as a follower, adopts the new leader's term, and catches
-// up on entries committed while it was down — including entries its
-// old incarnation never saw.
+// up on commands committed while it was down — including ones its old
+// incarnation never saw.
 func TestRestartCatchUp(t *testing.T) {
 	h := newHarness(t, 3, 100*time.Millisecond)
 	defer h.stopAll()
@@ -447,11 +448,9 @@ func TestQuorumlessLeaderStepsDown(t *testing.T) {
 
 // TestOneVoterBroadcastsCommits: a one-voter leader commits inside
 // its proposal, with no round trip to wait for, and still sends the
-// commit to its learners at once. With a 1 s heartbeat, a learner that
+// new slot to its learners at once. With a 1 s heartbeat, a learner that
 // heard of commits only from heartbeats would lag each one by up to a
-// second. A learner that acked the previous commit gets the entry
-// itself: a leader that folded the commit into its state before sending
-// it would install the whole state at every learner instead.
+// second.
 func TestOneVoterBroadcastsCommits(t *testing.T) {
 	h := newHarnessOpt(t, 3, 10*time.Second, []int{0}) // HeartbeatEvery 1 s
 	defer h.stopAll()
@@ -461,10 +460,6 @@ func TestOneVoterBroadcastsCommits(t *testing.T) {
 	}
 	for k := 0; k < 5; k++ {
 		cmd := fmt.Sprintf("cmd-%d", k)
-		var installs [3]int64
-		for _, i := range []int{1, 2} {
-			installs[i] = atomic.LoadInt64(&h.counters[i].snapInstalls)
-		}
 		if err := h.proposeOK(0, cmd); err != nil {
 			t.Fatal(err)
 		}
@@ -476,14 +471,7 @@ func TestOneVoterBroadcastsCommits(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			if got := atomic.LoadInt64(&h.counters[i].snapInstalls); k > 0 && got != installs[i] {
-				t.Errorf("learner %d installed the state %d times for %s; the leader should have sent the entry", i, got-installs[i], cmd)
-			}
 		}
-		// Let the learners' acks of this commit reach the leader before
-		// the next proposal: the entry goes to a learner the leader knows
-		// is up to date.
-		time.Sleep(20 * time.Millisecond)
 	}
 	h.sameApplyOrder(0, 1, 2)
 }
@@ -558,26 +546,17 @@ func TestLearnersFollowFailover(t *testing.T) {
 	}
 }
 
-// lastApplied returns the index of replica i's newest applied entry.
-func (h *harness) lastApplied(i int) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	a := h.applied[i]
-	if len(a) == 0 {
-		return 0
-	}
-	var idx int64
-	fmt.Sscanf(a[len(a)-1], "%d:", &idx)
-	return idx
-}
-
 // waitInstalled polls until replica i has installed a leader's state.
-// The install bumps its counter after the state machine has taken the
-// state, so the applied commands can show first.
 func (h *harness) waitInstalled(i int, msg string) {
 	h.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for atomic.LoadInt64(&h.counters[i].snapInstalls) == 0 {
+	for {
+		h.mu.Lock()
+		n := h.installs[i]
+		h.mu.Unlock()
+		if n > 0 {
+			return
+		}
 		if time.Now().After(deadline) {
 			h.t.Fatal(msg)
 		}
@@ -598,43 +577,9 @@ func (h *harness) sameApplyOrder(ref int, is ...int) {
 	}
 }
 
-// TestCompactionBoundsLog: every commit is folded into the state, so
-// after a 40-command run each replica's persisted fold point is its
-// applied index and its persisted log holds only the uncommitted tail —
-// nothing, once the last commit has reached it — and the apply order
-// still converges.
-func TestCompactionBoundsLog(t *testing.T) {
-	h := newHarness(t, 3, 200*time.Millisecond)
-	defer h.stopAll()
-
-	h.waitLeader()
-	for k := 0; k < 40; k++ {
-		if err := h.proposeOK(0, fmt.Sprintf("cmd-%d", k)); err != nil {
-			t.Fatalf("propose cmd-%d: %v", k, err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		h.waitApplied(i, "cmd-39")
-		// The fold persists right after the apply batch; give it a moment.
-		want := h.lastApplied(i)
-		deadline := time.Now().Add(5 * time.Second)
-		for h.stables[i].SnapIndex() != want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if si := h.stables[i].SnapIndex(); si != want {
-			t.Fatalf("replica %d folded up to %d, applied %d", i, si, want)
-		}
-		if ll := h.stables[i].LogLen(); ll > 1 {
-			t.Fatalf("replica %d persisted log holds %d entries past its fold, want <= 1", i, ll)
-		}
-	}
-	h.sameApplyOrder(0, 1, 2)
-}
-
-// TestSnapshotCatchUp: a replica that loses its durable slot while the
-// leader folds past its last entry cannot be caught up by replay — the
-// leader's append carries its state inline, and the re-seeded replica
-// converges on the survivors' state.
+// TestSnapshotCatchUp: a replica that loses its durable slot entirely
+// is re-seeded by the leader's next append, which carries the state,
+// and converges on the survivors' state.
 func TestSnapshotCatchUp(t *testing.T) {
 	h := newHarness(t, 3, 100*time.Millisecond)
 	defer h.stopAll()
@@ -659,9 +604,9 @@ func TestSnapshotCatchUp(t *testing.T) {
 }
 
 // TestLaggingReplicaCatchesUp: a replica whose appends are cut while the
-// majority commits misses entries the leader has folded away; after the
-// heal the leader's append carries its state, the replica installs it,
-// and it goes on applying the commands that follow like the others.
+// majority commits misses every version of that window; after the heal
+// the leader's append carries its state, the replica installs it, and
+// it goes on holding the versions that follow like the others.
 func TestLaggingReplicaCatchesUp(t *testing.T) {
 	h := newHarness(t, 3, 100*time.Millisecond)
 	defer h.stopAll()
@@ -694,46 +639,10 @@ func TestLaggingReplicaCatchesUp(t *testing.T) {
 	h.sameApplyOrder(ld, 0, 1, 2)
 }
 
-// TestFollowerAppliesOwnEntries: a follower whose acks are lost keeps
-// receiving the leader's entries, but its next index stalls, so the
-// leader's appends carry the state once it has folded past them. The
-// follower's log holds those entries with the leader's terms, so it
-// applies its own copies instead of installing the state.
-func TestFollowerAppliesOwnEntries(t *testing.T) {
-	h := newHarness(t, 3, 100*time.Millisecond)
-	defer h.stopAll()
-
-	h.waitLeader()
-	h.mu.Lock()
-	h.oneWay[[2]int{2, 0}] = true
-	h.mu.Unlock()
-	for k := 0; k < 8; k++ {
-		if err := h.proposeOK(0, fmt.Sprintf("unacked-%d", k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.waitApplied(2, "unacked-7")
-	// Let a few heartbeats carry the state to the stalled follower.
-	time.Sleep(50 * time.Millisecond)
-	h.mu.Lock()
-	delete(h.oneWay, [2]int{2, 0})
-	h.mu.Unlock()
-	if err := h.proposeOK(0, "after"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		h.waitApplied(i, "after")
-	}
-	if n := atomic.LoadInt64(&h.counters[2].snapInstalls); n != 0 {
-		t.Errorf("follower installed the state %d times, holding every entry it folds", n)
-	}
-	h.sameApplyOrder(0, 1, 2)
-}
-
 // TestCatchUpAcrossLeaderChange: a replica cut off while the majority
-// commits is healed just as its leader dies, so whatever reached it from
-// the old leader, the new leader must finish catching it up from its own
-// state — and the apply order still converges.
+// commits is healed just as its leader dies. Its older slot loses the
+// election to the other survivor's, and the new leader catches it up
+// from its own state — and the apply order still converges.
 func TestCatchUpAcrossLeaderChange(t *testing.T) {
 	h := newHarness(t, 3, 100*time.Millisecond)
 	defer h.stopAll()
@@ -754,7 +663,7 @@ func TestCatchUpAcrossLeaderChange(t *testing.T) {
 	h.kill(0)
 	ld := h.waitLeader(0)
 	if ld != 1 {
-		t.Fatalf("replica %d, whose log lacks the cut entries, was elected", ld)
+		t.Fatalf("replica %d, whose slot lacks the cut commands, was elected", ld)
 	}
 	if err := h.proposeOK(ld, "after"); err != nil {
 		t.Fatalf("propose on new leader %d: %v", ld, err)
@@ -766,7 +675,7 @@ func TestCatchUpAcrossLeaderChange(t *testing.T) {
 }
 
 // TestMembershipAddServesFailover: a non-voting spare is promoted by a
-// committed config change, catches up on the full log, and then keeps
+// committed config change, holds the whole state, and then keeps
 // the cluster available through a leader crash — the scenario a live
 // cluster uses to grow 3->5 or replace a dead replica without restart.
 func TestMembershipAddServesFailover(t *testing.T) {
@@ -783,7 +692,7 @@ func TestMembershipAddServesFailover(t *testing.T) {
 	if err := h.proposeOK(0, "after-add"); err != nil {
 		t.Fatal(err)
 	}
-	// The promoted replica replays the whole log, including entries
+	// The promoted replica holds the whole state, including commands
 	// committed before it had a vote.
 	h.waitApplied(3, "before-add")
 	h.waitApplied(3, "after-add")
@@ -823,7 +732,7 @@ func TestMembershipRemoveFloor(t *testing.T) {
 // steps down at the commit and fails what is still pending, but the
 // removal itself committed and its proposer hears so. Failed instead,
 // the client would retry at the successor, which refuses every change
-// while the one it inherited is uncommitted in its own log.
+// until its first version has committed.
 func TestSelfRemovalReportsCommit(t *testing.T) {
 	h := newHarnessOpt(t, 4, 100*time.Millisecond, nil)
 	defer h.stopAll()
@@ -874,9 +783,11 @@ func TestConfPendingRejected(t *testing.T) {
 
 // TestQuarantineReseed: a corrupted Stable slot is quarantined at load
 // — the replica comes back fenced and empty instead of diverging on
-// torn state — and the leader re-seeds it with its state. Once seeded the
-// fence lifts: the replica votes in a later election, proving the
-// quarantine is a recovery path and not a permanent demotion.
+// torn state — and the leader's next append re-seeds it with its slot.
+// Once seeded the fence lifts: the replica votes in a later election,
+// proving the quarantine is a recovery path and not a permanent
+// demotion. (That it votes only after the re-seed is
+// TestQuarantinedVotesAfterReseed.)
 func TestQuarantineReseed(t *testing.T) {
 	h := newHarness(t, 3, 100*time.Millisecond)
 	defer h.stopAll()
@@ -887,13 +798,7 @@ func TestQuarantineReseed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.stables[0].SnapIndex() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if h.stables[0].SnapIndex() == 0 {
-		t.Fatal("leader never compacted")
-	}
+	h.waitApplied(1, "cmd-11")
 
 	h.kill(1)
 	if !h.stables[1].Corrupt() {

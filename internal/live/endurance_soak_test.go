@@ -18,11 +18,12 @@ import (
 	"lrcdsm/internal/vc"
 )
 
-// enduranceMaxLog bounds the sampled consensus log, in entries. Every
-// commit is folded into the state, so a replica's log holds only its
-// uncommitted tail: at most 5 entries in this soak and the serving one
-// under -race on a 2-vCPU VM. The bound is twice that.
-const enduranceMaxLog = 10
+// enduranceMaxSlot bounds the sampled durable consensus slot of a
+// 4-node cluster, in bytes: term, vote, slot term and version (28), the
+// state's length (4), four voters (4 + 16), the manager image's length
+// and the image (4 + 48), and the checksum (4). The slot holds one state
+// image, so it never grows with the run.
+const enduranceMaxSlot = 28 + 4 + (4 + 4*4) + 4 + (4 + 9*4 + 8) + 4
 
 // enduranceEpisodes reads the cumulative barrier-episode target
 // (cluster-wide, summed over nodes and rounds) from
@@ -38,30 +39,28 @@ func enduranceEpisodes(t *testing.T) int64 {
 	return 2000
 }
 
-// logLenSampler polls every replica's durable slot and records the
-// largest consensus log it ever observes, concurrently with the run.
-type logLenSampler struct {
+// slotSampler polls every replica's durable slot and records the
+// largest one it ever observes, in bytes, concurrently with the run.
+type slotSampler struct {
 	stables []*consensus.Stable
 	stop    chan struct{}
 	done    chan int
 }
 
-func sampleLogLen(stables []*consensus.Stable) *logLenSampler {
-	s := &logLenSampler{stables: stables, stop: make(chan struct{}), done: make(chan int, 1)}
+func sampleSlots(stables []*consensus.Stable) *slotSampler {
+	s := &slotSampler{stables: stables, stop: make(chan struct{}), done: make(chan int, 1)}
 	go func() {
-		maxLen := 0
+		largest := 0
 		tick := time.NewTicker(2 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
 			case <-tick.C:
 				for _, st := range s.stables {
-					if ll := st.LogLen(); ll > maxLen {
-						maxLen = ll
-					}
+					largest = max(largest, st.Size())
 				}
 			case <-s.stop:
-				s.done <- maxLen
+				s.done <- largest
 				return
 			}
 		}
@@ -69,7 +68,7 @@ func sampleLogLen(stables []*consensus.Stable) *logLenSampler {
 	return s
 }
 
-func (s *logLenSampler) maxLen() int {
+func (s *slotSampler) largest() int {
 	close(s.stop)
 	return <-s.done
 }
@@ -102,14 +101,14 @@ func (s *slotTearer) MsgSent(_, _ int, kind wire.Kind, _ int) {
 
 // TestEndurance is the long-haul claim: the replicated control plane
 // survives an unbounded sequence of runs — every round kills the
-// coordinator at least once — without the consensus log, the durable
-// slots, or the heap growing with time. Rounds rotate through all four
+// coordinator at least once — without the durable slots or the heap
+// growing with time. Rounds rotate through all four
 // paper workloads and both protocols; every fourth round grows the
 // voting set from three to four mid-run, and every fourth round
 // corrupts the coordinator's durable slot while it is down, so the
 // restarted incarnation must quarantine the slot and be re-seeded by
-// installing the leader's state. Each round's results are checked byte-for-byte against a
-// fault-free 1-node reference.
+// accepting the leader's slot. Each round's results are checked
+// byte-for-byte against a fault-free 1-node reference.
 //
 // The soak is opt-in (DSM_ENDURANCE=1): it runs until the cluster-wide
 // barrier-episode count crosses DSM_ENDURANCE_EPISODES (default 2000),
@@ -122,10 +121,10 @@ func TestEndurance(t *testing.T) {
 	target := enduranceEpisodes(t)
 
 	var (
-		episodes     int64
-		quarantines  int64
-		confChanges  int64
-		snapInstalls int64
+		episodes    int64
+		quarantines int64
+		confChanges int64
+		reseeds     int64
 	)
 	// At least four rounds always run, so the membership and corruption
 	// variants fire even under a tiny CI episode budget.
@@ -137,8 +136,8 @@ func TestEndurance(t *testing.T) {
 		}
 		// Membership rounds ride cholesky (the longest run, latest kill):
 		// the promotion must commit well before the coordinator dies.
-		// Corruption rounds ride water; the quarantined replica refuses
-		// replay and is re-seeded by installing the leader's state.
+		// Corruption rounds ride water; the quarantined replica votes
+		// for no one until it accepts the leader's slot.
 		membership := round%4 == 3 // grow the voting set 3 -> 4 mid-run
 		corrupt := round%4 == 2    // corrupt the coordinator's slot while it is down
 
@@ -173,9 +172,9 @@ func TestEndurance(t *testing.T) {
 		}
 		app.Configure(cl)
 
-		sampler := sampleLogLen(stables)
+		sampler := sampleSlots(stables)
 		stats, runErr := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, opts)
-		maxLog := sampler.maxLen()
+		maxSlot := sampler.largest()
 
 		tag := fmt.Sprintf("round %d (%s/%v membership=%v corrupt=%v)", round, name, prot, membership, corrupt)
 		if runErr != nil {
@@ -187,12 +186,12 @@ func TestEndurance(t *testing.T) {
 		if stats.Restarts != 1 {
 			t.Fatalf("%s: %d restarts, want 1 (the scheduled coordinator kill)", tag, stats.Restarts)
 		}
-		if maxLog > enduranceMaxLog {
-			t.Fatalf("%s: consensus log reached %d entries, bound is %d", tag, maxLog, enduranceMaxLog)
+		if maxSlot > enduranceMaxSlot {
+			t.Fatalf("%s: a durable consensus slot reached %d bytes, bound is %d", tag, maxSlot, enduranceMaxSlot)
 		}
 		for i, st := range stables {
-			if st.SnapIndex() == 0 {
-				t.Errorf("%s: replica %d never folded a commit into its state", tag, i)
+			if st.Version() == 0 {
+				t.Errorf("%s: replica %d never held a leader's slot", tag, i)
 			}
 		}
 		if membership && stats.Total.ConsensusConfChanges == 0 {
@@ -202,8 +201,14 @@ func TestEndurance(t *testing.T) {
 			if stats.Total.ConsensusSlotQuarantines == 0 {
 				t.Errorf("%s: corrupted slot was not quarantined", tag)
 			}
-			if stats.Total.ConsensusSnapInstalls == 0 {
-				t.Errorf("%s: quarantined replica was not re-seeded by an install", tag)
+			// The quarantine emptied the slot (version 0), and a fenced
+			// replica makes no version of its own: a version now is a
+			// leader's slot it accepted.
+			if stables[0].Quarantines() == 0 || stables[0].Version() == 0 {
+				t.Errorf("%s: quarantined slot was not re-seeded (quarantines %d, version %d)",
+					tag, stables[0].Quarantines(), stables[0].Version())
+			} else {
+				reseeds++
 			}
 		}
 		compareToReference(t, name, prot, cl)
@@ -211,24 +216,23 @@ func TestEndurance(t *testing.T) {
 		episodes += stats.Total.BarrierEpisodes
 		quarantines += stats.Total.ConsensusSlotQuarantines
 		confChanges += stats.Total.ConsensusConfChanges
-		snapInstalls += stats.Total.ConsensusSnapInstalls
 
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		t.Logf("%s: episodes %d/%d, maxlog %d, heap %d KiB, commits %d",
-			tag, episodes, target, maxLog, ms.HeapAlloc>>10, stats.Total.ConsensusCommits)
+		t.Logf("%s: episodes %d/%d, max slot %d B, heap %d KiB, commits %d",
+			tag, episodes, target, maxSlot, ms.HeapAlloc>>10, stats.Total.ConsensusCommits)
 		// The heap after GC must stay flat across rounds; a control
-		// plane that leaks log entries or states trips this
+		// plane that leaks states trips this
 		// long before an operator would notice.
 		if ms.HeapAlloc > 512<<20 {
 			t.Fatalf("%s: heap grew to %d MiB — the control plane is leaking", tag, ms.HeapAlloc>>20)
 		}
 	}
-	t.Logf("endurance done: %d episodes, %d conf changes, %d quarantines, %d state installs",
-		episodes, confChanges, quarantines, snapInstalls)
-	if quarantines == 0 || confChanges == 0 || snapInstalls == 0 {
-		t.Errorf("soak exercised too little: quarantines=%d confChanges=%d snapInstalls=%d",
-			quarantines, confChanges, snapInstalls)
+	t.Logf("endurance done: %d episodes, %d conf changes, %d quarantines, %d re-seeds",
+		episodes, confChanges, quarantines, reseeds)
+	if quarantines == 0 || confChanges == 0 || reseeds == 0 {
+		t.Errorf("soak exercised too little: quarantines=%d confChanges=%d reseeds=%d",
+			quarantines, confChanges, reseeds)
 	}
 }

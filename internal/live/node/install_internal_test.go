@@ -14,12 +14,11 @@ import (
 	"lrcdsm/internal/live/wire"
 )
 
-// TestInlineStateFitsOneFrame pins the size of what an append carries
-// when a follower needs entries its leader has folded away: the whole
-// manager state at 64 nodes, all of them voters, fits 1 KiB, and an
-// append carrying it plus a full batch of the largest manager command
-// fits one wire frame. The blob is built by the consensus layout
-// (voters, then the image; pinned by its TestGoldenBytes).
+// TestInlineStateFitsOneFrame pins the size of what every append
+// carries: the whole manager state at 64 nodes, all of them voters,
+// fits 1 KiB, and so does the append frame carrying it. The blob is
+// built by the consensus layout (voters, then the image; pinned by its
+// TestGoldenBytes).
 func TestInlineStateFitsOneFrame(t *testing.T) {
 	const nn = 64
 	app := newMstate(nn).encodeState()
@@ -33,17 +32,11 @@ func TestInlineStateFitsOneFrame(t *testing.T) {
 	if len(w.B) > 1<<10 {
 		t.Errorf("a %d-node state is %d bytes inline, want <= 1 KiB", nn, len(w.B))
 	}
-	entries := make([]wire.Entry, consensus.MaxBatch)
-	for i := range entries {
-		entries[i] = wire.Entry{Term: math.MaxInt64, Cmd: encodeReset(nn-1, math.MaxInt64)}
-	}
 	frame := wire.Encode(&wire.Msg{
-		Kind: wire.KAppend, From: nn - 1, Term: math.MaxInt64,
-		LogIndex: math.MaxInt64, LogTerm: math.MaxInt64, Commit: math.MaxInt64,
-		Data: w.B, Entries: entries,
+		Kind: wire.KAppend, From: nn - 1, Term: math.MaxInt64, LogIndex: math.MaxInt64, Data: w.B,
 	})
-	if len(frame) > wire.MaxFrame {
-		t.Errorf("an append with the state and %d entries is %d bytes, over MaxFrame", len(entries), len(frame))
+	if len(frame) > 1<<10+64 {
+		t.Errorf("an append carrying the %d-node state is %d bytes", nn, len(frame))
 	}
 	t.Logf("state %d bytes, append frame %d bytes", len(w.B), len(frame))
 }
@@ -81,8 +74,8 @@ func (t *cutTransport) Send(to int, payload []byte) error {
 
 // TestInstallCrossesReset: a manager replica that led and served a
 // client, fell behind while another leader committed a rollback (opReset)
-// and the client's rejoin (opResume), and was caught up by the leader's
-// inline state, then elected again, answers the client's next
+// and the client's rejoin (opResume), and was caught up by installing a
+// leader's slot, then elected again, answers the client's next
 // incarnation exactly like a replica that applied the two commands: the
 // rollback restarted the client's tokens, so the replica must have
 // forgotten the old ones, or it drops the rejoin as a retransmission and
@@ -93,10 +86,10 @@ func (t *cutTransport) Send(to int, payload []byte) error {
 // client's token 100. In the replayed row node 0 commits the rollback
 // and rejoin itself. In the installed row node 0 is cut off, a new
 // leader L among {2, 3} commits them, and node 0 is healed towards the
-// other voter F alone: F is elected over node 0's stale log and catches
-// node 0 up with its state; then F is cut off and node 0 healed towards
-// L, whose log lacks F's entry, so node 0 is elected. Either way node 0
-// then answers the client's join request with token 1.
+// other voter F alone: F is elected over node 0's older slot and
+// catches node 0 up with its own; then F is cut off and node 0 healed
+// towards L, whose slot is older than F's, so node 0 is elected. Either
+// way node 0 then answers the client's join request with token 1.
 func TestInstallCrossesReset(t *testing.T) {
 	for _, installed := range []bool{false, true} {
 		name := "replayed"
@@ -224,8 +217,9 @@ func installCrossesReset(t *testing.T, installed bool) {
 		}
 		links.set(0, f, false)
 		leaderAmong(f)
-		// F's append carries its state to node 0.
-		for deadline := time.Now().Add(10 * time.Second); ns[0].Stats().ConsensusSnapInstalls == 0; {
+		// F's append carries its slot to node 0.
+		slot := func(i int) *consensus.Stable { return ns[i].cfg.Recover.Consensus }
+		for deadline := time.Now().Add(10 * time.Second); slot(0).Version() != slot(f).Version(); {
 			if time.Now().After(deadline) {
 				t.Fatal("node 0 was never caught up by an install")
 			}
@@ -234,9 +228,6 @@ func installCrossesReset(t *testing.T, installed bool) {
 		links.set(0, f, true)
 		links.set(0, ld, false)
 		leaderAmong(0)
-	}
-	if s := ns[0].Stats(); (s.ConsensusSnapInstalls > 0) != installed {
-		t.Fatalf("node 0 installed %d states", s.ConsensusSnapInstalls)
 	}
 	ask(&wire.Msg{Kind: wire.KJoinReq, Token: 1}, wire.KJoinGrant)
 	ask(&wire.Msg{Kind: wire.KResume, Token: 2}, wire.KAck)

@@ -68,7 +68,7 @@ func TestLivenessCountsVoters(t *testing.T) {
 						}
 						tr.Send(0, wire.Encode(&wire.Msg{
 							Kind: wire.KAppendAck, From: int32(tr.Self()), Term: m.Term,
-							LogIndex: m.LogIndex + int64(len(m.Entries)), Flag: 1,
+							LogIndex: m.LogIndex,
 						}))
 					}
 				}(trs[b])

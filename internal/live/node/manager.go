@@ -21,12 +21,13 @@ import (
 // verdicts.
 //
 // Every node runs a manager replica, and the authoritative state lives
-// in a replicated state machine (mstate) driven by commands committed on
-// a consensus log (internal/live/consensus): the elected leader serves
-// requests by proposing the corresponding command and replying only
-// after commit, a non-leader replica answers every manager request with
-// KNotLeader and the current leader hint, and a leader crash triggers an
-// election instead of an abort. On three or more nodes every node votes (unless
+// in a replicated state machine (mstate) whose state a one-slot
+// consensus register replicates (internal/live/consensus): the elected
+// leader serves requests by proposing the corresponding command, which
+// it applies at once, and replies only after the version carrying it
+// commits; followers install the leader's state and answer every
+// manager request with KNotLeader and the current leader hint; and a
+// leader crash triggers an election instead of an abort. On three or more nodes every node votes (unless
 // RecoverConfig.Voters says otherwise); below three, node 0 alone forms
 // the voting group, so its commits need no round trip and its crash is
 // final.
@@ -247,9 +248,10 @@ func (g *manager) redirect(m *wire.Msg) {
 
 // ---- command plumbing ----
 
-// applyCmd decodes and applies one committed command, then re-arms
-// leader-local serving state on reset/resume. Runs on the consensus
-// goroutine, on every replica, in log order.
+// applyCmd decodes and applies one command, then re-arms leader-local
+// serving state on reset/resume. Runs on the consensus goroutine of the
+// leader, as the leader admits the command: the leader's state runs
+// ahead of its commit (DESIGN.md §16.1 argues each read of it).
 func (g *manager) applyCmd(cmd []byte) error {
 	c, err := decodeCmd(cmd)
 	if err != nil {
@@ -288,10 +290,10 @@ func (g *manager) dropServing() {
 }
 
 // installState replaces the replicated state with a leader's image (the
-// consensus InstallState hook). The image cannot say whether the
-// commands it stands in for held a reset or a resume, so the serving
-// state goes as at a reset, which covers a resume; a replica that never
-// led has none either. The peer stamps need no refresh (DESIGN.md §16.1).
+// consensus InstallState hook: a follower installs every version it
+// accepts). The image cannot say whether the commands it stands in for
+// held a reset or a resume, so the serving state goes as at a reset,
+// which covers a resume; a replica that never led has none either. The peer stamps need no refresh (DESIGN.md §16.1).
 func (g *manager) installState(app []byte) error {
 	if err := g.st.restoreState(app); err != nil {
 		return err
@@ -464,7 +466,7 @@ func (g *manager) snapReq(m *wire.Msg) {
 }
 
 // confChange commits a single-server voting-membership change (add or
-// remove the replica named by ReqFrom) through the consensus log. The
+// remove the replica named by ReqFrom) through the consensus replica. The
 // leader rejects a second change while one is uncommitted, and a change
 // that would shrink the quorum below usefulness, with a reasoned
 // KConfAck; transient leadership errors are dropped so the client's

@@ -12,13 +12,13 @@ import (
 // mid-recovery, and the checkpoint the cluster last rolled back to. A
 // checkpoint itself is nothing but the nodes' snapshots (see
 // internal/live/recover), so none of it lives here. Mutations happen
-// only through apply, driven by commands committed on the consensus
-// log, so every replica that applies the same command sequence holds
-// byte-identical state (see encodeState). Leader-local serving state —
-// request dedup, snapshot page pushes, joiners' replicas — deliberately
-// lives outside, in the manager: it never needs to agree across
-// replicas because every command is idempotent and clients retry with
-// fresh tokens.
+// through apply, on the consensus leader, or restoreState, on a follower
+// installing the leader's image; every replica that applies the same
+// command sequence holds byte-identical state (see encodeState).
+// Leader-local serving state — request dedup, snapshot page pushes,
+// joiners' replicas — deliberately lives outside, in the manager: it
+// never needs to agree across replicas because every command is
+// idempotent and clients retry with fresh tokens.
 type mstate struct {
 	mu sync.Mutex
 	nn int
@@ -42,8 +42,8 @@ func newMstate(nn int) *mstate {
 	}
 }
 
-// Command opcodes. A nil/empty command is a noop (the consensus layer's
-// leader-change entries and read barriers). Opcodes 2 and 3 are retired
+// Command opcodes. A nil/empty command is a noop (a new consensus
+// leader's first version, and read barriers). Opcodes 2 and 3 are retired
 // (a flagged episode's merged vector time, a join's incarnation): they
 // decode as unknown.
 const (
@@ -103,7 +103,7 @@ func decodeCmd(b []byte) (mcmd, error) {
 // apply mutates the state with one decoded command. Every command is
 // idempotent — re-applying after a leader change or a duplicated
 // proposal converges on the same state — and deterministic, so replicas
-// applying the same log agree byte-for-byte.
+// applying the same commands agree byte-for-byte.
 func (s *mstate) apply(c mcmd) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,7 +168,7 @@ func (s *mstate) isRecovering(w int) bool {
 }
 
 // encodeState serializes the full state deterministically, so replicas
-// can be compared byte-for-byte after applying the same command log.
+// can be compared byte-for-byte after applying the same commands.
 func (s *mstate) encodeState() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,10 +185,9 @@ func (s *mstate) encodeState() []byte {
 }
 
 // restoreState replaces the state with a decoded encodeState image — a
-// consensus install bringing a lagging or re-seeded replica up without
-// the entries folded into the image. The image's cluster size must
-// match; any truncation or trailing bytes is an error and leaves the
-// state untouched.
+// follower installing the consensus leader's state. The image's cluster
+// size must match; any truncation or trailing bytes is an error and
+// leaves the state untouched.
 func (s *mstate) restoreState(b []byte) error {
 	r := codec.NewReader(b, "manager: state image")
 	if nn := r.U32(); r.Err() == nil && int(nn) != s.nn {

@@ -508,12 +508,11 @@ func New(tr transport.Transport, cfg Config) *Node {
 		},
 		Bootstrap: true, // ignored once the Stable slot holds a term
 		Counters: consensus.Counters{
-			Terms:        &n.stats.ConsensusTerms,
-			Elections:    &n.stats.ConsensusElections,
-			Commits:      &n.stats.ConsensusCommits,
-			SnapInstalls: &n.stats.ConsensusSnapInstalls,
-			ConfChanges:  &n.stats.ConsensusConfChanges,
-			Quarantines:  &n.stats.ConsensusSlotQuarantines,
+			Terms:       &n.stats.ConsensusTerms,
+			Elections:   &n.stats.ConsensusElections,
+			Commits:     &n.stats.ConsensusCommits,
+			ConfChanges: &n.stats.ConsensusConfChanges,
+			Quarantines: &n.stats.ConsensusSlotQuarantines,
 		},
 	}, rc.Consensus)
 	return n

@@ -49,7 +49,7 @@ type RecoverConfig struct {
 	// can be elected to judge.
 	OnPeerDown func(err *PeerDownError) bool
 
-	// Consensus is the durable slot (term, vote, log) of this node's
+	// Consensus is the durable slot (term, vote, state) of this node's
 	// manager replica; nil selects a fresh in-memory one. The supervisor
 	// owns the slots so a restarted incarnation resumes from its
 	// persisted term and can never vote twice in one term.

@@ -123,8 +123,8 @@ type Stats struct {
 
 	// Consensus-health counters: the replicated control plane's activity
 	// on this node. Terms counts term advances this replica observed,
-	// Elections the elections it stood for, Commits the log entries it
-	// applied, and LeaderRedirects the not-leader redirects its manager
+	// Elections the elections it stood for, Commits the versions it
+	// committed as leader, and LeaderRedirects the not-leader redirects its manager
 	// RPCs followed. All zero on a fault-free run without a restart
 	// budget: the bootstrap term holds and nothing is proposed.
 	ConsensusTerms     int64 `json:"consensus_terms"`
@@ -132,13 +132,10 @@ type Stats struct {
 	ConsensusCommits   int64 `json:"consensus_commits"`
 	LeaderRedirects    int64 `json:"leader_redirects"`
 
-	// Long-haul control-plane counters. SnapInstalls counts leader states
-	// this replica installed from an append (catching up past entries
-	// already folded into the state); ConfChanges committed
-	// voting-membership changes it applied; SlotQuarantines corrupt
-	// durable slots quarantined at load; LaneDrops outbound consensus
-	// frames discarded on a full peer lane.
-	ConsensusSnapInstalls    int64 `json:"consensus_snap_installs"`
+	// Long-haul control-plane counters. ConfChanges counts the
+	// voting-membership changes this replica proposed as leader;
+	// SlotQuarantines corrupt durable slots quarantined at load;
+	// LaneDrops outbound consensus frames discarded on a full peer lane.
 	ConsensusConfChanges     int64 `json:"consensus_conf_changes"`
 	ConsensusSlotQuarantines int64 `json:"consensus_slot_quarantines"`
 	ConsensusLaneDrops       int64 `json:"consensus_lane_drops"`

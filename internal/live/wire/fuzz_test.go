@@ -11,12 +11,16 @@ import (
 // frame it accepts must re-encode to the identical byte string (the
 // format has a single canonical encoding per message).
 //
-// The committed seed corpus under testdata/fuzz/FuzzDecode holds one
-// valid frame per message kind plus malformed variants; `go test` always
-// runs the corpus, `go test -fuzz=FuzzDecode` explores further.
+// The seeds are built from code: every sampleMsgs frame and its
+// truncation (sampleSeeds), so a new kind or field is seeded by its
+// sample alone, plus the hand-made malformed frames below. The
+// committed corpus under testdata/fuzz/FuzzDecode holds older seed
+// frames of the same layouts and malformed frames; `go test` always
+// runs the seeds and the corpus, `go test -fuzz=FuzzDecode` explores
+// further.
 func FuzzDecode(f *testing.F) {
-	for _, m := range sampleMsgs() {
-		f.Add(Encode(m))
+	for _, b := range sampleSeeds() {
+		f.Add(b)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version})
@@ -53,6 +57,16 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encode round trip mismatch:\n got %+v\nwant %+v", m2, m)
 		}
 	})
+}
+
+// sampleSeeds returns every sampleMsgs frame followed by its first half.
+func sampleSeeds() [][]byte {
+	var out [][]byte
+	for _, m := range sampleMsgs() {
+		b := Encode(m)
+		out = append(out, b, b[:len(b)/2])
+	}
+	return out
 }
 
 // firstSample returns the first of sampleMsgs of kind k.

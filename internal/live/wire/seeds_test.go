@@ -8,42 +8,21 @@ import (
 	"testing"
 )
 
-// TestFuzzSeedCompleteness asserts every message kind has a FuzzDecode
-// corpus seed and a truncated variant, so a new kind cannot ship
-// unfuzzed: adding a Kind constant fails this test until the corpus
-// covers it. Seeds are named seed-<kindname>[-<n>] with the truncated
-// variant ending in "-truncated".
+// TestFuzzSeedCompleteness asserts every message kind is named and has
+// a sampleMsgs frame, which seeds FuzzDecode whole and truncated
+// (sampleSeeds), so a new kind cannot ship unfuzzed: adding a Kind
+// constant fails this test until sampleMsgs holds a frame of it.
 func TestFuzzSeedCompleteness(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading corpus dir: %v", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		names = append(names, e.Name())
+	sampled := map[Kind]bool{}
+	for _, m := range sampleMsgs() {
+		sampled[m.Kind] = true
 	}
 	for k := Kind(1); k < kindEnd; k++ {
-		kn := k.String()
-		if strings.HasPrefix(kn, "kind(") {
+		if strings.HasPrefix(k.String(), "kind(") {
 			t.Errorf("kind %d has no name; kindNames is incomplete", k)
-			continue
 		}
-		var seed, truncated bool
-		for _, name := range names {
-			if name == "seed-"+kn || strings.HasPrefix(name, "seed-"+kn+"-") {
-				if strings.HasSuffix(name, "-truncated") {
-					truncated = true
-				} else {
-					seed = true
-				}
-			}
-		}
-		if !seed {
-			t.Errorf("kind %s has no fuzz corpus seed (want %s/seed-%s*)", kn, dir, kn)
-		}
-		if !truncated {
-			t.Errorf("kind %s has no truncated corpus seed (want %s/seed-%s-*-truncated)", kn, dir, kn)
+		if !sampled[k] {
+			t.Errorf("kind %v has no sampleMsgs frame to seed FuzzDecode with", k)
 		}
 	}
 }

@@ -22,10 +22,11 @@ import (
 // Decode accepts. Every node of a cluster is built from the same source,
 // so there is no older peer to stay compatible with; the byte changes
 // whenever the kind numbering or a kind's field list does, so a frame
-// from a different build is rejected instead of misparsed. Version 15
-// dropped the interval-log segment fetch, its two kinds and their index
-// range: a grant carries every notice the acquirer lacks.
-const Version = 15
+// from a different build is rejected instead of misparsed. Version 16
+// made the consensus log one slot: an append carries the leader's state
+// and its version, with no entries, commit index or previous-entry
+// match, and an append-ack the version the follower holds.
+const Version = 16
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -112,27 +113,24 @@ const (
 	// with the merged vector time and the episode's aggregated notices.
 	KBarRelease
 
-	// The replicated control plane: the manager replicas' consensus log.
+	// The replicated control plane: the manager replicas' one-slot
+	// consensus log, a slot being (slot term, version, state).
 
-	// KVoteReq is a candidate's request for a vote in Term, carrying the
-	// position (LogIndex, LogTerm) of its last replicated-log entry so
-	// voters can refuse a candidate with a stale log.
+	// KVoteReq is a candidate's request for a vote in Term, carrying its
+	// slot's version (LogIndex) and slot term (LogTerm) so voters can
+	// refuse a candidate with an older slot.
 	KVoteReq
 	// KVoteResp answers a vote request: Flag is 1 if the vote was
 	// granted in Term.
 	KVoteResp
-	// KAppend is the leader's append-entries/heartbeat to every replica,
-	// non-voters included: Entries extend the follower's log after the
-	// (LogIndex, LogTerm) match point, and Commit advertises the
-	// leader's commit frontier. When the follower needs entries the
-	// leader has already folded into its state, the match point is the
-	// fold point and Data carries the encoded state, which fits one
+	// KAppend is the leader's append/heartbeat to every replica,
+	// non-voters included: its latest slot, of its own term — the
+	// version (LogIndex) and the encoded state (Data), which fits one
 	// frame.
 	KAppend
 	// KAppendAck answers an append, and is the sender's liveness stamp
-	// at the leader: Flag is 1 on a match-point hit, and LogIndex
-	// carries the follower's last matching index (on success) or a
-	// back-up hint (on mismatch).
+	// at the leader: LogIndex is the version of the leader's term the
+	// follower holds (0: none).
 	KAppendAck
 	// KNotLeader is a replica's redirect reply to a manager RPC it
 	// cannot serve: Leader names the replica's current leader hint (-1
@@ -204,13 +202,6 @@ type Interval struct {
 	Pages  []int32
 }
 
-// Entry is one replicated-log entry carried by KAppend: the term it was
-// proposed in and the opaque encoded manager command.
-type Entry struct {
-	Term int64
-	Cmd  []byte
-}
-
 // Msg is one live-protocol message. Only the fields relevant to its Kind
 // are encoded; see the per-kind field lists in fields.
 type Msg struct {
@@ -244,10 +235,9 @@ type Msg struct {
 	// Consensus fields. Term also stamps KAbort so a deposed leader's
 	// stale abort is fenced at receivers.
 	Term     int64 // sender's current term (consensus kinds, KAbort)
-	LogIndex int64 // log position: last/prev/match index by kind
-	LogTerm  int64 // term of the entry at LogIndex (KVoteReq/KAppend)
-	Commit   int64 // leader's commit frontier (KAppend)
-	Flag     uint8 // vote granted / append ok (KVoteResp/KAppendAck)
+	LogIndex int64 // slot version (KVoteReq/KAppend/KAppendAck)
+	LogTerm  int64 // slot term (KVoteReq)
+	Flag     uint8 // vote granted (KVoteResp), add (KConfChange), committed (KConfAck)
 	Leader   int32 // redirect hint, -1 unknown (KNotLeader)
 
 	VT       []int32 // vector time (requester VT, grant VT, page version)
@@ -257,7 +247,6 @@ type Msg struct {
 	Diffs    []Diff
 	Notices  []Notice
 	Interval *Interval // closed interval (flushes, barrier arrivals)
-	Entries  []Entry   // replicated-log entries (KAppend)
 }
 
 // fieldSet describes which optional fields a kind encodes, so the codec
@@ -271,8 +260,8 @@ type fieldSet struct {
 	attempt                        bool // retryable request kinds
 	errstr                         bool
 	reqfrom                        bool
-	term, logidx, logterm, commit  bool
-	flag, leader, entries          bool
+	term, logidx, logterm          bool
+	flag, leader                   bool
 	need                           bool
 }
 
@@ -298,8 +287,8 @@ var fields = map[Kind]fieldSet{
 	KBarRelease:   {barrier: true, episode: true, vt: true, notices: true},
 	KVoteReq:      {term: true, logidx: true, logterm: true},
 	KVoteResp:     {term: true, flag: true},
-	KAppend:       {term: true, logidx: true, logterm: true, commit: true, data: true, entries: true},
-	KAppendAck:    {term: true, logidx: true, flag: true},
+	KAppend:       {term: true, logidx: true, data: true},
+	KAppendAck:    {term: true, logidx: true},
 	KNotLeader:    {term: true, leader: true},
 	KConfChange:   {flag: true, reqfrom: true, attempt: true},
 	KConfAck:      {flag: true, errstr: true},
@@ -339,9 +328,6 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 	}
 	if fs.logterm {
 		w.I64(m.LogTerm)
-	}
-	if fs.commit {
-		w.I64(m.Commit)
 	}
 	if fs.flag {
 		w.U8(m.Flag)
@@ -406,13 +392,6 @@ func EncodeAcks(m *Msg, acks []int64) []byte {
 			w.I32s(m.Interval.Pages)
 		}
 	}
-	if fs.entries {
-		w.U32(uint32(len(m.Entries)))
-		for i := range m.Entries {
-			w.I64(m.Entries[i].Term)
-			w.Bytes(m.Entries[i].Cmd)
-		}
-	}
 	return w.B
 }
 
@@ -452,9 +431,6 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.logterm {
 		m.LogTerm = r.I64()
-	}
-	if fs.commit {
-		m.Commit = r.I64()
 	}
 	if fs.flag {
 		m.Flag = r.U8()
@@ -521,15 +497,6 @@ func Decode(b []byte) (*Msg, error) {
 			iv.VT = r.I32s()
 			iv.Pages = r.I32s()
 			m.Interval = iv
-		}
-	}
-	if fs.entries {
-		n := r.Count(12) // minimum bytes per encoded entry (term + len)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			var e Entry
-			e.Term = r.I64()
-			e.Cmd = r.Bytes()
-			m.Entries = append(m.Entries, e)
 		}
 	}
 	if err := r.Done(); err != nil {

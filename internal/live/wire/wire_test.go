@@ -31,10 +31,6 @@ func sampleMsgs() []*Msg {
 		{Writer: 2, Index: 1, Pages: []int32{5}}, {Writer: 2, Index: 2, Pages: nil},
 	}
 	ival := &Interval{Writer: 2, Index: 5, VT: []int32{1, 0, 5, 2}, Pages: []int32{4, 8}}
-	entries := []Entry{
-		{Term: 2, Cmd: []byte{1, 2, 3, 4}},
-		{Term: 3, Cmd: nil},
-	}
 	return []*Msg{
 		{Kind: KPageReq, From: 1, Token: 42, Page: 17, Need: []int32{0, 3, 0, 1}},
 		{Kind: KPageReply, From: 0, Token: 42, Page: 17, VT: []int32{3, 1, 0, 9}, Data: bytes.Repeat([]byte{0xab}, 4096)},
@@ -52,7 +48,7 @@ func sampleMsgs() []*Msg {
 		{Kind: KBarArrive, From: 2, Token: 13, Barrier: 1, Episode: 7, VT: []int32{1, 1, 1, 1}, Notices: notices, Interval: ival},
 		{Kind: KBarArrive, From: 3, Token: 14, Barrier: 0, Episode: 8, VT: []int32{1, 1, 1, 2}}, // no interval, leaf
 		{Kind: KBarDepart, From: 0, Token: 13, Barrier: 1, Episode: 4, VT: []int32{2, 2, 2, 2}, Notices: notices},
-		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14, Flag: 1}, // a learner's heartbeat ack
+		{Kind: KAppendAck, From: 2, Epoch: 3, Term: 6, LogIndex: 14}, // a learner's heartbeat ack
 		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
 		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Attempt: 1},
 		{Kind: KJoinGrant, From: 0, Token: 1, Epoch: 2, Episode: 4, VT: []int32{4, 2, 3, 4}},
@@ -68,14 +64,12 @@ func sampleMsgs() []*Msg {
 		{Kind: KBarRelease, From: 0, Epoch: 1, Barrier: 0, Episode: 10, VT: []int32{3, 3, 3, 3}},         // nobody wrote
 		{Kind: KVoteReq, From: 2, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4},
 		{Kind: KVoteResp, From: 1, Epoch: 1, Term: 5, Flag: 1},
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4, Commit: 10, Entries: entries},
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 14, LogTerm: 5, Commit: 14}, // pure heartbeat
-		// The leader's state inline, with and without a tail after it.
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Commit: 513, Data: bytes.Repeat([]byte{0xc3}, 64), Entries: entries},
-		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 513, LogTerm: 6, Commit: 513, Data: []byte{3, 0, 0, 0}},
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, Data: bytes.Repeat([]byte{0xc3}, 64)},
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 513, Data: []byte{3, 0, 0, 0}},
+		{Kind: KAppend, From: 0, Epoch: 1, Term: 1},                                              // a bootstrap leader before its first version
 		{Kind: KBarDepart, From: 0, Token: 15, Barrier: 0, Episode: 10, VT: []int32{3, 3, 3, 3}}, // nobody wrote
 		{Kind: KPageReq, From: 1, Token: 43, Page: 2},                                            // a first fetch that needs no version
-		{Kind: KAppendAck, From: 2, Epoch: 1, Term: 5, LogIndex: 14, Flag: 1},
+		{Kind: KAppendAck, From: 2, Epoch: 1, Term: 5},                                           // no version of this term yet
 		{Kind: KNotLeader, From: 2, Token: 31, Epoch: 1, Term: 5, Leader: 1},
 		{Kind: KNotLeader, From: 1, Token: 33, Epoch: 1, Term: 6, Leader: -1}, // election unsettled
 		{Kind: KConfChange, From: 3, Token: 40, Epoch: 2, Flag: 1, ReqFrom: 4, Attempt: 1},

@@ -17,18 +17,17 @@ import (
 // durable 4-node serving cluster absorbs repeated coordinator kills in
 // the middle of an open-loop load, and every acknowledged write must
 // still be present — byte-identical to a fault-free 1-node reference —
-// while the replicated consensus log stays bounded: every commit is
-// folded into the state, so a replica's log holds only its uncommitted
-// tail.
+// while every durable consensus slot stays one state image in size.
 // Opt-in via DSM_ENDURANCE=1, like TestEndurance in internal/live;
 // `make endurance` runs both.
 func TestEnduranceServe(t *testing.T) {
 	if os.Getenv("DSM_ENDURANCE") == "" {
 		t.Skip("set DSM_ENDURANCE=1 to run the long-haul soak")
 	}
-	// maxLog bounds the sampled consensus log, in entries: twice the
-	// largest uncommitted tail measured (5), as in TestEndurance.
-	const maxLog = 10
+	// maxSlot bounds the sampled durable slot of a 4-node cluster, in
+	// bytes, as enduranceMaxSlot does in TestEndurance: the slot holds
+	// one state image.
+	const maxSlot = 28 + 4 + (4 + 4*4) + 4 + (4 + 9*4 + 8) + 4
 	scfg := testServeCfg()
 	scfg.Durable = true
 	lcfg := testLoadCfg(loadgen.Mix{Name: "update-uniform", ReadFrac: 0.5, Dist: "uniform"})
@@ -71,23 +70,21 @@ func TestEnduranceServe(t *testing.T) {
 		done <- out{stats, rerr}
 	}()
 
-	// Sample the replicas' durable log length throughout.
+	// Sample the replicas' durable slot sizes throughout.
 	stopSample := make(chan struct{})
 	sampled := make(chan int, 1)
 	go func() {
-		maxLog := 0
+		largest := 0
 		tick := time.NewTicker(2 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
 			case <-tick.C:
 				for _, s := range stables {
-					if ll := s.LogLen(); ll > maxLog {
-						maxLog = ll
-					}
+					largest = max(largest, s.Size())
 				}
 			case <-stopSample:
-				sampled <- maxLog
+				sampled <- largest
 				return
 			}
 		}
@@ -95,7 +92,7 @@ func TestEnduranceServe(t *testing.T) {
 
 	res, lerr := loadgen.Run(lcfg, func(int) (loadgen.Driver, error) { return srv, nil })
 	close(stopSample)
-	sampledLog := <-sampled
+	sampledSlot := <-sampled
 	srv.Shutdown()
 	o := <-done
 	if lerr != nil {
@@ -110,21 +107,21 @@ func TestEnduranceServe(t *testing.T) {
 	if o.stats.Restarts != 3 {
 		t.Fatalf("%d restarts, want 3 (one per scheduled coordinator kill)", o.stats.Restarts)
 	}
-	if sampledLog > maxLog {
-		t.Errorf("consensus log reached %d entries, bound is %d", sampledLog, maxLog)
+	if sampledSlot > maxSlot {
+		t.Errorf("a durable consensus slot reached %d bytes, bound is %d", sampledSlot, maxSlot)
 	}
 	if o.stats.Total.CheckpointsTaken == 0 {
 		t.Error("durable run took no checkpoints")
 	}
 	for i, s := range stables {
-		if s.SnapIndex() == 0 {
-			t.Errorf("replica %d never folded a commit into its state", i)
+		if s.Version() == 0 {
+			t.Errorf("replica %d never held a leader's slot", i)
 		}
 	}
 
 	ref := runServe(t, 1, nil, testServeCfg(), lcfg, nil)
 	gotRun := &serveRun{cl: cl, res: res, stats: o.stats}
 	compareKeys(t, scfg, gotRun, ref, lcfg.Keys)
-	t.Logf("served %d ops across %d coordinator kills (%d checkpoints, %d commits, max log %d)",
-		res.Ops, o.stats.Restarts, o.stats.Total.CheckpointsTaken, o.stats.Total.ConsensusCommits, sampledLog)
+	t.Logf("served %d ops across %d coordinator kills (%d checkpoints, %d commits, max slot %d B)",
+		res.Ops, o.stats.Restarts, o.stats.Total.CheckpointsTaken, o.stats.Total.ConsensusCommits, sampledSlot)
 }
