@@ -48,7 +48,7 @@ fuzz:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=MakeDiff -benchtime=1x ./internal/page/
 	$(GO) test -run '^$$' -bench='HotPageApply|NewSystem|CloseInterval' -benchtime=1x ./internal/core/
-	$(GO) test -run '^$$' -bench=Interact -benchtime=1x ./internal/sim/
+	$(GO) test -run '^$$' -bench='Interact|Dispatch' -benchtime=1x ./internal/sim/
 	$(GO) test -run '^$$' -bench='CaptureCheckpoint|SnapPush' -benchtime=1x -benchmem ./internal/live/node/
 	$(GO) test -run '^$$' -bench='Do(Get|Put)' -benchtime=1x -benchmem ./internal/serve/
 
@@ -267,11 +267,12 @@ bench-node:
 # when diffs arrive in order), the bytes a 64-page cell allocates at
 # 1/4/16 processors (page state follows the allocation, not the 64 MiB
 # cap), the bytes closing an interval over 1 / 8 / 64 dirty pages
-# retains (record, diffs, notices), and the baton hand-off per
-# interaction (none on one processor, one goroutine switch otherwise).
+# retains (record, diffs, notices), the baton hand-off per
+# interaction (none on one processor, one goroutine switch otherwise),
+# and an event's schedule and dispatch, closure or typed (0 allocs).
 bench-sim:
 	$(GO) test -run '^$$' -bench 'HotPageApply|NewSystem|CloseInterval' -benchmem -count=5 ./internal/core/
-	$(GO) test -run '^$$' -bench 'Interact' -benchmem -count=5 ./internal/sim/
+	$(GO) test -run '^$$' -bench 'Interact|Dispatch' -benchmem -count=5 ./internal/sim/
 
 # loc prints the Go line counts CHANGES.md's scoreboard quotes: every
 # .go file in the tree, non-test and _test.go apart.

@@ -193,7 +193,7 @@ func (s *System) barrierArrive(a *arrival) {
 	// The master's own departure is local.
 	mp := s.procs[barrierMaster]
 	s.obsBarrierDeparted(mp.id, d)
-	s.prot.applyDepart(mp, d, func() { mp.sp.Wake(s.eng.Now()) })
+	s.prot.applyDepart(mp, d, mp.wake)
 }
 
 // handleBarDepart performs the departure (acquire) at a processor.
@@ -202,5 +202,5 @@ func (s *System) handleBarDepart(p *Proc, m *msg) {
 		s.trace.Add(s.eng.Now(), p.id, trace.BarrierDepart, int32(m.depart.episode), -1)
 	}
 	s.obsBarrierDeparted(p.id, m.depart)
-	s.prot.applyDepart(p, m.depart, func() { p.sp.Wake(s.eng.Now()) })
+	s.prot.applyDepart(p, m.depart, p.wake)
 }

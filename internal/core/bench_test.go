@@ -202,3 +202,54 @@ func TestIntervalFootprint(t *testing.T) {
 		t.Fatalf("%.0f bytes allocated per closed one-page interval, want at most 480", per)
 	}
 }
+
+// lockPingPong runs a two-processor system under prot in which the
+// processors alternate on one lock n times each and returns the bytes the
+// run allocated and the messages it sent. The computation after each
+// release outlasts a lock hand-off, so every acquire takes the lock from
+// the other processor: a request, a forward unless the lock's manager
+// holds the token, and a grant, with no data.
+func lockPingPong(tb testing.TB, prot Protocol, n int) (uint64, int64) {
+	cfg := testConfig(prot, 2)
+	s, err := NewSystem(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l := s.NewLock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := s.Run(func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Lock(l)
+			p.Unlock(l)
+			p.Compute(100000)
+		}
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, st.Msgs
+}
+
+// TestMessageFootprint: a simulated message costs the host no allocation
+// of its own. A send copies its message into a recycled slot that is its
+// own simulation event, so the marginal bytes per message between a short
+// and a long lock ping-pong are only what the protocol keeps (a lazy
+// request's vector time, a grant). A message struct and two closures per
+// message come to ~500 bytes.
+func TestMessageFootprint(t *testing.T) {
+	const lo, hi = 500, 2500
+	for _, prot := range []Protocol{LI, LH, EI} {
+		loBytes, loMsgs := lockPingPong(t, prot, lo)
+		hiBytes, hiMsgs := lockPingPong(t, prot, hi)
+		if hiMsgs <= loMsgs {
+			t.Fatalf("%v: %d messages at %d rounds, %d at %d", prot, hiMsgs, hi, loMsgs, lo)
+		}
+		per := (float64(hiBytes) - float64(loBytes)) / float64(hiMsgs-loMsgs)
+		t.Logf("%v: %.0f bytes allocated per simulated message (%d messages at %d rounds)", prot, per, hiMsgs, hi)
+		if per > 128 {
+			t.Errorf("%v: %.0f bytes allocated per simulated message, want at most 128", prot, per)
+		}
+	}
+}

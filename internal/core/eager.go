@@ -182,13 +182,13 @@ func (e *eagerProto) handlePageReq(p *Proc, m *msg) {
 	ps := &p.pages[m.pg]
 	if p.eiFlushPending != nil && p.eiFlushPending[m.pg] > 0 {
 		// Barrier merge in progress: serve once the losers' diffs arrive.
-		p.deferredPageReqs = append(p.deferredPageReqs, m)
+		p.deferredPageReqs = append(p.deferredPageReqs, m.kept())
 		return
 	}
 	if m.episode > p.episodeSeen {
 		// The requester departed a barrier we have not yet processed: our
 		// copy may be stale-valid. Serve after our own departure.
-		p.deferredEpisodeReqs = append(p.deferredEpisodeReqs, m)
+		p.deferredEpisodeReqs = append(p.deferredEpisodeReqs, m.kept())
 		return
 	}
 	if holder, held := s.flushBusy[m.pg]; held && p.id == s.pageOwner(m.pg) && holder != m.src {
@@ -196,7 +196,7 @@ func (e *eagerProto) handlePageReq(p *Proc, m *msg) {
 		// a stale copy the flush has not invalidated yet. Serve when the
 		// flush completes (the owner's hint then names the releaser). The
 		// holder's own pre-flush refetch must pass or it would deadlock.
-		s.flushDeferred[m.pg] = append(s.flushDeferred[m.pg], m)
+		s.flushDeferred[m.pg] = append(s.flushDeferred[m.pg], m.kept())
 		return
 	}
 	if ps.data == nil || !ps.valid {
@@ -215,7 +215,7 @@ func (e *eagerProto) handlePageReq(p *Proc, m *msg) {
 		return
 	}
 	p.noteCopysetJoin(m.pg, m.src)
-	img := page.Twin(ps.data)
+	img := page.NewTwin(ps.data) // freed by the requester unless adopted as its copy
 	s.sendFromHandler(&msg{kind: mPageReply, src: p.id, dst: m.src,
 		class: ClassData, attr: m.attr, pg: m.pg, token: m.token,
 		data: img, copyset: ps.copyset, payload: s.cfg.PageSize})

@@ -162,7 +162,7 @@ func (l *lazyProto) handlePageReq(p *Proc, m *msg) {
 	if ps.twin != nil {
 		src = ps.twin
 	}
-	img := page.Twin(src)
+	img := page.NewTwin(src) // freed by the requester unless adopted as its copy
 	var vtc []int32
 	if ps.copyVT != nil {
 		vtc = make([]int32, len(ps.copyVT))

@@ -187,13 +187,16 @@ func (s *System) handleLockGrant(p *Proc, m *msg) {
 	if m.flag {
 		// Token returned to the manager (centralized-lock ablation): absorb
 		// the consistency information, then serve the next queued waiter.
+		// The continuation can run after m is recycled (an LU fetch), so
+		// it captures the lock, not the message.
 		ls.present = true
+		lock := m.lock
 		s.prot.applyGrant(p, m.grant, func() {
 			if len(ls.queue) > 0 && ls.present && !ls.held {
 				w := ls.queue[0]
 				ls.queue = ls.queue[1:]
 				ls.present = false
-				p.grantLock(m.lock, w.req, w.vt, false)
+				p.grantLock(lock, w.req, w.vt, false)
 			}
 		})
 		return
@@ -203,5 +206,5 @@ func (s *System) handleLockGrant(p *Proc, m *msg) {
 	if s.trace.Enabled() {
 		s.trace.Add(s.eng.Now(), p.id, trace.LockGrant, int32(m.lock), m.src)
 	}
-	s.prot.applyGrant(p, m.grant, func() { p.sp.Wake(s.eng.Now()) })
+	s.prot.applyGrant(p, m.grant, p.wake)
 }

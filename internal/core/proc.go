@@ -224,6 +224,7 @@ type Proc struct {
 	sys   *System
 	sp    *sim.Proc
 	cache *cachesim.Cache
+	wake  func() // makes the blocked processor runnable at the current time
 
 	pages      []pageState // one per allocated page, sized when the system runs
 	vt         vc.VC
@@ -323,6 +324,7 @@ func newProc(s *System, id int) *Proc {
 		recByKey:   make(map[int64]*intervalRec),
 		recsByProc: make([][]*intervalRec, s.cfg.Procs),
 	}
+	p.wake = func() { p.sp.Wake(s.eng.Now()) }
 	if s.cfg.CacheBytes > 0 {
 		p.cache = cachesim.New(s.cfg.CacheBytes, s.cfg.CacheLine, 1, s.cfg.MemLatencyCycles)
 	} else {
@@ -767,7 +769,11 @@ func (p *Proc) handleFetchReply(m *msg) {
 		panic(fmt.Sprintf("core: proc %d unexpected fetch reply for page %d", p.id, m.pg))
 	}
 	if m.token != f.token {
-		return // stale reply from before a poisoned retry
+		// Stale reply from before a poisoned retry.
+		if m.kind == mPageReply {
+			page.FreeTwin(m.data)
+		}
+		return
 	}
 	if m.kind == mPageReply {
 		f.gotData = m.data
@@ -791,9 +797,10 @@ func (p *Proc) completeFetchRound() {
 	ps := &p.pages[f.pg]
 	if f.gotData != nil {
 		if ps.data == nil {
-			ps.data = f.gotData
+			ps.data = f.gotData // the image becomes the page
 		} else if ps.twin == nil {
 			copy(ps.data, f.gotData)
+			page.FreeTwin(f.gotData)
 		} else {
 			// Refetch over a dirty page (eager write fault after an
 			// invalidation): rebase our uncommitted words onto the fresh
@@ -801,6 +808,7 @@ func (p *Proc) completeFetchRound() {
 			own := page.MakeDiff(f.pg, ps.twin, ps.data)
 			copy(ps.data, f.gotData)
 			copy(ps.twin, f.gotData)
+			page.FreeTwin(f.gotData)
 			own.Apply(ps.data)
 		}
 		ps.ensureCopyVT(p.nprocs())

@@ -49,6 +49,11 @@ type System struct {
 	trace *trace.Log
 	obs   Observer
 
+	// msgFree recycles delivered messages: a send copies its message into
+	// a slot from here, and the slot returns once handled. One goroutine
+	// runs the simulation at a time, so a plain slice will do.
+	msgFree []*msg
+
 	stats RunStats
 	ran   bool
 }
@@ -354,6 +359,49 @@ type msg struct {
 	// request, so a reply that was overtaken by an invalidation (and whose
 	// fetch was poisoned and re-issued) cannot complete the retry.
 	token int64
+
+	// Set by the send: the system the message travels in, and whether it
+	// is on the wire (its next firing delivers it) rather than still
+	// leaving its sender (its next firing transmits it).
+	sys    *System
+	onWire bool
+}
+
+// newMsg copies m into a recycled slot, which the simulation owns until
+// the message is handled: the caller's m can live on its stack.
+func (s *System) newMsg(m *msg) *msg {
+	var slot *msg
+	if n := len(s.msgFree); n > 0 {
+		slot = s.msgFree[n-1]
+		s.msgFree = s.msgFree[:n-1]
+	} else {
+		slot = new(msg)
+	}
+	*slot = *m
+	slot.sys, slot.onWire = s, false // m may be a copy of a delivered message
+	return slot
+}
+
+// kept returns a copy of the delivered message m for a handler that holds
+// it past its return, when m's slot is recycled.
+func (m *msg) kept() *msg {
+	c := *m
+	return &c
+}
+
+// Fire runs the message's next phase as a simulation event: the first
+// firing puts it on the wire, the second handles it at its destination and
+// recycles its slot. A handler that keeps the message past its return
+// keeps a copy.
+func (m *msg) Fire() {
+	s := m.sys
+	if !m.onWire {
+		s.transmit(s.eng.Now(), m)
+		return
+	}
+	s.handle(m)
+	*m = msg{}
+	s.msgFree = append(s.msgFree, m)
 }
 
 // sendFromProc transmits m from processor p's context. The sender-side
@@ -364,24 +412,21 @@ func (p *Proc) sendFromProc(m *msg) {
 	p.sys.stats.HandlerCycles += sw
 	p.sp.Advance(sw)
 	p.sp.Interact()
-	p.sys.transmit(p.sp.Clock(), m)
+	p.sys.transmit(p.sp.Clock(), p.sys.newMsg(m))
 }
 
-// sendFromHandler transmits m from an event-handler context at the current
-// virtual time plus the sender-side software overhead.
-func (s *System) sendFromHandler(m *msg) { s.sendAt(s.eng.Now(), m) }
-
-// sendAt transmits m with the sender-side software overhead charged
-// starting at time t.
-func (s *System) sendAt(t sim.Time, m *msg) {
+// sendFromHandler transmits m from an event-handler context: it goes on
+// the wire once the sender-side software overhead, charged from the
+// current virtual time, has elapsed.
+func (s *System) sendFromHandler(m *msg) {
 	sw := s.cfg.messageOverheadCycles(m.payload)
 	s.stats.HandlerCycles += sw
-	t += sw
-	s.eng.Schedule(t, func() { s.transmit(t, m) })
+	s.eng.Post(s.eng.Now()+sw, s.newMsg(m))
 }
 
-// transmit puts m on the wire at time t and schedules its handler at the
-// destination after wire time plus the receiver-side software overhead.
+// transmit puts the recycled message m on the wire at time t and posts
+// its delivery at the destination after wire time plus the receiver-side
+// software overhead.
 func (s *System) transmit(t sim.Time, m *msg) {
 	if s.trace.Enabled() {
 		s.trace.Add(t, m.src, trace.MsgSend, int32(m.kind), m.dst)
@@ -390,7 +435,8 @@ func (s *System) transmit(t sim.Time, m *msg) {
 	deliver, _ := s.net.Send(t, m.src, m.dst, m.payload)
 	sw := s.cfg.messageOverheadCycles(m.payload)
 	s.stats.HandlerCycles += sw
-	s.eng.Schedule(deliver+sw, func() { s.handle(m) })
+	m.onWire = true
+	s.eng.Post(deliver+sw, m)
 }
 
 func (s *System) countMsg(m *msg) {

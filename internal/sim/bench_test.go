@@ -50,6 +50,34 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 	}
 }
 
+// tick is the smallest typed event: a message's shape without its work.
+type tick struct{ n int }
+
+func (t *tick) Fire() { t.n++ }
+
+// BenchmarkPostDispatch is BenchmarkScheduleDispatch with a typed event,
+// the way the protocol posts a message: one reused pointer, no closure.
+func BenchmarkPostDispatch(b *testing.B) {
+	e := New(1)
+	ev := &tick{}
+	n := b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	err := e.Run(func(p *Proc) {
+		for i := 0; i < n; i++ {
+			e.Post(p.Clock(), ev)
+			p.Advance(1)
+			p.Interact()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ev.n != n {
+		b.Fatalf("%d events fired, want %d", ev.n, n)
+	}
+}
+
 // BenchmarkScheduleBurst measures heap throughput when many events are
 // enqueued before any dispatches (barrier fan-out).
 func BenchmarkScheduleBurst(b *testing.B) {

@@ -11,10 +11,10 @@
 // of the system — sending a message, acquiring a lock — the processor calls
 // Interact, which parks it until its clock is globally minimal. Events
 // (message deliveries, protocol continuations) live in a priority queue and
-// run as callbacks on the goroutine that holds the baton: there is no
-// scheduler goroutine, a parking processor runs the due events itself and
-// then wakes the next processor directly (or simply carries on when it is
-// the next one), so an interaction costs at most one goroutine switch.
+// fire on the goroutine that holds the baton: there is no scheduler
+// goroutine, a parking processor runs the due events itself and then wakes
+// the next processor directly (or simply carries on when it is the next
+// one), so an interaction costs at most one goroutine switch.
 //
 // This mirrors the execution-driven methodology of the Rice Parallel
 // Processing Testbed used by the paper (Covington et al.): program behaviour
@@ -33,11 +33,21 @@ type Time int64
 // Infinity is a time later than any event in a simulation.
 const Infinity Time = 1<<63 - 1
 
-// event is a scheduled callback.
+// Event is something that happens at a virtual time: a message delivery,
+// a protocol continuation. Fire runs on the goroutine holding the baton.
+type Event interface{ Fire() }
+
+// Func adapts a plain callback to an Event.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a scheduled Event.
 type event struct {
 	at  Time
 	seq int64 // FIFO tiebreaker
-	fn  func()
+	ev  Event
 }
 
 type eventQueue []*event
@@ -109,7 +119,7 @@ type Engine struct {
 	now     Time
 	seq     int64
 	events  eventQueue
-	free    []*event // recycled event structs (one Schedule per interaction)
+	free    []*event // recycled event structs (one Post per interaction)
 	procs   []*Proc
 	ready   readyHeap  // runnable processors keyed by clock
 	done    chan error // last baton holder -> Run: the simulation is over
@@ -136,17 +146,21 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // being executed.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule enqueues fn to run at virtual time at. If at is in the past it
-// runs at the current time (still in timestamp order with other events).
-func (e *Engine) Schedule(at Time, fn func()) {
+// Post enqueues ev to fire at virtual time at. If at is in the past it
+// fires at the current time (still in timestamp order with other events).
+// Events due at the same time fire in the order they were posted.
+func (e *Engine) Post(at Time, ev Event) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	heap.Push(&e.events, ev)
+	x := e.newEvent()
+	x.at, x.seq, x.ev = at, e.seq, ev
+	heap.Push(&e.events, x)
 }
+
+// Schedule enqueues fn to run at virtual time at, like Post.
+func (e *Engine) Schedule(at Time, fn func()) { e.Post(at, Func(fn)) }
 
 // newEvent takes an event struct from the free list, or allocates one.
 func (e *Engine) newEvent() *event {
@@ -158,17 +172,17 @@ func (e *Engine) newEvent() *event {
 	return &event{}
 }
 
-// releaseEvent recycles a dispatched event. The callback is cleared so the
-// free list does not pin the closure (and whatever it captures) until reuse.
+// releaseEvent recycles a dispatched event. The Event is cleared so the
+// free list does not pin it (and whatever it captures) until reuse.
 func (e *Engine) releaseEvent(ev *event) {
-	ev.fn = nil
+	ev.ev = nil
 	e.free = append(e.free, ev)
 }
 
 // Run executes body on every processor until all bodies return and the event
 // queue drains. It returns an error on deadlock (blocked processors with no
 // pending events) and re-panics any panic raised inside a processor body or
-// an event callback, with its original value.
+// an event, with its original value.
 func (e *Engine) Run(body func(*Proc)) error {
 	for _, p := range e.procs {
 		p.state = stateReady
@@ -217,11 +231,11 @@ func (e *Engine) next() *Proc {
 		case te == Infinity && tp == Infinity:
 			return nil
 		case te <= tp:
-			ev := heap.Pop(&e.events).(*event)
-			e.now = ev.at
-			fn := ev.fn
-			e.releaseEvent(ev) // before fn: the callback may Schedule and reuse it
-			fn()
+			x := heap.Pop(&e.events).(*event)
+			e.now = x.at
+			ev := x.ev
+			e.releaseEvent(x) // before Fire: the event may Post and reuse it
+			ev.Fire()
 		default:
 			p := heap.Pop(&e.ready).(*Proc)
 			e.now = tp
@@ -291,9 +305,9 @@ func (p *Proc) Block() {
 }
 
 // Wake makes a blocked processor runnable again at virtual time at (or its
-// current clock, whichever is later). It must be called from an event
-// callback or from another processor's interaction code; either way exactly
-// one entity is executing, so pushing onto the ready heap is safe.
+// current clock, whichever is later). It must be called from an event or
+// from another processor's interaction code; either way exactly one entity
+// is executing, so pushing onto the ready heap is safe.
 func (p *Proc) Wake(at Time) {
 	if p.state != stateBlocked {
 		panic(fmt.Sprintf("sim: Wake of processor %d in state %d", p.ID, p.state))

@@ -79,6 +79,43 @@ func TestEventTiesAreFIFO(t *testing.T) {
 	}
 }
 
+// record is a typed event that appends its tag to a shared log.
+type record struct {
+	log *[]int
+	tag int
+}
+
+func (r *record) Fire() { *r.log = append(*r.log, r.tag) }
+
+// TestPostAndScheduleShareOrder: Post and Schedule draw on one sequence
+// counter, so events due at the same time fire in call order whichever
+// way they were enqueued.
+func TestPostAndScheduleShareOrder(t *testing.T) {
+	e := New(1)
+	var got []int
+	err := e.Run(func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			if i%2 == 0 {
+				e.Post(7, &record{log: &got, tag: i})
+			} else {
+				i := i
+				e.Schedule(7, func() { got = append(got, i) })
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 6 {
+		t.Fatalf("fired %v, want 6 events", got)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("Post and Schedule ties out of call order: %v", got)
+		}
+	}
+}
+
 func TestBlockAndWake(t *testing.T) {
 	e := New(2)
 	err := e.Run(func(p *Proc) {
@@ -219,39 +256,49 @@ func TestNegativeAdvancePanics(t *testing.T) {
 }
 
 // TestScheduleDispatchNoAlloc proves the event free-list: once warm, a
-// schedule/dispatch cycle allocates no event structs.
+// schedule/dispatch cycle allocates no event structs, and neither does
+// posting a typed event.
 func TestScheduleDispatchNoAlloc(t *testing.T) {
-	e := New(0)
-	fn := func() {}
-	// Warm the free list with as many events as one round keeps in flight.
-	for i := 0; i < 100; i++ {
-		e.Schedule(e.Now(), fn)
-	}
-	e.next()
-	avg := testing.AllocsPerRun(10, func() {
+	fn, ev := func() {}, &tick{}
+	for _, tc := range []struct {
+		name string
+		add  func(e *Engine)
+	}{
+		{"Schedule", func(e *Engine) { e.Schedule(e.Now(), fn) }},
+		{"Post", func(e *Engine) { e.Post(e.Now(), ev) }},
+	} {
+		e := New(0)
+		// Warm the free list with as many events as one round keeps in flight.
 		for i := 0; i < 100; i++ {
-			e.Schedule(e.Now(), fn)
+			tc.add(e)
 		}
 		e.next()
-	})
-	if avg > 0 {
-		t.Fatalf("schedule/dispatch allocates %.1f objects per 100 events, want 0", avg)
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 100; i++ {
+				tc.add(e)
+			}
+			e.next()
+		})
+		if avg > 0 {
+			t.Fatalf("%s/dispatch allocates %.1f objects per 100 events, want 0", tc.name, avg)
+		}
 	}
 }
 
 // TestEventPoolClearsClosure checks that recycling an event drops its
-// callback, so pooled events cannot pin captured state.
+// callback or typed event, so pooled events cannot pin captured state.
 func TestEventPoolClearsClosure(t *testing.T) {
 	e := New(0)
 	big := make([]byte, 1)
 	e.Schedule(0, func() { big[0]++ })
+	e.Post(0, &tick{})
 	e.next()
-	if len(e.free) == 0 {
-		t.Fatal("dispatched event not recycled")
+	if len(e.free) != 2 {
+		t.Fatalf("%d dispatched events recycled, want 2", len(e.free))
 	}
 	for _, ev := range e.free {
-		if ev.fn != nil {
-			t.Fatal("recycled event still holds its closure")
+		if ev.ev != nil {
+			t.Fatal("recycled event still holds its callback")
 		}
 	}
 }
