@@ -93,13 +93,17 @@ live:
 	GOMAXPROCS=1 timeout 60 $(GO) run ./cmd/dsmd -app cholesky -nodes 2 -transport tcp -scale bench -check
 
 # chaos: the robustness gate — the seeded chaos soaks (all apps under
-# injected drops/dups/reorders in-proc, resets over TCP loopback, and
-# the partition fail-fast check) under -race and the invariant checker,
-# then one seeded dsmd run with faults on real sockets, held to the
-# invariant checker and its result regions checked against a fault-free
-# 1-node reference.
+# injected drops/dups/reorders in-proc; resets over TCP loopback, and a
+# row that sends every TCP frame twice, which only the engine's checks
+# absorb; the partition fail-fast check) under -race and the invariant
+# checker; the TCP transport's framing, reconnect and rejoin tests and
+# chaos's reset test x20 under -race; then one seeded dsmd run with
+# faults on real sockets, held to the invariant checker and its result
+# regions checked against a fault-free 1-node reference.
 chaos:
 	$(GO) test -race -count=1 -timeout 300s -run 'TestChaosSoak|TestPartitionAbortsFast' ./internal/live/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestTCP|TestRejoin|TestResetExercisesReconnect' \
+		./internal/live/transport/ ./internal/live/chaos/
 	timeout 120 $(GO) run ./cmd/dsmd -app jacobi -nodes 4 -transport tcp -scale test \
 		-chaos-seed 42 -drop 0.03 -dup 0.03 -delay-p 0.05 -delay 2ms -reset 0.05 \
 		-retry 10ms -check -timeout 60s

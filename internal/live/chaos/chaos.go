@@ -7,13 +7,13 @@
 // clean structured abort — that expectation is what the chaos soak tests
 // (internal/live) enforce.
 //
-// Faults are injected on the send side, before the inner transport
-// assigns any sequence numbers, so the inner transport's own guarantees
-// (per-peer ordering, reconnect retransmission) still hold for the
-// frames that are let through — what the engine sees is a lossy,
-// re-ordering, duplicating network, exactly the paper's protocols'
-// worst case. Delayed frames intentionally break per-peer FIFO: a held
-// frame lets younger frames pass it.
+// Faults are injected on the send side, above the inner transport, so
+// the frames that are let through keep its guarantees (whole frames, in
+// order per connection, resent after a failed write) — what the engine
+// sees is a lossy, re-ordering, duplicating network, exactly the
+// paper's protocols' worst case. The engine is the one layer that
+// absorbs duplicates, injected or not. Delayed frames intentionally
+// break per-peer FIFO: a held frame lets younger frames pass it.
 //
 // The package injects network faults only. Node crashes are scheduled
 // on protocol events by the supervisor (live.RecoverOptions.Crashes).
@@ -54,7 +54,7 @@ type Config struct {
 	DelayMax time.Duration
 	// ResetP severs the established connection to the destination before
 	// sending, when the inner transport supports it (TCP); the send then
-	// exercises the re-dial + retransmit path.
+	// exercises the re-dial path.
 	ResetP float64
 	// Partitions lists node pairs to take offline for windows.
 	Partitions []Partition

@@ -123,18 +123,32 @@ func TestChaosSoakInproc(t *testing.T) {
 }
 
 // TestChaosSoakTCP repeats the soak over real loopback sockets with
-// connection resets in the mix, so the re-dial + retransmit + receiver
-// de-duplication path runs under protocol load.
+// connection resets in the mix, so re-dials, the resend after a failed
+// write and frames landing late across a reconnect run under protocol
+// load. The TCP transport keeps no delivery state: the dup-all row sends
+// every frame twice, and the engine alone must absorb the copies
+// (DESIGN.md §10.2).
 func TestChaosSoakTCP(t *testing.T) {
+	mixed := chaos.Config{
+		Seed:     2,
+		DropP:    0.02,
+		DupP:     0.03,
+		DelayP:   0.05,
+		DelayMax: 2 * time.Millisecond,
+		ResetP:   0.08,
+	}
 	for _, tc := range []struct {
+		name string
 		app  string
 		prot core.Protocol
+		fcfg chaos.Config
 	}{
-		{"jacobi", core.LH},
-		{"tsp", core.LI},
+		{"jacobi/LH", "jacobi", core.LH, mixed},
+		{"tsp/LI", "tsp", core.LI, mixed},
+		{"jacobi/LI/dup-all", "jacobi", core.LI, chaos.Config{Seed: 3, DupP: 1, ResetP: 0.08}},
 	} {
 		tc := tc
-		t.Run(fmt.Sprintf("%s/%v", tc.app, tc.prot), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			inner, err := transport.NewTCPLoopbackNet(4, transport.TCPOptions{
 				DialBackoff:  time.Millisecond,
@@ -143,17 +157,12 @@ func TestChaosSoakTCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fcfg := chaos.Config{
-				Seed:     2,
-				DropP:    0.02,
-				DupP:     0.03,
-				DelayP:   0.05,
-				DelayMax: 2 * time.Millisecond,
-				ResetP:   0.08,
-			}
-			got, _, faults := runAppChaos(t, tc.app, tc.prot, 4, inner, fcfg)
+			got, stats, faults := runAppChaos(t, tc.app, tc.prot, 4, inner, tc.fcfg)
 			if faults.Resets == 0 {
 				t.Error("TCP soak forced no connection resets")
+			}
+			if tc.fcfg.DupP == 1 && stats.Total.DupRequests+stats.Total.DupReplies == 0 {
+				t.Errorf("every frame sent twice (%d copies) but none de-duplicated", faults.Duplicated)
 			}
 			compareToReference(t, tc.app, tc.prot, got)
 		})

@@ -20,14 +20,15 @@ import (
 	"lrcdsm/internal/page"
 )
 
+// maxSharedBytes bounds a cluster's shared address space.
+const maxSharedBytes = 64 << 20
+
 // Config parameterizes a live cluster.
 type Config struct {
 	// Nodes is the cluster size (one worker goroutine per node).
 	Nodes int
 	// PageSize is the shared page size (power of two; default 4096).
 	PageSize int
-	// MaxSharedBytes bounds the shared address space (default 64 MiB).
-	MaxSharedBytes int
 	// Protocol selects the acquire-side behaviour: core.LH (default, the
 	// paper's hybrid — cached pages are refreshed with diffs pulled from
 	// their home) or core.LI (noticed pages are invalidated).
@@ -128,9 +129,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.PageSize < 64 || cfg.PageSize&(cfg.PageSize-1) != 0 {
 		return nil, fmt.Errorf("live: PageSize = %d, want power of two >= 64", cfg.PageSize)
 	}
-	if cfg.MaxSharedBytes == 0 {
-		cfg.MaxSharedBytes = 64 << 20
-	}
 	if cfg.Protocol != core.LI && cfg.Protocol != core.LH {
 		return nil, fmt.Errorf("live: protocol %v not supported (want LI or LH)", cfg.Protocol)
 	}
@@ -156,8 +154,8 @@ func (c *Cluster) pageOf(a core.Addr) page.ID { return page.ID(a >> c.pageShift)
 func (c *Cluster) Alloc(n int) core.Addr {
 	a := (c.brk + 7) &^ 7
 	c.brk = a + core.Addr(n)
-	if int(c.brk) > c.cfg.MaxSharedBytes {
-		panic(fmt.Sprintf("live: shared memory exhausted (%d > %d)", c.brk, c.cfg.MaxSharedBytes))
+	if c.brk > maxSharedBytes {
+		panic(fmt.Sprintf("live: shared memory exhausted (%d > %d)", c.brk, maxSharedBytes))
 	}
 	c.allocs = append(c.allocs, [2]page.ID{c.pageOf(a), c.pageOf(c.brk - 1)})
 	return a
@@ -168,8 +166,8 @@ func (c *Cluster) AllocPage(n int) core.Addr {
 	ps := core.Addr(c.cfg.PageSize)
 	a := (c.brk + ps - 1) &^ (ps - 1)
 	c.brk = a + core.Addr(n)
-	if int(c.brk) > c.cfg.MaxSharedBytes {
-		panic(fmt.Sprintf("live: shared memory exhausted (%d > %d)", c.brk, c.cfg.MaxSharedBytes))
+	if c.brk > maxSharedBytes {
+		panic(fmt.Sprintf("live: shared memory exhausted (%d > %d)", c.brk, maxSharedBytes))
 	}
 	c.allocs = append(c.allocs, [2]page.ID{c.pageOf(a), c.pageOf(c.brk - 1)})
 	return a

@@ -190,3 +190,29 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("run without allocations accepted")
 	}
 }
+
+// TestSharedSpaceBound holds Alloc and AllocPage to the 64 MiB shared
+// address space: an allocation that ends on its last byte fits, one
+// byte more panics.
+func TestSharedSpaceBound(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s past the shared space did not panic", name)
+			}
+		}()
+		f()
+	}
+	c, err := New(Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Alloc(maxSharedBytes)
+	mustPanic("Alloc", func() { c.Alloc(1) })
+	c, err = New(Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("AllocPage", func() { c.AllocPage(maxSharedBytes + 1) })
+}

@@ -14,8 +14,8 @@ import (
 // treated as a corrupt stream and the connection is dropped.
 const maxFrame = 64 << 20
 
-// frameHdr is the per-frame header: 8-byte sequence, 4-byte length.
-const frameHdr = 12
+// frameHdr is the per-frame header: a 4-byte length.
+const frameHdr = 4
 
 // wbufMax caps the per-peer write scratch: a frame up to this size is
 // assembled in it and leaves in one write; a larger one goes out as a
@@ -73,57 +73,32 @@ func (o TCPOptions) withDefaults() TCPOptions {
 
 // TCP is the TCP transport of one node. Each ordered peer pair uses one
 // outbound connection, established lazily on first Send and re-dialed
-// with exponential backoff after failures. Frames carry a per-peer
-// sequence number so a retransmission after a dropped connection is
-// de-duplicated at the receiver (exactly-once delivery per surviving
-// run, at-least-once on the wire).
+// with exponential backoff after failures. A frame is a length and its
+// payload; the transport keeps no delivery state of its own (see
+// Transport for what survives a reconnect).
 type TCP struct {
 	self  int
 	addrs []string
 	opts  TCPOptions
 	ln    net.Listener
 
-	// boot numbers this transport incarnation (0 for the original). It is
-	// carried in the connection hello: a receiver seeing a higher boot id
-	// from a peer resets that peer's sequence de-duplication, so a
-	// restarted node — whose sequence numbers restart at 1 — is not
-	// silently discarded as a replay of its previous life.
-	boot uint32
-
 	in   *inbox
 	done chan struct{}
 	once sync.Once
 
-	mu    sync.Mutex // guards conns, seq, accepted
+	mu    sync.Mutex // guards conns, accepted
 	conns map[int]net.Conn
-	seq   map[int]uint64
 	// out holds one sending slot per destination.
 	out []peerOut
-
-	recvMu   sync.Mutex // guards lastSeq, lastBoot
-	lastSeq  map[int]uint64
-	lastBoot map[int]uint32
 
 	acceptWG sync.WaitGroup
 	accepted map[net.Conn]bool
 }
 
-// NewTCPNode builds the transport of node self in a cluster whose node i
-// listens on addrs[i]. It starts listening immediately; peers are dialed
-// lazily on first Send.
-func NewTCPNode(self int, addrs []string, opts TCPOptions) (*TCP, error) {
-	ln, err := net.Listen("tcp", addrs[self])
-	if err != nil {
-		return nil, fmt.Errorf("transport: node %d listen %s: %w", self, addrs[self], err)
-	}
-	return newTCPNode(self, addrs, ln, opts, 0), nil
-}
-
 // peerOut is one destination's sending slot. mu serializes Sends to the
-// peer: a frame's sequence number must reach the wire in sequence order
-// or the receiver's de-duplication would discard reordered (not
-// duplicated) frames. Under it, buf is the peer's write scratch and
-// deadline the write deadline armed on conn.
+// peer, so frames leave in Send order and never interleave on the
+// stream. Under it, buf is the peer's write scratch and deadline the
+// write deadline armed on conn.
 type peerOut struct {
 	mu       sync.Mutex
 	buf      []byte
@@ -131,20 +106,18 @@ type peerOut struct {
 	deadline time.Time
 }
 
-func newTCPNode(self int, addrs []string, ln net.Listener, opts TCPOptions, boot uint32) *TCP {
+// newTCPNode builds the transport of node self in a cluster whose node i
+// listens on addrs[i], serving ln; peers are dialed lazily on first Send.
+func newTCPNode(self int, addrs []string, ln net.Listener, opts TCPOptions) *TCP {
 	done := make(chan struct{})
 	t := &TCP{
 		self:     self,
 		addrs:    addrs,
 		opts:     opts.withDefaults(),
 		ln:       ln,
-		boot:     boot,
 		in:       newInbox(done),
 		done:     done,
 		conns:    make(map[int]net.Conn),
-		seq:      make(map[int]uint64),
-		lastSeq:  make(map[int]uint64),
-		lastBoot: make(map[int]uint32),
 		accepted: make(map[net.Conn]bool),
 		out:      make([]peerOut, len(addrs)),
 	}
@@ -172,7 +145,7 @@ func NewTCPLoopback(n int, opts TCPOptions) ([]Transport, error) {
 	}
 	ts := make([]Transport, n)
 	for i := 0; i < n; i++ {
-		ts[i] = newTCPNode(i, addrs, lns[i], opts, 0)
+		ts[i] = newTCPNode(i, addrs, lns[i], opts)
 	}
 	return ts, nil
 }
@@ -187,10 +160,10 @@ func (t *TCP) Self() int { return t.self }
 func (t *TCP) N() int { return len(t.addrs) }
 
 // Send implements Transport. On a write failure the connection is torn
-// down and the frame is retransmitted over a fresh connection (dialed
-// with retry and exponential backoff); the receiver de-duplicates by
-// sequence number, so a frame that did arrive before the drop is not
-// delivered twice.
+// down and the frame is sent once more over a fresh connection (dialed
+// with retry and exponential backoff). A failed write left at most part
+// of the frame on the old stream, and the receiver never delivers a
+// partial frame, so the resend cannot duplicate it.
 func (t *TCP) Send(to int, payload []byte) error {
 	if to < 0 || to >= len(t.addrs) || to == t.self {
 		return fmt.Errorf("transport: tcp send to invalid peer %d", to)
@@ -198,10 +171,6 @@ func (t *TCP) Send(to int, payload []byte) error {
 	p := &t.out[to]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t.mu.Lock()
-	t.seq[to]++
-	seq := t.seq[to]
-	t.mu.Unlock()
 
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -209,7 +178,7 @@ func (t *TCP) Send(to int, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if err = t.writeFrame(p, conn, seq, payload); err == nil {
+		if err = t.writeFrame(p, conn, payload); err == nil {
 			return nil
 		}
 		lastErr = err
@@ -221,15 +190,13 @@ func (t *TCP) Send(to int, payload []byte) error {
 	return fmt.Errorf("transport: send to %d: %w", to, lastErr)
 }
 
-// writeFrame serializes one frame to a peer: 8-byte sequence, 4-byte
-// length, payload, assembled in the peer's scratch buffer so that it
-// costs one write and no allocation. Writes hold a write deadline, which
-// is re-armed — a runtime timer update — only on a fresh connection or
-// once less than half of WriteTimeout remains. Caller holds p.mu.
-func (t *TCP) writeFrame(p *peerOut, conn net.Conn, seq uint64, payload []byte) error {
-	buf := append(p.buf[:0], make([]byte, frameHdr)...)
-	binary.BigEndian.PutUint64(buf, seq)
-	binary.BigEndian.PutUint32(buf[8:], uint32(len(payload)))
+// writeFrame serializes one frame to a peer: 4-byte length, payload,
+// assembled in the peer's scratch buffer so that it costs one write and
+// no allocation. Writes hold a write deadline, which is re-armed — a
+// runtime timer update — only on a fresh connection or once less than
+// half of WriteTimeout remains. Caller holds p.mu.
+func (t *TCP) writeFrame(p *peerOut, conn net.Conn, payload []byte) error {
+	buf := binary.BigEndian.AppendUint32(p.buf[:0], uint32(len(payload)))
 	if now := time.Now(); conn != p.conn || p.deadline.Sub(now) < t.opts.WriteTimeout/2 {
 		p.conn, p.deadline = conn, now.Add(t.opts.WriteTimeout)
 		conn.SetWriteDeadline(p.deadline)
@@ -280,11 +247,10 @@ func (t *TCP) peerConn(to int) (net.Conn, error) {
 			lastErr = err
 			continue
 		}
-		// Handshake: identify ourselves (node id + boot) so the acceptor
-		// can attribute inbound frames and fence replays across restarts.
-		var hello [8]byte
-		binary.BigEndian.PutUint32(hello[:4], uint32(t.self))
-		binary.BigEndian.PutUint32(hello[4:], t.boot)
+		// Handshake: identify ourselves so the acceptor can attribute
+		// inbound frames.
+		var hello [4]byte
+		binary.BigEndian.PutUint32(hello[:], uint32(t.self))
 		conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
 		if _, err := conn.Write(hello[:]); err != nil {
 			conn.Close()
@@ -308,9 +274,7 @@ func (t *TCP) peerConn(to int) (net.Conn, error) {
 }
 
 // ResetPeer implements PeerResetter: it severs the established outbound
-// connection to a peer, as a crashed link would. The next Send re-dials
-// and retransmits; receiver-side sequence de-duplication keeps delivery
-// exactly-once.
+// connection to a peer, as a crashed link would. The next Send re-dials.
 func (t *TCP) ResetPeer(to int) {
 	t.mu.Lock()
 	c := t.conns[to]
@@ -354,12 +318,10 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames off one inbound connection, de-duplicating by
-// per-peer sequence number, and delivers each on this goroutine, until
-// the stream errors or closes. A partial
-// frame at the tail of a dropped connection is discarded silently — the
-// sender retransmits it with the same sequence number on its next
-// connection.
+// readLoop decodes frames off one inbound connection and delivers each
+// on this goroutine, until the stream errors or closes. A partial frame
+// at the tail of a dropped connection is discarded silently — the
+// sender resends it on its next connection.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.acceptWG.Done()
 	defer func() {
@@ -370,37 +332,21 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 		conn.Close()
 	}()
-	var hello [8]byte
+	var hello [4]byte
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
 		return
 	}
-	from := int(binary.BigEndian.Uint32(hello[:4]))
-	boot := binary.BigEndian.Uint32(hello[4:])
+	from := int(binary.BigEndian.Uint32(hello[:]))
 	if from < 0 || from >= len(t.addrs) {
 		return
 	}
-	t.recvMu.Lock()
-	switch last := t.lastBoot[from]; {
-	case boot > last:
-		// A restarted incarnation: its sequence numbers restart at 1, so
-		// the old de-duplication watermark would discard every frame.
-		t.lastBoot[from] = boot
-		t.lastSeq[from] = 0
-	case boot < last:
-		// A connection from a dead incarnation that dialed before the
-		// restart; its frames are stale by definition.
-		t.recvMu.Unlock()
-		return
-	}
-	t.recvMu.Unlock()
 	br := bufio.NewReaderSize(conn, readBuf)
 	var hdr [frameHdr]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
-		seq := binary.BigEndian.Uint64(hdr[:])
-		size := binary.BigEndian.Uint32(hdr[8:])
+		size := binary.BigEndian.Uint32(hdr[:])
 		if size > maxFrame {
 			return
 		}
@@ -408,20 +354,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
-		t.recvMu.Lock()
-		dup := seq <= t.lastSeq[from]
-		if !dup {
-			t.lastSeq[from] = seq
-		}
-		t.recvMu.Unlock()
-		if !dup {
-			t.in.deliver(Frame{From: from, Payload: payload})
-		}
+		t.in.deliver(Frame{From: from, Payload: payload})
 	}
 }
 
-// Handle implements Transport: connection readers call h right after
-// sequence de-duplication.
+// Handle implements Transport: connection readers call h as each whole
+// frame arrives.
 func (t *TCP) Handle(h func(Frame)) { t.in.handle(h) }
 
 // Recv implements Transport.

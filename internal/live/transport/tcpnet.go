@@ -9,14 +9,13 @@ import (
 
 // TCPNet is the Network over TCP transports: it remembers the cluster's
 // address list so a crashed node's transport can be rebuilt on the same
-// address with a bumped boot id.
+// address.
 type TCPNet struct {
 	addrs []string
 	opts  TCPOptions
 
 	mu    sync.Mutex
 	nodes []*TCP
-	boots []uint32
 }
 
 // NewTCPLoopbackNet builds an n-node loopback TCP network whose nodes
@@ -26,7 +25,7 @@ func NewTCPLoopbackNet(n int, opts TCPOptions) (*TCPNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw := &TCPNet{opts: opts, nodes: make([]*TCP, n), boots: make([]uint32, n), addrs: make([]string, n)}
+	nw := &TCPNet{opts: opts, nodes: make([]*TCP, n), addrs: make([]string, n)}
 	for i, t := range ts {
 		nw.nodes[i] = t.(*TCP)
 		nw.addrs[i] = nw.nodes[i].Addr()
@@ -47,7 +46,7 @@ func (nw *TCPNet) Transports() []Transport {
 
 // Rejoin implements Network: it closes node i's transport, rebinds its
 // listen address (retrying briefly while the old listener's close
-// settles), and returns a fresh incarnation with a bumped boot id.
+// settles), and returns a fresh incarnation.
 func (nw *TCPNet) Rejoin(i int) (Transport, error) {
 	nw.mu.Lock()
 	if i < 0 || i >= len(nw.nodes) {
@@ -55,9 +54,7 @@ func (nw *TCPNet) Rejoin(i int) (Transport, error) {
 		return nil, fmt.Errorf("transport: tcp rejoin of invalid node %d", i)
 	}
 	nw.nodes[i].Close()
-	nw.boots[i]++
 	addr := nw.addrs[i] // addrs is immutable after construction
-	boot := nw.boots[i]
 	nw.mu.Unlock()
 	// Rebind with the lock released: the retry loop can sleep for up to a
 	// second while the old listener's close settles, and holding mu that
@@ -73,7 +70,7 @@ func (nw *TCPNet) Rejoin(i int) (Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: rebind %s for node %d: %w", addr, i, err)
 	}
-	t := newTCPNode(i, nw.addrs, ln, nw.opts, boot)
+	t := newTCPNode(i, nw.addrs, ln, nw.opts)
 	nw.mu.Lock()
 	nw.nodes[i] = t
 	nw.mu.Unlock()

@@ -29,12 +29,19 @@ type Frame struct {
 
 // Transport connects one node to its peers. Send, Handle and Recv are
 // safe for concurrent use; payload ownership transfers on Send.
+//
+// Frames on one connection arrive whole and in order. Across a
+// reconnect or a rejoin, a frame may arrive late or twice: the transport
+// keeps no delivery state, so the engine de-duplicates it (DESIGN.md
+// §10.2) and its epoch fence drops a dead incarnation's frames, over
+// TCP as over Inproc.
 type Transport interface {
 	// Self returns this node's id in [0, N); N the cluster size.
 	Self() int
 	N() int
 	// Send delivers payload to peer `to`. Frames from one sender to one
-	// receiver arrive in order; there is no cross-peer ordering.
+	// receiver arrive in order while their connection lasts; there is no
+	// cross-peer ordering.
 	Send(to int, payload []byte) error
 	// Handle registers h to receive every inbound frame, called on the
 	// goroutine the frame arrived on (a TCP connection's reader, an
@@ -152,9 +159,7 @@ func (q *inbox) recv() (Frame, error) {
 // Network owns the transports of a whole cluster and can rebuild one
 // node's transport after a crash. Rejoin(i) closes node i's current
 // transport (if still open) and returns a fresh incarnation bound to the
-// same identity — and, for TCP, the same address with a bumped boot id,
-// so receivers reset their per-peer sequence de-duplication instead of
-// discarding the new incarnation's frames. The supervisor
+// same identity — and, for TCP, the same address. The supervisor
 // (internal/live) drives recovery through this interface.
 type Network interface {
 	// Transports returns the current transport of every node.
@@ -167,8 +172,7 @@ type Network interface {
 
 // PeerResetter is implemented by transports whose per-peer connections
 // can be forcibly severed mid-run — the TCP transport closes the
-// established outbound connection so the next Send must re-dial and
-// retransmit. Fault injection (internal/live/chaos) uses it to exercise
+// established outbound connection so the next Send must re-dial. Fault injection (internal/live/chaos) uses it to exercise
 // the reconnect path; connectionless transports simply don't implement
 // it.
 type PeerResetter interface {
